@@ -6,9 +6,8 @@ __version__ = "0.1.0"
 
 from .witt import (WittContext, WittScalar, make_context, frobenius,
                    teichmuller, valuation)
-from .lattices import (Lattice, SemilinearMap, apply_map, hermite_form,
-                       intersect, lattice_sum, mod_p_dimension, preimage,
-                       saturate)
+from .lattices import (Lattice, SemilinearMap, intersect, lattice_sum,
+                       mod_p_dimension, saturate)
 from .isocrystal import (FIsocrystal, dim_codim, end_decompose,
                          newton_slopes, slope_split)
 from .core import (TangentSpace, check_axioms, hodge_splitting,
@@ -22,8 +21,8 @@ from .strata import traverso_dimension, polarized_dim
 __all__ = [
     "WittContext", "WittScalar", "make_context", "frobenius",
     "teichmuller", "valuation",
-    "Lattice", "SemilinearMap", "apply_map", "hermite_form", "intersect",
-    "lattice_sum", "mod_p_dimension", "preimage", "saturate",
+    "Lattice", "SemilinearMap", "intersect", "lattice_sum",
+    "mod_p_dimension", "saturate",
     "FIsocrystal", "dim_codim", "end_decompose", "newton_slopes",
     "slope_split",
     "TangentSpace", "check_axioms", "hodge_splitting",

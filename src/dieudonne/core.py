@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from . import modp
 from .errors import (HypothesisViolated, InclusionViolated, NoAutoConstruction,
-                     NonConvergence, PrecisionExhausted, SplittingInvalid,
-                     ValidationFailed)
+                     NonConvergence, PrecisionExhausted, SingularMap,
+                     SplittingInvalid, ValidationFailed)
 from .isocrystal import (FIsocrystal, SlopeData, end_frobenius, mat_to_vec,
                          sandwich_map, vec_to_mat, _maps_equal)
 from .lattices import (Lattice, SemilinearMap, intersect, invert_matrix,
-                       invert_matrix_exact, lattice_sum, mod_p_dimension,
-                       saturate)
+                       lattice_sum, mod_p_dimension, saturate)
+from .matrix import mat_mul
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +113,6 @@ def _full_endo_basis(ctx, r):
     return out
 
 
-def tangent_space(crystal: FIsocrystal) -> TangentSpace:
-    return TangentSpace(crystal)
-
-
 def nu_image(lattice: Lattice, tangent: TangentSpace):
     """(dimension, residue vectors) of the image of an integral End(M)
     lattice under nu."""
@@ -159,7 +155,7 @@ class HodgeSplitting:
         self.P_rows = [[cols[j][i] for j in range(r)] for i in range(r)]
         try:
             pinv, vdet = invert_matrix(ctx, self.P_rows)
-        except Exception as exc:
+        except (SingularMap, PrecisionExhausted) as exc:
             raise SplittingInvalid(f"basis change not invertible: {exc}")
         if vdet != 0:
             raise SplittingInvalid("F1 + F0 does not span M (non-unit index)")
@@ -263,10 +259,9 @@ def sigma_phi(crystal: FIsocrystal, split: HodgeSplitting) -> SemilinearMap:
     automorphism with phi = (unit part) o (p-weighted cocharacter)."""
     ctx = crystal.ctx
     mu_num = split.mu_numerator()
-    arows = [list(r) for r in crystal.phi.rows]
-    prod = _mat_mul_scalars(ctx, arows,
-                            [[x.frobenius(crystal.phi.twist) for x in row]
-                             for row in mu_num])
+    prod = mat_mul(crystal.phi.rows,
+                   [[x.frobenius(crystal.phi.twist) for x in row]
+                    for row in mu_num], ctx.zero)
     m = SemilinearMap(ctx, prod, twist=crystal.phi.twist,
                       denominator=crystal.phi.denominator + 1,
                       loss=crystal.phi.loss)
@@ -275,27 +270,11 @@ def sigma_phi(crystal: FIsocrystal, split: HodgeSplitting) -> SemilinearMap:
         raise SplittingInvalid("unit-part factorization is not integral")
     try:
         _, vdet = invert_matrix(ctx, m.rows)
-    except Exception as exc:
+    except (SingularMap, PrecisionExhausted) as exc:
         raise SplittingInvalid(f"unit part not invertible: {exc}")
     if vdet != 0:
         raise SplittingInvalid("unit part does not preserve the lattice")
     return m
-
-
-def _mat_mul_scalars(ctx, a, b):
-    r = len(a)
-    m = len(b)
-    c = len(b[0]) if m else 0
-    out = [[ctx.zero] * c for _ in range(r)]
-    for i in range(r):
-        for k in range(m):
-            x = a[i][k]
-            if x.is_zero():
-                continue
-            for j in range(c):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + x * b[k][j]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +286,10 @@ def star_property_holds(crystal: FIsocrystal, tangent: TangentSpace,
     """For an integral endomorphism x: phi(x) leaves End(M) exactly when
     nu(x) is non-zero."""
     ctx = crystal.ctx
-    arows = [list(r) for r in crystal.phi.rows]
-    ainv, vdet = invert_matrix_exact(ctx, arows)
+    ainv, vdet = crystal.inverse_numerator()
     twisted = [[x.frobenius(crystal.phi.twist) for x in row] for row in rows]
-    num = _mat_mul_scalars(ctx, _mat_mul_scalars(ctx, arows, twisted), ainv)
+    num = mat_mul(mat_mul(crystal.phi.rows, twisted, ctx.zero), ainv,
+                  ctx.zero)
     integral = all(x.valuation() >= vdet for row in num for x in row)
     nu_nonzero = not tangent.nu_is_zero(tangent.nu_matrix(rows))
     return (not integral) == nu_nonzero
@@ -359,31 +338,20 @@ def smallest_stable_superlattice(V: Lattice, numerator_steps, denominator,
     raise NonConvergence("stable-superlattice iteration did not converge")
 
 
-def end_phi_inverse(crystal: FIsocrystal) -> SemilinearMap:
-    """Inverse conjugation x -> phi^{-1} x phi on r^2 coordinates."""
-    ctx = crystal.ctx
-    arows = [list(r) for r in crystal.phi.rows]
-    ainv, vdet = invert_matrix_exact(ctx, arows)
-    e = (-1) % ctx.n
-    left = [[x.frobenius(e) for x in row] for row in ainv]
-    right = [[x.frobenius(e) for x in row] for row in arows]
-    return sandwich_map(ctx, left, right, twist=e, denominator=vdet,
-                        loss=crystal.phi.loss)
-
-
 def _conjugation_numerators(crystal):
     """Integral numerators of the two conjugations: fwd(x) = A sigma(x)
     A_adj and bwd(x) = sigma^{-1}(A_adj x A), both equal to p^{v(det A)}
-    times the actual conjugation."""
-    ctx = crystal.ctx
-    arows = [list(r) for r in crystal.phi.rows]
-    ainv, vdet = invert_matrix_exact(ctx, arows)
-    fwd_num = sandwich_map(ctx, arows, ainv, twist=1)
-    e = (-1) % ctx.n
-    left = [[x.frobenius(e) for x in row] for row in ainv]
-    right = [[x.frobenius(e) for x in row] for row in arows]
-    bwd_num = sandwich_map(ctx, left, right, twist=e)
-    return fwd_num, bwd_num, vdet
+    times the actual conjugation; computed once per crystal."""
+    if "conjugation" not in crystal._derived:
+        ctx = crystal.ctx
+        ainv, vdet = crystal.inverse_numerator()
+        fwd_num = SemilinearMap(ctx, end_frobenius(crystal).rows, twist=1)
+        e = (-1) % ctx.n
+        left = [[x.frobenius(e) for x in row] for row in ainv]
+        right = [[x.frobenius(e) for x in row] for row in crystal.phi.rows]
+        bwd_num = sandwich_map(ctx, left, right, twist=e)
+        crystal._derived["conjugation"] = (fwd_num, bwd_num, vdet)
+    return crystal._derived["conjugation"]
 
 
 def _membership_refine(E: Lattice, num_map, shift: int, cap) -> Lattice:
@@ -512,7 +480,7 @@ def smallest_super_dieudonne(V: Lattice, crystal: FIsocrystal,
 
 
 # ---------------------------------------------------------------------------
-# codimension and the nu-dimension identity
+# codimension
 
 
 def codim_of_dieudonne(E: Lattice, crystal: FIsocrystal) -> int:
@@ -531,12 +499,6 @@ def codim_of_dieudonne(E: Lattice, crystal: FIsocrystal) -> int:
     if not E.contains(img):
         raise InclusionViolated("(E, p phi) is not a Dieudonne lattice")
     return mod_p_dimension(img, E)
-
-
-def nu_dimension_matches_codim(E: Lattice, crystal: FIsocrystal,
-                               tangent: TangentSpace) -> bool:
-    dim, _ = nu_image(E, tangent)
-    return dim == codim_of_dieudonne(E, crystal)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +557,7 @@ def check_axioms(E: Lattice, crystal: FIsocrystal, V_minus: Lattice,
     mats = [vec_to_mat(list(c), r) for c in E.cols]
     for a, ma in enumerate(mats):
         for b, mb in enumerate(mats):
-            prod = _mat_mul_scalars(ctx, ma, mb)
+            prod = mat_mul(ma, mb, ctx.zero)
             if any(not x.is_zero() for row in prod for x in row):
                 report.axiom_ii = False
                 report.witnesses["axiom_ii"] = (

@@ -16,11 +16,12 @@ divided-power correction factor at arbitrary Witt coordinates.
 from __future__ import annotations
 
 from .core import TangentSpace, nu_image
-from .errors import (HypothesisViolated, NonConvergence, NonTermination,
-                     ValidationFailed)
+from .errors import (HypothesisViolated, InclusionViolated, NonConvergence,
+                     NonTermination, ValidationFailed)
 from .isocrystal import FIsocrystal, end_frobenius, vec_to_mat
-from .lattices import (Lattice, SemilinearMap, invert_matrix_exact,
-                       lattice_sum, restrict_map)
+from .lattices import Lattice, SemilinearMap, lattice_sum, restrict_map
+from .matrix import (identity, mat_add, mat_mul, mat_sub, nilpotent_inverse,
+                     transport)
 from .modp import gf_echelon, gf_spaces_equal
 from .series import TruncatedSeries
 from .witt import teichmuller
@@ -77,9 +78,6 @@ class ConnectionForm:
         self.a = a              # coords of p phi(e_l) in the E basis
         self.b = b              # coords of v_i in the E basis
 
-    def omega_entry(self, l, i):
-        return self.w[(l, i)]
-
     def basis_matrices(self):
         r = self.crystal.rank
         return [vec_to_mat(list(v), r) for v in self.basis]
@@ -88,27 +86,11 @@ class ConnectionForm:
 def _check_square_zero(ctx, mats):
     for ia, ma in enumerate(mats):
         for ib, mb in enumerate(mats):
-            prod = _mat_mul(ctx, ma, mb)
+            prod = mat_mul(ma, mb, ctx.zero)
             if any(not x.is_zero() for row in prod for x in row):
                 raise HypothesisViolated(
                     f"E is not square-zero: basis elements {ia} and {ib} "
                     "have a non-zero product")
-
-
-def _mat_mul(ctx, a, b):
-    r = len(a)
-    m = len(b)
-    c = len(b[0]) if m else 0
-    out = [[ctx.zero] * c for _ in range(r)]
-    for i in range(r):
-        for k in range(m):
-            x = a[i][k]
-            if x.is_zero():
-                continue
-            for j in range(c):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + x * b[k][j]
-    return out
 
 
 def solve_connection(crystal: FIsocrystal, E: Lattice, B: DeformationBasis,
@@ -132,7 +114,7 @@ def solve_connection(crystal: FIsocrystal, E: Lattice, B: DeformationBasis,
     pphi = end_frobenius(crystal).scale_p(1)
     try:
         arestr = restrict_map(pphi, E)
-    except Exception as exc:
+    except InclusionViolated as exc:
         raise HypothesisViolated(
             f"E is not stable under p times the Frobenius: {exc}")
     a = [[arestr.rows[j][l] for l in range(m)] for j in range(m)]
@@ -366,15 +348,15 @@ def induced_connection_tilde(conn: ConnectionForm, t: SemilinearMap) -> dict:
     # certificates on brackets: [e_l, e_j] = 0 and [e_l, t] = e_l
     for l, el in enumerate(emats):
         for j, ej in enumerate(emats):
-            comm = _mat_sub(ctx, _mat_mul(ctx, el, ej),
-                            _mat_mul(ctx, ej, el))
+            comm = mat_sub(mat_mul(el, ej, ctx.zero),
+                           mat_mul(ej, el, ctx.zero))
             if any(not x.is_zero() for row in comm for x in row):
                 raise HypothesisViolated(
                     f"[e_{l}, e_{j}] is non-zero; E-part is not flat")
     t_paired = []
     for l, el in enumerate(emats):
-        br = _mat_sub(ctx, _mat_mul(ctx, el, trows),
-                      _mat_mul(ctx, trows, el))
+        br = mat_sub(mat_mul(el, trows, ctx.zero),
+                     mat_mul(trows, el, ctx.zero))
         want = [[x * pk for x in row] for row in el]
         if any(not (br[a_][b_] - want[a_][b_]).is_zero()
                for a_ in range(r) for b_ in range(r)):
@@ -393,10 +375,6 @@ def induced_connection_tilde(conn: ConnectionForm, t: SemilinearMap) -> dict:
     }
 
 
-def _mat_sub(ctx, a, b):
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
 # ---------------------------------------------------------------------------
 # trivialization at points
 
@@ -406,18 +384,14 @@ def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
     """One-time boosted-precision setup shared by all evaluation points:
     the lifted module data and the backward-conjugation matrix on E."""
     ctx = crystal.ctx
-    arows_int = crystal.exact_int_rows()
-    _, dval = invert_matrix_exact(ctx, [list(rw) for rw in crystal.phi.rows])
+    _, dval = crystal.inverse_numerator()
     delta = E.index_valuation()
-    big = ctx.with_precision(ctx.N + delta + 2 * dval + 8)
-    bX = FIsocrystal.from_int_matrix(big, arows_int,
-                                     denominator=crystal.phi.denominator)
-    bE = Lattice.from_columns(
-        big, E.ambient,
-        [[big.scalar(list(x.c)) for x in col] for col in E.cols],
-        scale=E.scale)
-    bvecs = [[big.scalar(list(x.c)) for x in v] for v in B.vectors]
-    ainv_big, _ = invert_matrix_exact(big, [list(rw) for rw in bX.phi.rows])
+    bX = crystal.at_precision(ctx.N + delta + 2 * dval + 8)
+    big = bX.ctx
+    bE = Lattice.from_columns(big, E.ambient, transport(big, E.cols),
+                              scale=E.scale)
+    bvecs = transport(big, B.vectors)
+    ainv_big, _ = bX.inverse_numerator()
     abig = [list(rw) for rw in bX.phi.rows]
     return {
         "big": big, "dval": dval, "bE": bE, "bvecs": bvecs,
@@ -459,7 +433,8 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
             for b_ in range(r):
                 if not mat[a_][b_].is_zero():
                     n0[a_][b_] = n0[a_][b_] + mat[a_][b_] * tau
-    u_h = _plus_identity(big, n0)
+    ident = identity(r, big.zero, big.one)
+    u_h = mat_add(ident, n0)
     # backward-orbit coordinates: c_k = C^k c_0 on the basis of E
     coords0 = bE.solve([x for row in n0 for x in row], 0)
     if coords0 is None:
@@ -467,8 +442,7 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
     Cmap = ws["Cmap"]
     m = bE.rank
     cap = i_max if i_max is not None else ctx.N * max(r, 2) + 10
-    prod = _identity(big, r)
-    prod_inv = _identity(big, r)
+    prod = prod_inv = ident
     coords = coords0
     steps = 0
     pN = big.p ** ctx.N
@@ -497,14 +471,15 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
                     if not emats[l][a_][b_].is_zero():
                         nk[a_][b_] = nk[a_][b_] + emats[l][a_][b_] \
                             * coords[l]
-        uk = _plus_identity(big, nk)
-        prod = _mat_mul(big, uk, prod)
-        prod_inv = _mat_mul(big, prod_inv, _nilpotent_inverse(big, nk))
+        prod = mat_mul(mat_add(ident, nk), prod, big.zero)
+        prod_inv = mat_mul(prod_inv,
+                           nilpotent_inverse(nk, big.zero, big.one, r),
+                           big.zero)
     # certificate: prod u_h A sigma(prod^{-1}) A^{-1} = 1
-    lhs = _mat_mul(big, _mat_mul(big, prod, u_h), abig)
-    lhs = _mat_mul(big, lhs, [[x.frobenius(1) for x in row]
-                              for row in prod_inv])
-    lhs = _mat_mul(big, lhs, ainv_big)
+    lhs = mat_mul(mat_mul(prod, u_h, big.zero), abig, big.zero)
+    lhs = mat_mul(lhs, [[x.frobenius(1) for x in row] for row in prod_inv],
+                  big.zero)
+    lhs = mat_mul(lhs, ainv_big, big.zero)
     verified = ctx.N
     for a_ in range(r):
         for b_ in range(r):
@@ -514,42 +489,13 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
             # lhs carries the cleared p^dval, so subtract it from the
             # certified exponent
             verified = min(verified, max(0, x.valuation() - dval))
-    out_rows = [[ctx.scalar([c % ctx.pN for c in x.c]) for x in row]
-                for row in prod]
     return {
-        "u_infinity": out_rows,
+        "u_infinity": transport(ctx, prod),
         "steps": steps,
         "verified_modulus": verified,
         "loss": ctx.N - verified,
         "converged": True,
     }
-
-
-def _plus_identity(ctx, mat):
-    r = len(mat)
-    out = [list(row) for row in mat]
-    for i in range(r):
-        out[i][i] = out[i][i] + ctx.one
-    return out
-
-
-def _identity(ctx, r):
-    return [[ctx.one if i == j else ctx.zero for j in range(r)]
-            for i in range(r)]
-
-
-def _nilpotent_inverse(ctx, n_mat):
-    """(1 + n)^{-1} for nilpotent n, by the finite geometric series."""
-    r = len(n_mat)
-    out = _identity(ctx, r)
-    term = [[-x for x in row] for row in n_mat]
-    for _ in range(r):
-        if all(x.is_zero() for row in term for x in row):
-            break
-        out = [[a + b for a, b in zip(r1, r2)]
-               for r1, r2 in zip(out, term)]
-        term = _mat_mul(ctx, term, [[-x for x in row] for row in n_mat])
-    return out
 
 
 def _restrict_inverse_conj(ctx, E, arows, ainv_rows, dval):
@@ -560,7 +506,7 @@ def _restrict_inverse_conj(ctx, E, arows, ainv_rows, dval):
     cols = []
     for cvec in E.ech:
         mat = vec_to_mat(list(cvec), r)
-        prod = _mat_mul(ctx, _mat_mul(ctx, ainv_rows, mat), arows)
+        prod = mat_mul(mat_mul(ainv_rows, mat, ctx.zero), arows, ctx.zero)
         e = (-1) % ctx.n
         prod = [[x.frobenius(e).divide_p(dval) for x in row]
                 for row in prod]

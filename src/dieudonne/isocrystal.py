@@ -23,17 +23,12 @@ from .errors import (FieldTooSmall, InclusionViolated,
 from .lattices import (Lattice, SemilinearMap, invert_matrix,
                        invert_matrix_exact, lattice_sum, matrix_kernel,
                        mod_p_dimension, restrict_map)
+from .matrix import mat_mul, transport
 from .witt import WittContext
 
 
 # ---------------------------------------------------------------------------
 # dense polynomials over the Witt ring (low-degree-first scalar lists)
-
-
-def poly_trim(ctx, a):
-    while a and a[-1].is_zero():
-        a = a[:-1]
-    return a
 
 
 def poly_mul(ctx, a, b):
@@ -68,25 +63,12 @@ def poly_divmod_monic(ctx, a, b):
 def poly_eval_matrix(ctx, coeffs, rows):
     """Evaluate a polynomial at a square matrix (Horner)."""
     r = len(rows)
-    zero, one = ctx.zero, ctx.one
-    acc = [[zero] * r for _ in range(r)]
+    acc = [[ctx.zero] * r for _ in range(r)]
     for c in reversed(coeffs):
         # acc <- acc * A + c I
-        new = [[zero] * r for _ in range(r)]
+        acc = mat_mul(acc, rows, ctx.zero)
         for i in range(r):
-            ai = acc[i]
-            for k in range(r):
-                x = ai[k]
-                if x.is_zero():
-                    continue
-                rk = rows[k]
-                ni = new[i]
-                for j in range(r):
-                    if not rk[j].is_zero():
-                        ni[j] = ni[j] + x * rk[j]
-        for i in range(r):
-            new[i][i] = new[i][i] + c
-        acc = new
+            acc[i][i] = acc[i][i] + c
     return acc
 
 
@@ -287,9 +269,9 @@ def hensel_split(ctx, F, gbar, hbar):
         q, r = poly_divmod_monic(ctx, se, h)
         te = poly_mul(ctx, t, e)
         qg = poly_mul(ctx, q, g)
-        g = _poly_reduce(ctx, _poly_add(ctx, g, _poly_add_pad(ctx, te, qg)),
-                         k)
-        h = _poly_reduce(ctx, _poly_add(ctx, h, r), k)
+        g = _poly_reduce(ctx, _poly_add_pad(ctx, g,
+                                            _poly_add_pad(ctx, te, qg)), k)
+        h = _poly_reduce(ctx, _poly_add_pad(ctx, h, r), k)
         g = _trim_monic(ctx, g, deg_g)
         h = _trim_monic(ctx, h, deg_h)
         # refresh the Bezout pair
@@ -338,10 +320,6 @@ def _poly_add_pad(ctx, a, b):
         y = b[i] if i < lb else ctx.zero
         out.append(x + y)
     return out
-
-
-def _poly_add(ctx, a, b):
-    return _poly_add_pad(ctx, a, b)
 
 
 def _poly_sub(ctx, a, b):
@@ -402,9 +380,16 @@ def segment_factorization(ctx, F):
 
 class FIsocrystal:
     """A free module with a Frobenius-semilinear map, bijective after
-    inverting p: phi = p^{-denominator} A sigma."""
+    inverting p: phi = p^{-denominator} A sigma.
 
-    __slots__ = ("ctx", "rank", "phi", "M")
+    ``_derived`` caches data computed from A, filled on first use by
+    ``inverse_numerator``, ``end_frobenius`` and
+    ``core._conjugation_numerators``.  A crystal is never mutated (phi is
+    set only here; ``at_precision`` builds a new crystal), so the cache
+    cannot go stale.
+    """
+
+    __slots__ = ("ctx", "rank", "phi", "M", "_derived")
 
     def __init__(self, ctx: WittContext, phi: SemilinearMap):
         if phi.twist != 1 % ctx.n:
@@ -413,6 +398,7 @@ class FIsocrystal:
         self.phi = phi
         self.rank = phi.nrows
         self.M = Lattice.standard(ctx, self.rank)
+        self._derived = {}
 
     @staticmethod
     def from_int_matrix(ctx, rows, denominator=0):
@@ -420,15 +406,19 @@ class FIsocrystal:
             ctx, SemilinearMap.from_int_rows(ctx, rows, twist=1,
                                              denominator=denominator))
 
-    def exact_int_rows(self):
-        """Integer representatives of the Frobenius matrix."""
-        return [[list(x.c) for x in row] for row in self.phi.rows]
-
     def at_precision(self, N2):
         ctx2 = self.ctx.with_precision(N2)
-        rows = [[ctx2.scalar(c) for c in row] for row in self.exact_int_rows()]
         return FIsocrystal(ctx2, SemilinearMap(
-            ctx2, rows, twist=1, denominator=self.phi.denominator))
+            ctx2, transport(ctx2, self.phi.rows), twist=1,
+            denominator=self.phi.denominator))
+
+    def inverse_numerator(self):
+        """(A_adj, v(det A)) with A^{-1} = p^{-v(det A)} A_adj, exact at
+        the context precision; computed once per crystal."""
+        if "inverse" not in self._derived:
+            self._derived["inverse"] = invert_matrix_exact(self.ctx,
+                                                           self.phi.rows)
+        return self._derived["inverse"]
 
     def linearization(self):
         """The n-fold power of phi: a twist-free (linear) map."""
@@ -438,7 +428,14 @@ class FIsocrystal:
         return lam
 
     def verschiebung(self):
-        return self.phi.inverse().scale_p(1)
+        """p phi^{-1} = p^{1 + denominator - v(det A)} sigma^{-1}(A_adj)
+        sigma^{-1}."""
+        a_adj, vdet = self.inverse_numerator()
+        e = (-1) % self.ctx.n
+        rows = [[x.frobenius(e) for x in row] for row in a_adj]
+        return SemilinearMap(self.ctx, rows, e,
+                             vdet - self.phi.denominator - 1,
+                             loss=self.phi.loss)
 
     def is_dieudonne(self):
         img = self.phi(self.M)
@@ -565,7 +562,7 @@ def _slope_split_at(crystal, b, n_work):
     lam_rows = [list(rw) for rw in lam.rows]
     lam_b = lam_rows
     for _ in range(b - 1):
-        lam_b = _mat_mul(bctx, lam_b, lam_rows)
+        lam_b = mat_mul(lam_b, lam_rows, bctx.zero)
     F = charpoly(bctx, lam_b)
     np_ = newton_polygon(bctx, F)
     if any(v.denominator != 1 for (v, _) in np_):
@@ -593,9 +590,8 @@ def _slope_split_at(crystal, b, n_work):
         if n_work - wden < ctx.N:
             raise PrecisionExhausted("projector denominators ate the guard")
         # publish at the context precision
-        rows = [[ctx.scalar([c % ctx.pN for c in x.c]) for x in row]
-                for row in mat]
-        proj = SemilinearMap(ctx, rows, twist=0, denominator=den, loss=den)
+        proj = SemilinearMap(ctx, transport(ctx, mat), twist=0,
+                             denominator=den, loss=den)
         projectors[alpha] = proj
         comp = _projector_fixed_lattice(ctx, proj)
         components[alpha] = comp
@@ -604,26 +600,6 @@ def _slope_split_at(crystal, b, n_work):
     is_split = comp_sum.equals(crystal.M)
     slopes = [(a, components[a].rank) for a in sorted(components)]
     return SlopeData(crystal, slopes, projectors, components, is_split)
-
-
-def _mat_mul(ctx, a, b):
-    r = len(a)
-    m = len(b)
-    c = len(b[0]) if m else 0
-    zero = ctx.zero
-    out = [[zero] * c for _ in range(r)]
-    for i in range(r):
-        ai = a[i]
-        oi = out[i]
-        for k in range(m):
-            x = ai[k]
-            if x.is_zero():
-                continue
-            bk = b[k]
-            for j in range(c):
-                if not bk[j].is_zero():
-                    oi[j] = oi[j] + x * bk[j]
-    return out
 
 
 def _poly_inverse_mod(ctx, q, fac):
@@ -746,12 +722,14 @@ def sandwich_map(ctx, left_rows, right_rows, twist=0, denominator=0, loss=0):
 
 def end_frobenius(crystal: FIsocrystal) -> SemilinearMap:
     """Conjugation action x -> phi x phi^{-1} on End(M), as a semilinear
-    map on r^2 coordinates (independent of the denominator of phi)."""
-    ctx = crystal.ctx
-    a_rows = [list(r) for r in crystal.phi.rows]
-    inv_rows, vdet = invert_matrix_exact(ctx, a_rows)
-    return sandwich_map(ctx, a_rows, inv_rows, twist=1, denominator=vdet,
-                        loss=crystal.phi.loss)
+    map on r^2 coordinates (independent of the denominator of phi);
+    computed once per crystal."""
+    if "end_phi" not in crystal._derived:
+        inv_rows, vdet = crystal.inverse_numerator()
+        crystal._derived["end_phi"] = sandwich_map(
+            crystal.ctx, crystal.phi.rows, inv_rows, twist=1,
+            denominator=vdet, loss=crystal.phi.loss)
+    return crystal._derived["end_phi"]
 
 
 class EndDecomposition:
@@ -759,10 +737,10 @@ class EndDecomposition:
     the positive and negative parts."""
 
     __slots__ = ("crystal", "slope_data", "plus", "zero", "minus",
-                 "V_plus", "V_minus", "end_phi")
+                 "V_plus", "V_minus")
 
     def __init__(self, crystal, slope_data, plus, zero, minus,
-                 V_plus, V_minus, end_phi):
+                 V_plus, V_minus):
         self.crystal = crystal
         self.slope_data = slope_data
         self.plus = plus
@@ -770,7 +748,6 @@ class EndDecomposition:
         self.minus = minus
         self.V_plus = V_plus
         self.V_minus = V_minus
-        self.end_phi = end_phi
 
     def block_projector(self, pairs):
         """Projector onto the sum of Hom(W(src), W(dst)) blocks for the
@@ -805,11 +782,6 @@ def _hom_block_map(ctx, slope_data, src, dst):
                         twist=0, denominator=den, loss=loss)
 
 
-def projector_fixed_sublattice(ctx, proj, ambient_rank):
-    """{x integral : proj(x) = x}, a saturated lattice."""
-    return _projector_fixed_lattice(ctx, proj)
-
-
 def end_decompose(crystal: FIsocrystal, slope_data: SlopeData
                   ) -> EndDecomposition:
     ctx = crystal.ctx
@@ -823,7 +795,7 @@ def end_decompose(crystal: FIsocrystal, slope_data: SlopeData
     V_plus = _projector_fixed_lattice(ctx, plus)
     V_minus = _projector_fixed_lattice(ctx, minus)
     return EndDecomposition(crystal, slope_data, plus, zero, minus,
-                            V_plus, V_minus, end_frobenius(crystal))
+                            V_plus, V_minus)
 
 
 def dim_codim(crystal: FIsocrystal):

@@ -14,8 +14,10 @@ Semilinear maps are v |-> p^{-denominator} * A * sigma^twist(v).
 
 from __future__ import annotations
 
+from . import modp
 from .errors import InclusionViolated, PrecisionExhausted, SingularMap
-from .witt import WittContext, WittScalar
+from .matrix import identity, mat_mul, transport
+from .witt import WittScalar
 
 
 def _zero_vec(ctx, r):
@@ -41,8 +43,7 @@ def _reduce_columns(ctx, cols, neff, track=False, nrows=None):
     m = len(cols)
     work = [list(c) for c in cols]
     r = nrows if nrows is not None else (len(work[0]) if work else 0)
-    trans = [[ctx.one if i == j else ctx.zero for i in range(m)]
-             for j in range(m)] if track else None
+    trans = identity(m, ctx.zero, ctx.one) if track else None
     # trans[j] tracks the combination of original columns giving work[j]
     used_rows = set()
     order = []           # indices into work, processing order
@@ -178,9 +179,8 @@ class Lattice:
 
     @staticmethod
     def standard(ctx, rank):
-        cols = [[ctx.one if i == j else ctx.zero for i in range(rank)]
-                for j in range(rank)]
-        return Lattice.from_columns(ctx, rank, cols)
+        return Lattice.from_columns(ctx, rank,
+                                    identity(rank, ctx.zero, ctx.one))
 
     @staticmethod
     def zero(ctx, ambient):
@@ -211,12 +211,6 @@ class Lattice:
             return self
         return Lattice(self.ctx, self.ambient, self.cols, self.pivots,
                        self.scale, loss, self.ech, self.ech_pivots)
-
-    def rescale(self, delta):
-        """Multiply the lattice by p^{-delta} (bookkeeping only)."""
-        return Lattice(self.ctx, self.ambient, self.cols, self.pivots,
-                       self.scale + delta, self.loss, self.ech,
-                       self.ech_pivots)
 
     def folded(self):
         """Fold a negative scale into the basis (multiplication only, so
@@ -319,13 +313,6 @@ class Lattice:
                 f"scale={self.scale}, loss={self.loss})")
 
 
-def hermite_form(lattice: Lattice) -> Lattice:
-    """Canonical form (idempotent; from_columns already canonicalizes)."""
-    return Lattice.from_columns(lattice.ctx, lattice.ambient,
-                                [list(c) for c in lattice.cols],
-                                scale=lattice.scale, loss=lattice.loss)
-
-
 def _unify_scales(l1: Lattice, l2: Lattice):
     s = max(l1.scale, l2.scale)
     p = l1.ctx.p
@@ -416,8 +403,7 @@ def saturate(lattice: Lattice, ambient: Lattice) -> Lattice:
     left = matrix_kernel(ctx, [[rows[i][j] for i in range(m)]
                                for j in range(len(coords))], neff, ncols=m)
     if not left:
-        sat_coords = [[ctx.one if i == j else ctx.zero for i in range(m)]
-                      for j in range(m)]
+        sat_coords = identity(m, ctx.zero, ctx.one)
     else:
         krows = [[k[i] for i in range(m)] for k in left]
         sat_coords = matrix_kernel(ctx, krows, neff, ncols=m)
@@ -461,38 +447,7 @@ def mod_p_dimension(sub: Lattice, sup: Lattice) -> int:
         return 0
     rows = [[coords[j][i].residue() for j in range(len(coords))]
             for i in range(m)]
-    return m - _gf_rank(ctx, rows)
-
-
-def _gf_rank(ctx, rows):
-    """Rank over F_q of a matrix of residue tuples."""
-    rows = [list(r) for r in rows]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    rank = 0
-    prow = 0
-    for col in range(nc):
-        piv = None
-        for i in range(prow, nr):
-            if not ctx.gf_is_zero(rows[i][col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[prow], rows[piv] = rows[piv], rows[prow]
-        inv = ctx.gf_inv(rows[prow][col])
-        rows[prow] = [ctx.gf_mul(inv, x) for x in rows[prow]]
-        for i in range(nr):
-            if i != prow and not ctx.gf_is_zero(rows[i][col]):
-                c = rows[i][col]
-                rows[i] = [ctx.gf_sub(rows[i][j],
-                                      ctx.gf_mul(c, rows[prow][j]))
-                           for j in range(nc)]
-        prow += 1
-        rank += 1
-        if prow == nr:
-            break
-    return rank
+    return m - modp.gf_rank(ctx, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +475,7 @@ class SemilinearMap:
 
     @staticmethod
     def identity(ctx, r):
-        return SemilinearMap(
-            ctx, [[ctx.one if i == j else ctx.zero for j in range(r)]
-                  for i in range(r)])
+        return SemilinearMap(ctx, identity(r, ctx.zero, ctx.one))
 
     @staticmethod
     def from_int_rows(ctx, rows, twist=0, denominator=0):
@@ -567,21 +520,8 @@ class SemilinearMap:
         e = self.twist
         orows = other.rows
         twisted = [[WittScalar(ctx, ctx.frobenius(x.c, e)) for x in r]
-                   for r in orows] if e else [list(r) for r in orows]
-        nr, mid, nc = self.nrows, self.ncols, other.ncols
-        rows = []
-        for i in range(nr):
-            ri = self.rows[i]
-            out = []
-            for j in range(nc):
-                acc = ctx.zero
-                for k in range(mid):
-                    a = ri[k]
-                    b = twisted[k][j]
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                out.append(acc)
-            rows.append(out)
+                   for r in orows] if e else orows
+        rows = mat_mul(self.rows, twisted, ctx.zero)
         return SemilinearMap(ctx, rows, self.twist + other.twist,
                              self.denominator + other.denominator,
                              loss=max(self.loss, other.loss))
@@ -611,10 +551,6 @@ class SemilinearMap:
         return SemilinearMap(self.ctx, self.rows, self.twist,
                              self.denominator - k, loss=self.loss)
 
-    def det_valuation(self) -> int:
-        _, vdet = invert_matrix(self.ctx, self.rows)
-        return vdet
-
     def inverse(self) -> "SemilinearMap":
         """Inverse map; requires bijectivity after inverting p.  The
         numerator is produced exactly (boosted internal precision), so no
@@ -626,14 +562,6 @@ class SemilinearMap:
                 for r in inv_num]
         return SemilinearMap(ctx, rows, e, vdet - self.denominator,
                              loss=self.loss)
-
-    def is_integral_on_standard(self) -> bool:
-        """Whether the map sends the standard lattice into itself."""
-        d = self.denominator
-        if d <= 0:
-            return True
-        pk = self.ctx.p ** d
-        return all(all(x.valuation() >= d for x in r) for r in self.rows)
 
     def reduce_denominator(self) -> "SemilinearMap":
         """Cancel common p-content between matrix and denominator."""
@@ -748,27 +676,14 @@ def invert_matrix_exact(ctx, rows):
     internal precision on the integer representatives (which are taken as
     the definition of the matrix), so the published numerator is exact at
     the context precision and costs no loss."""
-    _, vdet = invert_matrix(ctx, rows)
+    inv, vdet = invert_matrix(ctx, rows)
     if vdet == 0:
-        return invert_matrix(ctx, rows)
+        return inv, vdet
     big = ctx.with_precision(ctx.N + vdet + 2)
-    brows = [[big.scalar(list(x.c)) for x in r] for r in rows]
-    binv, v2 = invert_matrix(big, brows)
+    binv, v2 = invert_matrix(big, transport(big, rows))
     if v2 != vdet:
         raise PrecisionExhausted("determinant valuation is not stable")
-    out = [[ctx.scalar([c % ctx.pN for c in x.c]) for x in r] for r in binv]
-    return out, vdet
-
-
-def apply_map(f: SemilinearMap, lattice: Lattice) -> Lattice:
-    """Image lattice of a semilinear map (same as calling the map)."""
-    return f(lattice)
-
-
-def preimage(f: SemilinearMap, lattice: Lattice) -> Lattice:
-    """Full preimage f^{-1}(lattice) for a map invertible after inverting
-    p (raises SingularMap otherwise)."""
-    return f.inverse()(lattice)
+    return transport(ctx, binv), vdet
 
 
 def restrict_map(f: SemilinearMap, lattice: Lattice) -> SemilinearMap:

@@ -83,11 +83,6 @@ def gf_kernel(ctx, rows):
     return basis
 
 
-def gf_span_contains(ctx, ech, pivots, vector):
-    res = gf_reduce(ctx, ech, pivots, vector)
-    return all(ctx.gf_is_zero(x) for x in res)
-
-
 def gf_intersection(ctx, basis1, basis2):
     """Basis of the intersection of two spans."""
     if not basis1 or not basis2:

@@ -29,7 +29,7 @@ from .signs import (SlopePairSet, max_square_zero_size, quasi_factor_codims,
                     sign_modules, slice_monotone, slice_report, strings)
 from .strata import (group_custom, group_full_gl, group_symplectic,
                      polarized_dim, strata_dims, traverso_dimension)
-from .witt import make_context
+from .witt import is_prime, make_context
 
 ANALYSES = ["slopes", "decompose", "ominus", "axioms", "dual", "slices",
             "connection", "trivialize", "correction", "strata", "traverso",
@@ -71,10 +71,15 @@ def _expect(cond, field, msg):
         raise ParseError(f"field '{field}': {msg}")
 
 
+def _is_int(x):
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_entry(e, n, field):
-    if isinstance(e, int):
+    if _is_int(e):
         return e
-    if isinstance(e, list) and all(isinstance(x, int) for x in e):
+    if isinstance(e, list) and all(_is_int(x) for x in e):
         _expect(len(e) <= n, field,
                 f"coefficient array longer than the residue degree {n}")
         return e
@@ -104,19 +109,21 @@ def parse_dict(doc, name=None) -> ProblemSpec:
     for field in ("p", "rank", "phi_matrix"):
         _expect(field in doc, field, "required field missing")
     p = doc["p"]
-    _expect(isinstance(p, int) and p >= 2, "p", "must be an integer >= 2")
+    _expect(_is_int(p) and is_prime(p), "p", "must be a prime")
     n = doc.get("n", 1)
-    _expect(isinstance(n, int) and n >= 1, "n", "must be a positive integer")
+    _expect(_is_int(n) and n >= 1, "n", "must be a positive integer")
     N = doc.get("precision", 40)
-    _expect(isinstance(N, int) and N >= 2, "precision",
+    _expect(_is_int(N) and N >= 2, "precision",
             "must be an integer >= 2")
     degree = doc.get("degree", 2 * (p - 1) + 1)
-    _expect(isinstance(degree, int) and degree >= 1, "degree",
+    _expect(_is_int(degree) and degree >= 1, "degree",
             "must be a positive integer")
     r = doc["rank"]
-    _expect(isinstance(r, int) and r >= 1, "rank",
+    _expect(_is_int(r) and r >= 1, "rank",
             "must be a positive integer")
     phi = _check_matrix(doc["phi_matrix"], r, n, "phi_matrix")
+    _expect(_is_int(doc.get("phi_denominator", 0)), "phi_denominator",
+            "must be an integer")
     spec = ProblemSpec(
         name=doc.get("name", name or "unnamed"),
         p=p, n=n, precision=N, degree=degree, rank=r, phi_matrix=phi,
@@ -124,10 +131,10 @@ def parse_dict(doc, name=None) -> ProblemSpec:
     )
     if "hodge_f1" in doc:
         h = doc["hodge_f1"]
-        if isinstance(h, list) and all(isinstance(i, int) for i in h):
+        if isinstance(h, list) and all(_is_int(i) for i in h):
             _expect(all(0 <= i < r for i in h), "hodge_f1",
                     "column indices out of range")
-        elif isinstance(h, dict) and "columns" in h:
+        elif isinstance(h, dict) and isinstance(h.get("columns"), list):
             for col in h["columns"]:
                 _expect(isinstance(col, list) and len(col) == r, "hodge_f1",
                         "explicit columns must have length rank")
@@ -146,10 +153,13 @@ def parse_dict(doc, name=None) -> ProblemSpec:
                 ("full-gl", "symplectic", "custom"), "group",
                 "kind must be full-gl, symplectic, or custom")
         if g["kind"] == "custom":
-            _expect("basis" in g, "group", "custom groups need a basis")
+            _expect(isinstance(g.get("basis"), list), "group",
+                    "custom groups need a basis list")
             for mat in g["basis"]:
                 _check_matrix(mat, r, n, "group.basis")
         spec.group = g
+    for field in ("lattice_e", "slope_pairs", "deformation_basis"):
+        _expect(isinstance(doc.get(field, []), list), field, "must be a list")
     if "lattice_e" in doc:
         for mat in doc["lattice_e"]:
             _check_matrix(mat, r, n, "lattice_e")
@@ -159,6 +169,8 @@ def parse_dict(doc, name=None) -> ProblemSpec:
         _expect(isinstance(t, dict) and "matrix" in t, "lie_element_t",
                 "must be {matrix, denominator?}")
         _check_matrix(t["matrix"], r, n, "lie_element_t")
+        _expect(_is_int(t.get("denominator", 0)), "lie_element_t",
+                "denominator must be an integer")
         spec.lie_element_t = t
     if "slope_pairs" in doc:
         for pair in doc["slope_pairs"]:
@@ -180,7 +192,7 @@ def parse_dict(doc, name=None) -> ProblemSpec:
 
 def _parse_fraction(s):
     try:
-        if isinstance(s, int):
+        if _is_int(s):
             return Fraction(s)
         if isinstance(s, str):
             return Fraction(s)

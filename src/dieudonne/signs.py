@@ -18,8 +18,8 @@ from .errors import DualityMismatch, VerificationMismatch
 from .isocrystal import (EndDecomposition, FIsocrystal, SlopeData,
                          block_projector, vec_to_mat)
 from .errors import PrecisionExhausted
-from .lattices import (Lattice, _reduce_columns, intersect,
-                       invert_matrix_exact, smith_valuations)
+from .lattices import Lattice, _reduce_columns, intersect, smith_valuations
+from .matrix import mat_mul, transport
 
 
 class SlopePairSet:
@@ -102,14 +102,13 @@ def trace_frobenius_invariant(crystal: FIsocrystal, xvec, yvec) -> bool:
     clearing the conjugation denominators."""
     ctx = crystal.ctx
     r = crystal.rank
-    arows = [list(row) for row in crystal.phi.rows]
-    ainv, vdet = invert_matrix_exact(ctx, arows)
+    ainv, vdet = crystal.inverse_numerator()
     e = crystal.phi.twist
 
     def conj_num(vec):
         mat = vec_to_mat([x.frobenius(e) for x in vec], r)
-        left = _mul(ctx, arows, mat)
-        return _mul(ctx, left, ainv)
+        left = mat_mul(crystal.phi.rows, mat, ctx.zero)
+        return mat_mul(left, ainv, ctx.zero)
 
     nx = conj_num(xvec)
     ny = conj_num(yvec)
@@ -121,22 +120,6 @@ def trace_frobenius_invariant(crystal: FIsocrystal, xvec, yvec) -> bool:
     rhs = trace_of_vectors(ctx, r, xvec, yvec).frobenius(e)
     rhs = rhs * (ctx.p ** (2 * vdet))
     return lhs == rhs
-
-
-def _mul(ctx, a, b):
-    r = len(a)
-    m = len(b)
-    c = len(b[0]) if m else 0
-    out = [[ctx.zero] * c for _ in range(r)]
-    for i in range(r):
-        for k in range(m):
-            x = a[i][k]
-            if x.is_zero():
-                continue
-            for j in range(c):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + x * b[k][j]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +206,11 @@ def dual_lattice(L: Lattice, reference: Lattice) -> Lattice:
     out, K = build(ctx, lcols, zcols)
     if out is None:
         big = ctx.with_precision(ctx.N + 2 * K + 8)
-        blcols = [[big.scalar(list(x.c)) for x in c] for c in lcols]
-        bzcols = [[big.scalar(list(x.c)) for x in c] for c in zcols]
-        bout, _ = build(big, blcols, bzcols)
+        bout, _ = build(big, transport(big, lcols), transport(big, zcols))
         if bout is None:
             raise PrecisionExhausted("dual depth exceeded the boost")
-        cols = [[ctx.scalar([v % ctx.pN for v in x.c]) for x in c]
-                for c in bout.cols]
-        out = Lattice.from_columns(ctx, r2, cols, scale=bout.scale,
-                                   loss=loss)
+        out = Lattice.from_columns(ctx, r2, transport(ctx, bout.cols),
+                                   scale=bout.scale, loss=loss)
     return out.folded()
 
 
@@ -393,7 +372,8 @@ def slice_report(crystal: FIsocrystal, slope_data: SlopeData,
     if Y.is_square_zero and Om.rank:
         r = crystal.rank
         mats = [vec_to_mat(list(c), r) for c in Om.cols]
-        sq = all(all(x.is_zero() for row in _mul(ctx, ma, mb) for x in row)
+        sq = all(all(x.is_zero() for row in mat_mul(ma, mb, ctx.zero)
+                     for x in row)
                  for ma in mats for mb in mats)
         report["square_vanishes"] = sq
     return report, mods

@@ -21,6 +21,7 @@ from .isocrystal import (EndDecomposition, FIsocrystal, SlopeData,
                          end_frobenius, mat_to_vec, vec_to_mat)
 from .lattices import (Lattice, intersect, invert_matrix, lattice_sum,
                        matrix_kernel, saturate)
+from .matrix import identity, mat_mul, mat_sub, nilpotent_inverse
 from .modp import gf_intersection, gf_spaces_equal
 from .series import TruncatedSeries
 
@@ -87,7 +88,7 @@ def group_custom(crystal: FIsocrystal, basis_vectors) -> GroupData:
     mats = [vec_to_mat(list(c), r) for c in lie.cols]
     for i, ma in enumerate(mats):
         for j, mb in enumerate(mats):
-            br = _mat_sub(ctx, _mat_mul(ctx, ma, mb), _mat_mul(ctx, mb, ma))
+            br = mat_sub(mat_mul(ma, mb, ctx.zero), mat_mul(mb, ma, ctx.zero))
             if not lie.contains_vector(mat_to_vec(br)):
                 raise CertificateInvalid(
                     f"bracket of basis elements {i}, {j} leaves the "
@@ -126,35 +127,15 @@ def _check_polarization_compat(crystal, g):
     A^T G A = p sigma(G)."""
     ctx = crystal.ctx
     r = crystal.rank
-    arows = [list(rw) for rw in crystal.phi.rows]
+    arows = crystal.phi.rows
     at = [[arows[j][i] for j in range(r)] for i in range(r)]
-    lhs = _mat_mul(ctx, _mat_mul(ctx, at, g), arows)
+    lhs = mat_mul(mat_mul(at, g, ctx.zero), arows, ctx.zero)
     for i in range(r):
         for j in range(r):
             want = g[i][j].frobenius() * ctx.p
             if not (lhs[i][j] - want).is_zero():
                 raise CertificateInvalid(
                     "form is not Frobenius-compatible at twist p")
-
-
-def _mat_mul(ctx, a, b):
-    r = len(a)
-    m = len(b)
-    c = len(b[0]) if m else 0
-    out = [[ctx.zero] * c for _ in range(r)]
-    for i in range(r):
-        for k in range(m):
-            x = a[i][k]
-            if x.is_zero():
-                continue
-            for j in range(c):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + x * b[k][j]
-    return out
-
-
-def _mat_sub(ctx, a, b):
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -428,24 +409,15 @@ def cayley_element(crystal: FIsocrystal, gd: GroupData, vectors,
                 if not mat[a][b].is_zero():
                     V[a][b] = V[a][b] + xi * mat[a][b]
     one = TruncatedSeries.constant(ctx, n, dmax, ctx.one)
-    ident = [[one if i == j else zero for j in range(r)] for i in range(r)]
-    # (1 + V)^{-1} by the finite geometric series (V has positive degree)
-    inv = [row[:] for row in ident]
-    term = [[-V[i][j] for j in range(r)] for i in range(r)]
-    for _ in range(dmax):
-        if all(s.is_zero() for row in term for s in row):
-            break
-        inv = [[inv[i][j] + term[i][j] for j in range(r)] for i in range(r)]
-        term = _smat_mul(term, [[-V[i][j] for j in range(r)]
-                                for i in range(r)])
-    one_minus = [[ident[i][j] - V[i][j] for j in range(r)]
-                 for i in range(r)]
-    w = _smat_mul(one_minus, inv)
+    ident = identity(r, zero, one)
+    # V has positive degree, so V^(dmax + 1) vanishes in the truncation
+    inv = nilpotent_inverse(V, zero, one, dmax)
+    w = mat_mul(mat_sub(ident, V), inv, zero)
     # certificate (a): w^T G w = G through the window
     gser = [[TruncatedSeries.constant(ctx, n, dmax, gd.gram[i][j])
              for j in range(r)] for i in range(r)]
     wt = [[w[j][i] for j in range(r)] for i in range(r)]
-    lhs = _smat_mul(_smat_mul(wt, gser), w)
+    lhs = mat_mul(mat_mul(wt, gser, zero), w, zero)
     window = dmax
     for i in range(r):
         for j in range(r):
@@ -482,20 +454,3 @@ def ambient_o_minus(crystal):
     S = slope_split(crystal)
     E = end_decompose(crystal, S)
     return largest_sub_dieudonne(E.V_minus, crystal, mode="negative")
-
-
-def _smat_mul(a, b):
-    r = len(a)
-    m = len(b)
-    c = len(b[0]) if m else 0
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(c):
-            acc = None
-            for k in range(m):
-                t = a[i][k] * b[k][j]
-                acc = t if acc is None else acc + t
-            row.append(acc)
-        out.append(row)
-    return out

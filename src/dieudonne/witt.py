@@ -525,14 +525,6 @@ class WittScalar:
     def residue(self):
         return self.ctx.residue(self.c)
 
-    def lift_to(self, ctx2: WittContext) -> "WittScalar":
-        """Reinterpret in another-precision context.  Caller asserts the
-        value is exact (e.g. a small-integer input), since mod-p^N data
-        carries no canonical lift."""
-        if ctx2.N >= self.ctx.N:
-            return WittScalar(ctx2, tuple(x % ctx2.pN for x in self.c))
-        return WittScalar(ctx2, tuple(x % ctx2.pN for x in self.c))
-
     def __repr__(self):
         if self.ctx.n == 1:
             return f"w({self.c[0]})"

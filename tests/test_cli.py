@@ -49,6 +49,29 @@ def test_parse_rejects_bad_fraction():
         parse_dict(doc)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("p", 4),
+    ("p", True),
+    ("n", True),
+    ("rank", True),
+    ("degree", True),
+    ("phi_matrix", [[True, 0], [0, 2]]),
+    ("phi_denominator", "x"),
+    ("slope_pairs", 3),
+    ("slope_pairs", [[True, "1/2"]]),
+    ("lattice_e", 3),
+    ("deformation_basis", {"v": 1}),
+    ("group", {"kind": "custom", "basis": 3}),
+    ("hodge_f1", {"columns": 3}),
+])
+def test_parse_rejects_malformed_field(field, value):
+    doc = dict(MINIMAL)
+    doc[field] = value
+    with pytest.raises(ParseError) as err:
+        parse_dict(doc)
+    assert f"field '{field}'" in str(err.value)
+
+
 def test_roundtrip_canonical_form(tmp_path):
     for name in corpus_names():
         spec = load_corpus(name)
@@ -106,6 +129,12 @@ def test_cli_exit_codes(tmp_path, capsys):
         "p": 2, "rank": 2, "phi_matrix": [[1, 0, 0], [0, 2, 0]],
     }), encoding="utf-8")
     assert main(["slopes", str(nonsquare)]) == 2
+    capsys.readouterr()
+    composite = tmp_path / "composite.json"
+    composite.write_text(json.dumps({
+        "p": 4, "rank": 2, "phi_matrix": [[1, 0], [0, 4]],
+    }), encoding="utf-8")
+    assert main(["slopes", str(composite)]) == 2
     capsys.readouterr()
 
 

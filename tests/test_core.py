@@ -11,8 +11,8 @@ from dieudonne.lattices import Lattice, SemilinearMap, intersect, lattice_sum
 from dieudonne.isocrystal import (FIsocrystal, end_decompose, slope_split,
                                   vec_to_mat)
 from dieudonne.core import (
-    TangentSpace, check_axioms, codim_of_dieudonne, end_phi_inverse,
-    hodge_splitting, hodge_splitting_from_kernel, largest_sub_dieudonne,
+    TangentSpace, check_axioms, codim_of_dieudonne, hodge_splitting,
+    hodge_splitting_from_kernel, largest_sub_dieudonne,
     lie_element, nu_image, sigma_phi, smallest_super_dieudonne,
     star_property_holds,
 )
@@ -308,6 +308,21 @@ def test_sigma_phi_supersingular():
     s = sigma_phi(X, split)
     assert s.rows[0][1] == ctx.one and s.rows[1][0] == ctx.one
     assert s.rows[0][0].is_zero() and s.rows[1][1].is_zero()
+
+
+def test_splitting_passes_bugs_through(monkeypatch):
+    # only the inverse's domain errors become SplittingInvalid
+    def broken(*args):
+        raise TypeError("a bug, not a splitting defect")
+
+    ctx = make_context(2, 1, 20)
+    X = ordinary_rank2(ctx)
+    split = hodge_splitting_from_kernel(X)
+    monkeypatch.setattr("dieudonne.core.invert_matrix", broken)
+    with pytest.raises(TypeError):
+        sigma_phi(X, split)
+    with pytest.raises(TypeError):
+        hodge_splitting_from_kernel(X)
 
 
 def test_sigma_phi_rank6_is_permutation():

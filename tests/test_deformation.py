@@ -135,6 +135,18 @@ def test_connection_rejects_non_square_zero():
         solve_connection(X, E.V_minus, B, 8)
 
 
+def test_connection_passes_bugs_through(monkeypatch):
+    # only a stability failure of the restriction becomes
+    # HypothesisViolated
+    def broken(*args):
+        raise TypeError("a bug, not an unstable lattice")
+
+    ctx, X, O, T, B, conn = ordinary_setup(2, 20, 8)
+    monkeypatch.setattr("dieudonne.deformation.restrict_map", broken)
+    with pytest.raises(TypeError):
+        solve_connection(X, O, B, 8)
+
+
 def test_universal_element_at_origin():
     ctx, X, O, T, B, conn = ordinary_setup(2, 20, 8)
     u = universal_element(X, B, 8)

@@ -11,8 +11,8 @@ from sympy.matrices.normalforms import hermite_normal_form
 
 from dieudonne.witt import make_context
 from dieudonne.lattices import (
-    Lattice, SemilinearMap, hermite_form, intersect, invert_matrix,
-    lattice_sum, mod_p_dimension, preimage, restrict_map, saturate,
+    Lattice, SemilinearMap, intersect, invert_matrix, lattice_sum,
+    mod_p_dimension, restrict_map, saturate,
 )
 from dieudonne.errors import InclusionViolated, SingularMap
 
@@ -21,10 +21,16 @@ def int_lattice(ctx, cols):
     return Lattice.from_int_columns(ctx, len(cols[0]), cols)
 
 
+def recanonicalize(L):
+    """Canonical form of a lattice rebuilt from its own basis."""
+    return Lattice.from_columns(L.ctx, L.ambient, L.basis_columns(),
+                                scale=L.scale, loss=L.loss)
+
+
 def test_hermite_identity():
     ctx = make_context(2, 1, 12)
     L = Lattice.standard(ctx, 3)
-    H = hermite_form(L)
+    H = recanonicalize(L)
     assert H.equals(L)
     assert H.rank == 3
     assert [e for (_, e) in H.pivots] == [0, 0, 0]
@@ -46,8 +52,8 @@ def test_hermite_idempotent():
         if sympy.Matrix(cols).T.det() == 0:
             continue
         L = int_lattice(ctx, cols)
-        H = hermite_form(L)
-        H2 = hermite_form(H)
+        H = recanonicalize(L)
+        H2 = recanonicalize(H)
         assert H.cols == H2.cols and H.pivots == H2.pivots
         assert H.equals(L)
 
@@ -215,7 +221,7 @@ def test_apply_and_preimage():
     phi = SemilinearMap.from_int_rows(ctx, [[1, 0], [0, 2]], twist=1)
     img = phi(L)
     assert img.equals(int_lattice(ctx, [[1, 0], [0, 2]]))
-    pre = preimage(phi, img)
+    pre = phi.inverse()(img)
     assert pre.contains(L) and L.contains(pre)
 
 
@@ -223,7 +229,7 @@ def test_preimage_of_singular_map_raises():
     ctx = make_context(2, 1, 10)
     f = SemilinearMap.from_int_rows(ctx, [[1, 1], [1, 1]])
     with pytest.raises(SingularMap):
-        preimage(f, Lattice.standard(ctx, 2))
+        f.inverse()(Lattice.standard(ctx, 2))
 
 
 def test_apply_compose_consistency():
