@@ -517,7 +517,7 @@ def _matrix_content(rows):
     return best if best is not None else 0
 
 
-def slope_split(crystal: FIsocrystal, guard: int | None = None) -> SlopeData:
+def slope_split(crystal: FIsocrystal) -> SlopeData:
     """Slope decomposition of the isocrystal.
 
     Works at a boosted internal precision proportional to the shear and
@@ -540,17 +540,12 @@ def slope_split(crystal: FIsocrystal, guard: int | None = None) -> SlopeData:
     r = crystal.rank
     max_val = max(int(v * b) for v in lam_vals)
     budget = r * max_val + 2 * r + 8
-    attempts = 0
-    last_err = None
-    while attempts < 3:
-        n_work = ctx.N + (guard if guard is not None else budget)
+    for attempt in range(3):
+        # each retry doubles the guard digits
         try:
-            return _slope_split_at(crystal, b, n_work)
+            return _slope_split_at(crystal, b, ctx.N + (budget << attempt))
         except (PrecisionExhausted, SingularMap) as err:
             last_err = err
-            budget *= 2
-            guard = None
-            attempts += 1
     raise PrecisionExhausted(str(last_err))
 
 
@@ -733,26 +728,28 @@ def end_frobenius(crystal: FIsocrystal) -> SemilinearMap:
 
 
 class EndDecomposition:
-    """Slope-sign projectors on End(M)[1/p] and the integral lattices of
-    the positive and negative parts."""
+    """The integral lattices V_plus, V_minus of the positive and negative
+    Hom-block sums of End(M).  ``_derived`` caches what is computed from
+    them on first use: ``o_minus()`` under ``"o_minus"``, and each pair
+    set's ``signs.sign_modules`` under the set's ``pairs`` tuple."""
 
-    __slots__ = ("crystal", "slope_data", "plus", "zero", "minus",
-                 "V_plus", "V_minus")
+    __slots__ = ("crystal", "slope_data", "V_plus", "V_minus", "_derived")
 
-    def __init__(self, crystal, slope_data, plus, zero, minus,
-                 V_plus, V_minus):
+    def __init__(self, crystal, slope_data, V_plus, V_minus):
         self.crystal = crystal
         self.slope_data = slope_data
-        self.plus = plus
-        self.zero = zero
-        self.minus = minus
         self.V_plus = V_plus
         self.V_minus = V_minus
+        self._derived = {}
 
-    def block_projector(self, pairs):
-        """Projector onto the sum of Hom(W(src), W(dst)) blocks for the
-        given (src, dst) slope pairs."""
-        return block_projector(self.crystal, self.slope_data, pairs)
+    def o_minus(self):
+        """The largest negative stable lattice inside V_minus; computed
+        once per decomposition."""
+        if "o_minus" not in self._derived:
+            from .core import largest_sub_dieudonne
+            self._derived["o_minus"] = largest_sub_dieudonne(
+                self.V_minus, self.crystal, mode="negative")
+        return self._derived["o_minus"]
 
 
 def block_projector(crystal, slope_data, pairs):
@@ -782,20 +779,22 @@ def _hom_block_map(ctx, slope_data, src, dst):
                         twist=0, denominator=den, loss=loss)
 
 
+def signed_block_lattices(crystal, slope_data, pairs):
+    """(V_plus, V_minus): the integral parts of the Hom-block sums over
+    the increasing slope pairs (a, b) and over their reverses (b, a)."""
+    return tuple(
+        _projector_fixed_lattice(crystal.ctx,
+                                 block_projector(crystal, slope_data, blocks))
+        for blocks in (pairs, [(b, a) for (a, b) in pairs]))
+
+
 def end_decompose(crystal: FIsocrystal, slope_data: SlopeData
                   ) -> EndDecomposition:
-    ctx = crystal.ctx
     slopes = slope_data.slope_list
-    plus_pairs = [(a, b2) for a in slopes for b2 in slopes if b2 > a]
-    minus_pairs = [(b2, a) for a in slopes for b2 in slopes if b2 > a]
-    zero_pairs = [(a, a) for a in slopes]
-    plus = block_projector(crystal, slope_data, plus_pairs)
-    minus = block_projector(crystal, slope_data, minus_pairs)
-    zero = block_projector(crystal, slope_data, zero_pairs)
-    V_plus = _projector_fixed_lattice(ctx, plus)
-    V_minus = _projector_fixed_lattice(ctx, minus)
-    return EndDecomposition(crystal, slope_data, plus, zero, minus,
-                            V_plus, V_minus)
+    pairs = [(a, b) for a in slopes for b in slopes if b > a]
+    return EndDecomposition(
+        crystal, slope_data,
+        *signed_block_lattices(crystal, slope_data, pairs))
 
 
 def dim_codim(crystal: FIsocrystal):

@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .core import (TangentSpace, check_axioms, codim_of_dieudonne,
-                   hodge_splitting, largest_sub_dieudonne, lie_element,
-                   nu_image)
+                   hodge_splitting, lie_element, nu_image)
 from .deformation import (DeformationBasis, correction_factor,
                           kodaira_spencer_image, prepare_trivializer,
                           select_deformation_basis, solve_connection,
@@ -29,7 +28,7 @@ from .signs import (SlopePairSet, max_square_zero_size, quasi_factor_codims,
                     sign_modules, slice_monotone, slice_report, strings)
 from .strata import (group_custom, group_full_gl, group_symplectic,
                      polarized_dim, strata_dims, traverso_dimension)
-from .witt import is_prime, make_context
+from .witt import PRIME_BOUND, is_prime, make_context
 
 ANALYSES = ["slopes", "decompose", "ominus", "axioms", "dual", "slices",
             "connection", "trivialize", "correction", "strata", "traverso",
@@ -87,15 +86,12 @@ def _check_entry(e, n, field):
                      "integer coefficient arrays")
 
 
-def _check_matrix(m, r, n, field, rows=None):
-    rows = r if rows is None else rows
-    _expect(isinstance(m, list) and len(m) == rows, field,
-            f"expected {rows} rows")
+def _check_matrix(m, r, n, field):
+    _expect(isinstance(m, list) and len(m) == r, field, f"expected {r} rows")
     for row in m:
         _expect(isinstance(row, list) and len(row) == r, field,
                 f"rows must have {r} entries (matrix must be square "
-                "of the stated rank)" if rows == r else
-                f"rows must have {r} entries")
+                "of the stated rank)")
         for e in row:
             _check_entry(e, n, field)
     return m
@@ -109,7 +105,8 @@ def parse_dict(doc, name=None) -> ProblemSpec:
     for field in ("p", "rank", "phi_matrix"):
         _expect(field in doc, field, "required field missing")
     p = doc["p"]
-    _expect(_is_int(p) and is_prime(p), "p", "must be a prime")
+    _expect(_is_int(p) and p < PRIME_BOUND and is_prime(p), "p",
+            "must be a prime below 2^64")
     n = doc.get("n", 1)
     _expect(_is_int(n) and n >= 1, "n", "must be a positive integer")
     N = doc.get("precision", 40)
@@ -184,9 +181,14 @@ def parse_dict(doc, name=None) -> ProblemSpec:
             _check_matrix(mat, r, n, "deformation_basis")
         spec.deformation_basis = doc["deformation_basis"]
     if "points" in doc:
-        _expect(isinstance(doc["points"], list), "points",
-                "must be a list of coordinate tuples")
-        spec.points = doc["points"]
+        points = doc["points"]
+        _expect(isinstance(points, list)
+                and all(isinstance(pt, list) for pt in points), "points",
+                "must be a list of coordinate lists")
+        for point in points:
+            for coord in point:
+                _check_entry(coord, n, "points")
+        spec.points = points
     return spec
 
 
@@ -267,8 +269,7 @@ class Session:
 
     def o_minus(self):
         if "o_minus" not in self._cache:
-            self._cache["o_minus"] = largest_sub_dieudonne(
-                self.decomp().V_minus, self.crystal(), mode="negative")
+            self._cache["o_minus"] = self.decomp().o_minus()
         return self._cache["o_minus"]
 
     def split(self):
@@ -516,7 +517,7 @@ def run_connection(sess: Session) -> dict:
     return out
 
 
-def run_trivialize(sess: Session, n_points: int = 3) -> dict:
+def run_trivialize(sess: Session) -> dict:
     X = sess.crystal()
     E = sess.lattice_e()
     B = sess.deformation_basis()
@@ -528,7 +529,9 @@ def run_trivialize(sess: Session, n_points: int = 3) -> dict:
     points = sess.spec.points
     if points is None:
         points = [[tuple(rng.randrange(ctx.p) for _ in range(ctx.n))
-                   for _ in range(B.n)] for _ in range(n_points)]
+                   for _ in range(B.n)] for _ in range(3)]
+    _expect(all(len(pt) == B.n for pt in points), "points",
+            f"each point needs {B.n} coordinates, one per variable")
     results = []
     ok = True
     ws = prepare_trivializer(X, E, B)
@@ -586,7 +589,7 @@ def run_traverso(sess: Session) -> dict:
     lat, closed = traverso_dimension(sess.crystal(), sess.slope_data(),
                                      sess.decomp(), sess.tangent())
     table, total = quasi_factor_codims(sess.crystal(), sess.slope_data(),
-                                       sess.decomp(), verify=True)
+                                       sess.decomp())
     return {
         "tangent_dimension": lat,
         "closed_form": closed,
@@ -648,6 +651,9 @@ def run(spec: ProblemSpec, analyses, seed: int = 0) -> dict:
             raise ParseError(f"unknown analysis '{name}'")
         try:
             result = RUNNERS[name](sess)
+        except ParseError:
+            # malformed input fails the whole run (exit code 2)
+            raise
         except VerificationMismatch as exc:
             result = {"ok": False, "verification_mismatch": str(exc)}
         except DieudonneError as exc:

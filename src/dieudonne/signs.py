@@ -16,7 +16,7 @@ from .core import (codim_of_dieudonne, largest_sub_dieudonne, nu_image,
                    smallest_super_dieudonne)
 from .errors import DualityMismatch, VerificationMismatch
 from .isocrystal import (EndDecomposition, FIsocrystal, SlopeData,
-                         block_projector, vec_to_mat)
+                         signed_block_lattices, vec_to_mat)
 from .errors import PrecisionExhausted
 from .lattices import Lattice, _reduce_columns, intersect, smith_valuations
 from .matrix import mat_mul, transport
@@ -126,24 +126,6 @@ def trace_frobenius_invariant(crystal: FIsocrystal, xvec, yvec) -> bool:
 # signed block lattices
 
 
-def signed_block_lattices(decomp: EndDecomposition, Y: SlopePairSet):
-    """(V_plus(Y), V_minus(Y)): the integral parts of the positive and
-    negative Hom-block sums over the pairs of Y."""
-    crystal = decomp.crystal
-    S = decomp.slope_data
-    ctx = crystal.ctx
-    plus_pairs = [(a, b) for (a, b) in Y.pairs]
-    minus_pairs = [(b, a) for (a, b) in Y.pairs]
-    if not Y.pairs:
-        z = Lattice.zero(ctx, crystal.rank ** 2)
-        return z, z
-    pplus = block_projector(crystal, S, plus_pairs)
-    pminus = block_projector(crystal, S, minus_pairs)
-    from .isocrystal import _projector_fixed_lattice
-    return (_projector_fixed_lattice(ctx, pplus),
-            _projector_fixed_lattice(ctx, pminus))
-
-
 def dual_lattice(L: Lattice, reference: Lattice) -> Lattice:
     """Trace dual of L inside the opposite block span, presented on the
     basis of a reference lattice spanning that opposite side.
@@ -229,15 +211,22 @@ class SignModuleSet:
 
 def sign_modules(crystal: FIsocrystal, decomp: EndDecomposition,
                  Y: SlopePairSet) -> SignModuleSet:
-    """Compute the signed lattices for Y, cross-checking each mixed
-    module both as a trace dual and as an iterative closure."""
+    """The signed lattices for Y, cross-checking each mixed module both as
+    a trace dual and as an iterative closure; computed once per
+    decomposition and pair set."""
+    if Y.pairs not in decomp._derived:
+        decomp._derived[Y.pairs] = _sign_modules(crystal, decomp, Y)
+    return decomp._derived[Y.pairs]
+
+
+def _sign_modules(crystal, decomp, Y):
     ctx = crystal.ctx
-    Vp, Vm = signed_block_lattices(decomp, Y)
     if not Y.pairs:
         z = Lattice.zero(ctx, crystal.rank ** 2)
         return SignModuleSet(Y=Y, V_plus=z, V_minus=z, V_plus_minus=z,
                              V_minus_plus=z, O_plus=z, O_minus=z,
                              O_plus_minus=z, O_minus_plus=z, codims={})
+    Vp, Vm = signed_block_lattices(crystal, decomp.slope_data, Y.pairs)
     Vpm = dual_lattice(Vm, Vp)
     Vmp = dual_lattice(Vp, Vm)
     if not Vpm.contains(Vp):
@@ -285,7 +274,7 @@ def pair_codim_closed_form(slope_data: SlopeData, a, b) -> int:
 
 
 def quasi_factor_codims(crystal: FIsocrystal, slope_data: SlopeData,
-                        decomp: EndDecomposition, verify: bool = True):
+                        decomp: EndDecomposition):
     """Per-pair codimension table over all increasing slope pairs, with
     the closed form checked against the lattice computation, plus the sum
     identity against the codimension of the full negative module."""
@@ -297,22 +286,21 @@ def quasi_factor_codims(crystal: FIsocrystal, slope_data: SlopeData,
             closed = pair_codim_closed_form(slope_data, a, b)
             table[(a, b)] = closed
             total += closed
-    if verify:
-        for (a, b), closed in table.items():
-            Y = SlopePairSet.singleton(a, b, slopes)
-            mods = sign_modules(crystal, decomp, Y)
-            lattice_side = mods.codims["c_minus"]
-            if lattice_side != closed:
-                raise VerificationMismatch(
-                    f"pair ({a},{b}): lattice codimension {lattice_side} "
-                    f"!= closed form {closed}")
-        if len(slopes) > 1:
-            Yfull = SlopePairSet.full(slopes)
-            mods = sign_modules(crystal, decomp, Yfull)
-            if mods.codims["c_minus"] != total:
-                raise VerificationMismatch(
-                    f"total codimension {mods.codims['c_minus']} != "
-                    f"sum of quasi-factor codimensions {total}")
+    for (a, b), closed in table.items():
+        Y = SlopePairSet.singleton(a, b, slopes)
+        mods = sign_modules(crystal, decomp, Y)
+        lattice_side = mods.codims["c_minus"]
+        if lattice_side != closed:
+            raise VerificationMismatch(
+                f"pair ({a},{b}): lattice codimension {lattice_side} "
+                f"!= closed form {closed}")
+    if len(slopes) > 1:
+        Yfull = SlopePairSet.full(slopes)
+        mods = sign_modules(crystal, decomp, Yfull)
+        if mods.codims["c_minus"] != total:
+            raise VerificationMismatch(
+                f"total codimension {mods.codims['c_minus']} != "
+                f"sum of quasi-factor codimensions {total}")
     return table, total
 
 
@@ -351,7 +339,7 @@ def max_square_zero_size(m: int) -> int:
 
 
 def slice_report(crystal: FIsocrystal, slope_data: SlopeData,
-                 decomp: EndDecomposition, Y: SlopePairSet, tangent=None):
+                 decomp: EndDecomposition, Y: SlopePairSet, tangent):
     """Square-zero status, the negative stable lattice of the slice, its
     tangent dimension, the codimension (the dimension of the associated
     group structure), and the monotonicity data for subsets."""
@@ -364,11 +352,7 @@ def slice_report(crystal: FIsocrystal, slope_data: SlopeData,
     Om = mods.O_minus
     report["O_minus_rank"] = Om.rank
     report["c_minus"] = mods.codims.get("c_minus", 0)
-    if tangent is not None and Om.rank:
-        dim, _ = nu_image(Om, tangent)
-        report["tangent_dimension"] = dim
-    elif tangent is not None:
-        report["tangent_dimension"] = 0
+    report["tangent_dimension"] = nu_image(Om, tangent)[0] if Om.rank else 0
     if Y.is_square_zero and Om.rank:
         r = crystal.rank
         mats = [vec_to_mat(list(c), r) for c in Om.cols]
@@ -390,6 +374,5 @@ def slice_monotone(crystal: FIsocrystal, decomp: EndDecomposition,
         return small.O_minus.rank == 0
     # the block lattice is saturated, so intersecting with it is the same
     # as intersecting with its rational span
-    _, Vm1 = signed_block_lattices(decomp, Y1)
-    cut = intersect(big.O_minus, Vm1)
+    cut = intersect(big.O_minus, small.V_minus)
     return cut.equals(small.O_minus)

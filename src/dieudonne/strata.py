@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import (TangentSpace, codim_of_dieudonne, largest_sub_dieudonne,
-                   nu_image)
+from .core import TangentSpace, codim_of_dieudonne, nu_image
 from .errors import (CertificateFailed, CertificateInvalid,
                      SlopeSymmetryViolated, VerificationMismatch,
                      WrongCharacteristic)
@@ -143,13 +142,11 @@ def _check_polarization_compat(crystal, g):
 
 
 def traverso_dimension(crystal: FIsocrystal, slope_data: SlopeData,
-                       decomp: EndDecomposition,
-                       tangent: TangentSpace | None = None):
+                       decomp: EndDecomposition, tangent: TangentSpace):
     """(lattice side, closed form) of the constant-locus dimension:
     the tangent dimension of the largest negative stable lattice against
     the slope-pair sum; raises on disagreement."""
-    tangent = tangent or TangentSpace(crystal)
-    O = largest_sub_dieudonne(decomp.V_minus, crystal, mode="negative")
+    O = decomp.o_minus()
     lattice_side = nu_image(O, tangent)[0] if O.rank else 0
     slopes = slope_data.slopes
     closed = Fraction(0)
@@ -209,17 +206,16 @@ class StrataReport:
 
 def strata_dims(gd: GroupData, crystal: FIsocrystal,
                 slope_data: SlopeData, decomp: EndDecomposition,
-                split, tangent: TangentSpace | None = None) -> StrataReport:
+                split, tangent: TangentSpace) -> StrataReport:
     """Stratum dimension data for the subgroup: the negative lattices cut
     by the Lie algebra, their tangent images, and the two consistency
     facts relating them."""
     ctx = crystal.ctx
-    tangent = tangent or TangentSpace(crystal)
     rep = StrataReport()
     NG, nG = n_g_mu(gd, split)
     rep.n_G = nG
     V_minus = decomp.V_minus
-    O_minus = largest_sub_dieudonne(V_minus, crystal, mode="negative")
+    O_minus = decomp.o_minus()
     VmG = intersect(V_minus, gd.lie)
     OmG = intersect(O_minus, VmG)
     rep.ranks = {"V_minus(G)": VmG.rank, "O_minus(G)": OmG.rank,
@@ -333,7 +329,7 @@ def polarized_closed_form(slope_data: SlopeData):
 
 def polarized_dim(crystal: FIsocrystal, slope_data: SlopeData,
                   decomp: EndDecomposition, split, gram_rows,
-                  tangent: TangentSpace | None = None):
+                  tangent: TangentSpace):
     """(lattice side, closed form) for the symplectic stratum dimension;
     checks the polarization certificates and Manin symmetry first."""
     c, d = _cd(crystal)
@@ -451,6 +447,4 @@ def ambient_o_minus(crystal):
     """The largest negative stable lattice of the ambient module (the
     coefficient target of the Cayley deviation)."""
     from .isocrystal import slope_split, end_decompose
-    S = slope_split(crystal)
-    E = end_decompose(crystal, S)
-    return largest_sub_dieudonne(E.V_minus, crystal, mode="negative")
+    return end_decompose(crystal, slope_split(crystal)).o_minus()

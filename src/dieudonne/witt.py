@@ -16,18 +16,34 @@ from __future__ import annotations
 from .errors import PrecisionExhausted
 
 
+# Miller-Rabin with the first twelve prime bases decides primality exactly
+# for every integer below 2^64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_BOUND = 2 ** 64
+
+
 def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin test; defined for m < 2^64."""
+    if m >= PRIME_BOUND:
+        raise ValueError(f"primality is decided only below 2^64, got {m}")
     if m < 2:
         return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
+    for q in _MR_BASES:
+        if m % q == 0:
+            return m == q
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

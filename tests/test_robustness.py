@@ -98,8 +98,8 @@ def test_sigma_twisted_conjugation_invariance():
     assert newton_slopes(X0) == newton_slopes(X1)
     S0, S1 = slope_split(X0), slope_split(X1)
     E0, E1 = end_decompose(X0, S0), end_decompose(X1, S1)
-    t0 = traverso_dimension(X0, S0, E0)
-    t1 = traverso_dimension(X1, S1, E1)
+    t0 = traverso_dimension(X0, S0, E0, TangentSpace(X0))
+    t1 = traverso_dimension(X1, S1, E1, TangentSpace(X1))
     assert t0 == t1
     assert E0.V_minus.rank == E1.V_minus.rank
 
@@ -115,5 +115,5 @@ def test_conjugated_per_pair_codims():
         if len(S.slopes) < 2:
             continue
         E = end_decompose(X, S)
-        quasi_factor_codims(X, S, E, verify=True)
+        quasi_factor_codims(X, S, E)
         done += 1

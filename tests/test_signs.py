@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dieudonne import signs
 from dieudonne.witt import make_context
 from dieudonne.lattices import Lattice
 from dieudonne.isocrystal import end_decompose, slope_split
@@ -128,6 +129,27 @@ def test_sign_modules_rank6_duality_crosscheck():
     assert mods.O_plus_minus.loss <= 4
 
 
+def test_sign_modules_computed_once_per_pair_set(monkeypatch):
+    ctx = make_context(5, 1, 30)
+    X, S, E = setup_instance(ctx, three_slope_rank4)
+    first = sign_modules(X, E, SlopePairSet.full(S.slope_list))
+    calls = []
+    real = signs.dual_lattice
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(signs, "dual_lattice", counted)
+    # an equal pair set, built anew, reuses the first result
+    again = sign_modules(X, E, SlopePairSet.full(S.slope_list))
+    assert again is first
+    assert calls == []
+    # a different pair set still runs its own duality cross-checks
+    a, b = S.slope_list[:2]
+    sign_modules(X, E, SlopePairSet.singleton(a, b, S.slope_list))
+    assert calls
+
+
 def test_pair_codims_closed_form():
     ctx = make_context(2, 1, 24)
     X, S, E = setup_instance(ctx, ordinary_rank2)
@@ -143,7 +165,7 @@ def test_quasi_factor_codims_three_slopes():
     # 1*2*(1/2) + 1*1*1 + 2*1*(1/2) = 3
     ctx = make_context(5, 1, 30)
     X, S, E = setup_instance(ctx, three_slope_rank4)
-    table, total = quasi_factor_codims(X, S, E, verify=True)
+    table, total = quasi_factor_codims(X, S, E)
     assert total == 3
     assert table[(Fraction(0), Fraction(1, 2))] == 1
     assert table[(Fraction(0), Fraction(1))] == 1
@@ -153,7 +175,7 @@ def test_quasi_factor_codims_three_slopes():
 def test_quasi_factor_codims_rank6():
     ctx = make_context(2, 3, 40)
     X, S, E = setup_instance(ctx, rank6_two_slope)
-    table, total = quasi_factor_codims(X, S, E, verify=True)
+    table, total = quasi_factor_codims(X, S, E)
     assert total == 3
 
 

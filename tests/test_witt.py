@@ -3,8 +3,9 @@
 import random
 
 import pytest
+import sympy
 
-from dieudonne.witt import make_context, teichmuller, valuation
+from dieudonne.witt import is_prime, make_context, teichmuller, valuation
 from dieudonne.errors import PrecisionExhausted
 
 
@@ -31,6 +32,25 @@ def test_context_rejects_bad_input():
         make_context(4, 1, 8)
     with pytest.raises(ValueError):
         make_context(2, 2, 1)
+
+
+def test_is_prime_matches_sympy():
+    rng = random.Random(64)
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185, 9746347772161]
+    # strong pseudoprimes to every prime base up to 7, 13 and 23
+    strong = [3215031751, 3474749660383, 3825123056546413051]
+    large = [2 ** 61 - 1, 2 ** 64 - 59, 2 ** 64 - 1,
+             4294967291 * 4294967279]
+    cases = list(range(-3, 3000)) + carmichael + strong + large
+    cases += [rng.randrange(2 ** bits) for bits in (16, 32, 48, 64)
+              for _ in range(250)]
+    for m in cases:
+        assert is_prime(m) == sympy.isprime(m), m
+    with pytest.raises(ValueError, match=r"2\^64"):
+        is_prime(2 ** 64)
+    with pytest.raises(ValueError, match=r"2\^64"):
+        make_context(2 ** 64 + 13, 1, 8)
 
 
 def test_defining_polynomial_f4():
