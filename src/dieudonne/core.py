@@ -17,7 +17,7 @@ from .errors import (HypothesisViolated, InclusionViolated, NoAutoConstruction,
 from .isocrystal import (FIsocrystal, SlopeData, end_frobenius, mat_to_vec,
                          sandwich_map, vec_to_mat, _maps_equal)
 from .lattices import (Lattice, SemilinearMap, intersect, invert_matrix,
-                       lattice_sum, mod_p_dimension, saturate)
+                       kernel_span, lattice_sum, mod_p_dimension, saturate)
 from .matrix import mat_mul
 
 
@@ -47,7 +47,8 @@ class TangentSpace:
         arows = [[x.residue() for x in row] for row in crystal.phi.rows]
         ker = modp.gf_kernel(ctx, arows)
         inv_twist = (-crystal.phi.twist) % ctx.n
-        self.fbar1 = [[_gf_frob(ctx, c, inv_twist) for c in v] for v in ker]
+        self.fbar1 = [[ctx.residue(ctx.frobenius(c, inv_twist)) for c in v]
+                      for v in ker]
         # endomorphisms preserving fbar1: rows of conditions
         f0 = _preserving_endos(ctx, r, self.fbar1)
         self.f0_ech, self.f0_pivots = modp.gf_echelon(ctx, f0)
@@ -64,22 +65,6 @@ class TangentSpace:
 
     def nu_is_zero(self, vec):
         return all(self.ctx.gf_is_zero(x) for x in vec)
-
-
-def _gf_frob(ctx, c, e):
-    """Residue-field Frobenius x -> x^(p^e)."""
-    out = tuple(x % ctx.p for x in c)
-    for _ in range(e % ctx.n):
-        acc = tuple([1] + [0] * (ctx.n - 1))
-        base = out
-        k = ctx.p
-        while k:
-            if k & 1:
-                acc = ctx.gf_mul(acc, base)
-            base = ctx.gf_mul(base, base)
-            k >>= 1
-        out = acc
-    return out
 
 
 def _preserving_endos(ctx, r, fbar1):
@@ -204,43 +189,27 @@ class HodgeSplitting:
 
     def mu_numerator(self):
         """P diag(1_d, p 1_c) P^{-1}: p times the cocharacter value at p."""
-        ctx = self.ctx
-        r = self.crystal.rank
-        d = self.d
-        rows = []
-        for a in range(r):
-            row = []
-            for b in range(r):
-                acc = ctx.zero
-                for k in range(r):
-                    w = self.P_rows[a][k] * self.Pinv_rows[k][b]
-                    if k >= d:
-                        w = w * ctx.p
-                    acc = acc + w
-                row.append(acc)
-            rows.append(row)
-        return rows
+        d, p = self.d, self.ctx.p
+        scaled = [[x * p if k >= d else x for k, x in enumerate(row)]
+                  for row in self.P_rows]
+        return mat_mul(scaled, self.Pinv_rows, self.ctx.zero)
 
 
-def hodge_splitting(crystal: FIsocrystal, f1_columns, f0_columns=None
-                    ) -> HodgeSplitting:
-    """Build a splitting from explicit F^1 columns; a complement is chosen
-    from standard basis vectors when F^0 is not supplied."""
+def hodge_splitting(crystal: FIsocrystal, f1_columns) -> HodgeSplitting:
+    """Build a splitting from explicit F^1 columns; F^0 is spanned by the
+    standard basis vectors off the pivots of F^1 mod p."""
     ctx = crystal.ctx
     r = crystal.rank
     f1 = [[ctx.scalar(x) for x in col] for col in f1_columns]
-    if f0_columns is not None:
-        f0 = [[ctx.scalar(x) for x in col] for col in f0_columns]
-    else:
-        res = [[x.residue() for x in col] for col in f1]
-        _, pivots = modp.gf_echelon(ctx, res)
-        taken = set(pivots)
-        f0 = []
-        for i in range(r):
-            if i not in taken:
-                col = [ctx.zero] * r
-                col[i] = ctx.one
-                f0.append(col)
+    res = [[x.residue() for x in col] for col in f1]
+    _, pivots = modp.gf_echelon(ctx, res)
+    taken = set(pivots)
+    f0 = []
+    for i in range(r):
+        if i not in taken:
+            col = [ctx.zero] * r
+            col[i] = ctx.one
+            f0.append(col)
     return HodgeSplitting(crystal, f1, f0)
 
 
@@ -299,8 +268,13 @@ def star_property_holds(crystal: FIsocrystal, tangent: TangentSpace,
 # stable-lattice fixed points
 
 
-def smallest_stable_superlattice(V: Lattice, numerator_steps, denominator,
-                                 cap=None) -> Lattice:
+def _iteration_cap(V: Lattice) -> int:
+    """Round bound of the stable-lattice iterations started at V."""
+    return max(V.ambient, 1) * V.ctx.N + 10
+
+
+def smallest_stable_superlattice(V: Lattice, numerator_steps, denominator
+                                 ) -> Lattice:
     """Smallest lattice containing V and stable under every map
     p^{-denominator} * numerator, by the increasing closure.
 
@@ -309,10 +283,9 @@ def smallest_stable_superlattice(V: Lattice, numerator_steps, denominator,
     and the exact volume invariant detects stabilization.
     """
     ctx = V.ctx
-    cap = cap if cap is not None else (max(V.ambient, 1) * ctx.N + 10)
     cur = V
     pd = ctx.p ** denominator
-    for _ in range(cap):
+    for _ in range(_iteration_cap(V)):
         deepest = max((e for (_, e) in cur.pivots), default=0)
         if cur.scale + denominator + deepest >= ctx.N - 2:
             raise PrecisionExhausted(
@@ -354,7 +327,7 @@ def _conjugation_numerators(crystal):
     return crystal._derived["conjugation"]
 
 
-def _membership_refine(E: Lattice, num_map, shift: int, cap) -> Lattice:
+def _membership_refine(E: Lattice, num_map, shift: int) -> Lattice:
     """Largest sublattice with num_map(x) inside p^shift times itself,
     by the decreasing refinement E <- {x in E : num_map(x) in p^shift E}.
 
@@ -362,32 +335,17 @@ def _membership_refine(E: Lattice, num_map, shift: int, cap) -> Lattice:
     computed bases stay exact at the working precision; termination is
     detected by the exact rank/volume invariant.
     """
-    from .lattices import _reduce_columns
     ctx = E.ctx
     amb = E.ambient
     cur = E
     last = None
-    for _ in range(cap):
+    for _ in range(_iteration_cap(E)):
         if cur.rank == 0:
             return cur
-        m = cur.rank
         imgs = [num_map.apply_raw(list(c)) for c in cur.cols]
         pk = ctx.p ** shift
-        stacked = ([list(v) for v in imgs]
-                   + [[x * pk for x in c] for c in cur.cols])
-        _, _, _, kern = _reduce_columns(ctx, stacked, ctx.N - cur.loss,
-                                        track=True, nrows=amb)
-        gens = []
-        for k in kern:
-            vec = [ctx.zero] * amb
-            nonzero = False
-            for j in range(m):
-                if not k[j].is_zero():
-                    nonzero = True
-                    col = cur.cols[j]
-                    vec = [vec[i] + k[j] * col[i] for i in range(amb)]
-            if nonzero:
-                gens.append(vec)
+        stacked = imgs + [[x * pk for x in c] for c in cur.cols]
+        gens = kernel_span(ctx, stacked, cur.cols, ctx.N - cur.loss, amb)
         nxt = Lattice.from_columns(ctx, amb, gens, scale=cur.scale,
                                    loss=cur.loss)
         sig = (nxt.rank, nxt.index_valuation())
@@ -411,15 +369,13 @@ def largest_sub_dieudonne(V: Lattice, crystal: FIsocrystal,
     mode "positive": (O, phi) Dieudonne, i.e. phi(O) <= O and
     p phi^{-1}(O) <= O (for lattices of positive slopes).
     """
-    ctx = V.ctx
     fwd_num, bwd_num, vdet = _conjugation_numerators(crystal)
-    cap = max(V.ambient, 1) * ctx.N + 10
     if mode == "negative":
         # phi^{-1}(x) in E  <=>  bwd_num(x) in p^vdet E
-        out = _membership_refine(V, bwd_num, vdet, cap)
+        out = _membership_refine(V, bwd_num, vdet)
         checks = [(bwd_num, vdet, "phi^{-1}"), (fwd_num, vdet - 1, "p phi")]
     elif mode == "positive":
-        out = _membership_refine(V, fwd_num, vdet, cap)
+        out = _membership_refine(V, fwd_num, vdet)
         checks = [(fwd_num, vdet, "phi"),
                   (bwd_num, vdet - 1, "p phi^{-1}")]
     else:
@@ -458,7 +414,6 @@ def smallest_super_dieudonne(V: Lattice, crystal: FIsocrystal,
     mode "positive": stability under phi and p phi^{-1};
     mode "negative": stability under p phi and phi^{-1}.
     """
-    ctx = V.ctx
     fwd_num, bwd_num, vdet = _conjugation_numerators(crystal)
     if mode == "positive":
         # phi = p^-vdet fwd_num ; p phi^{-1} = p^{1-vdet} bwd_num

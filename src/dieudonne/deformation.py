@@ -217,6 +217,23 @@ def _series_mat_vec(rows, vec):
     return out
 
 
+def _nabla(conn, vec, i):
+    """nabla(d/dx_i) on a vector of series: the partial derivative plus
+    omega_i = sum_l w[(l, i)] * (basis element l of E) applied to it."""
+    ctx = conn.crystal.ctx
+    r = conn.crystal.rank
+    out = [s.partial(i) for s in vec]
+    for l, v in enumerate(conn.basis):
+        w_li = conn.w[(l, i)]
+        if w_li.is_zero():
+            continue
+        evec = _series_mat_vec(
+            [[TruncatedSeries.constant(ctx, conn.B.n, conn.dmax, x)
+              for x in row] for row in vec_to_mat(list(v), r)], vec)
+        out = [o + e * w_li for o, e in zip(out, evec)]
+    return out
+
+
 def apply_twisted_frobenius(crystal, u_rows, vec):
     """Phi_N(vec) = u * (A * Phi_S(vec)) for a vector of series."""
     ctx = crystal.ctx
@@ -259,16 +276,7 @@ def verify_horizontality(crystal: FIsocrystal, conn: ConnectionForm,
         const = [TruncatedSeries.constant(ctx, n, dmax, x) for x in cvec]
         phin_c = apply_twisted_frobenius(crystal, u_rows, const)
         for i in range(n):
-            # left side: d/dx_i of Phi_N(c) plus omega_i applied to it
-            lhs = [s.partial(i) for s in phin_c]
-            for l, emat in enumerate(emats):
-                w_li = conn.w[(l, i)]
-                if w_li.is_zero():
-                    continue
-                evec = _series_mat_vec(
-                    [[TruncatedSeries.constant(ctx, n, dmax, x)
-                      for x in row] for row in emat], phin_c)
-                lhs = [lhs[k] + evec[k] * w_li for k in range(r)]
+            lhs = _nabla(conn, phin_c, i)
             # right side: Phi_N applied to omega_i(c), times p x_i^(p-1)
             omega_c = [TruncatedSeries.zero(ctx, n, dmax) for _ in range(r)]
             for l, emat in enumerate(emats):
@@ -402,8 +410,7 @@ def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
 
 
 def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
-                        B: DeformationBasis, point, i_max=None,
-                        workspace=None) -> dict:
+                        B: DeformationBasis, point, workspace=None) -> dict:
     """Straighten the twisted Frobenius at a residue-field point.
 
     With u = 1 + sum v_i [point_i] (Teichmuller coordinates), the partial
@@ -441,7 +448,7 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
         raise HypothesisViolated("the point twist does not lie in E")
     Cmap = ws["Cmap"]
     m = bE.rank
-    cap = i_max if i_max is not None else ctx.N * max(r, 2) + 10
+    cap = ctx.N * max(r, 2) + 10
     prod = prod_inv = ident
     coords = coords0
     steps = 0
@@ -546,8 +553,8 @@ def divided_power(ctx, y, j):
     return num * ctx.scalar(unit).inverse()
 
 
-def correction_factor(crystal: FIsocrystal, conn: ConnectionForm, z,
-                      split=None) -> dict:
+def correction_factor(crystal: FIsocrystal, conn: ConnectionForm, z
+                      ) -> dict:
     """Divided-power transport comparing the twisted Frobenius at the
     point z with its value at the Teichmuller point.
 
@@ -570,19 +577,6 @@ def correction_factor(crystal: FIsocrystal, conn: ConnectionForm, z,
                 "coordinate difference sigma(z) - z^p is not divisible "
                 "by p")
         ys.append(y)
-    emats = conn.basis_matrices()
-
-    def nabla_i(vec, i):
-        out = [s.partial(i) for s in vec]
-        for l, emat in enumerate(emats):
-            w_li = conn.w[(l, i)]
-            if w_li.is_zero():
-                continue
-            evec = _series_mat_vec(
-                [[TruncatedSeries.constant(ctx, n, dmax, x) for x in row]
-                 for row in emat], vec)
-            out = [out[k] + evec[k] * w_li for k in range(r)]
-        return out
 
     grows = [[ctx.zero] * r for _ in range(r)]
     for col in range(r):
@@ -604,7 +598,7 @@ def correction_factor(crystal: FIsocrystal, conn: ConnectionForm, z,
             walk(i + 1, vec, factor)
             cur = vec
             for j in range(1, dmax + 3):
-                cur = nabla_i(cur, i)
+                cur = _nabla(conn, cur, i)
                 if all(s.is_zero() for s in cur):
                     break
                 dp = divided_power(ctx, ys[i], j)

@@ -9,6 +9,18 @@ pivot.  Pivoting always selects a remaining entry of minimal valuation
 (ties: lowest row, then lowest column), so eliminations divide exactly and
 cost no precision.
 
+Every elimination in the package goes through this module's primitives:
+
+- echelon: ``_reduce_columns``, the one pivot loop (optionally tracking
+  the column transform and the combinations that vanish);
+- substitution: ``_back_substitute``, peeling a vector through an echelon
+  (``Lattice.solve`` and ``invert_matrix``);
+- ``kernel_span``: the saturated kernel of stacked columns, recombined on
+  a basis (intersections, stable-sublattice refinement, trace duals);
+- Smith: ``smith_valuations``, the sorted pivot valuations of the echelon.
+
+Products and recombinations are ``matrix.mat_mul``.
+
 Semilinear maps are v |-> p^{-denominator} * A * sigma^twist(v).
 """
 
@@ -18,11 +30,6 @@ from . import modp
 from .errors import InclusionViolated, PrecisionExhausted, SingularMap
 from .matrix import identity, mat_mul, transport
 from .witt import WittScalar
-
-
-def _zero_vec(ctx, r):
-    z = ctx.zero
-    return [z] * r
 
 
 def _col_is_zero(col, neff):
@@ -101,6 +108,21 @@ def _reduce_columns(ctx, cols, neff, track=False, nrows=None):
             if not _col_is_zero(work[j], neff):  # pragma: no cover
                 raise AssertionError("unpivoted nonzero column")
     return ech, pivots, tr, kern
+
+
+def _back_substitute(ech, pivots, vec):
+    """(coords, residual) with vec = sum_t coords[t] * ech[t] + residual,
+    peeled through the echelon in processing order; coords is None when a
+    pivot does not divide its entry of the remaining vector."""
+    coords = []
+    for col, (prow, e) in zip(ech, pivots):
+        entry = vec[prow]
+        if entry.valuation() < e:
+            return None, vec
+        q = entry.divide_p(e)
+        coords.append(q)
+        vec = [x - q * c for x, c in zip(vec, col)]
+    return coords, vec
 
 
 def _cross_reduce(ctx, ech, pivots):
@@ -272,16 +294,8 @@ class Lattice:
             if neff <= 0:
                 raise PrecisionExhausted(
                     "scale gap exhausted the working precision")
-        coords = [ctx.zero] * len(self.ech)
-        for t, col in enumerate(self.ech):
-            prow, e = self.ech_pivots[t]
-            entry = vec[prow]
-            if entry.valuation() < e:
-                return None
-            q = entry.divide_p(e)
-            coords[t] = q
-            vec = [vec[i] - q * col[i] for i in range(self.ambient)]
-        if not _col_is_zero(vec, neff):
+        coords, rest = _back_substitute(self.ech, self.ech_pivots, vec)
+        if coords is None or not _col_is_zero(rest, neff):
             return None
         return coords
 
@@ -346,20 +360,20 @@ def intersect(l1: Lattice, l2: Lattice) -> Lattice:
     s, c1, c2 = _unify_scales(l1, l2)
     if not c1 or not c2:
         return Lattice.zero(ctx, l1.ambient)
-    stacked = [list(c) for c in c1] + [[ctx.zero - x for x in c] for c in c2]
-    _, _, _, kern = _reduce_columns(ctx, stacked, neff, track=True,
-                                    nrows=l1.ambient)
-    m1 = len(c1)
-    gens = []
-    for k in kern:
-        vec = _zero_vec(ctx, l1.ambient)
-        for j in range(m1):
-            if not k[j].is_zero():
-                col = c1[j]
-                vec = [vec[i] + k[j] * col[i] for i in range(l1.ambient)]
-        gens.append(vec)
+    stacked = c1 + [[ctx.zero - x for x in c] for c in c2]
+    gens = kernel_span(ctx, stacked, c1, neff, l1.ambient)
     return Lattice.from_columns(ctx, l1.ambient, gens, scale=s,
                                 loss=loss).folded()
+
+
+def kernel_span(ctx, cols, basis, neff, nrows):
+    """The saturated kernel {k : sum_j k_j cols_j = 0 mod p^neff} of the
+    columns (each of length nrows), every kernel vector recombined on the
+    basis as sum_j k_j basis_j, in kernel order.  The basis may be shorter
+    than the columns: the columns past it only cut the kernel."""
+    _, _, _, kern = _reduce_columns(ctx, cols, neff, track=True, nrows=nrows)
+    m = len(basis)
+    return mat_mul([k[:m] for k in kern], basis, ctx.zero)
 
 
 def matrix_kernel(ctx, rows, neff, ncols=None):
@@ -398,23 +412,11 @@ def saturate(lattice: Lattice, ambient: Lattice) -> Lattice:
     m = ambient.rank
     if m == 0:
         return Lattice.zero(ctx, lattice.ambient)
-    # rows of C^T are the coordinate vectors; left kernel then its kernel
-    rows = [[coords[j][i] for j in range(len(coords))] for i in range(m)]
-    left = matrix_kernel(ctx, [[rows[i][j] for i in range(m)]
-                               for j in range(len(coords))], neff, ncols=m)
-    if not left:
-        sat_coords = identity(m, ctx.zero, ctx.one)
-    else:
-        krows = [[k[i] for i in range(m)] for k in left]
-        sat_coords = matrix_kernel(ctx, krows, neff, ncols=m)
-    gens = []
-    for x in sat_coords:
-        vec = _zero_vec(ctx, lattice.ambient)
-        for j in range(m):
-            if not x[j].is_zero():
-                col = ambient.ech[j]
-                vec = [vec[i] + x[j] * col[i] for i in range(lattice.ambient)]
-        gens.append(vec)
+    # the kernel of the coordinate rows, then the kernel of that kernel
+    left = matrix_kernel(ctx, coords, neff, ncols=m)
+    sat_coords = (matrix_kernel(ctx, left, neff, ncols=m) if left
+                  else identity(m, ctx.zero, ctx.one))
+    gens = mat_mul(sat_coords, ambient.ech, ctx.zero)
     out = Lattice.from_columns(ctx, lattice.ambient, gens,
                                scale=ambient.scale, loss=loss)
     return out.folded()
@@ -595,80 +597,36 @@ def invert_matrix(ctx, rows):
     if len(pivots) < r:
         raise SingularMap("matrix is singular at the working precision")
     vdet = sum(e for (_, e) in pivots)
-    # back-substitute p^{vdet} e_k through the triangular echelon
-    out_cols = []
+    # back-substitute p^{vdet} e_k through the triangular echelon; row k
+    # of coords * trans is then column k of the numerator
+    pv = ctx.scalar(ctx.p ** vdet)
+    coords = []
     for k in range(r):
         vec = [ctx.zero] * r
-        vec[k] = ctx.scalar(ctx.p ** vdet)
-        coords = [ctx.zero] * len(ech)
-        for t, col in enumerate(ech):
-            prow, e = pivots[t]
-            entry = vec[prow]
-            if entry.valuation() < e:
-                raise PrecisionExhausted(
-                    "inverse not resolvable at working precision")
-            q = entry.divide_p(e)
-            coords[t] = q
-            vec = [vec[i] - q * col[i] for i in range(r)]
-        x = [ctx.zero] * r
-        for t in range(len(ech)):
-            if not coords[t].is_zero():
-                tt = trans[t]
-                x = [x[i] + coords[t] * tt[i] for i in range(r)]
-        out_cols.append(x)
-    inv_rows = [[out_cols[j][i] for j in range(r)] for i in range(r)]
-    return inv_rows, vdet
+        vec[k] = pv
+        x, _ = _back_substitute(ech, pivots, vec)
+        if x is None:
+            raise PrecisionExhausted(
+                "inverse not resolvable at working precision")
+        coords.append(x)
+    out_cols = mat_mul(coords, trans, ctx.zero)
+    return [list(row) for row in zip(*out_cols)], vdet
 
 
 def smith_valuations(ctx, rows, neff=None):
-    """Valuations of the elementary divisors of a square matrix over the
-    local ring, by global-minimum pivoting with full row and column
-    clearing (divisions are exact by pivot minimality).  Entries that
-    vanish at the effective precision contribute divisors reported as
-    neff."""
+    """Valuations of the elementary divisors of a matrix over the local
+    ring: the sorted pivot valuations of its column echelon, padded with
+    neff for the divisors that vanish at the effective precision.
+
+    With global-minimum pivoting, the block left after each pivot is the
+    same Schur complement that full row and column clearing would leave,
+    so the pivots are the diagonal of the Smith form."""
     neff = ctx.N if neff is None else neff
-    m = len(rows)
-    work = [[ctx.scalar(x) for x in r] for r in rows]
-    alive_r = list(range(m))
-    alive_c = list(range(len(rows[0]) if rows else 0))
-    out = []
-    while alive_r and alive_c:
-        best = None
-        for i in alive_r:
-            for j in alive_c:
-                v = work[i][j].valuation()
-                if v >= neff:
-                    continue
-                if best is None or (v, i, j) < best:
-                    best = (v, i, j)
-        if best is None:
-            out.extend([neff] * min(len(alive_r), len(alive_c)))
-            return sorted(out)
-        e, pi, pj = best
-        piv = work[pi][pj]
-        unit_inv = piv.divide_p(e).inverse()
-        # clear the pivot column, then the pivot row
-        for i in alive_r:
-            if i == pi:
-                continue
-            x = work[i][pj]
-            if x.is_zero():
-                continue
-            q = x.divide_p(e) * unit_inv
-            work[i] = [work[i][k] - q * work[pi][k] for k in range(len(work[i]))]
-        for j in alive_c:
-            if j == pj:
-                continue
-            x = work[pi][j]
-            if x.is_zero():
-                continue
-            q = x.divide_p(e) * unit_inv
-            for i in alive_r:
-                work[i][j] = work[i][j] - q * work[i][pj]
-        alive_r.remove(pi)
-        alive_c.remove(pj)
-        out.append(e)
-    return sorted(out)
+    ncols = len(rows[0]) if rows else 0
+    cols = [[ctx.scalar(row[j]) for row in rows] for j in range(ncols)]
+    _, pivots, _, _ = _reduce_columns(ctx, cols, neff, nrows=len(rows))
+    pad = min(len(rows), ncols) - len(pivots)
+    return sorted([e for (_, e) in pivots] + [neff] * pad)
 
 
 def invert_matrix_exact(ctx, rows):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 from . import __version__
@@ -193,10 +194,13 @@ def parse_dict(doc, name=None) -> ProblemSpec:
 
 
 def _parse_fraction(s):
+    """An integer, or a string "a" or "a/b" of decimal digits with an
+    optional leading minus; checked before ``Fraction`` sees it, which
+    would also expand decimal points and exponents."""
     try:
         if _is_int(s):
             return Fraction(s)
-        if isinstance(s, str):
+        if isinstance(s, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):
             return Fraction(s)
     except (ValueError, ZeroDivisionError):
         pass

@@ -18,7 +18,7 @@ from .errors import DualityMismatch, VerificationMismatch
 from .isocrystal import (EndDecomposition, FIsocrystal, SlopeData,
                          signed_block_lattices, vec_to_mat)
 from .errors import PrecisionExhausted
-from .lattices import Lattice, _reduce_columns, intersect, smith_valuations
+from .lattices import Lattice, intersect, kernel_span, smith_valuations
 from .matrix import mat_mul, transport
 
 
@@ -165,18 +165,7 @@ def dual_lattice(L: Lattice, reference: Lattice) -> Lattice:
         stacked = [[gram[i][j] for i in range(m)] for j in range(m)]
         stacked += [[pk if i == j else wctx.zero for i in range(m)]
                     for j in range(m)]
-        _, _, _, kern = _reduce_columns(wctx, stacked, wctx.N - loss,
-                                        track=True, nrows=m)
-        gens = []
-        for kvec in kern:
-            vec = [wctx.zero] * r2
-            for j in range(m):
-                c = kvec[j]
-                if c.is_zero():
-                    continue
-                zc = zcols[j]
-                vec = [vec[k] + c * zc[k] for k in range(r2)]
-            gens.append(vec)
+        gens = kernel_span(wctx, stacked, zcols, wctx.N - loss, m)
         out = Lattice.from_columns(wctx, r2, gens,
                                    scale=reference.scale + K - S, loss=loss)
         if out.rank != m:
@@ -226,7 +215,12 @@ def _sign_modules(crystal, decomp, Y):
         return SignModuleSet(Y=Y, V_plus=z, V_minus=z, V_plus_minus=z,
                              V_minus_plus=z, O_plus=z, O_minus=z,
                              O_plus_minus=z, O_minus_plus=z, codims={})
-    Vp, Vm = signed_block_lattices(crystal, decomp.slope_data, Y.pairs)
+    # the full pair set's block lattices and O_minus are the decomposition's
+    full = Y.pairs == SlopePairSet.full(decomp.slope_data.slope_list).pairs
+    if full:
+        Vp, Vm = decomp.V_plus, decomp.V_minus
+    else:
+        Vp, Vm = signed_block_lattices(crystal, decomp.slope_data, Y.pairs)
     Vpm = dual_lattice(Vm, Vp)
     Vmp = dual_lattice(Vp, Vm)
     if not Vpm.contains(Vp):
@@ -234,7 +228,8 @@ def _sign_modules(crystal, decomp, Y):
     if not Vmp.contains(Vm):
         raise DualityMismatch("V_minus is not inside the dual of V_plus")
     Op = largest_sub_dieudonne(Vp, crystal, mode="positive")
-    Om = largest_sub_dieudonne(Vm, crystal, mode="negative")
+    Om = decomp.o_minus() if full else largest_sub_dieudonne(
+        Vm, crystal, mode="negative")
     Opm_dual = dual_lattice(Om, Vp) if Om.rank else Lattice.zero(
         ctx, crystal.rank ** 2)
     Omp_dual = dual_lattice(Op, Vm) if Op.rank else Lattice.zero(

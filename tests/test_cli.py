@@ -69,6 +69,8 @@ def test_parse_rejects_bad_fraction():
     ("points", [5]),
     ("points", [["x"]]),
     ("points", [[[1, 2]]]),
+    ("slope_pairs", [["1e4000000", "1"]]),
+    ("slope_pairs", [["0.5", "1"]]),
 ])
 def test_parse_rejects_malformed_field(field, value):
     doc = dict(MINIMAL)

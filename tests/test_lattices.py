@@ -3,16 +3,18 @@
 library implementation."""
 
 import itertools
+import pathlib
 import random
 
 import pytest
 import sympy
-from sympy.matrices.normalforms import hermite_normal_form
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
+import dieudonne
 from dieudonne.witt import make_context
 from dieudonne.lattices import (
     Lattice, SemilinearMap, intersect, invert_matrix, lattice_sum,
-    mod_p_dimension, restrict_map, saturate,
+    mod_p_dimension, restrict_map, saturate, smith_valuations,
 )
 from dieudonne.errors import InclusionViolated, SingularMap
 
@@ -330,3 +332,140 @@ def test_scaled_lattices():
     assert not E1.contains(L)
     assert lattice_sum(L, E1).equals(L)
     assert intersect(L, E1).equals(E1)
+
+
+def _smith_valuations_reference(ctx, rows, neff=None):
+    """The former full row-and-column clearing implementation, kept as
+    the oracle for the echelon-based smith_valuations."""
+    neff = ctx.N if neff is None else neff
+    m = len(rows)
+    work = [[ctx.scalar(x) for x in r] for r in rows]
+    alive_r = list(range(m))
+    alive_c = list(range(len(rows[0]) if rows else 0))
+    out = []
+    while alive_r and alive_c:
+        best = None
+        for i in alive_r:
+            for j in alive_c:
+                v = work[i][j].valuation()
+                if v >= neff:
+                    continue
+                if best is None or (v, i, j) < best:
+                    best = (v, i, j)
+        if best is None:
+            out.extend([neff] * min(len(alive_r), len(alive_c)))
+            return sorted(out)
+        e, pi, pj = best
+        piv = work[pi][pj]
+        unit_inv = piv.divide_p(e).inverse()
+        # clear the pivot column, then the pivot row
+        for i in alive_r:
+            if i == pi:
+                continue
+            x = work[i][pj]
+            if x.is_zero():
+                continue
+            q = x.divide_p(e) * unit_inv
+            work[i] = [work[i][k] - q * work[pi][k] for k in range(len(work[i]))]
+        for j in alive_c:
+            if j == pj:
+                continue
+            x = work[pi][j]
+            if x.is_zero():
+                continue
+            q = x.divide_p(e) * unit_inv
+            for i in alive_r:
+                work[i][j] = work[i][j] - q * work[i][pj]
+        alive_r.remove(pi)
+        alive_c.remove(pj)
+        out.append(e)
+    return sorted(out)
+
+
+def _random_int_matrix(rng, p, nrows, ncols, kind):
+    """Integer entries carrying random p-powers; "deficient" repeats a
+    combination of the first two columns in the last one, "deep" makes one
+    row a multiple of p^8, which vanishes below a reduced neff."""
+    rows = [[rng.randrange(-30, 31) * p ** rng.choice((0, 0, 1, 2, 3))
+             for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "deficient" and ncols >= 3:
+        a, b = rng.randrange(1, 5), rng.randrange(5)
+        for row in rows:
+            row[-1] = a * row[0] + b * p * row[1]
+    if kind == "deep":
+        rows[-1] = [rng.randrange(1, 30) * p ** 8 for _ in range(ncols)]
+    return rows
+
+
+SMITH_SHAPES = [(3, 3), (2, 4), (4, 2), (1, 3), (4, 4)]
+SMITH_KINDS = ["full", "deficient", "deep"]
+
+
+@pytest.mark.parametrize("p, n, N", [(2, 1, 12), (3, 1, 10), (5, 1, 9),
+                                     (2, 3, 12), (3, 3, 10)])
+def test_smith_valuations_matches_clearing(p, n, N):
+    ctx = make_context(p, n, N)
+    rng = random.Random(97 * p + n)
+    for shape, kind in itertools.product(SMITH_SHAPES, SMITH_KINDS):
+        for _ in range(4):
+            rows = _random_int_matrix(rng, p, *shape, kind)
+            # at n > 1, spread the integer entries over the Witt coordinates
+            mat = [[ctx.scalar([x] + [rng.randrange(p) * x
+                                      for _ in range(n - 1)])
+                    for x in row] for row in rows]
+            for neff in (N, N - 1, N // 2):
+                assert smith_valuations(ctx, mat, neff=neff) == \
+                    _smith_valuations_reference(ctx, mat, neff=neff), \
+                    (shape, kind, neff)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_smith_valuations_matches_sympy(p):
+    N = 10
+    ctx = make_context(p, 1, N)
+    rng = random.Random(31 + p)
+    for shape, kind in itertools.product(SMITH_SHAPES, SMITH_KINDS):
+        for _ in range(3):
+            rows = _random_int_matrix(rng, p, *shape, kind)
+            snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+            diag = [snf[i, i] for i in range(min(shape))]
+            for neff in (N, N // 2):
+                want = sorted(min(sympy.multiplicity(p, d), neff) if d
+                              else neff for d in diag)
+                got = smith_valuations(ctx, [[ctx.scalar(x) for x in row]
+                                             for row in rows], neff=neff)
+                assert got == want, (rows, neff)
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 3), (3, 3)])
+def test_invert_matrix_randomized_roundtrip(p, n):
+    ctx = make_context(p, n, 16)
+    rng = random.Random(5 * p + n)
+    r = 3
+    positive = 0
+    for t in range(12):
+        rows = [[ctx.scalar([rng.randrange(p ** 2) for _ in range(n)])
+                 for _ in range(r)] for _ in range(r)]
+        if t % 2:
+            # a p-divisible column forces vdet > 0
+            rows = [[row[0] * p] + row[1:] for row in rows]
+        try:
+            inv, vdet = invert_matrix(ctx, rows)
+        except SingularMap:
+            continue
+        positive += vdet > 0
+        pv = ctx.scalar(p ** vdet)
+        for i in range(r):
+            for j in range(r):
+                acc = ctx.zero
+                for k in range(r):
+                    acc = acc + rows[i][k] * inv[k][j]
+                assert acc == (pv if i == j else ctx.zero)
+    assert positive
+
+
+def test_only_lattices_names_the_echelon_kernel():
+    src = pathlib.Path(dieudonne.__file__).parent
+    users = sorted(f.name for f in src.glob("*.py")
+                   if "_reduce_columns" in f.read_text(encoding="utf-8"))
+    assert users == ["lattices.py"]

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from dieudonne import signs
+from dieudonne import core, signs
+from dieudonne.cli import load_corpus
 from dieudonne.witt import make_context
 from dieudonne.lattices import Lattice
 from dieudonne.isocrystal import end_decompose, slope_split
 from dieudonne.core import TangentSpace, largest_sub_dieudonne, nu_image
+from dieudonne.problems import Session, run
 from dieudonne.signs import (
     SlopePairSet, dual_lattice, max_square_zero_size, pair_codim_closed_form,
     quasi_factor_codims, sign_modules, slice_chain, slice_monotone,
@@ -148,6 +150,25 @@ def test_sign_modules_computed_once_per_pair_set(monkeypatch):
     a, b = S.slope_list[:2]
     sign_modules(X, E, SlopePairSet.singleton(a, b, S.slope_list))
     assert calls
+
+
+def test_full_pair_set_reuses_the_decomposition(monkeypatch):
+    # the full pair set's V_minus is the decomposition's, so its O_minus is
+    # the decomposition's o_minus(): one refinement serves both analyses
+    spec = load_corpus("three_slope_rank4")
+    V_minus = Session(spec).decomp().V_minus
+    calls = []
+    real = core.largest_sub_dieudonne
+
+    def counted(V, crystal, mode="negative"):
+        calls.append((V, mode))
+        return real(V, crystal, mode=mode)
+    monkeypatch.setattr(core, "largest_sub_dieudonne", counted)
+    monkeypatch.setattr(signs, "largest_sub_dieudonne", counted)
+    report = run(spec, ["ominus", "traverso"])
+    assert report["all_ok"]
+    assert sum(1 for V, mode in calls
+               if mode == "negative" and V.equals(V_minus)) == 1
 
 
 def test_pair_codims_closed_form():

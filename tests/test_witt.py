@@ -1,5 +1,6 @@
 """Unit and property tests for the truncated Witt ring arithmetic."""
 
+import itertools
 import random
 
 import pytest
@@ -102,6 +103,19 @@ def test_frobenius_is_ring_homomorphism():
         b = rand_scalar(ctx, rng)
         assert (a + b).frobenius() == a.frobenius() + b.frobenius()
         assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+
+
+def test_frobenius_reduces_to_pth_power():
+    # mod p, sigma^e is x -> x^(p^(e mod n)) on every residue of F_q
+    for (p, n) in [(5, 1), (2, 3), (3, 2), (2, 4)]:
+        ctx = make_context(p, n, 6)
+        one = (1,) + (0,) * (n - 1)
+        for c in itertools.product(range(p), repeat=n):
+            for e in range(-1, 2 * n + 1):
+                power = one
+                for _ in range(p ** (e % n)):
+                    power = ctx.gf_mul(power, c)
+                assert ctx.residue(ctx.frobenius(c, e)) == power, (p, n, c, e)
 
 
 def test_teichmuller_trivial():
