@@ -86,10 +86,14 @@ def main(argv=None) -> int:
             spec = parse_file(args.file)
         else:
             raise ParseError("supply a problem file or --corpus NAME")
+        overrides = {}
         if args.precision is not None:
-            spec.precision = args.precision
+            overrides["precision"] = args.precision
         if args.degree is not None:
-            spec.degree = args.degree
+            overrides["degree"] = args.degree
+        if overrides:
+            # overrides pass the same checks as the file's own fields
+            spec = parse_dict({**spec.as_dict(), **overrides})
         if args.command == "emit-spec":
             sys.stdout.buffer.write(emit_spec(spec))
             return 0

@@ -29,10 +29,14 @@ class TangentSpace:
     """End(M/pM) modulo the endomorphisms preserving ker(phi mod p).
 
     nu sends an integral endomorphism to its class; the quotient has
-    dimension (codimension x dimension) of the crystal.
+    dimension (codimension x dimension) of the crystal.  ``of`` returns
+    the one built per crystal.  It keeps the crystal's rank, not the
+    crystal, so the copy cached on the crystal makes no reference cycle:
+    ``bench/tracer.py`` keys span inputs by walking their fields, and that
+    walk would not end on a cycle.
     """
 
-    __slots__ = ("crystal", "ctx", "fbar1", "f0_ech", "f0_pivots",
+    __slots__ = ("rank", "ctx", "fbar1", "f0_ech", "f0_pivots",
                  "free_cols", "dim")
 
     def __init__(self, crystal: FIsocrystal):
@@ -40,9 +44,8 @@ class TangentSpace:
         if crystal.phi.denominator > 0:
             raise ValueError(
                 "tangent spaces need an integral (Dieudonne) operator")
-        self.crystal = crystal
+        self.rank = r = crystal.rank
         self.ctx = ctx
-        r = crystal.rank
         # kernel of the reduced Frobenius: solve A sigma(v) = 0 over F_q
         arows = [[x.residue() for x in row] for row in crystal.phi.rows]
         ker = modp.gf_kernel(ctx, arows)
@@ -55,6 +58,14 @@ class TangentSpace:
         pivset = set(self.f0_pivots)
         self.free_cols = [j for j in range(r * r) if j not in pivset]
         self.dim = len(self.free_cols)
+
+    @classmethod
+    def of(cls, crystal: FIsocrystal) -> "TangentSpace":
+        """The tangent space of a crystal, built on first use and kept in
+        ``crystal._derived``."""
+        if "tangent" not in crystal._derived:
+            crystal._derived["tangent"] = cls(crystal)
+        return crystal._derived["tangent"]
 
     def nu_matrix(self, rows):
         """Class of an integral r x r matrix of scalars in the quotient,
@@ -105,7 +116,7 @@ def nu_image(lattice: Lattice, tangent: TangentSpace):
     if lat.scale > 0:
         raise InclusionViolated("lattice is not inside End(M)")
     ctx = tangent.ctx
-    r = tangent.crystal.rank
+    r = tangent.rank
     vecs = []
     for col in lat.cols:
         mat = vec_to_mat(list(col), r)
@@ -146,7 +157,7 @@ class HodgeSplitting:
             raise SplittingInvalid("F1 + F0 does not span M (non-unit index)")
         self.Pinv_rows = pinv
         # F1 mod p must be the kernel of the reduced Frobenius
-        tangent_ker = TangentSpace(crystal).fbar1
+        tangent_ker = TangentSpace.of(crystal).fbar1
         f1_res = [[x.residue() for x in col] for col in f1_cols]
         if not modp.gf_spaces_equal(ctx, tangent_ker, f1_res):
             raise SplittingInvalid(
@@ -217,7 +228,7 @@ def hodge_splitting_from_kernel(crystal: FIsocrystal) -> HodgeSplitting:
     """Splitting whose F^1 is the Teichmuller-free naive lift of
     ker(phi mod p) by standard vectors (valid for block-diagonal inputs)."""
     ctx = crystal.ctx
-    t = TangentSpace(crystal)
+    t = TangentSpace.of(crystal)
     cols = [[ctx.scalar([c[k] for k in range(ctx.n)]) for c in v]
             for v in t.fbar1]
     return hodge_splitting(crystal, cols)

@@ -20,8 +20,7 @@ from .errors import (HypothesisViolated, InclusionViolated, NonConvergence,
                      NonTermination, ValidationFailed)
 from .isocrystal import FIsocrystal, end_frobenius, vec_to_mat
 from .lattices import Lattice, SemilinearMap, lattice_sum, restrict_map
-from .matrix import (identity, mat_add, mat_mul, mat_sub, nilpotent_inverse,
-                     transport)
+from .matrix import mat_mul, mat_sub, ring, transport
 from .modp import gf_echelon, gf_spaces_equal
 from .series import TruncatedSeries
 from .witt import teichmuller
@@ -47,7 +46,7 @@ def select_deformation_basis(E: Lattice, tangent: TangentSpace
     target, _ = nu_image(E, tangent)
     chosen = []
     classes = []
-    r = tangent.crystal.rank
+    r = tangent.rank
     for col in E.cols:
         cls = list(tangent.nu_matrix(vec_to_mat(list(col), r)))
         trial = classes + [cls]
@@ -401,11 +400,15 @@ def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
     bvecs = transport(big, B.vectors)
     ainv_big, _ = bX.inverse_numerator()
     abig = [list(rw) for rw in bX.phi.rows]
+    R = ring(big)
+    # raw matrices for the orbit loop; column l of "ech_rows" is echelon
+    # vector l of E, flattened
     return {
         "big": big, "dval": dval, "bE": bE, "bvecs": bvecs,
-        "abig": abig, "ainv": ainv_big,
-        "Cmap": _restrict_inverse_conj(big, bE, abig, ainv_big, dval),
-        "emats": [vec_to_mat(list(c), crystal.rank) for c in bE.ech],
+        "abig": R.raw_mat(abig), "ainv": R.raw_mat(ainv_big),
+        "Cmap": R.raw_mat(
+            _restrict_inverse_conj(big, bE, abig, ainv_big, dval)),
+        "ech_rows": R.raw_mat(list(zip(*bE.ech))),
     }
 
 
@@ -427,8 +430,7 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
     dval = ws["dval"]
     bE = ws["bE"]
     bvecs = ws["bvecs"]
-    abig = ws["abig"]
-    ainv_big = ws["ainv"]
+    R = ring(big)
     # u_h = 1 + sum v_i teich(point_i)
     n0 = [[big.zero] * r for _ in range(r)]
     for v, coord in zip(bvecs, point):
@@ -440,53 +442,39 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
             for b_ in range(r):
                 if not mat[a_][b_].is_zero():
                     n0[a_][b_] = n0[a_][b_] + mat[a_][b_] * tau
-    ident = identity(r, big.zero, big.one)
-    u_h = mat_add(ident, n0)
+    ident = R.identity(r)
+    u_h = R.add_mat(ident, R.raw_mat(n0))
     # backward-orbit coordinates: c_k = C^k c_0 on the basis of E
     coords0 = bE.solve([x for row in n0 for x in row], 0)
     if coords0 is None:
         raise HypothesisViolated("the point twist does not lie in E")
     Cmap = ws["Cmap"]
-    m = bE.rank
+    ech_rows = ws["ech_rows"]
     cap = ctx.N * max(r, 2) + 10
     prod = prod_inv = ident
-    coords = coords0
+    coords = R.raw_col(coords0)
     steps = 0
-    pN = big.p ** ctx.N
-    emats = ws["emats"]
     back = (-1) % big.n
+    dot = R.dot
     while True:
         # the inverse conjugation is sigma^{-1}-semilinear: twist the
         # coordinates before applying the restriction matrix
-        twisted = [c.frobenius(back) for c in coords]
-        coords = [sum((Cmap[j][l] * twisted[l] for l in range(m)
-                       if not twisted[l].is_zero()), big.zero)
-                  for j in range(m)]
-        if all(all(cc % pN == 0 for cc in x.c) for x in coords):
+        twisted = [R.frob(c, back) for c in coords]
+        coords = [dot(row, twisted) for row in Cmap]
+        if R.vanishes(coords, ctx.N):
             break
         steps += 1
         if steps > cap:
             raise NonConvergence(
                 "backward Frobenius orbit did not reach zero; are the "
                 "inverse-Frobenius slopes positive on E?")
-        nk = [[big.zero] * r for _ in range(r)]
-        for l in range(m):
-            if coords[l].is_zero():
-                continue
-            for a_ in range(r):
-                for b_ in range(r):
-                    if not emats[l][a_][b_].is_zero():
-                        nk[a_][b_] = nk[a_][b_] + emats[l][a_][b_] \
-                            * coords[l]
-        prod = mat_mul(mat_add(ident, nk), prod, big.zero)
-        prod_inv = mat_mul(prod_inv,
-                           nilpotent_inverse(nk, big.zero, big.one, r),
-                           big.zero)
+        nk = vec_to_mat([dot(row, coords) for row in ech_rows], r)
+        prod = R.mul_mat(R.add_mat(ident, nk), prod)
+        prod_inv = R.mul_mat(prod_inv, R.nilpotent_inverse(nk, r))
     # certificate: prod u_h A sigma(prod^{-1}) A^{-1} = 1
-    lhs = mat_mul(mat_mul(prod, u_h, big.zero), abig, big.zero)
-    lhs = mat_mul(lhs, [[x.frobenius(1) for x in row] for row in prod_inv],
-                  big.zero)
-    lhs = mat_mul(lhs, ainv_big, big.zero)
+    lhs = R.mul_mat(R.mul_mat(prod, u_h), ws["abig"])
+    lhs = R.mul_mat(lhs, [[R.frob(x, 1) for x in row] for row in prod_inv])
+    lhs = R.wrap_mat(R.mul_mat(lhs, ws["ainv"]))
     verified = ctx.N
     for a_ in range(r):
         for b_ in range(r):
@@ -497,7 +485,7 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
             # certified exponent
             verified = min(verified, max(0, x.valuation() - dval))
     return {
-        "u_infinity": transport(ctx, prod),
+        "u_infinity": transport(ctx, R.wrap_mat(prod)),
         "steps": steps,
         "verified_modulus": verified,
         "loss": ctx.N - verified,

@@ -383,10 +383,10 @@ class FIsocrystal:
     inverting p: phi = p^{-denominator} A sigma.
 
     ``_derived`` caches data computed from A, filled on first use by
-    ``inverse_numerator``, ``end_frobenius`` and
-    ``core._conjugation_numerators``.  A crystal is never mutated (phi is
-    set only here; ``at_precision`` builds a new crystal), so the cache
-    cannot go stale.
+    ``inverse_numerator``, ``end_frobenius``,
+    ``core._conjugation_numerators`` and ``core.TangentSpace.of``.  A
+    crystal is never mutated (phi is set only here; ``at_precision``
+    builds a new crystal), so the cache cannot go stale.
     """
 
     __slots__ = ("ctx", "rank", "phi", "M", "_derived")

@@ -19,7 +19,18 @@ Every elimination in the package goes through this module's primitives:
   a basis (intersections, stable-sublattice refinement, trace duals);
 - Smith: ``smith_valuations``, the sorted pivot valuations of the echelon.
 
-Products and recombinations are ``matrix.mat_mul``.
+The echelon, the substitution, the canonical cross-reduction
+(``_cross_reduce``) and ``SemilinearMap.apply_raw`` run on raw
+coefficients, through the ring ``matrix.ring(ctx)``: an int in [0, p^N)
+when n = 1, the coefficient tuple when n > 1.  They are written against
+its column ops ``axpy``, ``scale``, ``pivot``/``val``, balanced
+``divide_p``, unit ``inverse``, ``vanishes`` and the zero test
+``x == R.zero``.  ``WittScalar`` stays at the boundary: ``Lattice.cols``,
+``SemilinearMap.rows`` and returned coordinates are scalars, while the
+solve echelon ``Lattice._ech`` and each map's ``_raw_rows`` stay raw.
+
+Products and recombinations are ``matrix.mat_mul`` or, on raw entries,
+``R.mul_mat``.
 
 Semilinear maps are v |-> p^{-denominator} * A * sigma^twist(v).
 """
@@ -28,16 +39,13 @@ from __future__ import annotations
 
 from . import modp
 from .errors import InclusionViolated, PrecisionExhausted, SingularMap
-from .matrix import identity, mat_mul, transport
+from .matrix import identity, mat_mul, ring, transport
 from .witt import WittScalar
 
 
-def _col_is_zero(col, neff):
-    return all(x.valuation() >= neff for x in col)
-
-
 def _reduce_columns(ctx, cols, neff, track=False, nrows=None):
-    """Column echelon form over the DVR at effective precision neff.
+    """Column echelon form over the DVR at effective precision neff, on
+    raw columns (see ``matrix``).
 
     Returns (ech_cols, pivots, transform, kernel_transform) where
     ``ech_cols``/``pivots`` are in processing order (column t has zeros at
@@ -47,105 +55,104 @@ def _reduce_columns(ctx, cols, neff, track=False, nrows=None):
     """
     if neff <= 0:
         raise PrecisionExhausted("no effective precision left for reduction")
+    R = ring(ctx)
+    zero = R.zero
     m = len(cols)
     work = [list(c) for c in cols]
     r = nrows if nrows is not None else (len(work[0]) if work else 0)
-    trans = identity(m, ctx.zero, ctx.one) if track else None
+    trans = R.identity(m) if track else None
     # trans[j] tracks the combination of original columns giving work[j]
-    used_rows = set()
+    free = list(range(r))    # rows without a pivot, ascending
+    # keys[j] = (v, row, j) for the pivot candidate of column j; a step
+    # that leaves column j alone leaves its candidate in place
+    keys = {}
+    for j in range(m):
+        hit = R.pivot(work[j], free, neff)
+        if hit is not None:
+            keys[j] = hit + (j,)
+    remaining = list(range(m))
     order = []           # indices into work, processing order
     pivots = []          # (row, val) aligned with order
-    remaining = list(range(m))
-    while remaining:
-        best = None
-        for j in remaining:
-            col = work[j]
-            for i in range(r):
-                if i in used_rows:
-                    continue
-                v = col[i].valuation()
-                if v >= neff:
-                    continue
-                key = (v, i, j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        e, prow, pj = best
+    while keys:
+        e, prow, pj = min(keys.values())
+        del keys[pj]
         remaining.remove(pj)
-        pcol = work[pj]
+        free.remove(prow)
         # normalize so the pivot entry is exactly p^e
-        unit = pcol[prow].divide_p(e)
-        uinv = unit.inverse()
-        work[pj] = [x * uinv for x in pcol]
+        uinv = R.inverse(R.divide_p(work[pj][prow], e))
+        pcol = work[pj] = R.scale(work[pj], uinv)
         if track:
-            trans[pj] = [x * uinv for x in trans[pj]]
-        pcol = work[pj]
+            trans[pj] = R.scale(trans[pj], uinv)
         for j in remaining:
             col = work[j]
             entry = col[prow]
-            if entry.is_zero():
+            if entry == zero:
                 continue
-            q = entry.divide_p(e)
-            work[j] = [col[i] - q * pcol[i] for i in range(r)]
-            work[j][prow] = ctx.zero
+            q = R.divide_p(entry, e)
+            col = R.axpy(col, q, pcol)
+            col[prow] = zero
+            work[j] = col
             if track:
-                tj, tp = trans[j], trans[pj]
-                trans[j] = [tj[i] - q * tp[i] for i in range(m)]
-        used_rows.add(prow)
+                trans[j] = R.axpy(trans[j], q, trans[pj])
+            hit = R.pivot(col, free, neff)
+            if hit is None:
+                keys.pop(j, None)
+            else:
+                keys[j] = hit + (j,)
         order.append(pj)
         pivots.append((prow, e))
     ech = [work[j] for j in order]
     tr = [trans[j] for j in order] if track else None
     kern = None
     if track:
-        kern = []
-        for j in remaining:
-            if _col_is_zero(work[j], neff):
-                kern.append(trans[j])
+        kern = [trans[j] for j in remaining if R.vanishes(work[j], neff)]
     else:
         for j in remaining:
-            if not _col_is_zero(work[j], neff):  # pragma: no cover
+            if not R.vanishes(work[j], neff):  # pragma: no cover
                 raise AssertionError("unpivoted nonzero column")
     return ech, pivots, tr, kern
 
 
-def _back_substitute(ech, pivots, vec):
+def _back_substitute(ctx, ech, pivots, vec):
     """(coords, residual) with vec = sum_t coords[t] * ech[t] + residual,
-    peeled through the echelon in processing order; coords is None when a
-    pivot does not divide its entry of the remaining vector."""
+    peeled through the echelon in processing order, all raw; coords is
+    None when a pivot does not divide its entry of the remaining vector."""
+    R = ring(ctx)
+    zero = R.zero
     coords = []
     for col, (prow, e) in zip(ech, pivots):
         entry = vec[prow]
-        if entry.valuation() < e:
+        if entry == zero:
+            coords.append(zero)
+            continue
+        if R.val(entry) < e:
             return None, vec
-        q = entry.divide_p(e)
+        q = R.divide_p(entry, e)
         coords.append(q)
-        vec = [x - q * c for x, c in zip(vec, col)]
+        vec = R.axpy(vec, q, col)
     return coords, vec
 
 
 def _cross_reduce(ctx, ech, pivots):
     """Reduce off-pivot entries in pivot rows modulo the pivots (canonical
-    second phase); preserves the processing-order triangular structure."""
-    m = len(ech)
+    second phase) on raw columns; preserves the processing-order
+    triangular structure."""
+    R = ring(ctx)
+    zero = R.zero
     cols = [list(c) for c in ech]
-    for s in range(m):
-        prow, e = pivots[s]
+    for s, (prow, e) in enumerate(pivots):
         pe = ctx.p ** e
-        for t in range(m):
-            if t == s:
+        for t, col in enumerate(cols):
+            entry = col[prow]
+            if t == s or entry == zero:
                 continue
-            entry = cols[t][prow]
-            if entry.is_zero():
+            rem = R.rem(entry, pe)
+            q = R.divide_p(R.sub(entry, rem), e)
+            if q == zero:
                 continue
-            rem = ctx.scalar([x % pe for x in entry.c])
-            q = (entry - rem).divide_p(e)
-            if q.is_zero():
-                continue
-            cs = cols[s]
-            cols[t] = [cols[t][i] - q * cs[i] for i in range(len(cs))]
-            cols[t][prow] = rem
+            col = R.axpy(col, q, cols[s])
+            col[prow] = rem
+            cols[t] = col
     return cols
 
 
@@ -154,11 +161,11 @@ class Lattice:
 
     ``cols``/``pivots`` are the canonical presentation (sorted by pivot
     row); ``ech``/``ech_pivots`` keep the processing-order echelon used for
-    membership solves.
+    membership solves, stored raw (``_ech``) since only solves read it.
     """
 
     __slots__ = ("ctx", "ambient", "cols", "pivots", "scale", "loss",
-                 "ech", "ech_pivots")
+                 "_ech", "ech_pivots")
 
     def __init__(self, ctx, ambient, cols, pivots, scale, loss, ech,
                  ech_pivots):
@@ -168,7 +175,7 @@ class Lattice:
         self.pivots = pivots
         self.scale = scale
         self.loss = loss
-        self.ech = ech
+        self._ech = ech
         self.ech_pivots = ech_pivots
 
     # -- constructors ---------------------------------------------------------
@@ -187,14 +194,15 @@ class Lattice:
                 f"accumulated loss {loss} has consumed half the working "
                 f"precision {ctx.N}; raise the precision exponent")
         neff = ctx.N - loss
-        cols = [[ctx.scalar(x) for x in col] for col in columns]
+        R = ring(ctx)
+        cols = [R.raw_col(col) for col in columns]
         for col in cols:
             if len(col) != ambient:
                 raise ValueError("column length does not match ambient rank")
         ech, pivots, _, _ = _reduce_columns(ctx, cols, neff, nrows=ambient)
         canon = _cross_reduce(ctx, ech, pivots)
         order = sorted(range(len(canon)), key=lambda t: pivots[t][0])
-        ccols = [tuple(canon[t]) for t in order]
+        ccols = [tuple(R.wrap_col(canon[t])) for t in order]
         cpivs = [pivots[t] for t in order]
         return Lattice(ctx, ambient, tuple(ccols), tuple(cpivs), scale, loss,
                        tuple(tuple(c) for c in ech), tuple(pivots))
@@ -223,6 +231,12 @@ class Lattice:
     def neff(self):
         return self.ctx.N - self.loss
 
+    @property
+    def ech(self):
+        """The processing-order echelon basis, as scalar columns."""
+        wrap = ring(self.ctx).wrap_col
+        return tuple(tuple(wrap(c)) for c in self._ech)
+
     def basis_columns(self):
         """Canonical integral basis columns (the lattice is p^{-scale}
         times their span)."""
@@ -232,7 +246,7 @@ class Lattice:
         if loss == self.loss:
             return self
         return Lattice(self.ctx, self.ambient, self.cols, self.pivots,
-                       self.scale, loss, self.ech, self.ech_pivots)
+                       self.scale, loss, self._ech, self.ech_pivots)
 
     def folded(self):
         """Fold a negative scale into the basis (multiplication only, so
@@ -280,24 +294,25 @@ class Lattice:
         reduced level (the membership decision itself needs no more).
         """
         ctx = self.ctx
+        R = ring(ctx)
         neff = self.neff
         shift = self.scale - vscale
-        vec = [ctx.scalar(v) for v in vector]
+        vec = R.raw_col(vector)
         if shift > 0:
-            vec = [x * (ctx.p ** shift) for x in vec]
+            vec = R.scale(vec, R.of_int(ctx.p ** shift))
         elif shift < 0:
             try:
-                vec = [x.divide_p(-shift) for x in vec]
+                vec = [R.divide_p(x, -shift) for x in vec]
             except PrecisionExhausted:
                 return None
             neff -= -shift
             if neff <= 0:
                 raise PrecisionExhausted(
                     "scale gap exhausted the working precision")
-        coords, rest = _back_substitute(self.ech, self.ech_pivots, vec)
-        if coords is None or not _col_is_zero(rest, neff):
+        coords, rest = _back_substitute(ctx, self._ech, self.ech_pivots, vec)
+        if coords is None or not R.vanishes(rest, neff):
             return None
-        return coords
+        return R.wrap_col(coords)
 
     def contains_vector(self, vector, vscale=0):
         return self.solve(vector, vscale) is not None
@@ -371,19 +386,22 @@ def kernel_span(ctx, cols, basis, neff, nrows):
     columns (each of length nrows), every kernel vector recombined on the
     basis as sum_j k_j basis_j, in kernel order.  The basis may be shorter
     than the columns: the columns past it only cut the kernel."""
-    _, _, _, kern = _reduce_columns(ctx, cols, neff, track=True, nrows=nrows)
+    R = ring(ctx)
+    _, _, _, kern = _reduce_columns(ctx, R.raw_mat(cols), neff, track=True,
+                                    nrows=nrows)
     m = len(basis)
-    return mat_mul([k[:m] for k in kern], basis, ctx.zero)
+    return R.wrap_mat(R.mul_mat([k[:m] for k in kern], R.raw_mat(basis)))
 
 
 def matrix_kernel(ctx, rows, neff, ncols=None):
     """Saturated kernel {v : A v = 0 mod p^neff} of an integral matrix,
     returned as a list of columns."""
+    R = ring(ctx)
     m = ncols if ncols is not None else (len(rows[0]) if rows else 0)
     nr = len(rows)
-    cols = [[rows[i][j] for i in range(nr)] for j in range(m)]
+    cols = [R.raw_col([rows[i][j] for i in range(nr)]) for j in range(m)]
     _, _, _, kern = _reduce_columns(ctx, cols, neff, track=True, nrows=nr)
-    return kern
+    return R.wrap_mat(kern)
 
 
 def saturate(lattice: Lattice, ambient: Lattice) -> Lattice:
@@ -416,7 +434,8 @@ def saturate(lattice: Lattice, ambient: Lattice) -> Lattice:
     left = matrix_kernel(ctx, coords, neff, ncols=m)
     sat_coords = (matrix_kernel(ctx, left, neff, ncols=m) if left
                   else identity(m, ctx.zero, ctx.one))
-    gens = mat_mul(sat_coords, ambient.ech, ctx.zero)
+    R = ring(ctx)
+    gens = R.wrap_mat(R.mul_mat(R.raw_mat(sat_coords), ambient._ech))
     out = Lattice.from_columns(ctx, lattice.ambient, gens,
                                scale=ambient.scale, loss=loss)
     return out.folded()
@@ -463,10 +482,12 @@ class SemilinearMap:
     may be negative (a net p-multiple).  ``loss`` records one-time
     precision spent building the matrix (e.g. a p-power divided out of an
     inverse); entries are then trusted modulo p^{N - loss} and products
-    inherit the maximum loss of their factors.
+    inherit the maximum loss of their factors.  ``apply_raw`` reads the
+    raw rows, built on its first call (they share the scalars'
+    coefficients).
     """
 
-    __slots__ = ("ctx", "rows", "twist", "denominator", "loss")
+    __slots__ = ("ctx", "rows", "twist", "denominator", "loss", "_raw_rows")
 
     def __init__(self, ctx, rows, twist=0, denominator=0, loss=0):
         self.ctx = ctx
@@ -474,6 +495,7 @@ class SemilinearMap:
         self.twist = twist % ctx.n
         self.denominator = denominator
         self.loss = loss
+        self._raw_rows = None
 
     @staticmethod
     def identity(ctx, r):
@@ -494,18 +516,17 @@ class SemilinearMap:
 
     def apply_raw(self, col):
         """Integral part of the action on a column (denominator ignored)."""
-        ctx = self.ctx
+        R = ring(self.ctx)
+        x = R.raw_col(col)
         if self.twist:
-            col = [WittScalar(ctx, ctx.frobenius(x.c, self.twist))
-                   for x in col]
-        out = []
-        for row in self.rows:
-            acc = ctx.zero
-            for a, x in zip(row, col):
-                if not (a.is_zero() or x.is_zero()):
-                    acc = acc + a * x
-            out.append(acc)
-        return out
+            x = [R.frob(v, self.twist) for v in x]
+        dot = R.dot
+        return R.wrap_col([dot(row, x) for row in self._raw(R)])
+
+    def _raw(self, R):
+        if self._raw_rows is None:
+            self._raw_rows = R.raw_mat(self.rows)
+        return self._raw_rows
 
     def __call__(self, lattice: Lattice) -> Lattice:
         """Image lattice; the denominator moves into the scale (kept as
@@ -532,12 +553,13 @@ class SemilinearMap:
         if self.twist != other.twist:
             raise ValueError("cannot add maps of different twists")
         ctx = self.ctx
+        R = ring(ctx)
         d = max(self.denominator, other.denominator)
-        a = ctx.p ** (d - self.denominator)
-        b = ctx.p ** (d - other.denominator)
-        rows = [[x * a + y * b for x, y in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)]
-        return SemilinearMap(ctx, rows, self.twist, d,
+        a = R.of_int(ctx.p ** (d - self.denominator))
+        b = R.of_int(ctx.p ** (d - other.denominator))
+        rows = R.add_mat([R.scale(row, a) for row in self._raw(R)],
+                         [R.scale(row, b) for row in other._raw(R)])
+        return SemilinearMap(ctx, R.wrap_mat(rows), self.twist, d,
                              loss=max(self.loss, other.loss))
 
     def sub(self, other: "SemilinearMap") -> "SemilinearMap":
@@ -589,9 +611,10 @@ def invert_matrix(ctx, rows):
     Solves A X = p^{vdet} I through the tracked echelon; raises SingularMap
     when the determinant vanishes at the working precision.
     """
+    R = ring(ctx)
     r = len(rows)
     neff = ctx.N
-    cols = [[rows[i][j] for i in range(r)] for j in range(r)]
+    cols = [R.raw_col([rows[i][j] for i in range(r)]) for j in range(r)]
     ech, pivots, trans, _ = _reduce_columns(ctx, cols, neff, track=True,
                                             nrows=r)
     if len(pivots) < r:
@@ -599,18 +622,18 @@ def invert_matrix(ctx, rows):
     vdet = sum(e for (_, e) in pivots)
     # back-substitute p^{vdet} e_k through the triangular echelon; row k
     # of coords * trans is then column k of the numerator
-    pv = ctx.scalar(ctx.p ** vdet)
+    pv = R.of_int(ctx.p ** vdet)
     coords = []
     for k in range(r):
-        vec = [ctx.zero] * r
+        vec = [R.zero] * r
         vec[k] = pv
-        x, _ = _back_substitute(ech, pivots, vec)
+        x, _ = _back_substitute(ctx, ech, pivots, vec)
         if x is None:
             raise PrecisionExhausted(
                 "inverse not resolvable at working precision")
         coords.append(x)
-    out_cols = mat_mul(coords, trans, ctx.zero)
-    return [list(row) for row in zip(*out_cols)], vdet
+    out_cols = R.mul_mat(coords, trans)
+    return [R.wrap_col(row) for row in zip(*out_cols)], vdet
 
 
 def smith_valuations(ctx, rows, neff=None):
@@ -623,7 +646,8 @@ def smith_valuations(ctx, rows, neff=None):
     so the pivots are the diagonal of the Smith form."""
     neff = ctx.N if neff is None else neff
     ncols = len(rows[0]) if rows else 0
-    cols = [[ctx.scalar(row[j]) for row in rows] for j in range(ncols)]
+    R = ring(ctx)
+    cols = [R.raw_col([row[j] for row in rows]) for j in range(ncols)]
     _, pivots, _, _ = _reduce_columns(ctx, cols, neff, nrows=len(rows))
     pad = min(len(rows), ncols) - len(pivots)
     return sorted([e for (_, e) in pivots] + [neff] * pad)

@@ -1,8 +1,27 @@
-"""Dense matrix helpers shared by every layer.
+"""Dense matrices and the raw-coefficient kernel shared by every layer.
 
-Matrices are lists of rows.  Entries are any ring elements with ``+``,
-``-``, ``*`` and ``is_zero()``: ``WittScalar`` and ``TruncatedSeries``
-both qualify, so callers pass the zero (and one) of their ring.
+Matrices are lists of rows.  At the API boundary their entries are ring
+elements with ``+``, ``-``, ``*`` and ``is_zero()``, and callers pass the
+zero (and one) of their ring.  Inside, every product, sum and inverse runs
+on raw coefficients through a ring object:
+
+- ``ring(ctx)`` for W(F_q) mod p^N.  A raw coefficient is a Python int in
+  [0, p^N) when n = 1, and the coefficient tuple of a ``WittScalar``,
+  combined through the raw ops of ``WittContext``, when n > 1.  The ring is
+  chosen by ``ctx.n`` alone.
+- Entries of any other ring (``TruncatedSeries``) are their own raw form,
+  and ``is_zero()`` skips them, so a skipped entry never narrows a series'
+  validity window.
+
+The matrix kernels (``_Ring.mul_mat``, ``add_mat``, ``sub_mat``,
+``identity``, ``nilpotent_inverse``) are written once over each ring's
+entry ops: ``zero``, ``one``, ``add``, ``sub``, ``neg``, ``dot`` (a row
+times a column) and ``is_zero``.  The Witt rings add the column-level ops
+the echelon kernel of ``lattices`` is written against: ``axpy``, ``scale``,
+``pivot`` (the first entry of least valuation), ``val``, balanced
+``divide_p``, unit ``inverse``, ``vanishes`` and the zero test
+``x == R.zero``.  Conversion happens at the boundary only: ``raw_col`` and
+``wrap_col`` move a column between ``WittScalar`` entries and raw ones.
 
 These helpers sit below the layer modules, beside ``modp`` and ``series``,
 because the benchmark's tracer (``bench/tracer.py``) wraps every public
@@ -14,34 +33,277 @@ the self time of their callers.
 
 from __future__ import annotations
 
+from operator import add, mul, neg, sub
+
+from .errors import PrecisionExhausted
+from .witt import WittScalar
+
+
+class _Ring:
+    """The matrix kernels, on raw entries of one ring."""
+
+    def raw_mat(self, rows):
+        return [self.raw_col(row) for row in rows]
+
+    def wrap_mat(self, rows):
+        return [self.wrap_col(row) for row in rows]
+
+    def mul_mat(self, a, b):
+        dot = self.dot
+        cols = list(zip(*b))
+        return [[dot(row, col) for col in cols] for row in a]
+
+    def add_mat(self, a, b):
+        f = self.add
+        return [list(map(f, r1, r2)) for r1, r2 in zip(a, b)]
+
+    def sub_mat(self, a, b):
+        f = self.sub
+        return [list(map(f, r1, r2)) for r1, r2 in zip(a, b)]
+
+    def identity(self, r):
+        zero, one = self.zero, self.one
+        return [[one if i == j else zero for j in range(r)]
+                for i in range(r)]
+
+    def nilpotent_inverse(self, n_mat, terms):
+        """(1 + N)^{-1} by the finite geometric series 1 - N + N^2 - ...,
+        summed through (-N)^terms or up to the first power that vanishes;
+        exact when N^(terms + 1) = 0."""
+        neg_mat = [list(map(self.neg, row)) for row in n_mat]
+        out = self.identity(len(n_mat))
+        term = neg_mat
+        is_zero = self.is_zero
+        for _ in range(terms):
+            if all(is_zero(x) for row in term for x in row):
+                break
+            out = self.add_mat(out, term)
+            term = self.mul_mat(term, neg_mat)
+        return out
+
+
+class _EntryRing(_Ring):
+    """Entries carrying their own arithmetic: each is its own raw form."""
+
+    add = staticmethod(add)
+    sub = staticmethod(sub)
+    neg = staticmethod(neg)
+
+    def __init__(self, zero, one=None):
+        self.zero = zero
+        self.one = one
+
+    @staticmethod
+    def raw_col(col):
+        return col
+
+    wrap_col = raw_col
+
+    @staticmethod
+    def is_zero(x):
+        return x.is_zero()
+
+    def dot(self, row, col):
+        acc = self.zero
+        for x, y in zip(row, col):
+            if not (x.is_zero() or y.is_zero()):
+                acc = acc + x * y
+        return acc
+
+
+class _WittRing(_Ring):
+    """W(F_q) mod p^N on raw coefficients."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.p = ctx.p
+        self.N = ctx.N
+        self.pN = ctx.pN
+
+    def is_zero(self, x):
+        return x == self.zero
+
+    def pivot(self, col, rows, neff):
+        """(v, i) for the first of the given rows whose entry has the least
+        valuation v < neff; None when every such entry vanishes at neff."""
+        zero, val = self.zero, self.val
+        best = None
+        bv = neff
+        for i in rows:
+            x = col[i]
+            if x == zero:
+                continue
+            v = val(x)
+            if v < bv:
+                if v == 0:
+                    return 0, i
+                bv, best = v, i
+        return None if best is None else (bv, best)
+
+
+class _IntRing(_WittRing):
+    """n = 1: a raw coefficient is an int in [0, p^N)."""
+
+    zero = 0
+    one = 1
+
+    def raw_col(self, col):
+        ctx = self.ctx
+        return [x.c[0] if type(x) is WittScalar and x.ctx is ctx
+                else ctx.scalar(x).c[0] for x in col]
+
+    def wrap_col(self, col):
+        ctx = self.ctx
+        return [WittScalar(ctx, (v,)) for v in col]
+
+    def of_int(self, m):
+        return m % self.pN
+
+    def add(self, a, b):
+        return (a + b) % self.pN
+
+    def sub(self, a, b):
+        return (a - b) % self.pN
+
+    def neg(self, a):
+        return -a % self.pN
+
+    def dot(self, row, col):
+        return sum(map(mul, row, col)) % self.pN
+
+    def val(self, a):
+        if a == 0:
+            return self.N
+        p = self.p
+        v = 0
+        while a % p == 0:
+            a //= p
+            v += 1
+        return v
+
+    def divide_p(self, a, k):
+        """Division by p^k through the balanced representative."""
+        if k == 0:
+            return a
+        pk = self.p ** k
+        if a % pk:
+            raise PrecisionExhausted(
+                f"scalar not divisible by p^{k} at precision {self.N}")
+        if a > self.pN // 2:
+            a -= self.pN
+        return a // pk % self.pN
+
+    def inverse(self, a):
+        if a % self.p == 0:
+            raise ZeroDivisionError("scalar is not a unit")
+        return pow(a, -1, self.pN)
+
+    @staticmethod
+    def frob(a, e):
+        return a
+
+    @staticmethod
+    def rem(a, m):
+        """The representative of a modulo the integer m."""
+        return a % m
+
+    def vanishes(self, col, k):
+        """Every entry is 0 mod p^k."""
+        pk = self.p ** k
+        return not any(x % pk for x in col)
+
+    def axpy(self, y, q, x):
+        """y - q x."""
+        pN = self.pN
+        return [(a - q * b) % pN for a, b in zip(y, x)]
+
+    def scale(self, x, u):
+        pN = self.pN
+        return [a * u % pN for a in x]
+
+
+class _TupleRing(_WittRing):
+    """n > 1: a raw coefficient is the power-basis tuple of a scalar."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.zero = ctx.from_int(0)
+        self.one = ctx.from_int(1)
+        self.add, self.sub, self.neg = ctx.add, ctx.sub, ctx.neg
+        self.mul, self.val = ctx.mul, ctx.valuation
+        self.divide_p, self.inverse = ctx.divide_p_power, ctx.unit_inverse
+        self.frob, self.of_int = ctx.frobenius, ctx.from_int
+
+    def raw_col(self, col):
+        ctx = self.ctx
+        return [x.c if type(x) is WittScalar and x.ctx is ctx
+                else ctx.scalar(x).c for x in col]
+
+    def wrap_col(self, col):
+        ctx = self.ctx
+        return [WittScalar(ctx, v) for v in col]
+
+    def dot(self, row, col):
+        # the products are summed as unreduced polynomials and reduced once
+        n, zero = self.ctx.n, self.zero
+        acc = [0] * (2 * n - 1)
+        for a, x in zip(row, col):
+            if a == zero or x == zero:
+                continue
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, xj in enumerate(x):
+                        acc[i + j] += ai * xj
+        return self.ctx.reduce_product(acc)
+
+    @staticmethod
+    def rem(a, m):
+        return tuple(x % m for x in a)
+
+    def vanishes(self, col, k):
+        pk = self.p ** k
+        return not any(c % pk for x in col for c in x)
+
+    def axpy(self, y, q, x):
+        mul_, sub_, zero = self.mul, self.sub, self.zero
+        return [a if b == zero else sub_(a, mul_(q, b)) for a, b in zip(y, x)]
+
+    def scale(self, x, u):
+        mul_ = self.mul
+        return [mul_(a, u) for a in x]
+
+
+def ring(ctx):
+    """The raw-coefficient ring of a Witt context, chosen by ctx.n."""
+    return _IntRing(ctx) if ctx.n == 1 else _TupleRing(ctx)
+
+
+def _ring_of(zero, one=None):
+    """The ring of matrices whose entries are like ``zero``."""
+    if type(zero) is WittScalar:
+        return ring(zero.ctx)
+    return _EntryRing(zero, one)
+
+
+def _entry(a):
+    return a[0][0] if a and a[0] else None
+
 
 def mat_mul(a, b, zero):
-    """a * b, skipping zero entries of both factors.
-
-    A skipped entry counts as exactly zero: for series, its validity
-    window never narrows the product's window.
-    """
-    m = len(b)
-    c = len(b[0]) if m else 0
-    out = [[zero] * c for _ in a]
-    for ai, oi in zip(a, out):
-        for k in range(m):
-            x = ai[k]
-            if x.is_zero():
-                continue
-            bk = b[k]
-            for j in range(c):
-                if not bk[j].is_zero():
-                    oi[j] = oi[j] + x * bk[j]
-    return out
+    """a * b; zero entries contribute nothing (for series, a skipped entry
+    counts as exactly zero and never narrows the product's window)."""
+    R = _ring_of(zero)
+    return R.wrap_mat(R.mul_mat(R.raw_mat(a), R.raw_mat(b)))
 
 
 def mat_add(a, b):
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+    R = _ring_of(_entry(a))
+    return R.wrap_mat(R.add_mat(R.raw_mat(a), R.raw_mat(b)))
 
 
 def mat_sub(a, b):
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+    R = _ring_of(_entry(a))
+    return R.wrap_mat(R.sub_mat(R.raw_mat(a), R.raw_mat(b)))
 
 
 def identity(r, zero, one):
@@ -49,18 +311,9 @@ def identity(r, zero, one):
 
 
 def nilpotent_inverse(n_mat, zero, one, terms):
-    """(1 + N)^{-1} by the finite geometric series 1 - N + N^2 - ...,
-    summed through (-N)^terms or up to the first power that vanishes;
-    exact when N^(terms + 1) = 0."""
-    neg = [[-x for x in row] for row in n_mat]
-    out = identity(len(n_mat), zero, one)
-    term = neg
-    for _ in range(terms):
-        if all(x.is_zero() for row in term for x in row):
-            break
-        out = mat_add(out, term)
-        term = mat_mul(term, neg, zero)
-    return out
+    """(1 + N)^{-1}; see ``_Ring.nilpotent_inverse``."""
+    R = _ring_of(zero, one)
+    return R.wrap_mat(R.nilpotent_inverse(R.raw_mat(n_mat), terms))
 
 
 def transport(ctx, rows):

@@ -114,8 +114,9 @@ def parse_dict(doc, name=None) -> ProblemSpec:
     _expect(_is_int(N) and N >= 2, "precision",
             "must be an integer >= 2")
     degree = doc.get("degree", 2 * (p - 1) + 1)
-    _expect(_is_int(degree) and degree >= 1, "degree",
-            "must be a positive integer")
+    # the connection's recursion needs the degrees up to p - 1 (>= 1)
+    _expect(_is_int(degree) and degree >= p - 1, "degree",
+            "must be an integer >= p - 1")
     r = doc["rank"]
     _expect(_is_int(r) and r >= 1, "rank",
             "must be a positive integer")
@@ -268,7 +269,7 @@ class Session:
 
     def tangent(self):
         if "tangent" not in self._cache:
-            self._cache["tangent"] = TangentSpace(self.crystal())
+            self._cache["tangent"] = TangentSpace.of(self.crystal())
         return self._cache["tangent"]
 
     def o_minus(self):

@@ -187,7 +187,7 @@ def n_g_mu(gd: GroupData, split) -> tuple[Lattice, int]:
     dimension of its tangent image."""
     low = split.hom_f1_f0()
     NG = intersect(low, gd.lie)
-    tangent = TangentSpace(gd.crystal)
+    tangent = TangentSpace.of(gd.crystal)
     dim, _ = nu_image(NG, tangent)
     if dim != NG.rank:
         raise CertificateInvalid(

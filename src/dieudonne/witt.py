@@ -243,6 +243,12 @@ class WittContext:
             if ai:
                 for j in range(n):
                     prod[i + j] += ai * b[j]
+        return self.reduce_product(prod)
+
+    def reduce_product(self, prod):
+        """The scalar of an unreduced polynomial product: prod holds the
+        2n - 1 integer coefficients of g^0 .. g^(2n-2)."""
+        n, pN = self.n, self.pN
         out = [c % pN for c in prod[:n]]
         for k in range(n - 1):
             c = prod[n + k] % pN

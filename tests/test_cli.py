@@ -1,6 +1,10 @@
 """Problem-file parsing, report emission, and CLI exit-code tests."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,10 +75,18 @@ def test_parse_rejects_bad_fraction():
     ("points", [[[1, 2]]]),
     ("slope_pairs", [["1e4000000", "1"]]),
     ("slope_pairs", [["0.5", "1"]]),
+    pytest.param("degree", {"p": 5, "phi_matrix": [[1, 0], [0, 5]],
+                            "degree": 3}, id="degree-below-p-minus-1"),
+    ("degree", 0),
+    ("precision", 1),
 ])
 def test_parse_rejects_malformed_field(field, value):
     doc = dict(MINIMAL)
-    doc[field] = value
+    if isinstance(value, dict) and field in value:
+        # a field checked against another one: set both
+        doc.update(value)
+    else:
+        doc[field] = value
     with pytest.raises(ParseError) as err:
         parse_dict(doc)
     assert f"field '{field}'" in str(err.value)
@@ -101,6 +113,43 @@ def test_parse_dict_is_total(fields):
     except ParseError:
         return
     assert isinstance(spec, ProblemSpec)
+
+
+# JSON values as above, with integers kept small enough that a parsed
+# document stays cheap to analyse (large residue degrees and precisions
+# are valid input, just slow).
+SMALL_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields=st.dictionaries(st.sampled_from(ProblemSpec.FIELDS),
+                              SMALL_JSON_VALUES, max_size=3),
+       command=st.sampled_from(["slopes", "emit-spec"]),
+       precision=st.none() | st.integers(-3, 40),
+       degree=st.none() | st.integers(-3, 12))
+def test_cli_exit_codes_are_total(fields, command, precision, degree):
+    # whatever the document and the overrides, main returns 0, 1 or 2
+    doc = dict(MINIMAL)
+    doc.update(fields)
+    argv = [command]
+    if precision is not None:
+        argv += ["--precision", str(precision)]
+    if degree is not None:
+        argv += ["--degree", str(degree)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = io.TextIOWrapper(io.BytesIO())
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv + [path])
+    assert code in (0, 1, 2)
 
 
 def test_points_of_the_wrong_arity_are_input_errors(tmp_path, capsys):
@@ -178,6 +227,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     }), encoding="utf-8")
     assert main(["slopes", str(composite)]) == 2
     capsys.readouterr()
+    # a degree below p - 1 (p = 5), from the file and from the override
+    low = json.loads(emit_spec(load_corpus("three_slope_rank4")))
+    low["degree"] = 1
+    low_path = tmp_path / "low_degree.json"
+    low_path.write_text(json.dumps(low), encoding="utf-8")
+    assert main(["connection", str(low_path)]) == 2
+    assert "field 'degree'" in capsys.readouterr().err
+    assert main(["connection", "--corpus", "three_slope_rank4",
+                 "--degree", "0"]) == 2
+    assert "field 'degree'" in capsys.readouterr().err
+    assert main(["slopes", "--corpus", "ordinary_rank2",
+                 "--precision", "1"]) == 2
+    assert "field 'precision'" in capsys.readouterr().err
 
 
 def test_cli_emit_spec(capsys):

@@ -418,3 +418,28 @@ def test_axiom_i_fails_for_proper_sublattice():
     report = check_axioms(pO, X, E.V_minus)
     assert not report.axiom_i
     assert report.axiom_ii
+
+
+@pytest.mark.parametrize("kernel_split", [False, True])
+def test_tangent_space_built_once_per_crystal(monkeypatch, kernel_split):
+    # the session's tangent, the Hodge splitting (from hodge_f1 or from the
+    # kernel of phi mod p) and the group strata all read one tangent space
+    import json
+
+    from dieudonne import core
+    from dieudonne.cli import load_corpus
+    from dieudonne.problems import emit_spec, parse_dict, run
+
+    doc = json.loads(emit_spec(load_corpus("three_slope_rank4")))
+    if kernel_split:
+        del doc["hodge_f1"]
+    calls = []
+    real = core.TangentSpace.__init__
+
+    def counted(self, crystal):
+        calls.append(crystal)
+        real(self, crystal)
+    monkeypatch.setattr(core.TangentSpace, "__init__", counted)
+    report = run(parse_dict(doc), ["axioms", "ominus", "strata", "traverso"])
+    assert report["all_ok"]
+    assert len(calls) == 1

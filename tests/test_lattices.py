@@ -1,6 +1,7 @@
 """Lattice algebra tests, cross-checked against integer-arithmetic oracles
 (sympy normal forms, residue enumeration) that share no code with the
-library implementation."""
+library implementation, and the raw-coefficient kernels against the
+WittScalar kernels they replaced."""
 
 import itertools
 import pathlib
@@ -11,12 +12,15 @@ import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 import dieudonne
-from dieudonne.witt import make_context
+from dieudonne.witt import WittScalar, make_context
 from dieudonne.lattices import (
-    Lattice, SemilinearMap, intersect, invert_matrix, lattice_sum,
-    mod_p_dimension, restrict_map, saturate, smith_valuations,
+    Lattice, SemilinearMap, _back_substitute, _reduce_columns, intersect,
+    invert_matrix, lattice_sum, mod_p_dimension, restrict_map, saturate,
+    smith_valuations,
 )
-from dieudonne.errors import InclusionViolated, SingularMap
+from dieudonne.errors import (InclusionViolated, PrecisionExhausted,
+                              SingularMap)
+from dieudonne.matrix import identity, ring
 
 
 def int_lattice(ctx, cols):
@@ -469,3 +473,203 @@ def test_only_lattices_names_the_echelon_kernel():
     users = sorted(f.name for f in src.glob("*.py")
                    if "_reduce_columns" in f.read_text(encoding="utf-8"))
     assert users == ["lattices.py"]
+
+
+# The WittScalar kernels that the raw-coefficient ones replaced, kept
+# verbatim as oracles (apply_raw was a SemilinearMap method).
+
+def _col_is_zero_reference(col, neff):
+    return all(x.valuation() >= neff for x in col)
+
+
+def _reduce_columns_reference(ctx, cols, neff, track=False, nrows=None):
+    """Column echelon form over the DVR at effective precision neff.
+
+    Returns (ech_cols, pivots, transform, kernel_transform) where
+    ``ech_cols``/``pivots`` are in processing order (column t has zeros at
+    the pivot rows of columns s < t), ``transform`` maps original columns
+    to the echelon ones, and ``kernel_transform`` holds the combinations
+    that became effectively zero.  Transforms are None unless ``track``.
+    """
+    if neff <= 0:
+        raise PrecisionExhausted("no effective precision left for reduction")
+    m = len(cols)
+    work = [list(c) for c in cols]
+    r = nrows if nrows is not None else (len(work[0]) if work else 0)
+    trans = identity(m, ctx.zero, ctx.one) if track else None
+    # trans[j] tracks the combination of original columns giving work[j]
+    used_rows = set()
+    order = []           # indices into work, processing order
+    pivots = []          # (row, val) aligned with order
+    remaining = list(range(m))
+    while remaining:
+        best = None
+        for j in remaining:
+            col = work[j]
+            for i in range(r):
+                if i in used_rows:
+                    continue
+                v = col[i].valuation()
+                if v >= neff:
+                    continue
+                key = (v, i, j)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            break
+        e, prow, pj = best
+        remaining.remove(pj)
+        pcol = work[pj]
+        # normalize so the pivot entry is exactly p^e
+        unit = pcol[prow].divide_p(e)
+        uinv = unit.inverse()
+        work[pj] = [x * uinv for x in pcol]
+        if track:
+            trans[pj] = [x * uinv for x in trans[pj]]
+        pcol = work[pj]
+        for j in remaining:
+            col = work[j]
+            entry = col[prow]
+            if entry.is_zero():
+                continue
+            q = entry.divide_p(e)
+            work[j] = [col[i] - q * pcol[i] for i in range(r)]
+            work[j][prow] = ctx.zero
+            if track:
+                tj, tp = trans[j], trans[pj]
+                trans[j] = [tj[i] - q * tp[i] for i in range(m)]
+        used_rows.add(prow)
+        order.append(pj)
+        pivots.append((prow, e))
+    ech = [work[j] for j in order]
+    tr = [trans[j] for j in order] if track else None
+    kern = None
+    if track:
+        kern = []
+        for j in remaining:
+            if _col_is_zero_reference(work[j], neff):
+                kern.append(trans[j])
+    else:
+        for j in remaining:
+            if not _col_is_zero_reference(work[j], neff):  # pragma: no cover
+                raise AssertionError("unpivoted nonzero column")
+    return ech, pivots, tr, kern
+
+
+def _back_substitute_reference(ech, pivots, vec):
+    """(coords, residual) with vec = sum_t coords[t] * ech[t] + residual,
+    peeled through the echelon in processing order; coords is None when a
+    pivot does not divide its entry of the remaining vector."""
+    coords = []
+    for col, (prow, e) in zip(ech, pivots):
+        entry = vec[prow]
+        if entry.valuation() < e:
+            return None, vec
+        q = entry.divide_p(e)
+        coords.append(q)
+        vec = [x - q * c for x, c in zip(vec, col)]
+    return coords, vec
+
+
+def _apply_raw_reference(self, col):
+    """Integral part of the action on a column (denominator ignored)."""
+    ctx = self.ctx
+    if self.twist:
+        col = [WittScalar(ctx, ctx.frobenius(x.c, self.twist))
+               for x in col]
+    out = []
+    for row in self.rows:
+        acc = ctx.zero
+        for a, x in zip(row, col):
+            if not (a.is_zero() or x.is_zero()):
+                acc = acc + a * x
+        out.append(acc)
+    return out
+
+
+KERNEL_RINGS = [(2, 1, 12), (3, 1, 10), (5, 1, 9), (2, 3, 12), (3, 3, 10)]
+KERNEL_KINDS = SMITH_KINDS + ["p-column"]
+
+
+def _kernel_inputs(ctx, rng):
+    """Seeded column lists with their row counts: full, rank-deficient,
+    p^8-row and p-divisible-column matrices of every Smith shape, entries
+    spread over the Witt coordinates at n > 1."""
+    p, n = ctx.p, ctx.n
+    for (nrows, ncols), kind in itertools.product(SMITH_SHAPES, KERNEL_KINDS):
+        for _ in range(3):
+            rows = _random_int_matrix(rng, p, nrows, ncols, kind)
+            if kind == "p-column":
+                for row in rows:
+                    row[0] *= p
+            cols = [[ctx.scalar([row[j]] + [rng.randrange(p) * row[j]
+                                            for _ in range(n - 1)])
+                     for row in rows] for j in range(ncols)]
+            yield cols, nrows
+
+
+@pytest.mark.parametrize("track", [False, True])
+@pytest.mark.parametrize("p, n, N", KERNEL_RINGS)
+def test_reduce_columns_matches_reference(p, n, N, track):
+    ctx = make_context(p, n, N)
+    R = ring(ctx)
+    rng = random.Random(41 * p + n)
+    for cols, nrows in _kernel_inputs(ctx, rng):
+        for neff in (N, N - 1, N // 2):
+            want = _reduce_columns_reference(ctx, cols, neff, track=track,
+                                             nrows=nrows)
+            got = _reduce_columns(ctx, R.raw_mat(cols), neff, track=track,
+                                  nrows=nrows)
+            ech, pivots, trans, kern = want
+            assert got[0] == R.raw_mat(ech)
+            assert got[1] == pivots
+            if track:
+                assert got[2] == R.raw_mat(trans)
+                assert got[3] == R.raw_mat(kern)
+            else:
+                assert got[2] is None and got[3] is None
+
+
+@pytest.mark.parametrize("p, n, N", KERNEL_RINGS)
+def test_back_substitute_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    R = ring(ctx)
+    rng = random.Random(43 * p + n)
+    outcomes = set()
+    for cols, nrows in _kernel_inputs(ctx, rng):
+        for neff in (N, N // 2):
+            ech, pivots, _, _ = _reduce_columns_reference(ctx, cols, neff,
+                                                          nrows=nrows)
+            # members, p-multiples of non-members, and arbitrary vectors
+            member = [sum((rng.randrange(-9, 10) * c[i] for c in cols),
+                          ctx.zero) for i in range(nrows)]
+            free = [ctx.scalar([rng.randrange(-9, 10) for _ in range(n)])
+                    for _ in range(nrows)]
+            for vec in (member, [x * p for x in free], free):
+                want_x, want_rest = _back_substitute_reference(ech, pivots,
+                                                               vec)
+                got_x, got_rest = _back_substitute(
+                    ctx, R.raw_mat(ech), pivots, R.raw_col(vec))
+                assert got_rest == R.raw_col(want_rest)
+                if want_x is None:
+                    assert got_x is None
+                else:
+                    assert got_x == R.raw_col(want_x)
+                outcomes.add(want_x is None)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("p, n, N", KERNEL_RINGS)
+def test_apply_raw_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    rng = random.Random(47 * p + n)
+    for twist in range(n):
+        for nrows, ncols in SMITH_SHAPES:
+            rows = [[ctx.scalar([rng.randrange(-30, 31) * p ** rng.choice(
+                (0, 0, 1, N)) for _ in range(n)]) for _ in range(ncols)]
+                for _ in range(nrows)]
+            f = SemilinearMap(ctx, rows, twist=twist)
+            for _ in range(3):
+                col = [ctx.scalar([rng.randrange(-30, 31) * p ** rng.choice(
+                    (0, 1, N)) for _ in range(n)]) for _ in range(ncols)]
+                assert f.apply_raw(col) == _apply_raw_reference(f, col)
