@@ -5,7 +5,8 @@ splittings M = F^1 + F^0 with the induced block grading of End(M), the
 unit-part factorization of the Frobenius through the splitting, the
 largest/smallest stable-lattice fixed points, the four axiom checks for
 square-zero deformation lattices, and Lie (projector) elements t with
-[x, t] = x on the lattice.
+[x, t] = x on the lattice.  Matrices and lattice columns are raw
+(``matrix.ring``).
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from . import modp
 from .errors import (HypothesisViolated, InclusionViolated, NoAutoConstruction,
                      NonConvergence, PrecisionExhausted, SingularMap,
                      SplittingInvalid, ValidationFailed)
-from .isocrystal import (FIsocrystal, SlopeData, end_frobenius, mat_to_vec,
+from .isocrystal import (FIsocrystal, SlopeData, end_frobenius,
                          sandwich_map, vec_to_mat, _maps_equal)
 from .lattices import (Lattice, SemilinearMap, intersect, invert_matrix,
                        kernel_span, lattice_sum, mod_p_dimension, saturate)
-from .matrix import mat_mul
+from .matrix import ring
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +48,8 @@ class TangentSpace:
         self.rank = r = crystal.rank
         self.ctx = ctx
         # kernel of the reduced Frobenius: solve A sigma(v) = 0 over F_q
-        arows = [[x.residue() for x in row] for row in crystal.phi.rows]
+        residue = ring(ctx).residue
+        arows = [[residue(x) for x in row] for row in crystal.phi.rows]
         ker = modp.gf_kernel(ctx, arows)
         inv_twist = (-crystal.phi.twist) % ctx.n
         self.fbar1 = [[ctx.residue(ctx.frobenius(c, inv_twist)) for c in v]
@@ -68,9 +70,10 @@ class TangentSpace:
         return crystal._derived["tangent"]
 
     def nu_matrix(self, rows):
-        """Class of an integral r x r matrix of scalars in the quotient,
-        as a residue vector on the free coordinates."""
-        vec = [x.residue() for x in mat_to_vec(rows)]
+        """Class of an integral raw r x r matrix in the quotient, as a
+        residue vector on the free coordinates."""
+        residue = ring(self.ctx).residue
+        vec = [residue(x) for row in rows for x in row]
         res = modp.gf_reduce(self.ctx, self.f0_ech, self.f0_pivots, vec)
         return tuple(res[j] for j in self.free_cols)
 
@@ -119,8 +122,7 @@ def nu_image(lattice: Lattice, tangent: TangentSpace):
     r = tangent.rank
     vecs = []
     for col in lat.cols:
-        mat = vec_to_mat(list(col), r)
-        vecs.append(list(tangent.nu_matrix(mat)))
+        vecs.append(list(tangent.nu_matrix(vec_to_mat(col, r))))
     ech, _ = modp.gf_echelon(ctx, vecs) if vecs else ([], [])
     return len(ech), ech
 
@@ -138,17 +140,18 @@ class HodgeSplitting:
 
     def __init__(self, crystal, f1_cols, f0_cols):
         ctx = crystal.ctx
+        R = ring(ctx)
         r = crystal.rank
         self.crystal = crystal
         self.ctx = ctx
+        f1_cols, f0_cols = R.raw_mat(f1_cols), R.raw_mat(f0_cols)
         self.d = len(f1_cols)
         self.c = len(f0_cols)
         if self.d + self.c != r:
             raise SplittingInvalid("F1 and F0 ranks do not sum to the rank")
         self.F1 = Lattice.from_columns(ctx, r, f1_cols)
         self.F0 = Lattice.from_columns(ctx, r, f0_cols)
-        cols = [list(c) for c in f1_cols] + [list(c) for c in f0_cols]
-        self.P_rows = [[cols[j][i] for j in range(r)] for i in range(r)]
+        self.P_rows = [list(row) for row in zip(*(f1_cols + f0_cols))]
         try:
             pinv, vdet = invert_matrix(ctx, self.P_rows)
         except (SingularMap, PrecisionExhausted) as exc:
@@ -158,7 +161,7 @@ class HodgeSplitting:
         self.Pinv_rows = pinv
         # F1 mod p must be the kernel of the reduced Frobenius
         tangent_ker = TangentSpace.of(crystal).fbar1
-        f1_res = [[x.residue() for x in col] for col in f1_cols]
+        f1_res = [[R.residue(x) for x in col] for col in f1_cols]
         if not modp.gf_spaces_equal(ctx, tangent_ker, f1_res):
             raise SplittingInvalid(
                 "F1 does not reduce to ker(phi mod p)")
@@ -178,16 +181,16 @@ class HodgeSplitting:
         """Integral lattice of endomorphisms whose (F1|F0)-blocks are
         supported on the given weights."""
         ctx = self.ctx
+        scale = ring(ctx).scale
         r = self.crystal.rank
         gens = []
         for i in range(r):
             for j in range(r):
                 if self.weight_of_position(i, j) not in weights:
                     continue
-                # P E_ij P^{-1}
-                mat = [[self.P_rows[a][i] * self.Pinv_rows[j][b]
-                        for b in range(r)] for a in range(r)]
-                gens.append(mat_to_vec(mat))
+                # P E_ij P^{-1}: column i of P times row j of P^{-1}
+                gens.append([x for prow in self.P_rows
+                             for x in scale(self.Pinv_rows[j], prow[i])])
         if not gens:
             return Lattice.zero(ctx, r * r)
         return Lattice.from_columns(ctx, r * r, gens)
@@ -200,48 +203,41 @@ class HodgeSplitting:
 
     def mu_numerator(self):
         """P diag(1_d, p 1_c) P^{-1}: p times the cocharacter value at p."""
-        d, p = self.d, self.ctx.p
-        scaled = [[x * p if k >= d else x for k, x in enumerate(row)]
-                  for row in self.P_rows]
-        return mat_mul(scaled, self.Pinv_rows, self.ctx.zero)
+        R = ring(self.ctx)
+        d, p = self.d, R.of_int(self.ctx.p)
+        scaled = [row[:d] + R.scale(row[d:], p) for row in self.P_rows]
+        return R.mul_mat(scaled, self.Pinv_rows)
 
 
 def hodge_splitting(crystal: FIsocrystal, f1_columns) -> HodgeSplitting:
     """Build a splitting from explicit F^1 columns; F^0 is spanned by the
     standard basis vectors off the pivots of F^1 mod p."""
     ctx = crystal.ctx
-    r = crystal.rank
-    f1 = [[ctx.scalar(x) for x in col] for col in f1_columns]
-    res = [[x.residue() for x in col] for col in f1]
+    R = ring(ctx)
+    f1 = R.raw_mat(f1_columns)
+    res = [[R.residue(x) for x in col] for col in f1]
     _, pivots = modp.gf_echelon(ctx, res)
     taken = set(pivots)
-    f0 = []
-    for i in range(r):
-        if i not in taken:
-            col = [ctx.zero] * r
-            col[i] = ctx.one
-            f0.append(col)
+    f0 = [col for i, col in enumerate(R.identity(crystal.rank))
+          if i not in taken]
     return HodgeSplitting(crystal, f1, f0)
 
 
 def hodge_splitting_from_kernel(crystal: FIsocrystal) -> HodgeSplitting:
     """Splitting whose F^1 is the Teichmuller-free naive lift of
     ker(phi mod p) by standard vectors (valid for block-diagonal inputs)."""
-    ctx = crystal.ctx
-    t = TangentSpace.of(crystal)
-    cols = [[ctx.scalar([c[k] for k in range(ctx.n)]) for c in v]
-            for v in t.fbar1]
-    return hodge_splitting(crystal, cols)
+    return hodge_splitting(crystal, TangentSpace.of(crystal).fbar1)
 
 
 def sigma_phi(crystal: FIsocrystal, split: HodgeSplitting) -> SemilinearMap:
     """Unit part of the Frobenius through the splitting: the semilinear
     automorphism with phi = (unit part) o (p-weighted cocharacter)."""
     ctx = crystal.ctx
-    mu_num = split.mu_numerator()
-    prod = mat_mul(crystal.phi.rows,
-                   [[x.frobenius(crystal.phi.twist) for x in row]
-                    for row in mu_num], ctx.zero)
+    R = ring(ctx)
+    e = crystal.phi.twist
+    prod = R.mul_mat(crystal.phi.rows,
+                     [[R.frob(x, e) for x in row]
+                      for row in split.mu_numerator()])
     m = SemilinearMap(ctx, prod, twist=crystal.phi.twist,
                       denominator=crystal.phi.denominator + 1,
                       loss=crystal.phi.loss)
@@ -265,12 +261,13 @@ def star_property_holds(crystal: FIsocrystal, tangent: TangentSpace,
                         rows) -> bool:
     """For an integral endomorphism x: phi(x) leaves End(M) exactly when
     nu(x) is non-zero."""
-    ctx = crystal.ctx
+    R = ring(crystal.ctx)
+    rows = R.raw_mat(rows)
     ainv, vdet = crystal.inverse_numerator()
-    twisted = [[x.frobenius(crystal.phi.twist) for x in row] for row in rows]
-    num = mat_mul(mat_mul(crystal.phi.rows, twisted, ctx.zero), ainv,
-                  ctx.zero)
-    integral = all(x.valuation() >= vdet for row in num for x in row)
+    e = crystal.phi.twist
+    twisted = [[R.frob(x, e) for x in row] for row in rows]
+    num = R.mul_mat(R.mul_mat(crystal.phi.rows, twisted), ainv)
+    integral = all(R.val(x) >= vdet for row in num for x in row)
     nu_nonzero = not tangent.nu_is_zero(tangent.nu_matrix(rows))
     return (not integral) == nu_nonzero
 
@@ -294,21 +291,21 @@ def smallest_stable_superlattice(V: Lattice, numerator_steps, denominator
     and the exact volume invariant detects stabilization.
     """
     ctx = V.ctx
+    R = ring(ctx)
     cur = V
-    pd = ctx.p ** denominator
     for _ in range(_iteration_cap(V)):
         deepest = max((e for (_, e) in cur.pivots), default=0)
         if cur.scale + denominator + deepest >= ctx.N - 2:
             raise PrecisionExhausted(
                 "closure rescaling exhausted the working precision; "
                 "rebuild the context with a larger exponent")
-        gens = [[x * pd for x in c] for c in cur.cols]
+        gens = cur._scaled_cols(denominator)
         for (num, extra) in numerator_steps:
-            pe = ctx.p ** extra
+            pe = R.of_int(ctx.p ** extra)
             for c in cur.cols:
-                img = num.apply_raw(list(c))
+                img = num.apply_raw(c)
                 if extra:
-                    img = [x * pe for x in img]
+                    img = R.scale(img, pe)
                 gens.append(img)
         nxt = Lattice.from_columns(ctx, cur.ambient, gens,
                                    scale=cur.scale + denominator,
@@ -331,9 +328,10 @@ def _conjugation_numerators(crystal):
         ainv, vdet = crystal.inverse_numerator()
         fwd_num = SemilinearMap(ctx, end_frobenius(crystal).rows, twist=1)
         e = (-1) % ctx.n
-        left = [[x.frobenius(e) for x in row] for row in ainv]
-        right = [[x.frobenius(e) for x in row] for row in crystal.phi.rows]
-        bwd_num = sandwich_map(ctx, left, right, twist=e)
+        frob = ring(ctx).frob
+        left = [[frob(x, e) for x in row] for row in ainv]
+        bwd_num = sandwich_map(ctx, left, crystal.phi._twisted_rows(e),
+                               twist=e)
         crystal._derived["conjugation"] = (fwd_num, bwd_num, vdet)
     return crystal._derived["conjugation"]
 
@@ -353,9 +351,8 @@ def _membership_refine(E: Lattice, num_map, shift: int) -> Lattice:
     for _ in range(_iteration_cap(E)):
         if cur.rank == 0:
             return cur
-        imgs = [num_map.apply_raw(list(c)) for c in cur.cols]
-        pk = ctx.p ** shift
-        stacked = imgs + [[x * pk for x in c] for c in cur.cols]
+        imgs = [num_map.apply_raw(c) for c in cur.cols]
+        stacked = imgs + cur._scaled_cols(shift)
         gens = kernel_span(ctx, stacked, cur.cols, ctx.N - cur.loss, amb)
         nxt = Lattice.from_columns(ctx, amb, gens, scale=cur.scale,
                                    loss=cur.loss)
@@ -401,18 +398,17 @@ def largest_sub_dieudonne(V: Lattice, crystal: FIsocrystal,
 def _maps_into(E: Lattice, num_map, shift: int) -> bool:
     """num_map(E) inside p^shift E, tested without divisions (both sides
     are p-scaled to integral form first)."""
-    ctx = E.ctx
+    R = ring(E.ctx)
     up = max(0, -shift)
     down = max(0, shift)
     target = Lattice.from_columns(
-        ctx, E.ambient,
-        [[x * (ctx.p ** down) for x in c] for c in E.cols],
+        E.ctx, E.ambient, E._scaled_cols(down),
         scale=E.scale, loss=E.loss) if down else E
-    pk = ctx.p ** up
+    pk = R.of_int(E.ctx.p ** up)
     for c in E.cols:
-        img = num_map.apply_raw(list(c))
+        img = num_map.apply_raw(c)
         if up:
-            img = [x * pk for x in img]
+            img = R.scale(img, pk)
         if target.solve(img, target.scale) is None:
             return False
     return True
@@ -460,7 +456,7 @@ def codim_of_dieudonne(E: Lattice, crystal: FIsocrystal) -> int:
     ctx = E.ctx
     _, bwd_num, vdet = _conjugation_numerators(crystal)
     img = Lattice.from_columns(
-        ctx, E.ambient, [bwd_num.apply_raw(list(c)) for c in E.cols],
+        ctx, E.ambient, [bwd_num.apply_raw(c) for c in E.cols],
         scale=E.scale + vdet, loss=E.loss)
     if not E.contains(img):
         raise InclusionViolated("(E, p phi) is not a Dieudonne lattice")
@@ -500,14 +496,24 @@ class AxiomReport:
         }
 
 
+def _nonzero_product(ctx, r, vecs):
+    """The first pair (a, b) of flattened raw r x r matrices whose product
+    vecs[a] vecs[b] is non-zero, or None when every product vanishes."""
+    R = ring(ctx)
+    mats = [vec_to_mat(v, r) for v in vecs]
+    for a, ma in enumerate(mats):
+        for b, mb in enumerate(mats):
+            if any(x != R.zero for row in R.mul_mat(ma, mb) for x in row):
+                return a, b
+    return None
+
+
 def check_axioms(E: Lattice, crystal: FIsocrystal, V_minus: Lattice,
                  split: HodgeSplitting | None = None) -> AxiomReport:
     """The four axioms for a deformation lattice E inside the negative
     part: (i) maximality of (E, p phi) in E[1/p] cap V_-, (ii) E^2 = 0,
     and for a supplied splitting (iii) compatibility with the block
     grading and (iv) the unit-part decomposition of E."""
-    ctx = crystal.ctx
-    r = crystal.rank
     report = AxiomReport()
     report.ranks["E"] = E.rank
     # (i)
@@ -519,18 +525,12 @@ def check_axioms(E: Lattice, crystal: FIsocrystal, V_minus: Lattice,
             f"largest Dieudonne sublattice has rank {recomputed.rank}, "
             f"E has rank {E.rank}")
     # (ii)
-    report.axiom_ii = True
-    mats = [vec_to_mat(list(c), r) for c in E.cols]
-    for a, ma in enumerate(mats):
-        for b, mb in enumerate(mats):
-            prod = mat_mul(ma, mb, ctx.zero)
-            if any(not x.is_zero() for row in prod for x in row):
-                report.axiom_ii = False
-                report.witnesses["axiom_ii"] = (
-                    f"product of basis elements {a} and {b} is non-zero")
-                break
-        if not report.axiom_ii:
-            break
+    witness = _nonzero_product(crystal.ctx, crystal.rank, E.cols)
+    report.axiom_ii = witness is None
+    if witness is not None:
+        a, b = witness
+        report.witnesses["axiom_ii"] = (
+            f"product of basis elements {a} and {b} is non-zero")
     if split is None:
         return report
     # (iii)
@@ -583,9 +583,9 @@ def lie_element(E: Lattice, slope_data: SlopeData, user_t=None
         # image span W0 = sum of y(M) over a basis of E
         img = Lattice.zero(ctx, r)
         for colv in E.cols:
-            mat = vec_to_mat(list(colv), r)
+            # the columns of y span y(M)
             img = lattice_sum(img, Lattice.from_columns(
-                ctx, r, [[mat[i][j] for i in range(r)] for j in range(r)]))
+                ctx, r, list(zip(*vec_to_mat(colv, r)))))
         W0 = saturate(img, crystal.M)
         chosen = []
         covered = Lattice.zero(ctx, r)
@@ -615,7 +615,7 @@ def _validate_lie_element(t: SemilinearMap, E: Lattice,
     if not _maps_equal(crystal.phi.compose(t), t.compose(crystal.phi)):
         raise ValidationFailed("candidate is not fixed by the Frobenius")
     for k, colv in enumerate(E.cols):
-        x = SemilinearMap(ctx, vec_to_mat(list(colv), r))
+        x = SemilinearMap(ctx, vec_to_mat(colv, r))
         bracket = x.compose(t).sub(t.compose(x))
         if not _maps_equal(bracket, x):
             raise ValidationFailed(

@@ -11,16 +11,20 @@ exact.  The module also certifies horizontality, reads off the
 Kodaira-Spencer tangent image, restricts the connection to E + W(k)t,
 trivializes the deformation at residue-field points, and evaluates the
 divided-power correction factor at arbitrary Witt coordinates.
+
+Matrices, lattice columns and deformation vectors are raw
+(``matrix.ring``); series coefficients and evaluation points are
+``WittScalar``.
 """
 
 from __future__ import annotations
 
-from .core import TangentSpace, nu_image
+from .core import TangentSpace, nu_image, _nonzero_product
 from .errors import (HypothesisViolated, InclusionViolated, NonConvergence,
                      NonTermination, ValidationFailed)
 from .isocrystal import FIsocrystal, end_frobenius, vec_to_mat
 from .lattices import Lattice, SemilinearMap, lattice_sum, restrict_map
-from .matrix import mat_mul, mat_sub, ring, transport
+from .matrix import ring
 from .modp import gf_echelon, gf_spaces_equal
 from .series import TruncatedSeries
 from .witt import teichmuller
@@ -28,12 +32,13 @@ from .witt import teichmuller
 
 class DeformationBasis:
     """Vectors v_1..v_n inside a lattice E whose tangent classes are
-    linearly independent (so they span nu of their own span)."""
+    linearly independent (so they span nu of their own span); stored
+    raw."""
 
     __slots__ = ("vectors", "E", "n")
 
     def __init__(self, vectors, E: Lattice):
-        self.vectors = [list(v) for v in vectors]
+        self.vectors = ring(E.ctx).raw_mat(vectors)
         self.E = E
         self.n = len(self.vectors)
 
@@ -48,7 +53,7 @@ def select_deformation_basis(E: Lattice, tangent: TangentSpace
     classes = []
     r = tangent.rank
     for col in E.cols:
-        cls = list(tangent.nu_matrix(vec_to_mat(list(col), r)))
+        cls = list(tangent.nu_matrix(vec_to_mat(col, r)))
         trial = classes + [cls]
         ech, _ = gf_echelon(ctx, trial)
         if len(ech) > len(classes):
@@ -82,16 +87,6 @@ class ConnectionForm:
         return [vec_to_mat(list(v), r) for v in self.basis]
 
 
-def _check_square_zero(ctx, mats):
-    for ia, ma in enumerate(mats):
-        for ib, mb in enumerate(mats):
-            prod = mat_mul(ma, mb, ctx.zero)
-            if any(not x.is_zero() for row in prod for x in row):
-                raise HypothesisViolated(
-                    f"E is not square-zero: basis elements {ia} and {ib} "
-                    "have a non-zero product")
-
-
 def solve_connection(crystal: FIsocrystal, E: Lattice, B: DeformationBasis,
                      dmax: int) -> ConnectionForm:
     """Solve the horizontality recursion for the connection one-form.
@@ -103,11 +98,15 @@ def solve_connection(crystal: FIsocrystal, E: Lattice, B: DeformationBasis,
     ctx = crystal.ctx
     if dmax < ctx.p - 1:
         raise ValueError("degree bound must be at least p - 1")
-    r = crystal.rank
+    R = ring(ctx)
     n = B.n
     basis = [list(c) for c in E.ech]
-    mats = [vec_to_mat(v, r) for v in basis]
-    _check_square_zero(ctx, mats)
+    witness = _nonzero_product(ctx, crystal.rank, basis)
+    if witness is not None:
+        ia, ib = witness
+        raise HypothesisViolated(
+            f"E is not square-zero: basis elements {ia} and {ib} "
+            "have a non-zero product")
     m = len(basis)
     # a[j][l]: coordinates of p phi(e_l); stability is part of the contract
     pphi = end_frobenius(crystal).scale_p(1)
@@ -129,7 +128,7 @@ def solve_connection(crystal: FIsocrystal, E: Lattice, B: DeformationBasis,
     w = {}
     for i in range(n):
         # term_0 = -b_i; term_{k+1} = O_i(term_k)
-        terms = [[TruncatedSeries.constant(ctx, n, dmax, -bmat[j][i])
+        terms = [[TruncatedSeries.constant(ctx, n, dmax, R.neg(bmat[j][i]))
                   for j in range(m)]]
         acc = [terms[0][j] for j in range(m)]
         guard = 0
@@ -144,7 +143,7 @@ def solve_connection(crystal: FIsocrystal, E: Lattice, B: DeformationBasis,
             for j in range(m):
                 s = TruncatedSeries.zero(ctx, n, dmax)
                 for l in range(m):
-                    if a[j][l].is_zero():
+                    if a[j][l] == R.zero:
                         continue
                     s = s + prev[l].frobenius_lift() * a[j][l]
                 nxt.append(s * xfac)
@@ -163,6 +162,7 @@ def recursion_residual(conn: ConnectionForm):
     """Exact residual of the defining recursion b + w = O(w); zero through
     the verified window for a correct solution (independent check)."""
     ctx = conn.crystal.ctx
+    zero = ring(ctx).zero
     n = conn.B.n
     m = len(conn.basis)
     dmax = conn.dmax
@@ -172,13 +172,22 @@ def recursion_residual(conn: ConnectionForm):
         for j in range(m):
             rhs = TruncatedSeries.zero(ctx, n, dmax)
             for l in range(m):
-                if not conn.a[j][l].is_zero():
+                if conn.a[j][l] != zero:
                     rhs = rhs + conn.w[(l, i)].frobenius_lift() \
                         * conn.a[j][l]
             rhs = rhs * xfac
             lhs = conn.w[(j, i)] + TruncatedSeries.constant(
                 ctx, n, dmax, conn.b[j][i])
             out[(j, i)] = (lhs - rhs, min(lhs.valid, rhs.valid))
+    return out
+
+
+def _combine(R, coeffs, vecs, length):
+    """sum_k coeffs[k] vecs[k] on raw vectors of the given length."""
+    out = [R.zero] * length
+    for c, v in zip(coeffs, vecs):
+        if c != R.zero:
+            out = R.axpy(out, R.neg(c), v)
     return out
 
 
@@ -189,6 +198,7 @@ def recursion_residual(conn: ConnectionForm):
 def universal_element(crystal: FIsocrystal, B: DeformationBasis, dmax: int):
     """1 + sum v_i x_i as an r x r matrix of series."""
     ctx = crystal.ctx
+    zero = ring(ctx).zero
     r = crystal.rank
     n = B.n
     rows = [[TruncatedSeries.zero(ctx, n, dmax) for _ in range(r)]
@@ -200,7 +210,7 @@ def universal_element(crystal: FIsocrystal, B: DeformationBasis, dmax: int):
         xi = TruncatedSeries.variable(ctx, n, dmax, idx)
         for a_ in range(r):
             for b_ in range(r):
-                if not mat[a_][b_].is_zero():
+                if mat[a_][b_] != zero:
                     rows[a_][b_] = rows[a_][b_] + xi * mat[a_][b_]
     return rows
 
@@ -228,7 +238,7 @@ def _nabla(conn, vec, i):
             continue
         evec = _series_mat_vec(
             [[TruncatedSeries.constant(ctx, conn.B.n, conn.dmax, x)
-              for x in row] for row in vec_to_mat(list(v), r)], vec)
+              for x in row] for row in vec_to_mat(v, r)], vec)
         out = [o + e * w_li for o, e in zip(out, evec)]
     return out
 
@@ -236,13 +246,14 @@ def _nabla(conn, vec, i):
 def apply_twisted_frobenius(crystal, u_rows, vec):
     """Phi_N(vec) = u * (A * Phi_S(vec)) for a vector of series."""
     ctx = crystal.ctx
+    zero = ring(ctx).zero
     lifted = [s.frobenius_lift() for s in vec]
     avec = []
     for i in range(crystal.rank):
         acc = None
         for j in range(crystal.rank):
             c = crystal.phi.rows[i][j]
-            if c.is_zero():
+            if c == zero:
                 continue
             term = lifted[j] * c
             acc = term if acc is None else acc + term
@@ -262,13 +273,13 @@ def verify_horizontality(crystal: FIsocrystal, conn: ConnectionForm,
     two sides.
     """
     ctx = crystal.ctx
+    R = ring(ctx)
     r = crystal.rank
     n = conn.B.n
     dmax = conn.dmax
     u_rows = universal_element(crystal, conn.B, dmax)
     emats = conn.basis_matrices()
-    basis_cols = ([list(c) for c in split.F1.cols]
-                  + [list(c) for c in split.F0.cols])
+    basis_cols = split.F1.cols + split.F0.cols
     max_residual_val = None
     window = dmax
     for cvec in basis_cols:
@@ -282,11 +293,9 @@ def verify_horizontality(crystal: FIsocrystal, conn: ConnectionForm,
                 w_li = conn.w[(l, i)]
                 if w_li.is_zero():
                     continue
-                ec = [sum((emat[a_][b_] * cvec[b_] for b_ in range(r)
-                           if not emat[a_][b_].is_zero()), ctx.zero)
-                      for a_ in range(r)]
+                ec = [R.dot(row, cvec) for row in emat]
                 for k in range(r):
-                    if not ec[k].is_zero():
+                    if ec[k] != R.zero:
                         omega_c[k] = omega_c[k] + w_li * ec[k]
             rhs = apply_twisted_frobenius(crystal, u_rows, omega_c)
             pfac = TruncatedSeries.variable(ctx, n, dmax, i,
@@ -317,22 +326,16 @@ def kodaira_spencer_image(conn: ConnectionForm, tangent: TangentSpace):
     """Tangent image of the degree-zero part of the connection: spanned by
     the classes of the deformation vectors; asserted to match them."""
     ctx = conn.crystal.ctx
+    R = ring(ctx)
     r = conn.crystal.rank
-    emats = conn.basis_matrices()
     classes = []
     for i in range(conn.B.n):
-        mat = [[ctx.zero] * r for _ in range(r)]
-        for l, emat in enumerate(emats):
-            c0 = conn.w[(l, i)].constant_term()
-            if c0.is_zero():
-                continue
-            for a_ in range(r):
-                for b_ in range(r):
-                    if not emat[a_][b_].is_zero():
-                        mat[a_][b_] = mat[a_][b_] + emat[a_][b_] * c0
-        # the degree-zero coefficient is -v_i
-        classes.append([x for x in tangent.nu_matrix(
-            [[-y for y in row] for row in mat])])
+        c0 = R.raw_col([conn.w[(l, i)].constant_term()
+                        for l in range(len(conn.basis))])
+        # the degree-zero coefficient sum_l c0_l e_l is -v_i
+        v = _combine(R, c0, conn.basis, r * r)
+        classes.append(list(tangent.nu_matrix(
+            vec_to_mat(list(map(R.neg, v)), r))))
     ech, _ = gf_echelon(ctx, classes) if classes else ([], [])
     want = [list(tangent.nu_matrix(vec_to_mat(v, r))) for v in conn.B.vectors]
     if not gf_spaces_equal(ctx, classes, want):
@@ -345,31 +348,26 @@ def kodaira_spencer_image(conn: ConnectionForm, tangent: TangentSpace):
 def induced_connection_tilde(conn: ConnectionForm, t: SemilinearMap) -> dict:
     """Restriction of the connection to E + W(k) t through the bracket
     action: the E-part is annihilated and the t-part lands in E."""
-    crystal = conn.crystal
-    ctx = crystal.ctx
-    r = crystal.rank
+    ctx = conn.crystal.ctx
+    R = ring(ctx)
+    r = conn.crystal.rank
     emats = conn.basis_matrices()
-    den = t.denominator
-    pk = ctx.p ** den
-    trows = [list(row) for row in t.rows]
+    pk = R.of_int(ctx.p ** t.denominator)
+
+    def bracket(x, y):
+        return R.sub_mat(R.mul_mat(x, y), R.mul_mat(y, x))
+
     # certificates on brackets: [e_l, e_j] = 0 and [e_l, t] = e_l
+    zero_mat = [[R.zero] * r for _ in range(r)]
     for l, el in enumerate(emats):
         for j, ej in enumerate(emats):
-            comm = mat_sub(mat_mul(el, ej, ctx.zero),
-                           mat_mul(ej, el, ctx.zero))
-            if any(not x.is_zero() for row in comm for x in row):
+            if bracket(el, ej) != zero_mat:
                 raise HypothesisViolated(
                     f"[e_{l}, e_{j}] is non-zero; E-part is not flat")
-    t_paired = []
     for l, el in enumerate(emats):
-        br = mat_sub(mat_mul(el, trows, ctx.zero),
-                     mat_mul(trows, el, ctx.zero))
-        want = [[x * pk for x in row] for row in el]
-        if any(not (br[a_][b_] - want[a_][b_]).is_zero()
-               for a_ in range(r) for b_ in range(r)):
+        if bracket(el, t.rows) != [R.scale(row, pk) for row in el]:
             raise HypothesisViolated(
                 f"[e_{l}, t] does not equal e_{l}")
-        t_paired.append(el)
     # the induced form on t is sum_l e_l w_{l,i} d x_i, valued in E
     tilde = {}
     for i in range(conn.B.n):
@@ -395,20 +393,16 @@ def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
     delta = E.index_valuation()
     bX = crystal.at_precision(ctx.N + delta + 2 * dval + 8)
     big = bX.ctx
-    bE = Lattice.from_columns(big, E.ambient, transport(big, E.cols),
-                              scale=E.scale)
-    bvecs = transport(big, B.vectors)
+    # raw entries are integer representatives, valid at the boost too
+    bE = Lattice.from_columns(big, E.ambient, E.cols, scale=E.scale)
     ainv_big, _ = bX.inverse_numerator()
-    abig = [list(rw) for rw in bX.phi.rows]
-    R = ring(big)
-    # raw matrices for the orbit loop; column l of "ech_rows" is echelon
-    # vector l of E, flattened
+    abig = bX.phi.rows
+    # column l of "ech_rows" is echelon vector l of E, flattened
     return {
-        "big": big, "dval": dval, "bE": bE, "bvecs": bvecs,
-        "abig": R.raw_mat(abig), "ainv": R.raw_mat(ainv_big),
-        "Cmap": R.raw_mat(
-            _restrict_inverse_conj(big, bE, abig, ainv_big, dval)),
-        "ech_rows": R.raw_mat(list(zip(*bE.ech))),
+        "big": big, "dval": dval, "bE": bE, "bvecs": B.vectors,
+        "abig": abig, "ainv": ainv_big,
+        "Cmap": _restrict_inverse_conj(big, bE, abig, ainv_big, dval),
+        "ech_rows": list(zip(*bE.ech)),
     }
 
 
@@ -432,27 +426,18 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
     bvecs = ws["bvecs"]
     R = ring(big)
     # u_h = 1 + sum v_i teich(point_i)
-    n0 = [[big.zero] * r for _ in range(r)]
-    for v, coord in zip(bvecs, point):
-        tau = teichmuller(big, coord)
-        if tau.is_zero():
-            continue
-        mat = vec_to_mat(v, r)
-        for a_ in range(r):
-            for b_ in range(r):
-                if not mat[a_][b_].is_zero():
-                    n0[a_][b_] = n0[a_][b_] + mat[a_][b_] * tau
+    taus = R.raw_col([teichmuller(big, coord) for coord in point])
+    n0 = _combine(R, taus, bvecs, r * r)
     ident = R.identity(r)
-    u_h = R.add_mat(ident, R.raw_mat(n0))
+    u_h = R.add_mat(ident, vec_to_mat(n0, r))
     # backward-orbit coordinates: c_k = C^k c_0 on the basis of E
-    coords0 = bE.solve([x for row in n0 for x in row], 0)
-    if coords0 is None:
+    coords = bE.solve(n0, 0)
+    if coords is None:
         raise HypothesisViolated("the point twist does not lie in E")
     Cmap = ws["Cmap"]
     ech_rows = ws["ech_rows"]
     cap = ctx.N * max(r, 2) + 10
     prod = prod_inv = ident
-    coords = R.raw_col(coords0)
     steps = 0
     back = (-1) % big.n
     dot = R.dot
@@ -474,18 +459,18 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
     # certificate: prod u_h A sigma(prod^{-1}) A^{-1} = 1
     lhs = R.mul_mat(R.mul_mat(prod, u_h), ws["abig"])
     lhs = R.mul_mat(lhs, [[R.frob(x, 1) for x in row] for row in prod_inv])
-    lhs = R.wrap_mat(R.mul_mat(lhs, ws["ainv"]))
+    lhs = R.mul_mat(lhs, ws["ainv"])
+    pd = R.of_int(big.p ** dval)
     verified = ctx.N
-    for a_ in range(r):
-        for b_ in range(r):
-            x = lhs[a_][b_]
+    for a_, row in enumerate(lhs):
+        for b_, x in enumerate(row):
             if a_ == b_:
-                x = x - big.scalar(big.p ** dval)
+                x = R.sub(x, pd)
             # lhs carries the cleared p^dval, so subtract it from the
             # certified exponent
-            verified = min(verified, max(0, x.valuation() - dval))
+            verified = min(verified, max(0, R.val(x) - dval))
     return {
-        "u_infinity": transport(ctx, R.wrap_mat(prod)),
+        "u_infinity": ring(ctx).raw_mat(prod),
         "steps": steps,
         "verified_modulus": verified,
         "loss": ctx.N - verified,
@@ -496,16 +481,15 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
 def _restrict_inverse_conj(ctx, E, arows, ainv_rows, dval):
     """Matrix (on the echelon basis of E) of x -> phi^{-1} x phi,
     i.e. sigma^{-1}(A^{-1} x A) with the p-denominator divided out."""
+    R = ring(ctx)
     m = E.rank
     r = len(arows)
+    e = (-1) % ctx.n
     cols = []
     for cvec in E.ech:
-        mat = vec_to_mat(list(cvec), r)
-        prod = mat_mul(mat_mul(ainv_rows, mat, ctx.zero), arows, ctx.zero)
-        e = (-1) % ctx.n
-        prod = [[x.frobenius(e).divide_p(dval) for x in row]
-                for row in prod]
-        coords = E.solve([x for row in prod for x in row], 0)
+        prod = R.mul_mat(R.mul_mat(ainv_rows, vec_to_mat(cvec, r)), arows)
+        coords = E.solve([R.divide_p(R.frob(x, e), dval)
+                          for row in prod for x in row], 0)
         if coords is None:
             raise HypothesisViolated(
                 "E is not stable under the inverse Frobenius")
@@ -607,11 +591,10 @@ def correction_factor(crystal: FIsocrystal, conn: ConnectionForm, z
         for j in range(r):
             d = (ctx.one if i == j else ctx.zero) - grows[i][j]
             defect[i * r + j] = d
-    p2 = ctx.p ** 2
+    R = ring(ctx)
+    p2 = R.of_int(ctx.p ** 2)
     p2end = Lattice.from_columns(
-        ctx, r * r,
-        [[ctx.scalar(p2) if k == t else ctx.zero for k in range(r * r)]
-         for t in range(r * r)])
+        ctx, r * r, [R.scale(col, p2) for col in R.identity(r * r)])
     e_plus_p2 = lattice_sum(conn.E, p2end)
     in_E_mod_p2 = e_plus_p2.contains_vector(defect)
     return {

@@ -11,6 +11,9 @@ partial-fraction idempotents are evaluated at the linearized matrix.
 Everything runs at an internally boosted precision on the exact input
 matrix, so the published projectors and component lattices are good at the
 context precision; their p-denominators are recorded as map loss.
+
+Matrices are raw (``matrix.ring``); the polynomials are lists of
+``WittScalar`` coefficients, and ``charpoly`` reads a wrapped matrix.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from .errors import (FieldTooSmall, InclusionViolated,
 from .lattices import (Lattice, SemilinearMap, invert_matrix,
                        invert_matrix_exact, lattice_sum, matrix_kernel,
                        mod_p_dimension, restrict_map)
-from .matrix import mat_mul, transport
-from .witt import WittContext
+from .matrix import ring
+from .witt import WittContext, WittScalar
 
 
 # ---------------------------------------------------------------------------
@@ -61,14 +64,15 @@ def poly_divmod_monic(ctx, a, b):
 
 
 def poly_eval_matrix(ctx, coeffs, rows):
-    """Evaluate a polynomial at a square matrix (Horner)."""
+    """Evaluate a polynomial at a square raw matrix (Horner); raw."""
+    R = ring(ctx)
     r = len(rows)
-    acc = [[ctx.zero] * r for _ in range(r)]
-    for c in reversed(coeffs):
+    acc = [[R.zero] * r for _ in range(r)]
+    for c in reversed(R.raw_col(coeffs)):
         # acc <- acc * A + c I
-        acc = mat_mul(acc, rows, ctx.zero)
+        acc = R.mul_mat(acc, rows)
         for i in range(r):
-            acc[i][i] = acc[i][i] + c
+            acc[i][i] = R.add(acc[i][i], c)
     return acc
 
 
@@ -298,7 +302,7 @@ def _poly_reduce(ctx, a, k):
     """Truncate every coefficient to its canonical representative mod
     p^k (used by the quadratic Hensel rounds)."""
     pk = ctx.p ** k
-    return [ctx.scalar([c % pk for c in x.c]) for x in a]
+    return [WittScalar(ctx, tuple(c % pk for c in x.c)) for x in a]
 
 
 def _trim_monic(ctx, a, length):
@@ -312,24 +316,22 @@ def _trim_monic(ctx, a, length):
     return a
 
 
+def _poly_zip(ctx, op, a, b):
+    """Coefficientwise op (a raw ``WittContext`` op) of two polynomials,
+    the shorter one padded with zeros."""
+    m = max(len(a), len(b))
+    zero = ctx.zero
+    a = list(a) + [zero] * (m - len(a))
+    b = list(b) + [zero] * (m - len(b))
+    return [WittScalar(ctx, op(x.c, y.c)) for x, y in zip(a, b)]
+
+
 def _poly_add_pad(ctx, a, b):
-    la, lb = len(a), len(b)
-    out = []
-    for i in range(max(la, lb)):
-        x = a[i] if i < la else ctx.zero
-        y = b[i] if i < lb else ctx.zero
-        out.append(x + y)
-    return out
+    return _poly_zip(ctx, ctx.add, a, b)
 
 
 def _poly_sub(ctx, a, b):
-    la, lb = len(a), len(b)
-    out = []
-    for i in range(max(la, lb)):
-        x = a[i] if i < la else ctx.zero
-        y = b[i] if i < lb else ctx.zero
-        out.append(x - y)
-    return out
+    return _poly_zip(ctx, ctx.sub, a, b)
 
 
 def segment_factorization(ctx, F):
@@ -402,14 +404,13 @@ class FIsocrystal:
 
     @staticmethod
     def from_int_matrix(ctx, rows, denominator=0):
-        return FIsocrystal(
-            ctx, SemilinearMap.from_int_rows(ctx, rows, twist=1,
-                                             denominator=denominator))
+        return FIsocrystal(ctx, SemilinearMap(ctx, rows, twist=1,
+                                              denominator=denominator))
 
     def at_precision(self, N2):
         ctx2 = self.ctx.with_precision(N2)
         return FIsocrystal(ctx2, SemilinearMap(
-            ctx2, transport(ctx2, self.phi.rows), twist=1,
+            ctx2, self.phi.rows, twist=1,
             denominator=self.phi.denominator))
 
     def inverse_numerator(self):
@@ -432,7 +433,8 @@ class FIsocrystal:
         sigma^{-1}."""
         a_adj, vdet = self.inverse_numerator()
         e = (-1) % self.ctx.n
-        rows = [[x.frobenius(e) for x in row] for row in a_adj]
+        frob = ring(self.ctx).frob
+        rows = [[frob(x, e) for x in row] for row in a_adj]
         return SemilinearMap(self.ctx, rows, e,
                              vdet - self.phi.denominator - 1,
                              loss=self.phi.loss)
@@ -441,9 +443,8 @@ class FIsocrystal:
         img = self.phi(self.M)
         if not self.M.contains(img):
             return False
-        pM = Lattice.from_columns(
-            self.ctx, self.rank,
-            [[x * self.ctx.p for x in c] for c in self.M.basis_columns()])
+        pM = Lattice.from_columns(self.ctx, self.rank,
+                                  self.M._scaled_cols(1))
         return img.contains(pM)
 
     def __repr__(self):
@@ -465,7 +466,7 @@ def newton_slopes(crystal: FIsocrystal):
     work = crystal
     for attempt in range(3):
         lam = work.linearization()
-        F = charpoly(work.ctx, [list(r) for r in lam.rows])
+        F = charpoly(work.ctx, ring(work.ctx).wrap_mat(lam.rows))
         try:
             np_ = newton_polygon(work.ctx, F, loss=crystal.phi.loss)
             return [(Fraction(v, n) - d, m) for (v, m) in np_]
@@ -505,11 +506,11 @@ class SlopeData:
                 for (a, m) in self.slopes}
 
 
-def _matrix_content(rows):
+def _matrix_content(R, rows):
     best = None
     for r in rows:
         for x in r:
-            v = x.valuation()
+            v = R.val(x)
             if best is None or v < best:
                 best = v
             if best == 0:
@@ -553,12 +554,12 @@ def _slope_split_at(crystal, b, n_work):
     ctx = crystal.ctx
     big = crystal.at_precision(n_work)
     bctx = big.ctx
-    lam = big.linearization()
-    lam_rows = [list(rw) for rw in lam.rows]
+    R = ring(bctx)
+    lam_rows = big.linearization().rows
     lam_b = lam_rows
     for _ in range(b - 1):
-        lam_b = mat_mul(lam_b, lam_rows, bctx.zero)
-    F = charpoly(bctx, lam_b)
+        lam_b = R.mul_mat(lam_b, lam_rows)
+    F = charpoly(bctx, R.wrap_mat(lam_b))
     np_ = newton_polygon(bctx, F)
     if any(v.denominator != 1 for (v, _) in np_):
         raise FieldTooSmall(
@@ -578,15 +579,14 @@ def _slope_split_at(crystal, b, n_work):
         w, wden = _poly_inverse_mod(bctx, q, fac)
         pnum = poly_mul(bctx, q, w)
         mat = poly_eval_matrix(bctx, pnum, lam_b)
-        content = min(_matrix_content(mat), wden)
+        content = min(_matrix_content(R, mat), wden)
         if content:
-            mat = [[x.divide_p(content) for x in row] for row in mat]
+            mat = [[R.divide_p(x, content) for x in row] for row in mat]
         den = wden - content
         if n_work - wden < ctx.N:
             raise PrecisionExhausted("projector denominators ate the guard")
         # publish at the context precision
-        proj = SemilinearMap(ctx, transport(ctx, mat), twist=0,
-                             denominator=den, loss=den)
+        proj = SemilinearMap(ctx, mat, twist=0, denominator=den, loss=den)
         projectors[alpha] = proj
         comp = _projector_fixed_lattice(ctx, proj)
         components[alpha] = comp
@@ -613,28 +613,23 @@ def _poly_inverse_mod(ctx, q, fac):
     rows = [[cols[j][i] for j in range(m)] for i in range(m)]
     inv_rows, vden = invert_matrix(ctx, rows)
     # w = inv * e_0 (the constant polynomial 1), scaled by p^{-vden}
-    w = [inv_rows[i][0] for i in range(m)]
+    w = ring(ctx).wrap_col([inv_rows[i][0] for i in range(m)])
     return w, vden
 
 
 def _projector_fixed_lattice(ctx, proj):
     """M intersect image(proj) = kernel of (1 - proj) on the standard
     lattice (saturated)."""
-    r = proj.nrows
-    den = proj.denominator
-    pk = ctx.scalar(ctx.p ** den)
+    R = ring(ctx)
+    pk = R.of_int(ctx.p ** proj.denominator)
     rows = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            x = -proj.rows[i][j]
-            if i == j:
-                x = x + pk
-            row.append(x)
+    for i, prow in enumerate(proj.rows):
+        row = list(map(R.neg, prow))
+        row[i] = R.add(row[i], pk)
         rows.append(row)
     neff = ctx.N - proj.loss
     kern = matrix_kernel(ctx, rows, neff)
-    return Lattice.from_columns(ctx, r, kern, loss=proj.loss)
+    return Lattice.from_columns(ctx, proj.nrows, kern, loss=proj.loss)
 
 
 def _validate_projectors(crystal, projectors):
@@ -671,20 +666,18 @@ def _maps_equal(f, g):
     d = max(f.denominator, g.denominator)
     loss = max(f.loss, g.loss) + max(d - f.denominator, d - g.denominator)
     neff = ctx.N - min(loss, ctx.N - 1)
-    pm = ctx.p ** neff
-    a = ctx.p ** (d - f.denominator)
-    b = ctx.p ** (d - g.denominator)
-    for r1, r2 in zip(f.rows, g.rows):
-        for x, y in zip(r1, r2):
-            if any((u * a - w * b) % pm for u, w in zip(x.c, y.c)):
-                return False
-    return True
+    R = ring(ctx)
+    a = R.of_int(ctx.p ** (d - f.denominator))
+    b = R.of_int(ctx.p ** (d - g.denominator))
+    return all(R.vanishes(R.axpy(R.scale(r1, a), b, r2), neff)
+               for r1, r2 in zip(f.rows, g.rows))
 
 
 def _map_is_zero(f):
     ctx = f.ctx
     neff = ctx.N - min(f.loss + max(f.denominator, 0), ctx.N - 1)
-    return all(all(x.valuation() >= neff for x in r) for r in f.rows)
+    vanishes = ring(ctx).vanishes
+    return all(vanishes(r, neff) for r in f.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -700,17 +693,13 @@ def vec_to_mat(vec, r):
 
 
 def sandwich_map(ctx, left_rows, right_rows, twist=0, denominator=0, loss=0):
-    """The map x |-> L sigma^twist(x) R on r x r matrices, flattened
-    row-major to r^2 coordinates."""
-    r = len(left_rows)
-    big = []
-    for i in range(r):
-        for j in range(r):
-            row = []
-            for k in range(r):
-                for l in range(r):
-                    row.append(left_rows[i][k] * right_rows[l][j])
-            big.append(row)
+    """The map x |-> L sigma^twist(x) R on raw r x r matrices, flattened
+    row-major to r^2 coordinates: row (i, j) is the outer product of row
+    i of L and column j of R."""
+    scale = ring(ctx).scale
+    right_cols = list(zip(*right_rows))
+    big = [[y for a in lrow for y in scale(rcol, a)]
+           for lrow in left_rows for rcol in right_cols]
     return SemilinearMap(ctx, big, twist=twist, denominator=denominator,
                          loss=loss)
 
@@ -761,9 +750,8 @@ def block_projector(crystal, slope_data, pairs):
         term = _hom_block_map(ctx, slope_data, src, dst)
         acc = term if acc is None else acc.add(term)
     if acc is None:
-        r = crystal.rank
-        zero_rows = [[ctx.zero] * (r * r) for _ in range(r * r)]
-        acc = SemilinearMap(ctx, zero_rows)
+        r2 = crystal.rank ** 2
+        acc = SemilinearMap(ctx, [[ring(ctx).zero] * r2] * r2)
     return acc
 
 
@@ -774,8 +762,7 @@ def _hom_block_map(ctx, slope_data, src, dst):
     den = e_src.denominator + e_dst.denominator
     loss = max(e_src.loss, e_dst.loss) + min(e_src.denominator,
                                              e_dst.denominator)
-    return sandwich_map(ctx, [list(r) for r in e_dst.rows],
-                        [list(r) for r in e_src.rows],
+    return sandwich_map(ctx, e_dst.rows, e_src.rows,
                         twist=0, denominator=den, loss=loss)
 
 

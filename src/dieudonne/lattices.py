@@ -19,18 +19,17 @@ Every elimination in the package goes through this module's primitives:
   a basis (intersections, stable-sublattice refinement, trace duals);
 - Smith: ``smith_valuations``, the sorted pivot valuations of the echelon.
 
-The echelon, the substitution, the canonical cross-reduction
-(``_cross_reduce``) and ``SemilinearMap.apply_raw`` run on raw
-coefficients, through the ring ``matrix.ring(ctx)``: an int in [0, p^N)
-when n = 1, the coefficient tuple when n > 1.  They are written against
-its column ops ``axpy``, ``scale``, ``pivot``/``val``, balanced
-``divide_p``, unit ``inverse``, ``vanishes`` and the zero test
-``x == R.zero``.  ``WittScalar`` stays at the boundary: ``Lattice.cols``,
-``SemilinearMap.rows`` and returned coordinates are scalars, while the
-solve echelon ``Lattice._ech`` and each map's ``_raw_rows`` stay raw.
-
-Products and recombinations are ``matrix.mat_mul`` or, on raw entries,
-``R.mul_mat``.
+Every entry here is a raw coefficient of the ring ``matrix.ring(ctx)``:
+an int in [0, p^N) when n = 1, the coefficient tuple when n > 1.
+``Lattice.cols``, ``Lattice.ech``, ``SemilinearMap.rows``, solve
+coordinates, kernels and inverses all hold that one format, and the code
+is written against the ring's column ops ``axpy``, ``scale``,
+``pivot``/``val``, balanced ``divide_p``, unit ``inverse``, ``vanishes``,
+``mul_mat`` and the zero test ``x == R.zero``.  Constructors and the
+matrix entry points (``Lattice.from_columns``, ``Lattice.solve``,
+``SemilinearMap``, ``invert_matrix``, ``matrix_kernel``,
+``smith_valuations``) also accept ints and ``WittScalar`` entries, through
+one ``raw_col`` pass; ``Lattice.basis_columns()`` is the scalar view.
 
 Semilinear maps are v |-> p^{-denominator} * A * sigma^twist(v).
 """
@@ -39,8 +38,7 @@ from __future__ import annotations
 
 from . import modp
 from .errors import InclusionViolated, PrecisionExhausted, SingularMap
-from .matrix import identity, mat_mul, ring, transport
-from .witt import WittScalar
+from .matrix import ring
 
 
 def _reduce_columns(ctx, cols, neff, track=False, nrows=None):
@@ -161,11 +159,11 @@ class Lattice:
 
     ``cols``/``pivots`` are the canonical presentation (sorted by pivot
     row); ``ech``/``ech_pivots`` keep the processing-order echelon used for
-    membership solves, stored raw (``_ech``) since only solves read it.
+    membership solves.  Both hold raw columns.
     """
 
     __slots__ = ("ctx", "ambient", "cols", "pivots", "scale", "loss",
-                 "_ech", "ech_pivots")
+                 "ech", "ech_pivots")
 
     def __init__(self, ctx, ambient, cols, pivots, scale, loss, ech,
                  ech_pivots):
@@ -175,7 +173,7 @@ class Lattice:
         self.pivots = pivots
         self.scale = scale
         self.loss = loss
-        self._ech = ech
+        self.ech = ech
         self.ech_pivots = ech_pivots
 
     # -- constructors ---------------------------------------------------------
@@ -194,32 +192,25 @@ class Lattice:
                 f"accumulated loss {loss} has consumed half the working "
                 f"precision {ctx.N}; raise the precision exponent")
         neff = ctx.N - loss
-        R = ring(ctx)
-        cols = [R.raw_col(col) for col in columns]
+        cols = ring(ctx).raw_mat(columns)
         for col in cols:
             if len(col) != ambient:
                 raise ValueError("column length does not match ambient rank")
         ech, pivots, _, _ = _reduce_columns(ctx, cols, neff, nrows=ambient)
         canon = _cross_reduce(ctx, ech, pivots)
         order = sorted(range(len(canon)), key=lambda t: pivots[t][0])
-        ccols = [tuple(R.wrap_col(canon[t])) for t in order]
-        cpivs = [pivots[t] for t in order]
-        return Lattice(ctx, ambient, tuple(ccols), tuple(cpivs), scale, loss,
+        ccols = tuple(tuple(canon[t]) for t in order)
+        cpivs = tuple(pivots[t] for t in order)
+        return Lattice(ctx, ambient, ccols, cpivs, scale, loss,
                        tuple(tuple(c) for c in ech), tuple(pivots))
 
     @staticmethod
     def standard(ctx, rank):
-        return Lattice.from_columns(ctx, rank,
-                                    identity(rank, ctx.zero, ctx.one))
+        return Lattice.from_columns(ctx, rank, ring(ctx).identity(rank))
 
     @staticmethod
     def zero(ctx, ambient):
         return Lattice(ctx, ambient, (), (), 0, 0, (), ())
-
-    @staticmethod
-    def from_int_columns(ctx, ambient, columns, scale=0):
-        cols = [[ctx.scalar(x) for x in col] for col in columns]
-        return Lattice.from_columns(ctx, ambient, cols, scale=scale)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -231,22 +222,22 @@ class Lattice:
     def neff(self):
         return self.ctx.N - self.loss
 
-    @property
-    def ech(self):
-        """The processing-order echelon basis, as scalar columns."""
-        wrap = ring(self.ctx).wrap_col
-        return tuple(tuple(wrap(c)) for c in self._ech)
-
     def basis_columns(self):
-        """Canonical integral basis columns (the lattice is p^{-scale}
-        times their span)."""
-        return [list(c) for c in self.cols]
+        """Canonical integral basis columns as ``WittScalar`` lists (the
+        lattice is p^{-scale} times their span)."""
+        return ring(self.ctx).wrap_mat(self.cols)
 
     def with_loss(self, loss):
         if loss == self.loss:
             return self
         return Lattice(self.ctx, self.ambient, self.cols, self.pivots,
-                       self.scale, loss, self._ech, self.ech_pivots)
+                       self.scale, loss, self.ech, self.ech_pivots)
+
+    def _scaled_cols(self, k):
+        """The basis columns times p^k."""
+        R = ring(self.ctx)
+        m = R.of_int(self.ctx.p ** k)
+        return [R.scale(col, m) for col in self.cols]
 
     def folded(self):
         """Fold a negative scale into the basis (multiplication only, so
@@ -254,9 +245,8 @@ class Lattice:
         if self.scale >= 0 or not self.cols:
             return self if self.scale >= 0 else Lattice.zero(
                 self.ctx, self.ambient).with_loss(self.loss)
-        m = self.ctx.p ** (-self.scale)
-        cols = [[x * m for x in col] for col in self.cols]
-        return Lattice.from_columns(self.ctx, self.ambient, cols,
+        return Lattice.from_columns(self.ctx, self.ambient,
+                                    self._scaled_cols(-self.scale),
                                     scale=0, loss=self.loss)
 
     def normalized(self):
@@ -272,20 +262,19 @@ class Lattice:
                 return self
             return Lattice.zero(self.ctx, self.ambient).with_loss(self.loss)
         if self.scale < 0:
-            m = self.ctx.p ** (-self.scale)
-            cols = [[x * m for x in col] for col in self.cols]
-            return Lattice.from_columns(self.ctx, self.ambient, cols,
-                                        scale=0, loss=self.loss)
-        content = min(min(x.valuation() for x in col) for col in self.cols)
+            return self.folded()
+        R = ring(self.ctx)
+        content = min(R.val(x) for col in self.cols for x in col)
         take = min(content, self.scale)
         if take <= 0:
             return self
-        cols = [[x.divide_p(take) for x in col] for col in self.cols]
+        cols = [[R.divide_p(x, take) for x in col] for col in self.cols]
         return Lattice.from_columns(self.ctx, self.ambient, cols,
                                     scale=self.scale - take, loss=self.loss)
 
     def solve(self, vector, vscale=0):
-        """Coordinates of p^{-vscale} * vector in this lattice, or None.
+        """Raw coordinates of p^{-vscale} * vector in this lattice, or
+        None.
 
         The returned coordinate vector x satisfies basis * x = vector up to
         scales; non-integral coordinates mean non-membership.  When the
@@ -309,10 +298,10 @@ class Lattice:
             if neff <= 0:
                 raise PrecisionExhausted(
                     "scale gap exhausted the working precision")
-        coords, rest = _back_substitute(ctx, self._ech, self.ech_pivots, vec)
+        coords, rest = _back_substitute(ctx, self.ech, self.ech_pivots, vec)
         if coords is None or not R.vanishes(rest, neff):
             return None
-        return R.wrap_col(coords)
+        return coords
 
     def contains_vector(self, vector, vscale=0):
         return self.solve(vector, vscale) is not None
@@ -320,7 +309,7 @@ class Lattice:
     def contains(self, other):
         if other.ambient != self.ambient:
             raise ValueError("ambient ranks differ")
-        return all(self.solve(list(c), other.scale) is not None
+        return all(self.solve(c, other.scale) is not None
                    for c in other.cols)
 
     def equals(self, other):
@@ -344,16 +333,7 @@ class Lattice:
 
 def _unify_scales(l1: Lattice, l2: Lattice):
     s = max(l1.scale, l2.scale)
-    p = l1.ctx.p
-
-    def shifted(lat):
-        d = s - lat.scale
-        if d == 0:
-            return [list(c) for c in lat.cols]
-        m = p ** d
-        return [[x * m for x in c] for c in lat.cols]
-
-    return s, shifted(l1), shifted(l2)
+    return s, l1._scaled_cols(s - l1.scale), l2._scaled_cols(s - l2.scale)
 
 
 def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
@@ -375,7 +355,8 @@ def intersect(l1: Lattice, l2: Lattice) -> Lattice:
     s, c1, c2 = _unify_scales(l1, l2)
     if not c1 or not c2:
         return Lattice.zero(ctx, l1.ambient)
-    stacked = c1 + [[ctx.zero - x for x in c] for c in c2]
+    neg = ring(ctx).neg
+    stacked = c1 + [list(map(neg, c)) for c in c2]
     gens = kernel_span(ctx, stacked, c1, neff, l1.ambient)
     return Lattice.from_columns(ctx, l1.ambient, gens, scale=s,
                                 loss=loss).folded()
@@ -383,25 +364,23 @@ def intersect(l1: Lattice, l2: Lattice) -> Lattice:
 
 def kernel_span(ctx, cols, basis, neff, nrows):
     """The saturated kernel {k : sum_j k_j cols_j = 0 mod p^neff} of the
-    columns (each of length nrows), every kernel vector recombined on the
-    basis as sum_j k_j basis_j, in kernel order.  The basis may be shorter
-    than the columns: the columns past it only cut the kernel."""
-    R = ring(ctx)
-    _, _, _, kern = _reduce_columns(ctx, R.raw_mat(cols), neff, track=True,
-                                    nrows=nrows)
+    raw columns (each of length nrows), every kernel vector recombined on
+    the raw basis as sum_j k_j basis_j, in kernel order.  The basis may be
+    shorter than the columns: the columns past it only cut the kernel."""
+    _, _, _, kern = _reduce_columns(ctx, cols, neff, track=True, nrows=nrows)
     m = len(basis)
-    return R.wrap_mat(R.mul_mat([k[:m] for k in kern], R.raw_mat(basis)))
+    return ring(ctx).mul_mat([k[:m] for k in kern], basis)
 
 
 def matrix_kernel(ctx, rows, neff, ncols=None):
     """Saturated kernel {v : A v = 0 mod p^neff} of an integral matrix,
-    returned as a list of columns."""
+    returned as a list of raw columns."""
     R = ring(ctx)
     m = ncols if ncols is not None else (len(rows[0]) if rows else 0)
     nr = len(rows)
     cols = [R.raw_col([rows[i][j] for i in range(nr)]) for j in range(m)]
     _, _, _, kern = _reduce_columns(ctx, cols, neff, track=True, nrows=nr)
-    return R.wrap_mat(kern)
+    return kern
 
 
 def saturate(lattice: Lattice, ambient: Lattice) -> Lattice:
@@ -420,10 +399,10 @@ def saturate(lattice: Lattice, ambient: Lattice) -> Lattice:
     for col in lattice.cols:
         # saturation only sees the rational span, so coordinates of the
         # raw integral columns (scale ignored) avoid spurious divisions
-        x = ambient.solve(list(col), ambient.scale)
+        x = ambient.solve(col, ambient.scale)
         if x is None:
             # membership may only hold after clearing p-denominators
-            x = _solve_rational(ambient, list(col), ambient.scale)
+            x = _solve_rational(ambient, col, ambient.scale)
         if x is None:
             raise InclusionViolated("lattice is not inside ambient[1/p]")
         coords.append(x)
@@ -432,10 +411,10 @@ def saturate(lattice: Lattice, ambient: Lattice) -> Lattice:
         return Lattice.zero(ctx, lattice.ambient)
     # the kernel of the coordinate rows, then the kernel of that kernel
     left = matrix_kernel(ctx, coords, neff, ncols=m)
-    sat_coords = (matrix_kernel(ctx, left, neff, ncols=m) if left
-                  else identity(m, ctx.zero, ctx.one))
     R = ring(ctx)
-    gens = R.wrap_mat(R.mul_mat(R.raw_mat(sat_coords), ambient._ech))
+    sat_coords = (matrix_kernel(ctx, left, neff, ncols=m) if left
+                  else R.identity(m))
+    gens = R.mul_mat(sat_coords, ambient.ech)
     out = Lattice.from_columns(ctx, lattice.ambient, gens,
                                scale=ambient.scale, loss=loss)
     return out.folded()
@@ -446,8 +425,9 @@ def _solve_rational(lattice: Lattice, vector, vscale):
     p^k * vector for the smallest k that makes it land in the lattice,
     scaled back (used only to certify membership after saturation)."""
     ctx = lattice.ctx
+    R = ring(ctx)
     for k in range(ctx.N - lattice.loss):
-        scaled = [x * (ctx.p ** k) for x in (ctx.scalar(v) for v in vector)]
+        scaled = R.scale(vector, R.of_int(ctx.p ** k))
         x = lattice.solve(scaled, vscale)
         if x is not None:
             return x
@@ -459,14 +439,15 @@ def mod_p_dimension(sub: Lattice, sup: Lattice) -> int:
     ctx = sub.ctx
     coords = []
     for col in sub.cols:
-        x = sup.solve(list(col), sub.scale)
+        x = sup.solve(col, sub.scale)
         if x is None:
             raise InclusionViolated("sub-lattice not contained in sup")
         coords.append(x)
     m = sup.rank
     if m == 0:
         return 0
-    rows = [[coords[j][i].residue() for j in range(len(coords))]
+    residue = ring(ctx).residue
+    rows = [[residue(coords[j][i]) for j in range(len(coords))]
             for i in range(m)]
     return m - modp.gf_rank(ctx, rows)
 
@@ -478,33 +459,26 @@ def mod_p_dimension(sub: Lattice, sup: Lattice) -> int:
 class SemilinearMap:
     """v |-> p^{-denominator} * matrix * sigma^twist(v).
 
-    ``matrix`` is stored as a tuple of rows of WittScalar; the denominator
-    may be negative (a net p-multiple).  ``loss`` records one-time
-    precision spent building the matrix (e.g. a p-power divided out of an
-    inverse); entries are then trusted modulo p^{N - loss} and products
-    inherit the maximum loss of their factors.  ``apply_raw`` reads the
-    raw rows, built on its first call (they share the scalars'
-    coefficients).
+    ``rows`` holds the matrix as a tuple of raw rows (given as ints,
+    scalars or raw entries); the denominator may be negative (a net
+    p-multiple).  ``loss`` records one-time precision spent building the
+    matrix (e.g. a p-power divided out of an inverse); entries are then
+    trusted modulo p^{N - loss} and products inherit the maximum loss of
+    their factors.
     """
 
-    __slots__ = ("ctx", "rows", "twist", "denominator", "loss", "_raw_rows")
+    __slots__ = ("ctx", "rows", "twist", "denominator", "loss")
 
     def __init__(self, ctx, rows, twist=0, denominator=0, loss=0):
         self.ctx = ctx
-        self.rows = tuple(tuple(ctx.scalar(x) for x in r) for r in rows)
+        self.rows = tuple(map(tuple, ring(ctx).raw_mat(rows)))
         self.twist = twist % ctx.n
         self.denominator = denominator
         self.loss = loss
-        self._raw_rows = None
 
     @staticmethod
     def identity(ctx, r):
-        return SemilinearMap(ctx, identity(r, ctx.zero, ctx.one))
-
-    @staticmethod
-    def from_int_rows(ctx, rows, twist=0, denominator=0):
-        return SemilinearMap(ctx, [[ctx.scalar(x) for x in r] for r in rows],
-                             twist, denominator)
+        return SemilinearMap(ctx, ring(ctx).identity(r))
 
     @property
     def nrows(self):
@@ -515,23 +489,23 @@ class SemilinearMap:
         return len(self.rows[0]) if self.rows else 0
 
     def apply_raw(self, col):
-        """Integral part of the action on a column (denominator ignored)."""
+        """Integral part of the action on a raw column (denominator
+        ignored)."""
         R = ring(self.ctx)
-        x = R.raw_col(col)
         if self.twist:
-            x = [R.frob(v, self.twist) for v in x]
+            col = [R.frob(v, self.twist) for v in col]
         dot = R.dot
-        return R.wrap_col([dot(row, x) for row in self._raw(R)])
+        return [dot(row, col) for row in self.rows]
 
-    def _raw(self, R):
-        if self._raw_rows is None:
-            self._raw_rows = R.raw_mat(self.rows)
-        return self._raw_rows
+    def _twisted_rows(self, e):
+        """sigma^e applied to every entry."""
+        frob = ring(self.ctx).frob
+        return [[frob(x, e) for x in row] for row in self.rows]
 
     def __call__(self, lattice: Lattice) -> Lattice:
         """Image lattice; the denominator moves into the scale (kept as
         presentation: no entry is ever divided)."""
-        cols = [self.apply_raw(list(c)) for c in lattice.cols]
+        cols = [self.apply_raw(c) for c in lattice.cols]
         return Lattice.from_columns(self.ctx, self.nrows, cols,
                                     scale=lattice.scale + self.denominator,
                                     loss=max(lattice.loss, self.loss)
@@ -541,10 +515,8 @@ class SemilinearMap:
         """self after other."""
         ctx = self.ctx
         e = self.twist
-        orows = other.rows
-        twisted = [[WittScalar(ctx, ctx.frobenius(x.c, e)) for x in r]
-                   for r in orows] if e else orows
-        rows = mat_mul(self.rows, twisted, ctx.zero)
+        twisted = other._twisted_rows(e) if e else other.rows
+        rows = ring(ctx).mul_mat(self.rows, twisted)
         return SemilinearMap(ctx, rows, self.twist + other.twist,
                              self.denominator + other.denominator,
                              loss=max(self.loss, other.loss))
@@ -557,16 +529,17 @@ class SemilinearMap:
         d = max(self.denominator, other.denominator)
         a = R.of_int(ctx.p ** (d - self.denominator))
         b = R.of_int(ctx.p ** (d - other.denominator))
-        rows = R.add_mat([R.scale(row, a) for row in self._raw(R)],
-                         [R.scale(row, b) for row in other._raw(R)])
-        return SemilinearMap(ctx, R.wrap_mat(rows), self.twist, d,
+        rows = R.add_mat([R.scale(row, a) for row in self.rows],
+                         [R.scale(row, b) for row in other.rows])
+        return SemilinearMap(ctx, rows, self.twist, d,
                              loss=max(self.loss, other.loss))
 
     def sub(self, other: "SemilinearMap") -> "SemilinearMap":
         return self.add(other.scale_int(-1))
 
     def scale_int(self, m: int) -> "SemilinearMap":
-        rows = [[x * m for x in r] for r in self.rows]
+        R = ring(self.ctx)
+        rows = [R.scale(r, R.of_int(m)) for r in self.rows]
         return SemilinearMap(self.ctx, rows, self.twist, self.denominator,
                              loss=self.loss)
 
@@ -579,11 +552,11 @@ class SemilinearMap:
         """Inverse map; requires bijectivity after inverting p.  The
         numerator is produced exactly (boosted internal precision), so no
         loss is added beyond the map's own."""
-        inv_num, vdet = invert_matrix_exact(self.ctx, self.rows)
         ctx = self.ctx
+        inv_num, vdet = invert_matrix_exact(ctx, self.rows)
         e = (-self.twist) % ctx.n
-        rows = [[WittScalar(ctx, ctx.frobenius(x.c, e)) for x in r]
-                for r in inv_num]
+        frob = ring(ctx).frob
+        rows = [[frob(x, e) for x in r] for r in inv_num]
         return SemilinearMap(ctx, rows, e, vdet - self.denominator,
                              loss=self.loss)
 
@@ -591,12 +564,13 @@ class SemilinearMap:
         """Cancel common p-content between matrix and denominator."""
         if self.denominator <= 0:
             return self
-        v = min(min((x.valuation() for x in r), default=self.ctx.N)
+        R = ring(self.ctx)
+        v = min(min((R.val(x) for x in r), default=self.ctx.N)
                 for r in self.rows)
         k = min(v, self.denominator)
         if k <= 0:
             return self
-        rows = [[x.divide_p(k) for x in r] for r in self.rows]
+        rows = [[R.divide_p(x, k) for x in r] for r in self.rows]
         return SemilinearMap(self.ctx, rows, self.twist,
                              self.denominator - k, loss=self.loss)
 
@@ -606,7 +580,8 @@ class SemilinearMap:
 
 
 def invert_matrix(ctx, rows):
-    """(numerator, vdet) with inverse = p^{-vdet} * numerator.
+    """(numerator, vdet) with inverse = p^{-vdet} * numerator, the
+    numerator raw.
 
     Solves A X = p^{vdet} I through the tracked echelon; raises SingularMap
     when the determinant vanishes at the working precision.
@@ -633,7 +608,7 @@ def invert_matrix(ctx, rows):
                 "inverse not resolvable at working precision")
         coords.append(x)
     out_cols = R.mul_mat(coords, trans)
-    return [R.wrap_col(row) for row in zip(*out_cols)], vdet
+    return [list(row) for row in zip(*out_cols)], vdet
 
 
 def smith_valuations(ctx, rows, neff=None):
@@ -658,14 +633,16 @@ def invert_matrix_exact(ctx, rows):
     internal precision on the integer representatives (which are taken as
     the definition of the matrix), so the published numerator is exact at
     the context precision and costs no loss."""
+    R = ring(ctx)
+    rows = R.raw_mat(rows)
     inv, vdet = invert_matrix(ctx, rows)
     if vdet == 0:
         return inv, vdet
     big = ctx.with_precision(ctx.N + vdet + 2)
-    binv, v2 = invert_matrix(big, transport(big, rows))
+    binv, v2 = invert_matrix(big, rows)
     if v2 != vdet:
         raise PrecisionExhausted("determinant valuation is not stable")
-    return transport(ctx, binv), vdet
+    return R.raw_mat(binv), vdet
 
 
 def restrict_map(f: SemilinearMap, lattice: Lattice) -> SemilinearMap:
@@ -676,7 +653,7 @@ def restrict_map(f: SemilinearMap, lattice: Lattice) -> SemilinearMap:
     ctx = f.ctx
     cols = []
     for c in lattice.ech:
-        img = f.apply_raw(list(c))
+        img = f.apply_raw(c)
         x = lattice.solve(img, lattice.scale + f.denominator)
         if x is None:
             raise InclusionViolated("lattice is not stable under the map")

@@ -1,27 +1,28 @@
-"""Dense matrices and the raw-coefficient kernel shared by every layer.
+"""Dense matrices over one raw-coefficient ring, the one entry format of
+every matrix-level object.
 
-Matrices are lists of rows.  At the API boundary their entries are ring
-elements with ``+``, ``-``, ``*`` and ``is_zero()``, and callers pass the
-zero (and one) of their ring.  Inside, every product, sum and inverse runs
-on raw coefficients through a ring object:
-
-- ``ring(ctx)`` for W(F_q) mod p^N.  A raw coefficient is a Python int in
-  [0, p^N) when n = 1, and the coefficient tuple of a ``WittScalar``,
-  combined through the raw ops of ``WittContext``, when n > 1.  The ring is
-  chosen by ``ctx.n`` alone.
-- Entries of any other ring (``TruncatedSeries``) are their own raw form,
-  and ``is_zero()`` skips them, so a skipped entry never narrows a series'
-  validity window.
+Matrices are lists of rows.  ``ring(ctx)`` decides the entry format of
+W(F_q) mod p^N once, by ``ctx.n`` alone: a raw coefficient is a Python
+int in [0, p^N) when n = 1, and a power-basis coefficient tuple, combined
+through the raw ops of ``WittContext``, when n > 1.  Lattice columns,
+semilinear-map rows, solve coordinates and inverses all hold that format;
+``WittScalar`` is only the parsing and display boundary (``raw_col`` and
+``wrap_col`` cross it) and the coefficient type of the polynomial and
+series layers.  ``raw_col`` also re-reduces raw entries of another
+precision, so moving exact data between precision contexts is one
+``ring(target).raw_mat`` pass.
 
 The matrix kernels (``_Ring.mul_mat``, ``add_mat``, ``sub_mat``,
 ``identity``, ``nilpotent_inverse``) are written once over each ring's
 entry ops: ``zero``, ``one``, ``add``, ``sub``, ``neg``, ``dot`` (a row
 times a column) and ``is_zero``.  The Witt rings add the column-level ops
-the echelon kernel of ``lattices`` is written against: ``axpy``, ``scale``,
-``pivot`` (the first entry of least valuation), ``val``, balanced
-``divide_p``, unit ``inverse``, ``vanishes`` and the zero test
-``x == R.zero``.  Conversion happens at the boundary only: ``raw_col`` and
-``wrap_col`` move a column between ``WittScalar`` entries and raw ones.
+the echelon kernel of ``lattices`` and its callers are written against:
+``axpy``, ``scale``, ``pivot`` (the first entry of least valuation),
+``val``, balanced ``divide_p``, unit ``inverse``, ``frob``, ``residue``,
+``vanishes`` and the zero test ``x == R.zero``.  ``_EntryRing`` makes
+entries that carry their own arithmetic (``TruncatedSeries``) their own
+raw form, and its ``dot`` skips zero entries, so a skipped entry never
+narrows a series' validity window.
 
 These helpers sit below the layer modules, beside ``modp`` and ``series``,
 because the benchmark's tracer (``bench/tracer.py``) wraps every public
@@ -89,15 +90,9 @@ class _EntryRing(_Ring):
     sub = staticmethod(sub)
     neg = staticmethod(neg)
 
-    def __init__(self, zero, one=None):
+    def __init__(self, zero, one):
         self.zero = zero
         self.one = one
-
-    @staticmethod
-    def raw_col(col):
-        return col
-
-    wrap_col = raw_col
 
     @staticmethod
     def is_zero(x):
@@ -148,8 +143,11 @@ class _IntRing(_WittRing):
     one = 1
 
     def raw_col(self, col):
-        ctx = self.ctx
-        return [x.c[0] if type(x) is WittScalar and x.ctx is ctx
+        """Raw entries from ints, raw entries of any precision (reduced
+        modulo this p^N), this context's scalars or coefficient arrays."""
+        ctx, pN = self.ctx, self.pN
+        return [x % pN if type(x) is int
+                else x.c[0] if type(x) is WittScalar and x.ctx is ctx
                 else ctx.scalar(x).c[0] for x in col]
 
     def wrap_col(self, col):
@@ -202,6 +200,10 @@ class _IntRing(_WittRing):
     def frob(a, e):
         return a
 
+    def residue(self, a):
+        """The residue-field element, as ``WittContext.residue`` gives it."""
+        return (a % self.p,)
+
     @staticmethod
     def rem(a, m):
         """The representative of a modulo the integer m."""
@@ -233,10 +235,15 @@ class _TupleRing(_WittRing):
         self.mul, self.val = ctx.mul, ctx.valuation
         self.divide_p, self.inverse = ctx.divide_p_power, ctx.unit_inverse
         self.frob, self.of_int = ctx.frobenius, ctx.from_int
+        self.residue = ctx.residue
 
     def raw_col(self, col):
-        ctx = self.ctx
-        return [x.c if type(x) is WittScalar and x.ctx is ctx
+        # raw tuples are never negative, so only a wider precision's
+        # coefficients need reducing
+        ctx, pN = self.ctx, self.pN
+        return [(x if max(x) < pN else tuple(c % pN for c in x))
+                if type(x) is tuple
+                else x.c if type(x) is WittScalar and x.ctx is ctx
                 else ctx.scalar(x).c for x in col]
 
     def wrap_col(self, col):
@@ -276,50 +283,3 @@ class _TupleRing(_WittRing):
 def ring(ctx):
     """The raw-coefficient ring of a Witt context, chosen by ctx.n."""
     return _IntRing(ctx) if ctx.n == 1 else _TupleRing(ctx)
-
-
-def _ring_of(zero, one=None):
-    """The ring of matrices whose entries are like ``zero``."""
-    if type(zero) is WittScalar:
-        return ring(zero.ctx)
-    return _EntryRing(zero, one)
-
-
-def _entry(a):
-    return a[0][0] if a and a[0] else None
-
-
-def mat_mul(a, b, zero):
-    """a * b; zero entries contribute nothing (for series, a skipped entry
-    counts as exactly zero and never narrows the product's window)."""
-    R = _ring_of(zero)
-    return R.wrap_mat(R.mul_mat(R.raw_mat(a), R.raw_mat(b)))
-
-
-def mat_add(a, b):
-    R = _ring_of(_entry(a))
-    return R.wrap_mat(R.add_mat(R.raw_mat(a), R.raw_mat(b)))
-
-
-def mat_sub(a, b):
-    R = _ring_of(_entry(a))
-    return R.wrap_mat(R.sub_mat(R.raw_mat(a), R.raw_mat(b)))
-
-
-def identity(r, zero, one):
-    return [[one if i == j else zero for j in range(r)] for i in range(r)]
-
-
-def nilpotent_inverse(n_mat, zero, one, terms):
-    """(1 + N)^{-1}; see ``_Ring.nilpotent_inverse``."""
-    R = _ring_of(zero, one)
-    return R.wrap_mat(R.nilpotent_inverse(R.raw_mat(n_mat), terms))
-
-
-def transport(ctx, rows):
-    """The matrix with the same integer representatives, rebuilt in ctx.
-
-    Moves exact data between precision contexts: entries are reduced
-    modulo the target's p^N, so publishing a boosted result truncates it
-    and lifting keeps the representatives unchanged."""
-    return [[ctx.scalar(x.c) for x in row] for row in rows]

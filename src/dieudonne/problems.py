@@ -31,6 +31,12 @@ from .strata import (group_custom, group_full_gl, group_symplectic,
                      polarized_dim, strata_dims, traverso_dimension)
 from .witt import PRIME_BOUND, is_prime, make_context
 
+# Input bounds beside the p bound (PRIME_BOUND): every accepted problem
+# runs in bounded time and memory.  The corpus stays well inside them.
+RANK_BOUND = 16
+RESIDUE_DEGREE_BOUND = 16
+PRECISION_BOUND = 4096
+
 ANALYSES = ["slopes", "decompose", "ominus", "axioms", "dual", "slices",
             "connection", "trivialize", "correction", "strata", "traverso",
             "polarized"]
@@ -109,17 +115,18 @@ def parse_dict(doc, name=None) -> ProblemSpec:
     _expect(_is_int(p) and p < PRIME_BOUND and is_prime(p), "p",
             "must be a prime below 2^64")
     n = doc.get("n", 1)
-    _expect(_is_int(n) and n >= 1, "n", "must be a positive integer")
+    _expect(_is_int(n) and 1 <= n <= RESIDUE_DEGREE_BOUND, "n",
+            f"must be an integer from 1 to {RESIDUE_DEGREE_BOUND}")
     N = doc.get("precision", 40)
-    _expect(_is_int(N) and N >= 2, "precision",
-            "must be an integer >= 2")
+    _expect(_is_int(N) and 2 <= N <= PRECISION_BOUND, "precision",
+            f"must be an integer from 2 to {PRECISION_BOUND}")
     degree = doc.get("degree", 2 * (p - 1) + 1)
     # the connection's recursion needs the degrees up to p - 1 (>= 1)
     _expect(_is_int(degree) and degree >= p - 1, "degree",
             "must be an integer >= p - 1")
     r = doc["rank"]
-    _expect(_is_int(r) and r >= 1, "rank",
-            "must be a positive integer")
+    _expect(_is_int(r) and 1 <= r <= RANK_BOUND, "rank",
+            f"must be an integer from 1 to {RANK_BOUND}")
     phi = _check_matrix(doc["phi_matrix"], r, n, "phi_matrix")
     _expect(_is_int(doc.get("phi_denominator", 0)), "phi_denominator",
             "must be an integer")
@@ -248,10 +255,8 @@ class Session:
     def crystal(self) -> FIsocrystal:
         if "crystal" not in self._cache:
             ctx = self.ctx()
-            rows = [[ctx.scalar(e) for e in row]
-                    for row in self.spec.phi_matrix]
             self._cache["crystal"] = FIsocrystal(
-                ctx, SemilinearMap(ctx, rows, twist=1,
+                ctx, SemilinearMap(ctx, self.spec.phi_matrix, twist=1,
                                    denominator=self.spec.phi_denominator
                                    or 0))
         return self._cache["crystal"]
@@ -280,22 +285,17 @@ class Session:
     def split(self):
         if "split" not in self._cache:
             spec = self.spec
-            ctx = self.ctx()
             r = spec.rank
             if spec.hodge_f1 is None:
                 from .core import hodge_splitting_from_kernel
                 self._cache["split"] = hodge_splitting_from_kernel(
                     self.crystal())
             elif isinstance(spec.hodge_f1, dict):
-                cols = [[ctx.scalar(e) for e in col]
-                        for col in spec.hodge_f1["columns"]]
-                self._cache["split"] = hodge_splitting(self.crystal(), cols)
+                self._cache["split"] = hodge_splitting(
+                    self.crystal(), spec.hodge_f1["columns"])
             else:
-                cols = []
-                for i in spec.hodge_f1:
-                    col = [ctx.zero] * r
-                    col[i] = ctx.one
-                    cols.append(col)
+                cols = [[int(k == i) for k in range(r)]
+                        for i in spec.hodge_f1]
                 self._cache["split"] = hodge_splitting(self.crystal(), cols)
         return self._cache["split"]
 
@@ -312,14 +312,10 @@ class Session:
                 else:
                     self._cache["lattice_e"] = self.o_minus()
             else:
-                ctx = self.ctx()
                 r = self.spec.rank
-                cols = []
-                for mat in self.spec.lattice_e:
-                    cols.append([ctx.scalar(mat[i][j]) for i in range(r)
-                                 for j in range(r)])
+                cols = [_flatten(mat) for mat in self.spec.lattice_e]
                 self._cache["lattice_e"] = Lattice.from_columns(
-                    ctx, r * r, cols)
+                    self.ctx(), r * r, cols)
         return self._cache["lattice_e"]
 
     def pair_set(self) -> SlopePairSet:
@@ -333,10 +329,7 @@ class Session:
     def deformation_basis(self) -> DeformationBasis:
         if "defbasis" not in self._cache:
             if self.spec.deformation_basis is not None:
-                ctx = self.ctx()
-                r = self.spec.rank
-                vecs = [[ctx.scalar(mat[i][j]) for i in range(r)
-                         for j in range(r)]
+                vecs = [_flatten(mat)
                         for mat in self.spec.deformation_basis]
                 self._cache["defbasis"] = DeformationBasis(
                     vecs, self.lattice_e())
@@ -347,6 +340,12 @@ class Session:
 
     def rng(self):
         return random.Random(self.seed)
+
+
+def _flatten(mat):
+    """A matrix of the problem file, flattened row-major (the End(M)
+    coordinates)."""
+    return [e for row in mat for e in row]
 
 
 def _frac(x) -> str:
@@ -428,8 +427,7 @@ def run_axioms(sess: Session) -> dict:
     out["ok"] = report.all_pass()
     if sess.spec.lie_element_t is not None:
         t_doc = sess.spec.lie_element_t
-        rows = [[ctx.scalar(e) for e in row] for row in t_doc["matrix"]]
-        t = SemilinearMap(ctx, rows,
+        t = SemilinearMap(ctx, t_doc["matrix"],
                           denominator=t_doc.get("denominator", 0))
         try:
             lie_element(E, sess.slope_data(), user_t=t)
@@ -568,20 +566,14 @@ def run_correction(sess: Session) -> dict:
 def run_strata(sess: Session) -> dict:
     spec = sess.spec
     X = sess.crystal()
-    ctx = sess.ctx()
     if spec.group is None or spec.group.get("kind") == "full-gl":
         gd = group_full_gl(X)
     elif spec.group["kind"] == "symplectic":
         if spec.symplectic_gram is None:
             raise ParseError("symplectic group data needs symplectic_gram")
-        gd = group_symplectic(
-            X, [[ctx.scalar(e) for e in row]
-                for row in spec.symplectic_gram])
+        gd = group_symplectic(X, spec.symplectic_gram)
     else:
-        r = spec.rank
-        basis = [[ctx.scalar(mat[i][j]) for i in range(r) for j in range(r)]
-                 for mat in spec.group["basis"]]
-        gd = group_custom(X, basis)
+        gd = group_custom(X, [_flatten(mat) for mat in spec.group["basis"]])
     rep = strata_dims(gd, X, sess.slope_data(), sess.decomp(), sess.split(),
                       sess.tangent())
     out = rep.as_dict()
@@ -609,11 +601,9 @@ def run_polarized(sess: Session) -> dict:
     spec = sess.spec
     if spec.symplectic_gram is None:
         return {"ok": True, "note": "no polarization supplied"}
-    ctx = sess.ctx()
-    gram = [[ctx.scalar(e) for e in row] for row in spec.symplectic_gram]
     lat, closed = polarized_dim(sess.crystal(), sess.slope_data(),
-                                sess.decomp(), sess.split(), gram,
-                                sess.tangent())
+                                sess.decomp(), sess.split(),
+                                spec.symplectic_gram, sess.tangent())
     return {
         "lattice_dimension": lat,
         "closed_form": closed,

@@ -13,13 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import (codim_of_dieudonne, largest_sub_dieudonne, nu_image,
-                   smallest_super_dieudonne)
-from .errors import DualityMismatch, VerificationMismatch
+                   smallest_super_dieudonne, _nonzero_product)
+from .errors import DualityMismatch, PrecisionExhausted, VerificationMismatch
 from .isocrystal import (EndDecomposition, FIsocrystal, SlopeData,
-                         signed_block_lattices, vec_to_mat)
-from .errors import PrecisionExhausted
+                         mat_to_vec, signed_block_lattices, vec_to_mat)
 from .lattices import Lattice, intersect, kernel_span, smith_valuations
-from .matrix import mat_mul, transport
+from .matrix import ring
 
 
 class SlopePairSet:
@@ -83,43 +82,34 @@ class SlopePairSet:
 # trace pairing
 
 
+def _transposed(vec, r):
+    """The flattened transpose of a flattened r x r matrix."""
+    return [vec[j * r + i] for i in range(r) for j in range(r)]
+
+
 def trace_of_vectors(ctx, r, xvec, yvec):
-    """Trace of the product of two flattened endomorphisms."""
-    acc = ctx.zero
-    for i in range(r):
-        for j in range(r):
-            a = xvec[i * r + j]
-            if a.is_zero():
-                continue
-            b = yvec[j * r + i]
-            if not b.is_zero():
-                acc = acc + a * b
-    return acc
+    """Trace of the product of two flattened raw endomorphisms: the dot
+    product of x with the flattened transpose of y."""
+    return ring(ctx).dot(xvec, _transposed(yvec, r))
 
 
 def trace_frobenius_invariant(crystal: FIsocrystal, xvec, yvec) -> bool:
     """Tr(phi x, phi y) = sigma(Tr(x, y)), checked without divisions by
     clearing the conjugation denominators."""
     ctx = crystal.ctx
+    R = ring(ctx)
     r = crystal.rank
     ainv, vdet = crystal.inverse_numerator()
     e = crystal.phi.twist
+    xvec, yvec = R.raw_col(xvec), R.raw_col(yvec)
 
     def conj_num(vec):
-        mat = vec_to_mat([x.frobenius(e) for x in vec], r)
-        left = mat_mul(crystal.phi.rows, mat, ctx.zero)
-        return mat_mul(left, ainv, ctx.zero)
+        mat = vec_to_mat([R.frob(x, e) for x in vec], r)
+        return mat_to_vec(R.mul_mat(R.mul_mat(crystal.phi.rows, mat), ainv))
 
-    nx = conj_num(xvec)
-    ny = conj_num(yvec)
-    lhs = ctx.zero
-    for i in range(r):
-        for j in range(r):
-            if not nx[i][j].is_zero() and not ny[j][i].is_zero():
-                lhs = lhs + nx[i][j] * ny[j][i]
-    rhs = trace_of_vectors(ctx, r, xvec, yvec).frobenius(e)
-    rhs = rhs * (ctx.p ** (2 * vdet))
-    return lhs == rhs
+    lhs = trace_of_vectors(ctx, r, conj_num(xvec), conj_num(yvec))
+    rhs = R.frob(trace_of_vectors(ctx, r, xvec, yvec), e)
+    return [lhs] == R.scale([rhs], R.of_int(ctx.p ** (2 * vdet)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +139,10 @@ def dual_lattice(L: Lattice, reference: Lattice) -> Lattice:
     loss = max(L.loss, reference.loss)
 
     def build(wctx, lcols, zcols):
-        gram = []
-        for xcol in lcols:
-            gram.append([trace_of_vectors(wctx, r, xcol, zcol)
-                         for zcol in zcols])
+        R = ring(wctx)
+        # the Gram matrix: rows of L against index-transposed columns of Z
+        gram = R.mul_mat(lcols, list(zip(*(_transposed(z, r)
+                                             for z in zcols))))
         # the dual depth is the largest elementary divisor of the pairing
         divisors = smith_valuations(wctx, gram, neff=wctx.N - loss)
         if len(divisors) < m:
@@ -161,9 +151,9 @@ def dual_lattice(L: Lattice, reference: Lattice) -> Lattice:
         K = divisors[-1] + S + 1
         if 2 * K + 4 >= wctx.N - loss:
             return None, K
-        pk = wctx.scalar(wctx.p ** K)
+        pk = R.of_int(wctx.p ** K)
         stacked = [[gram[i][j] for i in range(m)] for j in range(m)]
-        stacked += [[pk if i == j else wctx.zero for i in range(m)]
+        stacked += [[pk if i == j else R.zero for i in range(m)]
                     for j in range(m)]
         gens = kernel_span(wctx, stacked, zcols, wctx.N - loss, m)
         out = Lattice.from_columns(wctx, r2, gens,
@@ -172,15 +162,14 @@ def dual_lattice(L: Lattice, reference: Lattice) -> Lattice:
             raise PrecisionExhausted("dual coordinate lattice degenerated")
         return out, K
 
-    lcols = [list(c) for c in L.cols]
-    zcols = [list(c) for c in reference.cols]
-    out, K = build(ctx, lcols, zcols)
+    # raw entries are integer representatives, valid at any precision
+    out, K = build(ctx, L.cols, reference.cols)
     if out is None:
         big = ctx.with_precision(ctx.N + 2 * K + 8)
-        bout, _ = build(big, transport(big, lcols), transport(big, zcols))
+        bout, _ = build(big, L.cols, reference.cols)
         if bout is None:
             raise PrecisionExhausted("dual depth exceeded the boost")
-        out = Lattice.from_columns(ctx, r2, transport(ctx, bout.cols),
+        out = Lattice.from_columns(ctx, r2, bout.cols,
                                    scale=bout.scale, loss=loss)
     return out.folded()
 
@@ -338,7 +327,6 @@ def slice_report(crystal: FIsocrystal, slope_data: SlopeData,
     """Square-zero status, the negative stable lattice of the slice, its
     tangent dimension, the codimension (the dimension of the associated
     group structure), and the monotonicity data for subsets."""
-    ctx = crystal.ctx
     report = {
         "pairs": [[str(a), str(b)] for (a, b) in Y.pairs],
         "square_zero": Y.is_square_zero,
@@ -349,12 +337,8 @@ def slice_report(crystal: FIsocrystal, slope_data: SlopeData,
     report["c_minus"] = mods.codims.get("c_minus", 0)
     report["tangent_dimension"] = nu_image(Om, tangent)[0] if Om.rank else 0
     if Y.is_square_zero and Om.rank:
-        r = crystal.rank
-        mats = [vec_to_mat(list(c), r) for c in Om.cols]
-        sq = all(all(x.is_zero() for row in mat_mul(ma, mb, ctx.zero)
-                     for x in row)
-                 for ma in mats for mb in mats)
-        report["square_vanishes"] = sq
+        report["square_vanishes"] = _nonzero_product(
+            crystal.ctx, crystal.rank, Om.cols) is None
     return report, mods
 
 

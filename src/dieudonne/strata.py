@@ -20,7 +20,7 @@ from .isocrystal import (EndDecomposition, FIsocrystal, SlopeData,
                          end_frobenius, mat_to_vec, vec_to_mat)
 from .lattices import (Lattice, intersect, invert_matrix, lattice_sum,
                        matrix_kernel, saturate)
-from .matrix import identity, mat_mul, mat_sub, nilpotent_inverse
+from .matrix import _EntryRing, ring
 from .modp import gf_intersection, gf_spaces_equal
 from .series import TruncatedSeries
 
@@ -50,21 +50,22 @@ def group_symplectic(crystal: FIsocrystal, gram_rows) -> GroupData:
     """Lie algebra {x : psi(xu, v) + psi(u, xv) = 0} of the symplectic
     group of a perfect alternating form; certifies the form."""
     ctx = crystal.ctx
+    R = ring(ctx)
     r = crystal.rank
-    g = [[ctx.scalar(x) for x in row] for row in gram_rows]
+    g = R.raw_mat(gram_rows)
     _check_alternating_perfect(ctx, g)
     _check_polarization_compat(crystal, g)
     # condition rows for x^T G + G x = 0, unknowns x (row-major)
     rows = []
     for a in range(r):
         for b in range(r):
-            row = [ctx.zero] * (r * r)
+            row = [R.zero] * (r * r)
             # (x^T G)_{ab} = sum_k x[k][a] G[k][b]
             for k in range(r):
-                row[k * r + a] = row[k * r + a] + g[k][b]
+                row[k * r + a] = R.add(row[k * r + a], g[k][b])
             # (G x)_{ab} = sum_k G[a][k] x[k][b]
             for k in range(r):
-                row[k * r + b] = row[k * r + b] + g[a][k]
+                row[k * r + b] = R.add(row[k * r + b], g[a][k])
             rows.append(row)
     kern = matrix_kernel(ctx, rows, ctx.N)
     lie = Lattice.from_columns(ctx, r * r, kern)
@@ -80,14 +81,14 @@ def group_custom(crystal: FIsocrystal, basis_vectors) -> GroupData:
     """Custom subgroup from a Lie-lattice basis; checks bracket closure
     and Frobenius stability of the rational span."""
     ctx = crystal.ctx
+    R = ring(ctx)
     r = crystal.rank
-    cols = [[ctx.scalar(x) for x in v] for v in basis_vectors]
-    lie = saturate(Lattice.from_columns(ctx, r * r, cols),
+    lie = saturate(Lattice.from_columns(ctx, r * r, basis_vectors),
                    Lattice.standard(ctx, r * r))
-    mats = [vec_to_mat(list(c), r) for c in lie.cols]
+    mats = [vec_to_mat(c, r) for c in lie.cols]
     for i, ma in enumerate(mats):
         for j, mb in enumerate(mats):
-            br = mat_sub(mat_mul(ma, mb, ctx.zero), mat_mul(mb, ma, ctx.zero))
+            br = R.sub_mat(R.mul_mat(ma, mb), R.mul_mat(mb, ma))
             if not lie.contains_vector(mat_to_vec(br)):
                 raise CertificateInvalid(
                     f"bracket of basis elements {i}, {j} leaves the "
@@ -109,12 +110,13 @@ def _check_phi_stability(crystal, lie):
 
 
 def _check_alternating_perfect(ctx, g):
+    R = ring(ctx)
     r = len(g)
     for i in range(r):
-        if not g[i][i].is_zero():
+        if g[i][i] != R.zero:
             raise CertificateInvalid("form has a non-zero diagonal entry")
         for j in range(r):
-            if not (g[i][j] + g[j][i]).is_zero():
+            if R.add(g[i][j], g[j][i]) != R.zero:
                 raise CertificateInvalid("form is not alternating")
     _, vdet = invert_matrix(ctx, g)
     if vdet != 0:
@@ -124,17 +126,14 @@ def _check_alternating_perfect(ctx, g):
 def _check_polarization_compat(crystal, g):
     """psi(phi x, phi y) = p sigma(psi(x, y)): matrix identity
     A^T G A = p sigma(G)."""
-    ctx = crystal.ctx
-    r = crystal.rank
+    R = ring(crystal.ctx)
     arows = crystal.phi.rows
-    at = [[arows[j][i] for j in range(r)] for i in range(r)]
-    lhs = mat_mul(mat_mul(at, g, ctx.zero), arows, ctx.zero)
-    for i in range(r):
-        for j in range(r):
-            want = g[i][j].frobenius() * ctx.p
-            if not (lhs[i][j] - want).is_zero():
-                raise CertificateInvalid(
-                    "form is not Frobenius-compatible at twist p")
+    lhs = R.mul_mat(R.mul_mat(list(zip(*arows)), g), arows)
+    p = R.of_int(crystal.ctx.p)
+    want = [R.scale([R.frob(x, 1) for x in row], p) for row in g]
+    if lhs != want:
+        raise CertificateInvalid(
+            "form is not Frobenius-compatible at twist p")
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +270,9 @@ def _stable_complement(gd, crystal, decomp, VmG):
     if gd.kind == "full-gl":
         return Lattice.zero(ctx, r * r) if VmG.equals(V_minus) else None
     # perp = {x : Tr(x, lie basis) = 0}
-    rows = []
-    for col in gd.lie.cols:
-        row = []
-        colv = list(col)
-        for a in range(r):
-            for b in range(r):
-                # Tr(E_ab, col) = col[b*r + a]
-                row.append(colv[b * r + a])
-        rows.append(row)
+    # Tr(E_ab, col) = col[b*r + a]
+    rows = [[col[b * r + a] for a in range(r) for b in range(r)]
+            for col in gd.lie.cols]
     kern = matrix_kernel(ctx, rows, ctx.N - gd.lie.loss)
     perp = Lattice.from_columns(ctx, r * r, kern, loss=gd.lie.loss)
     comp = intersect(V_minus, perp)
@@ -356,18 +349,12 @@ def _cd(crystal):
 def _check_isotropy(split, g):
     """F^1 and F^0 must pair to zero with themselves, so the weight
     cocharacter lands in the similitude group."""
-    ctx = split.ctx
+    R = ring(split.ctx)
     for cols in (split.F1.cols, split.F0.cols):
-        cl = [list(c) for c in cols]
-        for u in cl:
-            for v in cl:
-                acc = ctx.zero
-                for i in range(len(u)):
-                    for j in range(len(v)):
-                        if not (u[i].is_zero() or v[j].is_zero()
-                                or g[i][j].is_zero()):
-                            acc = acc + u[i] * g[i][j] * v[j]
-                if not acc.is_zero():
+        for u in cols:
+            for v in cols:
+                # u^T G v
+                if R.dot(u, [R.dot(row, v) for row in g]) != R.zero:
                     raise CertificateInvalid(
                         "a Hodge summand is not isotropic for the form")
 
@@ -389,31 +376,34 @@ def cayley_element(crystal: FIsocrystal, gd: GroupData, vectors,
         raise WrongCharacteristic("the Cayley construction needs p > 2")
     if gd.gram is None:
         raise CertificateInvalid("Cayley elements need a symplectic datum")
+    R = ring(ctx)
     r = crystal.rank
     n = len(vectors)
+    vectors = R.raw_mat(vectors)
     for k, v in enumerate(vectors):
-        if not gd.lie.contains_vector([ctx.scalar(x) for x in v]):
+        if not gd.lie.contains_vector(v):
             raise CertificateFailed(
                 f"vector {k} is not in the Lie lattice")
     zero = TruncatedSeries.zero(ctx, n, dmax)
     V = [[zero for _ in range(r)] for _ in range(r)]
     for i, v in enumerate(vectors):
-        mat = vec_to_mat([ctx.scalar(x) for x in v], r)
+        mat = vec_to_mat(v, r)
         xi = TruncatedSeries.variable(ctx, n, dmax, i)
         for a in range(r):
             for b in range(r):
-                if not mat[a][b].is_zero():
+                if mat[a][b] != R.zero:
                     V[a][b] = V[a][b] + xi * mat[a][b]
     one = TruncatedSeries.constant(ctx, n, dmax, ctx.one)
-    ident = identity(r, zero, one)
+    S = _EntryRing(zero, one)
+    ident = S.identity(r)
     # V has positive degree, so V^(dmax + 1) vanishes in the truncation
-    inv = nilpotent_inverse(V, zero, one, dmax)
-    w = mat_mul(mat_sub(ident, V), inv, zero)
+    inv = S.nilpotent_inverse(V, dmax)
+    w = S.mul_mat(S.sub_mat(ident, V), inv)
     # certificate (a): w^T G w = G through the window
     gser = [[TruncatedSeries.constant(ctx, n, dmax, gd.gram[i][j])
              for j in range(r)] for i in range(r)]
     wt = [[w[j][i] for j in range(r)] for i in range(r)]
-    lhs = mat_mul(mat_mul(wt, gser, zero), w, zero)
+    lhs = S.mul_mat(S.mul_mat(wt, gser), w)
     window = dmax
     for i in range(r):
         for j in range(r):

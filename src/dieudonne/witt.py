@@ -500,11 +500,6 @@ class WittScalar:
     def __sub__(self, other):
         return WittScalar(self.ctx, self.ctx.sub(self.c, _raw(self, other)))
 
-    def __rsub__(self, other):
-        return WittScalar(self.ctx, self.ctx.sub(_raw(self, other), self.c))
-
-    __radd__ = __add__
-
     def __mul__(self, other):
         if isinstance(other, int):
             return WittScalar(self.ctx, self.ctx.mul_int(self.c, other))
@@ -523,9 +518,6 @@ class WittScalar:
             return self.c == self.ctx.from_int(other)
         return isinstance(other, WittScalar) and self.c == other.c
 
-    def __hash__(self):
-        return hash(self.c)
-
     def inverse(self) -> "WittScalar":
         return WittScalar(self.ctx, self.ctx.unit_inverse(self.c))
 
@@ -533,7 +525,7 @@ class WittScalar:
         return self.ctx.valuation(self.c)
 
     def is_zero(self) -> bool:
-        return self.ctx.is_zero(self.c)
+        return self.c == self.ctx._zero
 
     def is_unit(self) -> bool:
         return self.ctx.valuation(self.c) == 0

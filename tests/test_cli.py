@@ -79,6 +79,9 @@ def test_parse_rejects_bad_fraction():
                             "degree": 3}, id="degree-below-p-minus-1"),
     ("degree", 0),
     ("precision", 1),
+    pytest.param("rank", 17, id="rank-over-cap"),
+    pytest.param("n", 17, id="n-over-cap"),
+    pytest.param("precision", 4097, id="precision-over-cap"),
 ])
 def test_parse_rejects_malformed_field(field, value):
     doc = dict(MINIMAL)
@@ -239,6 +242,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "field 'degree'" in capsys.readouterr().err
     assert main(["slopes", "--corpus", "ordinary_rank2",
                  "--precision", "1"]) == 2
+    assert "field 'precision'" in capsys.readouterr().err
+    # above the precision bound, rejected before any computation
+    assert main(["slopes", "--corpus", "ordinary_rank2",
+                 "--precision", "4097"]) == 2
     assert "field 'precision'" in capsys.readouterr().err
 
 

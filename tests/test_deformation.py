@@ -20,6 +20,7 @@ from dieudonne.deformation import (
     universal_element, verify_horizontality,
 )
 from dieudonne.errors import HypothesisViolated
+from dieudonne.matrix import ring
 
 from instances import (ordinary_rank2, rank6_two_slope, rank6_f1_indices,
                        three_slope_rank4)
@@ -222,7 +223,7 @@ def test_trivialize_zero_point():
     B = select_deformation_basis(O, T)
     out = trivialize_at_point(X, O, B, [0])
     assert out["steps"] == 0
-    u = out["u_infinity"]
+    u = ring(ctx).wrap_mat(out["u_infinity"])
     assert u[0][0] == ctx.one and u[0][1].is_zero()
 
 
@@ -339,9 +340,10 @@ def test_connection_basis_independence():
     # recombine: v'_i = v_i + 2 v_{i+1 mod n} spans the same classes
     n = B1.n
     vecs2 = []
+    vectors = ring(ctx).wrap_mat(B1.vectors)
     for i in range(n):
-        v = list(B1.vectors[i])
-        w = B1.vectors[(i + 1) % n]
+        v = list(vectors[i])
+        w = vectors[(i + 1) % n]
         vecs2.append([v[k] + w[k] * 2 for k in range(len(v))])
     B2 = DeformationBasis(vecs2, O)
     conn1 = solve_connection(X, O, B1, 4)

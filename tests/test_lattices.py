@@ -6,12 +6,15 @@ WittScalar kernels they replaced."""
 import itertools
 import pathlib
 import random
+from types import SimpleNamespace
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 import dieudonne
+from dieudonne.cli import load_corpus
+from dieudonne.problems import RUNNERS, Session
 from dieudonne.witt import WittScalar, make_context
 from dieudonne.lattices import (
     Lattice, SemilinearMap, _back_substitute, _reduce_columns, intersect,
@@ -20,11 +23,11 @@ from dieudonne.lattices import (
 )
 from dieudonne.errors import (InclusionViolated, PrecisionExhausted,
                               SingularMap)
-from dieudonne.matrix import identity, ring
+from dieudonne.matrix import ring
 
 
 def int_lattice(ctx, cols):
-    return Lattice.from_int_columns(ctx, len(cols[0]), cols)
+    return Lattice.from_columns(ctx, len(cols[0]), cols)
 
 
 def recanonicalize(L):
@@ -224,7 +227,7 @@ def test_apply_and_preimage():
     pid = ident.scale_p(1)  # multiplication by p with scale bookkeeping
     pL = pid(L)
     assert pL.equals(int_lattice(ctx, [[2, 0], [0, 2]]))
-    phi = SemilinearMap.from_int_rows(ctx, [[1, 0], [0, 2]], twist=1)
+    phi = SemilinearMap(ctx, [[1, 0], [0, 2]], twist=1)
     img = phi(L)
     assert img.equals(int_lattice(ctx, [[1, 0], [0, 2]]))
     pre = phi.inverse()(img)
@@ -233,7 +236,7 @@ def test_apply_and_preimage():
 
 def test_preimage_of_singular_map_raises():
     ctx = make_context(2, 1, 10)
-    f = SemilinearMap.from_int_rows(ctx, [[1, 1], [1, 1]])
+    f = SemilinearMap(ctx, [[1, 1], [1, 1]])
     with pytest.raises(SingularMap):
         f.inverse()(Lattice.standard(ctx, 2))
 
@@ -259,6 +262,7 @@ def test_invert_matrix_roundtrip():
     ctx = make_context(2, 1, 16)
     rows = [[ctx.scalar(1), ctx.scalar(2)], [ctx.scalar(0), ctx.scalar(4)]]
     inv, vdet = invert_matrix(ctx, rows)
+    inv = ring(ctx).wrap_mat(inv)
     assert vdet == 2
     # A * inv = p^vdet * I
     for i in range(2):
@@ -307,14 +311,14 @@ def test_mod_p_dimension_inclusion_check():
 
 def test_restrict_map():
     ctx = make_context(2, 1, 12)
-    phi = SemilinearMap.from_int_rows(ctx, [[1, 0], [0, 2]], twist=1)
+    phi = SemilinearMap(ctx, [[1, 0], [0, 2]], twist=1)
     L = int_lattice(ctx, [[1, 0], [0, 2]])
     r = restrict_map(phi, L)
     # phi restricted to its own image is still integral
     assert r.nrows == 2
     sub = int_lattice(ctx, [[1, 0]])
     r2 = restrict_map(phi, sub)
-    assert r2.rows[0][0] == ctx.one
+    assert ring(ctx).wrap_mat(r2.rows)[0][0] == ctx.one
 
 
 def test_zero_rank_lattice():
@@ -457,6 +461,7 @@ def test_invert_matrix_randomized_roundtrip(p, n):
             inv, vdet = invert_matrix(ctx, rows)
         except SingularMap:
             continue
+        inv = ring(ctx).wrap_mat(inv)
         positive += vdet > 0
         pv = ctx.scalar(p ** vdet)
         for i in range(r):
@@ -476,7 +481,12 @@ def test_only_lattices_names_the_echelon_kernel():
 
 
 # The WittScalar kernels that the raw-coefficient ones replaced, kept
-# verbatim as oracles (apply_raw was a SemilinearMap method).
+# verbatim as oracles (apply_raw was a SemilinearMap method; identity was
+# the scalar helper of dieudonne.matrix).
+
+def identity(r, zero, one):
+    return [[one if i == j else zero for j in range(r)] for i in range(r)]
+
 
 def _col_is_zero_reference(col, neff):
     return all(x.valuation() >= neff for x in col)
@@ -662,6 +672,7 @@ def test_back_substitute_matches_reference(p, n, N):
 @pytest.mark.parametrize("p, n, N", KERNEL_RINGS)
 def test_apply_raw_matches_reference(p, n, N):
     ctx = make_context(p, n, N)
+    R = ring(ctx)
     rng = random.Random(47 * p + n)
     for twist in range(n):
         for nrows, ncols in SMITH_SHAPES:
@@ -669,7 +680,32 @@ def test_apply_raw_matches_reference(p, n, N):
                 (0, 0, 1, N)) for _ in range(n)]) for _ in range(ncols)]
                 for _ in range(nrows)]
             f = SemilinearMap(ctx, rows, twist=twist)
+            # the former body read scalar rows
+            view = SimpleNamespace(ctx=ctx, twist=f.twist,
+                                   rows=R.wrap_mat(f.rows))
             for _ in range(3):
                 col = [ctx.scalar([rng.randrange(-30, 31) * p ** rng.choice(
                     (0, 1, N)) for _ in range(n)]) for _ in range(ncols)]
-                assert f.apply_raw(col) == _apply_raw_reference(f, col)
+                assert R.wrap_col(f.apply_raw(R.raw_col(col))) == \
+                    _apply_raw_reference(view, col)
+
+
+@pytest.mark.parametrize("name", ["three_slope_rank4", "example_1_7"])
+def test_lattices_and_maps_hold_raw_entries(name):
+    # one entry format: an int when n = 1, a length-n tuple otherwise
+    sess = Session(load_corpus(name))
+    for analysis in ("decompose", "ominus", "dual"):
+        RUNNERS[analysis](sess)
+    n = sess.ctx().n
+
+    def raw(x):
+        return type(x) is int if n == 1 else (
+            type(x) is tuple and len(x) == n)
+
+    decomp = sess.decomp()
+    mats = [sess.crystal().phi.rows]
+    mats += [p.rows for p in sess.slope_data().projectors.values()]
+    for lat in (decomp.V_plus, decomp.V_minus, decomp.o_minus()):
+        assert lat.rank
+        mats += [lat.cols, lat.ech]
+    assert all(raw(x) for mat in mats for row in mat for x in row)

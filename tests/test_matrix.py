@@ -1,13 +1,12 @@
-"""The shared matrix helpers, checked on seeded random inputs against the
-sympy product, a plain triple loop, and the accumulate-everything series
-product they replaced."""
+"""The matrix kernels of the raw-coefficient rings, checked on seeded
+random inputs against the sympy product, a plain triple loop on
+``WittScalar`` entries, and the accumulate-everything series product."""
 
 import random
 
 import sympy
 
-from dieudonne.matrix import (identity, mat_add, mat_mul, nilpotent_inverse,
-                              transport)
+from dieudonne.matrix import _EntryRing, ring
 from dieudonne.series import TruncatedSeries
 from dieudonne.witt import make_context
 
@@ -51,7 +50,9 @@ def test_mat_mul_matches_sympy_n1():
             a = random_ints(rng, r, m, zero_share)
             b = random_ints(rng, m, c, zero_share)
             want = sympy.Matrix(a) * sympy.Matrix(b)
-            got = mat_mul(scalars(ctx, a), scalars(ctx, b), ctx.zero)
+            R = ring(ctx)
+            got = R.wrap_mat(R.mul_mat(R.raw_mat(scalars(ctx, a)),
+                                       R.raw_mat(scalars(ctx, b))))
             assert [[x.c[0] for x in row] for row in got] == \
                 [[int(want[i, j]) % ctx.pN for j in range(c)]
                  for i in range(r)]
@@ -70,7 +71,9 @@ def test_mat_mul_matches_triple_loop_n3():
         for zero_share in (0.0, 0.6):
             a = [[entry(zero_share) for _ in range(m)] for _ in range(r)]
             b = [[entry(zero_share) for _ in range(c)] for _ in range(m)]
-            assert mat_mul(a, b, ctx.zero) == triple_loop(a, b, ctx.zero)
+            R = ring(ctx)
+            got = R.wrap_mat(R.mul_mat(R.raw_mat(a), R.raw_mat(b)))
+            assert got == triple_loop(a, b, ctx.zero)
 
 
 def random_series_matrix(rng, ctx, r, c, nvars, dmax):
@@ -94,10 +97,11 @@ def test_mat_mul_series_matches_accumulating_product():
     ctx = make_context(3, 1, 8)
     nvars, dmax = 2, 4
     zero = TruncatedSeries.zero(ctx, nvars, dmax)
+    one = TruncatedSeries.constant(ctx, nvars, dmax, ctx.one)
     for r, m, c in [(2, 2, 2), (3, 2, 4), (1, 3, 1)]:
         a = random_series_matrix(rng, ctx, r, m, nvars, dmax)
         b = random_series_matrix(rng, ctx, m, c, nvars, dmax)
-        got = mat_mul(a, b, zero)
+        got = _EntryRing(zero, one).mul_mat(a, b)
         want = accumulate_all(a, b)
         for grow, wrow in zip(got, want):
             for g, w in zip(grow, wrow):
@@ -112,13 +116,15 @@ def test_mat_mul_series_skipped_zeros_keep_windows():
     ctx = make_context(3, 1, 8)
     nvars, dmax = 1, 5
     zero = TruncatedSeries.zero(ctx, nvars, dmax)
+    one = TruncatedSeries.constant(ctx, nvars, dmax, ctx.one)
     a = random_series_matrix(rng, ctx, 3, 3, nvars, dmax)
     b = random_series_matrix(rng, ctx, 3, 3, nvars, dmax)
     for mat in (a, b):
         for row in mat:
             for s in row:
                 s.valid = rng.randrange(dmax + 1)
-    for g_row, w_row in zip(mat_mul(a, b, zero), accumulate_all(a, b)):
+    got = _EntryRing(zero, one).mul_mat(a, b)
+    for g_row, w_row in zip(got, accumulate_all(a, b)):
         for g, w in zip(g_row, w_row):
             assert g.coeffs == w.coeffs
             assert g.valid >= w.valid
@@ -127,16 +133,17 @@ def test_mat_mul_series_skipped_zeros_keep_windows():
 def test_nilpotent_inverse_scalars():
     rng = random.Random(15)
     ctx = make_context(2, 2, 16)
+    R = ring(ctx)
     for r in (1, 2, 5):
         # strictly upper triangular, hence N^r = 0
-        n_mat = [[ctx.scalar([rng.randrange(ctx.pN) for _ in range(2)])
-                  if j > i else ctx.zero for j in range(r)]
-                 for i in range(r)]
-        ident = identity(r, ctx.zero, ctx.one)
-        one_plus = mat_add(ident, n_mat)
-        inv = nilpotent_inverse(n_mat, ctx.zero, ctx.one, r)
-        assert mat_mul(inv, one_plus, ctx.zero) == ident
-        assert mat_mul(one_plus, inv, ctx.zero) == ident
+        n_mat = R.raw_mat(
+            [[ctx.scalar([rng.randrange(ctx.pN) for _ in range(2)])
+              if j > i else ctx.zero for j in range(r)] for i in range(r)])
+        ident = R.identity(r)
+        one_plus = R.add_mat(ident, n_mat)
+        inv = R.nilpotent_inverse(n_mat, r)
+        assert R.mul_mat(inv, one_plus) == ident
+        assert R.mul_mat(one_plus, inv) == ident
 
 
 def test_nilpotent_inverse_series():
@@ -149,26 +156,31 @@ def test_nilpotent_inverse_series():
     x = [TruncatedSeries.variable(ctx, nvars, dmax, i) for i in range(nvars)]
     n_mat = [[x[rng.randrange(nvars)] * ctx.scalar(rng.randrange(ctx.pN))
               for _ in range(r)] for _ in range(r)]
-    ident = identity(r, zero, one)
-    one_plus = mat_add(ident, n_mat)
-    inv = nilpotent_inverse(n_mat, zero, one, dmax)
-    for prod in (mat_mul(inv, one_plus, zero), mat_mul(one_plus, inv, zero)):
+    S = _EntryRing(zero, one)
+    ident = S.identity(r)
+    one_plus = S.add_mat(ident, n_mat)
+    inv = S.nilpotent_inverse(n_mat, dmax)
+    for prod in (S.mul_mat(inv, one_plus), S.mul_mat(one_plus, inv)):
         for i in range(r):
             for j in range(r):
                 assert (prod[i][j] - ident[i][j]).is_zero()
 
 
 def test_transport_round_trip():
+    # moving raw entries between precisions is one raw_mat pass of the
+    # target ring
     rng = random.Random(17)
     ctx = make_context(3, 2, 12)
     big = ctx.with_precision(30)
-    rows = [[ctx.scalar([rng.randrange(ctx.pN) for _ in range(2)])
+    R, B = ring(ctx), ring(big)
+    scal = [[ctx.scalar([rng.randrange(ctx.pN) for _ in range(2)])
              for _ in range(4)] for _ in range(3)]
-    lifted = transport(big, rows)
-    assert all(x.ctx is big for row in lifted for x in row)
-    assert [[x.c for x in row] for row in lifted] == \
-        [[x.c for x in row] for row in rows]
-    assert transport(ctx, lifted) == rows
+    rows = R.raw_mat(scal)
+    lifted = B.raw_mat(rows)
+    assert all(x.ctx is big for row in B.wrap_mat(lifted) for x in row)
+    assert [[x.c for x in row] for row in B.wrap_mat(lifted)] == \
+        [[x.c for x in row] for row in scal]
+    assert R.wrap_mat(R.raw_mat(lifted)) == scal
     # publishing a boosted value truncates it modulo the target's p^N
-    wide = [[big.scalar(big.pN - 1)]]
-    assert transport(ctx, wide) == [[ctx.scalar(ctx.pN - 1)]]
+    wide = B.raw_mat([[big.scalar(big.pN - 1)]])
+    assert R.wrap_mat(R.raw_mat(wide)) == [[ctx.scalar(ctx.pN - 1)]]

@@ -1,0 +1,343 @@
+"""The End(M), trace and map-algebra bodies that now run on raw
+coefficients, checked against the WittScalar bodies they replaced.
+
+The ``*_reference`` functions below are the former bodies, kept verbatim.
+They read scalar rows, so each map reaches them through ``scalar_view``;
+``mat_mul`` and ``invert_matrix_exact`` are the scalar forms of the
+helpers they called.  Inputs are seeded: p in {2, 3, 5} at n = 1 and
+p in {2, 3} at n = 3, with p-divisible entries, twists, and nonzero
+denominators and losses."""
+
+import random
+from types import SimpleNamespace
+
+import pytest
+import sympy
+
+from dieudonne import lattices
+from dieudonne.errors import DieudonneError
+from dieudonne.isocrystal import (_map_is_zero, _maps_equal,
+                                  _projector_fixed_lattice, sandwich_map,
+                                  slope_split)
+from dieudonne.lattices import Lattice, SemilinearMap, matrix_kernel
+from dieudonne.matrix import ring
+from dieudonne.signs import trace_of_vectors
+from dieudonne.witt import WittScalar, make_context
+
+from instances import (ordinary_rank2, rank6_two_slope, supersingular_rank2,
+                       three_slope_rank4)
+
+RINGS = [(2, 1, 12), (3, 1, 10), (5, 1, 9), (2, 3, 12), (3, 3, 10)]
+
+
+def mat_mul(a, b, zero):
+    """The scalar product; zero entries contribute nothing."""
+    return [[sum((x * y for x, y in zip(row, col)
+                  if not (x.is_zero() or y.is_zero())), zero)
+             for col in zip(*b)] for row in a]
+
+
+def invert_matrix_exact(ctx, rows):
+    """The library inverse with a scalar numerator."""
+    R = ring(ctx)
+    inv, vdet = lattices.invert_matrix_exact(ctx, R.raw_mat(rows))
+    return R.wrap_mat(inv), vdet
+
+
+def scalar_view(f):
+    """A map with its rows as WittScalar, the form the former bodies read."""
+    return SimpleNamespace(ctx=f.ctx, rows=ring(f.ctx).wrap_mat(f.rows),
+                           twist=f.twist, denominator=f.denominator,
+                           loss=f.loss, nrows=f.nrows)
+
+
+# ---------------------------------------------------------------------------
+# the former bodies
+
+
+def sandwich_map_reference(ctx, left_rows, right_rows, twist=0,
+                           denominator=0, loss=0):
+    """The map x |-> L sigma^twist(x) R on r x r matrices, flattened
+    row-major to r^2 coordinates."""
+    r = len(left_rows)
+    big = []
+    for i in range(r):
+        for j in range(r):
+            row = []
+            for k in range(r):
+                for l in range(r):
+                    row.append(left_rows[i][k] * right_rows[l][j])
+            big.append(row)
+    return SemilinearMap(ctx, big, twist=twist, denominator=denominator,
+                         loss=loss)
+
+
+def trace_of_vectors_reference(ctx, r, xvec, yvec):
+    """Trace of the product of two flattened endomorphisms."""
+    acc = ctx.zero
+    for i in range(r):
+        for j in range(r):
+            a = xvec[i * r + j]
+            if a.is_zero():
+                continue
+            b = yvec[j * r + i]
+            if not b.is_zero():
+                acc = acc + a * b
+    return acc
+
+
+def projector_fixed_lattice_reference(ctx, proj):
+    """M intersect image(proj) = kernel of (1 - proj) on the standard
+    lattice (saturated)."""
+    r = proj.nrows
+    den = proj.denominator
+    pk = ctx.scalar(ctx.p ** den)
+    rows = []
+    for i in range(r):
+        row = []
+        for j in range(r):
+            x = -proj.rows[i][j]
+            if i == j:
+                x = x + pk
+            row.append(x)
+        rows.append(row)
+    neff = ctx.N - proj.loss
+    kern = matrix_kernel(ctx, rows, neff)
+    return Lattice.from_columns(ctx, r, kern, loss=proj.loss)
+
+
+def maps_equal_reference(f, g):
+    """Equality of maps up to the recorded losses and denominators."""
+    ctx = f.ctx
+    if f.twist != g.twist:
+        return False
+    d = max(f.denominator, g.denominator)
+    loss = max(f.loss, g.loss) + max(d - f.denominator, d - g.denominator)
+    neff = ctx.N - min(loss, ctx.N - 1)
+    pm = ctx.p ** neff
+    a = ctx.p ** (d - f.denominator)
+    b = ctx.p ** (d - g.denominator)
+    for r1, r2 in zip(f.rows, g.rows):
+        for x, y in zip(r1, r2):
+            if any((u * a - w * b) % pm for u, w in zip(x.c, y.c)):
+                return False
+    return True
+
+
+def map_is_zero_reference(f):
+    ctx = f.ctx
+    neff = ctx.N - min(f.loss + max(f.denominator, 0), ctx.N - 1)
+    return all(all(x.valuation() >= neff for x in r) for r in f.rows)
+
+
+def compose_reference(self, other):
+    """self after other."""
+    ctx = self.ctx
+    e = self.twist
+    orows = other.rows
+    twisted = [[WittScalar(ctx, ctx.frobenius(x.c, e)) for x in r]
+               for r in orows] if e else orows
+    rows = mat_mul(self.rows, twisted, ctx.zero)
+    return SemilinearMap(ctx, rows, self.twist + other.twist,
+                         self.denominator + other.denominator,
+                         loss=max(self.loss, other.loss))
+
+
+def inverse_reference(self):
+    """Inverse map; requires bijectivity after inverting p.  The
+    numerator is produced exactly (boosted internal precision), so no
+    loss is added beyond the map's own."""
+    inv_num, vdet = invert_matrix_exact(self.ctx, self.rows)
+    ctx = self.ctx
+    e = (-self.twist) % ctx.n
+    rows = [[WittScalar(ctx, ctx.frobenius(x.c, e)) for x in r]
+            for r in inv_num]
+    return SemilinearMap(ctx, rows, e, vdet - self.denominator,
+                         loss=self.loss)
+
+
+# ---------------------------------------------------------------------------
+# seeded inputs
+
+
+def entry(ctx, rng, powers=(0, 0, 1, 2)):
+    """A scalar carrying a random p-power, zero now and then, spread over
+    the Witt coordinates."""
+    p, N = ctx.p, ctx.N
+    return ctx.scalar([rng.randrange(-30, 31) * p ** rng.choice(powers + (N,))
+                       for _ in range(ctx.n)])
+
+
+def matrix(ctx, rng, r, c=None, powers=(0, 0, 1, 2)):
+    return [[entry(ctx, rng, powers) for _ in range(c or r)]
+            for _ in range(r)]
+
+
+def random_map(ctx, rng, r, powers=(0, 0, 1, 2)):
+    return SemilinearMap(ctx, matrix(ctx, rng, r, powers=powers),
+                         twist=rng.randrange(ctx.n),
+                         denominator=rng.randrange(-1, 3),
+                         loss=rng.randrange(3))
+
+
+def same_map(got, want):
+    return (got.rows == want.rows and got.twist == want.twist
+            and got.denominator == want.denominator
+            and got.loss == want.loss)
+
+
+def integer_idempotent(rng, r, k):
+    """U diag(1^k, 0^(r-k)) U^{-1} for a seeded unimodular U."""
+    low = sympy.Matrix(r, r, lambda i, j: 1 if i == j else
+                       (rng.randrange(-2, 3) if i > j else 0))
+    up = sympy.Matrix(r, r, lambda i, j: 1 if i == j else
+                      (rng.randrange(-2, 3) if i < j else 0))
+    u = low * up
+    d = sympy.diag(*([1] * k + [0] * (r - k)))
+    e = u * d * u.inv()
+    return [[int(e[i, j]) for j in range(r)] for i in range(r)]
+
+
+# ---------------------------------------------------------------------------
+# the checks
+
+
+@pytest.mark.parametrize("p, n, N", RINGS)
+def test_sandwich_map_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    R = ring(ctx)
+    rng = random.Random(53 * p + n)
+    for r in (1, 2, 3):
+        for _ in range(4):
+            left, right = matrix(ctx, rng, r), matrix(ctx, rng, r)
+            twist = rng.randrange(n)
+            den, loss = rng.randrange(-1, 3), rng.randrange(3)
+            got = sandwich_map(ctx, R.raw_mat(left), R.raw_mat(right),
+                               twist=twist, denominator=den, loss=loss)
+            want = sandwich_map_reference(ctx, left, right, twist=twist,
+                                          denominator=den, loss=loss)
+            assert same_map(got, want)
+
+
+@pytest.mark.parametrize("p, n, N", RINGS)
+def test_trace_of_vectors_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    R = ring(ctx)
+    rng = random.Random(59 * p + n)
+    for r in (1, 2, 3, 4):
+        for _ in range(6):
+            x = [entry(ctx, rng) for _ in range(r * r)]
+            y = [entry(ctx, rng) for _ in range(r * r)]
+            got = trace_of_vectors(ctx, r, R.raw_col(x), R.raw_col(y))
+            assert R.wrap_col([got]) == \
+                [trace_of_vectors_reference(ctx, r, x, y)]
+
+
+def projector_inputs(ctx, rng):
+    """p^den times integer idempotents (saturated kernels of every rank),
+    the slope projectors of the test instances, and arbitrary maps."""
+    for r in (2, 3, 4):
+        for k in range(r + 1):
+            den, loss = rng.randrange(3), rng.randrange(3)
+            rows = [[x * ctx.p ** den for x in row]
+                    for row in integer_idempotent(rng, r, k)]
+            yield SemilinearMap(ctx, rows, denominator=den, loss=loss)
+    makers = ([rank6_two_slope] if ctx.n > 1 else
+              [ordinary_rank2, supersingular_rank2, three_slope_rank4])
+    for make in makers:
+        yield from slope_split(make(ctx)).projectors.values()
+    for r in (2, 3):
+        # projector denominators are never negative
+        f = random_map(ctx, rng, r)
+        yield SemilinearMap(ctx, f.rows, denominator=abs(f.denominator),
+                            loss=f.loss)
+
+
+@pytest.mark.parametrize("p, n, N", RINGS)
+def test_projector_fixed_lattice_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    rng = random.Random(61 * p + n)
+    ranks = set()
+    for proj in projector_inputs(ctx, rng):
+        got = _projector_fixed_lattice(ctx, proj)
+        want = projector_fixed_lattice_reference(ctx, scalar_view(proj))
+        assert (got.cols, got.pivots, got.scale, got.loss) == \
+            (want.cols, want.pivots, want.scale, want.loss)
+        ranks.add(got.rank)
+    assert len(ranks) > 2
+
+
+@pytest.mark.parametrize("p, n, N", RINGS)
+def test_maps_equal_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    rng = random.Random(67 * p + n)
+    outcomes = set()
+    for r in (1, 2, 3):
+        for _ in range(6):
+            f = random_map(ctx, rng, r)
+            k = rng.randrange(1, 3)
+            # the same map with a p^k-multiplied matrix and denominator
+            lifted = SemilinearMap(ctx, [[x * p ** k for x in row]
+                                         for row in scalar_view(f).rows],
+                                   f.twist, f.denominator + k, f.loss)
+            # perturbed at the trusted precision, or low down
+            near = SemilinearMap(ctx, [[x + p ** (N - f.loss - 1) for x in row]
+                                       for row in scalar_view(f).rows],
+                                 f.twist, f.denominator, f.loss)
+            far = random_map(ctx, rng, r)
+            twisted = SemilinearMap(ctx, f.rows, f.twist + 1,
+                                    f.denominator, f.loss)
+            for g in (f, lifted, near, far, twisted):
+                want = maps_equal_reference(scalar_view(f), scalar_view(g))
+                assert _maps_equal(f, g) == want
+                outcomes.add(want)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("p, n, N", RINGS)
+def test_map_is_zero_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    rng = random.Random(71 * p + n)
+    outcomes = set()
+    for r in (1, 2, 3):
+        for _ in range(8):
+            f = random_map(ctx, rng, r, powers=(N - 3, N - 2, N - 1))
+            want = map_is_zero_reference(scalar_view(f))
+            assert _map_is_zero(f) == want
+            outcomes.add(want)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("p, n, N", RINGS)
+def test_compose_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    rng = random.Random(73 * p + n)
+    for r in (1, 2, 3):
+        for _ in range(6):
+            f, g = random_map(ctx, rng, r), random_map(ctx, rng, r)
+            want = compose_reference(scalar_view(f), scalar_view(g))
+            assert same_map(f.compose(g), want)
+
+
+@pytest.mark.parametrize("p, n, N", RINGS)
+def test_inverse_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    rng = random.Random(79 * p + n)
+    inverted = 0
+    for r in (1, 2, 3):
+        for t in range(6):
+            f = random_map(ctx, rng, r)
+            if t % 2:
+                # a p-divisible column gives the inverse a denominator
+                rows = [[x * p if j == 0 else x for j, x in enumerate(row)]
+                        for row in scalar_view(f).rows]
+                f = SemilinearMap(ctx, rows, f.twist, f.denominator, f.loss)
+            try:
+                want = inverse_reference(scalar_view(f))
+            except DieudonneError as exc:
+                with pytest.raises(type(exc)):
+                    f.inverse()
+                continue
+            assert same_map(f.inverse(), want)
+            inverted += 1
+    assert inverted

@@ -12,6 +12,7 @@ import random
 
 import sympy
 
+from dieudonne.matrix import ring
 from dieudonne.witt import make_context
 from dieudonne.isocrystal import FIsocrystal, end_decompose, slope_split
 from dieudonne.core import TangentSpace, codim_of_dieudonne, nu_image
@@ -86,6 +87,7 @@ def test_sigma_twisted_conjugation_invariance():
               [ctx.zero, ctx.one, g + ctx.one],
               [ctx.zero, ctx.zero, ctx.one]]
     uinv, vdet = invert_matrix_exact(ctx, u_rows)
+    uinv = ring(ctx).wrap_mat(uinv)
     assert vdet == 0
     su_inv = [[x.frobenius(1) for x in row] for row in uinv]
     prod = [[sum((u_rows[i][k] * a_rows[k][j] for k in range(3)), ctx.zero)

@@ -7,6 +7,7 @@ import pytest
 
 from dieudonne import core, signs
 from dieudonne.cli import load_corpus
+from dieudonne.matrix import ring
 from dieudonne.witt import make_context
 from dieudonne.lattices import Lattice
 from dieudonne.isocrystal import end_decompose, slope_split
@@ -33,20 +34,24 @@ def setup_instance(ctx, mk):
 def test_trace_of_identity():
     ctx = make_context(2, 1, 20)
     r = 2
+    R = ring(ctx)
     ident = [ctx.zero] * 4
     ident[0], ident[3] = ctx.one, ctx.one
-    assert trace_of_vectors(ctx, r, ident, ident) == ctx.scalar(2)
+    ident = R.raw_col(ident)
+    assert R.wrap_col([trace_of_vectors(ctx, r, ident, ident)]) == \
+        [ctx.scalar(2)]
 
 
 def test_trace_block_orthogonality():
     # Hom-blocks pair to zero unless the pairs are opposite
     ctx = make_context(2, 1, 20)
     X, S, E = setup_instance(ctx, ordinary_rank2)
-    x = hom_block_vector(ctx, 2, 0, 1)   # slope1 -> slope0 block
-    y = hom_block_vector(ctx, 2, 0, 1)
-    assert trace_of_vectors(ctx, 2, x, y).is_zero()
-    yop = hom_block_vector(ctx, 2, 1, 0)
-    assert trace_of_vectors(ctx, 2, x, yop) == ctx.one
+    R = ring(ctx)
+    x = R.raw_col(hom_block_vector(ctx, 2, 0, 1))   # slope1 -> slope0 block
+    y = R.raw_col(hom_block_vector(ctx, 2, 0, 1))
+    assert R.wrap_col([trace_of_vectors(ctx, 2, x, y)])[0].is_zero()
+    yop = R.raw_col(hom_block_vector(ctx, 2, 1, 0))
+    assert R.wrap_col([trace_of_vectors(ctx, 2, x, yop)]) == [ctx.one]
 
 
 def test_trace_frobenius_invariance_random():
