@@ -12,6 +12,14 @@ Kodaira-Spencer tangent image, restricts the connection to E + W(k)t,
 trivializes the deformation at residue-field points, and evaluates the
 divided-power correction factor at arbitrary Witt coordinates.
 
+The point trivialization is the limit of the backward-orbit product
+prod_k (1 + n_k) with every n_k in E.  When E * E = 0 (decided exactly,
+once per ``prepare_trivializer`` workspace, at the boosted precision)
+every cross term vanishes, so the product is 1 + sum_k n_k and its
+inverse 1 - sum_k n_k; the orbit loop then only sums coordinates.  Any
+other E falls back to multiplying the product out.  The conjugation
+certificate is the same on both paths.
+
 Matrices, lattice columns and deformation vectors are raw
 (``matrix.ring``); series coefficients and evaluation points are
 ``WittScalar``.
@@ -230,16 +238,23 @@ def _nabla(conn, vec, i):
     """nabla(d/dx_i) on a vector of series: the partial derivative plus
     omega_i = sum_l w[(l, i)] * (basis element l of E) applied to it."""
     ctx = conn.crystal.ctx
+    zero = ring(ctx).zero
     r = conn.crystal.rank
     out = [s.partial(i) for s in vec]
+    # each entry of E e_l vec is trusted only through the window of every
+    # entry of vec, zero matrix entries included
+    floor = TruncatedSeries(ctx, conn.B.n, conn.dmax,
+                            valid=min(s.valid for s in vec))
     for l, v in enumerate(conn.basis):
         w_li = conn.w[(l, i)]
         if w_li.is_zero():
             continue
-        evec = _series_mat_vec(
-            [[TruncatedSeries.constant(ctx, conn.B.n, conn.dmax, x)
-              for x in row] for row in vec_to_mat(v, r)], vec)
-        out = [o + e * w_li for o, e in zip(out, evec)]
+        for k, row in enumerate(vec_to_mat(v, r)):
+            e = floor
+            for x, s in zip(row, vec):
+                if x != zero:
+                    e = e + s * x
+            out[k] = out[k] + e * w_li
     return out
 
 
@@ -387,7 +402,9 @@ def induced_connection_tilde(conn: ConnectionForm, t: SemilinearMap) -> dict:
 def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
                         B: DeformationBasis) -> dict:
     """One-time boosted-precision setup shared by all evaluation points:
-    the lifted module data and the backward-conjugation matrix on E."""
+    the lifted module data, the backward-conjugation matrix on E, and
+    whether E is square-zero at the boosted precision (every product of
+    two echelon basis elements vanishes), which selects the orbit sum."""
     ctx = crystal.ctx
     _, dval = crystal.inverse_numerator()
     delta = E.index_valuation()
@@ -403,6 +420,7 @@ def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
         "abig": abig, "ainv": ainv_big,
         "Cmap": _restrict_inverse_conj(big, bE, abig, ainv_big, dval),
         "ech_rows": list(zip(*bE.ech)),
+        "square_zero": _nonzero_product(big, crystal.rank, bE.ech) is None,
     }
 
 
@@ -411,8 +429,13 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
     """Straighten the twisted Frobenius at a residue-field point.
 
     With u = 1 + sum v_i [point_i] (Teichmuller coordinates), the partial
-    products of the backward Frobenius orbit of u - 1 converge, and the
-    limit conjugates u * phi to phi.  Computed at a boosted internal
+    products of the backward Frobenius orbit n_1, n_2, ... of u - 1
+    converge, and the limit prod_k (1 + n_k) conjugates u * phi to phi.
+    Every n_k is a combination of the echelon basis of E, so when the
+    workspace found E square-zero every cross term of the product
+    vanishes: the limit is exactly 1 + sum_k n_k, with inverse
+    1 - sum_k n_k, and the loop only sums the orbit coordinates.  Any
+    other E takes the product loop.  Computed at a boosted internal
     precision so the published certificate is good at the context
     precision; the one-time solve divisions and the final denominator
     clearing are what the boost absorbs.
@@ -434,28 +457,26 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
     coords = bE.solve(n0, 0)
     if coords is None:
         raise HypothesisViolated("the point twist does not lie in E")
-    Cmap = ws["Cmap"]
     ech_rows = ws["ech_rows"]
-    cap = ctx.N * max(r, 2) + 10
-    prod = prod_inv = ident
+    orbit = _backward_orbit(R, ws["Cmap"], coords, ctx.N,
+                            ctx.N * max(r, 2) + 10)
     steps = 0
-    back = (-1) % big.n
-    dot = R.dot
-    while True:
-        # the inverse conjugation is sigma^{-1}-semilinear: twist the
-        # coordinates before applying the restriction matrix
-        twisted = [R.frob(c, back) for c in coords]
-        coords = [dot(row, twisted) for row in Cmap]
-        if R.vanishes(coords, ctx.N):
-            break
-        steps += 1
-        if steps > cap:
-            raise NonConvergence(
-                "backward Frobenius orbit did not reach zero; are the "
-                "inverse-Frobenius slopes positive on E?")
-        nk = vec_to_mat([dot(row, coords) for row in ech_rows], r)
-        prod = R.mul_mat(R.add_mat(ident, nk), prod)
-        prod_inv = R.mul_mat(prod_inv, R.nilpotent_inverse(nk, r))
+    prod = prod_inv = ident
+    if ws["square_zero"]:
+        total = [R.zero] * len(coords)
+        for c in orbit:
+            steps += 1
+            total = list(map(R.add, total, c))
+        if steps:
+            nk = vec_to_mat([R.dot(row, total) for row in ech_rows], r)
+            prod = R.add_mat(ident, nk)
+            prod_inv = R.sub_mat(ident, nk)
+    else:
+        for c in orbit:
+            steps += 1
+            nk = vec_to_mat([R.dot(row, c) for row in ech_rows], r)
+            prod = R.mul_mat(R.add_mat(ident, nk), prod)
+            prod_inv = R.mul_mat(prod_inv, R.nilpotent_inverse(nk, r))
     # certificate: prod u_h A sigma(prod^{-1}) A^{-1} = 1
     lhs = R.mul_mat(R.mul_mat(prod, u_h), ws["abig"])
     lhs = R.mul_mat(lhs, [[R.frob(x, 1) for x in row] for row in prod_inv])
@@ -476,6 +497,28 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
         "loss": ctx.N - verified,
         "converged": True,
     }
+
+
+def _backward_orbit(R, Cmap, coords, N, cap):
+    """The coordinates c_k = C sigma^{-1}(c_{k-1}), k = 1, 2, ..., up to
+    the first that vanishes mod p^N; more than cap of them is
+    NonConvergence."""
+    back = (-1) % R.ctx.n
+    dot = R.dot
+    steps = 0
+    while True:
+        # the inverse conjugation is sigma^{-1}-semilinear: twist the
+        # coordinates before applying the restriction matrix
+        twisted = [R.frob(c, back) for c in coords]
+        coords = [dot(row, twisted) for row in Cmap]
+        if R.vanishes(coords, N):
+            return
+        steps += 1
+        if steps > cap:
+            raise NonConvergence(
+                "backward Frobenius orbit did not reach zero; are the "
+                "inverse-Frobenius slopes positive on E?")
+        yield coords
 
 
 def _restrict_inverse_conj(ctx, E, arows, ainv_rows, dval):

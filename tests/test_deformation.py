@@ -7,20 +7,25 @@ import random
 
 import pytest
 
+from dieudonne import matrix
+from dieudonne.cli import corpus_names, load_corpus
 from dieudonne.witt import make_context, teichmuller
 from dieudonne.lattices import Lattice, SemilinearMap
-from dieudonne.isocrystal import slope_split, end_decompose
+from dieudonne.isocrystal import (slope_split, end_decompose, newton_slopes,
+                                  vec_to_mat)
 from dieudonne.core import (TangentSpace, hodge_splitting_from_kernel,
                             largest_sub_dieudonne, lie_element, nu_image)
 from dieudonne.series import TruncatedSeries
 from dieudonne.deformation import (
     ConnectionForm, DeformationBasis, correction_factor, divided_power,
-    induced_connection_tilde, kodaira_spencer_image, recursion_residual,
-    select_deformation_basis, solve_connection, trivialize_at_point,
-    universal_element, verify_horizontality,
+    induced_connection_tilde, kodaira_spencer_image, prepare_trivializer,
+    recursion_residual, select_deformation_basis, solve_connection,
+    trivialize_at_point, universal_element, verify_horizontality,
+    _combine, _nabla, _series_mat_vec,
 )
-from dieudonne.errors import HypothesisViolated
+from dieudonne.errors import HypothesisViolated, NonConvergence
 from dieudonne.matrix import ring
+from dieudonne.problems import Session
 
 from instances import (ordinary_rank2, rank6_two_slope, rank6_f1_indices,
                        three_slope_rank4)
@@ -255,6 +260,193 @@ def test_trivialize_rank6_random_points():
                  for _ in range(B.n)]
         out = trivialize_at_point(X, O, B, point)
         assert out["verified_modulus"] >= ctx.N - 4
+
+
+# ---------------------------------------------------------------------------
+# the square-zero orbit sum against the product loop
+#
+# ``_trivialize_reference`` is the former body of trivialize_at_point, kept
+# verbatim: it multiplies out prod_k (1 + n_k) and its inverse on every
+# lattice.  The library sums the orbit instead when the workspace found E
+# square-zero, and must agree entry for entry.
+
+NON_ISOCLINIC = ["elliptic_polarized", "example_1_7", "four_slope_rank8",
+                 "ordinary_rank2", "symplectic_ordinary_c2",
+                 "three_slope_rank4"]
+
+
+def _trivialize_reference(crystal, E, B, point, workspace=None):
+    ctx = crystal.ctx
+    r = crystal.rank
+    ws = workspace or prepare_trivializer(crystal, E, B)
+    big = ws["big"]
+    dval = ws["dval"]
+    bE = ws["bE"]
+    bvecs = ws["bvecs"]
+    R = ring(big)
+    # u_h = 1 + sum v_i teich(point_i)
+    taus = R.raw_col([teichmuller(big, coord) for coord in point])
+    n0 = _combine(R, taus, bvecs, r * r)
+    ident = R.identity(r)
+    u_h = R.add_mat(ident, vec_to_mat(n0, r))
+    # backward-orbit coordinates: c_k = C^k c_0 on the basis of E
+    coords = bE.solve(n0, 0)
+    if coords is None:
+        raise HypothesisViolated("the point twist does not lie in E")
+    Cmap = ws["Cmap"]
+    ech_rows = ws["ech_rows"]
+    cap = ctx.N * max(r, 2) + 10
+    prod = prod_inv = ident
+    steps = 0
+    back = (-1) % big.n
+    dot = R.dot
+    while True:
+        # the inverse conjugation is sigma^{-1}-semilinear: twist the
+        # coordinates before applying the restriction matrix
+        twisted = [R.frob(c, back) for c in coords]
+        coords = [dot(row, twisted) for row in Cmap]
+        if R.vanishes(coords, ctx.N):
+            break
+        steps += 1
+        if steps > cap:
+            raise NonConvergence(
+                "backward Frobenius orbit did not reach zero; are the "
+                "inverse-Frobenius slopes positive on E?")
+        nk = vec_to_mat([dot(row, coords) for row in ech_rows], r)
+        prod = R.mul_mat(R.add_mat(ident, nk), prod)
+        prod_inv = R.mul_mat(prod_inv, R.nilpotent_inverse(nk, r))
+    # certificate: prod u_h A sigma(prod^{-1}) A^{-1} = 1
+    lhs = R.mul_mat(R.mul_mat(prod, u_h), ws["abig"])
+    lhs = R.mul_mat(lhs, [[R.frob(x, 1) for x in row] for row in prod_inv])
+    lhs = R.mul_mat(lhs, ws["ainv"])
+    pd = R.of_int(big.p ** dval)
+    verified = ctx.N
+    for a_, row in enumerate(lhs):
+        for b_, x in enumerate(row):
+            if a_ == b_:
+                x = R.sub(x, pd)
+            # lhs carries the cleared p^dval, so subtract it from the
+            # certified exponent
+            verified = min(verified, max(0, R.val(x) - dval))
+    return {
+        "u_infinity": ring(ctx).raw_mat(prod),
+        "steps": steps,
+        "verified_modulus": verified,
+        "loss": ctx.N - verified,
+        "converged": True,
+    }
+
+
+def _seeded_points(ctx, nvars, seed, count):
+    rng = random.Random(seed)
+    return [[tuple(rng.randrange(ctx.p) for _ in range(ctx.n))
+             for _ in range(nvars)] for _ in range(count)]
+
+
+def test_non_isoclinic_list_is_the_corpus():
+    found = [name for name in corpus_names()
+             if len(newton_slopes(Session(load_corpus(name)).crystal())) > 1]
+    assert found == NON_ISOCLINIC
+
+
+@pytest.mark.parametrize("name", NON_ISOCLINIC)
+def test_trivialize_sum_matches_product_loop(name):
+    sess = Session(load_corpus(name))
+    X, E, B = sess.crystal(), sess.lattice_e(), sess.deformation_basis()
+    ctx = sess.ctx()
+    ws = prepare_trivializer(X, E, B)
+    assert ws["square_zero"]
+    points = [[(0,) * ctx.n] * B.n] + _seeded_points(
+        ctx, B.n, 4000 + NON_ISOCLINIC.index(name), 6)
+    for point in points:
+        got = trivialize_at_point(X, E, B, point, workspace=ws)
+        want = _trivialize_reference(X, E, B, point, workspace=ws)
+        assert got == want
+
+
+@pytest.mark.parametrize("name", ["three_slope_rank4", "four_slope_rank8"])
+def test_trivialize_falls_back_on_non_square_zero(name):
+    # O_minus is not square-zero here: the gate is false and the product
+    # loop runs, still agreeing with the reference
+    sess = Session(load_corpus(name))
+    X, O = sess.crystal(), sess.o_minus()
+    B = select_deformation_basis(O, sess.tangent())
+    ws = prepare_trivializer(X, O, B)
+    assert not ws["square_zero"]
+    for point in _seeded_points(sess.ctx(), B.n, 4100, 2):
+        got = trivialize_at_point(X, O, B, point, workspace=ws)
+        assert got == _trivialize_reference(X, O, B, point, workspace=ws)
+
+
+def test_square_zero_trivializer_makes_no_orbit_products(monkeypatch):
+    # the orbit is summed: only the four certificate products remain,
+    # however many steps the orbit takes
+    sess = Session(load_corpus("four_slope_rank8"))
+    X, E, B = sess.crystal(), sess.lattice_e(), sess.deformation_basis()
+    ws = prepare_trivializer(X, E, B)
+    calls = {"mul_mat": 0, "nilpotent_inverse": 0}
+
+    def counting(name):
+        body = getattr(matrix._Ring, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return body(self, *args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(matrix._Ring, name, counting(name))
+    steps = set()
+    for point in ([(0,), (0,), (0,)], [(0,), (1,), (0,)],
+                  [(0,), (0,), (1,)], [(1,), (2,), (3,)]):
+        for name in calls:
+            calls[name] = 0
+        out = trivialize_at_point(X, E, B, point, workspace=ws)
+        steps.add(out["steps"])
+        assert calls == {"mul_mat": 4, "nilpotent_inverse": 0}
+    assert steps == {0, 47, 143}
+
+
+def _nabla_reference(conn, vec, i):
+    ctx = conn.crystal.ctx
+    r = conn.crystal.rank
+    out = [s.partial(i) for s in vec]
+    for l, v in enumerate(conn.basis):
+        w_li = conn.w[(l, i)]
+        if w_li.is_zero():
+            continue
+        evec = _series_mat_vec(
+            [[TruncatedSeries.constant(ctx, conn.B.n, conn.dmax, x)
+              for x in row] for row in vec_to_mat(v, r)], vec)
+        out = [o + e * w_li for o, e in zip(out, evec)]
+    return out
+
+
+def test_nabla_matches_constant_matrix_form():
+    # nabla on raw matrix entries gives the coefficients and validity
+    # windows of the former constant-series products; entries of vec
+    # carry different windows, and zero entries keep theirs
+    ctx = make_context(2, 3, 40)
+    X = rank6_two_slope(ctx)
+    S = slope_split(X)
+    E = end_decompose(X, S)
+    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    B = select_deformation_basis(O, TangentSpace(X))
+    conn = solve_connection(X, O, B, 4)
+    rng = random.Random(4200)
+    for _ in range(4):
+        vec = []
+        for k in range(X.rank):
+            coeffs = {} if k % 3 == 0 else {
+                (rng.randrange(3), rng.randrange(2), 0):
+                ctx.scalar([rng.randrange(ctx.pN) for _ in range(3)])}
+            vec.append(TruncatedSeries(ctx, B.n, 4, coeffs,
+                                       valid=rng.randrange(5)))
+        for i in range(B.n):
+            got = _nabla(conn, vec, i)
+            want = _nabla_reference(conn, vec, i)
+            assert [(s.coeffs, s.valid) for s in got] == \
+                [(s.coeffs, s.valid) for s in want]
 
 
 # ---------------------------------------------------------------------------
