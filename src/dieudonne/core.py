@@ -7,6 +7,15 @@ largest/smallest stable-lattice fixed points, the four axiom checks for
 square-zero deformation lattices, and Lie (projector) elements t with
 [x, t] = x on the lattice.  Matrices and lattice columns are raw
 (``matrix.ring``).
+
+The fixed points and the codimension run on a ``Carrier``: a saturated
+lattice S of End(M) of rank d, with the two conjugation numerators
+restricted to its echelon basis B (N sigma(B) = B C, every column of C
+certified by a solve, a failed one raising ``InclusionViolated``).  A
+lattice inside S[1/p] is refined in Z^d and mapped back through B once,
+to the same canonical presentation as the End(M) computation.  The
+decomposition's carriers are the full V_plus and V_minus; without one,
+End(M) itself is the carrier, with the identity basis.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ from .errors import (HypothesisViolated, InclusionViolated, NoAutoConstruction,
 from .isocrystal import (FIsocrystal, SlopeData, end_frobenius,
                          sandwich_map, vec_to_mat, _maps_equal)
 from .lattices import (Lattice, SemilinearMap, intersect, invert_matrix,
-                       kernel_span, lattice_sum, mod_p_dimension, saturate)
+                       kernel_span, lattice_sum, matrix_kernel,
+                       mod_p_dimension, saturate, smith_valuations)
 from .matrix import ring
 
 
@@ -281,10 +291,11 @@ def _iteration_cap(V: Lattice) -> int:
     return max(V.ambient, 1) * V.ctx.N + 10
 
 
-def smallest_stable_superlattice(V: Lattice, numerator_steps, denominator
-                                 ) -> Lattice:
+def smallest_stable_superlattice(V: Lattice, numerator_steps, denominator,
+                                 rounds: int) -> Lattice:
     """Smallest lattice containing V and stable under every map
-    p^{-denominator} * numerator, by the increasing closure.
+    p^{-denominator} * numerator, by the increasing closure, in at most
+    ``rounds`` rounds.
 
     Works on the p^{k*denominator}-rescaled iterates so every round is an
     integral sum (division-free); the scale field carries the rescaling
@@ -293,7 +304,7 @@ def smallest_stable_superlattice(V: Lattice, numerator_steps, denominator
     ctx = V.ctx
     R = ring(ctx)
     cur = V
-    for _ in range(_iteration_cap(V)):
+    for _ in range(rounds):
         deepest = max((e for (_, e) in cur.pivots), default=0)
         if cur.scale + denominator + deepest >= ctx.N - 2:
             raise PrecisionExhausted(
@@ -336,9 +347,152 @@ def _conjugation_numerators(crystal):
     return crystal._derived["conjugation"]
 
 
-def _membership_refine(E: Lattice, num_map, shift: int) -> Lattice:
+class Carrier:
+    """A saturated lattice S of End(M) that both conjugation numerators
+    map into itself, in block coordinates.
+
+    ``lattice`` is S; its processing-order echelon B (``S.ech``) has unit
+    pivots, so B is a basis of S and S is a direct summand of End(M).
+    ``fwd`` and ``bwd`` are the numerators restricted to S: the d x d
+    semilinear maps C with N sigma(B) = B C, each column certified by a
+    ``Lattice.solve``.  A lattice L inside S[1/p] is handled as its
+    coordinate lattice X in Z^d with B X = L (``coords``), and mapped back
+    once (``lift``).  As S is saturated, X and L have the same rank, pivot
+    valuations and memberships, so a closure and its certificates take
+    the same steps on X as on L, at rank d instead of r^2.
+
+    ``blocks`` maps each Hom(W_src, W_dst) block of S to the integral rows
+    D_dst x U_src that read its coordinates off B (U_a the echelon basis of
+    the component M cap W_a, e_a = U_a D_a).  It is kept only when all the
+    rows together form a matrix invertible over W, so that ``cut`` finds
+    every sub-sum of blocks as an exact kernel in Z^d; otherwise it is
+    None.
+
+    ``Carrier.ambient(crystal)`` is End(M) itself, with the identity basis
+    (``lattice`` None, the numerators as they are).  A carrier keeps
+    neither the crystal nor a decomposition: it is cached in
+    ``EndDecomposition._derived``, and ``bench/tracer.py`` keys span
+    inputs by walking their fields, a walk that would not end on a cycle.
+    """
+
+    __slots__ = ("lattice", "fwd", "bwd", "vdet", "blocks")
+
+    def __init__(self, lattice, fwd, bwd, vdet, blocks=None):
+        self.lattice = lattice
+        self.fwd = fwd
+        self.bwd = bwd
+        self.vdet = vdet
+        self.blocks = blocks
+
+    @classmethod
+    def ambient(cls, crystal: FIsocrystal) -> "Carrier":
+        return cls(None, *_conjugation_numerators(crystal))
+
+    @classmethod
+    def of(cls, S: Lattice, crystal: FIsocrystal, slope_data: SlopeData,
+           blocks) -> "Carrier":
+        """The carrier on a saturated integral lattice S of End(M), whose
+        Hom blocks (``(src, dst)`` slope pairs) are read off with
+        ``slope_data``; raises InclusionViolated when a numerator does not
+        map S into itself.
+
+        A basis with a loss is trusted only modulo p^(N - loss), and its
+        coordinates would not reproduce the End(M) computation digit for
+        digit: S is then handled as End(M), through the ambient carrier.
+        """
+        if S.scale or any(e for (_, e) in S.ech_pivots):
+            raise InclusionViolated(
+                "a carrier needs a saturated integral lattice")
+        if S.loss:
+            return cls.ambient(crystal)
+        fwd, bwd, vdet = _conjugation_numerators(crystal)
+        return cls(S, _restricted(S, fwd), _restricted(S, bwd), vdet,
+                   _block_rows(S, slope_data, blocks))
+
+    def coords(self, V: Lattice) -> Lattice:
+        """The coordinate lattice of V, which must lie in S[1/p]."""
+        S = self.lattice
+        if S is None:
+            return V
+        xs = []
+        for col in V.cols:
+            x = S.solve(col)
+            if x is None:
+                raise InclusionViolated("lattice is not inside its carrier")
+            xs.append(x)
+        return Lattice.from_columns(V.ctx, S.rank, xs, scale=V.scale,
+                                    loss=V.loss)
+
+    def lift(self, X: Lattice) -> Lattice:
+        """The End(M) lattice B X, canonicalized."""
+        S = self.lattice
+        if S is None:
+            return X
+        gens = ring(X.ctx).mul_mat(list(X.cols), list(S.ech))
+        return Lattice.from_columns(X.ctx, S.ambient, gens, scale=X.scale,
+                                    loss=X.loss)
+
+    def cut(self, keep) -> Lattice:
+        """The sublattice of S inside the Hom blocks ``keep``: the kernel
+        of the coordinates of every other block.  Needs ``blocks``."""
+        S = self.lattice
+        ctx = S.ctx
+        R = ring(ctx)
+        keep = set(keep)
+        rows = [row for block, brows in self.blocks.items()
+                if block not in keep for row in brows]
+        kern = (matrix_kernel(ctx, rows, ctx.N, ncols=S.rank) if rows
+                else R.identity(S.rank))
+        return Lattice.from_columns(ctx, S.ambient,
+                                    R.mul_mat(kern, list(S.ech)))
+
+
+def _restricted(S: Lattice, num: SemilinearMap) -> SemilinearMap:
+    """The matrix C with num sigma(B) = B C on the echelon basis B of S."""
+    cols = []
+    for b in S.ech:
+        x = S.solve(num.apply_raw(b))
+        if x is None:
+            raise InclusionViolated(
+                "block lattice is not stable under a conjugation numerator")
+        cols.append(x)
+    return SemilinearMap(S.ctx, list(zip(*cols)), twist=num.twist,
+                         loss=max(num.loss, S.loss))
+
+
+def _block_rows(S: Lattice, slope_data: SlopeData, blocks):
+    """{(src, dst): the rows of D_dst x U_src on the basis of S}, or None
+    when they do not make an invertible d x d matrix over W."""
+    ctx = S.ctx
+    R = ring(ctx)
+    r = slope_data.crystal.rank
+    U, D = {}, {}
+    for a, comp in slope_data.components.items():
+        # column j of the projector numerator is p^den e_a(e_j), in M cap W_a
+        E = slope_data.projectors[a].rows
+        cols = [comp.solve([row[j] for row in E]) for j in range(r)]
+        if comp.scale or None in cols:
+            return None
+        U[a] = list(zip(*comp.ech))
+        D[a] = list(zip(*cols))
+    mats = [vec_to_mat(b, r) for b in S.ech]
+    out = {}
+    for (src, dst) in blocks:
+        coords = [R.mul_mat(R.mul_mat(D[dst], x), U[src]) for x in mats]
+        out[(src, dst)] = [[c[i][j] for c in coords]
+                           for i in range(len(D[dst]))
+                           for j in range(len(D[src]))]
+    rows = [row for brows in out.values() for row in brows]
+    if len(rows) != S.rank or any(smith_valuations(ctx, rows)):
+        return None
+    return out
+
+
+def _membership_refine(E: Lattice, num_map, shift: int, rounds: int
+                       ) -> Lattice:
     """Largest sublattice with num_map(x) inside p^shift times itself,
-    by the decreasing refinement E <- {x in E : num_map(x) in p^shift E}.
+    by the decreasing refinement E <- {x in E : num_map(x) in p^shift E},
+    in at most ``rounds`` rounds.
 
     Entirely division-free (a stacked-kernel step per round), so the
     computed bases stay exact at the working precision; termination is
@@ -348,7 +502,7 @@ def _membership_refine(E: Lattice, num_map, shift: int) -> Lattice:
     amb = E.ambient
     cur = E
     last = None
-    for _ in range(_iteration_cap(E)):
+    for _ in range(rounds):
         if cur.rank == 0:
             return cur
         imgs = [num_map.apply_raw(c) for c in cur.cols]
@@ -367,8 +521,15 @@ def _membership_refine(E: Lattice, num_map, shift: int) -> Lattice:
     raise NonConvergence("stable-sublattice refinement did not converge")
 
 
+def _certify_stable(X: Lattice, checks):
+    for num, shift, name in checks:
+        if not _maps_into(X, num, shift):
+            raise HypothesisViolated(
+                f"fixed point is not stable under {name}")
+
+
 def largest_sub_dieudonne(V: Lattice, crystal: FIsocrystal,
-                          mode: str = "negative") -> Lattice:
+                          mode: str = "negative", carrier=None) -> Lattice:
     """Largest sublattice O of V that is a Dieudonne lattice for the
     appropriate twist of the conjugation Frobenius.
 
@@ -376,23 +537,25 @@ def largest_sub_dieudonne(V: Lattice, crystal: FIsocrystal,
     p phi(O) <= O (for lattices of negative slopes).
     mode "positive": (O, phi) Dieudonne, i.e. phi(O) <= O and
     p phi^{-1}(O) <= O (for lattices of positive slopes).
+
+    With a ``Carrier`` whose lattice contains V, the refinement and its
+    certificates run in the carrier's block coordinates; the result is
+    the same, in the same canonical presentation.
     """
-    fwd_num, bwd_num, vdet = _conjugation_numerators(crystal)
+    c = Carrier.ambient(crystal) if carrier is None else carrier
+    fwd, bwd, vdet = c.fwd, c.bwd, c.vdet
     if mode == "negative":
-        # phi^{-1}(x) in E  <=>  bwd_num(x) in p^vdet E
-        out = _membership_refine(V, bwd_num, vdet)
-        checks = [(bwd_num, vdet, "phi^{-1}"), (fwd_num, vdet - 1, "p phi")]
+        # phi^{-1}(x) in E  <=>  bwd(x) in p^vdet E
+        refine = bwd
+        checks = [(bwd, vdet, "phi^{-1}"), (fwd, vdet - 1, "p phi")]
     elif mode == "positive":
-        out = _membership_refine(V, fwd_num, vdet)
-        checks = [(fwd_num, vdet, "phi"),
-                  (bwd_num, vdet - 1, "p phi^{-1}")]
+        refine = fwd
+        checks = [(fwd, vdet, "phi"), (bwd, vdet - 1, "p phi^{-1}")]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    for num, shift, name in checks:
-        if not _maps_into(out, num, shift):
-            raise HypothesisViolated(
-                f"fixed point is not stable under {name}")
-    return out
+    out = _membership_refine(c.coords(V), refine, vdet, _iteration_cap(V))
+    _certify_stable(out, checks)
+    return c.lift(out)
 
 
 def _maps_into(E: Lattice, num_map, shift: int) -> bool:
@@ -415,52 +578,54 @@ def _maps_into(E: Lattice, num_map, shift: int) -> bool:
 
 
 def smallest_super_dieudonne(V: Lattice, crystal: FIsocrystal,
-                             mode: str = "positive") -> Lattice:
+                             mode: str = "positive", carrier=None
+                             ) -> Lattice:
     """Smallest Dieudonne lattice containing V.
 
     mode "positive": stability under phi and p phi^{-1};
     mode "negative": stability under p phi and phi^{-1}.
+
+    A ``carrier`` containing V runs the closure in block coordinates, as
+    in ``largest_sub_dieudonne``.
     """
-    fwd_num, bwd_num, vdet = _conjugation_numerators(crystal)
+    c = Carrier.ambient(crystal) if carrier is None else carrier
+    fwd, bwd, vdet = c.fwd, c.bwd, c.vdet
     if mode == "positive":
-        # phi = p^-vdet fwd_num ; p phi^{-1} = p^{1-vdet} bwd_num
-        steps = [(fwd_num, 0), (bwd_num, 1)]
+        # phi = p^-vdet fwd ; p phi^{-1} = p^{1-vdet} bwd
+        steps = [(fwd, 0), (bwd, 1)]
+        checks = [(fwd, vdet, "phi"), (bwd, vdet - 1, "p phi^{-1}")]
     elif mode == "negative":
-        steps = [(fwd_num, 1), (bwd_num, 0)]
+        steps = [(fwd, 1), (bwd, 0)]
+        checks = [(fwd, vdet - 1, "p phi"), (bwd, vdet, "phi^{-1}")]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    out = smallest_stable_superlattice(V, steps, vdet)
-    checks = ([(fwd_num, vdet, "phi"), (bwd_num, vdet - 1, "p phi^{-1}")]
-              if mode == "positive"
-              else [(fwd_num, vdet - 1, "p phi"),
-                    (bwd_num, vdet, "phi^{-1}")])
-    for num, shift, name in checks:
-        if not _maps_into(out, num, shift):
-            raise HypothesisViolated(
-                f"fixed point is not stable under {name}")
-    return out
+    out = smallest_stable_superlattice(c.coords(V), steps, vdet,
+                                       _iteration_cap(V))
+    _certify_stable(out, checks)
+    return c.lift(out)
 
 
 # ---------------------------------------------------------------------------
 # codimension
 
 
-def codim_of_dieudonne(E: Lattice, crystal: FIsocrystal) -> int:
+def codim_of_dieudonne(E: Lattice, crystal: FIsocrystal,
+                       carrier=None) -> int:
     """Codimension of (E, p phi): colength of the Verschiebung image
-    phi^{-1}(E) in E.
+    phi^{-1}(E) in E, in the block coordinates of ``carrier`` when given.
 
     The image is presented with its p-denominator in the scale (no
     content division), so its basis stays exact and the colength decision
     runs at full precision minus the scale gap.
     """
-    ctx = E.ctx
-    _, bwd_num, vdet = _conjugation_numerators(crystal)
+    c = Carrier.ambient(crystal) if carrier is None else carrier
+    X = c.coords(E)
     img = Lattice.from_columns(
-        ctx, E.ambient, [bwd_num.apply_raw(c) for c in E.cols],
-        scale=E.scale + vdet, loss=E.loss)
-    if not E.contains(img):
+        X.ctx, X.ambient, [c.bwd.apply_raw(col) for col in X.cols],
+        scale=X.scale + c.vdet, loss=X.loss)
+    if not X.contains(img):
         raise InclusionViolated("(E, p phi) is not a Dieudonne lattice")
-    return mod_p_dimension(img, E)
+    return mod_p_dimension(img, X)
 
 
 # ---------------------------------------------------------------------------
@@ -509,16 +674,19 @@ def _nonzero_product(ctx, r, vecs):
 
 
 def check_axioms(E: Lattice, crystal: FIsocrystal, V_minus: Lattice,
-                 split: HodgeSplitting | None = None) -> AxiomReport:
+                 split: HodgeSplitting | None = None,
+                 carrier: Carrier | None = None) -> AxiomReport:
     """The four axioms for a deformation lattice E inside the negative
     part: (i) maximality of (E, p phi) in E[1/p] cap V_-, (ii) E^2 = 0,
     and for a supplied splitting (iii) compatibility with the block
-    grading and (iv) the unit-part decomposition of E."""
+    grading and (iv) the unit-part decomposition of E.  A carrier of
+    V_minus runs the refinement of (i) in its block coordinates."""
     report = AxiomReport()
     report.ranks["E"] = E.rank
     # (i)
     sat = saturate(E, V_minus)
-    recomputed = largest_sub_dieudonne(sat, crystal, mode="negative")
+    recomputed = largest_sub_dieudonne(sat, crystal, mode="negative",
+                                       carrier=carrier)
     report.axiom_i = recomputed.equals(E)
     if not report.axiom_i:
         report.witnesses["axiom_i"] = (

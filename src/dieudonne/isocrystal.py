@@ -719,8 +719,9 @@ def end_frobenius(crystal: FIsocrystal) -> SemilinearMap:
 class EndDecomposition:
     """The integral lattices V_plus, V_minus of the positive and negative
     Hom-block sums of End(M).  ``_derived`` caches what is computed from
-    them on first use: ``o_minus()`` under ``"o_minus"``, and each pair
-    set's ``signs.sign_modules`` under the set's ``pairs`` tuple."""
+    them on first use: ``o_minus()`` under ``"o_minus"``, each sign's
+    ``carrier()`` under ``"carrier_plus"``/``"carrier_minus"``, and each
+    pair set's ``signs.sign_modules`` under the set's ``pairs`` tuple."""
 
     __slots__ = ("crystal", "slope_data", "V_plus", "V_minus", "_derived")
 
@@ -731,13 +732,40 @@ class EndDecomposition:
         self.V_minus = V_minus
         self._derived = {}
 
+    def carrier(self, sign):
+        """The ``core.Carrier`` of V_plus (sign "plus") or V_minus
+        ("minus"): every signed lattice of every pair set lies in one of
+        them, so their closures run in its block coordinates."""
+        key = f"carrier_{sign}"
+        if key not in self._derived:
+            from .core import Carrier
+            slopes = self.slope_data.slope_list
+            pairs = [(a, b) for a in slopes for b in slopes if b > a]
+            if sign == "minus":
+                pairs = [(b, a) for (a, b) in pairs]
+            self._derived[key] = Carrier.of(
+                getattr(self, f"V_{sign}"), self.crystal, self.slope_data,
+                pairs)
+        return self._derived[key]
+
+    def block_lattices(self, pairs):
+        """(V_plus, V_minus) of a set of increasing slope pairs: cut out
+        of the carriers in block coordinates when both have exact block
+        rows, else built from the r^2 x r^2 block projectors."""
+        plus, minus = self.carrier("plus"), self.carrier("minus")
+        if plus.blocks is None or minus.blocks is None:
+            return signed_block_lattices(self.crystal, self.slope_data,
+                                         pairs)
+        return plus.cut(pairs), minus.cut([(b, a) for (a, b) in pairs])
+
     def o_minus(self):
         """The largest negative stable lattice inside V_minus; computed
         once per decomposition."""
         if "o_minus" not in self._derived:
             from .core import largest_sub_dieudonne
             self._derived["o_minus"] = largest_sub_dieudonne(
-                self.V_minus, self.crystal, mode="negative")
+                self.V_minus, self.crystal, mode="negative",
+                carrier=self.carrier("minus"))
         return self._derived["o_minus"]
 
 

@@ -403,7 +403,8 @@ def run_ominus(sess: Session) -> dict:
         "ok": True,
     }
     if O.rank:
-        out["codimension"] = codim_of_dieudonne(O, X)
+        out["codimension"] = codim_of_dieudonne(
+            O, X, carrier=sess.decomp().carrier("minus"))
         out["ok"] = (out["codimension"] == dim)
     Elat = sess.lattice_e()
     if sess.spec.lattice_e is not None:
@@ -416,13 +417,14 @@ def run_axioms(sess: Session) -> dict:
     X = sess.crystal()
     ctx = sess.ctx()
     E = sess.lattice_e()
-    V_minus = sess.decomp().V_minus
+    decomp = sess.decomp()
     split = None
     try:
         split = sess.split()
     except DieudonneError:
         split = None
-    report = check_axioms(E, X, V_minus, split)
+    report = check_axioms(E, X, decomp.V_minus, split,
+                          carrier=decomp.carrier("minus"))
     out = report.as_dict()
     out["ok"] = report.all_pass()
     if sess.spec.lie_element_t is not None:

@@ -6,6 +6,12 @@ computes the integral lattices cut out of End(M), their largest
 sub-Dieudonne and smallest super-Dieudonne refinements, trace duals (with
 the dual/iterative cross-check), the per-pair codimension table, and the
 string/slice combinatorics of slope-pair subsets.
+
+Every signed lattice of every pair set lies in the full V_plus or V_minus
+of the decomposition, so its closures and codimension run in the block
+coordinates of that side's ``core.Carrier`` (rank d = sum of r_a r_b
+over the pairs instead of r^2), whose restricted numerators are
+certified once per decomposition.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from .core import (codim_of_dieudonne, largest_sub_dieudonne, nu_image,
                    smallest_super_dieudonne, _nonzero_product)
 from .errors import DualityMismatch, PrecisionExhausted, VerificationMismatch
 from .isocrystal import (EndDecomposition, FIsocrystal, SlopeData,
-                         mat_to_vec, signed_block_lattices, vec_to_mat)
+                         mat_to_vec, vec_to_mat)
 from .lattices import Lattice, intersect, kernel_span, smith_valuations
 from .matrix import ring
 
@@ -209,22 +215,27 @@ def _sign_modules(crystal, decomp, Y):
     if full:
         Vp, Vm = decomp.V_plus, decomp.V_minus
     else:
-        Vp, Vm = signed_block_lattices(crystal, decomp.slope_data, Y.pairs)
+        Vp, Vm = decomp.block_lattices(Y.pairs)
     Vpm = dual_lattice(Vm, Vp)
     Vmp = dual_lattice(Vp, Vm)
     if not Vpm.contains(Vp):
         raise DualityMismatch("V_plus is not inside the dual of V_minus")
     if not Vmp.contains(Vm):
         raise DualityMismatch("V_minus is not inside the dual of V_plus")
-    Op = largest_sub_dieudonne(Vp, crystal, mode="positive")
+    # every signed lattice lies in the full V_plus or V_minus: the
+    # closures run in the block coordinates of their carriers
+    plus, minus = decomp.carrier("plus"), decomp.carrier("minus")
+    Op = largest_sub_dieudonne(Vp, crystal, mode="positive", carrier=plus)
     Om = decomp.o_minus() if full else largest_sub_dieudonne(
-        Vm, crystal, mode="negative")
+        Vm, crystal, mode="negative", carrier=minus)
     Opm_dual = dual_lattice(Om, Vp) if Om.rank else Lattice.zero(
         ctx, crystal.rank ** 2)
     Omp_dual = dual_lattice(Op, Vm) if Op.rank else Lattice.zero(
         ctx, crystal.rank ** 2)
-    Opm_iter = smallest_super_dieudonne(Vpm, crystal, mode="positive")
-    Omp_iter = smallest_super_dieudonne(Vmp, crystal, mode="negative")
+    Opm_iter = smallest_super_dieudonne(Vpm, crystal, mode="positive",
+                                        carrier=plus)
+    Omp_iter = smallest_super_dieudonne(Vmp, crystal, mode="negative",
+                                        carrier=minus)
     if not Opm_dual.equals(Opm_iter):
         raise DualityMismatch(
             "dual of O_minus disagrees with the iterative closure of "
@@ -237,7 +248,8 @@ def _sign_modules(crystal, decomp, Y):
         raise DualityMismatch("O_plus not inside O_plus_minus")
     if not Omp_iter.contains(Om):
         raise DualityMismatch("O_minus not inside O_minus_plus")
-    codims = {"c_minus": codim_of_dieudonne(Om, crystal) if Om.rank else 0}
+    codims = {"c_minus": codim_of_dieudonne(Om, crystal, carrier=minus)
+              if Om.rank else 0}
     return SignModuleSet(Y=Y, V_plus=Vp, V_minus=Vm, V_plus_minus=Vpm,
                          V_minus_plus=Vmp, O_plus=Op, O_minus=Om,
                          O_plus_minus=Opm_iter, O_minus_plus=Omp_iter,

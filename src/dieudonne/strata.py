@@ -222,7 +222,8 @@ def strata_dims(gd: GroupData, crystal: FIsocrystal,
     if OmG.rank:
         cmg = nu_image(OmG, tangent)[0]
         # tangent dimension equals the Verschiebung colength
-        if cmg != codim_of_dieudonne(OmG, crystal):
+        if cmg != codim_of_dieudonne(OmG, crystal,
+                                     carrier=decomp.carrier("minus")):
             raise VerificationMismatch(
                 "tangent dimension of O_minus(G) differs from its "
                 "codimension")
@@ -363,13 +364,14 @@ def _check_isotropy(split, g):
 # Cayley elements
 
 
-def cayley_element(crystal: FIsocrystal, gd: GroupData, vectors,
-                   dmax: int) -> dict:
+def cayley_element(crystal: FIsocrystal, gd: GroupData,
+                   decomp: EndDecomposition, vectors, dmax: int) -> dict:
     """(1 - V)(1 + V)^{-1} for V = sum v_i x_i, as a series matrix.
 
     Requires p > 2.  Certifies that the result preserves the form as a
     series identity and that its deviation from the identity has all
-    monomial coefficients inside the supplied negative lattice.
+    monomial coefficients inside the negative stable lattice
+    ``decomp.o_minus()`` of the crystal's End(M) decomposition.
     """
     ctx = crystal.ctx
     if ctx.p == 2:
@@ -413,7 +415,7 @@ def cayley_element(crystal: FIsocrystal, gd: GroupData, vectors,
                 raise CertificateFailed(
                     "form is not preserved by the Cayley element")
     # certificate (b): coefficients of w - 1 lie in the negative lattice
-    o_minus_g = ambient_o_minus(crystal)
+    o_minus_g = decomp.o_minus()
     mono_set = set()
     for i in range(r):
         for j in range(r):
@@ -431,10 +433,3 @@ def cayley_element(crystal: FIsocrystal, gd: GroupData, vectors,
         "symplectic_window": window,
         "coefficients_in_O_minus": True,
     }
-
-
-def ambient_o_minus(crystal):
-    """The largest negative stable lattice of the ambient module (the
-    coefficient target of the Cayley deviation)."""
-    from .isocrystal import slope_split, end_decompose
-    return end_decompose(crystal, slope_split(crystal)).o_minus()

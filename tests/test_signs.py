@@ -165,9 +165,9 @@ def test_full_pair_set_reuses_the_decomposition(monkeypatch):
     calls = []
     real = core.largest_sub_dieudonne
 
-    def counted(V, crystal, mode="negative"):
+    def counted(V, crystal, mode="negative", carrier=None):
         calls.append((V, mode))
-        return real(V, crystal, mode=mode)
+        return real(V, crystal, mode=mode, carrier=carrier)
     monkeypatch.setattr(core, "largest_sub_dieudonne", counted)
     monkeypatch.setattr(signs, "largest_sub_dieudonne", counted)
     report = run(spec, ["ominus", "traverso"])

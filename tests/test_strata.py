@@ -9,7 +9,7 @@ from dieudonne.isocrystal import slope_split, end_decompose, dim_codim
 from dieudonne.core import (TangentSpace, hodge_splitting,
                             hodge_splitting_from_kernel)
 from dieudonne.strata import (
-    StrataReport, ambient_o_minus, cayley_element, codim_complement_form,
+    StrataReport, cayley_element, codim_complement_form,
     group_custom, group_full_gl, group_symplectic, manin_symmetry_check,
     n_g_mu, polarized_closed_form, polarized_dim, strata_dims,
     traverso_dimension,
@@ -183,7 +183,7 @@ def test_cayley_elliptic_p3():
     # the negative generator: sends e2 to e1
     v = [0] * 4
     v[0 * 2 + 1] = 1
-    out = cayley_element(X, gd, [v], dmax=6)
+    out = cayley_element(X, gd, E, [v], dmax=6)
     w = out["matrix"]
     # 1 - 2 v x since v^2 = 0
     assert w[0][0].constant_term() == ctx.one
@@ -202,7 +202,7 @@ def test_cayley_rejects_p2():
                    None, gram=[[ctx.scalar(x) for x in r] for r in
                                [[0, 1], [-1, 0]]])
     with pytest.raises(WrongCharacteristic):
-        cayley_element(X, gd, [[0, 1, 0, 0]], dmax=4)
+        cayley_element(X, gd, E, [[0, 1, 0, 0]], dmax=4)
 
 
 def test_cayley_rejects_non_lie_vector():
@@ -212,7 +212,7 @@ def test_cayley_rejects_non_lie_vector():
     gd = group_symplectic(X, gram)
     bad = [1, 0, 0, 0]  # E_00 is not in sp_2
     with pytest.raises(CertificateFailed):
-        cayley_element(X, gd, [bad], dmax=4)
+        cayley_element(X, gd, E, [bad], dmax=4)
 
 
 def test_symplectic_certificate_rejects_bad_form():
@@ -232,7 +232,7 @@ def test_cayley_zero_vector_is_identity():
     ctx = make_context(3, 1, 24)
     X, S, E, T = setup(ctx, elliptic_ordinary)
     gd = group_symplectic(X, elliptic_gram(ctx))
-    out = cayley_element(X, gd, [[0] * 4], dmax=6)
+    out = cayley_element(X, gd, E, [[0] * 4], dmax=6)
     w = out["matrix"]
     for i in range(2):
         for j in range(2):
