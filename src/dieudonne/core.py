@@ -494,9 +494,11 @@ def _membership_refine(E: Lattice, num_map, shift: int, rounds: int
     by the decreasing refinement E <- {x in E : num_map(x) in p^shift E},
     in at most ``rounds`` rounds.
 
-    Entirely division-free (a stacked-kernel step per round), so the
-    computed bases stay exact at the working precision; termination is
-    detected by the exact rank/volume invariant.
+    Entirely division-free (a stacked-kernel step per round).  The
+    digits just below p^N can depend on the order of the pivot rows: the
+    same refinement on another basis of E may return a lattice that
+    differs from this one there.  Termination is detected by the exact
+    rank/volume invariant.
     """
     ctx = E.ctx
     amb = E.ambient

@@ -12,8 +12,10 @@ Everything runs at an internally boosted precision on the exact input
 matrix, so the published projectors and component lattices are good at the
 context precision; their p-denominators are recorded as map loss.
 
-Matrices are raw (``matrix.ring``); the polynomials are lists of
-``WittScalar`` coefficients, and ``charpoly`` reads a wrapped matrix.
+Matrices and polynomials are raw: entries and coefficients of
+``matrix.ring(ctx)``, polynomials as low-degree-first lists.  The residue
+step of Hensel lifting runs on the same polynomial ops, with every
+coefficient reduced to its representative mod p.
 """
 
 from __future__ import annotations
@@ -27,48 +29,49 @@ from .lattices import (Lattice, SemilinearMap, invert_matrix,
                        invert_matrix_exact, lattice_sum, matrix_kernel,
                        mod_p_dimension, restrict_map)
 from .matrix import ring
-from .witt import WittContext, WittScalar
+from .witt import WittContext
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over the Witt ring (low-degree-first scalar lists)
+# dense polynomials over the Witt ring (low-degree-first raw lists)
 
 
 def poly_mul(ctx, a, b):
+    """Product of raw polynomials: one scale-and-add per nonzero
+    coefficient of a."""
     if not a or not b:
         return []
-    out = [ctx.zero] * (len(a) + len(b) - 1)
+    R = ring(ctx)
+    zero, lb = R.zero, len(b)
+    out = [zero] * (len(a) + lb - 1)
     for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
+        if x != zero:
+            out[i:i + lb] = R.axpy(out[i:i + lb], R.neg(x), b)
     return out
 
 
 def poly_divmod_monic(ctx, a, b):
     """Division with remainder by a monic divisor."""
+    R = ring(ctx)
     a = list(a)
     db = len(b) - 1
-    assert b[-1] == ctx.one
-    q = [ctx.zero] * max(0, len(a) - db)
+    assert b[-1] == R.one
+    q = [R.zero] * max(0, len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
-        if c.is_zero():
+        if c == R.zero:
             continue
         q[i - db] = c
-        for k in range(db + 1):
-            a[i - db + k] = a[i - db + k] - c * b[k]
+        a[i - db:i + 1] = R.axpy(a[i - db:i + 1], c, b)
     return q, a[:db]
 
 
 def poly_eval_matrix(ctx, coeffs, rows):
-    """Evaluate a polynomial at a square raw matrix (Horner); raw."""
+    """Evaluate a polynomial at a square raw matrix (Horner)."""
     R = ring(ctx)
     r = len(rows)
     acc = [[R.zero] * r for _ in range(r)]
-    for c in reversed(R.raw_col(coeffs)):
+    for c in reversed(coeffs):
         # acc <- acc * A + c I
         acc = R.mul_mat(acc, rows)
         for i in range(r):
@@ -79,34 +82,24 @@ def poly_eval_matrix(ctx, coeffs, rows):
 def charpoly(ctx, rows):
     """Characteristic polynomial det(xI - A), monic, low-degree-first,
     by the division-free Berkowitz expansion."""
+    R = ring(ctx)
+    neg, dot = R.neg, R.dot
     r = len(rows)
-    one, zero = ctx.one, ctx.zero
     if r == 0:
-        return [one]
-    coeffs = [one, -rows[0][0]]
+        return [R.one]
+    coeffs = [R.one, neg(rows[0][0])]
     for k in range(1, r):
-        # leading principal (k+1)x(k+1) block
-        t = [one, -rows[k][k]]
-        col = [rows[i][k] for i in range(k)]
+        # leading principal (k+1)x(k+1) block, bordering the k x k block
+        # A with a new row u and column c: t = 1, -a_kk, -u c, -u A c, ...
+        block = [row[:k] for row in rows[:k]]
+        u = rows[k][:k]
+        t = [R.one, neg(rows[k][k])]
+        col = [row[k] for row in rows[:k]]
         for j in range(k):
-            s = zero
-            for i in range(k):
-                if not (rows[k][i].is_zero() or col[i].is_zero()):
-                    s = s + rows[k][i] * col[i]
-            t.append(-s)
+            t.append(neg(dot(u, col)))
             if j < k - 1:
-                col = [sum((rows[i][l] * col[l] for l in range(k)
-                            if not (rows[i][l].is_zero()
-                                    or col[l].is_zero())), zero)
-                       for i in range(k)]
-        new = [zero] * (k + 2)
-        for i in range(k + 2):
-            acc = zero
-            for j in range(len(coeffs)):
-                if 0 <= i - j < len(t):
-                    acc = acc + t[i - j] * coeffs[j]
-            new[i] = acc
-        coeffs = new
+                col = [dot(brow, col) for brow in block]
+        coeffs = poly_mul(ctx, t, coeffs)[:k + 2]
     return list(reversed(coeffs))  # low-first, monic
 
 
@@ -138,17 +131,18 @@ def newton_polygon(ctx, coeffs, loss=0):
     is computed with both readings (valuation N and +infinity) and a
     disagreement raises PrecisionExhausted.
     """
+    val = ring(ctx).val
     neff = ctx.N - loss
     deg = len(coeffs) - 1
     finite = []
     zeros = []
     for i, c in enumerate(coeffs):
-        v = c.valuation()
+        v = val(c)
         if v >= neff:
             zeros.append(i)
         else:
             finite.append((i, v))
-    if coeffs[-1].valuation() != 0:
+    if val(coeffs[-1]) != 0:
         raise ValueError("polynomial is not monic")
     assert deg >= 0
 
@@ -172,166 +166,107 @@ def newton_polygon(ctx, coeffs, loss=0):
 
 
 # ---------------------------------------------------------------------------
-# coprime Hensel lifting over the residue field
+# coprime Hensel lifting
 
 
-def _gfp(ctx, coeffs):
-    return [ctx.residue(c.c) for c in coeffs]
+def _poly_axpy(R, y, q, x):
+    """y - q x on raw polynomials, the shorter one padded with zeros."""
+    m = max(len(x), len(y))
+    return R.axpy(list(y) + [R.zero] * (m - len(y)), q,
+                  list(x) + [R.zero] * (m - len(x)))
 
 
-def _gf_poly_trim(ctx, a):
-    while a and ctx.gf_is_zero(a[-1]):
-        a = a[:-1]
+def _poly_reduce(R, a, pk):
+    """Every coefficient reduced to its representative modulo the integer
+    pk, trailing zeros kept."""
+    return [R.rem(x, pk) for x in a]
+
+
+def _residue(R, p, a):
+    """The residue polynomial: coefficients reduced mod p, trailing zeros
+    dropped.  A coefficient in [0, p) is also the raw lift of its residue."""
+    a = _poly_reduce(R, a, p)
+    while a and a[-1] == R.zero:
+        a.pop()
     return a
 
 
-def _gf_poly_mul(ctx, a, b):
-    if not a or not b:
-        return []
-    zero = tuple([0] * ctx.n)
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if ctx.gf_is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = ctx.gf_add(out[i + j], ctx.gf_mul(x, y))
-    return _gf_poly_trim(ctx, out)
-
-
-def _gf_poly_divmod(ctx, a, b):
-    a = list(a)
-    b = _gf_poly_trim(ctx, list(b))
-    db = len(b) - 1
-    inv = ctx.gf_inv(b[-1])
-    q = [tuple([0] * ctx.n)] * max(0, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if ctx.gf_is_zero(c):
-            continue
-        f = ctx.gf_mul(c, inv)
-        q[i - db] = f
-        for k in range(db + 1):
-            a[i - db + k] = ctx.gf_sub(a[i - db + k], ctx.gf_mul(f, b[k]))
-    return q, _gf_poly_trim(ctx, a[:db])
-
-
-def _gf_ext_euclid(ctx, a, b):
-    """(u, v) with u a + v b = 1 for coprime residue polynomials."""
-    zero_p = []
-    one_p = [tuple([1] + [0] * (ctx.n - 1))]
-    r0, r1 = _gf_poly_trim(ctx, list(a)), _gf_poly_trim(ctx, list(b))
-    s0, s1 = one_p, zero_p
-    t0, t1 = zero_p, one_p
+def _residue_bezout(ctx, a, b):
+    """(u, v) with u a + v b = 1 mod p for coprime residue polynomials,
+    by the extended Euclidean algorithm on residues."""
+    R = ring(ctx)
+    p = ctx.p
+    r0, r1 = _residue(R, p, a), _residue(R, p, b)
+    s0, s1 = [R.one], []
+    t0, t1 = [], [R.one]
     while r1:
-        q, r = _gf_poly_divmod(ctx, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _gf_poly_sub(ctx, s0, _gf_poly_mul(ctx, q, s1))
-        t0, t1 = t1, _gf_poly_sub(ctx, t0, _gf_poly_mul(ctx, q, t1))
+        # divide by r1 through its monic associate
+        inv = R.inverse(r1[-1])
+        q, r = poly_divmod_monic(ctx, r0, _residue(R, p, R.scale(r1, inv)))
+        q = R.scale(q, inv)
+        r0, r1 = r1, _residue(R, p, r)
+        s0, s1 = s1, _residue(R, p, _poly_axpy(R, s0, R.one,
+                                                 poly_mul(ctx, q, s1)))
+        t0, t1 = t1, _residue(R, p, _poly_axpy(R, t0, R.one,
+                                                 poly_mul(ctx, q, t1)))
     if len(r0) != 1:
         raise FieldTooSmall("factors are not coprime over the residue field")
-    inv = ctx.gf_inv(r0[0])
-    u = [ctx.gf_mul(inv, c) for c in s0]
-    v = [ctx.gf_mul(inv, c) for c in t0]
-    return u, v
-
-
-def _gf_poly_sub(ctx, a, b):
-    la, lb = len(a), len(b)
-    zero = tuple([0] * ctx.n)
-    out = []
-    for i in range(max(la, lb)):
-        x = a[i] if i < la else zero
-        y = b[i] if i < lb else zero
-        out.append(ctx.gf_sub(x, y))
-    return _gf_poly_trim(ctx, out)
-
-
-def _lift_gf(ctx, a):
-    return [ctx.scalar(list(c)) for c in a]
+    inv = R.inverse(r0[0])
+    return _residue(R, p, R.scale(s0, inv)), _residue(R, p, R.scale(t0, inv))
 
 
 def hensel_split(ctx, F, gbar, hbar):
-    """F = G * H mod p^N from a coprime monic factorization mod p.
+    """F = G * H mod p^N from a coprime monic factorization mod p, given
+    by coefficients in [0, p).
 
     Classical quadratic lifting; the cofactor identity is refreshed each
     round, and no precision is lost since the resultant is a unit.
     """
-    g = _lift_gf(ctx, gbar)
-    h = _lift_gf(ctx, hbar)
-    ubar, vbar = _gf_ext_euclid(ctx, gbar, hbar)
-    s = _lift_gf(ctx, ubar)   # s*g + t*h = 1
-    t = _lift_gf(ctx, vbar)
+    R = ring(ctx)
+    one, minus_one = R.one, R.neg(R.one)
+    g, h = list(gbar), list(hbar)
+    s, t = _residue_bezout(ctx, gbar, hbar)   # s*g + t*h = 1 mod p
     deg_g, deg_h = len(gbar), len(hbar)
     prec = 1
     while prec < ctx.N:
         # quadratic step: all round arithmetic truncated mod p^(2 prec),
         # which is what makes the degree-overflow terms vanish exactly
         k = min(2 * prec, ctx.N)
-        gh = poly_mul(ctx, g, h)
-        e = _poly_reduce(ctx, _poly_sub(ctx, F, gh), k)
-        se = poly_mul(ctx, s, e)
-        q, r = poly_divmod_monic(ctx, se, h)
-        te = poly_mul(ctx, t, e)
-        qg = poly_mul(ctx, q, g)
-        g = _poly_reduce(ctx, _poly_add_pad(ctx, g,
-                                            _poly_add_pad(ctx, te, qg)), k)
-        h = _poly_reduce(ctx, _poly_add_pad(ctx, h, r), k)
-        g = _trim_monic(ctx, g, deg_g)
-        h = _trim_monic(ctx, h, deg_h)
-        # refresh the Bezout pair
-        b = _poly_reduce(
-            ctx, _poly_sub(ctx, _poly_add_pad(ctx, poly_mul(ctx, s, g),
-                                              poly_mul(ctx, t, h)),
-                           [ctx.one]), k)
-        sb = poly_mul(ctx, s, b)
-        c, d = poly_divmod_monic(ctx, sb, h)
-        s = _poly_reduce(ctx, _poly_sub(ctx, s, d), k)
-        tb = poly_mul(ctx, t, b)
-        cg = poly_mul(ctx, c, g)
-        t = _poly_reduce(ctx, _poly_sub(ctx, t, _poly_add_pad(ctx, tb, cg)),
-                         k)
+        pk = ctx.p ** k
+        e = _poly_reduce(R, _poly_axpy(R, F, one, poly_mul(ctx, g, h)), pk)
+        q, r = poly_divmod_monic(ctx, poly_mul(ctx, s, e), h)
+        # g <- g + t e + q g, h <- h + r
+        g = _poly_axpy(R, _poly_axpy(R, g, minus_one, poly_mul(ctx, t, e)),
+                       minus_one, poly_mul(ctx, q, g))
+        g = _trim_monic(R, _poly_reduce(R, g, pk), deg_g)
+        h = _trim_monic(R, _poly_reduce(R, _poly_axpy(R, h, minus_one, r),
+                                        pk), deg_h)
+        # refresh the Bezout pair: b = s g + t h - 1
+        b = _poly_axpy(R, _poly_axpy(R, poly_mul(ctx, s, g), minus_one,
+                                     poly_mul(ctx, t, h)), one, [one])
+        b = _poly_reduce(R, b, pk)
+        c, d = poly_divmod_monic(ctx, poly_mul(ctx, s, b), h)
+        s = _poly_reduce(R, _poly_axpy(R, s, one, d), pk)
+        # t <- t - t b - c g
+        t = _poly_axpy(R, _poly_axpy(R, t, one, poly_mul(ctx, t, b)),
+                       one, poly_mul(ctx, c, g))
+        t = _poly_reduce(R, t, pk)
         prec = k
-    gh = poly_mul(ctx, g, h)
-    diff = _poly_sub(ctx, F, gh)
-    if any(not c.is_zero() for c in diff):
+    diff = _poly_axpy(R, F, one, poly_mul(ctx, g, h))
+    if any(c != R.zero for c in diff):
         raise PrecisionExhausted("Hensel lifting failed to converge")
     return g, h
 
 
-def _poly_reduce(ctx, a, k):
-    """Truncate every coefficient to its canonical representative mod
-    p^k (used by the quadratic Hensel rounds)."""
-    pk = ctx.p ** k
-    return [WittScalar(ctx, tuple(c % pk for c in x.c)) for x in a]
-
-
-def _trim_monic(ctx, a, length):
+def _trim_monic(R, a, length):
     """Drop zero padding above the known degree; the result must stay
     monic of that degree."""
     a = list(a)
     while len(a) > length:
         top = a.pop()
-        assert top.is_zero(), "degree escaped during lifting"
-    assert a[-1] == ctx.one
+        assert top == R.zero, "degree escaped during lifting"
+    assert a[-1] == R.one
     return a
-
-
-def _poly_zip(ctx, op, a, b):
-    """Coefficientwise op (a raw ``WittContext`` op) of two polynomials,
-    the shorter one padded with zeros."""
-    m = max(len(a), len(b))
-    zero = ctx.zero
-    a = list(a) + [zero] * (m - len(a))
-    b = list(b) + [zero] * (m - len(b))
-    return [WittScalar(ctx, op(x.c, y.c)) for x, y in zip(a, b)]
-
-
-def _poly_add_pad(ctx, a, b):
-    return _poly_zip(ctx, ctx.add, a, b)
-
-
-def _poly_sub(ctx, a, b):
-    return _poly_zip(ctx, ctx.sub, a, b)
 
 
 def segment_factorization(ctx, F):
@@ -342,6 +277,8 @@ def segment_factorization(ctx, F):
     residue factorization y^k * (unit part), and Hensel lifting; recurses
     on the complementary factor.
     """
+    R = ring(ctx)
+    p = ctx.p
     F = list(F)
     out = []
     while True:
@@ -353,27 +290,25 @@ def segment_factorization(ctx, F):
         assert lam.denominator == 1, "segment slopes must be integral here"
         lam = int(lam)
         r = len(F) - 1
-        # shear: F2(y) = F(p^lam y) / p^(r lam); integral by the polygon
-        F2 = []
-        for i, c in enumerate(F):
-            shift = (r - i) * lam
-            F2.append(c.divide_p(shift) if shift >= 0
-                      else c * (ctx.p ** (-shift)))
-        fbar = _gfp(ctx, F2)
+        # shear: F2(y) = F(p^lam y) / p^(r lam); integral by the polygon,
+        # and lam >= 0 since a monic integral polynomial has integral roots
+        F2 = [R.divide_p(c, (r - i) * lam) for i, c in enumerate(F)]
         # unit-root part has degree `length`; the rest reduces to y^(r-len)
         k = r - length
-        hbar = fbar[k:]
-        inv = ctx.gf_inv(hbar[-1])
-        hbar = [ctx.gf_mul(inv, c) for c in hbar]
-        gbar = [tuple([0] * ctx.n)] * k + [tuple([1] + [0] * (ctx.n - 1))]
-        gbar = _gf_poly_trim(ctx, gbar)
+        hbar = _poly_reduce(R, F2[k:], p)
+        hbar = _poly_reduce(R, R.scale(hbar, R.inverse(hbar[-1])), p)
+        gbar = [R.zero] * k + [R.one]
         G2, H2 = hensel_split(ctx, F2, gbar, hbar)
         # undo the shear on both factors
-        H = [H2[i] * (ctx.p ** ((length - i) * lam))
-             for i in range(len(H2))]
-        G = [G2[i] * (ctx.p ** ((k - i) * lam)) for i in range(len(G2))]
-        out.append((Fraction(lam), H))
-        F = G
+        out.append((Fraction(lam), _unshear(R, p, H2, lam)))
+        F = _unshear(R, p, G2, lam)
+
+
+def _unshear(R, p, a, lam):
+    """p^(d lam) a(x / p^lam) for a of degree d."""
+    d = len(a) - 1
+    return [R.scale([c], R.of_int(p ** ((d - i) * lam)))[0]
+            for i, c in enumerate(a)]
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +401,7 @@ def newton_slopes(crystal: FIsocrystal):
     work = crystal
     for attempt in range(3):
         lam = work.linearization()
-        F = charpoly(work.ctx, ring(work.ctx).wrap_mat(lam.rows))
+        F = charpoly(work.ctx, lam.rows)
         try:
             np_ = newton_polygon(work.ctx, F, loss=crystal.phi.loss)
             return [(Fraction(v, n) - d, m) for (v, m) in np_]
@@ -559,7 +494,7 @@ def _slope_split_at(crystal, b, n_work):
     lam_b = lam_rows
     for _ in range(b - 1):
         lam_b = R.mul_mat(lam_b, lam_rows)
-    F = charpoly(bctx, R.wrap_mat(lam_b))
+    F = charpoly(bctx, lam_b)
     np_ = newton_polygon(bctx, F)
     if any(v.denominator != 1 for (v, _) in np_):
         raise FieldTooSmall(
@@ -575,7 +510,7 @@ def _slope_split_at(crystal, b, n_work):
         alpha = Fraction(v, b * n) - d
         # partial-fraction idempotent: (F/fac) * inverse of (F/fac) mod fac
         q, rem = poly_divmod_monic(bctx, F, fac)
-        assert all(c.is_zero() for c in rem)
+        assert all(c == R.zero for c in rem)
         w, wden = _poly_inverse_mod(bctx, q, fac)
         pnum = poly_mul(bctx, q, w)
         mat = poly_eval_matrix(bctx, pnum, lam_b)
@@ -600,21 +535,18 @@ def _slope_split_at(crystal, b, n_work):
 def _poly_inverse_mod(ctx, q, fac):
     """(w, vden) with q w = p^{-vden}-unit = 1 in Z_q[x]/(fac):
     w has denominator p^vden pulled out, i.e. q*w = p^vden mod fac."""
+    R = ring(ctx)
     m = len(fac) - 1
     # multiplication-by-q matrix in the power basis of Z_q[x]/(fac)
     cols = []
-    basis = [ctx.zero] * m
     for j in range(m):
-        xj = [ctx.zero] * j + [ctx.one]
-        prod = poly_mul(ctx, q, xj)
-        _, red = poly_divmod_monic(ctx, prod, fac)
-        red = red + [ctx.zero] * (m - len(red))
-        cols.append(red)
+        xj = [R.zero] * j + [R.one]
+        _, red = poly_divmod_monic(ctx, poly_mul(ctx, q, xj), fac)
+        cols.append(red + [R.zero] * (m - len(red)))
     rows = [[cols[j][i] for j in range(m)] for i in range(m)]
     inv_rows, vden = invert_matrix(ctx, rows)
     # w = inv * e_0 (the constant polynomial 1), scaled by p^{-vden}
-    w = ring(ctx).wrap_col([inv_rows[i][0] for i in range(m)])
-    return w, vden
+    return [row[0] for row in inv_rows], vden
 
 
 def _projector_fixed_lattice(ctx, proj):

@@ -26,10 +26,12 @@ coordinates, kernels and inverses all hold that one format, and the code
 is written against the ring's column ops ``axpy``, ``scale``,
 ``pivot``/``val``, balanced ``divide_p``, unit ``inverse``, ``vanishes``,
 ``mul_mat`` and the zero test ``x == R.zero``.  Constructors and the
-matrix entry points (``Lattice.from_columns``, ``Lattice.solve``,
-``SemilinearMap``, ``invert_matrix``, ``matrix_kernel``,
-``smith_valuations``) also accept ints and ``WittScalar`` entries, through
-one ``raw_col`` pass; ``Lattice.basis_columns()`` is the scalar view.
+matrix entry points (``Lattice.from_columns``,
+``Lattice.contains_vector``, ``SemilinearMap``, ``invert_matrix``,
+``matrix_kernel``, ``smith_valuations``) also accept ints and
+``WittScalar`` entries, through one ``raw_col`` pass;
+``Lattice.basis_columns()`` is the scalar view.  ``Lattice.solve`` takes
+raw entries of the lattice's own context only.
 
 Semilinear maps are v |-> p^{-denominator} * A * sigma^twist(v).
 """
@@ -274,7 +276,7 @@ class Lattice:
 
     def solve(self, vector, vscale=0):
         """Raw coordinates of p^{-vscale} * vector in this lattice, or
-        None.
+        None; the vector holds raw entries of this lattice's context.
 
         The returned coordinate vector x satisfies basis * x = vector up to
         scales; non-integral coordinates mean non-membership.  When the
@@ -286,25 +288,27 @@ class Lattice:
         R = ring(ctx)
         neff = self.neff
         shift = self.scale - vscale
-        vec = R.raw_col(vector)
         if shift > 0:
-            vec = R.scale(vec, R.of_int(ctx.p ** shift))
+            vector = R.scale(vector, R.of_int(ctx.p ** shift))
         elif shift < 0:
             try:
-                vec = [R.divide_p(x, -shift) for x in vec]
+                vector = [R.divide_p(x, -shift) for x in vector]
             except PrecisionExhausted:
                 return None
             neff -= -shift
             if neff <= 0:
                 raise PrecisionExhausted(
                     "scale gap exhausted the working precision")
-        coords, rest = _back_substitute(ctx, self.ech, self.ech_pivots, vec)
+        coords, rest = _back_substitute(ctx, self.ech, self.ech_pivots, vector)
         if coords is None or not R.vanishes(rest, neff):
             return None
         return coords
 
     def contains_vector(self, vector, vscale=0):
-        return self.solve(vector, vscale) is not None
+        """Membership of p^{-vscale} * vector, whose entries may also be
+        ints or ``WittScalar``s (one ``raw_col`` pass)."""
+        return self.solve(ring(self.ctx).raw_col(vector),
+                          vscale) is not None
 
     def contains(self, other):
         if other.ambient != self.ambient:

@@ -7,8 +7,9 @@ int in [0, p^N) when n = 1, and a power-basis coefficient tuple, combined
 through the raw ops of ``WittContext``, when n > 1.  Lattice columns,
 semilinear-map rows, solve coordinates and inverses all hold that format;
 ``WittScalar`` is only the parsing and display boundary (``raw_col`` and
-``wrap_col`` cross it) and the coefficient type of the polynomial and
-series layers.  ``raw_col`` also re-reduces raw entries of another
+``wrap_col`` cross it) and the coefficient type of the series in
+``series`` and ``deformation``; the polynomials of ``isocrystal`` hold
+raw coefficients too.  ``raw_col`` also re-reduces raw entries of another
 precision, so moving exact data between precision contexts is one
 ``ring(target).raw_mat`` pass.
 

@@ -1,7 +1,9 @@
-"""Import hygiene of the library: no module imports a name it never uses.
+"""Import hygiene of the library: no module imports a name it never uses,
+and ``WittScalar`` stays at its boundary.
 
 No linter ships with the project, so this reads each module with ``ast``.
-``__init__.py`` is exempt: its imports are the public re-exports."""
+``__init__.py`` is exempt from the unused-import check: its imports are
+the public re-exports."""
 
 import ast
 import pathlib
@@ -35,6 +37,41 @@ def test_no_unused_imports():
         if unused:
             found[path.name] = unused
     assert found == {}
+
+
+# the modules that may name WittScalar: its home, the raw-coefficient
+# boundary (``raw_col``/``wrap_col``) and the public re-exports
+SCALAR_MODULES = {"witt.py", "matrix.py", "__init__.py"}
+
+
+def names_used(tree):
+    """Every identifier the code uses: names, attributes and imported
+    names (docstrings and comments are not code)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.asname or alias.name for alias in node.names)
+    return out
+
+
+def test_witt_scalar_stays_at_the_boundary():
+    found = sorted(
+        path.name for path in SRC.glob("*.py")
+        if path.name not in SCALAR_MODULES
+        and "WittScalar" in names_used(
+            ast.parse(path.read_text(encoding="utf-8"))))
+    assert found == []
+
+
+def test_scalar_use_is_reported():
+    tree = ast.parse("from .witt import WittScalar as W\n"
+                     "x = witt.WittScalar\n\"\"\"WittScalar\"\"\"\n")
+    assert {"WittScalar", "W"} <= names_used(tree)
+    assert "WittScalar" not in names_used(ast.parse('"""WittScalar"""'))
 
 
 def test_unused_import_is_reported():

@@ -11,6 +11,7 @@ from fractions import Fraction
 import sympy
 
 from dieudonne.witt import make_context
+from dieudonne.matrix import ring
 from dieudonne.lattices import Lattice, SemilinearMap
 from dieudonne.isocrystal import (
     FIsocrystal, charpoly, component_slopes, dim_codim, end_decompose,
@@ -54,28 +55,29 @@ def three_slope_rank4(ctx):
 
 def test_charpoly_against_sympy():
     ctx = make_context(3, 1, 20)
+    R = ring(ctx)
     rng = random.Random(2)
     for r in (2, 3, 4):
         for _ in range(6):
             rows = [[rng.randrange(-9, 10) for _ in range(r)]
                     for _ in range(r)]
-            got = charpoly(ctx, [[ctx.scalar(x) for x in row]
-                                 for row in rows])
+            got = charpoly(ctx, R.raw_mat(rows))
             want = sympy.Matrix(rows).charpoly().all_coeffs()  # high first
             want = list(reversed(want))
             assert len(got) == len(want)
             for g, w in zip(got, want):
-                assert g == ctx.scalar(int(w))
+                assert g == R.of_int(int(w))
 
 
 def test_newton_polygon_simple():
     ctx = make_context(2, 1, 16)
     # (x - 1)(x - p): valuations {0, 1}
-    coeffs = [ctx.scalar(2), ctx.scalar(-3), ctx.scalar(1)]
+    R = ring(ctx)
+    coeffs = R.raw_col([2, -3, 1])
     np_ = newton_polygon(ctx, coeffs)
     assert np_ == [(Fraction(0), 1), (Fraction(1), 1)]
     # x^3 - p: single segment of valuation 1/3
-    coeffs = [ctx.scalar(-2), ctx.zero, ctx.zero, ctx.scalar(1)]
+    coeffs = R.raw_col([-2, 0, 0, 1])
     assert newton_polygon(ctx, coeffs) == [(Fraction(1, 3), 3)]
 
 
