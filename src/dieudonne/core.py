@@ -20,7 +20,6 @@ End(M) itself is the carrier, with the identity basis.
 
 from __future__ import annotations
 
-from . import modp
 from .errors import (HypothesisViolated, InclusionViolated, NoAutoConstruction,
                      NonConvergence, PrecisionExhausted, SingularMap,
                      SplittingInvalid, ValidationFailed)
@@ -28,7 +27,9 @@ from .isocrystal import (FIsocrystal, SlopeData, end_frobenius,
                          sandwich_map, vec_to_mat, _maps_equal)
 from .lattices import (Lattice, SemilinearMap, intersect, invert_matrix,
                        kernel_span, lattice_sum, matrix_kernel,
-                       mod_p_dimension, saturate, smith_valuations)
+                       mod_p_dimension, residue_echelon, residue_kernel,
+                       residue_reduce, residue_spaces_equal, saturate,
+                       smith_valuations)
 from .matrix import ring
 
 
@@ -40,11 +41,12 @@ class TangentSpace:
     """End(M/pM) modulo the endomorphisms preserving ker(phi mod p).
 
     nu sends an integral endomorphism to its class; the quotient has
-    dimension (codimension x dimension) of the crystal.  ``of`` returns
-    the one built per crystal.  It keeps the crystal's rank, not the
-    crystal, so the copy cached on the crystal makes no reference cycle:
-    ``bench/tracer.py`` keys span inputs by walking their fields, and that
-    walk would not end on a cycle.
+    dimension (codimension x dimension) of the crystal.  Residue vectors
+    (``fbar1``, the rows of ``f0_ech``, the classes of ``nu_matrix``) are
+    raw entries in [0, p).  ``of`` returns the one built per crystal.  It
+    keeps the crystal's rank, not the crystal, so the copy cached on the
+    crystal makes no reference cycle: ``bench/tracer.py`` keys span inputs
+    by walking their fields, and that walk would not end on a cycle.
     """
 
     __slots__ = ("rank", "ctx", "fbar1", "f0_ech", "f0_pivots",
@@ -57,16 +59,15 @@ class TangentSpace:
                 "tangent spaces need an integral (Dieudonne) operator")
         self.rank = r = crystal.rank
         self.ctx = ctx
+        R = ring(ctx)
         # kernel of the reduced Frobenius: solve A sigma(v) = 0 over F_q
-        residue = ring(ctx).residue
-        arows = [[residue(x) for x in row] for row in crystal.phi.rows]
-        ker = modp.gf_kernel(ctx, arows)
+        ker = residue_kernel(ctx, crystal.phi.rows, r)
         inv_twist = (-crystal.phi.twist) % ctx.n
-        self.fbar1 = [[ctx.residue(ctx.frobenius(c, inv_twist)) for c in v]
+        self.fbar1 = [[R.rem(R.frob(c, inv_twist), ctx.p) for c in v]
                       for v in ker]
         # endomorphisms preserving fbar1: rows of conditions
         f0 = _preserving_endos(ctx, r, self.fbar1)
-        self.f0_ech, self.f0_pivots = modp.gf_echelon(ctx, f0)
+        self.f0_ech, self.f0_pivots = residue_echelon(ctx, f0)
         pivset = set(self.f0_pivots)
         self.free_cols = [j for j in range(r * r) if j not in pivset]
         self.dim = len(self.free_cols)
@@ -81,59 +82,47 @@ class TangentSpace:
 
     def nu_matrix(self, rows):
         """Class of an integral raw r x r matrix in the quotient, as a
-        residue vector on the free coordinates."""
-        residue = ring(self.ctx).residue
-        vec = [residue(x) for row in rows for x in row]
-        res = modp.gf_reduce(self.ctx, self.f0_ech, self.f0_pivots, vec)
+        residue vector on the free coordinates (raw entries in [0, p))."""
+        vec = [x for row in rows for x in row]
+        res = residue_reduce(self.ctx, self.f0_ech, self.f0_pivots, vec)
         return tuple(res[j] for j in self.free_cols)
 
     def nu_is_zero(self, vec):
-        return all(self.ctx.gf_is_zero(x) for x in vec)
+        zero = ring(self.ctx).zero
+        return all(x == zero for x in vec)
 
 
 def _preserving_endos(ctx, r, fbar1):
     """Basis of {e in End(M/pM) : e(span) <= span}: the kernel of the
     conditions "e(v) reduces to zero modulo the span" over all span basis
-    vectors v (unknowns are the r^2 entries of e, row-major)."""
-    if not fbar1:
-        return _full_endo_basis(ctx, r)
-    ech, pivots = modp.gf_echelon(ctx, fbar1)
+    vectors v (unknowns are the r^2 entries of e, row-major); with no
+    conditions, every endomorphism."""
+    zero = ring(ctx).zero
+    ech, pivots = residue_echelon(ctx, fbar1)
     cond_rows = []
     for v in ech:
         # the elementary matrix E_{ab} sends v to v[b] * (unit vector a)
         residuals = []
         for a in range(r):
             for b in range(r):
-                img = [modp.gf_zero(ctx)] * r
+                img = [zero] * r
                 img[a] = v[b]
-                residuals.append(modp.gf_reduce(ctx, ech, pivots, img))
+                residuals.append(residue_reduce(ctx, ech, pivots, img))
         for coord in range(r):
             cond_rows.append([residuals[k][coord] for k in range(r * r)])
-    return modp.gf_kernel(ctx, cond_rows)
-
-
-def _full_endo_basis(ctx, r):
-    one = tuple([1] + [0] * (ctx.n - 1))
-    out = []
-    for k in range(r * r):
-        v = [modp.gf_zero(ctx)] * (r * r)
-        v[k] = one
-        out.append(v)
-    return out
+    return residue_kernel(ctx, cond_rows, r * r)
 
 
 def nu_image(lattice: Lattice, tangent: TangentSpace):
     """(dimension, residue vectors) of the image of an integral End(M)
-    lattice under nu."""
+    lattice under nu; the vectors are its reduced echelon basis, raw
+    entries in [0, p)."""
     lat = lattice.normalized()
     if lat.scale > 0:
         raise InclusionViolated("lattice is not inside End(M)")
-    ctx = tangent.ctx
     r = tangent.rank
-    vecs = []
-    for col in lat.cols:
-        vecs.append(list(tangent.nu_matrix(vec_to_mat(col, r))))
-    ech, _ = modp.gf_echelon(ctx, vecs) if vecs else ([], [])
+    vecs = [tangent.nu_matrix(vec_to_mat(col, r)) for col in lat.cols]
+    ech, _ = residue_echelon(tangent.ctx, vecs)
     return len(ech), ech
 
 
@@ -171,8 +160,7 @@ class HodgeSplitting:
         self.Pinv_rows = pinv
         # F1 mod p must be the kernel of the reduced Frobenius
         tangent_ker = TangentSpace.of(crystal).fbar1
-        f1_res = [[R.residue(x) for x in col] for col in f1_cols]
-        if not modp.gf_spaces_equal(ctx, tangent_ker, f1_res):
+        if not residue_spaces_equal(ctx, tangent_ker, f1_cols):
             raise SplittingInvalid(
                 "F1 does not reduce to ker(phi mod p)")
 
@@ -225,8 +213,7 @@ def hodge_splitting(crystal: FIsocrystal, f1_columns) -> HodgeSplitting:
     ctx = crystal.ctx
     R = ring(ctx)
     f1 = R.raw_mat(f1_columns)
-    res = [[R.residue(x) for x in col] for col in f1]
-    _, pivots = modp.gf_echelon(ctx, res)
+    _, pivots = residue_echelon(ctx, f1)
     taken = set(pivots)
     f0 = [col for i, col in enumerate(R.identity(crystal.rank))
           if i not in taken]

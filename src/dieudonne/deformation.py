@@ -31,9 +31,9 @@ from .core import TangentSpace, nu_image, _nonzero_product
 from .errors import (HypothesisViolated, InclusionViolated, NonConvergence,
                      NonTermination, ValidationFailed)
 from .isocrystal import FIsocrystal, end_frobenius, vec_to_mat
-from .lattices import Lattice, SemilinearMap, lattice_sum, restrict_map
+from .lattices import (Lattice, SemilinearMap, lattice_sum, residue_echelon,
+                       residue_spaces_equal, restrict_map)
 from .matrix import ring
-from .modp import gf_echelon, gf_spaces_equal
 from .series import TruncatedSeries
 from .witt import teichmuller
 
@@ -61,12 +61,10 @@ def select_deformation_basis(E: Lattice, tangent: TangentSpace
     classes = []
     r = tangent.rank
     for col in E.cols:
-        cls = list(tangent.nu_matrix(vec_to_mat(col, r)))
-        trial = classes + [cls]
-        ech, _ = gf_echelon(ctx, trial)
-        if len(ech) > len(classes):
+        trial = classes + [tangent.nu_matrix(vec_to_mat(col, r))]
+        if len(residue_echelon(ctx, trial)[1]) > len(classes):
             chosen.append(list(col))
-            classes = [list(v) for v in trial]
+            classes = trial
         if len(chosen) == target:
             break
     if len(chosen) != target:
@@ -349,11 +347,11 @@ def kodaira_spencer_image(conn: ConnectionForm, tangent: TangentSpace):
                         for l in range(len(conn.basis))])
         # the degree-zero coefficient sum_l c0_l e_l is -v_i
         v = _combine(R, c0, conn.basis, r * r)
-        classes.append(list(tangent.nu_matrix(
-            vec_to_mat(list(map(R.neg, v)), r))))
-    ech, _ = gf_echelon(ctx, classes) if classes else ([], [])
-    want = [list(tangent.nu_matrix(vec_to_mat(v, r))) for v in conn.B.vectors]
-    if not gf_spaces_equal(ctx, classes, want):
+        classes.append(tangent.nu_matrix(vec_to_mat(list(map(R.neg, v)),
+                                                    r)))
+    ech, _ = residue_echelon(ctx, classes)
+    want = [tangent.nu_matrix(vec_to_mat(v, r)) for v in conn.B.vectors]
+    if not residue_spaces_equal(ctx, classes, want):
         raise ValidationFailed(
             "Kodaira-Spencer image differs from the span of the basis "
             "classes")

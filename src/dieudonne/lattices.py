@@ -17,7 +17,14 @@ Every elimination in the package goes through this module's primitives:
   (``Lattice.solve`` and ``invert_matrix``);
 - ``kernel_span``: the saturated kernel of stacked columns, recombined on
   a basis (intersections, stable-sublattice refinement, trace duals);
-- Smith: ``smith_valuations``, the sorted pivot valuations of the echelon.
+- Smith: ``smith_valuations``, the sorted pivot valuations of the echelon;
+- residue field: ``residue_echelon``, ``residue_reduce``,
+  ``residue_kernel``, ``residue_intersection`` and
+  ``residue_spaces_equal`` are the same pivot loop, substitution and
+  kernel cut at effective precision 1, where the first unit entry is the
+  pivot and ``_cross_reduce`` clears every pivot row, so the echelon is
+  the unique reduced one over F_q.  Their vectors are raw entries reduced
+  into [0, p) (``mod_p_dimension`` counts the pivots).
 
 Every entry here is a raw coefficient of the ring ``matrix.ring(ctx)``:
 an int in [0, p^N) when n = 1, the coefficient tuple when n > 1.
@@ -38,7 +45,6 @@ Semilinear maps are v |-> p^{-denominator} * A * sigma^twist(v).
 
 from __future__ import annotations
 
-from . import modp
 from .errors import InclusionViolated, PrecisionExhausted, SingularMap
 from .matrix import ring
 
@@ -440,7 +446,6 @@ def _solve_rational(lattice: Lattice, vector, vscale):
 
 def mod_p_dimension(sub: Lattice, sup: Lattice) -> int:
     """dim over F_q of sup / (sub + p sup); requires sub inside sup."""
-    ctx = sub.ctx
     coords = []
     for col in sub.cols:
         x = sup.solve(col, sub.scale)
@@ -448,12 +453,70 @@ def mod_p_dimension(sub: Lattice, sup: Lattice) -> int:
             raise InclusionViolated("sub-lattice not contained in sup")
         coords.append(x)
     m = sup.rank
-    if m == 0:
-        return 0
-    residue = ring(ctx).residue
-    rows = [[residue(coords[j][i]) for j in range(len(coords))]
-            for i in range(m)]
-    return m - modp.gf_rank(ctx, rows)
+    _, pivots, _, _ = _reduce_columns(sub.ctx, coords, 1, nrows=m)
+    return m - len(pivots)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra over the residue field: raw vectors, read modulo p
+
+
+def residue_echelon(ctx, vectors):
+    """(rows, positions): the reduced echelon basis of the span of raw
+    vectors over F_q, sorted by pivot position, with entries in [0, p).
+
+    It is unique for the span, so equal spans give equal bases."""
+    if not vectors:
+        return [], []
+    ech, pivots, _, _ = _reduce_columns(ctx, vectors, 1,
+                                        nrows=len(vectors[0]))
+    canon = _cross_reduce(ctx, ech, pivots)
+    rem, p = ring(ctx).rem, ctx.p
+    order = sorted(range(len(canon)), key=lambda t: pivots[t][0])
+    return ([[rem(x, p) for x in canon[t]] for t in order],
+            [pivots[t][0] for t in order])
+
+
+def residue_reduce(ctx, ech, positions, vec):
+    """The residual of a raw vector modulo the span of a reduced echelon
+    basis: zero at the pivot positions, entries in [0, p)."""
+    _, rest = _back_substitute(ctx, ech, [(c, 0) for c in positions], vec)
+    rem, p = ring(ctx).rem, ctx.p
+    return [rem(x, p) for x in rest]
+
+
+def residue_kernel(ctx, rows, ncols):
+    """Basis of {v in F_q^ncols : A v = 0} for the raw rows of A: one
+    vector per free column, 1 there and 0 at the other free columns."""
+    R = ring(ctx)
+    ech, positions = residue_echelon(ctx, rows)
+    taken = set(positions)
+    basis = []
+    for f in range(ncols):
+        if f in taken:
+            continue
+        v = [R.zero] * ncols
+        v[f] = R.one
+        for row, c in zip(ech, positions):
+            v[c] = R.rem(R.neg(row[f]), ctx.p)
+        basis.append(v)
+    return basis
+
+
+def residue_intersection(ctx, basis1, basis2):
+    """Reduced echelon basis of the intersection of two spans over F_q:
+    the combinations of basis1 that some combination of basis2 cancels
+    (the sign of basis2 does not change that span)."""
+    if not basis1 or not basis2:
+        return []
+    gens = kernel_span(ctx, list(basis1) + list(basis2), basis1, 1,
+                       len(basis1[0]))
+    return residue_echelon(ctx, gens)[0]
+
+
+def residue_spaces_equal(ctx, basis1, basis2):
+    """Equality of spans over F_q (reduced echelon bases are unique)."""
+    return residue_echelon(ctx, basis1) == residue_echelon(ctx, basis2)
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,17 @@ entry ops: ``zero``, ``one``, ``add``, ``sub``, ``neg``, ``dot`` (a row
 times a column) and ``is_zero``.  The Witt rings add the column-level ops
 the echelon kernel of ``lattices`` and its callers are written against:
 ``axpy``, ``scale``, ``pivot`` (the first entry of least valuation),
-``val``, balanced ``divide_p``, unit ``inverse``, ``frob``, ``residue``,
-``vanishes`` and the zero test ``x == R.zero``.  ``_EntryRing`` makes
-entries that carry their own arithmetic (``TruncatedSeries``) their own
-raw form, and its ``dot`` skips zero entries, so a skipped entry never
-narrows a series' validity window.
+``val``, balanced ``divide_p``, unit ``inverse``, ``frob``, ``rem``,
+``vanishes`` and the zero test ``x == R.zero``; the residue-field
+algebra of ``lattices`` runs on these ops too, on raw entries in [0, p).
+``_EntryRing`` makes entries that carry their own arithmetic
+(``TruncatedSeries``) their own raw form, and its ``dot`` skips zero
+entries, so a skipped entry never narrows a series' validity window.
 
-These helpers sit below the layer modules, beside ``modp`` and ``series``,
-because the benchmark's tracer (``bench/tracer.py``) wraps every public
-function of the layer modules in a timing span, and a rank-8 report-all
-makes about 1500 matrix products.  Functions defined here are never
+These helpers sit below the layer modules, beside ``series``, because
+the benchmark's tracer (``bench/tracer.py``) wraps every public function
+of the layer modules in a timing span, and a rank-8 report-all makes
+about 1500 matrix products.  Functions defined here are never
 wrapped, even when a layer imports them by name, so their time lands in
 the self time of their callers.
 """
@@ -201,10 +202,6 @@ class _IntRing(_WittRing):
     def frob(a, e):
         return a
 
-    def residue(self, a):
-        """The residue-field element, as ``WittContext.residue`` gives it."""
-        return (a % self.p,)
-
     @staticmethod
     def rem(a, m):
         """The representative of a modulo the integer m."""
@@ -236,7 +233,6 @@ class _TupleRing(_WittRing):
         self.mul, self.val = ctx.mul, ctx.valuation
         self.divide_p, self.inverse = ctx.divide_p_power, ctx.unit_inverse
         self.frob, self.of_int = ctx.frobenius, ctx.from_int
-        self.residue = ctx.residue
 
     def raw_col(self, col):
         # raw tuples are never negative, so only a wider precision's

@@ -228,6 +228,11 @@ def _sign_modules(crystal, decomp, Y):
     Op = largest_sub_dieudonne(Vp, crystal, mode="positive", carrier=plus)
     Om = decomp.o_minus() if full else largest_sub_dieudonne(
         Vm, crystal, mode="negative", carrier=minus)
+    # O_plus and O_minus have full rank in V_plus and V_minus; a closure
+    # that drops rank ran out of precision
+    if Op.rank < Vp.rank or Om.rank < Vm.rank:
+        raise PrecisionExhausted(
+            "a stable-lattice closure lost rank at the working precision")
     Opm_dual = dual_lattice(Om, Vp) if Om.rank else Lattice.zero(
         ctx, crystal.rank ** 2)
     Omp_dual = dual_lattice(Op, Vm) if Op.rank else Lattice.zero(

@@ -19,9 +19,9 @@ from .errors import (CertificateFailed, CertificateInvalid,
 from .isocrystal import (EndDecomposition, FIsocrystal, SlopeData,
                          end_frobenius, mat_to_vec, vec_to_mat)
 from .lattices import (Lattice, intersect, invert_matrix, lattice_sum,
-                       matrix_kernel, saturate)
+                       matrix_kernel, residue_intersection,
+                       residue_spaces_equal, saturate)
 from .matrix import _EntryRing, ring
-from .modp import gf_intersection, gf_spaces_equal
 from .series import TruncatedSeries
 
 
@@ -235,7 +235,7 @@ def strata_dims(gd: GroupData, crystal: FIsocrystal,
     # tangent space of the stratum: nu(N_G(mu)) cap nu(O_minus)
     _, ng_basis = nu_image(NG, tangent)
     _, om_basis = nu_image(O_minus, tangent)
-    t_basis = gf_intersection(ctx, ng_basis, om_basis)
+    t_basis = residue_intersection(ctx, ng_basis, om_basis)
     rep.tangent_dim = len(t_basis)
     if rep.tangent_dim < cmg:
         raise VerificationMismatch(
@@ -244,9 +244,9 @@ def strata_dims(gd: GroupData, crystal: FIsocrystal,
     # fact (a): dim t = c_-(G) iff nu(O_-(G)) = nu(V_-(G)) cap nu(O_-)
     _, omg_basis = nu_image(OmG, tangent)
     _, vmg_basis = nu_image(VmG, tangent)
-    cap = gf_intersection(ctx, vmg_basis, om_basis)
+    cap = residue_intersection(ctx, vmg_basis, om_basis)
     rep.fact_a_lhs = (rep.tangent_dim == cmg)
-    rep.fact_a_rhs = gf_spaces_equal(ctx, omg_basis, cap)
+    rep.fact_a_rhs = residue_spaces_equal(ctx, omg_basis, cap)
     rep.fact_a_consistent = (rep.fact_a_lhs == rep.fact_a_rhs)
     # fact (b): a stable complement forces the equality
     comp = _stable_complement(gd, crystal, decomp, VmG)

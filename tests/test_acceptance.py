@@ -5,17 +5,14 @@ lines.  All tolerances are exact integer/lattice equalities except where a
 modulus p^(N-4) is stated explicitly.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
 
-import pytest
-
-from dieudonne.witt import make_context, teichmuller, valuation
-from dieudonne.lattices import Lattice, SemilinearMap, intersect, lattice_sum
+from dieudonne.witt import make_context, teichmuller
+from dieudonne.lattices import Lattice, intersect, lattice_sum
 from dieudonne.isocrystal import (FIsocrystal, end_decompose, end_frobenius,
-                                  newton_slopes, slope_split, vec_to_mat)
+                                  newton_slopes, slope_split)
 from dieudonne.core import (TangentSpace, check_axioms, codim_of_dieudonne,
                             hodge_splitting, largest_sub_dieudonne,
                             lie_element, nu_image, star_property_holds)

@@ -247,6 +247,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["slopes", "--corpus", "ordinary_rank2",
                  "--precision", "4097"]) == 2
     assert "field 'precision'" in capsys.readouterr().err
+    # a valid precision too low for the sign modules: the analyses that
+    # need them report the domain error, with no traceback
+    assert main(["report-all", "--corpus", "example_1_7",
+                 "--precision", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "error: PrecisionExhausted" in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_cli_emit_spec(capsys):

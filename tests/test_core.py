@@ -7,16 +7,15 @@ import random
 import pytest
 
 from dieudonne.witt import make_context
-from dieudonne.lattices import Lattice, SemilinearMap, intersect, lattice_sum
-from dieudonne.isocrystal import (FIsocrystal, end_decompose, slope_split,
-                                  vec_to_mat)
+from dieudonne.lattices import Lattice, SemilinearMap
+from dieudonne.isocrystal import FIsocrystal, end_decompose, slope_split
 from dieudonne.core import (
     TangentSpace, check_axioms, codim_of_dieudonne, hodge_splitting,
     hodge_splitting_from_kernel, largest_sub_dieudonne,
     lie_element, nu_image, sigma_phi, smallest_super_dieudonne,
     star_property_holds,
 )
-from dieudonne.errors import NoAutoConstruction, ValidationFailed
+from dieudonne.errors import ValidationFailed
 from dieudonne.matrix import ring
 
 from instances import (

@@ -1,5 +1,5 @@
-"""Import hygiene of the library: no module imports a name it never uses,
-and ``WittScalar`` stays at its boundary.
+"""Import hygiene: no module of the library or of its tests imports a name
+it never uses, and ``WittScalar`` stays at its boundary.
 
 No linter ships with the project, so this reads each module with ``ast``.
 ``__init__.py`` is exempt from the unused-import check: its imports are
@@ -11,6 +11,7 @@ import pathlib
 import dieudonne
 
 SRC = pathlib.Path(dieudonne.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def unused_imports(tree):
@@ -30,12 +31,12 @@ def unused_imports(tree):
 
 def test_no_unused_imports():
     found = {}
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.name == "__init__.py":
             continue
         unused = unused_imports(ast.parse(path.read_text(encoding="utf-8")))
         if unused:
-            found[path.name] = unused
+            found[f"{path.parent.name}/{path.name}"] = unused
     assert found == {}
 
 

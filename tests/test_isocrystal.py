@@ -12,7 +12,6 @@ import sympy
 
 from dieudonne.witt import make_context
 from dieudonne.matrix import ring
-from dieudonne.lattices import Lattice, SemilinearMap
 from dieudonne.isocrystal import (
     FIsocrystal, charpoly, component_slopes, dim_codim, end_decompose,
     end_frobenius, newton_polygon, newton_slopes, slope_split,

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 import sympy
-from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
+from sympy.matrices.normalforms import smith_normal_form
 
 import dieudonne
 from dieudonne.cli import load_corpus

@@ -3,8 +3,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from dieudonne import core, signs
 from dieudonne.cli import load_corpus
 from dieudonne.matrix import ring

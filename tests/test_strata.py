@@ -2,14 +2,13 @@
 the symplectic closed form, and Cayley elements."""
 
 import pytest
-from fractions import Fraction
 
 from dieudonne.witt import make_context
 from dieudonne.isocrystal import slope_split, end_decompose, dim_codim
 from dieudonne.core import (TangentSpace, hodge_splitting,
                             hodge_splitting_from_kernel)
 from dieudonne.strata import (
-    StrataReport, cayley_element, codim_complement_form,
+    cayley_element, codim_complement_form,
     group_custom, group_full_gl, group_symplectic, manin_symmetry_check,
     n_g_mu, polarized_closed_form, polarized_dim, strata_dims,
     traverso_dimension,
