@@ -20,9 +20,10 @@ inverse 1 - sum_k n_k; the orbit loop then only sums coordinates.  Any
 other E falls back to multiplying the product out.  The conjugation
 certificate is the same on both paths.
 
-Matrices, lattice columns and deformation vectors are raw
-(``matrix.ring``); series coefficients and evaluation points are
-``WittScalar``.
+Matrices, lattice columns, deformation vectors, series coefficients,
+evaluation points and the correction factor all hold raw entries of
+``matrix.ring``; the only scalar is the Teichmuller lift of a residue
+point, which crosses ``raw_col`` once per coordinate.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .isocrystal import FIsocrystal, end_frobenius, vec_to_mat
 from .lattices import (Lattice, SemilinearMap, lattice_sum, residue_echelon,
                        residue_spaces_equal, restrict_map)
 from .matrix import ring
-from .series import TruncatedSeries
+from .series import TruncatedSeries, linear_matrix
 from .witt import teichmuller
 
 
@@ -134,7 +135,7 @@ def solve_connection(crystal: FIsocrystal, E: Lattice, B: DeformationBasis,
     w = {}
     for i in range(n):
         # term_0 = -b_i; term_{k+1} = O_i(term_k)
-        terms = [[TruncatedSeries.constant(ctx, n, dmax, R.neg(bmat[j][i]))
+        terms = [[TruncatedSeries.constant(R, n, dmax, R.neg(bmat[j][i]))
                   for j in range(m)]]
         acc = [terms[0][j] for j in range(m)]
         guard = 0
@@ -142,12 +143,10 @@ def solve_connection(crystal: FIsocrystal, E: Lattice, B: DeformationBasis,
             prev = terms[-1]
             if all(t.is_zero() for t in prev):
                 break
-            xfac = TruncatedSeries.variable(ctx, n, dmax, i,
-                                            power=ctx.p - 1) \
-                if ctx.p - 1 <= dmax else TruncatedSeries.zero(ctx, n, dmax)
+            xfac = TruncatedSeries.variable(R, n, dmax, i, power=ctx.p - 1)
             nxt = []
             for j in range(m):
-                s = TruncatedSeries.zero(ctx, n, dmax)
+                s = TruncatedSeries.zero(R, n, dmax)
                 for l in range(m):
                     if a[j][l] == R.zero:
                         continue
@@ -167,23 +166,22 @@ def solve_connection(crystal: FIsocrystal, E: Lattice, B: DeformationBasis,
 def recursion_residual(conn: ConnectionForm):
     """Exact residual of the defining recursion b + w = O(w); zero through
     the verified window for a correct solution (independent check)."""
-    ctx = conn.crystal.ctx
-    zero = ring(ctx).zero
+    R = ring(conn.crystal.ctx)
     n = conn.B.n
     m = len(conn.basis)
     dmax = conn.dmax
     out = {}
     for i in range(n):
-        xfac = TruncatedSeries.variable(ctx, n, dmax, i, power=ctx.p - 1)
+        xfac = TruncatedSeries.variable(R, n, dmax, i, power=R.p - 1)
         for j in range(m):
-            rhs = TruncatedSeries.zero(ctx, n, dmax)
+            rhs = TruncatedSeries.zero(R, n, dmax)
             for l in range(m):
-                if conn.a[j][l] != zero:
+                if conn.a[j][l] != R.zero:
                     rhs = rhs + conn.w[(l, i)].frobenius_lift() \
                         * conn.a[j][l]
             rhs = rhs * xfac
             lhs = conn.w[(j, i)] + TruncatedSeries.constant(
-                ctx, n, dmax, conn.b[j][i])
+                R, n, dmax, conn.b[j][i])
             out[(j, i)] = (lhs - rhs, min(lhs.valid, rhs.valid))
     return out
 
@@ -203,21 +201,11 @@ def _combine(R, coeffs, vecs, length):
 
 def universal_element(crystal: FIsocrystal, B: DeformationBasis, dmax: int):
     """1 + sum v_i x_i as an r x r matrix of series."""
-    ctx = crystal.ctx
-    zero = ring(ctx).zero
-    r = crystal.rank
-    n = B.n
-    rows = [[TruncatedSeries.zero(ctx, n, dmax) for _ in range(r)]
-            for _ in range(r)]
-    for i in range(r):
-        rows[i][i] = TruncatedSeries.constant(ctx, n, dmax, ctx.one)
-    for idx, v in enumerate(B.vectors):
-        mat = vec_to_mat(v, r)
-        xi = TruncatedSeries.variable(ctx, n, dmax, idx)
-        for a_ in range(r):
-            for b_ in range(r):
-                if mat[a_][b_] != zero:
-                    rows[a_][b_] = rows[a_][b_] + xi * mat[a_][b_]
+    R = ring(crystal.ctx)
+    rows = linear_matrix(R, B.vectors, crystal.rank, dmax)
+    one = TruncatedSeries.constant(R, B.n, dmax, R.one)
+    for i, row in enumerate(rows):
+        row[i] = row[i] + one
     return rows
 
 
@@ -235,13 +223,13 @@ def _series_mat_vec(rows, vec):
 def _nabla(conn, vec, i):
     """nabla(d/dx_i) on a vector of series: the partial derivative plus
     omega_i = sum_l w[(l, i)] * (basis element l of E) applied to it."""
-    ctx = conn.crystal.ctx
-    zero = ring(ctx).zero
+    R = ring(conn.crystal.ctx)
+    zero = R.zero
     r = conn.crystal.rank
     out = [s.partial(i) for s in vec]
     # each entry of E e_l vec is trusted only through the window of every
     # entry of vec, zero matrix entries included
-    floor = TruncatedSeries(ctx, conn.B.n, conn.dmax,
+    floor = TruncatedSeries(R, conn.B.n, conn.dmax,
                             valid=min(s.valid for s in vec))
     for l, v in enumerate(conn.basis):
         w_li = conn.w[(l, i)]
@@ -258,20 +246,19 @@ def _nabla(conn, vec, i):
 
 def apply_twisted_frobenius(crystal, u_rows, vec):
     """Phi_N(vec) = u * (A * Phi_S(vec)) for a vector of series."""
-    ctx = crystal.ctx
-    zero = ring(ctx).zero
+    R = ring(crystal.ctx)
     lifted = [s.frobenius_lift() for s in vec]
     avec = []
     for i in range(crystal.rank):
         acc = None
         for j in range(crystal.rank):
             c = crystal.phi.rows[i][j]
-            if c == zero:
+            if c == R.zero:
                 continue
             term = lifted[j] * c
             acc = term if acc is None else acc + term
         if acc is None:
-            acc = TruncatedSeries.zero(ctx, lifted[0].nvars, lifted[0].dmax)
+            acc = TruncatedSeries.zero(R, lifted[0].nvars, lifted[0].dmax)
         avec.append(acc)
     return _series_mat_vec(u_rows, avec)
 
@@ -296,12 +283,12 @@ def verify_horizontality(crystal: FIsocrystal, conn: ConnectionForm,
     max_residual_val = None
     window = dmax
     for cvec in basis_cols:
-        const = [TruncatedSeries.constant(ctx, n, dmax, x) for x in cvec]
+        const = [TruncatedSeries.constant(R, n, dmax, x) for x in cvec]
         phin_c = apply_twisted_frobenius(crystal, u_rows, const)
         for i in range(n):
             lhs = _nabla(conn, phin_c, i)
             # right side: Phi_N applied to omega_i(c), times p x_i^(p-1)
-            omega_c = [TruncatedSeries.zero(ctx, n, dmax) for _ in range(r)]
+            omega_c = [TruncatedSeries.zero(R, n, dmax) for _ in range(r)]
             for l, emat in enumerate(emats):
                 w_li = conn.w[(l, i)]
                 if w_li.is_zero():
@@ -311,18 +298,16 @@ def verify_horizontality(crystal: FIsocrystal, conn: ConnectionForm,
                     if ec[k] != R.zero:
                         omega_c[k] = omega_c[k] + w_li * ec[k]
             rhs = apply_twisted_frobenius(crystal, u_rows, omega_c)
-            pfac = TruncatedSeries.variable(ctx, n, dmax, i,
-                                            power=ctx.p - 1).scale_p(1) \
-                if ctx.p - 1 <= dmax else None
-            rhs = [s * pfac if pfac is not None
-                   else TruncatedSeries.zero(ctx, n, dmax) for s in rhs]
+            pfac = TruncatedSeries.variable(R, n, dmax, i,
+                                            power=ctx.p - 1).scale_p(1)
+            rhs = [s * pfac for s in rhs]
             for k in range(r):
                 diff = lhs[k] - rhs[k]
                 window = min(window, diff.valid)
                 for e, c in diff.coeffs.items():
                     if sum(e) > diff.valid:
                         continue
-                    v = c.valuation()
+                    v = R.val(c)
                     if max_residual_val is None or v < max_residual_val:
                         max_residual_val = v
     residual_val = ctx.N if max_residual_val is None else max_residual_val
@@ -343,8 +328,8 @@ def kodaira_spencer_image(conn: ConnectionForm, tangent: TangentSpace):
     r = conn.crystal.rank
     classes = []
     for i in range(conn.B.n):
-        c0 = R.raw_col([conn.w[(l, i)].constant_term()
-                        for l in range(len(conn.basis))])
+        c0 = [conn.w[(l, i)].constant_term()
+              for l in range(len(conn.basis))]
         # the degree-zero coefficient sum_l c0_l e_l is -v_i
         v = _combine(R, c0, conn.basis, r * r)
         classes.append(tangent.nu_matrix(vec_to_mat(list(map(R.neg, v)),
@@ -551,25 +536,25 @@ def _factorial_valuation(j, p):
     return v
 
 
-def divided_power(ctx, y, j):
-    """y^j / j! as an exact scalar (requires v(y) >= 1 so the valuations
-    stay non-negative)."""
+def divided_power(R, y, j):
+    """y^j / j! for a raw entry y of the ring R, exactly (requires
+    v(y) >= 1 so the valuations stay non-negative)."""
     if j == 0:
-        return ctx.one
-    num = y ** j
-    vfac = _factorial_valuation(j, ctx.p)
+        return R.one
+    vfac = _factorial_valuation(j, R.p)
     f = 1
     for k in range(2, j + 1):
         f *= k
-    unit = f // (ctx.p ** vfac)
-    num = num.divide_p(vfac)
-    return num * ctx.scalar(unit).inverse()
+    unit = f // (R.p ** vfac)
+    num = R.divide_p(R.power(y, j), vfac)
+    return R.mul(num, R.inverse(R.of_int(unit)))
 
 
 def correction_factor(crystal: FIsocrystal, conn: ConnectionForm, z
                       ) -> dict:
     """Divided-power transport comparing the twisted Frobenius at the
-    point z with its value at the Teichmuller point.
+    point z (raw coordinates) with its value at the Teichmuller point;
+    the returned matrix is raw.
 
     g(m) = sum over multi-indices j of (prod_i nabla(d/dx_i)^{j_i})(m)
     evaluated at z, times prod_i y_i^{j_i}/j_i!, with
@@ -578,35 +563,32 @@ def correction_factor(crystal: FIsocrystal, conn: ConnectionForm, z
     derivatives exhaust the truncation degree.
     """
     ctx = crystal.ctx
+    R = ring(ctx)
     r = crystal.rank
     n = conn.B.n
     dmax = conn.dmax
-    zs = [ctx.scalar(v) for v in z]
     ys = []
-    for zi in zs:
-        y = zi.frobenius() - zi ** ctx.p
-        if not y.is_zero() and y.valuation() < 1:
+    for zi in z:
+        y = R.sub(R.frob(zi, 1), R.power(zi, ctx.p))
+        if R.val(y) < 1:
             raise ValidationFailed(
                 "coordinate difference sigma(z) - z^p is not divisible "
                 "by p")
         ys.append(y)
 
-    grows = [[ctx.zero] * r for _ in range(r)]
+    ident = R.identity(r)
+    grows = [[R.zero] * r for _ in range(r)]
     for col in range(r):
-        base = [TruncatedSeries.constant(
-            ctx, n, dmax, ctx.one if k == col else ctx.zero)
-            for k in range(r)]
-        acc = [ctx.zero] * r
+        base = [TruncatedSeries.constant(R, n, dmax, ident[k][col])
+                for k in range(r)]
+        acc = [R.zero] * r
 
         def walk(i, vec, factor):
-            nonlocal acc
-            if factor.is_zero():
+            if factor == R.zero:
                 return
             if i == n:
-                val = [s.evaluate(zs) for s in vec]
-                for k in range(r):
-                    if not val[k].is_zero():
-                        acc[k] = acc[k] + val[k] * factor
+                for k, s in enumerate(vec):
+                    acc[k] = R.add(acc[k], R.mul(s.evaluate(z), factor))
                 return
             walk(i + 1, vec, factor)
             cur = vec
@@ -614,25 +596,19 @@ def correction_factor(crystal: FIsocrystal, conn: ConnectionForm, z
                 cur = _nabla(conn, cur, i)
                 if all(s.is_zero() for s in cur):
                     break
-                dp = divided_power(ctx, ys[i], j)
-                walk(i + 1, cur, factor * dp)
+                walk(i + 1, cur, R.mul(factor, divided_power(R, ys[i], j)))
             else:
                 raise NonTermination(
                     "derivative tower failed to terminate within the "
                     "degree bound")
 
-        walk(0, base, ctx.one)
+        walk(0, base, R.one)
         for k in range(r):
             grows[k][col] = acc[k]
     # assertions: g = 1 mod p, and 1 - g lands in E modulo p^2
-    ok_unit = all((grows[i][j] - (ctx.one if i == j else ctx.zero)
-                   ).valuation() >= 1 for i in range(r) for j in range(r))
-    defect = [ctx.zero] * (r * r)
-    for i in range(r):
-        for j in range(r):
-            d = (ctx.one if i == j else ctx.zero) - grows[i][j]
-            defect[i * r + j] = d
-    R = ring(ctx)
+    defect = [R.sub(ident[i][j], grows[i][j])
+              for i in range(r) for j in range(r)]
+    ok_unit = all(R.val(d) >= 1 for d in defect)
     p2 = R.of_int(ctx.p ** 2)
     p2end = Lattice.from_columns(
         ctx, r * r, [R.scale(col, p2) for col in R.identity(r * r)])
@@ -642,5 +618,5 @@ def correction_factor(crystal: FIsocrystal, conn: ConnectionForm, z
         "matrix": grows,
         "unit_mod_p": ok_unit,
         "defect_in_E_mod_p2": in_E_mod_p2,
-        "y_valuations": [y.valuation() for y in ys],
+        "y_valuations": [R.val(y) for y in ys],
     }

@@ -144,7 +144,6 @@ def newton_polygon(ctx, coeffs, loss=0):
             finite.append((i, v))
     if val(coeffs[-1]) != 0:
         raise ValueError("polynomial is not monic")
-    assert deg >= 0
 
     def segments(pts):
         hull = lower_hull(pts)
@@ -259,14 +258,12 @@ def hensel_split(ctx, F, gbar, hbar):
 
 
 def _trim_monic(R, a, length):
-    """Drop zero padding above the known degree; the result must stay
-    monic of that degree."""
-    a = list(a)
-    while len(a) > length:
-        top = a.pop()
-        assert top == R.zero, "degree escaped during lifting"
-    assert a[-1] == R.one
-    return a
+    """Drop zero padding above the known degree; a factor that does not
+    stay monic of that degree means the residue factorization was not
+    one of F mod p."""
+    if any(c != R.zero for c in a[length:]) or a[:length][-1] != R.one:
+        raise PrecisionExhausted("degree escaped during lifting")
+    return list(a[:length])
 
 
 def segment_factorization(ctx, F):

@@ -5,26 +5,26 @@ Matrices are lists of rows.  ``ring(ctx)`` decides the entry format of
 W(F_q) mod p^N once, by ``ctx.n`` alone: a raw coefficient is a Python
 int in [0, p^N) when n = 1, and a power-basis coefficient tuple, combined
 through the raw ops of ``WittContext``, when n > 1.  Lattice columns,
-semilinear-map rows, solve coordinates and inverses all hold that format;
+semilinear-map rows, solve coordinates, inverses, the polynomials of
+``isocrystal`` and the series coefficients all hold that format;
 ``WittScalar`` is only the parsing and display boundary (``raw_col`` and
-``wrap_col`` cross it) and the coefficient type of the series in
-``series`` and ``deformation``; the polynomials of ``isocrystal`` hold
-raw coefficients too.  ``raw_col`` also re-reduces raw entries of another
-precision, so moving exact data between precision contexts is one
-``ring(target).raw_mat`` pass.
+``wrap_col`` cross it).  ``raw_col`` also re-reduces raw entries of
+another precision, so moving exact data between precision contexts is
+one ``ring(target).raw_mat`` pass.
 
 The matrix kernels (``_Ring.mul_mat``, ``add_mat``, ``sub_mat``,
 ``identity``, ``nilpotent_inverse``) are written once over each ring's
 entry ops: ``zero``, ``one``, ``add``, ``sub``, ``neg``, ``dot`` (a row
-times a column) and ``is_zero``.  The Witt rings add the column-level ops
+times a column) and ``is_zero``.  The Witt rings add the ops the series,
 the echelon kernel of ``lattices`` and its callers are written against:
-``axpy``, ``scale``, ``pivot`` (the first entry of least valuation),
-``val``, balanced ``divide_p``, unit ``inverse``, ``frob``, ``rem``,
-``vanishes`` and the zero test ``x == R.zero``; the residue-field
-algebra of ``lattices`` runs on these ops too, on raw entries in [0, p).
-``_EntryRing`` makes entries that carry their own arithmetic
-(``TruncatedSeries``) their own raw form, and its ``dot`` skips zero
-entries, so a skipped entry never narrows a series' validity window.
+``mul``, ``power``, ``of_int``, ``axpy``, ``scale``, ``pivot`` (the first
+entry of least valuation), ``val``, balanced ``divide_p``, unit
+``inverse``, ``frob``, ``rem``, ``vanishes`` and the zero test
+``x == R.zero``; the residue-field algebra of ``lattices`` runs on these
+ops too, on raw entries in [0, p).  ``_EntryRing`` makes entries that
+carry their own arithmetic (``TruncatedSeries``) their own raw form, and
+its ``dot`` skips zero entries, so a skipped entry never narrows a
+series' validity window.
 
 These helpers sit below the layer modules, beside ``series``, because
 the benchmark's tracer (``bench/tracer.py``) wraps every public function
@@ -168,6 +168,12 @@ class _IntRing(_WittRing):
     def neg(self, a):
         return -a % self.pN
 
+    def mul(self, a, b):
+        return a * b % self.pN
+
+    def power(self, a, e):
+        return pow(a, e, self.pN)
+
     def dot(self, row, col):
         return sum(map(mul, row, col)) % self.pN
 
@@ -230,7 +236,7 @@ class _TupleRing(_WittRing):
         self.zero = ctx.from_int(0)
         self.one = ctx.from_int(1)
         self.add, self.sub, self.neg = ctx.add, ctx.sub, ctx.neg
-        self.mul, self.val = ctx.mul, ctx.valuation
+        self.mul, self.power, self.val = ctx.mul, ctx.power, ctx.valuation
         self.divide_p, self.inverse = ctx.divide_p_power, ctx.unit_inverse
         self.frob, self.of_int = ctx.frobenius, ctx.from_int
 

@@ -25,6 +25,7 @@ from .errors import (DieudonneError, ParseError, VerificationMismatch)
 from .isocrystal import (FIsocrystal, dim_codim, end_decompose,
                          newton_slopes, slope_split)
 from .lattices import Lattice, SemilinearMap
+from .matrix import ring
 from .signs import (SlopePairSet, max_square_zero_size, quasi_factor_codims,
                     sign_modules, slice_monotone, slice_report, strings)
 from .strata import (group_custom, group_full_gl, group_symplectic,
@@ -338,6 +339,15 @@ class Session:
                     self.lattice_e(), self.tangent())
         return self._cache["defbasis"]
 
+    def connection(self):
+        """The connection one-form on the deformation lattice and basis,
+        solved once; a failure is raised again on the next call."""
+        if "connection" not in self._cache:
+            self._cache["connection"] = solve_connection(
+                self.crystal(), self.lattice_e(), self.deformation_basis(),
+                self.spec.degree)
+        return self._cache["connection"]
+
     def rng(self):
         return random.Random(self.seed)
 
@@ -497,22 +507,19 @@ def run_slices(sess: Session) -> dict:
 
 
 def run_connection(sess: Session) -> dict:
-    X = sess.crystal()
-    E = sess.lattice_e()
-    B = sess.deformation_basis()
-    conn = solve_connection(X, E, B, sess.spec.degree)
+    conn = sess.connection()
     series = {}
     for (l, i), s in sorted(conn.w.items()):
         if not s.is_zero():
             series[f"w[{l},{i}]"] = repr(s)
     out = {
-        "variables": B.n,
+        "variables": conn.B.n,
         "series": series,
         "ok": True,
     }
     try:
         split = sess.split()
-        hor = verify_horizontality(X, conn, split)
+        hor = verify_horizontality(sess.crystal(), conn, split)
         out["horizontality"] = hor
         out["ok"] = hor["vanishes"]
     except DieudonneError as exc:
@@ -550,13 +557,9 @@ def run_trivialize(sess: Session) -> dict:
 
 
 def run_correction(sess: Session) -> dict:
-    X = sess.crystal()
-    ctx = sess.ctx()
-    E = sess.lattice_e()
-    B = sess.deformation_basis()
-    conn = solve_connection(X, E, B, sess.spec.degree)
-    z = [ctx.scalar(ctx.p)] * B.n
-    out = correction_factor(X, conn, z)
+    conn = sess.connection()
+    z = [ring(sess.ctx()).of_int(sess.spec.p)] * conn.B.n
+    out = correction_factor(sess.crystal(), conn, z)
     return {
         "unit_mod_p": out["unit_mod_p"],
         "defect_in_E_mod_p2": out["defect_in_E_mod_p2"],

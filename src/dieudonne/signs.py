@@ -329,7 +329,6 @@ def slice_chain(slopes, level: int):
     if not 1 <= level <= m - 1:
         raise ValueError("level out of range")
     pairs = [(s[i], s[j]) for i in range(level) for j in range(level, m)]
-    assert len(pairs) == level * (m - level)
     return SlopePairSet(pairs, s)
 
 

@@ -22,7 +22,7 @@ from .lattices import (Lattice, intersect, invert_matrix, lattice_sum,
                        matrix_kernel, residue_intersection,
                        residue_spaces_equal, saturate)
 from .matrix import _EntryRing, ring
-from .series import TruncatedSeries
+from .series import TruncatedSeries, linear_matrix
 
 
 class GroupData:
@@ -386,23 +386,15 @@ def cayley_element(crystal: FIsocrystal, gd: GroupData,
         if not gd.lie.contains_vector(v):
             raise CertificateFailed(
                 f"vector {k} is not in the Lie lattice")
-    zero = TruncatedSeries.zero(ctx, n, dmax)
-    V = [[zero for _ in range(r)] for _ in range(r)]
-    for i, v in enumerate(vectors):
-        mat = vec_to_mat(v, r)
-        xi = TruncatedSeries.variable(ctx, n, dmax, i)
-        for a in range(r):
-            for b in range(r):
-                if mat[a][b] != R.zero:
-                    V[a][b] = V[a][b] + xi * mat[a][b]
-    one = TruncatedSeries.constant(ctx, n, dmax, ctx.one)
-    S = _EntryRing(zero, one)
+    V = linear_matrix(R, vectors, r, dmax)
+    S = _EntryRing(TruncatedSeries.zero(R, n, dmax),
+                   TruncatedSeries.constant(R, n, dmax, R.one))
     ident = S.identity(r)
     # V has positive degree, so V^(dmax + 1) vanishes in the truncation
     inv = S.nilpotent_inverse(V, dmax)
     w = S.mul_mat(S.sub_mat(ident, V), inv)
     # certificate (a): w^T G w = G through the window
-    gser = [[TruncatedSeries.constant(ctx, n, dmax, gd.gram[i][j])
+    gser = [[TruncatedSeries.constant(R, n, dmax, gd.gram[i][j])
              for j in range(r)] for i in range(r)]
     wt = [[w[j][i] for j in range(r)] for i in range(r)]
     lhs = S.mul_mat(S.mul_mat(wt, gser), w)

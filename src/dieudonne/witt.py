@@ -174,11 +174,12 @@ class WittContext:
     Attributes:
         p, n, N:   prime, residue degree, precision exponent.
         f:         defining polynomial, low-first tuple of n+1 ints.
+        fbar:      f reduced mod p, the modulus of the residue field.
         frob_image: sigma(g) as a WittScalar.
     """
 
-    __slots__ = ("p", "n", "N", "pN", "f", "frob_image", "_red", "_frob_mats",
-                 "_zero", "_one")
+    __slots__ = ("p", "n", "N", "pN", "f", "fbar", "frob_image", "_red",
+                 "_frob_mats", "_zero", "_one")
 
     def __init__(self, p: int, n: int, N: int):
         if not is_prime(p):
@@ -192,6 +193,8 @@ class WittContext:
         self.N = N
         self.pN = p ** N
         self.f = tuple(minimal_irreducible(p, n))
+        # the residue modulus, shared by every F_q product
+        self.fbar = tuple(c % p for c in self.f)
         # reduction table: g^(n+k) for k = 0..n-2 in the power basis
         red = []
         if n > 1:
@@ -327,9 +330,7 @@ class WittContext:
     def _lift_frobenius_root(self):
         """Hensel-lift the root of f that reduces to g^p, to precision p^N."""
         p, n = self.p, self.n
-        fbar = [c % p for c in self.f]
-        t = tuple(_poly_pow_x(p, 1, fbar, p)) + (0,) * 0
-        t = tuple(list(t) + [0] * (n - len(t)))
+        t = tuple(_poly_pow_x(p, 1, self.fbar, p))
         fprime = tuple(((i + 1) * self.f[i + 1]) % self.pN for i in range(n))
         prec = 1
         while prec < self.N:
@@ -381,13 +382,13 @@ class WittContext:
         x = tuple(v % self.p for v in c)
         q = self.p ** self.n
         for _ in range(self.N + 1):
-            y = self._pow(x, q)
+            y = self.power(x, q)
             if y == x:
                 break
             x = y
         return x
 
-    def _pow(self, a, e):
+    def power(self, a, e):
         acc = self._one
         base = a
         while e:
@@ -416,8 +417,7 @@ class WittContext:
         n = self.n
         if n == 1:
             return ((a[0] * b[0]) % p,)
-        fbar = [c % p for c in self.f]
-        return tuple(_poly_mul_mod(list(a), list(b), fbar, p))
+        return tuple(_poly_mul_mod(list(a), list(b), self.fbar, p))
 
     def gf_inv(self, a):
         q = self.p ** self.n
@@ -474,9 +474,6 @@ class WittContext:
             g[1] = 1
         return WittScalar(self, tuple(g))
 
-    def __repr__(self):
-        return f"WittContext(p={self.p}, n={self.n}, N={self.N})"
-
     def __eq__(self, other):
         return (isinstance(other, WittContext)
                 and (self.p, self.n, self.N) == (other.p, other.n, other.N))
@@ -511,7 +508,7 @@ class WittScalar:
         return WittScalar(self.ctx, self.ctx.neg(self.c))
 
     def __pow__(self, e):
-        return WittScalar(self.ctx, self.ctx._pow(self.c, e))
+        return WittScalar(self.ctx, self.ctx.power(self.c, e))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -540,9 +537,15 @@ class WittScalar:
         return self.ctx.residue(self.c)
 
     def __repr__(self):
-        if self.ctx.n == 1:
-            return f"w({self.c[0]})"
-        return f"w{list(self.c)}"
+        return format_entry(self.c)
+
+
+def format_entry(x) -> str:
+    """The display form of a scalar from its raw coefficient (an int) or
+    coefficient tuple: w(c) when n = 1, w[c0, c1, ...] otherwise."""
+    if type(x) is int:
+        return f"w({x})"
+    return f"w({x[0]})" if len(x) == 1 else f"w{list(x)}"
 
 
 def _raw(s: WittScalar, other):

@@ -31,21 +31,34 @@ from instances import ordinary_rank2, rank6_two_slope, three_slope_rank4
 
 # ---------------------------------------------------------------------------
 # series arithmetic
+#
+# Series hold raw entries of ``ring(ctx)``; the checks wrap them back into
+# scalars to compare against scalar arithmetic.
+
+
+def wrap(R, x):
+    return R.wrap_col([x])[0]
+
+
+def raw(ctx, x):
+    """The raw entry of a scalar or int."""
+    return ring(ctx).raw_col([x])[0]
 
 
 def test_series_ring_ops():
     ctx = make_context(2, 1, 16)
-    x = TruncatedSeries.variable(ctx, 2, 6, 0)
-    y = TruncatedSeries.variable(ctx, 2, 6, 1)
+    R = ring(ctx)
+    x = TruncatedSeries.variable(R, 2, 6, 0)
+    y = TruncatedSeries.variable(R, 2, 6, 1)
     s = (x + y) * (x - y)
-    assert s.coefficient((2, 0)) == ctx.one
-    assert s.coefficient((0, 2)) == -ctx.one
-    assert s.coefficient((1, 1)).is_zero()
+    assert wrap(R, s.coefficient((2, 0))) == ctx.one
+    assert wrap(R, s.coefficient((0, 2))) == -ctx.one
+    assert wrap(R, s.coefficient((1, 1))).is_zero()
 
 
 def test_series_truncation():
-    ctx = make_context(2, 1, 16)
-    x = TruncatedSeries.variable(ctx, 1, 4, 0)
+    R = ring(make_context(2, 1, 16))
+    x = TruncatedSeries.variable(R, 1, 4, 0)
     s = x * x * x
     assert not s.is_zero()
     assert (s * s).is_zero()  # degree 6 > 4
@@ -53,22 +66,24 @@ def test_series_truncation():
 
 def test_series_frobenius_lift():
     ctx = make_context(2, 2, 12)
+    R = ring(ctx)
     g = ctx.generator
-    x = TruncatedSeries.variable(ctx, 1, 8, 0)
-    s = x * g
+    x = TruncatedSeries.variable(R, 1, 8, 0)
+    s = x * raw(ctx, g)
     t = s.frobenius_lift()
-    assert t.coefficient((2,)) == g.frobenius()
-    assert t.coefficient((1,)).is_zero()
+    assert wrap(R, t.coefficient((2,))) == g.frobenius()
+    assert wrap(R, t.coefficient((1,))).is_zero()
 
 
 def test_series_partial_and_evaluate():
     ctx = make_context(3, 1, 12)
-    x = TruncatedSeries.variable(ctx, 1, 6, 0)
-    s = x * x * ctx.scalar(2) + x
+    R = ring(ctx)
+    x = TruncatedSeries.variable(R, 1, 6, 0)
+    s = x * x * raw(ctx, 2) + x
     ds = s.partial(0)
-    assert ds.coefficient((1,)) == ctx.scalar(4)
-    assert ds.coefficient((0,)) == ctx.one
-    assert s.evaluate([ctx.scalar(3)]) == ctx.scalar(21)
+    assert wrap(R, ds.coefficient((1,))) == ctx.scalar(4)
+    assert wrap(R, ds.coefficient((0,))) == ctx.one
+    assert wrap(R, s.evaluate([raw(ctx, 3)])) == ctx.scalar(21)
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +104,13 @@ def ordinary_setup(p, N, dmax):
 
 def test_connection_golden_p2():
     ctx, X, O, T, B, conn = ordinary_setup(2, 20, 8)
+    R = ring(ctx)
     w = conn.w[(0, 0)]
     # -1 - x - x^3 - x^7
-    assert w.coefficient((0,)) == -ctx.one
-    assert w.coefficient((1,)) == -ctx.one
-    assert w.coefficient((3,)) == -ctx.one
-    assert w.coefficient((7,)) == -ctx.one
+    assert wrap(R, w.coefficient((0,))) == -ctx.one
+    assert wrap(R, w.coefficient((1,))) == -ctx.one
+    assert wrap(R, w.coefficient((3,))) == -ctx.one
+    assert wrap(R, w.coefficient((7,))) == -ctx.one
     degrees = w.support_degrees()
     assert degrees == [0, 1, 3, 7]
 
@@ -105,7 +121,7 @@ def test_connection_golden_p3():
     # -1 - x^2 - x^8
     assert w.support_degrees() == [0, 2, 8]
     for d in (0, 2, 8):
-        assert w.coefficient((d,)) == -ctx.one
+        assert wrap(ring(ctx), w.coefficient((d,))) == -ctx.one
 
 
 def test_connection_recursion_residual_vanishes():
@@ -156,7 +172,7 @@ def test_universal_element_at_origin():
     u = universal_element(X, B, 8)
     for i in range(2):
         for j in range(2):
-            c0 = u[i][j].constant_term()
+            c0 = wrap(ring(ctx), u[i][j].constant_term())
             assert c0 == (ctx.one if i == j else ctx.zero)
 
 
@@ -171,7 +187,7 @@ def test_horizontality_ordinary():
 
 def test_horizontality_detects_perturbation():
     ctx, X, O, T, B, conn = ordinary_setup(2, 20, 8)
-    x1 = TruncatedSeries.variable(ctx, 1, 8, 0)
+    x1 = TruncatedSeries.variable(ring(ctx), 1, 8, 0)
     conn.w[(0, 0)] = conn.w[(0, 0)] + x1
     split = hodge_splitting_from_kernel(X)
     report = verify_horizontality(X, conn, split)
@@ -406,7 +422,7 @@ def test_square_zero_trivializer_makes_no_orbit_products(monkeypatch):
 
 
 def _nabla_reference(conn, vec, i):
-    ctx = conn.crystal.ctx
+    R = ring(conn.crystal.ctx)
     r = conn.crystal.rank
     out = [s.partial(i) for s in vec]
     for l, v in enumerate(conn.basis):
@@ -414,7 +430,7 @@ def _nabla_reference(conn, vec, i):
         if w_li.is_zero():
             continue
         evec = _series_mat_vec(
-            [[TruncatedSeries.constant(ctx, conn.B.n, conn.dmax, x)
+            [[TruncatedSeries.constant(R, conn.B.n, conn.dmax, x)
               for x in row] for row in vec_to_mat(v, r)], vec)
         out = [o + e * w_li for o, e in zip(out, evec)]
     return out
@@ -437,8 +453,8 @@ def test_nabla_matches_constant_matrix_form():
         for k in range(X.rank):
             coeffs = {} if k % 3 == 0 else {
                 (rng.randrange(3), rng.randrange(2), 0):
-                ctx.scalar([rng.randrange(ctx.pN) for _ in range(3)])}
-            vec.append(TruncatedSeries(ctx, B.n, 4, coeffs,
+                raw(ctx, [rng.randrange(ctx.pN) for _ in range(3)])}
+            vec.append(TruncatedSeries(ring(ctx), B.n, 4, coeffs,
                                        valid=rng.randrange(5)))
         for i in range(B.n):
             got = _nabla(conn, vec, i)
@@ -453,23 +469,25 @@ def test_nabla_matches_constant_matrix_form():
 
 def test_divided_power_values():
     ctx = make_context(2, 1, 20)
+    R = ring(ctx)
     y = ctx.scalar(2)
-    assert divided_power(ctx, y, 0) == ctx.one
-    assert divided_power(ctx, y, 1) == y
-    assert divided_power(ctx, y, 2) == ctx.scalar(2)  # 4 / 2
+    assert wrap(R, divided_power(R, raw(ctx, y), 0)) == ctx.one
+    assert wrap(R, divided_power(R, raw(ctx, y), 1)) == y
+    assert wrap(R, divided_power(R, raw(ctx, y), 2)) == ctx.scalar(2)  # 4/2
     ctx3 = make_context(3, 1, 20)
+    R3 = ring(ctx3)
     y3 = ctx3.scalar(3)
     # 3^2 / 2! = 9 * inverse(2)
-    assert divided_power(ctx3, y3, 2) == ctx3.scalar(9) * \
-        ctx3.scalar(2).inverse()
+    assert wrap(R3, divided_power(R3, raw(ctx3, y3), 2)) == \
+        ctx3.scalar(9) * ctx3.scalar(2).inverse()
 
 
 def test_correction_factor_teichmuller_is_identity():
     ctx, X, O, T, B, conn = ordinary_setup(2, 24, 8)
     # Teichmuller coordinates have sigma(z) = z^p exactly
-    z = [teichmuller(ctx, 1)]
+    z = [raw(ctx, teichmuller(ctx, 1))]
     out = correction_factor(X, conn, z)
-    g = out["matrix"]
+    g = ring(ctx).wrap_mat(out["matrix"])
     for i in range(2):
         for j in range(2):
             want = ctx.one if i == j else ctx.zero
@@ -484,8 +502,8 @@ def test_correction_factor_zero_basis_is_identity():
     O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
     B = DeformationBasis([[ctx.zero] * 4], O)
     conn = solve_connection(X, O, B, 8)
-    out = correction_factor(X, conn, [ctx.scalar(5)])
-    g = out["matrix"]
+    out = correction_factor(X, conn, [raw(ctx, 5)])
+    g = ring(ctx).wrap_mat(out["matrix"])
     for i in range(2):
         for j in range(2):
             want = ctx.one if i == j else ctx.zero
@@ -494,7 +512,8 @@ def test_correction_factor_zero_basis_is_identity():
 
 def test_correction_factor_at_p():
     ctx, X, O, T, B, conn = ordinary_setup(2, 24, 8)
-    out = correction_factor(X, conn, [ctx.scalar(2)])
+    R = ring(ctx)
+    out = correction_factor(X, conn, [raw(ctx, 2)])
     assert out["unit_mod_p"]
     assert out["defect_in_E_mod_p2"]
     assert all(v >= 1 for v in out["y_valuations"])
@@ -508,10 +527,11 @@ def test_correction_factor_at_p():
     deriv = w
     j = 1
     while not deriv.is_zero():
-        coeff = coeff + deriv.evaluate([z]) * divided_power(ctx, y, j)
+        coeff = coeff + wrap(R, deriv.evaluate([raw(ctx, z)])) * \
+            wrap(R, divided_power(R, raw(ctx, y), j))
         deriv = deriv.partial(0)
         j += 1
-    g = out["matrix"]
+    g = R.wrap_mat(out["matrix"])
     assert g[0][1] == coeff
     assert g[1][0].is_zero()
     assert g[0][0] == ctx.one and g[1][1] == ctx.one
@@ -551,12 +571,13 @@ def test_connection_basis_independence():
 
 def test_series_multivariate_evaluate():
     ctx = make_context(3, 1, 12)
-    x = TruncatedSeries.variable(ctx, 2, 5, 0)
-    y = TruncatedSeries.variable(ctx, 2, 5, 1)
-    s = x * x * y + y * ctx.scalar(2) + TruncatedSeries.constant(
-        ctx, 2, 5, ctx.scalar(7))
-    val = s.evaluate([ctx.scalar(2), ctx.scalar(3)])
-    assert val == ctx.scalar(4 * 3 + 6 + 7)
+    R = ring(ctx)
+    x = TruncatedSeries.variable(R, 2, 5, 0)
+    y = TruncatedSeries.variable(R, 2, 5, 1)
+    s = x * x * y + y * raw(ctx, 2) + TruncatedSeries.constant(
+        R, 2, 5, raw(ctx, 7))
+    val = s.evaluate([raw(ctx, 2), raw(ctx, 3)])
+    assert wrap(R, val) == ctx.scalar(4 * 3 + 6 + 7)
 
 
 def test_zero_basis_flat_everything():
@@ -577,3 +598,45 @@ def test_zero_basis_flat_everything():
     t = lie_element(O, S)
     report = induced_connection_tilde(conn, t)
     assert all(not forms for forms in report["t_form"].values())
+
+
+# ---------------------------------------------------------------------------
+# the session's connection
+
+
+def _count_solves(monkeypatch):
+    from dieudonne import problems
+    calls = []
+    real = problems.solve_connection
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(problems, "solve_connection", counted)
+    return calls
+
+
+def test_connection_solved_once_per_session(monkeypatch):
+    # report-all's connection and correction analyses read one one-form
+    from dieudonne.problems import ANALYSES, run
+    calls = _count_solves(monkeypatch)
+    report = run(load_corpus("ordinary_rank2"), ANALYSES)
+    assert report["all_ok"]
+    assert len(calls) == 1
+
+
+def test_connection_failure_is_not_cached(monkeypatch):
+    # O_minus of three slopes is not square-zero: each analysis solves
+    # again and reports the same error
+    import json
+
+    from dieudonne.problems import emit_spec, parse_dict, run
+    doc = json.loads(emit_spec(load_corpus("three_slope_rank4")))
+    del doc["slope_pairs"]
+    calls = _count_solves(monkeypatch)
+    report = run(parse_dict(doc), ["connection", "correction"])
+    errors = [report["analyses"][name]["error"]
+              for name in ("connection", "correction")]
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("HypothesisViolated: E is not square-zero")
+    assert len(calls) == 2

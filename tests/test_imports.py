@@ -1,5 +1,7 @@
 """Import hygiene: no module of the library or of its tests imports a name
-it never uses, and ``WittScalar`` stays at its boundary.
+it never uses, and ``WittScalar`` stays at its boundary: beside the
+public re-exports, only ``witt`` and ``matrix`` name it or build scalars
+through ``ctx.scalar``.
 
 No linter ships with the project, so this reads each module with ``ast``.
 ``__init__.py`` is exempt from the unused-import check: its imports are
@@ -73,6 +75,30 @@ def test_scalar_use_is_reported():
                      "x = witt.WittScalar\n\"\"\"WittScalar\"\"\"\n")
     assert {"WittScalar", "W"} <= names_used(tree)
     assert "WittScalar" not in names_used(ast.parse('"""WittScalar"""'))
+
+
+# the modules that may build scalars through ``ctx.scalar``
+SCALAR_BUILDERS = {"witt.py", "matrix.py"}
+
+
+def attributes_used(tree):
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+
+
+def test_scalar_constructor_stays_at_the_boundary():
+    found = sorted(
+        path.name for path in SRC.glob("*.py")
+        if path.name not in SCALAR_BUILDERS
+        and "scalar" in attributes_used(
+            ast.parse(path.read_text(encoding="utf-8"))))
+    assert found == []
+
+
+def test_scalar_constructor_use_is_reported():
+    tree = ast.parse("y = ctx.scalar(3)\nscalar = 1\n\"\"\"ctx.scalar\"\"\"\n")
+    assert attributes_used(tree) == {"scalar"}
+    assert attributes_used(ast.parse("scalar = ctx\n'ctx.scalar'")) == set()
 
 
 def test_unused_import_is_reported():

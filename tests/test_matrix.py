@@ -77,6 +77,7 @@ def test_mat_mul_matches_triple_loop_n3():
 
 
 def random_series_matrix(rng, ctx, r, c, nvars, dmax):
+    R = ring(ctx)
     out = []
     for _ in range(r):
         row = []
@@ -85,8 +86,8 @@ def random_series_matrix(rng, ctx, r, c, nvars, dmax):
             if rng.random() < 0.6:
                 for _ in range(rng.randrange(1, 4)):
                     expo = tuple(rng.randrange(3) for _ in range(nvars))
-                    coeffs[expo] = ctx.scalar(rng.randrange(1, ctx.pN))
-            row.append(TruncatedSeries(ctx, nvars, dmax, coeffs))
+                    coeffs[expo] = R.of_int(rng.randrange(1, ctx.pN))
+            row.append(TruncatedSeries(R, nvars, dmax, coeffs))
         out.append(row)
     return out
 
@@ -96,8 +97,9 @@ def test_mat_mul_series_matches_accumulating_product():
     rng = random.Random(13)
     ctx = make_context(3, 1, 8)
     nvars, dmax = 2, 4
-    zero = TruncatedSeries.zero(ctx, nvars, dmax)
-    one = TruncatedSeries.constant(ctx, nvars, dmax, ctx.one)
+    R = ring(ctx)
+    zero = TruncatedSeries.zero(R, nvars, dmax)
+    one = TruncatedSeries.constant(R, nvars, dmax, R.one)
     for r, m, c in [(2, 2, 2), (3, 2, 4), (1, 3, 1)]:
         a = random_series_matrix(rng, ctx, r, m, nvars, dmax)
         b = random_series_matrix(rng, ctx, m, c, nvars, dmax)
@@ -115,8 +117,9 @@ def test_mat_mul_series_skipped_zeros_keep_windows():
     rng = random.Random(14)
     ctx = make_context(3, 1, 8)
     nvars, dmax = 1, 5
-    zero = TruncatedSeries.zero(ctx, nvars, dmax)
-    one = TruncatedSeries.constant(ctx, nvars, dmax, ctx.one)
+    R = ring(ctx)
+    zero = TruncatedSeries.zero(R, nvars, dmax)
+    one = TruncatedSeries.constant(R, nvars, dmax, R.one)
     a = random_series_matrix(rng, ctx, 3, 3, nvars, dmax)
     b = random_series_matrix(rng, ctx, 3, 3, nvars, dmax)
     for mat in (a, b):
@@ -151,10 +154,11 @@ def test_nilpotent_inverse_series():
     rng = random.Random(16)
     ctx = make_context(5, 1, 10)
     nvars, dmax, r = 2, 4, 3
-    zero = TruncatedSeries.zero(ctx, nvars, dmax)
-    one = TruncatedSeries.constant(ctx, nvars, dmax, ctx.one)
-    x = [TruncatedSeries.variable(ctx, nvars, dmax, i) for i in range(nvars)]
-    n_mat = [[x[rng.randrange(nvars)] * ctx.scalar(rng.randrange(ctx.pN))
+    R = ring(ctx)
+    zero = TruncatedSeries.zero(R, nvars, dmax)
+    one = TruncatedSeries.constant(R, nvars, dmax, R.one)
+    x = [TruncatedSeries.variable(R, nvars, dmax, i) for i in range(nvars)]
+    n_mat = [[x[rng.randrange(nvars)] * R.of_int(rng.randrange(ctx.pN))
               for _ in range(r)] for _ in range(r)]
     S = _EntryRing(zero, one)
     ident = S.identity(r)

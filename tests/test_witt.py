@@ -191,6 +191,25 @@ def test_residue_field_ops():
         assert ctx.gf_mul(a, inv) == (1, 0, 0)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_gf_inv_matches_brute_force(p):
+    # the inverse is the one element of F_q whose product with a is 1;
+    # products are the residues of the Witt ring product, which reduces
+    # by the lifted modulus, not by the residue modulus gf_mul reads
+    ctx = make_context(p, 3, 4)
+    field = list(itertools.product(range(p), repeat=3))
+    one = (1, 0, 0)
+    for a in field:
+        if a == (0, 0, 0):
+            with pytest.raises(ZeroDivisionError):
+                ctx.gf_inv(a)
+            continue
+        assert [b for b in field
+                if ctx.residue(ctx.mul(a, b)) == one] == [ctx.gf_inv(a)]
+        for b in field:
+            assert ctx.gf_mul(a, b) == ctx.residue(ctx.mul(a, b))
+
+
 def test_determinism():
     c1 = make_context(3, 4, 10)
     c2 = make_context(3, 4, 10)
