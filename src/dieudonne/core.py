@@ -24,7 +24,7 @@ from .errors import (HypothesisViolated, InclusionViolated, NoAutoConstruction,
                      NonConvergence, PrecisionExhausted, SingularMap,
                      SplittingInvalid, ValidationFailed)
 from .isocrystal import (FIsocrystal, SlopeData, end_frobenius,
-                         sandwich_map, vec_to_mat, _maps_equal)
+                         mat_to_vec, sandwich_map, vec_to_mat, _maps_equal)
 from .lattices import (Lattice, SemilinearMap, intersect, invert_matrix,
                        kernel_span, lattice_sum, matrix_kernel,
                        mod_p_dimension, residue_echelon, residue_kernel,
@@ -260,11 +260,9 @@ def star_property_holds(crystal: FIsocrystal, tangent: TangentSpace,
     nu(x) is non-zero."""
     R = ring(crystal.ctx)
     rows = R.raw_mat(rows)
-    ainv, vdet = crystal.inverse_numerator()
-    e = crystal.phi.twist
-    twisted = [[R.frob(x, e) for x in row] for row in rows]
-    num = R.mul_mat(R.mul_mat(crystal.phi.rows, twisted), ainv)
-    integral = all(R.val(x) >= vdet for row in num for x in row)
+    fwd = end_frobenius(crystal)
+    integral = all(R.val(x) >= fwd.denominator
+                   for x in fwd.apply_raw(mat_to_vec(rows)))
     nu_nonzero = not tangent.nu_is_zero(tangent.nu_matrix(rows))
     return (not integral) == nu_nonzero
 
@@ -318,19 +316,22 @@ def smallest_stable_superlattice(V: Lattice, numerator_steps, denominator,
 
 
 def _conjugation_numerators(crystal):
-    """Integral numerators of the two conjugations: fwd(x) = A sigma(x)
-    A_adj and bwd(x) = sigma^{-1}(A_adj x A), both equal to p^{v(det A)}
-    times the actual conjugation; computed once per crystal."""
+    """(fwd, bwd, vdet): the conjugations x -> phi x phi^{-1} (fwd, which
+    is ``end_frobenius``) and x -> phi^{-1} x phi (bwd) on End(M), each
+    p^{-vdet} times its integral numerator, vdet = v(det A): A sigma(x)
+    A_adj and sigma^{-1}(A_adj x A).  ``apply_raw`` gives the numerators;
+    computed once per crystal."""
     if "conjugation" not in crystal._derived:
         ctx = crystal.ctx
         ainv, vdet = crystal.inverse_numerator()
-        fwd_num = SemilinearMap(ctx, end_frobenius(crystal).rows, twist=1)
         e = (-1) % ctx.n
         frob = ring(ctx).frob
         left = [[frob(x, e) for x in row] for row in ainv]
         bwd_num = sandwich_map(ctx, left, crystal.phi._twisted_rows(e),
-                               twist=e)
-        crystal._derived["conjugation"] = (fwd_num, bwd_num, vdet)
+                               twist=e, denominator=vdet,
+                               loss=crystal.phi.loss)
+        crystal._derived["conjugation"] = (end_frobenius(crystal), bwd_num,
+                                           vdet)
     return crystal._derived["conjugation"]
 
 

@@ -28,11 +28,12 @@ point, which crosses ``raw_col`` once per coordinate.
 
 from __future__ import annotations
 
-from .core import TangentSpace, nu_image, _nonzero_product
+from .core import (TangentSpace, nu_image, _conjugation_numerators,
+                   _nonzero_product)
 from .errors import (HypothesisViolated, InclusionViolated, NonConvergence,
                      NonTermination, ValidationFailed)
 from .isocrystal import FIsocrystal, end_frobenius, vec_to_mat
-from .lattices import (Lattice, SemilinearMap, lattice_sum, residue_echelon,
+from .lattices import (Lattice, SemilinearMap, residue_echelon,
                        residue_spaces_equal, restrict_map)
 from .matrix import ring
 from .series import TruncatedSeries, linear_matrix
@@ -396,12 +397,16 @@ def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
     # raw entries are integer representatives, valid at the boost too
     bE = Lattice.from_columns(big, E.ambient, E.cols, scale=E.scale)
     ainv_big, _ = bX.inverse_numerator()
-    abig = bX.phi.rows
+    # x -> phi^{-1} x phi on the echelon basis of E
+    try:
+        cmap = restrict_map(_conjugation_numerators(bX)[1], bE)
+    except InclusionViolated:
+        raise HypothesisViolated(
+            "E is not stable under the inverse Frobenius")
     # column l of "ech_rows" is echelon vector l of E, flattened
     return {
         "big": big, "dval": dval, "bE": bE, "bvecs": B.vectors,
-        "abig": abig, "ainv": ainv_big,
-        "Cmap": _restrict_inverse_conj(big, bE, abig, ainv_big, dval),
+        "abig": bX.phi.rows, "ainv": ainv_big, "Cmap": cmap,
         "ech_rows": list(zip(*bE.ech)),
         "square_zero": _nonzero_product(big, crystal.rank, bE.ech) is None,
     }
@@ -486,14 +491,9 @@ def _backward_orbit(R, Cmap, coords, N, cap):
     """The coordinates c_k = C sigma^{-1}(c_{k-1}), k = 1, 2, ..., up to
     the first that vanishes mod p^N; more than cap of them is
     NonConvergence."""
-    back = (-1) % R.ctx.n
-    dot = R.dot
     steps = 0
     while True:
-        # the inverse conjugation is sigma^{-1}-semilinear: twist the
-        # coordinates before applying the restriction matrix
-        twisted = [R.frob(c, back) for c in coords]
-        coords = [dot(row, twisted) for row in Cmap]
+        coords = Cmap.apply_raw(coords)
         if R.vanishes(coords, N):
             return
         steps += 1
@@ -502,25 +502,6 @@ def _backward_orbit(R, Cmap, coords, N, cap):
                 "backward Frobenius orbit did not reach zero; are the "
                 "inverse-Frobenius slopes positive on E?")
         yield coords
-
-
-def _restrict_inverse_conj(ctx, E, arows, ainv_rows, dval):
-    """Matrix (on the echelon basis of E) of x -> phi^{-1} x phi,
-    i.e. sigma^{-1}(A^{-1} x A) with the p-denominator divided out."""
-    R = ring(ctx)
-    m = E.rank
-    r = len(arows)
-    e = (-1) % ctx.n
-    cols = []
-    for cvec in E.ech:
-        prod = R.mul_mat(R.mul_mat(ainv_rows, vec_to_mat(cvec, r)), arows)
-        coords = E.solve([R.divide_p(R.frob(x, e), dval)
-                          for row in prod for x in row], 0)
-        if coords is None:
-            raise HypothesisViolated(
-                "E is not stable under the inverse Frobenius")
-        cols.append(coords)
-    return [[cols[l][j] for l in range(m)] for j in range(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -609,14 +590,9 @@ def correction_factor(crystal: FIsocrystal, conn: ConnectionForm, z
     defect = [R.sub(ident[i][j], grows[i][j])
               for i in range(r) for j in range(r)]
     ok_unit = all(R.val(d) >= 1 for d in defect)
-    p2 = R.of_int(ctx.p ** 2)
-    p2end = Lattice.from_columns(
-        ctx, r * r, [R.scale(col, p2) for col in R.identity(r * r)])
-    e_plus_p2 = lattice_sum(conn.E, p2end)
-    in_E_mod_p2 = e_plus_p2.contains_vector(defect)
     return {
         "matrix": grows,
         "unit_mod_p": ok_unit,
-        "defect_in_E_mod_p2": in_E_mod_p2,
+        "defect_in_E_mod_p2": conn.E.contains_modulo(defect, 2),
         "y_valuations": [R.val(y) for y in ys],
     }

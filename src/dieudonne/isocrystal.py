@@ -27,7 +27,7 @@ from .errors import (FieldTooSmall, InclusionViolated,
                      PrecisionExhausted, SingularMap)
 from .lattices import (Lattice, SemilinearMap, invert_matrix,
                        invert_matrix_exact, lattice_sum, matrix_kernel,
-                       mod_p_dimension, restrict_map)
+                       mod_p_dimension)
 from .matrix import ring
 from .witt import WittContext
 
@@ -432,11 +432,6 @@ class SlopeData:
                 return m
         return 0
 
-    def hodge_numbers(self):
-        """Per-slope codimension/dimension pairs ((1-a) r_a, a r_a)."""
-        return {a: (Fraction(1 - a) * m, Fraction(a) * m)
-                for (a, m) in self.slopes}
-
 
 def _matrix_content(R, rows):
     best = None
@@ -756,10 +751,3 @@ def dim_codim(crystal: FIsocrystal):
     c = mod_p_dimension(vimg, M)
     return c, d
 
-
-def component_slopes(slope_data: SlopeData, alpha):
-    """Slopes of the restriction of phi to an integral slope component
-    (used to confirm the decomposition)."""
-    comp = slope_data.components[alpha]
-    sub = restrict_map(slope_data.crystal.phi, comp)
-    return newton_slopes(FIsocrystal(slope_data.crystal.ctx, sub))

@@ -316,6 +316,23 @@ class Lattice:
         return self.solve(ring(self.ctx).raw_col(vector),
                           vscale) is not None
 
+    def contains_modulo(self, vector, k):
+        """Membership of the raw vector in this lattice plus p^k times the
+        standard lattice, without a new echelon: the stored pivots come in
+        non-decreasing valuation order, and once one reaches k every
+        column left vanishes mod p^k, so the pivots below k are the
+        echelon at effective precision k."""
+        if self.scale < 0:
+            return self.folded().contains_modulo(vector, k)
+        R = ring(self.ctx)
+        if self.scale:
+            vector = R.scale(vector, R.of_int(self.ctx.p ** self.scale))
+            k += self.scale
+        low = sum(1 for (_, e) in self.ech_pivots if e < k)
+        coords, rest = _back_substitute(self.ctx, self.ech[:low],
+                                        self.ech_pivots[:low], vector)
+        return coords is not None and R.vanishes(rest, k)
+
     def contains(self, other):
         if other.ambient != self.ambient:
             raise ValueError("ambient ranks differ")

@@ -284,5 +284,9 @@ class _TupleRing(_WittRing):
 
 
 def ring(ctx):
-    """The raw-coefficient ring of a Witt context, chosen by ctx.n."""
-    return _IntRing(ctx) if ctx.n == 1 else _TupleRing(ctx)
+    """The raw-coefficient ring of a Witt context, chosen by ctx.n; built
+    once per context object (not per equal context: ``raw_col`` tells its
+    own context's scalars by identity)."""
+    if ctx._ring is None:
+        ctx._ring = _IntRing(ctx) if ctx.n == 1 else _TupleRing(ctx)
+    return ctx._ring

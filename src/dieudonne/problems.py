@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from . import __version__
 from .core import (TangentSpace, check_axioms, codim_of_dieudonne,
-                   hodge_splitting, lie_element, nu_image)
+                   hodge_splitting, hodge_splitting_from_kernel, lie_element,
+                   nu_image)
 from .deformation import (DeformationBasis, correction_factor,
                           kodaira_spencer_image, prepare_trivializer,
                           select_deformation_basis, solve_connection,
@@ -37,6 +38,8 @@ from .witt import PRIME_BOUND, is_prime, make_context
 RANK_BOUND = 16
 RESIDUE_DEGREE_BOUND = 16
 PRECISION_BOUND = 4096
+# a series holds every monomial up to the degree, degree^variables of them
+DEGREE_BOUND = 64
 
 ANALYSES = ["slopes", "decompose", "ominus", "axioms", "dual", "slices",
             "connection", "trivialize", "correction", "strata", "traverso",
@@ -121,10 +124,14 @@ def parse_dict(doc, name=None) -> ProblemSpec:
     N = doc.get("precision", 40)
     _expect(_is_int(N) and 2 <= N <= PRECISION_BOUND, "precision",
             f"must be an integer from 2 to {PRECISION_BOUND}")
-    degree = doc.get("degree", 2 * (p - 1) + 1)
-    # the connection's recursion needs the degrees up to p - 1 (>= 1)
-    _expect(_is_int(degree) and degree >= p - 1, "degree",
-            "must be an integer >= p - 1")
+    default_degree = 2 * (p - 1) + 1
+    degree = doc.get("degree", default_degree)
+    # the connection's recursion needs the degrees up to p - 1 (>= 1); the
+    # default always parses, so p itself stays uncapped
+    cap = max(DEGREE_BOUND, default_degree)
+    _expect(_is_int(degree) and p - 1 <= degree <= cap, "degree",
+            f"must be an integer from p - 1 to {cap}, the larger of the "
+            f"bound {DEGREE_BOUND} and the default 2(p - 1) + 1")
     r = doc["rank"]
     _expect(_is_int(r) and 1 <= r <= RANK_BOUND, "rank",
             f"must be an integer from 1 to {RANK_BOUND}")
@@ -288,7 +295,6 @@ class Session:
             spec = self.spec
             r = spec.rank
             if spec.hodge_f1 is None:
-                from .core import hodge_splitting_from_kernel
                 self._cache["split"] = hodge_splitting_from_kernel(
                     self.crystal())
             elif isinstance(spec.hodge_f1, dict):

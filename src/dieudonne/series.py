@@ -169,9 +169,6 @@ class TruncatedSeries:
     def coefficient(self, expo):
         return self.coeffs.get(tuple(expo), self.R.zero)
 
-    def support_degrees(self):
-        return sorted({sum(e) for e in self.coeffs})
-
     def __repr__(self):
         if not self.coeffs:
             return "0"

@@ -21,8 +21,7 @@ from fractions import Fraction
 from .core import (codim_of_dieudonne, largest_sub_dieudonne, nu_image,
                    smallest_super_dieudonne, _nonzero_product)
 from .errors import DualityMismatch, PrecisionExhausted, VerificationMismatch
-from .isocrystal import (EndDecomposition, FIsocrystal, SlopeData,
-                         mat_to_vec, vec_to_mat)
+from .isocrystal import EndDecomposition, FIsocrystal, SlopeData
 from .lattices import Lattice, intersect, kernel_span, smith_valuations
 from .matrix import ring
 
@@ -97,25 +96,6 @@ def trace_of_vectors(ctx, r, xvec, yvec):
     """Trace of the product of two flattened raw endomorphisms: the dot
     product of x with the flattened transpose of y."""
     return ring(ctx).dot(xvec, _transposed(yvec, r))
-
-
-def trace_frobenius_invariant(crystal: FIsocrystal, xvec, yvec) -> bool:
-    """Tr(phi x, phi y) = sigma(Tr(x, y)), checked without divisions by
-    clearing the conjugation denominators."""
-    ctx = crystal.ctx
-    R = ring(ctx)
-    r = crystal.rank
-    ainv, vdet = crystal.inverse_numerator()
-    e = crystal.phi.twist
-    xvec, yvec = R.raw_col(xvec), R.raw_col(yvec)
-
-    def conj_num(vec):
-        mat = vec_to_mat([R.frob(x, e) for x in vec], r)
-        return mat_to_vec(R.mul_mat(R.mul_mat(crystal.phi.rows, mat), ainv))
-
-    lhs = trace_of_vectors(ctx, r, conj_num(xvec), conj_num(yvec))
-    rhs = R.frob(trace_of_vectors(ctx, r, xvec, yvec), e)
-    return [lhs] == R.scale([rhs], R.of_int(ctx.p ** (2 * vdet)))
 
 
 # ---------------------------------------------------------------------------

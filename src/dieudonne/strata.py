@@ -17,12 +17,13 @@ from .errors import (CertificateFailed, CertificateInvalid,
                      SlopeSymmetryViolated, VerificationMismatch,
                      WrongCharacteristic)
 from .isocrystal import (EndDecomposition, FIsocrystal, SlopeData,
-                         end_frobenius, mat_to_vec, vec_to_mat)
+                         dim_codim, end_frobenius, mat_to_vec, vec_to_mat)
 from .lattices import (Lattice, intersect, invert_matrix, lattice_sum,
                        matrix_kernel, residue_intersection,
                        residue_spaces_equal, saturate)
 from .matrix import _EntryRing, ring
 from .series import TruncatedSeries, linear_matrix
+from .signs import pair_codim_closed_form
 
 
 class GroupData:
@@ -140,6 +141,13 @@ def _check_polarization_compat(crystal, g):
 # the constant-locus dimension formula
 
 
+def _pair_codim_sum(slope_data: SlopeData) -> int:
+    """The sum of r_a r_b (b - a) over the increasing slope pairs."""
+    slopes = slope_data.slope_list
+    return sum(pair_codim_closed_form(slope_data, a, b)
+               for i, a in enumerate(slopes) for b in slopes[i + 1:])
+
+
 def traverso_dimension(crystal: FIsocrystal, slope_data: SlopeData,
                        decomp: EndDecomposition, tangent: TangentSpace):
     """(lattice side, closed form) of the constant-locus dimension:
@@ -147,33 +155,11 @@ def traverso_dimension(crystal: FIsocrystal, slope_data: SlopeData,
     the slope-pair sum; raises on disagreement."""
     O = decomp.o_minus()
     lattice_side = nu_image(O, tangent)[0] if O.rank else 0
-    slopes = slope_data.slopes
-    closed = Fraction(0)
-    for i, (a, ra) in enumerate(slopes):
-        for (b, rb) in slopes[i + 1:]:
-            closed += Fraction(ra * rb) * (Fraction(b) - Fraction(a))
-    assert closed.denominator == 1
-    closed = int(closed)
+    closed = _pair_codim_sum(slope_data)
     if lattice_side != closed:
         raise VerificationMismatch(
             f"tangent dimension {lattice_side} != slope-pair sum {closed}")
     return lattice_side, closed
-
-
-def codim_complement_form(slope_data: SlopeData):
-    """c d - (1/2) sum |c_a d_b - c_b d_a| over ordered slope pairs: the
-    complementary form of the dimension formula (pure slope arithmetic)."""
-    hodge = slope_data.hodge_numbers()
-    slopes = slope_data.slope_list
-    c = sum(hodge[a][0] for a in slopes)
-    d = sum(hodge[a][1] for a in slopes)
-    acc = Fraction(0)
-    for a in slopes:
-        for b in slopes:
-            ca, da = hodge[a]
-            cb, db = hodge[b]
-            acc += abs(ca * db - cb * da)
-    return c * d - acc / 2
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +292,9 @@ def manin_symmetry_check(slope_data: SlopeData):
 def polarized_closed_form(slope_data: SlopeData):
     """Half the slope-pair sum plus the boundary terms r_a (1/2 - a) over
     pairs (a, 1-a)."""
-    slopes = slope_data.slopes
-    total = Fraction(0)
-    for i, (a, ra) in enumerate(slopes):
-        for (b, rb) in slopes[i + 1:]:
-            total += Fraction(ra * rb) * (Fraction(b) - Fraction(a))
-    n1 = total / 2
-    slopeset = {a for (a, _) in slopes}
-    for (a, ra) in slopes:
+    n1 = Fraction(_pair_codim_sum(slope_data), 2)
+    slopeset = set(slope_data.slope_list)
+    for (a, ra) in slope_data.slopes:
         b = 1 - Fraction(a)
         if a < b and b in slopeset:
             n1 += Fraction(ra) * (Fraction(1, 2) - Fraction(a))
@@ -326,7 +307,7 @@ def polarized_dim(crystal: FIsocrystal, slope_data: SlopeData,
                   tangent: TangentSpace):
     """(lattice side, closed form) for the symplectic stratum dimension;
     checks the polarization certificates and Manin symmetry first."""
-    c, d = _cd(crystal)
+    c, d = dim_codim(crystal)
     if c != d:
         raise CertificateInvalid(
             "polarized modules need equal dimension and codimension")
@@ -340,11 +321,6 @@ def polarized_dim(crystal: FIsocrystal, slope_data: SlopeData,
             f"symplectic lattice dimension {rep.c_minus_G} != closed "
             f"form {closed}")
     return rep.c_minus_G, closed
-
-
-def _cd(crystal):
-    from .isocrystal import dim_codim
-    return dim_codim(crystal)
 
 
 def _check_isotropy(split, g):

@@ -179,7 +179,7 @@ class WittContext:
     """
 
     __slots__ = ("p", "n", "N", "pN", "f", "fbar", "frob_image", "_red",
-                 "_frob_mats", "_zero", "_one")
+                 "_frob_mats", "_zero", "_one", "_ring")
 
     def __init__(self, p: int, n: int, N: int):
         if not is_prime(p):
@@ -213,6 +213,7 @@ class WittContext:
         one[0] = 1
         self._one = tuple(one)
         self._frob_mats = None
+        self._ring = None
         if n == 1:
             self.frob_image = WittScalar(self, self._zero)
             self._frob_mats = (((1,),),)
@@ -523,9 +524,6 @@ class WittScalar:
 
     def is_zero(self) -> bool:
         return self.c == self.ctx._zero
-
-    def is_unit(self) -> bool:
-        return self.ctx.valuation(self.c) == 0
 
     def frobenius(self, e: int = 1) -> "WittScalar":
         return WittScalar(self.ctx, self.ctx.frobenius(self.c, e))

@@ -206,7 +206,7 @@ def test_criterion_6_connection_solver():
     B = select_deformation_basis(O, sess.tangent())
     conn = solve_connection(X, O, B, 8)
     w = conn.w[(0, 0)]
-    assert w.support_degrees() == [0, 1, 3, 7]
+    assert sorted({sum(e) for e in w.coeffs}) == [0, 1, 3, 7]
     for d in (0, 1, 3, 7):
         assert ring(ctx).wrap_col([w.coefficient((d,))]) == [-ctx.one]
     for (series, window) in recursion_residual(conn).values():

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from dieudonne.cli import corpus_names, load_corpus, main
 from dieudonne.errors import ParseError
-from dieudonne.problems import (ProblemSpec, emit, emit_spec, parse_dict,
-                                parse_file, run)
+from dieudonne.problems import (DEGREE_BOUND, ProblemSpec, emit, emit_spec,
+                                parse_dict, parse_file, run)
 
 
 MINIMAL = {
@@ -29,6 +29,16 @@ def test_parse_minimal():
     assert spec.p == 2 and spec.n == 1
     assert spec.precision == 24
     assert spec.degree == 3  # default 2(p-1)+1
+
+
+def test_default_degree_parses_for_large_p():
+    # the degree bound never rejects the default 2(p-1)+1, nor the explicit
+    # copy of it that emit-spec writes, so p itself stays uncapped; parsed
+    # only, never run
+    doc = dict(MINIMAL, p=1000003)
+    spec = parse_dict(doc)
+    assert spec.degree == 2 * (1000003 - 1) + 1 > DEGREE_BOUND
+    assert parse_dict(json.loads(emit_spec(spec))) == spec
 
 
 def test_parse_rejects_nonsquare_matrix():
@@ -82,6 +92,7 @@ def test_parse_rejects_bad_fraction():
     pytest.param("rank", 17, id="rank-over-cap"),
     pytest.param("n", 17, id="n-over-cap"),
     pytest.param("precision", 4097, id="precision-over-cap"),
+    pytest.param("degree", DEGREE_BOUND + 1, id="degree-over-cap"),
 ])
 def test_parse_rejects_malformed_field(field, value):
     doc = dict(MINIMAL)
@@ -247,6 +258,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["slopes", "--corpus", "ordinary_rank2",
                  "--precision", "4097"]) == 2
     assert "field 'precision'" in capsys.readouterr().err
+    # above the degree bound, rejected before any computation
+    assert main(["connection", "--corpus", "three_slope_rank4",
+                 "--degree", str(DEGREE_BOUND + 1)]) == 2
+    assert "field 'degree'" in capsys.readouterr().err
     # a valid precision too low for the sign modules: the analyses that
     # need them report the domain error, with no traceback
     assert main(["report-all", "--corpus", "example_1_7",

@@ -111,15 +111,14 @@ def test_connection_golden_p2():
     assert wrap(R, w.coefficient((1,))) == -ctx.one
     assert wrap(R, w.coefficient((3,))) == -ctx.one
     assert wrap(R, w.coefficient((7,))) == -ctx.one
-    degrees = w.support_degrees()
-    assert degrees == [0, 1, 3, 7]
+    assert sorted({sum(e) for e in w.coeffs}) == [0, 1, 3, 7]
 
 
 def test_connection_golden_p3():
     ctx, X, O, T, B, conn = ordinary_setup(3, 20, 8)
     w = conn.w[(0, 0)]
     # -1 - x^2 - x^8
-    assert w.support_degrees() == [0, 2, 8]
+    assert sorted({sum(e) for e in w.coeffs}) == [0, 2, 8]
     for d in (0, 2, 8):
         assert wrap(ring(ctx), w.coefficient((d,))) == -ctx.one
 
@@ -307,7 +306,7 @@ def _trivialize_reference(crystal, E, B, point, workspace=None):
     coords = bE.solve(n0, 0)
     if coords is None:
         raise HypothesisViolated("the point twist does not lie in E")
-    Cmap = ws["Cmap"]
+    Cmap = ws["Cmap"].rows
     ech_rows = ws["ech_rows"]
     cap = ctx.N * max(r, 2) + 10
     prod = prod_inv = ident

@@ -1,7 +1,8 @@
 """Import hygiene: no module of the library or of its tests imports a name
-it never uses, and ``WittScalar`` stays at its boundary: beside the
-public re-exports, only ``witt`` and ``matrix`` name it or build scalars
-through ``ctx.scalar``.
+it never uses, ``WittScalar`` stays at its boundary (beside the public
+re-exports, only ``witt`` and ``matrix`` name it or build scalars through
+``ctx.scalar``), and no public function of the library exists only for
+the tests.
 
 No linter ships with the project, so this reads each module with ``ast``.
 ``__init__.py`` is exempt from the unused-import check: its imports are
@@ -104,3 +105,59 @@ def test_scalar_constructor_use_is_reported():
 def test_unused_import_is_reported():
     tree = ast.parse("import os\nfrom a import b, c as d\nprint(d)\n")
     assert unused_imports(tree) == [(1, "os"), (2, "b")]
+
+
+# Public functions that nothing in the package calls and that stay as
+# library API, each with its reason.
+LIBRARY_ONLY = {
+    "cayley_element": "spec feature: Cayley elements for p > 2",
+    "recursion_residual": "spec feature: the connection's independent "
+                          "residual check",
+    "star_property_holds": "spec feature: nu(x) != 0 exactly when "
+                           "phi(x) leaves End(M)",
+    "slice_chain": "spec feature: the slices of slope-pair sets",
+    "induced_connection_tilde": "spec feature: the connection restricted "
+                                "to E + W(k)t",
+    "trace_of_vectors": "defines the trace pairing; has a reference test",
+}
+
+
+def functions_without_caller(trees):
+    """(module, name) of every public module-level function that no
+    module references outside its own definition and that ``__init__``
+    does not re-export; ``trees`` maps file names to parsed modules."""
+    exported = names_used(trees["__init__.py"])
+    uses = [(node, names_used(node)) for mod, tree in trees.items()
+            if mod != "__init__.py" for node in tree.body]
+    found = []
+    for mod, tree in sorted(trees.items()):
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            used = any(fn.name in names for node, names in uses
+                       if node is not fn)
+            if not used and fn.name not in exported:
+                found.append((mod, fn.name))
+    return found
+
+
+def test_every_function_has_a_caller():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SRC.glob("*.py")}
+    # an entry of LIBRARY_ONLY that gains a caller, or is deleted, goes too
+    found = sorted(name for _, name in functions_without_caller(trees))
+    assert found == sorted(LIBRARY_ONLY)
+
+
+def test_function_without_caller_is_reported():
+    trees = {
+        "__init__.py": ast.parse("from .a import exported\n"),
+        "a.py": ast.parse("def exported(): pass\n"
+                          "def lonely(): return lonely()\n"
+                          "def called(): pass\n"
+                          "def _private(): pass\n"
+                          "class K:\n    def method(self): pass\n"
+                          '"""lonely"""\n'),
+        "b.py": ast.parse("from .a import called\n"),
+    }
+    assert functions_without_caller(trees) == [("a.py", "lonely")]

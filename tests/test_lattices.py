@@ -690,6 +690,44 @@ def test_apply_raw_matches_reference(p, n, N):
                     _apply_raw_reference(view, col)
 
 
+# The former membership test of correction_factor, kept as the oracle of
+# ``Lattice.contains_modulo``: the sum with p^k times every unit vector,
+# echeloned in full.
+
+def _contains_modulo_reference(E, vec, k):
+    ctx = E.ctx
+    R = ring(ctx)
+    pk = R.of_int(ctx.p ** k)
+    pkend = Lattice.from_columns(
+        ctx, E.ambient, [R.scale(col, pk) for col in R.identity(E.ambient)])
+    return lattice_sum(E, pkend).contains_vector(vec)
+
+
+@pytest.mark.parametrize("p, n, N", [(2, 1, 12), (3, 1, 10), (2, 3, 12),
+                                     (3, 3, 10)])
+def test_contains_modulo_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    R = ring(ctx)
+    rng = random.Random(53 * p + n)
+    pivot_vals, outcomes = set(), set()
+    for cols, nrows in _kernel_inputs(ctx, rng):
+        for scale in (0, -1, 1):
+            E = Lattice.from_columns(ctx, nrows, cols, scale=scale)
+            pivot_vals.update(min(e, 2) for (_, e) in E.ech_pivots)
+            member = [sum((rng.randrange(-9, 10) * c[i] for c in cols),
+                          ctx.zero) for i in range(nrows)]
+            free = [ctx.scalar([rng.randrange(-9, 10) for _ in range(n)])
+                    for _ in range(nrows)]
+            for vec in (member, [x + y * p ** 2 for x, y in zip(member, free)],
+                        [x + y * p for x, y in zip(member, free)], free):
+                for k in (1, 2):
+                    got = E.contains_modulo(R.raw_col(vec), k)
+                    assert got == _contains_modulo_reference(E, vec, k)
+                    outcomes.add(got)
+    assert pivot_vals == {0, 1, 2}
+    assert outcomes == {False, True}
+
+
 @pytest.mark.parametrize("name", ["three_slope_rank4", "example_1_7"])
 def test_lattices_and_maps_hold_raw_entries(name):
     # one entry format: an int when n = 1, a length-n tuple otherwise

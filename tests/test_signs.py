@@ -8,13 +8,13 @@ from dieudonne.cli import load_corpus
 from dieudonne.matrix import ring
 from dieudonne.witt import make_context
 from dieudonne.lattices import Lattice
-from dieudonne.isocrystal import end_decompose, slope_split
+from dieudonne.isocrystal import end_decompose, end_frobenius, slope_split
 from dieudonne.core import TangentSpace, largest_sub_dieudonne, nu_image
 from dieudonne.problems import Session, run
 from dieudonne.signs import (
     SlopePairSet, dual_lattice, max_square_zero_size, pair_codim_closed_form,
     quasi_factor_codims, sign_modules, slice_chain, slice_monotone,
-    slice_report, strings, trace_frobenius_invariant, trace_of_vectors,
+    slice_report, strings, trace_of_vectors,
 )
 
 from instances import (four_slope_rank8, hom_block_vector, ordinary_rank2,
@@ -59,12 +59,21 @@ def test_trace_frobenius_invariance_random():
                     (make_context(2, 3, 40), rank6_two_slope)]:
         X = mk(ctx)
         r = X.rank
+        R = ring(ctx)
+        fwd = end_frobenius(X)
         for _ in range(20):
             xv = [ctx.scalar([rng.randrange(ctx.pN) for _ in range(ctx.n)])
                   for _ in range(r * r)]
             yv = [ctx.scalar([rng.randrange(ctx.pN) for _ in range(ctx.n)])
                   for _ in range(r * r)]
-            assert trace_frobenius_invariant(X, xv, yv)
+            # Tr(phi x, phi y) = sigma(Tr(x, y)), with both conjugation
+            # denominators cleared
+            xv, yv = R.raw_col(xv), R.raw_col(yv)
+            lhs = trace_of_vectors(ctx, r, fwd.apply_raw(xv),
+                                   fwd.apply_raw(yv))
+            rhs = R.frob(trace_of_vectors(ctx, r, xv, yv), 1)
+            assert [lhs] == R.scale(
+                [rhs], R.of_int(ctx.p ** (2 * fwd.denominator)))
 
 
 def test_slope_pair_set_basics():
