@@ -317,11 +317,20 @@ def smallest_stable_superlattice(V: Lattice, numerator_steps, denominator,
 
 def _conjugation_numerators(crystal):
     """(fwd, bwd, vdet): the conjugations x -> phi x phi^{-1} (fwd, which
-    is ``end_frobenius``) and x -> phi^{-1} x phi (bwd) on End(M), each
-    p^{-vdet} times its integral numerator, vdet = v(det A): A sigma(x)
-    A_adj and sigma^{-1}(A_adj x A).  ``apply_raw`` gives the numerators;
-    computed once per crystal."""
-    if "conjugation" not in crystal._derived:
+    is ``end_frobenius``) and x -> phi^{-1} x phi (bwd, see
+    ``_backward_numerator``) on End(M), each p^{-vdet} times its integral
+    numerator, vdet = v(det A): A sigma(x) A_adj and sigma^{-1}(A_adj x
+    A).  ``apply_raw`` gives the numerators; each is computed once per
+    crystal."""
+    return (end_frobenius(crystal),) + _backward_numerator(crystal)
+
+
+def _backward_numerator(crystal):
+    """(bwd, vdet): the numerator sigma^{-1}(A_adj x A) of x -> phi^{-1} x
+    phi on End(M), which is p^{-vdet} times it; computed once per crystal
+    and cached apart from ``end_frobenius``, which the trivializer does
+    not need."""
+    if "backward" not in crystal._derived:
         ctx = crystal.ctx
         ainv, vdet = crystal.inverse_numerator()
         e = (-1) % ctx.n
@@ -330,9 +339,8 @@ def _conjugation_numerators(crystal):
         bwd_num = sandwich_map(ctx, left, crystal.phi._twisted_rows(e),
                                twist=e, denominator=vdet,
                                loss=crystal.phi.loss)
-        crystal._derived["conjugation"] = (end_frobenius(crystal), bwd_num,
-                                           vdet)
-    return crystal._derived["conjugation"]
+        crystal._derived["backward"] = (bwd_num, vdet)
+    return crystal._derived["backward"]
 
 
 class Carrier:

@@ -28,7 +28,7 @@ point, which crosses ``raw_col`` once per coordinate.
 
 from __future__ import annotations
 
-from .core import (TangentSpace, nu_image, _conjugation_numerators,
+from .core import (TangentSpace, nu_image, _backward_numerator,
                    _nonzero_product)
 from .errors import (HypothesisViolated, InclusionViolated, NonConvergence,
                      NonTermination, ValidationFailed)
@@ -399,7 +399,7 @@ def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
     ainv_big, _ = bX.inverse_numerator()
     # x -> phi^{-1} x phi on the echelon basis of E
     try:
-        cmap = restrict_map(_conjugation_numerators(bX)[1], bE)
+        cmap = restrict_map(_backward_numerator(bX)[0], bE)
     except InclusionViolated:
         raise HypothesisViolated(
             "E is not stable under the inverse Frobenius")
@@ -531,6 +531,29 @@ def divided_power(R, y, j):
     return R.mul(num, R.inverse(R.of_int(unit)))
 
 
+def _transport_terms(R, conn, z, ys, i, vec, factor, acc):
+    """Add to acc, at the point z, factor times every term of the
+    divided-power sum that applies nabla(d/dx_k)^{j_k} y_k^{j_k}/j_k! for
+    k >= i to the series vector vec."""
+    if factor == R.zero:
+        return
+    if i == conn.B.n:
+        for k, s in enumerate(vec):
+            acc[k] = R.add(acc[k], R.mul(s.evaluate(z), factor))
+        return
+    _transport_terms(R, conn, z, ys, i + 1, vec, factor, acc)
+    cur = vec
+    for j in range(1, conn.dmax + 3):
+        cur = _nabla(conn, cur, i)
+        if all(s.is_zero() for s in cur):
+            break
+        _transport_terms(R, conn, z, ys, i + 1, cur,
+                         R.mul(factor, divided_power(R, ys[i], j)), acc)
+    else:
+        raise NonTermination(
+            "derivative tower failed to terminate within the degree bound")
+
+
 def correction_factor(crystal: FIsocrystal, conn: ConnectionForm, z
                       ) -> dict:
     """Divided-power transport comparing the twisted Frobenius at the
@@ -563,27 +586,7 @@ def correction_factor(crystal: FIsocrystal, conn: ConnectionForm, z
         base = [TruncatedSeries.constant(R, n, dmax, ident[k][col])
                 for k in range(r)]
         acc = [R.zero] * r
-
-        def walk(i, vec, factor):
-            if factor == R.zero:
-                return
-            if i == n:
-                for k, s in enumerate(vec):
-                    acc[k] = R.add(acc[k], R.mul(s.evaluate(z), factor))
-                return
-            walk(i + 1, vec, factor)
-            cur = vec
-            for j in range(1, dmax + 3):
-                cur = _nabla(conn, cur, i)
-                if all(s.is_zero() for s in cur):
-                    break
-                walk(i + 1, cur, R.mul(factor, divided_power(R, ys[i], j)))
-            else:
-                raise NonTermination(
-                    "derivative tower failed to terminate within the "
-                    "degree bound")
-
-        walk(0, base, R.one)
+        _transport_terms(R, conn, z, ys, 0, base, R.one, acc)
         for k in range(r):
             grows[k][col] = acc[k]
     # assertions: g = 1 mod p, and 1 - g lands in E modulo p^2

@@ -318,7 +318,7 @@ class FIsocrystal:
 
     ``_derived`` caches data computed from A, filled on first use by
     ``inverse_numerator``, ``end_frobenius``,
-    ``core._conjugation_numerators`` and ``core.TangentSpace.of``.  A
+    ``core._backward_numerator`` and ``core.TangentSpace.of``.  A
     crystal is never mutated (phi is set only here; ``at_precision``
     builds a new crystal), so the cache cannot go stale.
     """

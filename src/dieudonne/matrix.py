@@ -21,10 +21,16 @@ the echelon kernel of ``lattices`` and its callers are written against:
 entry of least valuation), ``val``, balanced ``divide_p``, unit
 ``inverse``, ``frob``, ``rem``, ``vanishes`` and the zero test
 ``x == R.zero``; the residue-field algebra of ``lattices`` runs on these
-ops too, on raw entries in [0, p).  ``_EntryRing`` makes entries that
-carry their own arithmetic (``TruncatedSeries``) their own raw form, and
-its ``dot`` skips zero entries, so a skipped entry never narrows a
-series' validity window.
+ops too, on raw entries in [0, p).  When n > 1, a tuple whose
+coordinates above g^0 vanish lies in Z_p, and integer module data make
+most entries of that kind.  ``_TupleRing.scale`` and ``axpy`` then run
+one integer pass per coordinate (``scale`` by ``one`` is a copy), and
+the ``WittContext`` ops under ``mul``, ``inverse`` and ``frob`` take the
+same exact shortcut: sigma fixes Z_p, and the inverse mod p^N is unique,
+so every result equals the general path's.  ``_EntryRing`` makes
+entries that carry their own arithmetic (``TruncatedSeries``) their own
+raw form, and its ``dot`` skips zero entries, so a skipped entry never
+narrows a series' validity window.
 
 These helpers sit below the layer modules, beside ``series``, because
 the benchmark's tracer (``bench/tracer.py``) wraps every public function
@@ -235,6 +241,7 @@ class _TupleRing(_WittRing):
         super().__init__(ctx)
         self.zero = ctx.from_int(0)
         self.one = ctx.from_int(1)
+        self.tail = ctx._tail
         self.add, self.sub, self.neg = ctx.add, ctx.sub, ctx.neg
         self.mul, self.power, self.val = ctx.mul, ctx.power, ctx.valuation
         self.divide_p, self.inverse = ctx.divide_p_power, ctx.unit_inverse
@@ -275,10 +282,21 @@ class _TupleRing(_WittRing):
         return not any(c % pk for x in col for c in x)
 
     def axpy(self, y, q, x):
-        mul_, sub_, zero = self.mul, self.sub, self.zero
+        zero = self.zero
+        if q[1:] == self.tail:
+            pN, q0 = self.pN, q[0]
+            return [a if b == zero else
+                    tuple((c - q0 * d) % pN for c, d in zip(a, b))
+                    for a, b in zip(y, x)]
+        mul_, sub_ = self.mul, self.sub
         return [a if b == zero else sub_(a, mul_(q, b)) for a, b in zip(y, x)]
 
     def scale(self, x, u):
+        if u == self.one:
+            return list(x)
+        if u[1:] == self.tail:
+            mul_int, u0 = self.ctx.mul_int, u[0]
+            return [mul_int(a, u0) for a in x]
         mul_ = self.mul
         return [mul_(a, u) for a in x]
 

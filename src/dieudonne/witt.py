@@ -9,6 +9,15 @@ context creation by Hensel-lifting the root of f that reduces to g^p.
 Scalars are coefficient tuples in the power basis 1, g, ..., g^{n-1}, each
 coordinate reduced to [0, p^N).  All operations are pure; a context is
 immutable and safely shareable.
+
+A tuple whose coordinates above g^0 are all zero lies in Z_p, and the
+integer data of a problem (lattice columns, the matrix of F) make most
+entries of that kind.  ``mul``, ``unit_inverse`` and ``frobenius`` take
+an exact shortcut for such an operand: multiplication by it is one
+integer product per coordinate, its inverse is the integer inverse mod
+p^N (inverses mod p^N are unique), and sigma fixes it.  The shortcut is
+chosen from the operand alone and returns the same tuple as the general
+path.
 """
 
 from __future__ import annotations
@@ -179,7 +188,7 @@ class WittContext:
     """
 
     __slots__ = ("p", "n", "N", "pN", "f", "fbar", "frob_image", "_red",
-                 "_frob_mats", "_zero", "_one", "_ring")
+                 "_frob_mats", "_zero", "_one", "_tail", "_ring")
 
     def __init__(self, p: int, n: int, N: int):
         if not is_prime(p):
@@ -209,6 +218,8 @@ class WittContext:
                 red.append(tuple(nxt))
         self._red = tuple(red)
         self._zero = (0,) * n
+        # the coordinates above g^0 of every element of Z_p
+        self._tail = (0,) * (n - 1)
         one = [0] * n
         one[0] = 1
         self._one = tuple(one)
@@ -237,10 +248,17 @@ class WittContext:
         return tuple((-x) % pN for x in a)
 
     def mul(self, a, b):
+        """a b; when either factor lies in Z_p, the other is multiplied
+        coordinatewise by that integer, which is the same product."""
         pN = self.pN
         n = self.n
         if n == 1:
             return ((a[0] * b[0]) % pN,)
+        tail = self._tail
+        if a[1:] == tail:
+            return self.mul_int(b, a[0])
+        if b[1:] == tail:
+            return self.mul_int(a, b[0])
         prod = [0] * (2 * n - 1)
         for i in range(n):
             ai = a[i]
@@ -292,7 +310,13 @@ class WittContext:
         return best
 
     def unit_inverse(self, a):
-        """Inverse of a unit scalar, by residue inversion plus Hensel lifting."""
+        """Inverse of a unit scalar, by residue inversion plus Hensel
+        lifting; a unit of Z_p is inverted as an integer mod p^N, which is
+        exact because the inverse mod p^N is unique."""
+        if a[1:] == self._tail:
+            if a[0] % self.p == 0:
+                raise ZeroDivisionError("scalar is not a unit")
+            return (pow(a[0], -1, self.pN),) + self._tail
         if self.valuation(a) != 0:
             raise ZeroDivisionError("scalar is not a unit")
         p = self.p
@@ -368,9 +392,10 @@ class WittContext:
         self._frob_mats = tuple(mats)
 
     def frobenius(self, a, e=1):
-        """sigma^e applied to a raw coefficient tuple (e taken mod n)."""
+        """sigma^e applied to a raw coefficient tuple (e taken mod n);
+        sigma fixes Z_p, so an element of Z_p is returned unchanged."""
         e %= self.n
-        if e == 0:
+        if e == 0 or a[1:] == self._tail:
             return tuple(a)
         m = self._frob_mats[e]
         n, pN = self.n, self.pN

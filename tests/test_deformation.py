@@ -3,6 +3,7 @@ tests.  The golden series for the ordinary rank-2 module at p = 2 with
 degree bound 8 is -1 - x - x^3 - x^7 (partial sums of -sum x^(2^k - 1)),
 checked independently by substitution into the defining recursion."""
 
+import gc
 import random
 
 import pytest
@@ -10,8 +11,8 @@ import pytest
 from dieudonne import matrix
 from dieudonne.cli import corpus_names, load_corpus
 from dieudonne.witt import make_context, teichmuller
-from dieudonne.isocrystal import (slope_split, end_decompose, newton_slopes,
-                                  vec_to_mat)
+from dieudonne.isocrystal import (FIsocrystal, slope_split, end_decompose,
+                                  newton_slopes, vec_to_mat)
 from dieudonne.core import (TangentSpace, hodge_splitting_from_kernel,
                             largest_sub_dieudonne, lie_element, nu_image)
 from dieudonne.series import TruncatedSeries
@@ -534,6 +535,26 @@ def test_correction_factor_at_p():
     assert g[0][1] == coeff
     assert g[1][0].is_zero()
     assert g[0][0] == ctx.one and g[1][1] == ctx.one
+
+
+def test_correction_factor_leaves_no_cycles():
+    # the derivative walk holds no reference cycle, so once the caller
+    # drops the crystal and the connection, nothing of them is left for
+    # the cycle collector
+    ctx, X, O, T, B, conn = ordinary_setup(2, 24, 8)
+    z = [raw(ctx, 2)]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        correction_factor(X, conn, z)
+        del X, O, T, B, conn
+        gc.collect()
+        left = [x for x in gc.garbage
+                if isinstance(x, (FIsocrystal, TruncatedSeries))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert left == []
 
 
 def test_connection_basis_independence():

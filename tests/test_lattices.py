@@ -410,17 +410,19 @@ SMITH_KINDS = ["full", "deficient", "deep"]
 
 
 @pytest.mark.parametrize("p, n, N", [(2, 1, 12), (3, 1, 10), (5, 1, 9),
-                                     (2, 3, 12), (3, 3, 10)])
+                                     (2, 2, 12), (2, 3, 12), (3, 3, 10),
+                                     (3, 4, 10)])
 def test_smith_valuations_matches_clearing(p, n, N):
     ctx = make_context(p, n, N)
     rng = random.Random(97 * p + n)
     for shape, kind in itertools.product(SMITH_SHAPES, SMITH_KINDS):
         for _ in range(4):
             rows = _random_int_matrix(rng, p, *shape, kind)
-            # at n > 1, spread the integer entries over the Witt coordinates
-            mat = [[ctx.scalar([x] + [rng.randrange(p) * x
+            # at n > 1, spread the entries of one parity of i + j over the
+            # Witt coordinates, and keep the others in Z_p
+            mat = [[ctx.scalar([x] + [rng.randrange(p) * x * ((i + j) % 2)
                                       for _ in range(n - 1)])
-                    for x in row] for row in rows]
+                    for j, x in enumerate(row)] for i, row in enumerate(rows)]
             for neff in (N, N - 1, N // 2):
                 assert smith_valuations(ctx, mat, neff=neff) == \
                     _smith_valuations_reference(ctx, mat, neff=neff), \
@@ -597,14 +599,17 @@ def _apply_raw_reference(self, col):
     return out
 
 
-KERNEL_RINGS = [(2, 1, 12), (3, 1, 10), (5, 1, 9), (2, 3, 12), (3, 3, 10)]
+KERNEL_RINGS = [(2, 1, 12), (3, 1, 10), (5, 1, 9), (2, 2, 12), (2, 3, 12),
+                (3, 3, 10), (3, 4, 10)]
 KERNEL_KINDS = SMITH_KINDS + ["p-column"]
 
 
 def _kernel_inputs(ctx, rng):
     """Seeded column lists with their row counts: full, rank-deficient,
-    p^8-row and p-divisible-column matrices of every Smith shape, entries
-    spread over the Witt coordinates at n > 1."""
+    p^8-row and p-divisible-column matrices of every Smith shape.  At
+    n > 1 the entries of one parity of i + j are spread over the Witt
+    coordinates and the others stay in Z_p, so both paths of the ring ops
+    run inside one elimination."""
     p, n = ctx.p, ctx.n
     for (nrows, ncols), kind in itertools.product(SMITH_SHAPES, KERNEL_KINDS):
         for _ in range(3):
@@ -613,8 +618,9 @@ def _kernel_inputs(ctx, rng):
                 for row in rows:
                     row[0] *= p
             cols = [[ctx.scalar([row[j]] + [rng.randrange(p) * row[j]
+                                            * ((i + j) % 2)
                                             for _ in range(n - 1)])
-                     for row in rows] for j in range(ncols)]
+                     for i, row in enumerate(rows)] for j in range(ncols)]
             yield cols, nrows
 
 
@@ -703,8 +709,8 @@ def _contains_modulo_reference(E, vec, k):
     return lattice_sum(E, pkend).contains_vector(vec)
 
 
-@pytest.mark.parametrize("p, n, N", [(2, 1, 12), (3, 1, 10), (2, 3, 12),
-                                     (3, 3, 10)])
+@pytest.mark.parametrize("p, n, N", [(2, 1, 12), (3, 1, 10), (2, 2, 12),
+                                     (2, 3, 12), (3, 3, 10), (3, 4, 10)])
 def test_contains_modulo_matches_reference(p, n, N):
     ctx = make_context(p, n, N)
     R = ring(ctx)

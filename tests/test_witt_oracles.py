@@ -1,0 +1,188 @@
+"""The Z_p shortcut of the raw Witt ring ops, checked against the general
+bodies it bypasses.
+
+An operand whose coordinates above g^0 vanish lies in Z_p, and
+``WittContext.mul``, ``unit_inverse``, ``frobenius`` and
+``_TupleRing.scale``/``axpy`` treat it as one integer.  The ``*_reference``
+functions below are the former bodies, kept verbatim apart from taking
+the context or ring as an argument and calling each other instead of the
+library ops, so that no shortcut reaches the oracle.  Inputs are seeded
+and mix Z_p entries (0, 1, p^k, units, non-units) with general ones.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from dieudonne import problems
+from dieudonne.cli import load_corpus
+from dieudonne.matrix import ring
+from dieudonne.witt import WittContext, make_context
+
+RINGS = [(2, 2), (3, 3), (5, 3), (2, 4)]
+PRECISIONS = [4, 12, 48]
+
+
+# ---------------------------------------------------------------------------
+# the former bodies
+
+
+def mul_reference(self, a, b):
+    pN = self.pN
+    n = self.n
+    if n == 1:
+        return ((a[0] * b[0]) % pN,)
+    prod = [0] * (2 * n - 1)
+    for i in range(n):
+        ai = a[i]
+        if ai:
+            for j in range(n):
+                prod[i + j] += ai * b[j]
+    return self.reduce_product(prod)
+
+
+def unit_inverse_reference(self, a):
+    """Inverse of a unit scalar, by residue inversion plus Hensel lifting."""
+    if self.valuation(a) != 0:
+        raise ZeroDivisionError("scalar is not a unit")
+    p = self.p
+    b = self.gf_inv(tuple(x % p for x in a))
+    prec = 1
+    while prec < self.N:
+        # b <- b (2 - a b), doubling the precision each round
+        ab = mul_reference(self, a, b)
+        two_minus = self.sub(self.from_int(2), ab)
+        b = mul_reference(self, b, two_minus)
+        prec *= 2
+    return b
+
+
+def frobenius_reference(self, a, e=1):
+    """sigma^e applied to a raw coefficient tuple (e taken mod n)."""
+    e %= self.n
+    if e == 0:
+        return tuple(a)
+    m = self._frob_mats[e]
+    n, pN = self.n, self.pN
+    return tuple(sum(m[i][j] * a[j] for j in range(n)) % pN
+                 for i in range(n))
+
+
+def axpy_reference(R, y, q, x):
+    sub_, zero = R.sub, R.zero
+    return [a if b == zero else sub_(a, mul_reference(R.ctx, q, b))
+            for a, b in zip(y, x)]
+
+
+def scale_reference(R, x, u):
+    return [mul_reference(R.ctx, a, u) for a in x]
+
+
+# ---------------------------------------------------------------------------
+# seeded inputs
+
+
+def in_zp(ctx, rng):
+    """0, 1, p^k, a unit and a non-unit of Z_p, as raw tuples."""
+    p, N = ctx.p, ctx.N
+    unit = rng.randrange(1, ctx.pN)
+    while unit % p == 0:
+        unit = rng.randrange(1, ctx.pN)
+    values = [0, 1, ctx.pN - 1, p ** rng.randrange(1, N), unit,
+              unit * p ** rng.randrange(1, N)]
+    return [ctx.from_int(v) for v in values]
+
+
+def general(ctx, rng, count):
+    """Entries with some coordinate above g^0 nonzero: units, p-multiples
+    and entries whose g^0 coordinate vanishes."""
+    p, N, n = ctx.p, ctx.N, ctx.n
+    out = []
+    while len(out) < count:
+        k = rng.choice((0, 0, 1, N // 2, N - 1))
+        x = tuple(rng.randrange(ctx.pN) * p ** k % ctx.pN for _ in range(n))
+        if len(out) % 3 == 2:
+            x = (0,) + x[1:]
+        if any(x[1:]):
+            out.append(x)
+    return out
+
+
+def entries(ctx, rng):
+    return in_zp(ctx, rng) + general(ctx, rng, 8)
+
+
+def contexts():
+    for (p, n), N in itertools.product(RINGS, PRECISIONS):
+        yield pytest.param(p, n, N, id=f"p{p}-n{n}-N{N}")
+
+
+# ---------------------------------------------------------------------------
+# the checks
+
+
+@pytest.mark.parametrize("p, n, N", contexts())
+def test_mul_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    xs = entries(ctx, random.Random(7 * p + n + N))
+    for a, b in itertools.product(xs, repeat=2):
+        assert ctx.mul(a, b) == mul_reference(ctx, a, b)
+
+
+@pytest.mark.parametrize("p, n, N", contexts())
+def test_unit_inverse_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    outcomes = set()
+    for a in entries(ctx, random.Random(11 * p + n + N)):
+        try:
+            want = unit_inverse_reference(ctx, a)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                ctx.unit_inverse(a)
+            outcomes.add("raised")
+            continue
+        assert ctx.unit_inverse(a) == want
+        outcomes.add("inverted" if any(a[1:]) else "inverted in Z_p")
+    assert outcomes == {"raised", "inverted", "inverted in Z_p"}
+
+
+@pytest.mark.parametrize("p, n, N", contexts())
+def test_frobenius_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    for a in entries(ctx, random.Random(13 * p + n + N)):
+        for e in range(-1, n + 1):
+            assert ctx.frobenius(a, e) == frobenius_reference(ctx, a, e)
+
+
+@pytest.mark.parametrize("p, n, N", contexts())
+def test_scale_and_axpy_match_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    R = ring(ctx)
+    rng = random.Random(17 * p + n + N)
+    xs = entries(ctx, rng)
+    for _ in range(4):
+        # vectors with zero entries, Z_p entries and general entries
+        x = [rng.choice(xs) for _ in range(6)]
+        y = [rng.choice(xs) for _ in range(6)]
+        for u in xs:
+            assert R.scale(x, u) == scale_reference(R, x, u)
+            assert R.axpy(y, u, x) == axpy_reference(R, y, u, x)
+
+
+def test_warm_example_1_7_makes_no_residue_inversions(monkeypatch):
+    # every pivot unit of the n = 3 example lies in Z_p, so a warm
+    # report-all inverts none of them through the residue field
+    spec = load_corpus("example_1_7")
+    problems.run(spec, problems.ANALYSES)
+    calls = []
+    gf_inv = WittContext.gf_inv
+
+    def counted(self, a):
+        calls.append(a)
+        return gf_inv(self, a)
+
+    monkeypatch.setattr(WittContext, "gf_inv", counted)
+    report = problems.run(load_corpus("example_1_7"), problems.ANALYSES)
+    assert report["problem"] == "example_1_7"
+    assert len(calls) == 0
