@@ -16,9 +16,18 @@ The point trivialization is the limit of the backward-orbit product
 prod_k (1 + n_k) with every n_k in E.  When E * E = 0 (decided exactly,
 once per ``prepare_trivializer`` workspace, at the boosted precision)
 every cross term vanishes, so the product is 1 + sum_k n_k and its
-inverse 1 - sum_k n_k; the orbit loop then only sums coordinates.  Any
-other E falls back to multiplying the product out.  The conjugation
-certificate is the same on both paths.
+inverse 1 - sum_k n_k.  The workspace then also holds doubling tables of
+the backward conjugation T on the basis of E: P_j = T^(2^j) and
+Q_j = T + ... + T^(2^j), the latter split by the power of sigma each
+term twists by, built with ``SemilinearMap.compose`` and ``add``.  T is
+integral, so the orbit terms that survive mod p^N form a prefix; a
+binary descent over the tables finds its length ``steps`` and its sum in
+about 2 log2(cap) matrix-vector products, and since the tables are exact
+at the boosted precision the sum is the step-by-step one entry for
+entry.  Any other E falls back to multiplying the product out, one orbit
+step at a time.  The conjugation certificate is the same on both paths.
+The workspace also memoizes the Teichmuller lifts of the residue
+coordinates it has seen; the memo lives exactly as long as the workspace.
 
 Matrices, lattice columns, deformation vectors, series coefficients,
 evaluation points and the correction factor all hold raw entries of
@@ -388,7 +397,10 @@ def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
     """One-time boosted-precision setup shared by all evaluation points:
     the lifted module data, the backward-conjugation matrix on E, and
     whether E is square-zero at the boosted precision (every product of
-    two echelon basis elements vanishes), which selects the orbit sum."""
+    two echelon basis elements vanishes), which selects the orbit sum.
+    On that path it also holds the doubling tables of the orbit
+    (``_orbit_tables``), and on either path a memo of the Teichmuller
+    lifts of the points it serves, which lives as long as the workspace."""
     ctx = crystal.ctx
     _, dval = crystal.inverse_numerator()
     delta = E.index_valuation()
@@ -403,12 +415,16 @@ def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
     except InclusionViolated:
         raise HypothesisViolated(
             "E is not stable under the inverse Frobenius")
+    square_zero = _nonzero_product(big, crystal.rank, bE.ech) is None
     # column l of "ech_rows" is echelon vector l of E, flattened
     return {
         "big": big, "dval": dval, "bE": bE, "bvecs": B.vectors,
         "abig": bX.phi.rows, "ainv": ainv_big, "Cmap": cmap,
         "ech_rows": list(zip(*bE.ech)),
-        "square_zero": _nonzero_product(big, crystal.rank, bE.ech) is None,
+        "square_zero": square_zero,
+        "tables": (_orbit_tables(cmap, _orbit_cap(ctx, crystal.rank))
+                   if square_zero else None),
+        "teich": {},
     }
 
 
@@ -422,8 +438,11 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
     Every n_k is a combination of the echelon basis of E, so when the
     workspace found E square-zero every cross term of the product
     vanishes: the limit is exactly 1 + sum_k n_k, with inverse
-    1 - sum_k n_k, and the loop only sums the orbit coordinates.  Any
-    other E takes the product loop.  Computed at a boosted internal
+    1 - sum_k n_k, and the orbit sum and its length ``steps`` come from
+    the workspace's doubling tables (``_orbit_sum``) in O(log cap)
+    matrix-vector products instead of one per step.  Any other E takes
+    the product loop.  The Teichmuller lifts of the point come from the
+    workspace's memo.  Computed at a boosted internal
     precision so the published certificate is good at the context
     precision; the one-time solve divisions and the final denominator
     clearing are what the boost absorbs.
@@ -437,7 +456,7 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
     bvecs = ws["bvecs"]
     R = ring(big)
     # u_h = 1 + sum v_i teich(point_i)
-    taus = R.raw_col([teichmuller(big, coord) for coord in point])
+    taus = [_teichmuller_raw(R, ws["teich"], coord) for coord in point]
     n0 = _combine(R, taus, bvecs, r * r)
     ident = R.identity(r)
     u_h = R.add_mat(ident, vec_to_mat(n0, r))
@@ -446,21 +465,17 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
     if coords is None:
         raise HypothesisViolated("the point twist does not lie in E")
     ech_rows = ws["ech_rows"]
-    orbit = _backward_orbit(R, ws["Cmap"], coords, ctx.N,
-                            ctx.N * max(r, 2) + 10)
+    cap = _orbit_cap(ctx, r)
     steps = 0
     prod = prod_inv = ident
     if ws["square_zero"]:
-        total = [R.zero] * len(coords)
-        for c in orbit:
-            steps += 1
-            total = list(map(R.add, total, c))
+        steps, total = _orbit_sum(R, ws["tables"], coords, ctx.N, cap)
         if steps:
             nk = vec_to_mat([R.dot(row, total) for row in ech_rows], r)
             prod = R.add_mat(ident, nk)
             prod_inv = R.sub_mat(ident, nk)
     else:
-        for c in orbit:
+        for c in _backward_orbit(R, ws["Cmap"], coords, ctx.N, cap):
             steps += 1
             nk = vec_to_mat([R.dot(row, c) for row in ech_rows], r)
             prod = R.mul_mat(R.add_mat(ident, nk), prod)
@@ -487,6 +502,15 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
     }
 
 
+_ORBIT_DIVERGES = ("backward Frobenius orbit did not reach zero; are the "
+                   "inverse-Frobenius slopes positive on E?")
+
+
+def _orbit_cap(ctx, r):
+    """The most orbit steps a point may take before NonConvergence."""
+    return ctx.N * max(r, 2) + 10
+
+
 def _backward_orbit(R, Cmap, coords, N, cap):
     """The coordinates c_k = C sigma^{-1}(c_{k-1}), k = 1, 2, ..., up to
     the first that vanishes mod p^N; more than cap of them is
@@ -498,10 +522,67 @@ def _backward_orbit(R, Cmap, coords, N, cap):
             return
         steps += 1
         if steps > cap:
-            raise NonConvergence(
-                "backward Frobenius orbit did not reach zero; are the "
-                "inverse-Frobenius slopes positive on E?")
+            raise NonConvergence(_ORBIT_DIVERGES)
         yield coords
+
+
+def _orbit_tables(T, cap):
+    """Doubling tables of the orbit map T: level j holds 2^j, P_j = T^(2^j)
+    and Q_j = sum_{k=1..2^j} T^k, the latter as one map per twist class,
+    keyed by the twist.  Levels 0..J-1 are built for the least J with
+    2^J - 1 > cap, so a binary descent reaches any step count up to
+    cap + 1."""
+    P = T
+    Q = {T.twist: T}
+    levels = [(1, P, Q)]
+    while (1 << len(levels)) - 1 <= cap:
+        # Q_{j+1} = Q_j + P_j Q_j and P_{j+1} = P_j P_j
+        nxt = dict(Q)
+        for q in Q.values():
+            pq = P.compose(q)
+            t = pq.twist
+            nxt[t] = nxt[t].add(pq) if t in nxt else pq
+        P, Q = P.compose(P), nxt
+        levels.append((1 << len(levels), P, Q))
+    return levels
+
+
+def _orbit_sum(R, levels, coords, N, cap):
+    """(s, sum_{k=1..s} c_k) for the orbit c_k = T^k(coords) of the map
+    whose doubling tables are ``levels``, s the number of leading c_k that
+    do not vanish mod p^N; more than cap of them is NonConvergence.
+
+    T is integral, so once c_k vanishes mod p^N every later term does: the
+    terms that survive are exactly the prefix 1..s, and descending the
+    levels finds s bit by bit, adding Q_j of the current term whenever the
+    jump P_j lands on a surviving one.  The tables are exact modulo the
+    ring's p^N, so the sum is the step-by-step sum entry for entry."""
+    total = [R.zero] * len(coords)
+    steps = 0
+    for size, P, Q in reversed(levels):
+        jump = P.apply_raw(coords)
+        if R.vanishes(jump, N):
+            continue
+        for q in Q.values():
+            total = list(map(R.add, total, q.apply_raw(coords)))
+        coords = jump
+        steps += size
+    if steps > cap:
+        raise NonConvergence(_ORBIT_DIVERGES)
+    return steps, total
+
+
+def _teichmuller_raw(R, memo, coord):
+    """The raw Teichmuller lift of a residue coordinate (an int or a
+    coefficient iterable), memoized in ``memo`` under its coefficients
+    reduced mod p and padded to the residue degree."""
+    p, n = R.p, R.ctx.n
+    key = (coord,) if isinstance(coord, int) else tuple(coord)
+    key = tuple(c % p for c in key) + (0,) * (n - len(key))
+    lift = memo.get(key)
+    if lift is None:
+        lift = memo[key] = R.raw_col([teichmuller(R.ctx, key)])[0]
+    return lift
 
 
 # ---------------------------------------------------------------------------

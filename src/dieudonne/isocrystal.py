@@ -502,7 +502,10 @@ def _slope_split_at(crystal, b, n_work):
         alpha = Fraction(v, b * n) - d
         # partial-fraction idempotent: (F/fac) * inverse of (F/fac) mod fac
         q, rem = poly_divmod_monic(bctx, F, fac)
-        assert all(c == R.zero for c in rem)
+        if any(c != R.zero for c in rem):
+            raise PrecisionExhausted(
+                "a segment factor does not divide the characteristic "
+                "polynomial at the working precision")
         w, wden = _poly_inverse_mod(bctx, q, fac)
         pnum = poly_mul(bctx, q, w)
         mat = poly_eval_matrix(bctx, pnum, lam_b)

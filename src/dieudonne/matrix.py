@@ -261,17 +261,20 @@ class _TupleRing(_WittRing):
         return [WittScalar(ctx, v) for v in col]
 
     def dot(self, row, col):
-        # the products are summed as unreduced polynomials and reduced once
-        n, zero = self.ctx.n, self.zero
-        acc = [0] * (2 * n - 1)
+        # the products are summed as unreduced polynomials and reduced
+        # once; a row and column with no nonzero product allocate nothing
+        zero = self.zero
+        acc = None
         for a, x in zip(row, col):
             if a == zero or x == zero:
                 continue
+            if acc is None:
+                acc = [0] * (2 * self.ctx.n - 1)
             for i, ai in enumerate(a):
                 if ai:
                     for j, xj in enumerate(x):
                         acc[i + j] += ai * xj
-        return self.ctx.reduce_product(acc)
+        return zero if acc is None else self.ctx.reduce_product(acc)
 
     @staticmethod
     def rem(a, m):

@@ -364,7 +364,10 @@ class WittContext:
             inv = self.unit_inverse(fpt)
             t = self.sub(t, self.mul(ft, inv))
             prec *= 2
-        assert self.is_zero(self._eval_poly(self.f, t))
+        if not self.is_zero(self._eval_poly(self.f, t)):
+            raise PrecisionExhausted(
+                "the Hensel-lifted Frobenius root is not a root of the "
+                f"defining polynomial mod p^{self.N}")
         return t
 
     def _eval_poly(self, coeffs, x):

@@ -21,9 +21,11 @@ from dieudonne.deformation import (
     induced_connection_tilde, kodaira_spencer_image, prepare_trivializer,
     recursion_residual, select_deformation_basis, solve_connection,
     trivialize_at_point, universal_element, verify_horizontality,
-    _combine, _nabla, _series_mat_vec,
+    _combine, _nabla, _orbit_sum, _orbit_tables, _series_mat_vec,
 )
+from dieudonne import deformation
 from dieudonne.errors import HypothesisViolated, NonConvergence
+from dieudonne.lattices import SemilinearMap
 from dieudonne.matrix import ring
 from dieudonne.problems import Session
 
@@ -419,6 +421,147 @@ def test_square_zero_trivializer_makes_no_orbit_products(monkeypatch):
         steps.add(out["steps"])
         assert calls == {"mul_mat": 4, "nilpotent_inverse": 0}
     assert steps == {0, 47, 143}
+
+
+# ---------------------------------------------------------------------------
+# the doubling-table orbit sum against the step-by-step loop
+#
+# ``_orbit_sum_reference`` is the former square-zero loop of
+# trivialize_at_point: one application of T per step, summing the orbit
+# until its first term that vanishes mod p^N.  The maps are seeded and
+# synthetic: T = p U with U invertible makes every step raise the
+# valuation by exactly one, so a start of valuation v takes exactly
+# N - v - 1 steps; T = p X with X random takes steps the test does not
+# choose; T = U never vanishes.  The ring carries 8 guard digits above N,
+# as the workspace's boosted ring does.
+
+ORBIT_RINGS = [(3, 1), (2, 2), (5, 3)]
+ORBIT_N = 12
+
+
+def _orbit_sum_reference(R, T, coords, N, cap):
+    total = [R.zero] * len(coords)
+    steps = 0
+    while True:
+        coords = T.apply_raw(coords)
+        if R.vanishes(coords, N):
+            return steps, total
+        steps += 1
+        if steps > cap:
+            raise NonConvergence("backward Frobenius orbit did not reach "
+                                 "zero")
+        total = list(map(R.add, total, coords))
+
+
+def _random_entry(R, rng):
+    ctx = R.ctx
+    return R.raw_col([[rng.randrange(ctx.pN) for _ in range(ctx.n)]])[0]
+
+
+def _unit_matrix(R, m, rng):
+    """L U with L unit lower and U unit upper triangular: invertible."""
+    low = [[R.one if i == j else _random_entry(R, rng) if i > j else R.zero
+            for j in range(m)] for i in range(m)]
+    up = [[R.one if i == j else _random_entry(R, rng) if i < j else R.zero
+           for j in range(m)] for i in range(m)]
+    return R.mul_mat(low, up)
+
+
+def _start(R, m, v, rng):
+    """p^v times a vector with a unit coordinate: valuation exactly v."""
+    vec = [_random_entry(R, rng) for _ in range(m)]
+    vec[rng.randrange(m)] = R.one
+    pv = R.of_int(R.p ** v)
+    return [R.mul(x, pv) for x in vec]
+
+
+def _both_sums(R, T, start, cap):
+    """The table sum and the reference, or NonConvergence on both."""
+    levels = _orbit_tables(T, cap)
+    try:
+        want = _orbit_sum_reference(R, T, start, ORBIT_N, cap)
+    except NonConvergence:
+        with pytest.raises(NonConvergence):
+            _orbit_sum(R, levels, start, ORBIT_N, cap)
+        return None
+    assert _orbit_sum(R, levels, start, ORBIT_N, cap) == want
+    return want[0]
+
+
+@pytest.mark.parametrize("twist", [-1, 1])
+@pytest.mark.parametrize("m", [1, 3, 6])
+@pytest.mark.parametrize("p, n", ORBIT_RINGS)
+def test_orbit_sum_matches_reference(p, n, m, twist):
+    ctx = make_context(p, n, ORBIT_N + 8)
+    R = ring(ctx)
+    rng = random.Random(100 * p + 10 * n + m + twist)
+    cap = 2 * ORBIT_N + 10
+    pfac = R.of_int(p)
+    shift = SemilinearMap(
+        ctx, [[R.mul(x, pfac) for x in row]
+              for row in _unit_matrix(R, m, rng)], twist)
+    assert _both_sums(R, shift, [R.zero] * m, cap) == 0
+    # starts that vanish after exactly 2^j - 1, 2^j and 2^j + 1 steps
+    for steps in (1, 2, 3, 4, 5, 7, 8, 9):
+        start = _start(R, m, ORBIT_N - 1 - steps, rng)
+        assert _both_sums(R, shift, start, cap) == steps
+        # a cap of exactly the step count passes; one less raises
+        assert _both_sums(R, shift, start, steps) == steps
+        assert _both_sums(R, shift, start, steps - 1) is None
+    # T = p X for a random X: the orbit takes whatever steps it takes
+    loose = SemilinearMap(
+        ctx, [[R.mul(_random_entry(R, rng), pfac) for _ in range(m)]
+              for _ in range(m)], twist)
+    for v in (0, 3):
+        assert _both_sums(R, loose, _start(R, m, v, rng), cap) is not None
+    # a unit map never reaches zero: NonConvergence on both sides
+    unit = SemilinearMap(ctx, _unit_matrix(R, m, rng), twist)
+    assert _both_sums(R, unit, _start(R, m, 0, rng), 5) is None
+
+
+def test_orbit_tables_hold_powers_and_partial_sums():
+    ctx = make_context(5, 3, 10)
+    R = ring(ctx)
+    rng = random.Random(9)
+    T = SemilinearMap(ctx, _unit_matrix(R, 3, rng), -1)
+    levels = _orbit_tables(T, 20)
+    # the sizes reach the cap plus one, with no level to spare
+    assert [size for size, _, _ in levels] == [1, 2, 4, 8, 16]
+    power = SemilinearMap.identity(ctx, 3)
+    partial = {}
+    for k in range(1, 17):
+        power = T.compose(power)
+        t = power.twist
+        partial[t] = partial[t].add(power) if t in partial else power
+        for size, P, Q in levels:
+            if size == k:
+                assert (P.rows, P.twist) == (power.rows, power.twist)
+                assert {t: (q.rows, q.twist) for t, q in Q.items()} == \
+                    {t: (q.rows, q.twist) for t, q in partial.items()}
+
+
+def test_point_queries_lift_each_residue_once(monkeypatch):
+    # 32 points of the rank-8 base draw their coordinates from the 5
+    # residues of F_5: the workspace lifts each of them once, whether a
+    # coordinate is given as an int, a tuple or an unreduced value
+    sess = Session(load_corpus("four_slope_rank8"))
+    X, E, B = sess.crystal(), sess.lattice_e(), sess.deformation_basis()
+    ws = prepare_trivializer(X, E, B)
+    calls = []
+
+    def counted(ctx, c):
+        calls.append(c)
+        return teichmuller(ctx, c)
+
+    monkeypatch.setattr(deformation, "teichmuller", counted)
+    rng = random.Random(14)
+    points = [[rng.randrange(5) for _ in range(3)] for _ in range(30)]
+    points += [[(1,), 6, (11,)], [0, (5,), -4]]
+    for point in points:
+        trivialize_at_point(X, E, B, point, workspace=ws)
+    residues = {c[0] % 5 if isinstance(c, tuple) else c % 5
+                for point in points for c in point}
+    assert sorted(calls) == sorted((c,) for c in residues)
 
 
 def _nabla_reference(conn, vec, i):

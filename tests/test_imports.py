@@ -161,3 +161,44 @@ def test_function_without_caller_is_reported():
         "b.py": ast.parse("from .a import called\n"),
     }
     assert functions_without_caller(trees) == [("a.py", "lonely")]
+
+
+# Bare ``assert`` statements in the library that guard structure, not a
+# numerical fact, each keyed by module and condition with its reason.
+# ``python -O`` strips asserts, so a numerical fact that precision can
+# break raises ``PrecisionExhausted`` instead.
+STRUCTURAL_ASSERTS = {
+    ("isocrystal.py", "b[-1] == R.one"):
+        "poly_divmod_monic is only called with monic divisors",
+    ("isocrystal.py", "lam.denominator == 1"):
+        "slope_split raises FieldTooSmall on fractional segment slopes "
+        "before it factors",
+    ("signs.py", "r * r == r2"):
+        "the ambient of a lattice in End(M) has dimension rank^2",
+    ("signs.py", "val.denominator == 1"):
+        "a slope's multiplicity is a multiple of its denominator",
+    ("strata.py", "n1.denominator == 1"):
+        "the closed-form polarized dimension is an integer on the "
+        "symmetric slope data it is called with",
+}
+
+
+def bare_asserts(name, tree):
+    """(module, condition) of every assert statement of a module."""
+    return [(name, ast.unparse(node.test)) for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]
+
+
+def test_no_numerical_asserts_in_the_library():
+    found = sorted(
+        key for path in SRC.glob("*.py")
+        for key in bare_asserts(path.name,
+                                ast.parse(path.read_text(encoding="utf-8"))))
+    # a listed assert that is removed or reworded leaves the list too
+    assert found == sorted(STRUCTURAL_ASSERTS)
+
+
+def test_bare_assert_is_reported():
+    tree = ast.parse("def f(x):\n    assert x > 0, 'positive'\n"
+                     "    return x\n\"\"\"assert y\"\"\"\n")
+    assert bare_asserts("m.py", tree) == [("m.py", "x > 0")]

@@ -3,11 +3,13 @@ bodies it bypasses.
 
 An operand whose coordinates above g^0 vanish lies in Z_p, and
 ``WittContext.mul``, ``unit_inverse``, ``frobenius`` and
-``_TupleRing.scale``/``axpy`` treat it as one integer.  The ``*_reference``
-functions below are the former bodies, kept verbatim apart from taking
-the context or ring as an argument and calling each other instead of the
-library ops, so that no shortcut reaches the oracle.  Inputs are seeded
-and mix Z_p entries (0, 1, p^k, units, non-units) with general ones.
+``_TupleRing.scale``/``axpy`` treat it as one integer; ``_TupleRing.dot``
+allocates and reduces nothing for a row and column with no nonzero
+product.  The ``*_reference`` functions below are the former bodies, kept
+verbatim apart from taking the context or ring as an argument and calling
+each other instead of the library ops, so that no shortcut reaches the
+oracle.  Inputs are seeded and mix Z_p entries (0, 1, p^k, units,
+non-units) with general ones.
 """
 
 import itertools
@@ -77,6 +79,20 @@ def axpy_reference(R, y, q, x):
 
 def scale_reference(R, x, u):
     return [mul_reference(R.ctx, a, u) for a in x]
+
+
+def dot_reference(R, row, col):
+    # the products are summed as unreduced polynomials and reduced once
+    n, zero = R.ctx.n, R.zero
+    acc = [0] * (2 * n - 1)
+    for a, x in zip(row, col):
+        if a == zero or x == zero:
+            continue
+        for i, ai in enumerate(a):
+            if ai:
+                for j, xj in enumerate(x):
+                    acc[i + j] += ai * xj
+    return R.ctx.reduce_product(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -186,3 +202,44 @@ def test_warm_example_1_7_makes_no_residue_inversions(monkeypatch):
     report = problems.run(load_corpus("example_1_7"), problems.ANALYSES)
     assert report["problem"] == "example_1_7"
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("p, n, N", contexts())
+def test_dot_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    R = ring(ctx)
+    rng = random.Random(19 * p + n + N)
+    xs = entries(ctx, rng)
+    zero = R.zero
+    for length in (0, 1, 3, 7):
+        for _ in range(6):
+            row = [rng.choice(xs) for _ in range(length)]
+            col = [rng.choice(xs) for _ in range(length)]
+            # disjoint supports: every pair has a zero factor
+            disjoint = [zero if k % 2 else x for k, x in enumerate(col)]
+            masked = [zero if k % 2 == 0 else x for k, x in enumerate(row)]
+            for a, b in ((row, col), (masked, disjoint),
+                         (row, [zero] * length)):
+                assert R.dot(a, b) == dot_reference(R, a, b)
+
+
+def test_dot_without_products_reduces_nothing(monkeypatch):
+    ctx = make_context(3, 3, 12)
+    R = ring(ctx)
+    u, g = ctx.from_int(5), (0, 1, 0)
+    want = ctx.mul(u, g)
+    calls = []
+    reduce_product = WittContext.reduce_product
+
+    def counted(self, prod):
+        calls.append(prod)
+        return reduce_product(self, prod)
+
+    monkeypatch.setattr(WittContext, "reduce_product", counted)
+    zero = R.zero
+    assert R.dot([], []) == zero
+    assert R.dot([u, zero, g], [zero, g, zero]) == zero
+    assert R.dot([zero] * 4, [g] * 4) == zero
+    assert calls == []
+    assert R.dot([u, zero], [g, g]) == want
+    assert len(calls) == 1
