@@ -10,8 +10,12 @@ square-zero deformation lattices, and Lie (projector) elements t with
 
 The fixed points and the codimension run on a ``Carrier``: a saturated
 lattice S of End(M) of rank d, with the two conjugation numerators
-restricted to its echelon basis B (N sigma(B) = B C, every column of C
-certified by a solve, a failed one raising ``InclusionViolated``).  A
+restricted to its echelon basis B (N sigma(B) = B C).  When S is a sum
+of Hom(W_a, W_b) blocks of a module that splits integrally, C comes from
+the factors of each numerator, one r_b r_a block at a time, and the
+certificate is component stability: the off-diagonal component blocks of
+the factors vanish, or ``InclusionViolated``.  Otherwise each column of C
+is certified by a solve, a failed one raising ``InclusionViolated``.  A
 lattice inside S[1/p] is refined in Z^d and mapped back through B once,
 to the same canonical presentation as the End(M) computation.  The
 decomposition's carriers are the full V_plus and V_minus; without one,
@@ -23,8 +27,9 @@ from __future__ import annotations
 from .errors import (HypothesisViolated, InclusionViolated, NoAutoConstruction,
                      NonConvergence, PrecisionExhausted, SingularMap,
                      SplittingInvalid, ValidationFailed)
-from .isocrystal import (FIsocrystal, SlopeData, end_frobenius,
-                         mat_to_vec, sandwich_map, vec_to_mat, _maps_equal)
+from .isocrystal import (FIsocrystal, Sandwich, SlopeData, end_frobenius,
+                         mat_to_vec, sandwich_map, vec_to_mat,
+                         _component_bases, _maps_equal)
 from .lattices import (Lattice, SemilinearMap, intersect, invert_matrix,
                        kernel_span, lattice_sum, matrix_kernel,
                        mod_p_dimension, residue_echelon, residue_kernel,
@@ -320,25 +325,26 @@ def _conjugation_numerators(crystal):
     is ``end_frobenius``) and x -> phi^{-1} x phi (bwd, see
     ``_backward_numerator``) on End(M), each p^{-vdet} times its integral
     numerator, vdet = v(det A): A sigma(x) A_adj and sigma^{-1}(A_adj x
-    A).  ``apply_raw`` gives the numerators; each is computed once per
+    A).  Both are ``Sandwich`` maps, held by their factors (L, R) and
+    twist: the carriers read the factors, and ``apply_raw`` builds the
+    r^2 x r^2 numerator on first use.  Each is computed once per
     crystal."""
     return (end_frobenius(crystal),) + _backward_numerator(crystal)
 
 
 def _backward_numerator(crystal):
     """(bwd, vdet): the numerator sigma^{-1}(A_adj x A) of x -> phi^{-1} x
-    phi on End(M), which is p^{-vdet} times it; computed once per crystal
-    and cached apart from ``end_frobenius``, which the trivializer does
-    not need."""
+    phi on End(M), which is p^{-vdet} times it, as a ``Sandwich``;
+    computed once per crystal and cached apart from ``end_frobenius``,
+    which the trivializer does not need."""
     if "backward" not in crystal._derived:
         ctx = crystal.ctx
         ainv, vdet = crystal.inverse_numerator()
         e = (-1) % ctx.n
         frob = ring(ctx).frob
         left = [[frob(x, e) for x in row] for row in ainv]
-        bwd_num = sandwich_map(ctx, left, crystal.phi._twisted_rows(e),
-                               twist=e, denominator=vdet,
-                               loss=crystal.phi.loss)
+        bwd_num = Sandwich(ctx, left, crystal.phi._twisted_rows(e),
+                           twist=e, denominator=vdet, loss=crystal.phi.loss)
         crystal._derived["backward"] = (bwd_num, vdet)
     return crystal._derived["backward"]
 
@@ -350,19 +356,23 @@ class Carrier:
     ``lattice`` is S; its processing-order echelon B (``S.ech``) has unit
     pivots, so B is a basis of S and S is a direct summand of End(M).
     ``fwd`` and ``bwd`` are the numerators restricted to S: the d x d
-    semilinear maps C with N sigma(B) = B C, each column certified by a
-    ``Lattice.solve``.  A lattice L inside S[1/p] is handled as its
-    coordinate lattice X in Z^d with B X = L (``coords``), and mapped back
-    once (``lift``).  As S is saturated, X and L have the same rank, pivot
-    valuations and memberships, so a closure and its certificates take
-    the same steps on X as on L, at rank d instead of r^2.
+    semilinear maps C with N sigma(B) = B C.  A lattice L inside S[1/p]
+    is handled as its coordinate lattice X in Z^d with B X = L
+    (``coords``), and mapped back once (``lift``).  As S is saturated, X
+    and L have the same rank, pivot valuations and memberships, so a
+    closure and its certificates take the same steps on X as on L, at
+    rank d instead of r^2.
 
     ``blocks`` maps each Hom(W_src, W_dst) block of S to the integral rows
     D_dst x U_src that read its coordinates off B (U_a the echelon basis of
     the component M cap W_a, e_a = U_a D_a).  It is kept only when all the
-    rows together form a matrix invertible over W, so that ``cut`` finds
+    rows together form a matrix T invertible over W, so that ``cut`` finds
     every sub-sum of blocks as an exact kernel in Z^d; otherwise it is
-    None.
+    None.  With ``blocks``, C comes from the component blocks (see
+    ``_block_restricted``), certified by component stability: the factors
+    of each numerator send every component into its own.  Without, each
+    column of C is a ``Lattice.solve`` of an r^2 image, and a failed one
+    raises ``InclusionViolated``.
 
     ``Carrier.ambient(crystal)`` is End(M) itself, with the identity basis
     (``lattice`` None, the numerators as they are).  A carrier keeps
@@ -402,8 +412,14 @@ class Carrier:
         if S.loss:
             return cls.ambient(crystal)
         fwd, bwd, vdet = _conjugation_numerators(crystal)
-        return cls(S, _restricted(S, fwd), _restricted(S, bwd), vdet,
-                   _block_rows(S, slope_data, blocks))
+        rows = _block_rows(S, slope_data, blocks)
+        if rows is None:
+            return cls(S, _restricted(S, fwd), _restricted(S, bwd), vdet)
+        bases = _component_bases(slope_data)
+        T = [row for brows in rows.values() for row in brows]
+        tinv, _ = invert_matrix(S.ctx, T)
+        return cls(S, *(_block_restricted(num, bases, rows, T, tinv)
+                        for num in (fwd, bwd)), vdet, rows)
 
     def coords(self, V: Lattice) -> Lattice:
         """The coordinate lattice of V, which must lie in S[1/p]."""
@@ -456,28 +472,67 @@ def _restricted(S: Lattice, num: SemilinearMap) -> SemilinearMap:
                          loss=max(num.loss, S.loss))
 
 
+def _block_restricted(num, bases, blocks, T, tinv) -> SemilinearMap:
+    """The matrix C with num sigma(B) = B C, from the factors of the
+    ``Sandwich`` num: x -> L sigma^t(x) R, without an r^2 x r^2 product.
+
+    With U = (U_a) and D = (D_a) stacked over the components, the block
+    (b, a) of D L sigma^t(U) is D_b L sigma^t(U_a) and that of
+    sigma^t(D) R U is sigma^t(D_a) R U_b.  Every off-diagonal one must
+    vanish modulo p^(N - loss), or InclusionViolated: then num maps the
+    block x = U_dst X D_src to U_dst P_dst sigma^t(X) Q_src D_src, with
+    P_a = D_a L sigma^t(U_a) and Q_a = sigma^t(D_a) R U_a.  On the block
+    coordinates z = T c of the basis B of S (``blocks``, in order) num is
+    the block-diagonal C_B of those r_dst r_src maps, so C = T^{-1} C_B
+    sigma^t(T)."""
+    ctx = num.ctx
+    R = ring(ctx)
+    t = num.twist
+    neff = ctx.N - num.loss
+
+    def tw(m):
+        return [[R.frob(x, t) for x in row] for row in m] if t else m
+
+    P, Q = {}, {}
+    for a, (Ua, Da) in bases.items():
+        lu = R.mul_mat(num.left, tw(Ua))
+        rd = R.mul_mat(tw(Da), num.right)
+        for b, (Ub, Db) in bases.items():
+            left, right = R.mul_mat(Db, lu), R.mul_mat(rd, Ub)
+            if a == b:
+                P[a], Q[a] = left, right
+            elif not all(R.vanishes(row, neff) for row in left + right):
+                raise InclusionViolated(
+                    "block lattice is not stable under a conjugation "
+                    "numerator")
+    tT = tw(T)
+    mid, at = [], 0
+    for (src, dst) in blocks:
+        size = len(P[dst]) * len(Q[src])
+        block = sandwich_map(ctx, P[dst], Q[src]).rows
+        mid += R.mul_mat(block, tT[at:at + size])
+        at += size
+    return SemilinearMap(ctx, R.mul_mat(tinv, mid), twist=t, loss=num.loss)
+
+
 def _block_rows(S: Lattice, slope_data: SlopeData, blocks):
     """{(src, dst): the rows of D_dst x U_src on the basis of S}, or None
-    when they do not make an invertible d x d matrix over W."""
+    when the module does not split integrally or they do not make an
+    invertible d x d matrix over W."""
     ctx = S.ctx
     R = ring(ctx)
     r = slope_data.crystal.rank
-    U, D = {}, {}
-    for a, comp in slope_data.components.items():
-        # column j of the projector numerator is p^den e_a(e_j), in M cap W_a
-        E = slope_data.projectors[a].rows
-        cols = [comp.solve([row[j] for row in E]) for j in range(r)]
-        if comp.scale or None in cols:
-            return None
-        U[a] = list(zip(*comp.ech))
-        D[a] = list(zip(*cols))
+    bases = _component_bases(slope_data)
+    if bases is None:
+        return None
     mats = [vec_to_mat(b, r) for b in S.ech]
     out = {}
     for (src, dst) in blocks:
-        coords = [R.mul_mat(R.mul_mat(D[dst], x), U[src]) for x in mats]
+        U, D = bases[src][0], bases[dst][1]
+        coords = [R.mul_mat(R.mul_mat(D, x), U) for x in mats]
         out[(src, dst)] = [[c[i][j] for c in coords]
-                           for i in range(len(D[dst]))
-                           for j in range(len(D[src]))]
+                           for i in range(len(D))
+                           for j in range(len(U[0]))]
     rows = [row for brows in out.values() for row in brows]
     if len(rows) != S.rank or any(smith_valuations(ctx, rows)):
         return None
@@ -661,9 +716,19 @@ class AxiomReport:
 
 def _nonzero_product(ctx, r, vecs):
     """The first pair (a, b) of flattened raw r x r matrices whose product
-    vecs[a] vecs[b] is non-zero, or None when every product vanishes."""
+    vecs[a] vecs[b] is non-zero, or None when every product vanishes.
+
+    Every product vanishes exactly when each matrix kills the span K of
+    all the columns of all of them, which one echelon gives (at most r
+    columns), so that test costs one product per matrix; the pair loop
+    runs only when it fails, to name the first pair."""
     R = ring(ctx)
     mats = [vec_to_mat(v, r) for v in vecs]
+    K = Lattice.from_columns(ctx, r, [col for m in mats for col in zip(*m)])
+    k_rows = list(zip(*K.ech))
+    if all(x == R.zero for m in mats
+           for row in R.mul_mat(m, k_rows) for x in row):
+        return None
     for a, ma in enumerate(mats):
         for b, mb in enumerate(mats):
             if any(x != R.zero for row in R.mul_mat(ma, mb) for x in row):

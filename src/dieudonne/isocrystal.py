@@ -631,13 +631,39 @@ def sandwich_map(ctx, left_rows, right_rows, twist=0, denominator=0, loss=0):
                          loss=loss)
 
 
+class Sandwich(SemilinearMap):
+    """The map x |-> p^{-denominator} L sigma^twist(x) R on End(M), held by
+    its factors ``left`` (L) and ``right`` (R).  Its r^2 x r^2 rows are the
+    ``sandwich_map`` of the factors, built on first use: a caller that
+    reads only the factors (the carriers, the block bases of
+    ``signed_block_lattices``) never builds them."""
+
+    __slots__ = ("left", "right", "_rows")
+
+    def __init__(self, ctx, left, right, twist=0, denominator=0, loss=0):
+        self.ctx = ctx
+        self.left = left
+        self.right = right
+        self.twist = twist % ctx.n
+        self.denominator = denominator
+        self.loss = loss
+        self._rows = None
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = sandwich_map(self.ctx, self.left, self.right).rows
+        return self._rows
+
+
 def end_frobenius(crystal: FIsocrystal) -> SemilinearMap:
     """Conjugation action x -> phi x phi^{-1} on End(M), as a semilinear
-    map on r^2 coordinates (independent of the denominator of phi);
-    computed once per crystal."""
+    map on r^2 coordinates (independent of the denominator of phi): the
+    ``Sandwich`` A sigma(x) A_adj over p^{v(det A)}; computed once per
+    crystal."""
     if "end_phi" not in crystal._derived:
         inv_rows, vdet = crystal.inverse_numerator()
-        crystal._derived["end_phi"] = sandwich_map(
+        crystal._derived["end_phi"] = Sandwich(
             crystal.ctx, crystal.phi.rows, inv_rows, twist=1,
             denominator=vdet, loss=crystal.phi.loss)
     return crystal._derived["end_phi"]
@@ -645,10 +671,14 @@ def end_frobenius(crystal: FIsocrystal) -> SemilinearMap:
 
 class EndDecomposition:
     """The integral lattices V_plus, V_minus of the positive and negative
-    Hom-block sums of End(M).  ``_derived`` caches what is computed from
-    them on first use: ``o_minus()`` under ``"o_minus"``, each sign's
-    ``carrier()`` under ``"carrier_plus"``/``"carrier_minus"``, and each
-    pair set's ``signs.sign_modules`` under the set's ``pairs`` tuple."""
+    Hom-block sums of End(M).  On a module that splits integrally they are
+    spanned by the block bases U_dst[:, i] D_src[j, :] of the components
+    (``signed_block_lattices``), and only a module that does not split
+    builds the r^2 x r^2 block projectors.  ``_derived`` caches what is
+    computed from them on first use: ``o_minus()`` under ``"o_minus"``,
+    each sign's ``carrier()`` under ``"carrier_plus"``/``"carrier_minus"``,
+    and each pair set's ``signs.sign_modules`` under the set's ``pairs``
+    tuple."""
 
     __slots__ = ("crystal", "slope_data", "V_plus", "V_minus", "_derived")
 
@@ -678,7 +708,8 @@ class EndDecomposition:
     def block_lattices(self, pairs):
         """(V_plus, V_minus) of a set of increasing slope pairs: cut out
         of the carriers in block coordinates when both have exact block
-        rows, else built from the r^2 x r^2 block projectors."""
+        rows, else ``signed_block_lattices`` (which builds the r^2 x r^2
+        block projectors only for a module that does not split)."""
         plus, minus = self.carrier("plus"), self.carrier("minus")
         if plus.blocks is None or minus.blocks is None:
             return signed_block_lattices(self.crystal, self.slope_data,
@@ -696,18 +727,32 @@ class EndDecomposition:
         return self._derived["o_minus"]
 
 
+def _component_bases(slope_data):
+    """{a: (U_a, D_a)} with e_a = U_a D_a: the rows of the r x r_a matrix
+    U_a are those of the echelon basis of the component M cap W_a, and
+    D_a (r_a x r) holds the component coordinates of the columns of e_a.
+    None unless every projector is integral (denominator 0), every
+    component has scale 0 and every column of e_a solves in its
+    component, which is when the module splits integrally."""
+    r = slope_data.crystal.rank
+    out = {}
+    for a, comp in slope_data.components.items():
+        e = slope_data.projectors[a]
+        cols = [comp.solve([row[j] for row in e.rows]) for j in range(r)]
+        if e.denominator or comp.scale or None in cols:
+            return None
+        out[a] = (list(zip(*comp.ech)), list(zip(*cols)))
+    return out
+
+
 def block_projector(crystal, slope_data, pairs):
-    """Projector onto the sum of Hom(W(src), W(dst)) blocks of
-    End(M)[1/p] for the given (src, dst) slope pairs."""
-    ctx = crystal.ctx
-    acc = None
-    for (src, dst) in pairs:
-        term = _hom_block_map(ctx, slope_data, src, dst)
-        acc = term if acc is None else acc.add(term)
-    if acc is None:
-        r2 = crystal.rank ** 2
-        acc = SemilinearMap(ctx, [[ring(ctx).zero] * r2] * r2)
-    return acc
+    """The projector onto the sum of Hom(W(src), W(dst)) blocks of
+    End(M)[1/p] for the given (src, dst) slope pairs, as its sandwich
+    terms {(src, dst): x -> e_dst x e_src}.  Each term is a ``Sandwich``
+    with the factors e_dst and e_src, whose r^2 x r^2 rows are built only
+    when the term is applied or added."""
+    return {(src, dst): _hom_block_map(crystal.ctx, slope_data, src, dst)
+            for (src, dst) in pairs}
 
 
 def _hom_block_map(ctx, slope_data, src, dst):
@@ -717,16 +762,52 @@ def _hom_block_map(ctx, slope_data, src, dst):
     den = e_src.denominator + e_dst.denominator
     loss = max(e_src.loss, e_dst.loss) + min(e_src.denominator,
                                              e_dst.denominator)
-    return sandwich_map(ctx, e_dst.rows, e_src.rows,
-                        twist=0, denominator=den, loss=loss)
+    return Sandwich(ctx, e_dst.rows, e_src.rows, twist=0, denominator=den,
+                    loss=loss)
+
+
+def _projector_image(crystal, terms, bases):
+    """The integral part of the image of the projector sum(terms).
+
+    With the component bases of a module that splits integrally, the
+    image of the term x -> e_dst x e_src is spanned by the integral
+    matrices U_dst[:, i] D_src[j, :].  Their span is rebuilt from its
+    canonical columns, so that its processing-order echelon is those
+    columns whatever the order of the generators: a carrier takes its
+    coordinates on that echelon, and the closures it runs can differ just
+    below p^N from one basis to another (``core._membership_refine``).
+    Otherwise (``bases`` None) the terms are summed into the r^2 x r^2
+    projector, whose fixed lattice carries the loss of its
+    denominators."""
+    ctx = crystal.ctx
+    R = ring(ctx)
+    r2 = crystal.rank ** 2
+    if bases is None:
+        proj = None
+        for term in terms.values():
+            proj = term if proj is None else proj.add(term)
+        if proj is None:
+            proj = SemilinearMap(ctx, [[R.zero] * r2] * r2)
+        return _projector_fixed_lattice(ctx, proj)
+    gens = []
+    for (src, dst) in terms:
+        U, D = bases[dst][0], bases[src][1]
+        gens += [[x for urow in U for x in R.scale(drow, urow[i])]
+                 for i in range(len(U[0])) for drow in D]
+    span = Lattice.from_columns(ctx, r2, gens)
+    return Lattice.from_columns(ctx, r2, span.cols)
 
 
 def signed_block_lattices(crystal, slope_data, pairs):
     """(V_plus, V_minus): the integral parts of the Hom-block sums over
-    the increasing slope pairs (a, b) and over their reverses (b, a)."""
+    the increasing slope pairs (a, b) and over their reverses (b, a),
+    each the image of its ``block_projector``: from the block bases of
+    the components when the module splits integrally, from the
+    r^2 x r^2 projector otherwise (see ``_projector_image``)."""
+    bases = _component_bases(slope_data)
     return tuple(
-        _projector_fixed_lattice(crystal.ctx,
-                                 block_projector(crystal, slope_data, blocks))
+        _projector_image(crystal,
+                         block_projector(crystal, slope_data, blocks), bases)
         for blocks in (pairs, [(b, a) for (a, b) in pairs]))
 
 

@@ -611,10 +611,15 @@ class SemilinearMap:
         ctx = self.ctx
         R = ring(ctx)
         d = max(self.denominator, other.denominator)
-        a = R.of_int(ctx.p ** (d - self.denominator))
-        b = R.of_int(ctx.p ** (d - other.denominator))
-        rows = R.add_mat([R.scale(row, a) for row in self.rows],
-                         [R.scale(row, b) for row in other.rows])
+
+        def lifted(m):
+            # the rows over the common denominator p^d
+            if m.denominator == d:
+                return m.rows
+            u = R.of_int(ctx.p ** (d - m.denominator))
+            return [R.scale(row, u) for row in m.rows]
+
+        rows = R.add_mat(lifted(self), lifted(other))
         return SemilinearMap(ctx, rows, self.twist, d,
                              loss=max(self.loss, other.loss))
 

@@ -24,7 +24,8 @@ entry of least valuation), ``val``, balanced ``divide_p``, unit
 ops too, on raw entries in [0, p).  When n > 1, a tuple whose
 coordinates above g^0 vanish lies in Z_p, and integer module data make
 most entries of that kind.  ``_TupleRing.scale`` and ``axpy`` then run
-one integer pass per coordinate (``scale`` by ``one`` is a copy), and
+one integer pass per coordinate (``scale`` by ``one`` is a copy in
+both rings), and
 the ``WittContext`` ops under ``mul``, ``inverse`` and ``frob`` take the
 same exact shortcut: sigma fixes Z_p, and the inverse mod p^N is unique,
 so every result equals the general path's.  ``_EntryRing`` makes
@@ -230,6 +231,8 @@ class _IntRing(_WittRing):
         return [(a - q * b) % pN for a, b in zip(y, x)]
 
     def scale(self, x, u):
+        if u == 1:
+            return list(x)
         pN = self.pN
         return [a * u % pN for a in x]
 

@@ -6,10 +6,11 @@ the coordinate lattices of a ``core.Carrier`` (the saturated V_plus or
 V_minus of the decomposition, with the conjugation numerators restricted
 to its echelon basis), and the block lattices of proper pair sets are cut
 out of the carriers.  The ``*_reference`` functions below are the former
-ambient bodies, kept verbatim; the projector cut is still the library's
-``signed_block_lattices``.  Every result must agree with them in ambient
-rank, rank, scale, loss and canonical columns, and every failure in its
-exception type and message.
+ambient bodies, kept verbatim; the reference for the cut of a proper
+pair set is the library's ``signed_block_lattices``, which
+``test_adapted_blocks`` checks against the r^2 x r^2 projector.  Every
+result must agree with them in ambient rank, rank, scale, loss and
+canonical columns, and every failure in its exception type and message.
 
 Instances: all seven corpus entries at every non-empty pair set, the first
 eight seeded ``conjugated_instance`` draws of ``test_dense_conjugated_
@@ -304,8 +305,9 @@ def test_non_split_decomposition_uses_the_ambient_carrier():
 
 
 def test_block_lattices_match_the_block_projectors(decompositions):
-    # the cut in block coordinates against the r^2 x r^2 projector cut it
-    # replaces for proper pair sets (still the one building the full V+-)
+    # the cut in block coordinates against the signed lattices built
+    # directly for the pair set (block bases, or the r^2 x r^2 projector
+    # of a module that does not split)
     for name, D in decompositions:
         X, sd = D.crystal, D.slope_data
         for Y in SlopePairSet.full(sd.slope_list).subsets():

@@ -10,7 +10,7 @@ from dieudonne.witt import make_context
 from dieudonne.lattices import Lattice, SemilinearMap
 from dieudonne.isocrystal import FIsocrystal, end_decompose, slope_split
 from dieudonne.core import (
-    TangentSpace, check_axioms, codim_of_dieudonne, hodge_splitting,
+    _nonzero_product, TangentSpace, check_axioms, codim_of_dieudonne, hodge_splitting,
     hodge_splitting_from_kernel, largest_sub_dieudonne,
     lie_element, nu_image, sigma_phi, smallest_super_dieudonne,
     star_property_holds,
@@ -446,3 +446,67 @@ def test_tangent_space_built_once_per_crystal(monkeypatch, kernel_split):
     report = run(parse_dict(doc), ["axioms", "ominus", "strata", "traverso"])
     assert report["all_ok"]
     assert len(calls) == 1
+
+
+def _nonzero_product_reference(ctx, r, vecs):
+    """The former body: every pair, in order."""
+    R = ring(ctx)
+    mats = [[list(v[i * r:(i + 1) * r]) for i in range(r)] for v in vecs]
+    for a, ma in enumerate(mats):
+        for b, mb in enumerate(mats):
+            if any(x != R.zero for row in R.mul_mat(ma, mb) for x in row):
+                return a, b
+    return None
+
+
+def _block_vecs(ctx, rng, r, m, lower=False):
+    """m flattened r x r matrices supported on the upper right block
+    (square-zero together), one of them with a lower left entry too when
+    ``lower``; entries carry random p-powers."""
+    R = ring(ctx)
+    h = r // 2
+    out = []
+    for k in range(m):
+        vec = [R.zero] * (r * r)
+        for i in range(h):
+            for j in range(h, r):
+                vec[i * r + j] = R.raw_col([ctx.scalar(
+                    [rng.randrange(ctx.p ** 2) * ctx.p ** rng.choice(
+                        (0, 0, 1, ctx.N)) for _ in range(ctx.n)])])[0]
+        if lower and k == m // 2:
+            vec[(r - 1) * r] = R.one
+        out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("p, n, N", [(2, 1, 12), (5, 1, 9), (3, 3, 10)])
+def test_nonzero_product_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    R = ring(ctx)
+    rng = random.Random(97 * p + n)
+    outcomes = set()
+    for r in (2, 4):
+        for m in (0, 1, 3):
+            for lower in (False, True):
+                vecs = _block_vecs(ctx, rng, r, m, lower)
+                want = _nonzero_product_reference(ctx, r, vecs)
+                assert _nonzero_product(ctx, r, vecs) == want
+                outcomes.add(want is None)
+        # products that vanish only modulo p^N: p^a E_12 and p^b E_21
+        for a, b in ((1, N - 1), (2, N), (1, N - 2)):
+            x = [R.zero] * (r * r)
+            y = [R.zero] * (r * r)
+            x[1] = R.of_int(p ** a)
+            y[r] = R.of_int(p ** b)
+            for vecs in ([x, y], [y, x], [x, x, y]):
+                assert _nonzero_product(ctx, r, vecs) == \
+                    _nonzero_product_reference(ctx, r, vecs)
+        # random dense matrices, also behind matrices that kill K alone
+        for _ in range(3):
+            vecs = [R.raw_col([ctx.scalar([rng.randrange(p ** N)
+                                           for _ in range(n)])
+                               for _ in range(r * r)]) for _ in range(3)]
+            for lead in ([], [[R.zero] * (r * r)], [x]):
+                assert _nonzero_product(ctx, r, lead + vecs) == \
+                    _nonzero_product_reference(ctx, r, lead + vecs)
+    assert outcomes == {False, True}

@@ -156,6 +156,30 @@ def inverse_reference(self):
                          loss=self.loss)
 
 
+def int_scale_reference(R, x, u):
+    """``_IntRing.scale``: every entry times u, reduced."""
+    pN = R.pN
+    return [a * u % pN for a in x]
+
+
+def add_reference(self, other):
+    """``SemilinearMap.add``, both operands rescaled to the common
+    denominator (by 1 where it is theirs already)."""
+    if self.twist != other.twist:
+        raise ValueError("cannot add maps of different twists")
+    ctx = self.ctx
+    R = ring(ctx)
+    scale = (lambda x, u: int_scale_reference(R, x, u)) if ctx.n == 1 \
+        else R.scale
+    d = max(self.denominator, other.denominator)
+    a = R.of_int(ctx.p ** (d - self.denominator))
+    b = R.of_int(ctx.p ** (d - other.denominator))
+    rows = R.add_mat([scale(row, a) for row in self.rows],
+                     [scale(row, b) for row in other.rows])
+    return SemilinearMap(ctx, rows, self.twist, d,
+                         loss=max(self.loss, other.loss))
+
+
 # ---------------------------------------------------------------------------
 # seeded inputs
 
@@ -341,3 +365,49 @@ def test_inverse_matches_reference(p, n, N):
             assert same_map(f.inverse(), want)
             inverted += 1
     assert inverted
+
+
+@pytest.mark.parametrize("p, n, N", RINGS)
+def test_add_matches_reference(p, n, N, monkeypatch):
+    ctx = make_context(p, n, N)
+    R = ring(ctx)
+    rng = random.Random(83 * p + n)
+    real_scale = R.scale
+    scaled = []
+
+    def counted(x, u):
+        scaled.append(u)
+        return real_scale(x, u)
+
+    monkeypatch.setattr(R, "scale", counted)
+    for r in (1, 2, 3):
+        for t in range(8):
+            f, g = random_map(ctx, rng, r), random_map(ctx, rng, r)
+            g = SemilinearMap(ctx, g.rows, f.twist,
+                              f.denominator if t % 2 else g.denominator,
+                              g.loss)
+            del scaled[:]
+            got = f.add(g)
+            # only the operand below the common denominator is rescaled,
+            # and never by 1
+            lifted = [m for m in (f, g) if m.denominator < got.denominator]
+            assert len(scaled) == sum(m.nrows for m in lifted)
+            assert R.one not in scaled
+            assert same_map(got, add_reference(f, g))
+
+
+@pytest.mark.parametrize("p, n, N", RINGS)
+def test_scale_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    R = ring(ctx)
+    rng = random.Random(89 * p + n)
+    for _ in range(20):
+        x = R.raw_col([entry(ctx, rng) for _ in range(rng.randrange(5))])
+        for u in (R.one, R.zero, R.of_int(p),
+                  R.raw_col([entry(ctx, rng)])[0]):
+            got = R.scale(x, u)
+            want = int_scale_reference(R, x, u) if n == 1 else \
+                [R.mul(a, u) for a in x]
+            assert got == want
+            # a fresh list: the caller may write to it
+            assert got is not x
