@@ -521,18 +521,17 @@ def _block_rows(S: Lattice, slope_data: SlopeData, blocks):
     invertible d x d matrix over W."""
     ctx = S.ctx
     R = ring(ctx)
-    r = slope_data.crystal.rank
     bases = _component_bases(slope_data)
     if bases is None:
         return None
-    mats = [vec_to_mat(b, r) for b in S.ech]
     out = {}
     for (src, dst) in blocks:
         U, D = bases[src][0], bases[dst][1]
-        coords = [R.mul_mat(R.mul_mat(D, x), U) for x in mats]
-        out[(src, dst)] = [[c[i][j] for c in coords]
-                           for i in range(len(D))
-                           for j in range(len(U[0]))]
+        # row (a, b) of the transposed map x -> D x U holds D[i][a] U[b][j]
+        # at (i, j), so one product reads the block of every basis vector
+        reader = sandwich_map(ctx, list(zip(*D)), list(zip(*U))).rows
+        out[(src, dst)] = [list(row) for row in zip(*R.mul_mat(S.ech,
+                                                                reader))]
     rows = [row for brows in out.values() for row in brows]
     if len(rows) != S.rank or any(smith_valuations(ctx, rows)):
         return None

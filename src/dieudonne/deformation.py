@@ -288,7 +288,8 @@ def verify_horizontality(crystal: FIsocrystal, conn: ConnectionForm,
     n = conn.B.n
     dmax = conn.dmax
     u_rows = universal_element(crystal, conn.B, dmax)
-    emats = conn.basis_matrices()
+    # the columns of each basis matrix, so that E_l c is one vec_mat
+    ecols = [list(zip(*emat)) for emat in conn.basis_matrices()]
     basis_cols = split.F1.cols + split.F0.cols
     max_residual_val = None
     window = dmax
@@ -299,11 +300,11 @@ def verify_horizontality(crystal: FIsocrystal, conn: ConnectionForm,
             lhs = _nabla(conn, phin_c, i)
             # right side: Phi_N applied to omega_i(c), times p x_i^(p-1)
             omega_c = [TruncatedSeries.zero(R, n, dmax) for _ in range(r)]
-            for l, emat in enumerate(emats):
+            for l, emat_cols in enumerate(ecols):
                 w_li = conn.w[(l, i)]
                 if w_li.is_zero():
                     continue
-                ec = [R.dot(row, cvec) for row in emat]
+                ec = R.vec_mat(cvec, emat_cols)
                 for k in range(r):
                     if ec[k] != R.zero:
                         omega_c[k] = omega_c[k] + w_li * ec[k]
@@ -416,11 +417,9 @@ def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
         raise HypothesisViolated(
             "E is not stable under the inverse Frobenius")
     square_zero = _nonzero_product(big, crystal.rank, bE.ech) is None
-    # column l of "ech_rows" is echelon vector l of E, flattened
     return {
         "big": big, "dval": dval, "bE": bE, "bvecs": B.vectors,
         "abig": bX.phi.rows, "ainv": ainv_big, "Cmap": cmap,
-        "ech_rows": list(zip(*bE.ech)),
         "square_zero": square_zero,
         "tables": (_orbit_tables(cmap, _orbit_cap(ctx, crystal.rank))
                    if square_zero else None),
@@ -464,20 +463,21 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
     coords = bE.solve(n0, 0)
     if coords is None:
         raise HypothesisViolated("the point twist does not lie in E")
-    ech_rows = ws["ech_rows"]
+    # n_k = sum_l c_l B_l on the echelon basis B of E, flattened
+    ech = bE.ech
     cap = _orbit_cap(ctx, r)
     steps = 0
     prod = prod_inv = ident
     if ws["square_zero"]:
         steps, total = _orbit_sum(R, ws["tables"], coords, ctx.N, cap)
         if steps:
-            nk = vec_to_mat([R.dot(row, total) for row in ech_rows], r)
+            nk = vec_to_mat(R.vec_mat(total, ech), r)
             prod = R.add_mat(ident, nk)
             prod_inv = R.sub_mat(ident, nk)
     else:
         for c in _backward_orbit(R, ws["Cmap"], coords, ctx.N, cap):
             steps += 1
-            nk = vec_to_mat([R.dot(row, c) for row in ech_rows], r)
+            nk = vec_to_mat(R.vec_mat(c, ech), r)
             prod = R.mul_mat(R.add_mat(ident, nk), prod)
             prod_inv = R.mul_mat(prod_inv, R.nilpotent_inverse(nk, r))
     # certificate: prod u_h A sigma(prod^{-1}) A^{-1} = 1

@@ -411,9 +411,11 @@ def newton_slopes(crystal: FIsocrystal):
 
 class SlopeData:
     """Slope multiset, phi-equivariant projectors onto each isotypic
-    summand, and the integral component lattices."""
+    summand, and the integral component lattices.  ``_derived`` caches
+    the component bases (``_component_bases``) on first use."""
 
-    __slots__ = ("crystal", "slopes", "projectors", "components", "is_split")
+    __slots__ = ("crystal", "slopes", "projectors", "components", "is_split",
+                 "_derived")
 
     def __init__(self, crystal, slopes, projectors, components, is_split):
         self.crystal = crystal
@@ -421,6 +423,7 @@ class SlopeData:
         self.projectors = projectors
         self.components = components
         self.is_split = is_split
+        self._derived = {}
 
     @property
     def slope_list(self):
@@ -636,7 +639,9 @@ class Sandwich(SemilinearMap):
     its factors ``left`` (L) and ``right`` (R).  Its r^2 x r^2 rows are the
     ``sandwich_map`` of the factors, built on first use: a caller that
     reads only the factors (the carriers, the block bases of
-    ``signed_block_lattices``) never builds them."""
+    ``signed_block_lattices``) never builds them.  The first
+    ``apply_raw`` builds the rows and then, as on every map, the cached
+    columns ``_tcols`` it combines them by."""
 
     __slots__ = ("left", "right", "_rows")
 
@@ -648,6 +653,7 @@ class Sandwich(SemilinearMap):
         self.denominator = denominator
         self.loss = loss
         self._rows = None
+        self._tcols = None
 
     @property
     def rows(self):
@@ -733,16 +739,21 @@ def _component_bases(slope_data):
     D_a (r_a x r) holds the component coordinates of the columns of e_a.
     None unless every projector is integral (denominator 0), every
     component has scale 0 and every column of e_a solves in its
-    component, which is when the module splits integrally."""
-    r = slope_data.crystal.rank
-    out = {}
-    for a, comp in slope_data.components.items():
-        e = slope_data.projectors[a]
-        cols = [comp.solve([row[j] for row in e.rows]) for j in range(r)]
-        if e.denominator or comp.scale or None in cols:
-            return None
-        out[a] = (list(zip(*comp.ech)), list(zip(*cols)))
-    return out
+    component, which is when the module splits integrally.  Computed once
+    per slope data."""
+    derived = slope_data._derived
+    if "bases" not in derived:
+        r = slope_data.crystal.rank
+        out = {}
+        for a, comp in slope_data.components.items():
+            e = slope_data.projectors[a]
+            cols = [comp.solve([row[j] for row in e.rows]) for j in range(r)]
+            if e.denominator or comp.scale or None in cols:
+                out = None
+                break
+            out[a] = (list(zip(*comp.ech)), list(zip(*cols)))
+        derived["bases"] = out
+    return derived["bases"]
 
 
 def block_projector(crystal, slope_data, pairs):

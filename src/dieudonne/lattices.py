@@ -32,8 +32,8 @@ an int in [0, p^N) when n = 1, the coefficient tuple when n > 1.
 coordinates, kernels and inverses all hold that one format, and the code
 is written against the ring's column ops ``axpy``, ``scale``,
 ``pivot``/``val``, balanced ``divide_p``, unit ``inverse``, ``vanishes``,
-``mul_mat`` and the zero test ``x == R.zero``.  Constructors and the
-matrix entry points (``Lattice.from_columns``,
+``mul_mat``/``vec_mat`` and the zero test ``x == R.zero``.  Constructors
+and the matrix entry points (``Lattice.from_columns``,
 ``Lattice.contains_vector``, ``SemilinearMap``, ``invert_matrix``,
 ``matrix_kernel``, ``smith_valuations``) also accept ints and
 ``WittScalar`` entries, through one ``raw_col`` pass;
@@ -280,19 +280,22 @@ class Lattice:
         return Lattice.from_columns(self.ctx, self.ambient, cols,
                                     scale=self.scale - take, loss=self.loss)
 
-    def solve(self, vector, vscale=0):
+    def solve(self, vector, vscale=0, vloss=0):
         """Raw coordinates of p^{-vscale} * vector in this lattice, or
-        None; the vector holds raw entries of this lattice's context.
+        None; the vector holds raw entries of this lattice's context and
+        is trusted modulo p^{N - vloss}.
 
         The returned coordinate vector x satisfies basis * x = vector up to
-        scales; non-integral coordinates mean non-membership.  When the
-        scale gap forces a division of the vector, its quotient is only
-        defined modulo p^{N - gap}, so the residual test runs at that
-        reduced level (the membership decision itself needs no more).
+        scales; non-integral coordinates mean non-membership.  The
+        residual is tested modulo p^{N - max(loss, vloss)}, the digits
+        that both the lattice and the vector know.  When the scale gap
+        forces a division of the vector by p^gap, the quotient knows gap
+        digits fewer, so the residual test runs that much lower (the
+        membership decision itself needs no more).
         """
         ctx = self.ctx
         R = ring(ctx)
-        neff = self.neff
+        neff = ctx.N - max(self.loss, vloss)
         shift = self.scale - vscale
         if shift > 0:
             vector = R.scale(vector, R.of_int(ctx.p ** shift))
@@ -334,9 +337,10 @@ class Lattice:
         return coords is not None and R.vanishes(rest, k)
 
     def contains(self, other):
+        """Containment, tested at the digits both lattices know."""
         if other.ambient != self.ambient:
             raise ValueError("ambient ranks differ")
-        return all(self.solve(c, other.scale) is not None
+        return all(self.solve(c, other.scale, other.loss) is not None
                    for c in other.cols)
 
     def equals(self, other):
@@ -549,9 +553,13 @@ class SemilinearMap:
     matrix (e.g. a p-power divided out of an inverse); entries are then
     trusted modulo p^{N - loss} and products inherit the maximum loss of
     their factors.
+
+    ``_tcols`` caches the columns of the matrix (its transposed rows),
+    built on the first ``apply_raw``: an image is then one ``vec_mat``
+    row combination, which skips the zero entries of the column.
     """
 
-    __slots__ = ("ctx", "rows", "twist", "denominator", "loss")
+    __slots__ = ("ctx", "rows", "twist", "denominator", "loss", "_tcols")
 
     def __init__(self, ctx, rows, twist=0, denominator=0, loss=0):
         self.ctx = ctx
@@ -559,6 +567,7 @@ class SemilinearMap:
         self.twist = twist % ctx.n
         self.denominator = denominator
         self.loss = loss
+        self._tcols = None
 
     @staticmethod
     def identity(ctx, r):
@@ -576,10 +585,14 @@ class SemilinearMap:
         """Integral part of the action on a raw column (denominator
         ignored)."""
         R = ring(self.ctx)
+        if not col:
+            # a map from rank 0: no columns to combine
+            return [R.zero] * self.nrows
         if self.twist:
             col = [R.frob(v, self.twist) for v in col]
-        dot = R.dot
-        return [dot(row, col) for row in self.rows]
+        if self._tcols is None:
+            self._tcols = tuple(zip(*self.rows))
+        return R.vec_mat(col, self._tcols)
 
     def _twisted_rows(self, e):
         """sigma^e applied to every entry."""

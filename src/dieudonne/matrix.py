@@ -14,10 +14,18 @@ one ``ring(target).raw_mat`` pass.
 
 The matrix kernels (``_Ring.mul_mat``, ``add_mat``, ``sub_mat``,
 ``identity``, ``nilpotent_inverse``) are written once over each ring's
-entry ops: ``zero``, ``one``, ``add``, ``sub``, ``neg``, ``dot`` (a row
-times a column) and ``is_zero``.  The Witt rings add the ops the series,
-the echelon kernel of ``lattices`` and its callers are written against:
-``mul``, ``power``, ``of_int``, ``axpy``, ``scale``, ``pivot`` (the first
+entry ops: ``zero``, ``one``, ``add``, ``sub``, ``neg``, ``vec_mat`` and
+``is_zero``.  ``vec_mat(row, b)`` is the one product kernel: the row
+combination sum_i row[i] b[i] over the nonzero row[i] only, summed
+unreduced and reduced once per output entry (a product of lattice
+coordinates, kernel vectors or Hom-block bases is mostly zeros).
+``mul_mat`` is one ``vec_mat`` per row of its left operand, and a
+matrix-vector product A v is ``vec_mat(v, A^T)`` (``SemilinearMap``
+caches A^T).  The Witt rings add the ops the series, the echelon kernel
+of ``lattices`` and its callers are written against: ``dot`` (a row
+times a column, for a single inner product: traces, ``charpoly``, the
+isotropy check of ``strata``), ``mul``, ``power``, ``of_int``,
+``axpy``, ``scale``, ``pivot`` (the first
 entry of least valuation), ``val``, balanced ``divide_p``, unit
 ``inverse``, ``frob``, ``rem``, ``vanishes`` and the zero test
 ``x == R.zero``; the residue-field algebra of ``lattices`` runs on these
@@ -25,13 +33,13 @@ ops too, on raw entries in [0, p).  When n > 1, a tuple whose
 coordinates above g^0 vanish lies in Z_p, and integer module data make
 most entries of that kind.  ``_TupleRing.scale`` and ``axpy`` then run
 one integer pass per coordinate (``scale`` by ``one`` is a copy in
-both rings), and
-the ``WittContext`` ops under ``mul``, ``inverse`` and ``frob`` take the
-same exact shortcut: sigma fixes Z_p, and the inverse mod p^N is unique,
-so every result equals the general path's.  ``_EntryRing`` makes
-entries that carry their own arithmetic (``TruncatedSeries``) their own
-raw form, and its ``dot`` skips zero entries, so a skipped entry never
-narrows a series' validity window.
+both rings), ``vec_mat`` multiplies by such a row entry as one integer,
+and the ``WittContext`` ops under ``mul``, ``inverse`` and ``frob`` take
+the same exact shortcut: sigma fixes Z_p, and the inverse mod p^N is
+unique, so every result equals the general path's.  ``_EntryRing``
+makes entries that carry their own arithmetic (``TruncatedSeries``)
+their own raw form, and its ``vec_mat`` skips zero entries, so a
+skipped entry never narrows a series' validity window.
 
 These helpers sit below the layer modules, beside ``series``, because
 the benchmark's tracer (``bench/tracer.py``) wraps every public function
@@ -59,9 +67,8 @@ class _Ring:
         return [self.wrap_col(row) for row in rows]
 
     def mul_mat(self, a, b):
-        dot = self.dot
-        cols = list(zip(*b))
-        return [[dot(row, col) for col in cols] for row in a]
+        vec_mat = self.vec_mat
+        return [vec_mat(row, b) for row in a]
 
     def add_mat(self, a, b):
         f = self.add
@@ -107,12 +114,15 @@ class _EntryRing(_Ring):
     def is_zero(x):
         return x.is_zero()
 
-    def dot(self, row, col):
-        acc = self.zero
-        for x, y in zip(row, col):
-            if not (x.is_zero() or y.is_zero()):
-                acc = acc + x * y
-        return acc
+    def vec_mat(self, row, b):
+        out = [self.zero] * (len(b[0]) if b else 0)
+        for x, brow in zip(row, b):
+            if x.is_zero():
+                continue
+            for j, y in enumerate(brow):
+                if not y.is_zero():
+                    out[j] = out[j] + x * y
+        return out
 
 
 class _WittRing(_Ring):
@@ -183,6 +193,17 @@ class _IntRing(_WittRing):
 
     def dot(self, row, col):
         return sum(map(mul, row, col)) % self.pN
+
+    def vec_mat(self, row, b):
+        acc = None
+        for x, brow in zip(row, b):
+            if x:
+                acc = ([x * y for y in brow] if acc is None
+                       else [s + x * y for s, y in zip(acc, brow)])
+        if acc is None:
+            return [0] * (len(b[0]) if b else 0)
+        pN = self.pN
+        return [s % pN for s in acc]
 
     def val(self, a):
         if a == 0:
@@ -278,6 +299,30 @@ class _TupleRing(_WittRing):
                     for j, xj in enumerate(x):
                         acc[i + j] += ai * xj
         return zero if acc is None else self.ctx.reduce_product(acc)
+
+    def vec_mat(self, row, b):
+        # one unreduced polynomial per output entry, reduced once; a Z_p
+        # entry of the row is one integer
+        zero, tail = self.zero, self.tail
+        size = 2 * self.ctx.n - 1
+        accs = [None] * (len(b[0]) if b else 0)
+        for x, brow in zip(row, b):
+            if x == zero:
+                continue
+            terms = (((0, x[0]),) if x[1:] == tail
+                     else [(i, c) for i, c in enumerate(x) if c])
+            for j, y in enumerate(brow):
+                if y == zero:
+                    continue
+                acc = accs[j]
+                if acc is None:
+                    acc = accs[j] = [0] * size
+                for i, c in terms:
+                    for k, yk in enumerate(y):
+                        if yk:
+                            acc[i + k] += c * yk
+        reduce = self.ctx.reduce_product
+        return [zero if acc is None else reduce(acc) for acc in accs]
 
     @staticmethod
     def rem(a, m):

@@ -62,6 +62,18 @@ def four_slope_rank8(ctx):
     return FIsocrystal.from_int_matrix(ctx, rows)
 
 
+def non_split_rank6(ctx):
+    """A Dieudonne module at p = 2 that does not split into its slope
+    parts: U diag(1, 1, 1, 1, 2, 2) V for U, V invertible over Z_2, with
+    slopes {0, 1/3 (x3), 1/2 (x2)}.  At precision 32 its signed lattices
+    carry loss 1 or 2, so a slice check compares lattices of different
+    losses."""
+    return FIsocrystal.from_int_matrix(ctx, [
+        [-12, -13, -7, -17, -6, -18], [28, 12, 21, 19, 4, 10],
+        [0, -9, 10, -2, -5, -4], [21, 7, 0, -14, -4, 15],
+        [-19, 0, -3, -9, -19, -23], [2, 4, 7, 13, 17, 6]])
+
+
 def symplectic_ordinary_c2(ctx):
     """c = d = 2 ordinary with the standard alternating form pairing
     coordinates (0,2) and (1,3)."""

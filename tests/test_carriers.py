@@ -332,7 +332,7 @@ def test_block_rows_need_an_invertible_block_matrix():
     assert _block_rows(S, sd, pairs[1:]) is None
     # projectors scaled by p read every block coordinate times p
     scaled = SimpleNamespace(
-        crystal=sd.crystal, components=sd.components,
+        crystal=sd.crystal, components=sd.components, _derived={},
         projectors={a: e.scale_int(sd.crystal.ctx.p)
                     for a, e in sd.projectors.items()})
     assert _block_rows(S, scaled, pairs) is None

@@ -310,7 +310,7 @@ def _trivialize_reference(crystal, E, B, point, workspace=None):
     if coords is None:
         raise HypothesisViolated("the point twist does not lie in E")
     Cmap = ws["Cmap"].rows
-    ech_rows = ws["ech_rows"]
+    ech_rows = list(zip(*bE.ech))
     cap = ctx.N * max(r, 2) + 10
     prod = prod_inv = ident
     steps = 0

@@ -36,6 +36,24 @@ def recanonicalize(L):
                                 scale=L.scale, loss=L.loss)
 
 
+def test_contains_honours_the_operand_loss():
+    # a lattice known only modulo p^(N - 2) lies in the one it was read
+    # from, although its columns differ from it at the digits it does not
+    # know; a difference at a known digit still counts
+    ctx = make_context(3, 1, 12)
+    R = ring(ctx)
+    L = int_lattice(ctx, [[1, 0, 0], [0, 3, 0]])
+    noise = 3 ** 10
+    cols = [[1, 0, noise], [0, 3, 2 * noise]]
+    blurred = Lattice.from_columns(ctx, 3, cols, loss=2)
+    assert L.contains(blurred)
+    assert not L.contains(blurred.with_loss(0))
+    assert L.solve(R.raw_col(cols[0]), vloss=2) is not None
+    assert L.solve(R.raw_col(cols[0])) is None
+    far = Lattice.from_columns(ctx, 3, [[1, 0, 3 ** 9]], loss=2)
+    assert not L.contains(far)
+
+
 def test_hermite_identity():
     ctx = make_context(2, 1, 12)
     L = Lattice.standard(ctx, 3)

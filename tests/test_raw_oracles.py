@@ -4,9 +4,13 @@ coefficients, checked against the WittScalar bodies they replaced.
 The ``*_reference`` functions below are the former bodies, kept verbatim.
 They read scalar rows, so each map reaches them through ``scalar_view``;
 ``mat_mul`` and ``invert_matrix_exact`` are the scalar forms of the
-helpers they called.  Inputs are seeded: p in {2, 3, 5} at n = 1 and
-p in {2, 3} at n = 3, with p-divisible entries, twists, and nonzero
-denominators and losses."""
+helpers they called.  ``mul_mat_reference`` and ``apply_raw_reference``
+are the former raw product bodies, one ``dot`` per output entry
+(``entry_dot_reference`` is the former series ``dot``), and check the
+zero-skipping row combination ``vec_mat`` under ``mul_mat`` and
+``SemilinearMap.apply_raw``.  Inputs are seeded: p in {2, 3, 5} at
+n = 1 and p in {2, 3} at n = 3, with p-divisible entries, twists, and
+nonzero denominators and losses."""
 
 import random
 from types import SimpleNamespace
@@ -16,11 +20,12 @@ import sympy
 
 from dieudonne import lattices
 from dieudonne.errors import DieudonneError
-from dieudonne.isocrystal import (_map_is_zero, _maps_equal,
+from dieudonne.isocrystal import (Sandwich, _map_is_zero, _maps_equal,
                                   _projector_fixed_lattice, sandwich_map,
                                   slope_split)
 from dieudonne.lattices import Lattice, SemilinearMap, matrix_kernel
-from dieudonne.matrix import ring
+from dieudonne.matrix import _EntryRing, ring
+from dieudonne.series import TruncatedSeries
 from dieudonne.signs import trace_of_vectors
 from dieudonne.witt import WittScalar, make_context
 
@@ -180,6 +185,31 @@ def add_reference(self, other):
                          loss=max(self.loss, other.loss))
 
 
+def mul_mat_reference(R, a, b):
+    """The former product: one dot per (row, column) pair."""
+    dot = R.dot
+    cols = list(zip(*b))
+    return [[dot(row, col) for col in cols] for row in a]
+
+
+def entry_dot_reference(S, row, col):
+    """The former ``_EntryRing.dot``, which its ``mul_mat`` ran on."""
+    acc = S.zero
+    for x, y in zip(row, col):
+        if not (x.is_zero() or y.is_zero()):
+            acc = acc + x * y
+    return acc
+
+
+def apply_raw_reference(self, col):
+    """The former image of a raw column: one dot per row."""
+    R = ring(self.ctx)
+    if self.twist:
+        col = [R.frob(v, self.twist) for v in col]
+    dot = R.dot
+    return [dot(row, col) for row in self.rows]
+
+
 # ---------------------------------------------------------------------------
 # seeded inputs
 
@@ -202,6 +232,22 @@ def random_map(ctx, rng, r, powers=(0, 0, 1, 2)):
                          twist=rng.randrange(ctx.n),
                          denominator=rng.randrange(-1, 3),
                          loss=rng.randrange(3))
+
+
+def raw_matrix(ctx, rng, r, c, zero_share):
+    """Raw entries, each zero with the given share, else in Z_p or
+    spread over the Witt coordinates, half and half."""
+    R = ring(ctx)
+
+    def one():
+        if rng.random() < zero_share:
+            return R.zero
+        if rng.random() < 0.5:
+            return R.of_int(rng.randrange(1, 31) * ctx.p ** rng.choice(
+                (0, 0, 1, 2)))
+        return R.raw_col([entry(ctx, rng)])[0]
+
+    return [[one() for _ in range(c)] for _ in range(r)]
 
 
 def same_map(got, want):
@@ -411,3 +457,107 @@ def test_scale_matches_reference(p, n, N):
             assert got == want
             # a fresh list: the caller may write to it
             assert got is not x
+
+
+@pytest.mark.parametrize("p, n, N", RINGS)
+def test_mul_mat_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    R = ring(ctx)
+    rng = random.Random(97 * p + n)
+    zero = R.zero
+    for zero_share in (0.0, 0.5, 0.95):
+        for r, m, c in ((1, 1, 1), (2, 3, 4), (5, 5, 5), (4, 1, 3),
+                        (3, 6, 2)):
+            a = raw_matrix(ctx, rng, r, m, zero_share)
+            b = raw_matrix(ctx, rng, m, c, zero_share)
+            a[-1] = [zero] * m
+            want = mul_mat_reference(R, a, b)
+            assert R.mul_mat(a, b) == want
+            # the lattice and map data are tuples of tuples
+            assert R.mul_mat(tuple(map(tuple, a)),
+                             tuple(map(tuple, b))) == want
+    b = raw_matrix(ctx, rng, 3, 4, 0.5)
+    # no rows, an inner dimension of 0, and a zero left operand
+    assert R.mul_mat([], b) == mul_mat_reference(R, [], b) == []
+    assert R.mul_mat([[], []], []) == mul_mat_reference(R, [[], []], [])
+    zeros = [[zero] * 3] * 2
+    assert R.mul_mat(zeros, b) == mul_mat_reference(R, zeros, b) == \
+        [[zero] * 4] * 2
+
+
+def test_entry_mul_mat_matches_reference():
+    # series entries: both skip every zero product, so coefficients and
+    # validity windows agree exactly
+    rng = random.Random(101)
+    ctx = make_context(3, 1, 8)
+    R = ring(ctx)
+    nvars, dmax = 2, 4
+    S = _EntryRing(TruncatedSeries.zero(R, nvars, dmax),
+                   TruncatedSeries.constant(R, nvars, dmax, R.one))
+
+    def series():
+        coeffs = {}
+        if rng.random() < 0.6:
+            for _ in range(rng.randrange(1, 4)):
+                expo = tuple(rng.randrange(3) for _ in range(nvars))
+                coeffs[expo] = R.of_int(rng.randrange(1, ctx.pN))
+        return TruncatedSeries(R, nvars, dmax, coeffs,
+                               valid=rng.randrange(dmax + 1))
+
+    for r, m, c in ((2, 2, 2), (3, 4, 2), (1, 3, 1), (2, 0, 3)):
+        a = [[series() for _ in range(m)] for _ in range(r)]
+        b = [[series() for _ in range(c)] for _ in range(m)]
+        got = S.mul_mat(a, b)
+        want = [[entry_dot_reference(S, row, col) for col in zip(*b)]
+                for row in a]
+        assert [[(x.coeffs, x.valid) for x in row] for row in got] == \
+            [[(x.coeffs, x.valid) for x in row] for row in want]
+
+
+@pytest.mark.parametrize("p, n, N", RINGS)
+def test_apply_raw_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    rng = random.Random(103 * p + n)
+    for r, c in ((1, 1), (3, 3), (4, 2), (2, 5), (3, 0)):
+        for zero_share in (0.0, 0.9):
+            f = SemilinearMap(ctx, raw_matrix(ctx, rng, r, c, zero_share),
+                              twist=rng.randrange(n))
+            for _ in range(3):
+                col = raw_matrix(ctx, rng, 1, c, zero_share)[0]
+                assert f.apply_raw(col) == apply_raw_reference(f, col)
+
+
+@pytest.mark.parametrize("p, n, N", RINGS)
+def test_sandwich_apply_raw_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    rng = random.Random(107 * p + n)
+    for r in (1, 2, 3):
+        left = raw_matrix(ctx, rng, r, r, 0.3)
+        right = raw_matrix(ctx, rng, r, r, 0.3)
+        twist = rng.randrange(n)
+        f = Sandwich(ctx, left, right, twist=twist)
+        plain = sandwich_map(ctx, left, right, twist=twist)
+        col = raw_matrix(ctx, rng, 1, r * r, 0.3)[0]
+        # the rows are built on the first application, not before
+        assert f._rows is None and f._tcols is None
+        got = f.apply_raw(col)
+        assert f._rows is not None
+        assert got == apply_raw_reference(f, col) == \
+            apply_raw_reference(plain, col) == plain.apply_raw(col)
+
+
+def test_columns_are_built_once_per_map():
+    ctx = make_context(3, 3, 10)
+    rng = random.Random(109)
+    f = SemilinearMap(ctx, raw_matrix(ctx, rng, 4, 4, 0.5), twist=1)
+    s = Sandwich(ctx, raw_matrix(ctx, rng, 2, 2, 0.0),
+                 raw_matrix(ctx, rng, 2, 2, 0.0))
+    for g in (f, s):
+        assert g._tcols is None
+        cols = raw_matrix(ctx, rng, 3, g.ncols, 0.5)
+        g.apply_raw(cols[0])
+        built = g._tcols
+        assert built == tuple(zip(*g.rows))
+        for col in cols[1:]:
+            assert g.apply_raw(col) == apply_raw_reference(g, col)
+            assert g._tcols is built

@@ -17,8 +17,8 @@ from dieudonne.signs import (
     slice_report, strings, trace_of_vectors,
 )
 
-from instances import (four_slope_rank8, hom_block_vector, ordinary_rank2,
-                       rank6_two_slope, supersingular_rank2,
+from instances import (four_slope_rank8, hom_block_vector, non_split_rank6,
+                       ordinary_rank2, rank6_two_slope, supersingular_rank2,
                        three_slope_rank4)
 
 
@@ -254,6 +254,18 @@ def test_slice_monotonicity_four_slopes():
     Y = SlopePairSet([(s[2], s[3]), (s[0], s[3]), (s[0], s[1])], s)
     for Y1 in Y.subsets():
         assert slice_monotone(X, E, Y, Y1)
+
+
+def test_slice_monotonicity_non_split():
+    # O_minus of a pair set carries loss 1 or 2 here, and each check
+    # intersects lattices of different losses
+    ctx = make_context(2, 1, 32)
+    X, S, E = setup_instance(ctx, non_split_rank6)
+    assert not S.is_split
+    Y = SlopePairSet.full(S.slope_list)
+    assert len(Y.pairs) == 3
+    for Y1 in Y.subsets():
+        assert slice_monotone(X, E, Y, Y1), Y1.pairs
 
 
 def test_split_sum_decomposition():

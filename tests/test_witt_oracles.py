@@ -5,11 +5,14 @@ An operand whose coordinates above g^0 vanish lies in Z_p, and
 ``WittContext.mul``, ``unit_inverse``, ``frobenius`` and
 ``_TupleRing.scale``/``axpy`` treat it as one integer; ``_TupleRing.dot``
 allocates and reduces nothing for a row and column with no nonzero
-product.  The ``*_reference`` functions below are the former bodies, kept
-verbatim apart from taking the context or ring as an argument and calling
-each other instead of the library ops, so that no shortcut reaches the
-oracle.  Inputs are seeded and mix Z_p entries (0, 1, p^k, units,
-non-units) with general ones.
+product, and ``_TupleRing.vec_mat`` (the row combination under
+``mul_mat``) reduces each output entry once, taking a Z_p entry of the
+row as one integer.  The ``*_reference`` functions below are the former
+bodies, kept verbatim apart from taking the context or ring as an
+argument and calling each other instead of the library ops, so that no
+shortcut reaches the oracle (``vec_mat_reference`` is one
+``dot_reference`` per column).  Inputs are seeded and mix Z_p entries
+(0, 1, p^k, units, non-units) with general ones.
 """
 
 import itertools
@@ -93,6 +96,11 @@ def dot_reference(R, row, col):
                 for j, xj in enumerate(x):
                     acc[i + j] += ai * xj
     return R.ctx.reduce_product(acc)
+
+
+def vec_mat_reference(R, row, b):
+    """The former row of ``mul_mat``: one dot per column of b."""
+    return [dot_reference(R, row, col) for col in zip(*b)]
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +251,48 @@ def test_dot_without_products_reduces_nothing(monkeypatch):
     assert calls == []
     assert R.dot([u, zero], [g, g]) == want
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p, n, N", contexts())
+def test_vec_mat_matches_reference(p, n, N):
+    ctx = make_context(p, n, N)
+    R = ring(ctx)
+    rng = random.Random(23 * p + n + N)
+    zp, gen = in_zp(ctx, rng), general(ctx, rng, 8)
+    zero = R.zero
+    # rows and matrices all in Z_p, all general, and mixed; sparse too
+    for pool in (zp, gen, zp + gen, [zero] * 8 + zp + gen):
+        for m, c in ((1, 1), (3, 4), (6, 2)):
+            for _ in range(4):
+                row = [rng.choice(pool) for _ in range(m)]
+                b = [[rng.choice(pool) for _ in range(c)] for _ in range(m)]
+                assert R.vec_mat(row, b) == vec_mat_reference(R, row, b)
+                a = [row, [zero] * m, [rng.choice(pool) for _ in range(m)]]
+                assert R.mul_mat(a, b) == \
+                    [vec_mat_reference(R, x, b) for x in a]
+
+
+def test_vec_mat_reduces_each_entry_once(monkeypatch):
+    ctx = make_context(3, 3, 12)
+    R = ring(ctx)
+    u, g = ctx.from_int(5), (0, 1, 0)
+    zero = R.zero
+    b = [[g, zero, u], [u, zero, g], [g, g, zero]]
+    # column 1 meets only zeros of the row; columns 0 and 2 sum two
+    # products each
+    want = [ctx.add(ctx.mul(u, g), ctx.mul(g, u)), zero,
+            ctx.add(ctx.mul(u, u), ctx.mul(g, g))]
+    calls = []
+    reduce_product = WittContext.reduce_product
+
+    def counted(self, prod):
+        calls.append(prod)
+        return reduce_product(self, prod)
+
+    monkeypatch.setattr(WittContext, "reduce_product", counted)
+    assert R.vec_mat([u, g, zero], b) == want
+    assert len(calls) == 2
+    del calls[:]
+    assert R.vec_mat([zero] * 3, b) == [zero] * 3
+    assert R.vec_mat([], []) == []
+    assert calls == []
