@@ -10,16 +10,15 @@ square-zero deformation lattices, and Lie (projector) elements t with
 
 The fixed points and the codimension run on a ``Carrier``: a saturated
 lattice S of End(M) of rank d, with the two conjugation numerators
-restricted to its echelon basis B (N sigma(B) = B C).  When S is a sum
-of Hom(W_a, W_b) blocks of a module that splits integrally, C comes from
-the factors of each numerator, one r_b r_a block at a time, and the
-certificate is component stability: the off-diagonal component blocks of
-the factors vanish, or ``InclusionViolated``.  Otherwise each column of C
-is certified by a solve, a failed one raising ``InclusionViolated``.  A
+restricted to its echelon basis B (N sigma(B) = B C).  On a module that
+splits integrally, S of loss 0 must be the sum of its Hom(W_a, W_b)
+blocks: C comes from the factors of each numerator, one r_b r_a block at
+a time, and the certificate is component stability: the off-diagonal
+component blocks of the factors vanish, or ``InclusionViolated``.  A
 lattice inside S[1/p] is refined in Z^d and mapped back through B once,
-to the same canonical presentation as the End(M) computation.  The
-decomposition's carriers are the full V_plus and V_minus; without one,
-End(M) itself is the carrier, with the identity basis.
+to the same canonical presentation as the End(M) computation.  On a
+module that does not split, or for a lattice with a loss, End(M) itself
+is the carrier, with the identity basis.
 """
 
 from __future__ import annotations
@@ -31,10 +30,9 @@ from .isocrystal import (FIsocrystal, Sandwich, SlopeData, end_frobenius,
                          mat_to_vec, sandwich_map, vec_to_mat,
                          _component_bases, _maps_equal)
 from .lattices import (Lattice, SemilinearMap, intersect, invert_matrix,
-                       kernel_span, lattice_sum, matrix_kernel,
-                       mod_p_dimension, residue_echelon, residue_kernel,
-                       residue_reduce, residue_spaces_equal, saturate,
-                       smith_valuations)
+                       kernel_span, lattice_sum, mod_p_dimension,
+                       residue_echelon, residue_kernel, residue_reduce,
+                       residue_spaces_equal, saturate)
 from .matrix import ring
 
 
@@ -363,32 +361,27 @@ class Carrier:
     closure and its certificates take the same steps on X as on L, at
     rank d instead of r^2.
 
-    ``blocks`` maps each Hom(W_src, W_dst) block of S to the integral rows
-    D_dst x U_src that read its coordinates off B (U_a the echelon basis of
-    the component M cap W_a, e_a = U_a D_a).  It is kept only when all the
-    rows together form a matrix T invertible over W, so that ``cut`` finds
-    every sub-sum of blocks as an exact kernel in Z^d; otherwise it is
-    None.  With ``blocks``, C comes from the component blocks (see
-    ``_block_restricted``), certified by component stability: the factors
-    of each numerator send every component into its own.  Without, each
-    column of C is a ``Lattice.solve`` of an r^2 image, and a failed one
-    raises ``InclusionViolated``.
+    There are two carriers.  On a module that splits integrally, a
+    lattice S of loss 0 that is the sum of its Hom(W_src, W_dst) blocks
+    gets the block carrier: C comes from the component blocks (see
+    ``_block_restricted``), certified by component stability, the factors
+    of each numerator sending every component into its own.  Every other
+    lattice (a module that does not split, or a lattice with a loss) gets
+    ``Carrier.ambient(crystal)``: End(M) itself, with the identity basis
+    (``lattice`` None, the numerators as they are).
 
-    ``Carrier.ambient(crystal)`` is End(M) itself, with the identity basis
-    (``lattice`` None, the numerators as they are).  A carrier keeps
-    neither the crystal nor a decomposition: it is cached in
-    ``EndDecomposition._derived``, and ``bench/tracer.py`` keys span
+    A carrier keeps neither the crystal nor a decomposition: it is cached
+    in ``EndDecomposition._derived``, and ``bench/tracer.py`` keys span
     inputs by walking their fields, a walk that would not end on a cycle.
     """
 
-    __slots__ = ("lattice", "fwd", "bwd", "vdet", "blocks")
+    __slots__ = ("lattice", "fwd", "bwd", "vdet")
 
-    def __init__(self, lattice, fwd, bwd, vdet, blocks=None):
+    def __init__(self, lattice, fwd, bwd, vdet):
         self.lattice = lattice
         self.fwd = fwd
         self.bwd = bwd
         self.vdet = vdet
-        self.blocks = blocks
 
     @classmethod
     def ambient(cls, crystal: FIsocrystal) -> "Carrier":
@@ -397,29 +390,28 @@ class Carrier:
     @classmethod
     def of(cls, S: Lattice, crystal: FIsocrystal, slope_data: SlopeData,
            blocks) -> "Carrier":
-        """The carrier on a saturated integral lattice S of End(M), whose
-        Hom blocks (``(src, dst)`` slope pairs) are read off with
-        ``slope_data``; raises InclusionViolated when a numerator does not
-        map S into itself.
+        """The carrier on a saturated integral lattice S of End(M), the sum
+        of the Hom blocks ``blocks`` (``(src, dst)`` slope pairs of
+        ``slope_data``).  On a module that splits it raises
+        InclusionViolated when S is not the sum of those blocks (see
+        ``_block_rows``) or a numerator does not map S into itself.
 
-        A basis with a loss is trusted only modulo p^(N - loss), and its
+        A module that does not split integrally has no block factors, and
+        a basis with a loss is trusted only modulo p^(N - loss), so its
         coordinates would not reproduce the End(M) computation digit for
-        digit: S is then handled as End(M), through the ambient carrier.
+        digit: either way S is handled as End(M), through the ambient
+        carrier.
         """
         if S.scale or any(e for (_, e) in S.ech_pivots):
             raise InclusionViolated(
                 "a carrier needs a saturated integral lattice")
-        if S.loss:
+        bases = _component_bases(slope_data)
+        if S.loss or bases is None:
             return cls.ambient(crystal)
         fwd, bwd, vdet = _conjugation_numerators(crystal)
-        rows = _block_rows(S, slope_data, blocks)
-        if rows is None:
-            return cls(S, _restricted(S, fwd), _restricted(S, bwd), vdet)
-        bases = _component_bases(slope_data)
-        T = [row for brows in rows.values() for row in brows]
-        tinv, _ = invert_matrix(S.ctx, T)
-        return cls(S, *(_block_restricted(num, bases, rows, T, tinv)
-                        for num in (fwd, bwd)), vdet, rows)
+        T, tinv = _block_rows(S, bases, blocks)
+        return cls(S, *(_block_restricted(num, bases, blocks, T, tinv)
+                        for num in (fwd, bwd)), vdet)
 
     def coords(self, V: Lattice) -> Lattice:
         """The coordinate lattice of V, which must lie in S[1/p]."""
@@ -444,33 +436,6 @@ class Carrier:
         return Lattice.from_columns(X.ctx, S.ambient, gens, scale=X.scale,
                                     loss=X.loss)
 
-    def cut(self, keep) -> Lattice:
-        """The sublattice of S inside the Hom blocks ``keep``: the kernel
-        of the coordinates of every other block.  Needs ``blocks``."""
-        S = self.lattice
-        ctx = S.ctx
-        R = ring(ctx)
-        keep = set(keep)
-        rows = [row for block, brows in self.blocks.items()
-                if block not in keep for row in brows]
-        kern = (matrix_kernel(ctx, rows, ctx.N, ncols=S.rank) if rows
-                else R.identity(S.rank))
-        return Lattice.from_columns(ctx, S.ambient,
-                                    R.mul_mat(kern, list(S.ech)))
-
-
-def _restricted(S: Lattice, num: SemilinearMap) -> SemilinearMap:
-    """The matrix C with num sigma(B) = B C on the echelon basis B of S."""
-    cols = []
-    for b in S.ech:
-        x = S.solve(num.apply_raw(b))
-        if x is None:
-            raise InclusionViolated(
-                "block lattice is not stable under a conjugation numerator")
-        cols.append(x)
-    return SemilinearMap(S.ctx, list(zip(*cols)), twist=num.twist,
-                         loss=max(num.loss, S.loss))
-
 
 def _block_restricted(num, bases, blocks, T, tinv) -> SemilinearMap:
     """The matrix C with num sigma(B) = B C, from the factors of the
@@ -482,9 +447,9 @@ def _block_restricted(num, bases, blocks, T, tinv) -> SemilinearMap:
     vanish modulo p^(N - loss), or InclusionViolated: then num maps the
     block x = U_dst X D_src to U_dst P_dst sigma^t(X) Q_src D_src, with
     P_a = D_a L sigma^t(U_a) and Q_a = sigma^t(D_a) R U_a.  On the block
-    coordinates z = T c of the basis B of S (``blocks``, in order) num is
-    the block-diagonal C_B of those r_dst r_src maps, so C = T^{-1} C_B
-    sigma^t(T)."""
+    coordinates z = T c of the basis B of S (T from ``_block_rows``, its
+    rows in the order of ``blocks``) num is the block-diagonal C_B of
+    those r_dst r_src maps, so C = T^{-1} C_B sigma^t(T)."""
     ctx = num.ctx
     R = ring(ctx)
     t = num.twist
@@ -515,27 +480,36 @@ def _block_restricted(num, bases, blocks, T, tinv) -> SemilinearMap:
     return SemilinearMap(ctx, R.mul_mat(tinv, mid), twist=t, loss=num.loss)
 
 
-def _block_rows(S: Lattice, slope_data: SlopeData, blocks):
-    """{(src, dst): the rows of D_dst x U_src on the basis of S}, or None
-    when the module does not split integrally or they do not make an
-    invertible d x d matrix over W."""
+def _block_rows(S: Lattice, bases, blocks):
+    """(T, T^{-1}): T stacks, block by block in the order of
+    ``blocks``, the rows of D_dst x U_src on the basis B of S, so that its
+    column c holds the block coordinates of the basis vector c.
+
+    S must be the sum of the blocks: T square, and every basis vector the
+    sum of its block components U_dst X D_src, or InclusionViolated.  Then
+    B = W T with B of unit pivots, so T is invertible modulo p, hence
+    over W."""
     ctx = S.ctx
     R = ring(ctx)
-    bases = _component_bases(slope_data)
-    if bases is None:
-        return None
-    out = {}
+    T = []
     for (src, dst) in blocks:
         U, D = bases[src][0], bases[dst][1]
         # row (a, b) of the transposed map x -> D x U holds D[i][a] U[b][j]
         # at (i, j), so one product reads the block of every basis vector
         reader = sandwich_map(ctx, list(zip(*D)), list(zip(*U))).rows
-        out[(src, dst)] = [list(row) for row in zip(*R.mul_mat(S.ech,
-                                                                reader))]
-    rows = [row for brows in out.values() for row in brows]
-    if len(rows) != S.rank or any(smith_valuations(ctx, rows)):
-        return None
-    return out
+        T += [list(row) for row in zip(*R.mul_mat(S.ech, reader))]
+    # row (i, j) of W holds U_dst[i][a] D_src[b][j] at (a, b) of each
+    # block, so column c of W T is the sum of the block components of the
+    # basis vector c
+    factors = [(bases[dst][0], list(zip(*bases[src][1])))
+               for (src, dst) in blocks]
+    r = len(next(iter(bases.values()))[0])
+    W = [[R.mul(u, v) for U, Dc in factors for u in U[i] for v in Dc[j]]
+         for i in range(r) for j in range(r)]
+    if len(T) != S.rank or list(zip(*R.mul_mat(W, T))) != list(S.ech):
+        raise InclusionViolated(
+            "lattice is not the sum of its Hom blocks")
+    return T, invert_matrix(ctx, T)[0]
 
 
 def _membership_refine(E: Lattice, num_map, shift: int, rounds: int
@@ -713,24 +687,27 @@ class AxiomReport:
         }
 
 
-def _nonzero_product(ctx, r, vecs):
-    """The first pair (a, b) of flattened raw r x r matrices whose product
-    vecs[a] vecs[b] is non-zero, or None when every product vanishes.
+def _nonzero_product(ctx, r, vecs, loss):
+    """The first pair (a, b) of flattened raw r x r matrices, trusted
+    modulo p^(N - loss), whose product vecs[a] vecs[b] is non-zero modulo
+    p^(N - loss), or None when every product vanishes there.
 
     Every product vanishes exactly when each matrix kills the span K of
     all the columns of all of them, which one echelon gives (at most r
     columns), so that test costs one product per matrix; the pair loop
     runs only when it fails, to name the first pair."""
     R = ring(ctx)
+    neff = ctx.N - loss
     mats = [vec_to_mat(v, r) for v in vecs]
-    K = Lattice.from_columns(ctx, r, [col for m in mats for col in zip(*m)])
+    K = Lattice.from_columns(ctx, r, [col for m in mats for col in zip(*m)],
+                             loss=loss)
     k_rows = list(zip(*K.ech))
-    if all(x == R.zero for m in mats
-           for row in R.mul_mat(m, k_rows) for x in row):
+    if all(R.vanishes(row, neff) for m in mats
+           for row in R.mul_mat(m, k_rows)):
         return None
     for a, ma in enumerate(mats):
         for b, mb in enumerate(mats):
-            if any(x != R.zero for row in R.mul_mat(ma, mb) for x in row):
+            if not all(R.vanishes(row, neff) for row in R.mul_mat(ma, mb)):
                 return a, b
     return None
 
@@ -755,7 +732,8 @@ def check_axioms(E: Lattice, crystal: FIsocrystal, V_minus: Lattice,
             f"largest Dieudonne sublattice has rank {recomputed.rank}, "
             f"E has rank {E.rank}")
     # (ii)
-    witness = _nonzero_product(crystal.ctx, crystal.rank, E.cols)
+    witness = _nonzero_product(crystal.ctx, crystal.rank, E.cols,
+                               E.loss)
     report.axiom_ii = witness is None
     if witness is not None:
         a, b = witness

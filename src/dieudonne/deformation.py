@@ -118,7 +118,7 @@ def solve_connection(crystal: FIsocrystal, E: Lattice, B: DeformationBasis,
     R = ring(ctx)
     n = B.n
     basis = [list(c) for c in E.ech]
-    witness = _nonzero_product(ctx, crystal.rank, basis)
+    witness = _nonzero_product(ctx, crystal.rank, basis, E.loss)
     if witness is not None:
         ia, ib = witness
         raise HypothesisViolated(
@@ -416,7 +416,8 @@ def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
     except InclusionViolated:
         raise HypothesisViolated(
             "E is not stable under the inverse Frobenius")
-    square_zero = _nonzero_product(big, crystal.rank, bE.ech) is None
+    square_zero = _nonzero_product(big, crystal.rank, bE.ech,
+                                   bE.loss) is None
     return {
         "big": big, "dval": dval, "bE": bE, "bvecs": B.vectors,
         "abig": bX.phi.rows, "ainv": ainv_big, "Cmap": cmap,

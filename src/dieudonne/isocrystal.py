@@ -317,7 +317,7 @@ class FIsocrystal:
     inverting p: phi = p^{-denominator} A sigma.
 
     ``_derived`` caches data computed from A, filled on first use by
-    ``inverse_numerator``, ``end_frobenius``,
+    ``inverse_numerator``, ``newton_slopes``, ``end_frobenius``,
     ``core._backward_numerator`` and ``core.TangentSpace.of``.  A
     crystal is never mutated (phi is set only here; ``at_precision``
     builds a new crystal), so the cache cannot go stale.
@@ -390,8 +390,10 @@ def newton_slopes(crystal: FIsocrystal):
 
     Polygon heights grow like rank times slope, so when the working
     precision cannot resolve the hull the computation retries at a
-    boosted precision on the defining matrix.
+    boosted precision on the defining matrix.  Computed once per crystal.
     """
+    if "slopes" in crystal._derived:
+        return crystal._derived["slopes"]
     ctx = crystal.ctx
     n = ctx.n
     d = crystal.phi.denominator
@@ -401,7 +403,9 @@ def newton_slopes(crystal: FIsocrystal):
         F = charpoly(work.ctx, lam.rows)
         try:
             np_ = newton_polygon(work.ctx, F, loss=crystal.phi.loss)
-            return [(Fraction(v, n) - d, m) for (v, m) in np_]
+            slopes = [(Fraction(v, n) - d, m) for (v, m) in np_]
+            crystal._derived["slopes"] = slopes
+            return slopes
         except PrecisionExhausted:
             if attempt == 2:
                 raise
@@ -677,10 +681,9 @@ def end_frobenius(crystal: FIsocrystal) -> SemilinearMap:
 
 class EndDecomposition:
     """The integral lattices V_plus, V_minus of the positive and negative
-    Hom-block sums of End(M).  On a module that splits integrally they are
-    spanned by the block bases U_dst[:, i] D_src[j, :] of the components
-    (``signed_block_lattices``), and only a module that does not split
-    builds the r^2 x r^2 block projectors.  ``_derived`` caches what is
+    Hom-block sums of End(M) over all slope pairs, built by
+    ``signed_block_lattices`` like those of every other pair set
+    (``signs.sign_modules``).  ``_derived`` caches what is
     computed from them on first use: ``o_minus()`` under ``"o_minus"``,
     each sign's ``carrier()`` under ``"carrier_plus"``/``"carrier_minus"``,
     and each pair set's ``signs.sign_modules`` under the set's ``pairs``
@@ -698,7 +701,8 @@ class EndDecomposition:
     def carrier(self, sign):
         """The ``core.Carrier`` of V_plus (sign "plus") or V_minus
         ("minus"): every signed lattice of every pair set lies in one of
-        them, so their closures run in its block coordinates."""
+        them, so their closures run in its block coordinates when the
+        module splits integrally, and on End(M) when it does not."""
         key = f"carrier_{sign}"
         if key not in self._derived:
             from .core import Carrier
@@ -710,17 +714,6 @@ class EndDecomposition:
                 getattr(self, f"V_{sign}"), self.crystal, self.slope_data,
                 pairs)
         return self._derived[key]
-
-    def block_lattices(self, pairs):
-        """(V_plus, V_minus) of a set of increasing slope pairs: cut out
-        of the carriers in block coordinates when both have exact block
-        rows, else ``signed_block_lattices`` (which builds the r^2 x r^2
-        block projectors only for a module that does not split)."""
-        plus, minus = self.carrier("plus"), self.carrier("minus")
-        if plus.blocks is None or minus.blocks is None:
-            return signed_block_lattices(self.crystal, self.slope_data,
-                                         pairs)
-        return plus.cut(pairs), minus.cut([(b, a) for (a, b) in pairs])
 
     def o_minus(self):
         """The largest negative stable lattice inside V_minus; computed
@@ -812,9 +805,11 @@ def _projector_image(crystal, terms, bases):
 def signed_block_lattices(crystal, slope_data, pairs):
     """(V_plus, V_minus): the integral parts of the Hom-block sums over
     the increasing slope pairs (a, b) and over their reverses (b, a),
-    each the image of its ``block_projector``: from the block bases of
-    the components when the module splits integrally, from the
-    r^2 x r^2 projector otherwise (see ``_projector_image``)."""
+    each the image of its ``block_projector``.  On a module that splits
+    integrally they are spanned by the block bases U_dst[:, i] D_src[j, :]
+    of the components and have loss 0; otherwise they are the fixed
+    lattices of the r^2 x r^2 projectors and carry the loss of the
+    projectors' denominators (see ``_projector_image``)."""
     bases = _component_bases(slope_data)
     return tuple(
         _projector_image(crystal,

@@ -11,7 +11,8 @@ Every signed lattice of every pair set lies in the full V_plus or V_minus
 of the decomposition, so its closures and codimension run in the block
 coordinates of that side's ``core.Carrier`` (rank d = sum of r_a r_b
 over the pairs instead of r^2), whose restricted numerators are
-certified once per decomposition.
+certified once per decomposition; on a module that does not split
+integrally the carriers are End(M) itself.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from fractions import Fraction
 from .core import (codim_of_dieudonne, largest_sub_dieudonne, nu_image,
                    smallest_super_dieudonne, _nonzero_product)
 from .errors import DualityMismatch, PrecisionExhausted, VerificationMismatch
-from .isocrystal import EndDecomposition, FIsocrystal, SlopeData
+from .isocrystal import (EndDecomposition, FIsocrystal, SlopeData,
+                         signed_block_lattices)
 from .lattices import Lattice, intersect, kernel_span, smith_valuations
 from .matrix import ring
 
@@ -195,7 +197,7 @@ def _sign_modules(crystal, decomp, Y):
     if full:
         Vp, Vm = decomp.V_plus, decomp.V_minus
     else:
-        Vp, Vm = decomp.block_lattices(Y.pairs)
+        Vp, Vm = signed_block_lattices(crystal, decomp.slope_data, Y.pairs)
     Vpm = dual_lattice(Vm, Vp)
     Vmp = dual_lattice(Vp, Vm)
     if not Vpm.contains(Vp):
@@ -334,7 +336,7 @@ def slice_report(crystal: FIsocrystal, slope_data: SlopeData,
     report["tangent_dimension"] = nu_image(Om, tangent)[0] if Om.rank else 0
     if Y.is_square_zero and Om.rank:
         report["square_vanishes"] = _nonzero_product(
-            crystal.ctx, crystal.rank, Om.cols) is None
+            crystal.ctx, crystal.rank, Om.cols, Om.loss) is None
     return report, mods
 
 

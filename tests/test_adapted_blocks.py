@@ -9,7 +9,7 @@ functions below are the former bodies, kept verbatim: the projector built
 as a sum of r^2 x r^2 sandwiches and its fixed lattice, and the
 restriction by one solve per echelon column.  The instances are the seven
 corpus entries, the eight seeded conjugated draws and the sigma-twisted
-n = 2 instance of ``test_carriers``; the module that does not split keeps
+n = 2 instance of ``test_carriers``; a module that does not split keeps
 the projector path.
 """
 
@@ -22,12 +22,12 @@ from dieudonne.errors import InclusionViolated
 from dieudonne.isocrystal import (_component_bases, _projector_fixed_lattice,
                                   block_projector, sandwich_map,
                                   signed_block_lattices)
-from dieudonne.lattices import Lattice, SemilinearMap, invert_matrix
+from dieudonne.lattices import Lattice, SemilinearMap
 from dieudonne.matrix import ring
 from dieudonne.problems import Session
 
 from test_carriers import (CORPUS, conjugated_draws, decomposition,
-                           non_split_instance, sigma_twisted_instance)
+                           not_dieudonne_instance, sigma_twisted_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +128,7 @@ def test_block_maps_equal_the_restricted_numerators(split_decompositions):
         numerators = _conjugation_numerators(D.crystal)
         for sign in ("plus", "minus"):
             C = D.carrier(sign)
-            assert C.lattice is getattr(D, f"V_{sign}")
-            assert C.blocks is not None, (name, sign)
+            assert C.lattice is getattr(D, f"V_{sign}"), (name, sign)
             for num, got in zip(numerators, (C.fwd, C.bwd)):
                 want = _restricted_reference(C.lattice, num)
                 assert (got.rows, got.twist, got.denominator, got.loss) == \
@@ -148,17 +147,16 @@ def test_block_maps_certify_component_stability():
     mixed = [[R.one] * r for _ in range(r)]
     bad = isocrystal.Sandwich(X.ctx, mixed, fwd.right, twist=fwd.twist,
                               denominator=vdet)
-    rows = core._block_rows(D.V_plus, sd, full_pairs(sd))
-    T = [row for brows in rows.values() for row in brows]
-    tinv, _ = invert_matrix(X.ctx, T)
+    bases, pairs = _component_bases(sd), full_pairs(sd)
+    T, tinv = core._block_rows(D.V_plus, bases, pairs)
     with pytest.raises(InclusionViolated):
-        core._block_restricted(bad, _component_bases(sd), rows, T, tinv)
+        core._block_restricted(bad, bases, pairs, T, tinv)
     with pytest.raises(InclusionViolated):
         _restricted_reference(D.V_plus, bad)
 
 
 def test_non_split_module_takes_the_projector_path(monkeypatch):
-    X = non_split_instance()
+    X = not_dieudonne_instance()
     D = decomposition(X)
     sd = D.slope_data
     assert not sd.is_split and _component_bases(sd) is None

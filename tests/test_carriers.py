@@ -4,13 +4,11 @@ bodies they replace.
 The closures, their stability certificates and the codimension now run on
 the coordinate lattices of a ``core.Carrier`` (the saturated V_plus or
 V_minus of the decomposition, with the conjugation numerators restricted
-to its echelon basis), and the block lattices of proper pair sets are cut
-out of the carriers.  The ``*_reference`` functions below are the former
-ambient bodies, kept verbatim; the reference for the cut of a proper
-pair set is the library's ``signed_block_lattices``, which
-``test_adapted_blocks`` checks against the r^2 x r^2 projector.  Every
-result must agree with them in ambient rank, rank, scale, loss and
-canonical columns, and every failure in its exception type and message.
+to its echelon basis; End(M) itself on a module that does not split
+integrally).  The ``*_reference`` functions below are the former ambient
+bodies, kept verbatim.  Every result must agree with them in ambient
+rank, rank, scale, loss and canonical columns, and every failure in its
+exception type and message.
 
 Instances: all seven corpus entries at every non-empty pair set, the first
 eight seeded ``conjugated_instance`` draws of ``test_dense_conjugated_
@@ -18,8 +16,9 @@ pipeline`` (the third has an echelon order that differs from the
 canonical one), the sigma-twisted n = 2 instance of
 ``test_sigma_twisted_conjugation_invariance``, two isocrystals whose
 slopes are more than 1 apart at low precision, where the closures raise
-``HypothesisViolated`` and ``PrecisionExhausted``, and a module that does
-not split integrally (its block lattices carry a loss).
+``HypothesisViolated`` and ``PrecisionExhausted``, and an F-crystal that
+does not split integrally and is not a Dieudonne module (its block
+lattices carry a loss).
 """
 
 import random
@@ -35,8 +34,9 @@ from dieudonne.core import (Carrier, _block_rows, _conjugation_numerators,
                             smallest_super_dieudonne)
 from dieudonne.errors import (HypothesisViolated, InclusionViolated,
                               NonConvergence, PrecisionExhausted)
-from dieudonne.isocrystal import (FIsocrystal, end_decompose,
-                                  signed_block_lattices, slope_split)
+from dieudonne.isocrystal import (FIsocrystal, _component_bases,
+                                  end_decompose, signed_block_lattices,
+                                  slope_split)
 from dieudonne.lattices import (Lattice, SemilinearMap, invert_matrix_exact,
                                 kernel_span, mod_p_dimension)
 from dieudonne.matrix import ring
@@ -44,6 +44,7 @@ from dieudonne.problems import Session
 from dieudonne.signs import SlopePairSet, dual_lattice, sign_modules
 from dieudonne.witt import make_context
 
+from instances import non_split_rank6
 from test_robustness import conjugated_instance
 
 CORPUS = ["ordinary_rank2", "supersingular_rank2", "example_1_7",
@@ -223,13 +224,20 @@ def slope_gap_instance(p, rows):
 
 
 # slopes {0, 1/2, 1} over Z_2 whose components do not sum to M: two slope
-# projectors carry a p-denominator and V_plus, V_minus a loss of 2
-NON_SPLIT = (2, [[2, 0, 1, 3], [3, 2, 1, 3], [0, 3, 1, 3], [0, 1, 2, 2]])
+# projectors carry a p-denominator and V_plus, V_minus a loss of 2.  Not a
+# Dieudonne module: the matrix has Smith form diag(1, 1, 1, 28), and
+# 4 = p^2 divides 28, so p phi does not map End(M) into itself.
+NOT_DIEUDONNE = (2, [[2, 0, 1, 3], [3, 2, 1, 3], [0, 3, 1, 3],
+                     [0, 1, 2, 2]])
 
 
-def non_split_instance():
-    p, rows = NON_SPLIT
+def not_dieudonne_instance():
+    p, rows = NOT_DIEUDONNE
     return FIsocrystal.from_int_matrix(make_context(p, 1, 32), rows)
+
+
+def non_split_rank6_instance():
+    return non_split_rank6(make_context(2, 1, 32))
 
 
 def decomposition(crystal):
@@ -245,7 +253,7 @@ def decompositions():
     out.append(("sigma-twisted", decomposition(sigma_twisted_instance())))
     out += [(f"slope-gap-{p}", decomposition(slope_gap_instance(p, rows)))
             for p, rows in SLOPE_GAPS]
-    out.append(("non-split", decomposition(non_split_instance())))
+    out.append(("not-dieudonne", decomposition(not_dieudonne_instance())))
     return tuple(out)
 
 
@@ -277,12 +285,13 @@ def test_carriers_restrict_the_numerators_exactly(decompositions):
         for sign in ("plus", "minus"):
             C = D.carrier(sign)
             if C.lattice is None:
-                # a lattice with a loss is handled as End(M)
-                assert getattr(D, f"V_{sign}").loss > 0, (name, sign)
-                assert C.blocks is None
+                # a module that does not split, or a lattice with a loss,
+                # is handled as End(M)
+                assert name not in CORPUS, (name, sign)
+                assert (getattr(D, f"V_{sign}").loss > 0
+                        or _component_bases(D.slope_data) is None)
+                assert (C.fwd, C.bwd, C.vdet) == numerators
                 continue
-            if name in CORPUS:
-                assert C.blocks is not None, (name, sign)
             B = [list(b) for b in C.lattice.ech]
             assert C.lattice is getattr(D, f"V_{sign}")
             assert C.vdet == numerators[2]
@@ -296,51 +305,64 @@ def test_carriers_restrict_the_numerators_exactly(decompositions):
 
 
 def test_non_split_decomposition_uses_the_ambient_carrier():
-    D = decomposition(non_split_instance())
-    assert not D.slope_data.is_split
-    for sign in ("plus", "minus"):
-        C = D.carrier(sign)
-        assert C.lattice is None and C.blocks is None
-        assert (C.fwd, C.bwd, C.vdet) == _conjugation_numerators(D.crystal)
-
-
-def test_block_lattices_match_the_block_projectors(decompositions):
-    # the cut in block coordinates against the signed lattices built
-    # directly for the pair set (block bases, or the r^2 x r^2 projector
-    # of a module that does not split)
-    for name, D in decompositions:
+    for instance in (not_dieudonne_instance, non_split_rank6_instance):
+        D = decomposition(instance())
         X, sd = D.crystal, D.slope_data
-        for Y in SlopePairSet.full(sd.slope_list).subsets():
-            if not Y.pairs:
-                continue
-            got = D.block_lattices(Y.pairs)
-            want = signed_block_lattices(X, sd, Y.pairs)
-            for g, w in zip(got, want):
-                assert (g.ambient, g.rank, g.scale, g.loss, g.cols) == \
-                    (w.ambient, w.rank, w.scale, w.loss, w.cols), \
-                    (name, Y.pairs)
+        assert not sd.is_split and _component_bases(sd) is None
+        slopes = sd.slope_list
+        pairs = [(a, b) for a in slopes for b in slopes if b > a]
+        for sign in ("plus", "minus"):
+            C = D.carrier(sign)
+            assert C.lattice is None
+            assert (C.fwd, C.bwd, C.vdet) == _conjugation_numerators(X)
+        # without block factors a lattice of loss 0 is handled as End(M)
+        S = Lattice.from_columns(X.ctx, D.V_plus.ambient, D.V_plus.cols)
+        assert S.loss == 0
+        C = Carrier.of(S, X, sd, pairs)
+        assert C.lattice is None
+        assert (C.fwd, C.bwd, C.vdet) == _conjugation_numerators(X)
 
 
 def test_block_rows_need_an_invertible_block_matrix():
     D = Session(load_corpus("three_slope_rank4")).decomp()
-    sd = D.slope_data
+    X, sd = D.crystal, D.slope_data
+    R = ring(X.ctx)
     slopes = sd.slope_list
     pairs = [(a, b) for a in slopes for b in slopes if b > a]
     S = D.V_plus
-    assert _block_rows(S, sd, pairs) is not None
+    T, tinv = _block_rows(S, _component_bases(sd), pairs)
+    assert len(T) == S.rank
+    assert R.mul_mat(T, tinv) == R.identity(S.rank)
     # a missing block leaves fewer rows than the rank of S
-    assert _block_rows(S, sd, pairs[1:]) is None
-    # projectors scaled by p read every block coordinate times p
-    scaled = SimpleNamespace(
-        crystal=sd.crystal, components=sd.components, _derived={},
-        projectors={a: e.scale_int(sd.crystal.ctx.p)
-                    for a, e in sd.projectors.items()})
-    assert _block_rows(S, scaled, pairs) is None
-    # without block rows the carrier still runs the closures
-    C = Carrier.of(S, D.crystal, scaled, pairs)
-    assert C.blocks is None and C.lattice is S
-    assert largest_sub_dieudonne(S, D.crystal, "positive", carrier=C).cols \
-        == largest_sub_dieudonne_reference(S, D.crystal, "positive").cols
+    with pytest.raises(InclusionViolated):
+        _block_rows(S, _component_bases(sd), pairs[1:])
+    with pytest.raises(InclusionViolated):
+        Carrier.of(S, X, sd, pairs[1:])
+    # a lattice outside the sum of its blocks: each basis vector of one
+    # block plus a vector of another reads an invertible T all the same
+    first, _ = signed_block_lattices(X, sd, pairs[:1])
+    other, _ = signed_block_lattices(X, sd, pairs[1:2])
+    graph = Lattice.from_columns(X.ctx, S.ambient, [
+        [R.add(x, y) for x, y in zip(col, other.cols[0])]
+        for col in first.cols])
+    T, _ = _block_rows(first, _component_bases(sd), pairs[:1])
+    assert graph.rank == len(T)
+    with pytest.raises(InclusionViolated):
+        _block_rows(graph, _component_bases(sd), pairs[:1])
+    with pytest.raises(InclusionViolated):
+        Carrier.of(graph, X, sd, pairs[:1])
+    # projectors scaled by p (or 0) read every block coordinate times p
+    # (or 0): T would have determinant valuation > 0 (or be singular), and
+    # the block components no longer sum to the basis vectors
+    for k in (X.ctx.p, 0):
+        scaled = SimpleNamespace(
+            crystal=X, components=sd.components, _derived={},
+            projectors={a: e.scale_int(k)
+                        for a, e in sd.projectors.items()})
+        with pytest.raises(InclusionViolated):
+            _block_rows(S, _component_bases(scaled), pairs)
+        with pytest.raises(InclusionViolated):
+            Carrier.of(S, X, scaled, pairs)
 
 
 def test_ambient_carrier_is_the_identity():

@@ -20,7 +20,7 @@ from dieudonne.matrix import ring
 
 from instances import (
     A_EXP, B_EXP, LAMBDA_SET, PERM3, hom_block_vector, ordinary_rank2,
-    rank6_f1_indices, rank6_two_slope, supersingular_rank2,
+    non_split_rank6, rank6_f1_indices, rank6_two_slope, supersingular_rank2,
     three_slope_rank4,
 )
 
@@ -481,32 +481,64 @@ def _block_vecs(ctx, rng, r, m, lower=False):
 
 @pytest.mark.parametrize("p, n, N", [(2, 1, 12), (5, 1, 9), (3, 3, 10)])
 def test_nonzero_product_matches_reference(p, n, N):
+    # matrices trusted modulo p^(N - loss) against the former body at
+    # precision N - loss
     ctx = make_context(p, n, N)
     R = ring(ctx)
     rng = random.Random(97 * p + n)
     outcomes = set()
-    for r in (2, 4):
-        for m in (0, 1, 3):
-            for lower in (False, True):
-                vecs = _block_vecs(ctx, rng, r, m, lower)
-                want = _nonzero_product_reference(ctx, r, vecs)
-                assert _nonzero_product(ctx, r, vecs) == want
-                outcomes.add(want is None)
-        # products that vanish only modulo p^N: p^a E_12 and p^b E_21
-        for a, b in ((1, N - 1), (2, N), (1, N - 2)):
-            x = [R.zero] * (r * r)
-            y = [R.zero] * (r * r)
-            x[1] = R.of_int(p ** a)
-            y[r] = R.of_int(p ** b)
-            for vecs in ([x, y], [y, x], [x, x, y]):
-                assert _nonzero_product(ctx, r, vecs) == \
-                    _nonzero_product_reference(ctx, r, vecs)
-        # random dense matrices, also behind matrices that kill K alone
-        for _ in range(3):
-            vecs = [R.raw_col([ctx.scalar([rng.randrange(p ** N)
-                                           for _ in range(n)])
-                               for _ in range(r * r)]) for _ in range(3)]
-            for lead in ([], [[R.zero] * (r * r)], [x]):
-                assert _nonzero_product(ctx, r, lead + vecs) == \
-                    _nonzero_product_reference(ctx, r, lead + vecs)
+    for loss in (0, 1, 2):
+        low = ctx.with_precision(N - loss)
+        for r in (2, 4):
+            for m in (0, 1, 3):
+                for lower in (False, True):
+                    vecs = _block_vecs(ctx, rng, r, m, lower)
+                    want = _nonzero_product_reference(low, r, vecs)
+                    assert _nonzero_product(ctx, r, vecs, loss) == want
+                    outcomes.add(want is None)
+            # products that vanish only modulo p^N: p^a E_12 and p^b E_21
+            for a, b in ((1, N - 1), (2, N), (1, N - 2)):
+                x = [R.zero] * (r * r)
+                y = [R.zero] * (r * r)
+                x[1] = R.of_int(p ** a)
+                y[r] = R.of_int(p ** b)
+                # z^2 vanishes modulo p^(N - loss), and for loss 2 not
+                # modulo p^N, ahead of the pairs that do not vanish
+                z = [R.zero] * (r * r)
+                z[-1] = R.of_int(p ** ((N - loss + 1) // 2))
+                for vecs in ([x, y], [y, x], [x, x, y], [z, x, y]):
+                    assert _nonzero_product(ctx, r, vecs, loss) == \
+                        _nonzero_product_reference(low, r, vecs)
+                assert _nonzero_product(ctx, r, [x, y], loss) == \
+                    ((0, 1) if a + b < N - loss else None)
+            # random dense matrices, also behind matrices that kill K alone
+            for _ in range(3):
+                vecs = [R.raw_col([ctx.scalar([rng.randrange(p ** N)
+                                               for _ in range(n)])
+                                   for _ in range(r * r)]) for _ in range(3)]
+                for lead in ([], [[R.zero] * (r * r)], [x]):
+                    assert _nonzero_product(ctx, r, lead + vecs, loss) == \
+                        _nonzero_product_reference(low, r, lead + vecs)
     assert outcomes == {False, True}
+
+
+def test_square_zero_gate_honours_the_loss():
+    # on a module that does not split, E = O_minus of a square-zero pair
+    # set carries a loss, and E.E vanishes modulo p^(N - loss) only
+    from dieudonne.problems import Session, parse_dict, run
+    X = non_split_rank6(make_context(2, 1, 32))
+    doc = {"name": "non_split_rank6", "p": 2, "n": 1, "precision": 32,
+           "degree": 9, "rank": 6,
+           "phi_matrix": [list(row) for row in X.phi.rows],
+           "slope_pairs": [["0", "1/3"], ["0", "1/2"]]}
+    report = run(parse_dict(doc), ["axioms", "slices", "connection"])
+    found = report["analyses"]
+    assert found["axioms"]["axiom_ii"] is True
+    assert "axiom_ii" not in found["axioms"]["witnesses"]
+    assert found["slices"]["square_vanishes"] is True
+    assert found["slices"]["ok"]
+    assert found["connection"]["ok"]
+    E = Session(parse_dict(doc)).lattice_e()
+    assert E.loss > 0
+    assert _nonzero_product(X.ctx, 6, E.cols, 0) is not None
+    assert _nonzero_product(X.ctx, 6, E.cols, E.loss) is None

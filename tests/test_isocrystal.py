@@ -243,3 +243,27 @@ def test_end_slopes_pairwise_differences_rank6():
         for (b, rb) in S.slopes:
             want[b - a] = want.get(b - a, 0) + ra * rb
     assert got == want
+
+
+def test_slopes_are_computed_once_per_crystal(monkeypatch):
+    # report-all reads the slopes in `slopes`, `slope_split` and
+    # `trivialize`: one charpoly for the slopes, one for the split
+    from dieudonne import isocrystal, problems
+    from dieudonne.cli import load_corpus
+    calls = []
+    real = isocrystal.charpoly
+
+    def counted(ctx, rows):
+        calls.append(len(rows))
+        return real(ctx, rows)
+
+    monkeypatch.setattr(isocrystal, "charpoly", counted)
+    report = problems.run(load_corpus("four_slope_rank8"),
+                          problems.ANALYSES, 0)
+    assert report["all_ok"]
+    assert calls == [8, 8]
+    # a boosted copy of the crystal computes its own
+    X = ordinary_rank2(make_context(2, 1, 20))
+    assert newton_slopes(X) is newton_slopes(X)
+    assert newton_slopes(X.at_precision(30)) == newton_slopes(X)
+    assert len(calls) == 4
