@@ -407,8 +407,11 @@ def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
     delta = E.index_valuation()
     bX = crystal.at_precision(ctx.N + delta + 2 * dval + 8)
     big = bX.ctx
-    # raw entries are integer representatives, valid at the boost too
-    bE = Lattice.from_columns(big, E.ambient, E.cols, scale=E.scale)
+    # raw entries are integer representatives, valid at the boost too; a
+    # basis known modulo p^(N - loss) knows no more digits at the boost
+    loss = E.loss + big.N - ctx.N if E.loss else 0
+    bE = Lattice.from_columns(big, E.ambient, E.cols, scale=E.scale,
+                              loss=loss)
     ainv_big, _ = bX.inverse_numerator()
     # x -> phi^{-1} x phi on the echelon basis of E
     try:

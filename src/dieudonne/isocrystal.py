@@ -682,11 +682,11 @@ def end_frobenius(crystal: FIsocrystal) -> SemilinearMap:
 class EndDecomposition:
     """The integral lattices V_plus, V_minus of the positive and negative
     Hom-block sums of End(M) over all slope pairs, built by
-    ``signed_block_lattices`` like those of every other pair set
-    (``signs.sign_modules``).  ``_derived`` caches what is
-    computed from them on first use: ``o_minus()`` under ``"o_minus"``,
-    each sign's ``carrier()`` under ``"carrier_plus"``/``"carrier_minus"``,
-    and each pair set's ``signs.sign_modules`` under the set's ``pairs``
+    ``signed_block_lattices`` like those of every other pair set.
+    ``_derived`` caches what is computed from them on first use:
+    ``o_minus()`` under ``"o_minus"``, ``c_minus()`` under ``"c_minus"``,
+    each ``carrier(sign, pairs)`` under ``("carrier", sign, pairs)`` and
+    each pair set's ``signs.sign_modules`` under the set's ``pairs``
     tuple."""
 
     __slots__ = ("crystal", "slope_data", "V_plus", "V_minus", "_derived")
@@ -698,21 +698,41 @@ class EndDecomposition:
         self.V_minus = V_minus
         self._derived = {}
 
-    def carrier(self, sign):
-        """The ``core.Carrier`` of V_plus (sign "plus") or V_minus
-        ("minus"): every signed lattice of every pair set lies in one of
-        them, so their closures run in its block coordinates when the
-        module splits integrally, and on End(M) when it does not."""
-        key = f"carrier_{sign}"
+    @property
+    def pairs(self):
+        """Every increasing slope pair (a, b), in sorted order."""
+        slopes = self.slope_data.slope_list
+        return tuple((a, b) for a in slopes for b in slopes if b > a)
+
+    @property
+    def splits(self):
+        """True when the module splits integrally: then the signed
+        lattice of any pair set is the sum of those of its pairs, each
+        with a block carrier of its own."""
+        return _component_bases(self.slope_data) is not None
+
+    def carrier(self, sign, pairs=None):
+        """The ``core.Carrier`` of the sign's ("plus" or "minus") block
+        lattice of the increasing slope pairs ``pairs``: by default all of
+        them, whose lattices are V_plus and V_minus.  On a module that
+        splits integrally it holds that lattice, of rank the sum of
+        r_a r_b over the pairs, in block coordinates; on one that does not
+        it is End(M) itself.  Built once per sign and pair set; the two
+        signs of a smaller pair set share one ``signed_block_lattices``
+        call."""
+        pairs = self.pairs if pairs is None else tuple(sorted(pairs))
+        key = ("carrier", sign, pairs)
         if key not in self._derived:
             from .core import Carrier
-            slopes = self.slope_data.slope_list
-            pairs = [(a, b) for a in slopes for b in slopes if b > a]
-            if sign == "minus":
-                pairs = [(b, a) for (a, b) in pairs]
-            self._derived[key] = Carrier.of(
-                getattr(self, f"V_{sign}"), self.crystal, self.slope_data,
-                pairs)
+            if pairs == self.pairs:
+                lattices = {sign: getattr(self, f"V_{sign}")}
+            else:
+                lattices = dict(zip(("plus", "minus"), signed_block_lattices(
+                    self.crystal, self.slope_data, pairs)))
+            for s, S in lattices.items():
+                blocks = pairs if s == "plus" else [(b, a) for (a, b) in pairs]
+                self._derived[("carrier", s, pairs)] = Carrier.of(
+                    S, self.crystal, self.slope_data, blocks)
         return self._derived[key]
 
     def o_minus(self):
@@ -724,6 +744,17 @@ class EndDecomposition:
                 self.V_minus, self.crystal, mode="negative",
                 carrier=self.carrier("minus"))
         return self._derived["o_minus"]
+
+    def c_minus(self):
+        """The codimension of ``o_minus()`` (0 when it is zero); computed
+        once per decomposition."""
+        if "c_minus" not in self._derived:
+            from .core import codim_of_dieudonne
+            O = self.o_minus()
+            self._derived["c_minus"] = codim_of_dieudonne(
+                O, self.crystal, carrier=self.carrier("minus")) \
+                if O.rank else 0
+        return self._derived["c_minus"]
 
 
 def _component_bases(slope_data):

@@ -367,13 +367,16 @@ def _unify_scales(l1: Lattice, l2: Lattice):
     return s, l1._scaled_cols(s - l1.scale), l2._scaled_cols(s - l2.scale)
 
 
-def lattice_sum(l1: Lattice, l2: Lattice) -> Lattice:
-    if l1.ambient != l2.ambient:
+def lattice_sum(*lattices: Lattice) -> Lattice:
+    """The sum of one or more lattices of one ambient, presented at their
+    largest scale and loss."""
+    first = lattices[0]
+    if any(L.ambient != first.ambient for L in lattices):
         raise ValueError("ambient ranks differ")
-    s, c1, c2 = _unify_scales(l1, l2)
-    loss = max(l1.loss, l2.loss)
-    return Lattice.from_columns(l1.ctx, l1.ambient, c1 + c2, scale=s,
-                                loss=loss).folded()
+    s = max(L.scale for L in lattices)
+    cols = [c for L in lattices for c in L._scaled_cols(s - L.scale)]
+    return Lattice.from_columns(first.ctx, first.ambient, cols, scale=s,
+                                loss=max(L.loss for L in lattices)).folded()
 
 
 def intersect(l1: Lattice, l2: Lattice) -> Lattice:

@@ -15,9 +15,8 @@ import re
 from fractions import Fraction
 
 from . import __version__
-from .core import (TangentSpace, check_axioms, codim_of_dieudonne,
-                   hodge_splitting, hodge_splitting_from_kernel, lie_element,
-                   nu_image)
+from .core import (TangentSpace, check_axioms, hodge_splitting,
+                   hodge_splitting_from_kernel, lie_element, nu_image)
 from .deformation import (DeformationBasis, correction_factor,
                           kodaira_spencer_image, prepare_trivializer,
                           select_deformation_basis, solve_connection,
@@ -408,7 +407,6 @@ def run_decompose(sess: Session) -> dict:
 
 
 def run_ominus(sess: Session) -> dict:
-    X = sess.crystal()
     O = sess.o_minus()
     T = sess.tangent()
     dim = nu_image(O, T)[0] if O.rank else 0
@@ -419,8 +417,7 @@ def run_ominus(sess: Session) -> dict:
         "ok": True,
     }
     if O.rank:
-        out["codimension"] = codim_of_dieudonne(
-            O, X, carrier=sess.decomp().carrier("minus"))
+        out["codimension"] = sess.decomp().c_minus()
         out["ok"] = (out["codimension"] == dim)
     Elat = sess.lattice_e()
     if sess.spec.lattice_e is not None:

@@ -7,12 +7,15 @@ sub-Dieudonne and smallest super-Dieudonne refinements, trace duals (with
 the dual/iterative cross-check), the per-pair codimension table, and the
 string/slice combinatorics of slope-pair subsets.
 
-Every signed lattice of every pair set lies in the full V_plus or V_minus
-of the decomposition, so its closures and codimension run in the block
-coordinates of that side's ``core.Carrier`` (rank d = sum of r_a r_b
-over the pairs instead of r^2), whose restricted numerators are
-certified once per decomposition; on a module that does not split
-integrally the carriers are End(M) itself.
+On a module that splits integrally both conjugation numerators preserve
+each Hom(W_a, W_b), so every one of these lattices is the sum of those of
+the pairs of Y, and c_minus(Y) the sum of theirs.  Each pair is computed
+once per decomposition, with all its cross-checks, in the block
+coordinates of its own two ``core.Carrier`` objects (one per sign, of
+rank r_a r_b instead of r^2), and every larger pair set is assembled as a
+sum.  The full set is certified against the decomposition's direct
+closure of V_minus and its codimension.  On a module that does not split,
+each pair set is computed directly, with End(M) itself as the carrier.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .core import (codim_of_dieudonne, largest_sub_dieudonne, nu_image,
 from .errors import DualityMismatch, PrecisionExhausted, VerificationMismatch
 from .isocrystal import (EndDecomposition, FIsocrystal, SlopeData,
                          signed_block_lattices)
-from .lattices import Lattice, intersect, kernel_span, smith_valuations
+from .lattices import (Lattice, intersect, kernel_span, lattice_sum,
+                       smith_valuations)
 from .matrix import ring
 
 
@@ -162,13 +166,15 @@ def dual_lattice(L: Lattice, reference: Lattice) -> Lattice:
     return out.folded()
 
 
-class SignModuleSet:
-    """The four signed stable lattices for a pair set, with their
-    codimension data."""
+SIGNED_LATTICES = ("V_plus", "V_minus", "V_plus_minus", "V_minus_plus",
+                   "O_plus", "O_minus", "O_plus_minus", "O_minus_plus")
 
-    __slots__ = ("Y", "V_plus", "V_minus", "V_plus_minus", "V_minus_plus",
-                 "O_plus", "O_minus", "O_plus_minus", "O_minus_plus",
-                 "codims")
+
+class SignModuleSet:
+    """The four signed stable lattices for a pair set, the block lattices
+    and trace duals they refine, and their codimension data."""
+
+    __slots__ = ("Y",) + SIGNED_LATTICES + ("codims",)
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -192,21 +198,25 @@ def _sign_modules(crystal, decomp, Y):
         return SignModuleSet(Y=Y, V_plus=z, V_minus=z, V_plus_minus=z,
                              V_minus_plus=z, O_plus=z, O_minus=z,
                              O_plus_minus=z, O_minus_plus=z, codims={})
+    if decomp.splits and len(Y.pairs) > 1:
+        return _assembled(crystal, decomp, Y)
     # the full pair set's block lattices and O_minus are the decomposition's
-    full = Y.pairs == SlopePairSet.full(decomp.slope_data.slope_list).pairs
-    if full:
-        Vp, Vm = decomp.V_plus, decomp.V_minus
+    full = Y.pairs == decomp.pairs
+    if decomp.splits:
+        # a single pair, in the block coordinates of its own carriers
+        plus, minus = (decomp.carrier(sign, Y.pairs)
+                       for sign in ("plus", "minus"))
+        Vp, Vm = plus.lattice, minus.lattice
     else:
-        Vp, Vm = signed_block_lattices(crystal, decomp.slope_data, Y.pairs)
+        plus, minus = decomp.carrier("plus"), decomp.carrier("minus")
+        Vp, Vm = (decomp.V_plus, decomp.V_minus) if full else \
+            signed_block_lattices(crystal, decomp.slope_data, Y.pairs)
     Vpm = dual_lattice(Vm, Vp)
     Vmp = dual_lattice(Vp, Vm)
     if not Vpm.contains(Vp):
         raise DualityMismatch("V_plus is not inside the dual of V_minus")
     if not Vmp.contains(Vm):
         raise DualityMismatch("V_minus is not inside the dual of V_plus")
-    # every signed lattice lies in the full V_plus or V_minus: the
-    # closures run in the block coordinates of their carriers
-    plus, minus = decomp.carrier("plus"), decomp.carrier("minus")
     Op = largest_sub_dieudonne(Vp, crystal, mode="positive", carrier=plus)
     Om = decomp.o_minus() if full else largest_sub_dieudonne(
         Vm, crystal, mode="negative", carrier=minus)
@@ -235,12 +245,36 @@ def _sign_modules(crystal, decomp, Y):
         raise DualityMismatch("O_plus not inside O_plus_minus")
     if not Omp_iter.contains(Om):
         raise DualityMismatch("O_minus not inside O_minus_plus")
-    codims = {"c_minus": codim_of_dieudonne(Om, crystal, carrier=minus)
-              if Om.rank else 0}
+    c_minus = decomp.c_minus() if full else (
+        codim_of_dieudonne(Om, crystal, carrier=minus) if Om.rank else 0)
     return SignModuleSet(Y=Y, V_plus=Vp, V_minus=Vm, V_plus_minus=Vpm,
                          V_minus_plus=Vmp, O_plus=Op, O_minus=Om,
                          O_plus_minus=Opm_iter, O_minus_plus=Omp_iter,
-                         codims=codims)
+                         codims={"c_minus": c_minus})
+
+
+def _assembled(crystal, decomp, Y):
+    """The sign modules of a pair set on a module that splits integrally:
+    both conjugation numerators preserve every Hom block, so each signed
+    lattice is the sum of those of the pairs, and c_minus the sum of
+    theirs.  Each pair is computed, with all its cross-checks, once per
+    decomposition.  The full set is certified against the direct closure
+    ``decomp.o_minus()`` and its codimension."""
+    parts = [sign_modules(crystal, decomp,
+                          SlopePairSet([pair], Y.slopes)) for pair in Y]
+    out = {name: lattice_sum(*(getattr(m, name) for m in parts))
+           for name in SIGNED_LATTICES}
+    c_minus = sum(m.codims["c_minus"] for m in parts)
+    if Y.pairs == decomp.pairs:
+        if not out["O_minus"].equals(decomp.o_minus()):
+            raise VerificationMismatch(
+                "the sum of the per-pair O_minus differs from the "
+                "closure of V_minus")
+        if c_minus != decomp.c_minus():
+            raise VerificationMismatch(
+                f"the per-pair codimensions sum to {c_minus}, the "
+                f"codimension of O_minus is {decomp.c_minus()}")
+    return SignModuleSet(Y=Y, codims={"c_minus": c_minus}, **out)
 
 
 # ---------------------------------------------------------------------------

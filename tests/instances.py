@@ -3,9 +3,23 @@
 The rank-6 two-slope instance: cyclic permutation s = (1 2 3) acting on
 both blocks, Frobenius exponents a = (1,0,0) on the first block and
 b = (1,1,0) on the second; slopes 1/3 and 2/3.
+
+At the end: the sigma-twisted n = 2 instance, and the random builders,
+which draw block-split modules from a seeded ``random.Random``:
+``conjugated_instance`` conjugates one by a random unimodular integer
+matrix (a dense Frobenius matrix that still splits integrally),
+``random_split_instance`` keeps the block form.
 """
 
+import random
+from fractions import Fraction
+
+import sympy
+
 from dieudonne.isocrystal import FIsocrystal
+from dieudonne.lattices import SemilinearMap, invert_matrix_exact
+from dieudonne.matrix import ring
+from dieudonne.witt import make_context
 
 PERM3 = [1, 2, 0]          # 0-based cyclic shift
 A_EXP = [1, 0, 0]
@@ -100,3 +114,102 @@ def hom_block_vector(ctx, r, i, j):
     vec = [ctx.zero] * (r * r)
     vec[i * r + j] = ctx.one
     return vec
+
+
+def sigma_twisted_instance():
+    """phi' = U A sigma(U)^{-1} over F_4, slopes {0, 1/2, 1/2}: the
+    instance of test_sigma_twisted_conjugation_invariance."""
+    ctx = make_context(2, 2, 48)
+    g = ctx.generator
+    a_rows = [[ctx.one, ctx.zero, ctx.zero],
+              [ctx.zero, ctx.zero, ctx.scalar(ctx.p)],
+              [ctx.zero, ctx.one, ctx.zero]]
+    u_rows = [[ctx.one, g, ctx.zero],
+              [ctx.zero, ctx.one, g + ctx.one],
+              [ctx.zero, ctx.zero, ctx.one]]
+    uinv, vdet = invert_matrix_exact(ctx, u_rows)
+    assert vdet == 0
+    su_inv = [[x.frobenius(1) for x in row]
+              for row in ring(ctx).wrap_mat(uinv)]
+    prod = [[sum((u_rows[i][k] * a_rows[k][j] for k in range(3)), ctx.zero)
+             for j in range(3)] for i in range(3)]
+    twisted = [[sum((prod[i][k] * su_inv[k][j] for k in range(3)),
+                    ctx.zero) for j in range(3)] for i in range(3)]
+    return FIsocrystal(ctx, SemilinearMap(ctx, twisted, twist=1))
+
+
+def conjugated_instance(rng):
+    p = rng.choice([2, 3, 5])
+    blocks = []
+    total = 0
+    while total < 4:
+        den = rng.choice([1, 2, 3])
+        num = rng.randrange(0, den + 1)
+        if total + den > 6:
+            break
+        blocks.append((num, den))
+        total += den
+    r = total
+    rows = [[0] * r for _ in range(r)]
+    pos = 0
+    for (num, den) in blocks:
+        exps = [0] * den
+        for k in rng.sample(range(den), num):
+            exps[k] = 1
+        for j in range(den):
+            rows[pos + (j + 1) % den][pos + j] = p ** exps[j]
+        pos += den
+    u = sympy.eye(r)
+    for _ in range(2 * r):
+        i, j = rng.randrange(r), rng.randrange(r)
+        if i != j:
+            u[i, :] = u[i, :] + rng.randrange(-2, 3) * u[j, :]
+    a = u * sympy.Matrix(r, r, lambda i, j: rows[i][j]) * u.inv()
+    ctx = make_context(p, 1, 48)
+    return FIsocrystal.from_int_matrix(
+        ctx, [[int(a[i, j]) for j in range(r)] for i in range(r)])
+
+
+CONJUGATED_DRAWS = 8
+
+
+def conjugated_draws():
+    """The first eight draws of ``test_robustness.test_dense_conjugated_
+    pipeline``."""
+    rng = random.Random(424242)
+    return [conjugated_instance(rng) for _ in range(CONJUGATED_DRAWS)]
+
+
+def random_split_instance(rng):
+    """A block-split module with slopes from {0, 1/3, 1/2, 2/3, 1} and
+    total rank at most 10."""
+    candidates = [Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                  Fraction(2, 3), Fraction(1)]
+    p = rng.choice([2, 3, 5])
+    while True:
+        chosen = sorted(rng.sample(candidates, rng.randint(1, 3)))
+        blocks = []
+        total = 0
+        for a in chosen:
+            b = a.denominator
+            copies = rng.randint(1, max(1, (10 - total) // b))
+            need = b * copies
+            if total + need > 10:
+                continue
+            total += need
+            blocks.append((a, copies))
+        if total == 0 or not blocks:
+            continue
+        rows = [[0] * total for _ in range(total)]
+        pos = 0
+        for (a, copies) in blocks:
+            b, numer = a.denominator, a.numerator
+            for _ in range(copies):
+                exps = [0] * b
+                for k in rng.sample(range(b), numer):
+                    exps[k] = 1
+                for j in range(b):
+                    rows[pos + (j + 1) % b][pos + j] = p ** exps[j]
+                pos += b
+        ctx = make_context(p, 1, 40)
+        return FIsocrystal.from_int_matrix(ctx, rows)

@@ -31,6 +31,8 @@ from dieudonne.cli import load_corpus
 from dieudonne.errors import DieudonneError
 from dieudonne.problems import Session
 
+from instances import random_split_instance
+
 CORPUS = ["ordinary_rank2", "supersingular_rank2", "example_1_7",
           "three_slope_rank4", "four_slope_rank8", "symplectic_ordinary_c2"]
 
@@ -65,41 +67,6 @@ def test_criterion_1_rank6_golden():
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
     report(f"1 rank-6 golden instance: PASS ({elapsed:.2f}s)")
-
-
-def random_split_instance(rng):
-    """A block-split module with slopes from {0, 1/3, 1/2, 2/3, 1} and
-    total rank at most 10."""
-    candidates = [Fraction(0), Fraction(1, 3), Fraction(1, 2),
-                  Fraction(2, 3), Fraction(1)]
-    p = rng.choice([2, 3, 5])
-    while True:
-        chosen = sorted(rng.sample(candidates, rng.randint(1, 3)))
-        blocks = []
-        total = 0
-        for a in chosen:
-            b = a.denominator
-            copies = rng.randint(1, max(1, (10 - total) // b))
-            need = b * copies
-            if total + need > 10:
-                continue
-            total += need
-            blocks.append((a, copies))
-        if total == 0 or not blocks:
-            continue
-        rows = [[0] * total for _ in range(total)]
-        pos = 0
-        for (a, copies) in blocks:
-            b, numer = a.denominator, a.numerator
-            for _ in range(copies):
-                exps = [0] * b
-                for k in rng.sample(range(b), numer):
-                    exps[k] = 1
-                for j in range(b):
-                    rows[pos + (j + 1) % b][pos + j] = p ** exps[j]
-                pos += b
-        ctx = make_context(p, 1, 40)
-        return FIsocrystal.from_int_matrix(ctx, rows)
 
 
 def test_criterion_2_traverso_formula():

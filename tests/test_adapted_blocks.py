@@ -26,8 +26,8 @@ from dieudonne.lattices import Lattice, SemilinearMap
 from dieudonne.matrix import ring
 from dieudonne.problems import Session
 
-from test_carriers import (CORPUS, conjugated_draws, decomposition,
-                           not_dieudonne_instance, sigma_twisted_instance)
+from instances import conjugated_draws, sigma_twisted_instance
+from test_carriers import CORPUS, decomposition, not_dieudonne_instance
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +187,7 @@ def test_split_report_builds_no_r4_projector_or_carrier_image(monkeypatch):
     doc = load_corpus("four_slope_rank8")
     r2 = doc.rank ** 2
     problems.run(doc, problems.ANALYSES, 0)   # warm
+    pairs = Session(doc).decomp().pairs
     projectors, carrier_images, carriers = [], [], []
     inside = []
     real_fixed = isocrystal._projector_fixed_lattice
@@ -202,11 +203,11 @@ def test_split_report_builds_no_r4_projector_or_carrier_image(monkeypatch):
             carrier_images.append(len(col))
         return real_apply(self, col)
 
-    def of(cls, *args, **kwargs):
-        carriers.append(cls)
+    def of(cls, S, crystal, slope_data, blocks):
+        carriers.append(list(blocks))
         inside.append(True)
         try:
-            return real_of(cls, *args, **kwargs)
+            return real_of(cls, S, crystal, slope_data, blocks)
         finally:
             inside.pop()
 
@@ -216,6 +217,11 @@ def test_split_report_builds_no_r4_projector_or_carrier_image(monkeypatch):
     report = problems.run(load_corpus("four_slope_rank8"),
                           problems.ANALYSES, 0)
     assert report["analyses"]["decompose"]["module_splits_integrally"]
-    assert len(carriers) == 2
+    # one carrier per sign for each of the six slope pairs, whose sign
+    # modules every larger pair set sums, and the full V_minus one of
+    # o_minus(); each built once
+    expected = [[pair] for pair in pairs] + [[(b, a)] for (a, b) in pairs]
+    expected.append([(b, a) for (a, b) in pairs])
+    assert sorted(carriers) == sorted(expected)
     assert [n for n in projectors if n == r2] == []
     assert carrier_images == []

@@ -1,0 +1,195 @@
+"""Sign modules of a pair set assembled from its pairs, checked against the
+direct computation they replace on modules that split integrally.
+
+When M splits integrally, both conjugation numerators preserve every
+Hom(W_a, W_b), so the signed lattices of a pair set Y and their closures
+and trace duals are the sums of those of the pairs of Y, and c_minus(Y)
+is the sum of theirs.  ``signs.sign_modules`` computes each pair once per
+decomposition, in the block coordinates of its own carriers, and builds
+every larger pair set as a sum.  ``sign_modules_reference`` below is the
+former direct body, kept verbatim: every closure, dual and cross-check of
+Y on the carriers of the full V_plus and V_minus.  Both must agree on all
+eight lattices (equal spans and the same canonical presentation: rank,
+scale, loss and basis columns) and on c_minus, for every
+non-empty pair set of the seven corpus entries, the eight seeded
+conjugated draws and the sigma-twisted n = 2 instance.  A module that does
+not split keeps the direct path.
+"""
+
+import pytest
+
+from dieudonne import problems, signs
+from dieudonne.cli import load_corpus
+from dieudonne.core import (codim_of_dieudonne, largest_sub_dieudonne,
+                            smallest_super_dieudonne)
+from dieudonne.errors import (DualityMismatch, PrecisionExhausted,
+                              VerificationMismatch)
+from dieudonne.isocrystal import signed_block_lattices
+from dieudonne.lattices import Lattice
+from dieudonne.problems import Session
+from dieudonne.signs import (SIGNED_LATTICES, SignModuleSet, SlopePairSet,
+                             dual_lattice, sign_modules)
+
+from instances import conjugated_draws, sigma_twisted_instance
+from test_carriers import CORPUS, decomposition, non_split_rank6_instance
+
+
+# ---------------------------------------------------------------------------
+# the former body
+
+
+def sign_modules_reference(crystal, decomp, Y):
+    ctx = crystal.ctx
+    if not Y.pairs:
+        z = Lattice.zero(ctx, crystal.rank ** 2)
+        return SignModuleSet(Y=Y, V_plus=z, V_minus=z, V_plus_minus=z,
+                             V_minus_plus=z, O_plus=z, O_minus=z,
+                             O_plus_minus=z, O_minus_plus=z, codims={})
+    # the full pair set's block lattices and O_minus are the decomposition's
+    full = Y.pairs == SlopePairSet.full(decomp.slope_data.slope_list).pairs
+    if full:
+        Vp, Vm = decomp.V_plus, decomp.V_minus
+    else:
+        Vp, Vm = signed_block_lattices(crystal, decomp.slope_data, Y.pairs)
+    Vpm = dual_lattice(Vm, Vp)
+    Vmp = dual_lattice(Vp, Vm)
+    if not Vpm.contains(Vp):
+        raise DualityMismatch("V_plus is not inside the dual of V_minus")
+    if not Vmp.contains(Vm):
+        raise DualityMismatch("V_minus is not inside the dual of V_plus")
+    # every signed lattice lies in the full V_plus or V_minus: the
+    # closures run in the block coordinates of their carriers
+    plus, minus = decomp.carrier("plus"), decomp.carrier("minus")
+    Op = largest_sub_dieudonne(Vp, crystal, mode="positive", carrier=plus)
+    Om = decomp.o_minus() if full else largest_sub_dieudonne(
+        Vm, crystal, mode="negative", carrier=minus)
+    # O_plus and O_minus have full rank in V_plus and V_minus; a closure
+    # that drops rank ran out of precision
+    if Op.rank < Vp.rank or Om.rank < Vm.rank:
+        raise PrecisionExhausted(
+            "a stable-lattice closure lost rank at the working precision")
+    Opm_dual = dual_lattice(Om, Vp) if Om.rank else Lattice.zero(
+        ctx, crystal.rank ** 2)
+    Omp_dual = dual_lattice(Op, Vm) if Op.rank else Lattice.zero(
+        ctx, crystal.rank ** 2)
+    Opm_iter = smallest_super_dieudonne(Vpm, crystal, mode="positive",
+                                        carrier=plus)
+    Omp_iter = smallest_super_dieudonne(Vmp, crystal, mode="negative",
+                                        carrier=minus)
+    if not Opm_dual.equals(Opm_iter):
+        raise DualityMismatch(
+            "dual of O_minus disagrees with the iterative closure of "
+            "the dual block")
+    if not Omp_dual.equals(Omp_iter):
+        raise DualityMismatch(
+            "dual of O_plus disagrees with the iterative closure of "
+            "the dual block")
+    if not Opm_iter.contains(Op):
+        raise DualityMismatch("O_plus not inside O_plus_minus")
+    if not Omp_iter.contains(Om):
+        raise DualityMismatch("O_minus not inside O_minus_plus")
+    codims = {"c_minus": codim_of_dieudonne(Om, crystal, carrier=minus)
+              if Om.rank else 0}
+    return SignModuleSet(Y=Y, V_plus=Vp, V_minus=Vm, V_plus_minus=Vpm,
+                         V_minus_plus=Vmp, O_plus=Op, O_minus=Om,
+                         O_plus_minus=Opm_iter, O_minus_plus=Omp_iter,
+                         codims=codims)
+
+
+# ---------------------------------------------------------------------------
+# instances and comparison
+
+
+def instances():
+    """(name, decomposition) of the corpus entries, the conjugated draws
+    and the sigma-twisted instance, all of which split integrally."""
+    out = [(name, Session(load_corpus(name)).decomp()) for name in CORPUS]
+    out += [(f"conjugated-{k}", decomposition(X))
+            for k, X in enumerate(conjugated_draws())]
+    out.append(("sigma-twisted", decomposition(sigma_twisted_instance())))
+    return out
+
+
+def assert_same_modules(got, ref, label):
+    # equal spans, and the same canonical presentation: the reports and
+    # the deformation lattice read the basis columns
+    for name in SIGNED_LATTICES:
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.equals(b), (label, name)
+        assert (a.ambient, a.rank, a.scale, a.loss, a.cols) == \
+            (b.ambient, b.rank, b.scale, b.loss, b.cols), (label, name)
+    assert got.codims == ref.codims, label
+
+
+def test_assembled_sign_modules_match_the_direct_body():
+    assembled = 0
+    for name, D in instances():
+        X = D.crystal
+        assert D.splits, name
+        for Y in SlopePairSet.full(D.slope_data.slope_list).subsets():
+            if not Y.pairs:
+                continue
+            got = sign_modules(X, D, Y)
+            assert_same_modules(got, sign_modules_reference(X, D, Y),
+                                (name, Y.pairs))
+            assembled += len(Y.pairs) > 1
+    # the check reaches the sums: four_slope_rank8 alone has 57 pair sets
+    # of two pairs or more
+    assert assembled >= 57
+
+
+def test_non_split_module_takes_the_direct_path(monkeypatch):
+    D = decomposition(non_split_rank6_instance())
+    X = D.crystal
+    assert not D.splits
+
+    def assembled(*args):
+        raise AssertionError("a non-split module was assembled")
+    monkeypatch.setattr(signs, "_assembled", assembled)
+    for Y in SlopePairSet.full(D.slope_data.slope_list).subsets():
+        if not Y.pairs:
+            continue
+        got = sign_modules(X, D, Y)
+        ref = sign_modules_reference(X, D, Y)
+        for name in SIGNED_LATTICES:
+            a, b = getattr(got, name), getattr(ref, name)
+            assert (a.rank, a.scale, a.loss, a.cols) == \
+                (b.rank, b.scale, b.loss, b.cols), (Y.pairs, name)
+        assert got.codims == ref.codims
+
+
+def test_report_runs_four_duals_per_pair_and_none_for_sums(monkeypatch):
+    doc = load_corpus("four_slope_rank8")
+    problems.run(doc, problems.ANALYSES, 0)   # warm
+    calls = []
+    real = signs.dual_lattice
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(signs, "dual_lattice", counted)
+    report = problems.run(load_corpus("four_slope_rank8"),
+                          problems.ANALYSES, 0)
+    assert report["all_ok"]
+    # six slope pairs, four duals each (V_plus_minus, V_minus_plus and the
+    # duals of O_minus and O_plus); the full set and the slice subsets add
+    # none
+    assert len(calls) == 4 * 6
+
+
+@pytest.mark.parametrize("what", ["O_minus", "c_minus"])
+def test_full_set_is_certified_against_the_direct_closure(monkeypatch, what):
+    # a wrong part makes the full set's sum disagree with o_minus() or
+    # its codimension
+    D = Session(load_corpus("three_slope_rank4")).decomp()
+    X = D.crystal
+    Y = SlopePairSet.full(D.slope_data.slope_list)
+    first = SlopePairSet([Y.pairs[0]], Y.slopes)
+    part = sign_modules(X, D, first)
+    if what == "O_minus":
+        part.O_minus = Lattice.from_columns(
+            X.ctx, part.O_minus.ambient, part.O_minus._scaled_cols(1))
+    else:
+        part.codims = {"c_minus": part.codims["c_minus"] + 1}
+    with pytest.raises(VerificationMismatch):
+        sign_modules(X, D, Y)

@@ -21,7 +21,6 @@ does not split integrally and is not a Dieudonne module (its block
 lattices carry a loss).
 """
 
-import random
 from types import SimpleNamespace
 
 import pytest
@@ -37,20 +36,18 @@ from dieudonne.errors import (HypothesisViolated, InclusionViolated,
 from dieudonne.isocrystal import (FIsocrystal, _component_bases,
                                   end_decompose, signed_block_lattices,
                                   slope_split)
-from dieudonne.lattices import (Lattice, SemilinearMap, invert_matrix_exact,
-                                kernel_span, mod_p_dimension)
+from dieudonne.lattices import Lattice, kernel_span, mod_p_dimension
 from dieudonne.matrix import ring
 from dieudonne.problems import Session
 from dieudonne.signs import SlopePairSet, dual_lattice, sign_modules
 from dieudonne.witt import make_context
 
-from instances import non_split_rank6
-from test_robustness import conjugated_instance
+from instances import (conjugated_draws, non_split_rank6,
+                       sigma_twisted_instance)
 
 CORPUS = ["ordinary_rank2", "supersingular_rank2", "example_1_7",
           "three_slope_rank4", "four_slope_rank8", "elliptic_polarized",
           "symplectic_ordinary_c2"]
-CONJUGATED_DRAWS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -187,33 +184,6 @@ def codim_of_dieudonne_reference(E: Lattice, crystal: FIsocrystal) -> int:
 # instances
 
 
-def sigma_twisted_instance():
-    """phi' = U A sigma(U)^{-1} over F_4, slopes {0, 1/2, 1/2}: the
-    instance of test_sigma_twisted_conjugation_invariance."""
-    ctx = make_context(2, 2, 48)
-    g = ctx.generator
-    a_rows = [[ctx.one, ctx.zero, ctx.zero],
-              [ctx.zero, ctx.zero, ctx.scalar(ctx.p)],
-              [ctx.zero, ctx.one, ctx.zero]]
-    u_rows = [[ctx.one, g, ctx.zero],
-              [ctx.zero, ctx.one, g + ctx.one],
-              [ctx.zero, ctx.zero, ctx.one]]
-    uinv, vdet = invert_matrix_exact(ctx, u_rows)
-    assert vdet == 0
-    su_inv = [[x.frobenius(1) for x in row]
-              for row in ring(ctx).wrap_mat(uinv)]
-    prod = [[sum((u_rows[i][k] * a_rows[k][j] for k in range(3)), ctx.zero)
-             for j in range(3)] for i in range(3)]
-    twisted = [[sum((prod[i][k] * su_inv[k][j] for k in range(3)),
-                    ctx.zero) for j in range(3)] for i in range(3)]
-    return FIsocrystal(ctx, SemilinearMap(ctx, twisted, twist=1))
-
-
-def conjugated_draws():
-    rng = random.Random(424242)
-    return [conjugated_instance(rng) for _ in range(CONJUGATED_DRAWS)]
-
-
 # slopes {0, 2} and {0, 3} at N = 12: V_minus has conjugation slopes
 # below -1, so the closures meet both failures
 SLOPE_GAPS = [(3, [[1, 0], [0, 9]]), (5, [[1, 0], [0, 125]])]
@@ -278,12 +248,15 @@ def same(new, ref):
 
 
 def test_carriers_restrict_the_numerators_exactly(decompositions):
+    # the carriers of the full V_plus and V_minus, and those of each
+    # single slope pair
     for name, D in decompositions:
         X = D.crystal
         R = ring(X.ctx)
         numerators = _conjugation_numerators(X)
-        for sign in ("plus", "minus"):
-            C = D.carrier(sign)
+        for pairs, sign in [(p, s) for p in [None] + [[q] for q in D.pairs]
+                            for s in ("plus", "minus")]:
+            C = D.carrier(sign, pairs)
             if C.lattice is None:
                 # a module that does not split, or a lattice with a loss,
                 # is handled as End(M)
@@ -293,7 +266,11 @@ def test_carriers_restrict_the_numerators_exactly(decompositions):
                 assert (C.fwd, C.bwd, C.vdet) == numerators
                 continue
             B = [list(b) for b in C.lattice.ech]
-            assert C.lattice is getattr(D, f"V_{sign}")
+            if pairs is None:
+                assert C.lattice is getattr(D, f"V_{sign}")
+            else:
+                single = signed_block_lattices(X, D.slope_data, pairs)
+                assert C.lattice.cols == single[sign == "minus"].cols
             assert C.vdet == numerators[2]
             for num, restricted in zip(numerators, (C.fwd, C.bwd)):
                 assert restricted.twist == num.twist
@@ -406,8 +383,8 @@ def test_carrier_rejects_unstable_or_unsaturated_lattices():
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_sign_modules_match_the_ambient_closures(name):
-    # every pair set of the entry, through the signs path that uses the
-    # carriers of the full V_plus and V_minus
+    # every pair set of the entry, through the signs path: each pair in
+    # the carriers of its own block lattices, larger sets as their sums
     sess = Session(load_corpus(name))
     X, D = sess.crystal(), sess.decomp()
     slopes = sess.slope_data().slope_list

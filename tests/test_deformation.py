@@ -29,7 +29,8 @@ from dieudonne.lattices import SemilinearMap
 from dieudonne.matrix import ring
 from dieudonne.problems import Session
 
-from instances import ordinary_rank2, rank6_two_slope, three_slope_rank4
+from instances import (non_split_rank6, ordinary_rank2, rank6_two_slope,
+                       three_slope_rank4)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +393,37 @@ def test_trivialize_falls_back_on_non_square_zero(name):
     for point in _seeded_points(sess.ctx(), B.n, 4100, 2):
         got = trivialize_at_point(X, O, B, point, workspace=ws)
         assert got == _trivialize_reference(X, O, B, point, workspace=ws)
+
+
+def test_trivializer_keeps_the_loss_of_E():
+    # on a module that does not split, E carries a loss: its basis is
+    # known modulo p^(N - loss) only, and its boosted copy no better, so
+    # the stability of E under the inverse Frobenius is certified at the
+    # digits E has
+    from dieudonne.problems import parse_dict, run
+    X = non_split_rank6(make_context(2, 1, 32))
+    doc = {"name": "non_split_rank6", "p": 2, "n": 1, "precision": 32,
+           "degree": 9, "rank": 6,
+           "phi_matrix": [list(row) for row in X.phi.rows]}
+    moduli = {}
+    for pairs in (None, [["0", "1/3"], ["0", "1/2"]]):
+        spec = parse_dict(dict(doc, slope_pairs=pairs) if pairs else doc)
+        sess = Session(spec)
+        E = sess.lattice_e()
+        assert E.loss > 0
+        ws = prepare_trivializer(sess.crystal(), E,
+                                 sess.deformation_basis())
+        assert ws["bE"].loss == E.loss + ws["big"].N - X.ctx.N
+        found = run(spec, ["trivialize"])["analyses"]["trivialize"]
+        assert found["ok"], found
+        moduli[bool(pairs)] = [res["verified_modulus"]
+                               for res in found["results"]]
+    assert moduli == {False: [28, 29, 29], True: [30, 30, 30]}
+    # a basis of loss 0 stays exact at the boost
+    sess = Session(load_corpus("four_slope_rank8"))
+    ws = prepare_trivializer(sess.crystal(), sess.lattice_e(),
+                             sess.deformation_basis())
+    assert sess.lattice_e().loss == ws["bE"].loss == 0
 
 
 def test_square_zero_trivializer_makes_no_orbit_products(monkeypatch):

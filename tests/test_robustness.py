@@ -10,8 +10,6 @@ and is conjugation-invariant.
 
 import random
 
-import sympy
-
 from dieudonne.matrix import ring
 from dieudonne.witt import make_context
 from dieudonne.isocrystal import FIsocrystal, end_decompose, slope_split
@@ -19,37 +17,7 @@ from dieudonne.core import TangentSpace, codim_of_dieudonne, nu_image
 from dieudonne.signs import SlopePairSet, dual_lattice, sign_modules
 from dieudonne.strata import traverso_dimension
 
-
-def conjugated_instance(rng):
-    p = rng.choice([2, 3, 5])
-    blocks = []
-    total = 0
-    while total < 4:
-        den = rng.choice([1, 2, 3])
-        num = rng.randrange(0, den + 1)
-        if total + den > 6:
-            break
-        blocks.append((num, den))
-        total += den
-    r = total
-    rows = [[0] * r for _ in range(r)]
-    pos = 0
-    for (num, den) in blocks:
-        exps = [0] * den
-        for k in rng.sample(range(den), num):
-            exps[k] = 1
-        for j in range(den):
-            rows[pos + (j + 1) % den][pos + j] = p ** exps[j]
-        pos += den
-    u = sympy.eye(r)
-    for _ in range(2 * r):
-        i, j = rng.randrange(r), rng.randrange(r)
-        if i != j:
-            u[i, :] = u[i, :] + rng.randrange(-2, 3) * u[j, :]
-    a = u * sympy.Matrix(r, r, lambda i, j: rows[i][j]) * u.inv()
-    ctx = make_context(p, 1, 48)
-    return FIsocrystal.from_int_matrix(
-        ctx, [[int(a[i, j]) for j in range(r)] for i in range(r)])
+from instances import conjugated_instance
 
 
 def test_dense_conjugated_pipeline():

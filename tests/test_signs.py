@@ -144,24 +144,32 @@ def test_sign_modules_rank6_duality_crosscheck():
 
 
 def test_sign_modules_computed_once_per_pair_set(monkeypatch):
+    # each pair set is computed once per decomposition, and each pair's
+    # duality cross-checks run once, however many pair sets contain it
     ctx = make_context(5, 1, 30)
     X, S, E = setup_instance(ctx, three_slope_rank4)
-    first = sign_modules(X, E, SlopePairSet.full(S.slope_list))
-    calls = []
-    real = signs.dual_lattice
+    full = SlopePairSet.full(S.slope_list)
+    duals, bodies = [], []
+    real_dual, real_body = signs.dual_lattice, signs._sign_modules
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(signs, "dual_lattice", counted)
+    def counted_dual(*args):
+        duals.append(args)
+        return real_dual(*args)
+
+    def counted_body(crystal, decomp, Y):
+        bodies.append(Y.pairs)
+        return real_body(crystal, decomp, Y)
+    monkeypatch.setattr(signs, "dual_lattice", counted_dual)
+    monkeypatch.setattr(signs, "_sign_modules", counted_body)
+    first = sign_modules(X, E, full)
+    for Y in full.subsets():
+        sign_modules(X, E, Y)
     # an equal pair set, built anew, reuses the first result
-    again = sign_modules(X, E, SlopePairSet.full(S.slope_list))
-    assert again is first
-    assert calls == []
-    # a different pair set still runs its own duality cross-checks
-    a, b = S.slope_list[:2]
-    sign_modules(X, E, SlopePairSet.singleton(a, b, S.slope_list))
-    assert calls
+    assert sign_modules(X, E, SlopePairSet.full(S.slope_list)) is first
+    assert sorted(bodies) == sorted(Y.pairs for Y in full.subsets())
+    # V_plus_minus, V_minus_plus and the duals of O_minus and O_plus, once
+    # for each of the three pairs
+    assert len(duals) == 4 * len(full.pairs)
 
 
 def test_full_pair_set_reuses_the_decomposition(monkeypatch):
