@@ -365,7 +365,9 @@ class Carrier:
     lattice S of loss 0 that is the sum of its Hom(W_src, W_dst) blocks
     gets the block carrier: C comes from the component blocks (see
     ``_block_restricted``), certified by component stability, the factors
-    of each numerator sending every component into its own.  Every other
+    of each numerator sending every component into its own; the factors
+    and that certificate are computed once per numerator and
+    ``SlopeData`` (``_block_factors``).  Every other
     lattice (a module that does not split, or a lattice with a loss) gets
     ``Carrier.ambient(crystal)``: End(M) itself, with the identity basis
     (``lattice`` None, the numerators as they are).
@@ -410,8 +412,9 @@ class Carrier:
             return cls.ambient(crystal)
         fwd, bwd, vdet = _conjugation_numerators(crystal)
         T, tinv = _block_rows(S, bases, blocks)
-        return cls(S, *(_block_restricted(num, bases, blocks, T, tinv)
-                        for num in (fwd, bwd)), vdet)
+        return cls(S, *(_block_restricted(num, _block_factors(slope_data, k),
+                                          blocks, T, tinv)
+                        for k, num in enumerate((fwd, bwd))), vdet)
 
     def coords(self, V: Lattice) -> Lattice:
         """The coordinate lattice of V, which must lie in S[1/p]."""
@@ -437,44 +440,69 @@ class Carrier:
                                     loss=X.loss)
 
 
-def _block_restricted(num, bases, blocks, T, tinv) -> SemilinearMap:
-    """The matrix C with num sigma(B) = B C, from the factors of the
-    ``Sandwich`` num: x -> L sigma^t(x) R, without an r^2 x r^2 product.
+def _block_factors(slope_data, k):
+    """The component factors (``_component_factors``) of the conjugation
+    numerator k (0: fwd, 1: bwd) of the crystal of slope_data, certified.
+    They depend only on the numerator and the component bases, so they are
+    computed once per numerator and ``SlopeData``, in its ``_derived``
+    under ``("block_factors", k)``; every carrier of the decomposition
+    reads them."""
+    key = ("block_factors", k)
+    if key not in slope_data._derived:
+        num = _conjugation_numerators(slope_data.crystal)[k]
+        slope_data._derived[key] = _component_factors(
+            num, _component_bases(slope_data))
+    return slope_data._derived[key]
 
-    With U = (U_a) and D = (D_a) stacked over the components, the block
-    (b, a) of D L sigma^t(U) is D_b L sigma^t(U_a) and that of
+
+def _component_factors(num, bases):
+    """{a: (P_a, Q_a)} for the ``Sandwich`` num: x -> L sigma^t(x) R and
+    the component bases U = (U_a), D = (D_a).
+
+    The block (b, a) of D L sigma^t(U) is D_b L sigma^t(U_a) and that of
     sigma^t(D) R U is sigma^t(D_a) R U_b.  Every off-diagonal one must
     vanish modulo p^(N - loss), or InclusionViolated: then num maps the
     block x = U_dst X D_src to U_dst P_dst sigma^t(X) Q_src D_src, with
-    P_a = D_a L sigma^t(U_a) and Q_a = sigma^t(D_a) R U_a.  On the block
-    coordinates z = T c of the basis B of S (T from ``_block_rows``, its
-    rows in the order of ``blocks``) num is the block-diagonal C_B of
-    those r_dst r_src maps, so C = T^{-1} C_B sigma^t(T)."""
+    P_a = D_a L sigma^t(U_a) and Q_a = sigma^t(D_a) R U_a."""
     ctx = num.ctx
     R = ring(ctx)
     t = num.twist
     neff = ctx.N - num.loss
-
-    def tw(m):
-        return [[R.frob(x, t) for x in row] for row in m] if t else m
-
-    P, Q = {}, {}
+    factors = {}
     for a, (Ua, Da) in bases.items():
-        lu = R.mul_mat(num.left, tw(Ua))
-        rd = R.mul_mat(tw(Da), num.right)
+        lu = R.mul_mat(num.left, _twisted(R, Ua, t))
+        rd = R.mul_mat(_twisted(R, Da, t), num.right)
         for b, (Ub, Db) in bases.items():
             left, right = R.mul_mat(Db, lu), R.mul_mat(rd, Ub)
             if a == b:
-                P[a], Q[a] = left, right
+                factors[a] = (left, right)
             elif not all(R.vanishes(row, neff) for row in left + right):
                 raise InclusionViolated(
                     "block lattice is not stable under a conjugation "
                     "numerator")
-    tT = tw(T)
+    return factors
+
+
+def _twisted(R, m, t):
+    return [[R.frob(x, t) for x in row] for row in m] if t else m
+
+
+def _block_restricted(num, factors, blocks, T, tinv) -> SemilinearMap:
+    """The matrix C with num sigma(B) = B C, from the component factors
+    (P_a, Q_a) of the ``Sandwich`` num (``_component_factors``), without an
+    r^2 x r^2 product: on the block coordinates z = T c of the basis B of
+    S (T from ``_block_rows``, its rows in the order of ``blocks``) num
+    is the block-diagonal C_B of the r_dst r_src maps
+    X -> P_dst sigma^t(X) Q_src, so C = T^{-1} C_B sigma^t(T)."""
+    ctx = num.ctx
+    R = ring(ctx)
+    t = num.twist
+    tT = _twisted(R, T, t)
     mid, at = [], 0
     for (src, dst) in blocks:
-        size = len(P[dst]) * len(Q[src])
-        block = sandwich_map(ctx, P[dst], Q[src]).rows
+        P, Q = factors[dst][0], factors[src][1]
+        size = len(P) * len(Q)
+        block = sandwich_map(ctx, P, Q).rows
         mid += R.mul_mat(block, tT[at:at + size])
         at += size
     return SemilinearMap(ctx, R.mul_mat(tinv, mid), twist=t, loss=num.loss)

@@ -33,6 +33,14 @@ Matrices, lattice columns, deformation vectors, series coefficients,
 evaluation points and the correction factor all hold raw entries of
 ``matrix.ring``; the only scalar is the Teichmuller lift of a residue
 point, which crosses ``raw_col`` once per coordinate.
+
+Series arithmetic pays only for nonzero terms.  No r x r matrix of
+series is built: the twisted Frobenius applies u = 1 + sum_j x_j v_j as
+avec + sum_j x_j (v_j avec), one shift by x_j per deformation vector over
+the nonzero entries of v_j, and nabla applies each basis element of E as
+one row combination (``TruncatedSeries.plus_combination``) of the
+products of the entries with terms and the form's coefficients.  Each
+result keeps the window that the product with the full matrix gave it.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from .isocrystal import FIsocrystal, end_frobenius, vec_to_mat
 from .lattices import (Lattice, SemilinearMap, residue_echelon,
                        residue_spaces_equal, restrict_map)
 from .matrix import ring
-from .series import TruncatedSeries, linear_matrix
+from .series import TruncatedSeries
 from .witt import teichmuller
 
 
@@ -153,15 +161,9 @@ def solve_connection(crystal: FIsocrystal, E: Lattice, B: DeformationBasis,
             prev = terms[-1]
             if all(t.is_zero() for t in prev):
                 break
-            xfac = TruncatedSeries.variable(R, n, dmax, i, power=ctx.p - 1)
-            nxt = []
-            for j in range(m):
-                s = TruncatedSeries.zero(R, n, dmax)
-                for l in range(m):
-                    if a[j][l] == R.zero:
-                        continue
-                    s = s + prev[l].frobenius_lift() * a[j][l]
-                nxt.append(s * xfac)
+            lifted = [s.frobenius_lift() for s in prev]
+            nxt = [TruncatedSeries.zero(R, n, dmax).plus_combination(
+                a[j], lifted).times_variable(i, ctx.p - 1) for j in range(m)]
             terms.append(nxt)
             acc = [acc[j] + nxt[j] for j in range(m)]
             guard += 1
@@ -206,71 +208,60 @@ def _combine(R, coeffs, vecs, length):
 
 
 # ---------------------------------------------------------------------------
-# the universal element and the twisted Frobenius on series vectors
-
-
-def universal_element(crystal: FIsocrystal, B: DeformationBasis, dmax: int):
-    """1 + sum v_i x_i as an r x r matrix of series."""
-    R = ring(crystal.ctx)
-    rows = linear_matrix(R, B.vectors, crystal.rank, dmax)
-    one = TruncatedSeries.constant(R, B.n, dmax, R.one)
-    for i, row in enumerate(rows):
-        row[i] = row[i] + one
-    return rows
-
-
-def _series_mat_vec(rows, vec):
-    out = []
-    for row in rows:
-        acc = None
-        for a_, s in zip(row, vec):
-            term = a_ * s
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+# the twisted Frobenius on series vectors
 
 
 def _nabla(conn, vec, i):
     """nabla(d/dx_i) on a vector of series: the partial derivative plus
-    omega_i = sum_l w[(l, i)] * (basis element l of E) applied to it."""
+    omega_i = sum_l w[(l, i)] * (basis element l of E) applied to it.
+
+    Entry k of omega_i(vec) is sum_l sum_m (E_l)[k][m] (vec_m w[(l, i)]),
+    so each product of an entry with terms and a nonzero w[(l, i)] is
+    formed once and every row is one combination of those products.  Each
+    entry of E_l vec is trusted only through the window of every entry of
+    vec, zero matrix entries included."""
     R = ring(conn.crystal.ctx)
-    zero = R.zero
     r = conn.crystal.rank
     out = [s.partial(i) for s in vec]
-    # each entry of E e_l vec is trusted only through the window of every
-    # entry of vec, zero matrix entries included
-    floor = TruncatedSeries(R, conn.B.n, conn.dmax,
-                            valid=min(s.valid for s in vec))
-    for l, v in enumerate(conn.basis):
-        w_li = conn.w[(l, i)]
-        if w_li.is_zero():
-            continue
-        for k, row in enumerate(vec_to_mat(v, r)):
-            e = floor
-            for x, s in zip(row, vec):
-                if x != zero:
-                    e = e + s * x
-            out[k] = out[k] + e * w_li
+    forms = [(v, conn.w[(l, i)]) for l, v in enumerate(conn.basis)
+             if not conn.w[(l, i)].is_zero()]
+    if not forms:
+        return out
+    live = [(m, s) for m, s in enumerate(vec) if not s.is_zero()]
+    prods = [(v, m, s * w_li) for v, w_li in forms for m, s in live]
+    floor = TruncatedSeries(R, conn.B.n, conn.dmax, valid=min(
+        [s.valid for s in vec] + [w_li.valid for _, w_li in forms]))
+    series = [prod for _, _, prod in prods]
+    for k in range(r):
+        row = [v[k * r + m] for v, m, _ in prods]
+        out[k] = (out[k] + floor).plus_combination(row, series)
     return out
 
 
-def apply_twisted_frobenius(crystal, u_rows, vec):
-    """Phi_N(vec) = u * (A * Phi_S(vec)) for a vector of series."""
+def apply_twisted_frobenius(crystal, B: DeformationBasis, vec):
+    """Phi_N(vec) = u * (A * Phi_S(vec)) for a vector of series, with
+    u = 1 + sum_j x_j v_j over the deformation vectors v_j of B.
+
+    With avec = A * Phi_S(vec), entry k is avec_k + sum_j (v_j x_j avec)_k:
+    avec is shifted by x_j once per vector, and row k of v_j combines the
+    shifted entries over its nonzero entries only.  Every entry is trusted
+    only through the window of every entry of avec, as in the product
+    with the full series matrix u."""
     R = ring(crystal.ctx)
+    r = crystal.rank
     lifted = [s.frobenius_lift() for s in vec]
-    avec = []
-    for i in range(crystal.rank):
-        acc = None
-        for j in range(crystal.rank):
-            c = crystal.phi.rows[i][j]
-            if c == R.zero:
-                continue
-            term = lifted[j] * c
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = TruncatedSeries.zero(R, lifted[0].nvars, lifted[0].dmax)
-        avec.append(acc)
-    return _series_mat_vec(u_rows, avec)
+    nvars, dmax = vec[0].nvars, vec[0].dmax
+    empty = TruncatedSeries.zero(R, nvars, dmax)
+    avec = [empty.plus_combination(row, lifted) for row in crystal.phi.rows]
+    floor = TruncatedSeries(R, nvars, dmax, valid=min(s.valid for s in avec))
+    shifted = [[s.times_variable(j) for s in avec] for j in range(B.n)]
+    out = []
+    for k in range(r):
+        acc = floor + avec[k]
+        for v, xavec in zip(B.vectors, shifted):
+            acc = acc.plus_combination(v[k * r:(k + 1) * r], xavec)
+        out.append(acc)
+    return out
 
 
 def verify_horizontality(crystal: FIsocrystal, conn: ConnectionForm,
@@ -287,28 +278,26 @@ def verify_horizontality(crystal: FIsocrystal, conn: ConnectionForm,
     r = crystal.rank
     n = conn.B.n
     dmax = conn.dmax
-    u_rows = universal_element(crystal, conn.B, dmax)
     # the columns of each basis matrix, so that E_l c is one vec_mat
     ecols = [list(zip(*emat)) for emat in conn.basis_matrices()]
     basis_cols = split.F1.cols + split.F0.cols
+    empty = TruncatedSeries.zero(R, n, dmax)
     max_residual_val = None
     window = dmax
     for cvec in basis_cols:
         const = [TruncatedSeries.constant(R, n, dmax, x) for x in cvec]
-        phin_c = apply_twisted_frobenius(crystal, u_rows, const)
+        phin_c = apply_twisted_frobenius(crystal, conn.B, const)
+        ecs = [R.vec_mat(cvec, emat_cols) for emat_cols in ecols]
         for i in range(n):
             lhs = _nabla(conn, phin_c, i)
-            # right side: Phi_N applied to omega_i(c), times p x_i^(p-1)
-            omega_c = [TruncatedSeries.zero(R, n, dmax) for _ in range(r)]
-            for l, emat_cols in enumerate(ecols):
-                w_li = conn.w[(l, i)]
-                if w_li.is_zero():
-                    continue
-                ec = R.vec_mat(cvec, emat_cols)
-                for k in range(r):
-                    if ec[k] != R.zero:
-                        omega_c[k] = omega_c[k] + w_li * ec[k]
-            rhs = apply_twisted_frobenius(crystal, u_rows, omega_c)
+            # right side: Phi_N applied to omega_i(c), the sum of
+            # w[(l, i)] E_l c, times p x_i^(p-1)
+            forms = [(ec, conn.w[(l, i)]) for l, ec in enumerate(ecs)
+                     if not conn.w[(l, i)].is_zero()]
+            ws = [w_li for _, w_li in forms]
+            omega_c = [empty.plus_combination([ec[k] for ec, _ in forms], ws)
+                       for k in range(r)]
+            rhs = apply_twisted_frobenius(crystal, conn.B, omega_c)
             pfac = TruncatedSeries.variable(R, n, dmax, i,
                                             power=ctx.p - 1).scale_p(1)
             rhs = [s * pfac for s in rhs]

@@ -177,14 +177,9 @@ def _poly_axpy(R, y, q, x):
 
 def _poly_reduce(R, a, pk):
     """Every coefficient reduced to its representative modulo the integer
-    pk, trailing zeros kept."""
-    return [R.rem(x, pk) for x in a]
-
-
-def _residue(R, p, a):
-    """The residue polynomial: coefficients reduced mod p, trailing zeros
-    dropped.  A coefficient in [0, p) is also the raw lift of its residue."""
-    a = _poly_reduce(R, a, p)
+    pk, trailing zeros dropped, so that products of reduced polynomials
+    do not grow with the padding of their operands."""
+    a = [R.rem(x, pk) for x in a]
     while a and a[-1] == R.zero:
         a.pop()
     return a
@@ -192,26 +187,29 @@ def _residue(R, p, a):
 
 def _residue_bezout(ctx, a, b):
     """(u, v) with u a + v b = 1 mod p for coprime residue polynomials,
-    by the extended Euclidean algorithm on residues."""
+    by the extended Euclidean algorithm on residues (``_poly_reduce`` mod
+    p; a coefficient in [0, p) is also the raw lift of its residue)."""
     R = ring(ctx)
     p = ctx.p
-    r0, r1 = _residue(R, p, a), _residue(R, p, b)
+    r0, r1 = _poly_reduce(R, a, p), _poly_reduce(R, b, p)
     s0, s1 = [R.one], []
     t0, t1 = [], [R.one]
     while r1:
         # divide by r1 through its monic associate
         inv = R.inverse(r1[-1])
-        q, r = poly_divmod_monic(ctx, r0, _residue(R, p, R.scale(r1, inv)))
+        q, r = poly_divmod_monic(ctx, r0,
+                                 _poly_reduce(R, R.scale(r1, inv), p))
         q = R.scale(q, inv)
-        r0, r1 = r1, _residue(R, p, r)
-        s0, s1 = s1, _residue(R, p, _poly_axpy(R, s0, R.one,
-                                                 poly_mul(ctx, q, s1)))
-        t0, t1 = t1, _residue(R, p, _poly_axpy(R, t0, R.one,
-                                                 poly_mul(ctx, q, t1)))
+        r0, r1 = r1, _poly_reduce(R, r, p)
+        s0, s1 = s1, _poly_reduce(R, _poly_axpy(R, s0, R.one,
+                                                poly_mul(ctx, q, s1)), p)
+        t0, t1 = t1, _poly_reduce(R, _poly_axpy(R, t0, R.one,
+                                                poly_mul(ctx, q, t1)), p)
     if len(r0) != 1:
         raise FieldTooSmall("factors are not coprime over the residue field")
     inv = R.inverse(r0[0])
-    return _residue(R, p, R.scale(s0, inv)), _residue(R, p, R.scale(t0, inv))
+    return (_poly_reduce(R, R.scale(s0, inv), p),
+            _poly_reduce(R, R.scale(t0, inv), p))
 
 
 def hensel_split(ctx, F, gbar, hbar):
@@ -258,12 +256,12 @@ def hensel_split(ctx, F, gbar, hbar):
 
 
 def _trim_monic(R, a, length):
-    """Drop zero padding above the known degree; a factor that does not
-    stay monic of that degree means the residue factorization was not
-    one of F mod p."""
-    if any(c != R.zero for c in a[length:]) or a[:length][-1] != R.one:
+    """A reduced factor (no trailing zeros) that must stay monic of its
+    known degree; one that does not means the residue factorization was
+    not one of F mod p."""
+    if len(a) != length or a[-1] != R.one:
         raise PrecisionExhausted("degree escaped during lifting")
-    return list(a[:length])
+    return a
 
 
 def segment_factorization(ctx, F):

@@ -5,10 +5,12 @@ both blocks, Frobenius exponents a = (1,0,0) on the first block and
 b = (1,1,0) on the second; slopes 1/3 and 2/3.
 
 At the end: the sigma-twisted n = 2 instance, and the random builders,
-which draw block-split modules from a seeded ``random.Random``:
-``conjugated_instance`` conjugates one by a random unimodular integer
-matrix (a dense Frobenius matrix that still splits integrally),
-``random_split_instance`` keeps the block form.
+which draw modules from a seeded ``random.Random``:
+``conjugated_instance`` conjugates a block-split module by a random
+unimodular integer matrix (a dense Frobenius matrix that still splits
+integrally), ``random_split_instance`` keeps the block form, and
+``non_split_recipe`` draws U diag(1, ..., 1, p, ..., p) V, which now and
+then does not split (``non_split_draw``).
 """
 
 import random
@@ -213,3 +215,37 @@ def random_split_instance(rng):
                 pos += b
         ctx = make_context(p, 1, 40)
         return FIsocrystal.from_int_matrix(ctx, rows)
+
+
+def _unimodular(rng, r, steps):
+    """A product of ``steps`` random elementary row operations on the
+    identity: an integer matrix of determinant 1."""
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(steps):
+        i, j = rng.randrange(r), rng.randrange(r)
+        if i != j:
+            c = rng.randrange(-2, 3)
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def non_split_recipe(rng, p=2, r=6, units=4, precision=32):
+    """U diag(1, ..., 1, p, ..., p) V, with ``units`` ones and U, V
+    unimodular integer matrices (invertible over Z_p): phi M lies between
+    M and p M, so this is a Dieudonne module.  Most draws split into their
+    slope parts M cap W_a; at p = 2, r = 6 the seeds below 3000 that give
+    one that does not are 775, 1649, 1995 and 2824."""
+    d = [1] * units + [p] * (r - units)
+    U, V = _unimodular(rng, r, 2 * r), _unimodular(rng, r, 2 * r)
+    rows = [[sum(U[i][k] * d[k] * V[k][j] for k in range(r))
+             for j in range(r)] for i in range(r)]
+    return FIsocrystal.from_int_matrix(make_context(p, 1, precision), rows)
+
+
+NON_SPLIT_SEED = 775
+
+
+def non_split_draw():
+    """The recipe at ``NON_SPLIT_SEED``: slopes {0, 1/3 (x3), 1/2 (x2)},
+    like ``non_split_rank6``, and no integral splitting."""
+    return non_split_recipe(random.Random(NON_SPLIT_SEED))

@@ -15,13 +15,13 @@ from dieudonne.isocrystal import (FIsocrystal, slope_split, end_decompose,
                                   newton_slopes, vec_to_mat)
 from dieudonne.core import (TangentSpace, hodge_splitting_from_kernel,
                             largest_sub_dieudonne, lie_element, nu_image)
-from dieudonne.series import TruncatedSeries
+from dieudonne.series import TruncatedSeries, linear_matrix
 from dieudonne.deformation import (
-    DeformationBasis, correction_factor, divided_power,
-    induced_connection_tilde, kodaira_spencer_image, prepare_trivializer,
-    recursion_residual, select_deformation_basis, solve_connection,
-    trivialize_at_point, universal_element, verify_horizontality,
-    _combine, _nabla, _orbit_sum, _orbit_tables, _series_mat_vec,
+    DeformationBasis, apply_twisted_frobenius, correction_factor,
+    divided_power, induced_connection_tilde, kodaira_spencer_image,
+    prepare_trivializer, recursion_residual, select_deformation_basis,
+    solve_connection, trivialize_at_point, verify_horizontality,
+    _combine, _nabla, _orbit_sum, _orbit_tables,
 )
 from dieudonne import deformation
 from dieudonne.errors import HypothesisViolated, NonConvergence
@@ -172,7 +172,7 @@ def test_connection_passes_bugs_through(monkeypatch):
 
 def test_universal_element_at_origin():
     ctx, X, O, T, B, conn = ordinary_setup(2, 20, 8)
-    u = universal_element(X, B, 8)
+    u = universal_element_reference(X, B, 8)
     for i in range(2):
         for j in range(2):
             c0 = wrap(ring(ctx), u[i][j].constant_term())
@@ -426,6 +426,59 @@ def test_trivializer_keeps_the_loss_of_E():
     assert sess.lattice_e().loss == ws["bE"].loss == 0
 
 
+NON_SPLIT_SERIES = {
+    "w[0,0]": "w(4294967295) + w(59946939)*x0 + w(1040884952)*x0^3"
+              " + w(2044140404)*x0^7",
+    "w[0,1]": "w(595985773)*x1 + w(1971924404)*x1^3 + w(1764799984)*x1^7",
+    "w[1,0]": "w(1074551706) + w(3143565122)*x0 + w(1842908029)*x0^3"
+              " + w(1615074218)*x0^7",
+    "w[1,1]": "w(1903637245)*x1 + w(1966748377)*x1^3 + w(1718244476)*x1^7",
+    "w[2,0]": "w(1558234706) + w(1330846185)*x0 + w(800515776)*x0^3"
+              " + w(1131038220)*x0^7",
+    "w[2,1]": "w(4294967295) + w(1373256951)*x1 + w(2335124908)*x1^3"
+              " + w(2050591720)*x1^7",
+    "w[3,0]": "w(2147483648) + w(3988361782)*x0 + w(3587339589)*x0^3"
+              " + w(8228548)*x0^7",
+    "w[3,1]": "w(2339617665)*x1 + w(1731507543)*x1^3 + w(4027228102)*x1^7",
+    "w[4,0]": "w(2561327674)*x0 + w(2439910925)*x0^3 + w(2859191660)*x0^7",
+    "w[4,1]": "w(3595295049)*x1 + w(1852178711)*x1^3 + w(4239679690)*x1^7",
+}
+
+NON_SPLIT_CORRECTION = [
+    [4219945677, 3595633724, 1031488288, 3990852108, 4020824508, 3484660340],
+    [2189758210, 3365643115, 2298013744, 142797026, 1052550570, 477965278],
+    [2478532362, 2122972434, 1359948017, 2660952170, 4115564626, 1502084950],
+    [4047234320, 4267093072, 3327752576, 3446989841, 1544117840, 2055643632],
+    [3180032420, 1621366516, 2099881824, 1524632420, 194916213, 2194782748],
+    [2964547850, 4050282258, 1204771056, 2816264810, 4283511378, 297459031]]
+
+
+def test_non_split_connection_and_correction_are_pinned():
+    # off the split corpus (E carries a loss), the series text, the
+    # horizontality report and the correction factor at z = (p, p) are
+    # those that the product with the full series matrix of u gave
+    from dieudonne.problems import parse_dict, run
+    X = non_split_rank6(make_context(2, 1, 32))
+    spec = parse_dict({
+        "name": "non_split_rank6", "p": 2, "n": 1, "precision": 32,
+        "degree": 9, "rank": 6,
+        "phi_matrix": [list(row) for row in X.phi.rows],
+        "slope_pairs": [["0", "1/3"], ["0", "1/2"]]})
+    found = run(spec, ["connection", "correction"], 0)["analyses"]
+    assert found["connection"] == {
+        "variables": 2, "series": NON_SPLIT_SERIES, "ok": True,
+        "horizontality": {"residual_valuation": 31, "certified_modulus": 31,
+                          "degree_window": 8, "vanishes": True},
+        "kodaira_spencer_dimension": 2}
+    assert found["correction"] == {
+        "unit_mod_p": True, "defect_in_E_mod_p2": True,
+        "y_valuations": [1, 1], "ok": True}
+    sess = Session(spec)
+    conn = sess.connection()
+    got = correction_factor(sess.crystal(), conn, [ring(X.ctx).of_int(2)] * 2)
+    assert got["matrix"] == NON_SPLIT_CORRECTION
+
+
 def test_square_zero_trivializer_makes_no_orbit_products(monkeypatch):
     # the orbit is summed: only the four certificate products remain,
     # however many steps the orbit takes
@@ -596,6 +649,112 @@ def test_point_queries_lift_each_residue_once(monkeypatch):
     assert sorted(calls) == sorted((c,) for c in residues)
 
 
+# ---------------------------------------------------------------------------
+# the twisted Frobenius and nabla against the series-matrix forms
+#
+# ``universal_element_reference`` and ``_series_mat_vec_reference`` are the
+# former library bodies, kept verbatim: u = 1 + sum v_i x_i as an r x r
+# matrix of series, and the product of a series matrix with a series
+# vector.  ``_frobenius_image_reference`` is the former first half of
+# apply_twisted_frobenius, A * Phi_S(vec).  The library applies u as
+# avec + sum_j x_j (v_j avec) and nabla by row combinations; both must give
+# the coefficients and validity windows of the series-matrix products.
+
+
+def universal_element_reference(crystal, B, dmax):
+    """1 + sum v_i x_i as an r x r matrix of series."""
+    R = ring(crystal.ctx)
+    rows = linear_matrix(R, B.vectors, crystal.rank, dmax)
+    one = TruncatedSeries.constant(R, B.n, dmax, R.one)
+    for i, row in enumerate(rows):
+        row[i] = row[i] + one
+    return rows
+
+
+def _series_mat_vec_reference(rows, vec):
+    out = []
+    for row in rows:
+        acc = None
+        for a_, s in zip(row, vec):
+            term = a_ * s
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
+def _frobenius_image_reference(crystal, vec):
+    R = ring(crystal.ctx)
+    lifted = [s.frobenius_lift() for s in vec]
+    avec = []
+    for i in range(crystal.rank):
+        acc = None
+        for j in range(crystal.rank):
+            c = crystal.phi.rows[i][j]
+            if c == R.zero:
+                continue
+            term = lifted[j] * c
+            acc = term if acc is None else acc + term
+        if acc is None:
+            acc = TruncatedSeries.zero(R, lifted[0].nvars, lifted[0].dmax)
+        avec.append(acc)
+    return avec
+
+
+def _seeded_series_vector(ctx, nvars, dmax, r, rng):
+    """r series with windows drawn below and at the bound: every third
+    entry has no terms, the others up to three monomials of degree at
+    most dmax + 1 with coefficients of every valuation."""
+    R = ring(ctx)
+    vec = []
+    for k in range(r):
+        coeffs = {}
+        for _ in range(0 if k % 3 == 0 else rng.randrange(1, 4)):
+            expo = [0] * nvars
+            for _ in range(rng.randrange(dmax + 2)):
+                expo[rng.randrange(nvars)] += 1
+            digits = [rng.randrange(ctx.pN) for _ in range(ctx.n)]
+            coeffs[tuple(expo)] = raw(ctx, [d * ctx.p ** rng.randrange(3)
+                                            for d in digits])
+        vec.append(TruncatedSeries(R, nvars, dmax, coeffs,
+                                   valid=rng.randrange(dmax + 1)))
+    return vec
+
+
+def _rank6_setup(dmax):
+    ctx = make_context(2, 3, 40)
+    X = rank6_two_slope(ctx)
+    E = end_decompose(X, slope_split(X))
+    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    B = select_deformation_basis(O, TangentSpace(X))
+    return ctx, X, B, solve_connection(X, O, B, dmax)
+
+
+def _kernel_setup(name):
+    if name == "rank6_two_slope":
+        return _rank6_setup(4)
+    p = {"ordinary_p2": 2, "ordinary_p3": 3}[name]
+    ctx, X, O, T, B, conn = ordinary_setup(p, 20, 8)
+    return ctx, X, B, conn
+
+
+@pytest.mark.parametrize("name", ["ordinary_p2", "ordinary_p3",
+                                  "rank6_two_slope"])
+def test_twisted_frobenius_matches_series_matrix_form(name):
+    ctx, X, B, conn = _kernel_setup(name)
+    u = universal_element_reference(X, B, conn.dmax)
+    rng = random.Random(1900 + ctx.p)
+    vectors = [[TruncatedSeries.constant(ring(ctx), B.n, conn.dmax, x)
+                for x in col] for col in ring(ctx).identity(X.rank)]
+    vectors += [_seeded_series_vector(ctx, B.n, conn.dmax, X.rank, rng)
+                for _ in range(6)]
+    for vec in vectors:
+        got = apply_twisted_frobenius(X, B, vec)
+        want = _series_mat_vec_reference(u, _frobenius_image_reference(X,
+                                                                        vec))
+        assert [(s.coeffs, s.valid) for s in got] == \
+            [(s.coeffs, s.valid) for s in want]
+
+
 def _nabla_reference(conn, vec, i):
     R = ring(conn.crystal.ctx)
     r = conn.crystal.rank
@@ -604,7 +763,7 @@ def _nabla_reference(conn, vec, i):
         w_li = conn.w[(l, i)]
         if w_li.is_zero():
             continue
-        evec = _series_mat_vec(
+        evec = _series_mat_vec_reference(
             [[TruncatedSeries.constant(R, conn.B.n, conn.dmax, x)
               for x in row] for row in vec_to_mat(v, r)], vec)
         out = [o + e * w_li for o, e in zip(out, evec)]

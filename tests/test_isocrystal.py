@@ -14,9 +14,11 @@ from dieudonne.witt import make_context
 from dieudonne.matrix import ring
 from dieudonne.isocrystal import (
     FIsocrystal, charpoly, dim_codim, end_decompose, end_frobenius,
-    newton_polygon, newton_slopes, slope_split,
+    newton_polygon, newton_slopes, slope_split, _component_bases,
 )
-from dieudonne.lattices import restrict_map
+from dieudonne.lattices import restrict_map, smith_valuations
+
+from instances import non_split_draw, non_split_rank6
 
 
 def ordinary_rank2(ctx):
@@ -267,3 +269,15 @@ def test_slopes_are_computed_once_per_crystal(monkeypatch):
     assert newton_slopes(X) is newton_slopes(X)
     assert newton_slopes(X.at_precision(30)) == newton_slopes(X)
     assert len(calls) == 4
+
+
+def test_non_split_recipe_draws_a_non_split_module():
+    # U diag(1, 1, 1, 1, p, p) V at its documented seed: a Dieudonne
+    # module (elementary divisors 1 and p) with the slopes of
+    # non_split_rank6 that, like it, does not split into its slope parts
+    for X in (non_split_draw(), non_split_rank6(make_context(2, 1, 32))):
+        assert smith_valuations(X.ctx, X.phi.rows) == [0, 0, 0, 0, 1, 1]
+        sd = slope_split(X)
+        assert sd.slopes == [(Fraction(0), 1), (Fraction(1, 3), 3),
+                             (Fraction(1, 2), 2)]
+        assert not sd.is_split and _component_bases(sd) is None

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 import pytest
 
+from dieudonne import isocrystal
 from dieudonne.errors import (DieudonneError, FieldTooSmall,
                               PrecisionExhausted)
 from dieudonne.isocrystal import (_poly_inverse_mod, charpoly, hensel_split,
@@ -533,6 +534,28 @@ def test_hensel_split_reports_a_false_factorization(setting):
         assert got == (PrecisionExhausted, want[1])
     else:
         assert got == want
+
+
+@pytest.mark.parametrize("p, N", [(2, 270), (3, 256)])
+def test_hensel_lifting_keeps_its_operands_short(monkeypatch, p, N):
+    """Every reduction drops trailing zeros, so no operand of a product
+    during lifting is longer than F, however many quadratic rounds run
+    (eight at N = 256, nine at N = 270): (x - p)(x - 1) from the residue
+    factors x and x - 1."""
+    ctx = make_context(p, 1, N)
+    R = ring(ctx)
+    F = R.raw_col([p, -1 - p, 1])
+    lengths = []
+
+    def recording(ctx, a, b):
+        lengths.append(max(len(a), len(b)))
+        return poly_mul(ctx, a, b)
+
+    monkeypatch.setattr(isocrystal, "poly_mul", recording)
+    G, H = hensel_split(ctx, F, R.raw_col([0, 1]), R.raw_col([p - 1, 1]))
+    assert (G, H) == (R.raw_col([-p, 1]), R.raw_col([-1, 1]))
+    assert poly_mul(ctx, G, H) == F
+    assert max(lengths) <= len(F)
 
 
 def test_poly_inverse_mod_matches_reference(setting):

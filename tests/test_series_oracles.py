@@ -432,6 +432,40 @@ def test_ring_ops_match_reference(setting):
         assert a == a
         c = rand_raw(R, rng)
         assert wrapped(a * c) == reference(a_ref * R.wrap_col([c])[0])
+        # an operand with no terms returns at once, and its window below
+        # the bound still joins the result's
+        w = rng.randrange(dmax)
+        e = TruncatedSeries(R, nvars, dmax, valid=w)
+        e_ref = SeriesReference(ctx, nvars, dmax, valid=w)
+        for x, y, x_ref, y_ref in ((a, e, a_ref, e_ref), (e, a, e_ref, a_ref),
+                                   (e, e, e_ref, e_ref)):
+            assert wrapped(x + y) == reference(x_ref + y_ref)
+            assert wrapped(x - y) == reference(x_ref - y_ref)
+            assert wrapped(x * y) == reference(x_ref * y_ref)
+        assert wrapped(-e) == reference(-e_ref)
+        assert wrapped(e * c) == reference(e_ref * R.wrap_col([c])[0])
+
+
+def test_shift_and_combination_match_reference(setting):
+    # x_i^k s and s + sum_l row[l] series[l] against the products and sums
+    # of the reference: zero row entries and empty series included
+    ctx, R, rng = setting
+    for nvars, dmax, (s, s_ref) in series_pairs(R, rng):
+        i = rng.randrange(nvars)
+        for k in range(dmax + 2):
+            x_ref = SeriesReference.variable(ctx, nvars, dmax, i, k)
+            assert wrapped(s.times_variable(i, k)) == \
+                reference(s_ref * x_ref)
+        pairs = [random_series_pair(R, rng, nvars, dmax) for _ in range(4)]
+        pairs.append((TruncatedSeries(R, nvars, dmax, valid=0),
+                      SeriesReference(ctx, nvars, dmax, valid=0)))
+        row = [rng.choice((R.zero, rand_raw(R, rng))) for _ in pairs]
+        acc = SeriesReference(ctx, nvars, dmax)
+        for x, (_, t_ref) in zip(row, pairs):
+            if x != R.zero:
+                acc = acc + t_ref * R.wrap_col([x])[0]
+        got = s.plus_combination(row, [t for t, _ in pairs])
+        assert wrapped(got) == reference(s_ref + acc)
 
 
 def test_scale_p_matches_reference(setting):
