@@ -235,9 +235,7 @@ def sigma_phi(crystal: FIsocrystal, split: HodgeSplitting) -> SemilinearMap:
     ctx = crystal.ctx
     R = ring(ctx)
     e = crystal.phi.twist
-    prod = R.mul_mat(crystal.phi.rows,
-                     [[R.frob(x, e) for x in row]
-                      for row in split.mu_numerator()])
+    prod = R.mul_mat(crystal.phi.rows, R.frob_mat(split.mu_numerator(), e))
     m = SemilinearMap(ctx, prod, twist=crystal.phi.twist,
                       denominator=crystal.phi.denominator + 1,
                       loss=crystal.phi.loss)
@@ -339,9 +337,9 @@ def _backward_numerator(crystal):
         ctx = crystal.ctx
         ainv, vdet = crystal.inverse_numerator()
         e = (-1) % ctx.n
-        frob = ring(ctx).frob
-        left = [[frob(x, e) for x in row] for row in ainv]
-        bwd_num = Sandwich(ctx, left, crystal.phi._twisted_rows(e),
+        R = ring(ctx)
+        bwd_num = Sandwich(ctx, R.frob_mat(ainv, e),
+                           R.frob_mat(crystal.phi.rows, e),
                            twist=e, denominator=vdet, loss=crystal.phi.loss)
         crystal._derived["backward"] = (bwd_num, vdet)
     return crystal._derived["backward"]
@@ -470,8 +468,8 @@ def _component_factors(num, bases):
     neff = ctx.N - num.loss
     factors = {}
     for a, (Ua, Da) in bases.items():
-        lu = R.mul_mat(num.left, _twisted(R, Ua, t))
-        rd = R.mul_mat(_twisted(R, Da, t), num.right)
+        lu = R.mul_mat(num.left, R.frob_mat(Ua, t))
+        rd = R.mul_mat(R.frob_mat(Da, t), num.right)
         for b, (Ub, Db) in bases.items():
             left, right = R.mul_mat(Db, lu), R.mul_mat(rd, Ub)
             if a == b:
@@ -481,10 +479,6 @@ def _component_factors(num, bases):
                     "block lattice is not stable under a conjugation "
                     "numerator")
     return factors
-
-
-def _twisted(R, m, t):
-    return [[R.frob(x, t) for x in row] for row in m] if t else m
 
 
 def _block_restricted(num, factors, blocks, T, tinv) -> SemilinearMap:
@@ -497,7 +491,7 @@ def _block_restricted(num, factors, blocks, T, tinv) -> SemilinearMap:
     ctx = num.ctx
     R = ring(ctx)
     t = num.twist
-    tT = _twisted(R, T, t)
+    tT = R.frob_mat(T, t)
     mid, at = [], 0
     for (src, dst) in blocks:
         P, Q = factors[dst][0], factors[src][1]

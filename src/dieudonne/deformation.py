@@ -50,7 +50,7 @@ from .core import (TangentSpace, nu_image, _backward_numerator,
 from .errors import (HypothesisViolated, InclusionViolated, NonConvergence,
                      NonTermination, ValidationFailed)
 from .isocrystal import FIsocrystal, end_frobenius, vec_to_mat
-from .lattices import (Lattice, SemilinearMap, residue_echelon,
+from .lattices import (Lattice, SemilinearMap, boosted, residue_echelon,
                        residue_spaces_equal, restrict_map)
 from .matrix import ring
 from .series import TruncatedSeries
@@ -198,15 +198,6 @@ def recursion_residual(conn: ConnectionForm):
     return out
 
 
-def _combine(R, coeffs, vecs, length):
-    """sum_k coeffs[k] vecs[k] on raw vectors of the given length."""
-    out = [R.zero] * length
-    for c, v in zip(coeffs, vecs):
-        if c != R.zero:
-            out = R.axpy(out, R.neg(c), v)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the twisted Frobenius on series vectors
 
@@ -331,7 +322,7 @@ def kodaira_spencer_image(conn: ConnectionForm, tangent: TangentSpace):
         c0 = [conn.w[(l, i)].constant_term()
               for l in range(len(conn.basis))]
         # the degree-zero coefficient sum_l c0_l e_l is -v_i
-        v = _combine(R, c0, conn.basis, r * r)
+        v = R.vec_mat(c0, conn.basis)
         classes.append(tangent.nu_matrix(vec_to_mat(list(map(R.neg, v)),
                                                     r)))
     ech, _ = residue_echelon(ctx, classes)
@@ -394,7 +385,7 @@ def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
     ctx = crystal.ctx
     _, dval = crystal.inverse_numerator()
     delta = E.index_valuation()
-    bX = crystal.at_precision(ctx.N + delta + 2 * dval + 8)
+    bX = boosted(ctx, (delta + 2 * dval + 8,), crystal.at_precision)
     big = bX.ctx
     # raw entries are integer representatives, valid at the boost too; a
     # basis known modulo p^(N - loss) knows no more digits at the boost
@@ -449,7 +440,8 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
     R = ring(big)
     # u_h = 1 + sum v_i teich(point_i)
     taus = [_teichmuller_raw(R, ws["teich"], coord) for coord in point]
-    n0 = _combine(R, taus, bvecs, r * r)
+    # an empty deformation basis twists by zero
+    n0 = R.vec_mat(taus, bvecs) or [R.zero] * (r * r)
     ident = R.identity(r)
     u_h = R.add_mat(ident, vec_to_mat(n0, r))
     # backward-orbit coordinates: c_k = C^k c_0 on the basis of E
@@ -475,7 +467,7 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
             prod_inv = R.mul_mat(prod_inv, R.nilpotent_inverse(nk, r))
     # certificate: prod u_h A sigma(prod^{-1}) A^{-1} = 1
     lhs = R.mul_mat(R.mul_mat(prod, u_h), ws["abig"])
-    lhs = R.mul_mat(lhs, [[R.frob(x, 1) for x in row] for row in prod_inv])
+    lhs = R.mul_mat(lhs, R.frob_mat(prod_inv, 1))
     lhs = R.mul_mat(lhs, ws["ainv"])
     pd = R.of_int(big.p ** dval)
     verified = ctx.N

@@ -10,7 +10,8 @@ partial-fraction idempotents are evaluated at the linearized matrix.
 
 Everything runs at an internally boosted precision on the exact input
 matrix, so the published projectors and component lattices are good at the
-context precision; their p-denominators are recorded as map loss.
+context precision; their p-denominators are recorded as map loss.  Every
+boost and retry is one ``lattices.boosted`` call with its schedule.
 
 Matrices and polynomials are raw: entries and coefficients of
 ``matrix.ring(ctx)``, polynomials as low-degree-first lists.  The residue
@@ -23,11 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import (FieldTooSmall, InclusionViolated,
-                     PrecisionExhausted, SingularMap)
-from .lattices import (Lattice, SemilinearMap, invert_matrix,
-                       invert_matrix_exact, lattice_sum, matrix_kernel,
-                       mod_p_dimension)
+from .errors import FieldTooSmall, InclusionViolated, PrecisionExhausted
+from .lattices import (Lattice, SemilinearMap, boosted, invert_matrix,
+                       invert_matrix_exact, matrix_kernel, mod_p_dimension)
 from .matrix import ring
 from .witt import WittContext
 
@@ -337,8 +336,11 @@ class FIsocrystal:
         return FIsocrystal(ctx, SemilinearMap(ctx, rows, twist=1,
                                               denominator=denominator))
 
-    def at_precision(self, N2):
-        ctx2 = self.ctx.with_precision(N2)
+    def at_precision(self, ctx2):
+        """The same integer matrix over ctx2, a context of another
+        precision; the crystal itself over its own context."""
+        if ctx2 is self.ctx:
+            return self
         return FIsocrystal(ctx2, SemilinearMap(
             ctx2, self.phi.rows, twist=1,
             denominator=self.phi.denominator))
@@ -363,8 +365,7 @@ class FIsocrystal:
         sigma^{-1}."""
         a_adj, vdet = self.inverse_numerator()
         e = (-1) % self.ctx.n
-        frob = ring(self.ctx).frob
-        rows = [[frob(x, e) for x in row] for row in a_adj]
+        rows = ring(self.ctx).frob_mat(a_adj, e)
         return SemilinearMap(self.ctx, rows, e,
                              vdet - self.phi.denominator - 1,
                              loss=self.phi.loss)
@@ -387,28 +388,23 @@ def newton_slopes(crystal: FIsocrystal):
     denominator.
 
     Polygon heights grow like rank times slope, so when the working
-    precision cannot resolve the hull the computation retries at a
-    boosted precision on the defining matrix.  Computed once per crystal.
+    precision cannot resolve the hull the computation retries with one and
+    then two budgets of guard digits.  Computed once per crystal.
     """
-    if "slopes" in crystal._derived:
-        return crystal._derived["slopes"]
-    ctx = crystal.ctx
-    n = ctx.n
-    d = crystal.phi.denominator
-    work = crystal
-    for attempt in range(3):
-        lam = work.linearization()
-        F = charpoly(work.ctx, lam.rows)
-        try:
-            np_ = newton_polygon(work.ctx, F, loss=crystal.phi.loss)
-            slopes = [(Fraction(v, n) - d, m) for (v, m) in np_]
-            crystal._derived["slopes"] = slopes
-            return slopes
-        except PrecisionExhausted:
-            if attempt == 2:
-                raise
-            budget = crystal.rank * n * (1 + max(0, d)) + 8
-            work = crystal.at_precision(work.ctx.N + budget)
+    if "slopes" not in crystal._derived:
+        n = crystal.ctx.n
+        d = crystal.phi.denominator
+
+        def attempt(c):
+            lam = crystal.at_precision(c).linearization()
+            np_ = newton_polygon(c, charpoly(c, lam.rows),
+                                 loss=crystal.phi.loss)
+            return [(Fraction(v, n) - d, m) for (v, m) in np_]
+
+        budget = crystal.rank * n * (1 + max(0, d)) + 8
+        crystal._derived["slopes"] = boosted(
+            crystal.ctx, (0, budget, 2 * budget), attempt)
+    return crystal._derived["slopes"]
 
 
 class SlopeData:
@@ -416,16 +412,20 @@ class SlopeData:
     summand, and the integral component lattices.  ``_derived`` caches
     the component bases (``_component_bases``) on first use."""
 
-    __slots__ = ("crystal", "slopes", "projectors", "components", "is_split",
-                 "_derived")
+    __slots__ = ("crystal", "slopes", "projectors", "components", "_derived")
 
-    def __init__(self, crystal, slopes, projectors, components, is_split):
+    def __init__(self, crystal, slopes, projectors, components):
         self.crystal = crystal
         self.slopes = slopes
         self.projectors = projectors
         self.components = components
-        self.is_split = is_split
         self._derived = {}
+
+    @property
+    def is_split(self):
+        """True when M is the direct sum of its slope components, which
+        is when it has component bases (``_component_bases``)."""
+        return _component_bases(self) is not None
 
     @property
     def slope_list(self):
@@ -463,7 +463,7 @@ def slope_split(crystal: FIsocrystal) -> SlopeData:
         r = crystal.rank
         ident = SemilinearMap.identity(ctx, r)
         return SlopeData(crystal, slopes, {slopes[0][0]: ident},
-                         {slopes[0][0]: crystal.M}, True)
+                         {slopes[0][0]: crystal.M})
     n = ctx.n
     d = crystal.phi.denominator
     lam_vals = [(a + d) * n for (a, _) in slopes]
@@ -473,19 +473,13 @@ def slope_split(crystal: FIsocrystal) -> SlopeData:
     r = crystal.rank
     max_val = max(int(v * b) for v in lam_vals)
     budget = r * max_val + 2 * r + 8
-    for attempt in range(3):
-        # each retry doubles the guard digits
-        try:
-            return _slope_split_at(crystal, b, ctx.N + (budget << attempt))
-        except (PrecisionExhausted, SingularMap) as err:
-            last_err = err
-    raise PrecisionExhausted(str(last_err))
+    return boosted(ctx, (budget, 2 * budget, 4 * budget),
+                   lambda bctx: _slope_split_at(crystal, b, bctx))
 
 
-def _slope_split_at(crystal, b, n_work):
+def _slope_split_at(crystal, b, bctx):
     ctx = crystal.ctx
-    big = crystal.at_precision(n_work)
-    bctx = big.ctx
+    big = crystal.at_precision(bctx)
     R = ring(bctx)
     lam_rows = big.linearization().rows
     lam_b = lam_rows
@@ -502,7 +496,6 @@ def _slope_split_at(crystal, b, n_work):
     r = crystal.rank
     projectors = {}
     components = {}
-    comp_sum = Lattice.zero(ctx, r)
     for (v, fac) in factors:
         alpha = Fraction(v, b * n) - d
         # partial-fraction idempotent: (F/fac) * inverse of (F/fac) mod fac
@@ -518,18 +511,16 @@ def _slope_split_at(crystal, b, n_work):
         if content:
             mat = [[R.divide_p(x, content) for x in row] for row in mat]
         den = wden - content
-        if n_work - wden < ctx.N:
+        if bctx.N - wden < ctx.N:
             raise PrecisionExhausted("projector denominators ate the guard")
         # publish at the context precision
         proj = SemilinearMap(ctx, mat, twist=0, denominator=den, loss=den)
         projectors[alpha] = proj
         comp = _projector_fixed_lattice(ctx, proj)
         components[alpha] = comp
-        comp_sum = lattice_sum(comp_sum, comp)
     _validate_projectors(crystal, projectors)
-    is_split = comp_sum.equals(crystal.M)
     slopes = [(a, components[a].rank) for a in sorted(components)]
-    return SlopeData(crystal, slopes, projectors, components, is_split)
+    return SlopeData(crystal, slopes, projectors, components)
 
 
 def _poly_inverse_mod(ctx, q, fac):
@@ -707,7 +698,7 @@ class EndDecomposition:
         """True when the module splits integrally: then the signed
         lattice of any pair set is the sum of those of its pairs, each
         with a block carrier of its own."""
-        return _component_bases(self.slope_data) is not None
+        return self.slope_data.is_split
 
     def carrier(self, sign, pairs=None):
         """The ``core.Carrier`` of the sign's ("plus" or "minus") block

@@ -41,6 +41,10 @@ and the matrix entry points (``Lattice.from_columns``,
 raw entries of the lattice's own context only.
 
 Semilinear maps are v |-> p^{-denominator} * A * sigma^twist(v).
+
+Precision moves are one primitive: ``boosted`` runs a computation at the
+context precision raised by each extra of a schedule that its caller
+writes down, and returns the first success.
 """
 
 from __future__ import annotations
@@ -225,10 +229,6 @@ class Lattice:
     @property
     def rank(self):
         return len(self.cols)
-
-    @property
-    def neff(self):
-        return self.ctx.N - self.loss
 
     def basis_columns(self):
         """Canonical integral basis columns as ``WittScalar`` lists (the
@@ -597,11 +597,6 @@ class SemilinearMap:
             self._tcols = tuple(zip(*self.rows))
         return R.vec_mat(col, self._tcols)
 
-    def _twisted_rows(self, e):
-        """sigma^e applied to every entry."""
-        frob = ring(self.ctx).frob
-        return [[frob(x, e) for x in row] for row in self.rows]
-
     def __call__(self, lattice: Lattice) -> Lattice:
         """Image lattice; the denominator moves into the scale (kept as
         presentation: no entry is ever divided)."""
@@ -614,9 +609,8 @@ class SemilinearMap:
     def compose(self, other: "SemilinearMap") -> "SemilinearMap":
         """self after other."""
         ctx = self.ctx
-        e = self.twist
-        twisted = other._twisted_rows(e) if e else other.rows
-        rows = ring(ctx).mul_mat(self.rows, twisted)
+        R = ring(ctx)
+        rows = R.mul_mat(self.rows, R.frob_mat(other.rows, self.twist))
         return SemilinearMap(ctx, rows, self.twist + other.twist,
                              self.denominator + other.denominator,
                              loss=max(self.loss, other.loss))
@@ -660,8 +654,7 @@ class SemilinearMap:
         ctx = self.ctx
         inv_num, vdet = invert_matrix_exact(ctx, self.rows)
         e = (-self.twist) % ctx.n
-        frob = ring(ctx).frob
-        rows = [[frob(x, e) for x in r] for r in inv_num]
+        rows = ring(ctx).frob_mat(inv_num, e)
         return SemilinearMap(ctx, rows, e, vdet - self.denominator,
                              loss=self.loss)
 
@@ -733,6 +726,19 @@ def smith_valuations(ctx, rows, neff=None):
     return sorted([e for (_, e) in pivots] + [neff] * pad)
 
 
+def boosted(ctx, extras, run):
+    """The first value of run(c), c being ctx raised by each extra in turn
+    (extra 0 is ctx itself).  A PrecisionExhausted or SingularMap moves on
+    to the next extra; the last one's message is raised as
+    PrecisionExhausted.  Only exact data may cross into c."""
+    for extra in extras:
+        try:
+            return run(ctx.with_precision(ctx.N + extra))
+        except (PrecisionExhausted, SingularMap) as err:
+            last = err
+    raise PrecisionExhausted(str(last))
+
+
 def invert_matrix_exact(ctx, rows):
     """(numerator, vdet) like invert_matrix, but computed at a boosted
     internal precision on the integer representatives (which are taken as
@@ -743,8 +749,7 @@ def invert_matrix_exact(ctx, rows):
     inv, vdet = invert_matrix(ctx, rows)
     if vdet == 0:
         return inv, vdet
-    big = ctx.with_precision(ctx.N + vdet + 2)
-    binv, v2 = invert_matrix(big, rows)
+    binv, v2 = boosted(ctx, (vdet + 2,), lambda c: invert_matrix(c, rows))
     if v2 != vdet:
         raise PrecisionExhausted("determinant valuation is not stable")
     return R.raw_mat(binv), vdet

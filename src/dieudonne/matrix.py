@@ -27,9 +27,10 @@ times a column, for a single inner product: traces, ``charpoly``, the
 isotropy check of ``strata``), ``mul``, ``power``, ``of_int``,
 ``axpy``, ``scale``, ``pivot`` (the first
 entry of least valuation), ``val``, balanced ``divide_p``, unit
-``inverse``, ``frob``, ``rem``, ``vanishes`` and the zero test
-``x == R.zero``; the residue-field algebra of ``lattices`` runs on these
-ops too, on raw entries in [0, p).  When n > 1, a tuple whose
+``inverse``, ``frob`` (``frob_mat`` on a matrix), ``rem``,
+``vanishes`` and the zero test ``x == R.zero``; the residue-field
+algebra of ``lattices`` runs on these ops too, on raw entries in
+[0, p).  When n > 1, a tuple whose
 coordinates above g^0 vanish lies in Z_p, and integer module data make
 most entries of that kind.  ``_TupleRing.scale`` and ``axpy`` then run
 one integer pass per coordinate (``scale`` by ``one`` is a copy in
@@ -136,6 +137,13 @@ class _WittRing(_Ring):
 
     def is_zero(self, x):
         return x == self.zero
+
+    def frob_mat(self, m, e):
+        """sigma^e on every entry of a matrix; m itself when e = 0."""
+        if not e:
+            return m
+        frob = self.frob
+        return [[frob(x, e) for x in row] for row in m]
 
     def pivot(self, col, rows, neff):
         """(v, i) for the first of the given rows whose entry has the least

@@ -27,8 +27,8 @@ from .core import (codim_of_dieudonne, largest_sub_dieudonne, nu_image,
 from .errors import DualityMismatch, PrecisionExhausted, VerificationMismatch
 from .isocrystal import (EndDecomposition, FIsocrystal, SlopeData,
                          signed_block_lattices)
-from .lattices import (Lattice, intersect, kernel_span, lattice_sum,
-                       smith_valuations)
+from .lattices import (Lattice, boosted, intersect, kernel_span,
+                       lattice_sum, smith_valuations)
 from .matrix import ring
 
 
@@ -116,8 +116,9 @@ def dual_lattice(L: Lattice, reference: Lattice) -> Lattice:
     the Gram matrix of the two bases and K bounding the denominator depth,
     the coordinate lattice { c : T c = 0 mod p^K } (a stacked kernel)
     gives the dual as a p^{-K}-scaled span, so the published basis is
-    exact at the working precision.  Runs at a boosted precision when K
-    approaches the context exponent.
+    exact at the working precision.  When K approaches the context
+    exponent, the pairing and the kernel are recomputed with 2K + 8 extra
+    digits (``lattices.boosted``).
     """
     ctx = L.ctx
     if L.rank == 0 and reference.rank == 0:
@@ -129,41 +130,41 @@ def dual_lattice(L: Lattice, reference: Lattice) -> Lattice:
     assert r * r == r2
     m = L.rank
     loss = max(L.loss, reference.loss)
+    S = L.scale + reference.scale
 
-    def build(wctx, lcols, zcols):
+    # raw entries are integer representatives, valid at any precision
+    def pairing(wctx):
         R = ring(wctx)
         # the Gram matrix: rows of L against index-transposed columns of Z
-        gram = R.mul_mat(lcols, list(zip(*(_transposed(z, r)
-                                             for z in zcols))))
+        gram = R.mul_mat(L.cols, list(zip(*(_transposed(z, r)
+                                              for z in reference.cols))))
         # the dual depth is the largest elementary divisor of the pairing
         divisors = smith_valuations(wctx, gram, neff=wctx.N - loss)
         if len(divisors) < m:
             raise PrecisionExhausted("trace pairing is degenerate")
-        S = L.scale + reference.scale
-        K = divisors[-1] + S + 1
+        return gram, divisors[-1] + S + 1
+
+    def build(wctx, gram, K):
         if 2 * K + 4 >= wctx.N - loss:
-            return None, K
+            raise PrecisionExhausted("dual depth exceeded the boost")
+        R = ring(wctx)
         pk = R.of_int(wctx.p ** K)
         stacked = [[gram[i][j] for i in range(m)] for j in range(m)]
         stacked += [[pk if i == j else R.zero for i in range(m)]
                     for j in range(m)]
-        gens = kernel_span(wctx, stacked, zcols, wctx.N - loss, m)
+        gens = kernel_span(wctx, stacked, reference.cols, wctx.N - loss, m)
         out = Lattice.from_columns(wctx, r2, gens,
                                    scale=reference.scale + K - S, loss=loss)
         if out.rank != m:
             raise PrecisionExhausted("dual coordinate lattice degenerated")
-        return out, K
+        return out if wctx is ctx else Lattice.from_columns(
+            ctx, r2, out.cols, scale=out.scale, loss=loss)
 
-    # raw entries are integer representatives, valid at any precision
-    out, K = build(ctx, L.cols, reference.cols)
-    if out is None:
-        big = ctx.with_precision(ctx.N + 2 * K + 8)
-        bout, _ = build(big, L.cols, reference.cols)
-        if bout is None:
-            raise PrecisionExhausted("dual depth exceeded the boost")
-        out = Lattice.from_columns(ctx, r2, bout.cols,
-                                   scale=bout.scale, loss=loss)
-    return out.folded()
+    gram, K = pairing(ctx)
+    if 2 * K + 4 < ctx.N - loss:
+        return build(ctx, gram, K).folded()
+    return boosted(ctx, (2 * K + 8,),
+                   lambda big: build(big, *pairing(big))).folded()
 
 
 SIGNED_LATTICES = ("V_plus", "V_minus", "V_plus_minus", "V_minus_plus",

@@ -131,7 +131,7 @@ def _check_polarization_compat(crystal, g):
     arows = crystal.phi.rows
     lhs = R.mul_mat(R.mul_mat(list(zip(*arows)), g), arows)
     p = R.of_int(crystal.ctx.p)
-    want = [R.scale([R.frob(x, 1) for x in row], p) for row in g]
+    want = [R.scale(row, p) for row in R.frob_mat(g, 1)]
     if lhs != want:
         raise CertificateInvalid(
             "form is not Frobenius-compatible at twist p")

@@ -21,7 +21,7 @@ from dieudonne.deformation import (
     divided_power, induced_connection_tilde, kodaira_spencer_image,
     prepare_trivializer, recursion_residual, select_deformation_basis,
     solve_connection, trivialize_at_point, verify_horizontality,
-    _combine, _nabla, _orbit_sum, _orbit_tables,
+    _nabla, _orbit_sum, _orbit_tables,
 )
 from dieudonne import deformation
 from dieudonne.errors import HypothesisViolated, NonConvergence
@@ -283,13 +283,23 @@ def test_trivialize_rank6_random_points():
 # the square-zero orbit sum against the product loop
 #
 # ``_trivialize_reference`` is the former body of trivialize_at_point, kept
-# verbatim: it multiplies out prod_k (1 + n_k) and its inverse on every
-# lattice.  The library sums the orbit instead when the workspace found E
-# square-zero, and must agree entry for entry.
+# verbatim with the row combination ``_combine`` it called: it multiplies
+# out prod_k (1 + n_k) and its inverse on every lattice.  The library sums
+# the orbit instead when the workspace found E square-zero, and must agree
+# entry for entry.
 
 NON_ISOCLINIC = ["elliptic_polarized", "example_1_7", "four_slope_rank8",
                  "ordinary_rank2", "symplectic_ordinary_c2",
                  "three_slope_rank4"]
+
+
+def _combine(R, coeffs, vecs, length):
+    """sum_k coeffs[k] vecs[k] on raw vectors of the given length."""
+    out = [R.zero] * length
+    for c, v in zip(coeffs, vecs):
+        if c != R.zero:
+            out = R.axpy(out, R.neg(c), v)
+    return out
 
 
 def _trivialize_reference(crystal, E, B, point, workspace=None):
@@ -393,6 +403,17 @@ def test_trivialize_falls_back_on_non_square_zero(name):
     for point in _seeded_points(sess.ctx(), B.n, 4100, 2):
         got = trivialize_at_point(X, O, B, point, workspace=ws)
         assert got == _trivialize_reference(X, O, B, point, workspace=ws)
+
+
+def test_trivialize_with_an_empty_basis():
+    # no deformation vectors: the twist is zero, so the point is already
+    # trivial and the certificate holds at the full precision
+    sess = Session(load_corpus("four_slope_rank8"))
+    X, E = sess.crystal(), sess.lattice_e()
+    got = trivialize_at_point(X, E, DeformationBasis([], E), [])
+    assert got["steps"] == 0 and got["converged"]
+    assert got["verified_modulus"] == X.ctx.N == 48
+    assert got["u_infinity"] == ring(X.ctx).identity(X.rank)
 
 
 def test_trivializer_keeps_the_loss_of_E():

@@ -1,8 +1,9 @@
 """Import hygiene: no module of the library or of its tests imports a name
 it never uses, ``WittScalar`` stays at its boundary (beside the public
 re-exports, only ``witt`` and ``matrix`` name it or build scalars through
-``ctx.scalar``), and no public function of the library exists only for
-the tests.
+``ctx.scalar``), only ``witt`` and ``lattices.boosted`` raise a context's
+precision, and no public function of the library exists only for the
+tests.
 
 No linter ships with the project, so this reads each module with ``ast``.
 ``__init__.py`` is exempt from the unused-import check: its imports are
@@ -76,6 +77,28 @@ def test_scalar_use_is_reported():
                      "x = witt.WittScalar\n\"\"\"WittScalar\"\"\"\n")
     assert {"WittScalar", "W"} <= names_used(tree)
     assert "WittScalar" not in names_used(ast.parse('"""WittScalar"""'))
+
+
+# the modules that may raise a context's precision: its home and
+# ``lattices.boosted``, which every precision boost goes through
+PRECISION_MODULES = {"witt.py", "lattices.py"}
+
+
+def test_precision_moves_stay_in_the_boost_helper():
+    found = sorted(
+        path.name for path in SRC.glob("*.py")
+        if path.name not in PRECISION_MODULES
+        and "with_precision" in names_used(
+            ast.parse(path.read_text(encoding="utf-8"))))
+    assert found == []
+
+
+def test_precision_move_is_reported():
+    tree = ast.parse("big = ctx.with_precision(ctx.N + 8)\n"
+                     "from .witt import with_precision as wp\n")
+    assert {"with_precision", "wp"} <= names_used(tree)
+    assert "with_precision" not in names_used(
+        ast.parse('"""ctx.with_precision(40)"""\n# with_precision\n'))
 
 
 # the modules that may build scalars through ``ctx.scalar``

@@ -8,17 +8,22 @@ multiplicity three each.
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
+from dieudonne import isocrystal
+from dieudonne.errors import PrecisionExhausted, SingularMap
 from dieudonne.witt import make_context
 from dieudonne.matrix import ring
 from dieudonne.isocrystal import (
     FIsocrystal, charpoly, dim_codim, end_decompose, end_frobenius,
     newton_polygon, newton_slopes, slope_split, _component_bases,
 )
-from dieudonne.lattices import restrict_map, smith_valuations
+from dieudonne.lattices import (Lattice, lattice_sum, restrict_map,
+                                smith_valuations)
 
-from instances import non_split_draw, non_split_rank6
+from instances import (four_slope_rank8, non_split_draw, non_split_rank6,
+                       three_slope_rank4)
 
 
 def ordinary_rank2(ctx):
@@ -267,8 +272,11 @@ def test_slopes_are_computed_once_per_crystal(monkeypatch):
     # a boosted copy of the crystal computes its own
     X = ordinary_rank2(make_context(2, 1, 20))
     assert newton_slopes(X) is newton_slopes(X)
-    assert newton_slopes(X.at_precision(30)) == newton_slopes(X)
+    assert newton_slopes(X.at_precision(make_context(2, 1, 30))) == \
+        newton_slopes(X)
     assert len(calls) == 4
+    # at its own precision the copy is the crystal itself
+    assert X.at_precision(X.ctx) is X
 
 
 def test_non_split_recipe_draws_a_non_split_module():
@@ -281,3 +289,97 @@ def test_non_split_recipe_draws_a_non_split_module():
         assert sd.slopes == [(Fraction(0), 1), (Fraction(1, 3), 3),
                              (Fraction(1, 2), 2)]
         assert not sd.is_split and _component_bases(sd) is None
+
+
+def test_is_split_is_the_component_sum_test():
+    # the component bases exist exactly when the slope components sum to M
+    crystals = [mk(make_context(p, 1, 30)) for p in (2, 3, 5)
+                for mk in (ordinary_rank2, rank6_two_slope,
+                           three_slope_rank4, four_slope_rank8)]
+    crystals += [non_split_rank6(make_context(2, 1, 32)), non_split_draw()]
+    found = []
+    for X in crystals:
+        sd = slope_split(X)
+        total = Lattice.zero(X.ctx, X.rank)
+        for comp in sd.components.values():
+            total = lattice_sum(total, comp)
+        assert sd.is_split == total.equals(X.M)
+        found.append(sd.is_split)
+    assert found == [True] * 12 + [False, False]
+
+
+# ---------------------------------------------------------------------------
+# precision boosts: each schedule, on the attempts no corpus entry reaches
+
+
+def test_newton_slopes_boost_recovers_the_slopes(monkeypatch):
+    # at N = 9 the hull of the n = 3 rank-6 instance is not resolved; one
+    # budget B = r n + 8 = 26 of guard digits reads the slopes of N = 40,
+    # and from N = 10 on the first attempt suffices
+    want = newton_slopes(rank6_two_slope(make_context(2, 3, 40)))
+    seen = []
+    real = isocrystal.charpoly
+
+    def recorded(ctx, rows):
+        seen.append(ctx.N)
+        return real(ctx, rows)
+
+    monkeypatch.setattr(isocrystal, "charpoly", recorded)
+    assert newton_slopes(rank6_two_slope(make_context(2, 3, 9))) == want
+    assert seen == [9, 35]
+    seen.clear()
+    assert newton_slopes(rank6_two_slope(make_context(2, 3, 10))) == want
+    assert seen == [10]
+
+
+def test_newton_slopes_give_up_after_two_budgets(monkeypatch):
+    seen = []
+
+    def unresolved(ctx, coeffs, loss=0):
+        seen.append(ctx.N)
+        raise PrecisionExhausted(f"hull unresolved at {ctx.N}")
+
+    monkeypatch.setattr(isocrystal, "newton_polygon", unresolved)
+    with pytest.raises(PrecisionExhausted, match="^hull unresolved at 92$"):
+        newton_slopes(rank6_two_slope(make_context(2, 3, 40)))
+    assert seen == [40, 66, 92]
+
+
+def _split_state(sd):
+    return (sd.slopes, sd.is_split,
+            {a: (e.rows, e.denominator, e.loss)
+             for a, e in sd.projectors.items()},
+            {a: (c.cols, c.scale, c.loss) for a, c in sd.components.items()})
+
+
+def test_slope_split_retries_with_doubled_guard_digits(monkeypatch):
+    # no instance needs a second attempt, so the first one is made to fail
+    ctx = make_context(2, 1, 40)
+    want = _split_state(slope_split(rank6_two_slope(ctx)))
+    seen = []
+    real = isocrystal._slope_split_at
+
+    def first_fails(crystal, b, bctx):
+        seen.append(bctx.N)
+        if len(seen) == 1:
+            raise PrecisionExhausted("first attempt")
+        return real(crystal, b, bctx)
+
+    monkeypatch.setattr(isocrystal, "_slope_split_at", first_fails)
+    assert _split_state(slope_split(rank6_two_slope(ctx))) == want
+    budget = seen[0] - ctx.N
+    assert budget > 0 and seen == [ctx.N + budget, ctx.N + 2 * budget]
+
+    # every attempt fails: the third failure is reported, a SingularMap
+    # on the way moving on like a precision failure
+    seen.clear()
+
+    def failing(crystal, b, bctx):
+        seen.append(bctx.N)
+        raise (SingularMap if len(seen) == 2 else PrecisionExhausted)(
+            f"attempt {len(seen)}")
+
+    monkeypatch.setattr(isocrystal, "_slope_split_at", failing)
+    with pytest.raises(PrecisionExhausted, match="^attempt 3$"):
+        slope_split(rank6_two_slope(ctx))
+    assert seen == [ctx.N + k * budget for k in (1, 2, 4)]

@@ -17,9 +17,9 @@ from dieudonne.cli import load_corpus
 from dieudonne.problems import RUNNERS, Session
 from dieudonne.witt import WittScalar, make_context
 from dieudonne.lattices import (
-    Lattice, SemilinearMap, _back_substitute, _reduce_columns, intersect,
-    invert_matrix, lattice_sum, mod_p_dimension, restrict_map, saturate,
-    smith_valuations,
+    Lattice, SemilinearMap, _back_substitute, _reduce_columns, boosted,
+    intersect, invert_matrix, lattice_sum, mod_p_dimension, restrict_map,
+    saturate, smith_valuations,
 )
 from dieudonne.errors import (InclusionViolated, PrecisionExhausted,
                               SingularMap)
@@ -771,3 +771,51 @@ def test_lattices_and_maps_hold_raw_entries(name):
         assert lat.rank
         mats += [lat.cols, lat.ech]
     assert all(raw(x) for mat in mats for row in mat for x in row)
+
+
+# ---------------------------------------------------------------------------
+# the one precision boost
+
+
+def test_boosted_tries_the_extras_in_order():
+    ctx = make_context(3, 1, 10)
+    seen = []
+
+    def run(c):
+        seen.append(c.N)
+        if c.N < 15:
+            raise PrecisionExhausted(f"short at {c.N}")
+        return c
+
+    assert boosted(ctx, (0, 2, 5, 9), run) is make_context(3, 1, 15)
+    assert seen == [10, 12, 15]
+    # extra 0 hands out the context itself
+    assert boosted(ctx, (0,), lambda c: c) is ctx
+
+
+def test_boosted_raises_the_last_failure_as_precision_exhausted():
+    ctx = make_context(2, 3, 8)
+    seen = []
+
+    def run(c):
+        seen.append(c.N)
+        raise (SingularMap if c.N < 12 else PrecisionExhausted)(
+            f"failed at {c.N}")
+
+    with pytest.raises(PrecisionExhausted, match="^failed at 14$"):
+        boosted(ctx, (0, 4, 6), run)
+    assert seen == [8, 12, 14]
+    # a SingularMap moves on, and after the last extra it is converted
+    with pytest.raises(PrecisionExhausted, match="^failed at 9$") as info:
+        boosted(ctx, (1,), run)
+    assert type(info.value) is PrecisionExhausted
+    # any other failure is not a precision failure: it leaves at once
+    seen.clear()
+
+    def unstable(c):
+        seen.append(c.N)
+        raise InclusionViolated("not stable")
+
+    with pytest.raises(InclusionViolated):
+        boosted(ctx, (0, 4), unstable)
+    assert seen == [8]

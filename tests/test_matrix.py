@@ -201,3 +201,19 @@ def test_ring_is_built_once_per_context_object():
         assert ring(twin).ctx is twin
         assert ring(twin).raw_col([twin.scalar(3)]) == \
             ring(ctx).raw_col([ctx.scalar(3)])
+
+
+def test_frob_mat_is_entrywise_frobenius():
+    # sigma^e on every entry, compared with the scalar Frobenius; the
+    # matrix itself comes back when e = 0
+    rng = random.Random(20)
+    for p, n, twists in [(2, 3, range(3)), (5, 1, range(2))]:
+        ctx = make_context(p, n, 9)
+        R = ring(ctx)
+        scal = [[ctx.scalar([rng.randrange(p ** 9) for _ in range(n)])
+                 for _ in range(4)] for _ in range(3)]
+        m = R.raw_mat(scal)
+        for e in twists:
+            want = [[x.frobenius(e) for x in row] for row in scal]
+            assert R.wrap_mat(R.frob_mat(m, e)) == want, (p, n, e)
+        assert R.frob_mat(m, 0) is m

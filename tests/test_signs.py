@@ -1,16 +1,17 @@
 """Trace duality and signed-lattice tests."""
 
+import json
 import random
 from fractions import Fraction
 
 from dieudonne import core, signs
-from dieudonne.cli import load_corpus
+from dieudonne.cli import emit_spec, load_corpus
 from dieudonne.matrix import ring
 from dieudonne.witt import make_context
 from dieudonne.lattices import Lattice
 from dieudonne.isocrystal import end_decompose, end_frobenius, slope_split
 from dieudonne.core import TangentSpace, largest_sub_dieudonne, nu_image
-from dieudonne.problems import Session, run
+from dieudonne.problems import Session, parse_dict, run
 from dieudonne.signs import (
     SlopePairSet, dual_lattice, max_square_zero_size, pair_codim_closed_form,
     quasi_factor_codims, sign_modules, slice_chain, slice_monotone,
@@ -300,3 +301,36 @@ def test_nu_dimension_matches_codim_for_slices():
         mods = sign_modules(X, E, SlopePairSet.singleton(a, b, s))
         dim, _ = nu_image(mods.O_minus, T)
         assert dim == mods.codims["c_minus"]
+
+
+def test_boosted_dual_is_the_dual_at_a_larger_precision(monkeypatch):
+    # example_1_7 at N = 3: the pairing of V_minus with V_plus has depth
+    # K = 1, too deep for three digits, so the dual is recomputed with
+    # 2K + 8 extra digits; published at N it is the dual that the same
+    # integer bases have at N = 40
+    doc = json.loads(emit_spec(load_corpus("example_1_7")))
+    sess = Session(parse_dict(dict(doc, precision=3)))
+    D, ctx = sess.decomp(), sess.ctx()
+    extras = []
+    real = signs.boosted
+
+    def recorded(c, schedule, attempt):
+        extras.append(schedule)
+        return real(c, schedule, attempt)
+
+    monkeypatch.setattr(signs, "boosted", recorded)
+    got = dual_lattice(D.V_minus, D.V_plus)
+    assert extras == [(10,)]
+    big = make_context(ctx.p, ctx.n, 40)
+
+    def lifted(V):
+        return Lattice.from_columns(big, V.ambient, V.cols, scale=V.scale,
+                                    loss=V.loss)
+
+    wide = dual_lattice(lifted(D.V_minus), lifted(D.V_plus))
+    assert extras == [(10,)]
+    want = Lattice.from_columns(ctx, wide.ambient, wide.cols,
+                                scale=wide.scale, loss=wide.loss).folded()
+    assert got.ctx is ctx and got.equals(want)
+    assert (got.cols, got.scale, got.loss) == (want.cols, want.scale,
+                                               want.loss)
