@@ -10,15 +10,13 @@ square-zero deformation lattices, and Lie (projector) elements t with
 
 The fixed points and the codimension run on a ``Carrier``: a saturated
 lattice S of End(M) of rank d, with the two conjugation numerators
-restricted to its echelon basis B (N sigma(B) = B C).  On a module that
-splits integrally, S of loss 0 must be the sum of its Hom(W_a, W_b)
-blocks: C comes from the factors of each numerator, one r_b r_a block at
-a time, and the certificate is component stability: the off-diagonal
-component blocks of the factors vanish, or ``InclusionViolated``.  A
-lattice inside S[1/p] is refined in Z^d and mapped back through B once,
-to the same canonical presentation as the End(M) computation.  On a
-module that does not split, or for a lattice with a loss, End(M) itself
-is the carrier, with the identity basis.
+restricted to its echelon basis B (N sigma(B) = B C).  Each column of C
+is one solve of a numerator's image of a basis vector in S, and a solve
+that fails raises ``InclusionViolated``.  A lattice inside S[1/p] is
+refined in Z^d and mapped back through B once, to the same canonical
+presentation as the End(M) computation.  On a module that does not split
+integrally, or for a lattice with a loss, End(M) itself is the carrier,
+with the identity basis.
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ from .errors import (HypothesisViolated, InclusionViolated, NoAutoConstruction,
                      NonConvergence, PrecisionExhausted, SingularMap,
                      SplittingInvalid, ValidationFailed)
 from .isocrystal import (FIsocrystal, Sandwich, SlopeData, end_frobenius,
-                         mat_to_vec, sandwich_map, vec_to_mat,
-                         _component_bases, _maps_equal)
+                         mat_to_vec, vec_to_mat, _maps_equal)
 from .lattices import (Lattice, SemilinearMap, intersect, invert_matrix,
                        kernel_span, lattice_sum, mod_p_dimension,
                        residue_echelon, residue_kernel, residue_reduce,
@@ -322,9 +319,8 @@ def _conjugation_numerators(crystal):
     ``_backward_numerator``) on End(M), each p^{-vdet} times its integral
     numerator, vdet = v(det A): A sigma(x) A_adj and sigma^{-1}(A_adj x
     A).  Both are ``Sandwich`` maps, held by their factors (L, R) and
-    twist: the carriers read the factors, and ``apply_raw`` builds the
-    r^2 x r^2 numerator on first use.  Each is computed once per
-    crystal."""
+    twist, whose first ``apply_raw`` builds the r^2 x r^2 numerator.
+    Each, and its rows, is computed once per crystal."""
     return (end_frobenius(crystal),) + _backward_numerator(crystal)
 
 
@@ -347,7 +343,7 @@ def _backward_numerator(crystal):
 
 class Carrier:
     """A saturated lattice S of End(M) that both conjugation numerators
-    map into itself, in block coordinates.
+    map into itself, in the coordinates of its basis.
 
     ``lattice`` is S; its processing-order echelon B (``S.ech``) has unit
     pivots, so B is a basis of S and S is a direct summand of End(M).
@@ -359,16 +355,13 @@ class Carrier:
     closure and its certificates take the same steps on X as on L, at
     rank d instead of r^2.
 
-    There are two carriers.  On a module that splits integrally, a
-    lattice S of loss 0 that is the sum of its Hom(W_src, W_dst) blocks
-    gets the block carrier: C comes from the component blocks (see
-    ``_block_restricted``), certified by component stability, the factors
-    of each numerator sending every component into its own; the factors
-    and that certificate are computed once per numerator and
-    ``SlopeData`` (``_block_factors``).  Every other
-    lattice (a module that does not split, or a lattice with a loss) gets
-    ``Carrier.ambient(crystal)``: End(M) itself, with the identity basis
-    (``lattice`` None, the numerators as they are).
+    On a module that splits integrally, a lattice S of loss 0 gets its
+    own carrier: each column of C is the solve of a numerator's image of a
+    basis vector in S (``_restricted``), and a failed solve is the
+    certificate that the numerator does not map S into itself.  Every
+    other lattice (a module that does not split, or a lattice with a loss)
+    gets ``Carrier.ambient(crystal)``: End(M) itself, with the identity
+    basis (``lattice`` None, the numerators as they are).
 
     A carrier keeps neither the crystal nor a decomposition: it is cached
     in ``EndDecomposition._derived``, and ``bench/tracer.py`` keys span
@@ -388,31 +381,26 @@ class Carrier:
         return cls(None, *_conjugation_numerators(crystal))
 
     @classmethod
-    def of(cls, S: Lattice, crystal: FIsocrystal, slope_data: SlopeData,
-           blocks) -> "Carrier":
-        """The carrier on a saturated integral lattice S of End(M), the sum
-        of the Hom blocks ``blocks`` (``(src, dst)`` slope pairs of
-        ``slope_data``).  On a module that splits it raises
-        InclusionViolated when S is not the sum of those blocks (see
-        ``_block_rows``) or a numerator does not map S into itself.
+    def of(cls, S: Lattice, crystal: FIsocrystal, slope_data: SlopeData
+           ) -> "Carrier":
+        """The carrier on a saturated integral lattice S of End(M).  On a
+        module that splits (``slope_data.is_split``) it raises
+        InclusionViolated when a numerator does not map S into itself.
 
-        A module that does not split integrally has no block factors, and
-        a basis with a loss is trusted only modulo p^(N - loss), so its
+        A basis with a loss is trusted only modulo p^(N - loss), so its
         coordinates would not reproduce the End(M) computation digit for
-        digit: either way S is handled as End(M), through the ambient
-        carrier.
+        digit, and the signed lattices of a module that does not split
+        integrally carry the loss of the projectors' denominators: such
+        an S, and any S of such a module, is handled as End(M), through
+        the ambient carrier.
         """
         if S.scale or any(e for (_, e) in S.ech_pivots):
             raise InclusionViolated(
                 "a carrier needs a saturated integral lattice")
-        bases = _component_bases(slope_data)
-        if S.loss or bases is None:
+        if S.loss or not slope_data.is_split:
             return cls.ambient(crystal)
         fwd, bwd, vdet = _conjugation_numerators(crystal)
-        T, tinv = _block_rows(S, bases, blocks)
-        return cls(S, *(_block_restricted(num, _block_factors(slope_data, k),
-                                          blocks, T, tinv)
-                        for k, num in enumerate((fwd, bwd))), vdet)
+        return cls(S, _restricted(S, fwd), _restricted(S, bwd), vdet)
 
     def coords(self, V: Lattice) -> Lattice:
         """The coordinate lattice of V, which must lie in S[1/p]."""
@@ -438,100 +426,19 @@ class Carrier:
                                     loss=X.loss)
 
 
-def _block_factors(slope_data, k):
-    """The component factors (``_component_factors``) of the conjugation
-    numerator k (0: fwd, 1: bwd) of the crystal of slope_data, certified.
-    They depend only on the numerator and the component bases, so they are
-    computed once per numerator and ``SlopeData``, in its ``_derived``
-    under ``("block_factors", k)``; every carrier of the decomposition
-    reads them."""
-    key = ("block_factors", k)
-    if key not in slope_data._derived:
-        num = _conjugation_numerators(slope_data.crystal)[k]
-        slope_data._derived[key] = _component_factors(
-            num, _component_bases(slope_data))
-    return slope_data._derived[key]
-
-
-def _component_factors(num, bases):
-    """{a: (P_a, Q_a)} for the ``Sandwich`` num: x -> L sigma^t(x) R and
-    the component bases U = (U_a), D = (D_a).
-
-    The block (b, a) of D L sigma^t(U) is D_b L sigma^t(U_a) and that of
-    sigma^t(D) R U is sigma^t(D_a) R U_b.  Every off-diagonal one must
-    vanish modulo p^(N - loss), or InclusionViolated: then num maps the
-    block x = U_dst X D_src to U_dst P_dst sigma^t(X) Q_src D_src, with
-    P_a = D_a L sigma^t(U_a) and Q_a = sigma^t(D_a) R U_a."""
-    ctx = num.ctx
-    R = ring(ctx)
-    t = num.twist
-    neff = ctx.N - num.loss
-    factors = {}
-    for a, (Ua, Da) in bases.items():
-        lu = R.mul_mat(num.left, R.frob_mat(Ua, t))
-        rd = R.mul_mat(R.frob_mat(Da, t), num.right)
-        for b, (Ub, Db) in bases.items():
-            left, right = R.mul_mat(Db, lu), R.mul_mat(rd, Ub)
-            if a == b:
-                factors[a] = (left, right)
-            elif not all(R.vanishes(row, neff) for row in left + right):
-                raise InclusionViolated(
-                    "block lattice is not stable under a conjugation "
-                    "numerator")
-    return factors
-
-
-def _block_restricted(num, factors, blocks, T, tinv) -> SemilinearMap:
-    """The matrix C with num sigma(B) = B C, from the component factors
-    (P_a, Q_a) of the ``Sandwich`` num (``_component_factors``), without an
-    r^2 x r^2 product: on the block coordinates z = T c of the basis B of
-    S (T from ``_block_rows``, its rows in the order of ``blocks``) num
-    is the block-diagonal C_B of the r_dst r_src maps
-    X -> P_dst sigma^t(X) Q_src, so C = T^{-1} C_B sigma^t(T)."""
-    ctx = num.ctx
-    R = ring(ctx)
-    t = num.twist
-    tT = R.frob_mat(T, t)
-    mid, at = [], 0
-    for (src, dst) in blocks:
-        P, Q = factors[dst][0], factors[src][1]
-        size = len(P) * len(Q)
-        block = sandwich_map(ctx, P, Q).rows
-        mid += R.mul_mat(block, tT[at:at + size])
-        at += size
-    return SemilinearMap(ctx, R.mul_mat(tinv, mid), twist=t, loss=num.loss)
-
-
-def _block_rows(S: Lattice, bases, blocks):
-    """(T, T^{-1}): T stacks, block by block in the order of
-    ``blocks``, the rows of D_dst x U_src on the basis B of S, so that its
-    column c holds the block coordinates of the basis vector c.
-
-    S must be the sum of the blocks: T square, and every basis vector the
-    sum of its block components U_dst X D_src, or InclusionViolated.  Then
-    B = W T with B of unit pivots, so T is invertible modulo p, hence
-    over W."""
-    ctx = S.ctx
-    R = ring(ctx)
-    T = []
-    for (src, dst) in blocks:
-        U, D = bases[src][0], bases[dst][1]
-        # row (a, b) of the transposed map x -> D x U holds D[i][a] U[b][j]
-        # at (i, j), so one product reads the block of every basis vector
-        reader = sandwich_map(ctx, list(zip(*D)), list(zip(*U))).rows
-        T += [list(row) for row in zip(*R.mul_mat(S.ech, reader))]
-    # row (i, j) of W holds U_dst[i][a] D_src[b][j] at (a, b) of each
-    # block, so column c of W T is the sum of the block components of the
-    # basis vector c
-    factors = [(bases[dst][0], list(zip(*bases[src][1])))
-               for (src, dst) in blocks]
-    r = len(next(iter(bases.values()))[0])
-    W = [[R.mul(u, v) for U, Dc in factors for u in U[i] for v in Dc[j]]
-         for i in range(r) for j in range(r)]
-    if len(T) != S.rank or list(zip(*R.mul_mat(W, T))) != list(S.ech):
-        raise InclusionViolated(
-            "lattice is not the sum of its Hom blocks")
-    return T, invert_matrix(ctx, T)[0]
+def _restricted(S: Lattice, num: SemilinearMap) -> SemilinearMap:
+    """The matrix C with num sigma(B) = B C on the echelon basis B of S:
+    one solve per basis vector, and InclusionViolated when num does not
+    map S into itself.  B has unit pivots, so C is unique modulo p^N."""
+    cols = []
+    for b in S.ech:
+        x = S.solve(num.apply_raw(b))
+        if x is None:
+            raise InclusionViolated(
+                "block lattice is not stable under a conjugation numerator")
+        cols.append(x)
+    return SemilinearMap(S.ctx, list(zip(*cols)), twist=num.twist,
+                         loss=max(num.loss, S.loss))
 
 
 def _membership_refine(E: Lattice, num_map, shift: int, rounds: int
@@ -587,7 +494,7 @@ def largest_sub_dieudonne(V: Lattice, crystal: FIsocrystal,
     p phi^{-1}(O) <= O (for lattices of positive slopes).
 
     With a ``Carrier`` whose lattice contains V, the refinement and its
-    certificates run in the carrier's block coordinates; the result is
+    certificates run in the carrier's coordinates; the result is
     the same, in the same canonical presentation.
     """
     c = Carrier.ambient(crystal) if carrier is None else carrier
@@ -633,7 +540,7 @@ def smallest_super_dieudonne(V: Lattice, crystal: FIsocrystal,
     mode "positive": stability under phi and p phi^{-1};
     mode "negative": stability under p phi and phi^{-1}.
 
-    A ``carrier`` containing V runs the closure in block coordinates, as
+    A ``carrier`` containing V runs the closure in its coordinates, as
     in ``largest_sub_dieudonne``.
     """
     c = Carrier.ambient(crystal) if carrier is None else carrier
@@ -660,7 +567,7 @@ def smallest_super_dieudonne(V: Lattice, crystal: FIsocrystal,
 def codim_of_dieudonne(E: Lattice, crystal: FIsocrystal,
                        carrier=None) -> int:
     """Codimension of (E, p phi): colength of the Verschiebung image
-    phi^{-1}(E) in E, in the block coordinates of ``carrier`` when given.
+    phi^{-1}(E) in E, in the coordinates of ``carrier`` when given.
 
     The image is presented with its p-denominator in the scale (no
     content division), so its basis stays exact and the colength decision
@@ -741,7 +648,7 @@ def check_axioms(E: Lattice, crystal: FIsocrystal, V_minus: Lattice,
     part: (i) maximality of (E, p phi) in E[1/p] cap V_-, (ii) E^2 = 0,
     and for a supplied splitting (iii) compatibility with the block
     grading and (iv) the unit-part decomposition of E.  A carrier of
-    V_minus runs the refinement of (i) in its block coordinates."""
+    V_minus runs the refinement of (i) in its coordinates."""
     report = AxiomReport()
     report.ranks["E"] = E.rank
     # (i)

@@ -313,6 +313,11 @@ class FIsocrystal:
     """A free module with a Frobenius-semilinear map, bijective after
     inverting p: phi = p^{-denominator} A sigma.
 
+    ``source`` holds the rows that define A: the integers (or coefficient
+    lists) given to ``from_int_matrix``, negative entries included, else
+    the raw rows of phi.  Every boost lifts them, not the residues of A
+    modulo p^N, which are another matrix at the boost.
+
     ``_derived`` caches data computed from A, filled on first use by
     ``inverse_numerator``, ``newton_slopes``, ``end_frobenius``,
     ``core._backward_numerator`` and ``core.TangentSpace.of``.  A
@@ -320,37 +325,42 @@ class FIsocrystal:
     builds a new crystal), so the cache cannot go stale.
     """
 
-    __slots__ = ("ctx", "rank", "phi", "M", "_derived")
+    __slots__ = ("ctx", "rank", "phi", "source", "M", "_derived")
 
-    def __init__(self, ctx: WittContext, phi: SemilinearMap):
+    def __init__(self, ctx: WittContext, phi: SemilinearMap, source=None):
         if phi.twist != 1 % ctx.n:
             raise ValueError("Frobenius maps must carry twist 1")
         self.ctx = ctx
         self.phi = phi
+        self.source = phi.rows if source is None else source
         self.rank = phi.nrows
         self.M = Lattice.standard(ctx, self.rank)
         self._derived = {}
 
     @staticmethod
     def from_int_matrix(ctx, rows, denominator=0):
+        """The crystal of the integer matrix ``rows``, kept as its
+        ``source``."""
+        rows = tuple(map(tuple, rows))
         return FIsocrystal(ctx, SemilinearMap(ctx, rows, twist=1,
-                                              denominator=denominator))
+                                              denominator=denominator),
+                           source=rows)
 
     def at_precision(self, ctx2):
-        """The same integer matrix over ctx2, a context of another
-        precision; the crystal itself over its own context."""
+        """The same integer matrix, its ``source``, over ctx2, a context
+        of another precision; the crystal itself over its own context."""
         if ctx2 is self.ctx:
             return self
-        return FIsocrystal(ctx2, SemilinearMap(
-            ctx2, self.phi.rows, twist=1,
-            denominator=self.phi.denominator))
+        return FIsocrystal.from_int_matrix(ctx2, self.source,
+                                           self.phi.denominator)
 
     def inverse_numerator(self):
         """(A_adj, v(det A)) with A^{-1} = p^{-v(det A)} A_adj, exact at
-        the context precision; computed once per crystal."""
+        the context precision (``invert_matrix_exact`` of the source);
+        computed once per crystal."""
         if "inverse" not in self._derived:
             self._derived["inverse"] = invert_matrix_exact(self.ctx,
-                                                           self.phi.rows)
+                                                           self.source)
         return self._derived["inverse"]
 
     def linearization(self):
@@ -630,11 +640,12 @@ def sandwich_map(ctx, left_rows, right_rows, twist=0, denominator=0, loss=0):
 class Sandwich(SemilinearMap):
     """The map x |-> p^{-denominator} L sigma^twist(x) R on End(M), held by
     its factors ``left`` (L) and ``right`` (R).  Its r^2 x r^2 rows are the
-    ``sandwich_map`` of the factors, built on first use: a caller that
-    reads only the factors (the carriers, the block bases of
-    ``signed_block_lattices``) never builds them.  The first
-    ``apply_raw`` builds the rows and then, as on every map, the cached
-    columns ``_tcols`` it combines them by."""
+    ``sandwich_map`` of the factors, built on first use, so a map that is
+    never applied costs no r^4 entries: on a module that splits
+    integrally, ``signed_block_lattices`` reads only which blocks its
+    ``block_projector`` terms name.  The first ``apply_raw`` builds the
+    rows and then, as on every map, the cached columns ``_tcols`` it
+    combines them by."""
 
     __slots__ = ("left", "right", "_rows")
 
@@ -674,6 +685,7 @@ class EndDecomposition:
     ``signed_block_lattices`` like those of every other pair set.
     ``_derived`` caches what is computed from them on first use:
     ``o_minus()`` under ``"o_minus"``, ``c_minus()`` under ``"c_minus"``,
+    each smaller pair set's ``signed(pairs)`` under ``("signed", pairs)``,
     each ``carrier(sign, pairs)`` under ``("carrier", sign, pairs)`` and
     each pair set's ``signs.sign_modules`` under the set's ``pairs``
     tuple."""
@@ -697,31 +709,35 @@ class EndDecomposition:
     def splits(self):
         """True when the module splits integrally: then the signed
         lattice of any pair set is the sum of those of its pairs, each
-        with a block carrier of its own."""
+        with a carrier of its own."""
         return self.slope_data.is_split
 
+    def signed(self, pairs):
+        """(V_plus, V_minus) of the increasing slope pairs ``pairs``: the
+        decomposition's own for all of them, else one
+        ``signed_block_lattices`` call per pair set."""
+        pairs = tuple(sorted(pairs))
+        if pairs == self.pairs:
+            return self.V_plus, self.V_minus
+        key = ("signed", pairs)
+        if key not in self._derived:
+            self._derived[key] = signed_block_lattices(
+                self.crystal, self.slope_data, pairs)
+        return self._derived[key]
+
     def carrier(self, sign, pairs=None):
-        """The ``core.Carrier`` of the sign's ("plus" or "minus") block
-        lattice of the increasing slope pairs ``pairs``: by default all of
-        them, whose lattices are V_plus and V_minus.  On a module that
-        splits integrally it holds that lattice, of rank the sum of
-        r_a r_b over the pairs, in block coordinates; on one that does not
-        it is End(M) itself.  Built once per sign and pair set; the two
-        signs of a smaller pair set share one ``signed_block_lattices``
-        call."""
+        """The ``core.Carrier`` of the sign's ("plus" or "minus") lattice
+        of ``signed(pairs)``, by default of all the slope pairs.  On a
+        module that splits integrally it holds that lattice, of rank the
+        sum of r_a r_b over the pairs; on one that does not it is End(M)
+        itself.  Built once per sign and pair set."""
         pairs = self.pairs if pairs is None else tuple(sorted(pairs))
         key = ("carrier", sign, pairs)
         if key not in self._derived:
             from .core import Carrier
-            if pairs == self.pairs:
-                lattices = {sign: getattr(self, f"V_{sign}")}
-            else:
-                lattices = dict(zip(("plus", "minus"), signed_block_lattices(
-                    self.crystal, self.slope_data, pairs)))
-            for s, S in lattices.items():
-                blocks = pairs if s == "plus" else [(b, a) for (a, b) in pairs]
-                self._derived[("carrier", s, pairs)] = Carrier.of(
-                    S, self.crystal, self.slope_data, blocks)
+            self._derived[key] = Carrier.of(
+                self.signed(pairs)[sign == "minus"], self.crystal,
+                self.slope_data)
         return self._derived[key]
 
     def o_minus(self):

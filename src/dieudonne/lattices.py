@@ -730,7 +730,9 @@ def boosted(ctx, extras, run):
     """The first value of run(c), c being ctx raised by each extra in turn
     (extra 0 is ctx itself).  A PrecisionExhausted or SingularMap moves on
     to the next extra; the last one's message is raised as
-    PrecisionExhausted.  Only exact data may cross into c."""
+    PrecisionExhausted.  Only exact data may cross into c: the integers
+    that define the input (a crystal's ``source``), not their residues
+    modulo p^N, which define another matrix at c."""
     for extra in extras:
         try:
             return run(ctx.with_precision(ctx.N + extra))
@@ -741,11 +743,13 @@ def boosted(ctx, extras, run):
 
 def invert_matrix_exact(ctx, rows):
     """(numerator, vdet) like invert_matrix, but computed at a boosted
-    internal precision on the integer representatives (which are taken as
-    the definition of the matrix), so the published numerator is exact at
-    the context precision and costs no loss."""
+    internal precision on the given rows, so the published numerator is
+    exact at the context precision and costs no loss.  The rows define
+    the matrix at every precision: ints or coefficient lists are lifted
+    as they are, and raw entries as their representatives in [0, p^N);
+    a matrix given by integers is exact only when passed as those
+    integers (a crystal's ``source``)."""
     R = ring(ctx)
-    rows = R.raw_mat(rows)
     inv, vdet = invert_matrix(ctx, rows)
     if vdet == 0:
         return inv, vdet

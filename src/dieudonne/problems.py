@@ -261,11 +261,9 @@ class Session:
 
     def crystal(self) -> FIsocrystal:
         if "crystal" not in self._cache:
-            ctx = self.ctx()
-            self._cache["crystal"] = FIsocrystal(
-                ctx, SemilinearMap(ctx, self.spec.phi_matrix, twist=1,
-                                   denominator=self.spec.phi_denominator
-                                   or 0))
+            self._cache["crystal"] = FIsocrystal.from_int_matrix(
+                self.ctx(), self.spec.phi_matrix,
+                self.spec.phi_denominator or 0)
         return self._cache["crystal"]
 
     def slope_data(self):

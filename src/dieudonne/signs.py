@@ -7,15 +7,18 @@ sub-Dieudonne and smallest super-Dieudonne refinements, trace duals (with
 the dual/iterative cross-check), the per-pair codimension table, and the
 string/slice combinatorics of slope-pair subsets.
 
-On a module that splits integrally both conjugation numerators preserve
-each Hom(W_a, W_b), so every one of these lattices is the sum of those of
-the pairs of Y, and c_minus(Y) the sum of theirs.  Each pair is computed
-once per decomposition, with all its cross-checks, in the block
-coordinates of its own two ``core.Carrier`` objects (one per sign, of
-rank r_a r_b instead of r^2), and every larger pair set is assembled as a
-sum.  The full set is certified against the decomposition's direct
-closure of V_minus and its codimension.  On a module that does not split,
-each pair set is computed directly, with End(M) itself as the carrier.
+Every pair set that is computed directly runs one body: its signed
+lattices are ``EndDecomposition.signed``, and its closures run on the
+decomposition's ``core.Carrier`` of each sign.  On a module that splits
+integrally both conjugation numerators preserve each Hom(W_a, W_b), so
+every one of these lattices is the sum of those of the pairs of Y, and
+c_minus(Y) the sum of theirs: each pair is computed once per
+decomposition, with all its cross-checks, in the coordinates of its own
+two carriers (one per sign, of rank r_a r_b instead of r^2), and every
+larger pair set is assembled as a sum.  The full set is certified against
+the decomposition's direct closure of V_minus and its codimension.  On a
+module that does not split, each pair set is computed directly, and its
+carriers are End(M) itself.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from fractions import Fraction
 from .core import (codim_of_dieudonne, largest_sub_dieudonne, nu_image,
                    smallest_super_dieudonne, _nonzero_product)
 from .errors import DualityMismatch, PrecisionExhausted, VerificationMismatch
-from .isocrystal import (EndDecomposition, FIsocrystal, SlopeData,
-                         signed_block_lattices)
+from .isocrystal import EndDecomposition, FIsocrystal, SlopeData
 from .lattices import (Lattice, boosted, intersect, kernel_span,
                        lattice_sum, smith_valuations)
 from .matrix import ring
@@ -138,10 +140,10 @@ def dual_lattice(L: Lattice, reference: Lattice) -> Lattice:
         # the Gram matrix: rows of L against index-transposed columns of Z
         gram = R.mul_mat(L.cols, list(zip(*(_transposed(z, r)
                                               for z in reference.cols))))
-        # the dual depth is the largest elementary divisor of the pairing
+        # the dual depth is the largest elementary divisor of the pairing;
+        # a divisor that vanishes counts as N - loss, which ``build``
+        # refuses, at the context and at the boost
         divisors = smith_valuations(wctx, gram, neff=wctx.N - loss)
-        if len(divisors) < m:
-            raise PrecisionExhausted("trace pairing is degenerate")
         return gram, divisors[-1] + S + 1
 
     def build(wctx, gram, K):
@@ -201,17 +203,11 @@ def _sign_modules(crystal, decomp, Y):
                              O_plus_minus=z, O_minus_plus=z, codims={})
     if decomp.splits and len(Y.pairs) > 1:
         return _assembled(crystal, decomp, Y)
-    # the full pair set's block lattices and O_minus are the decomposition's
+    # the full pair set's O_minus and c_minus are the decomposition's
     full = Y.pairs == decomp.pairs
-    if decomp.splits:
-        # a single pair, in the block coordinates of its own carriers
-        plus, minus = (decomp.carrier(sign, Y.pairs)
-                       for sign in ("plus", "minus"))
-        Vp, Vm = plus.lattice, minus.lattice
-    else:
-        plus, minus = decomp.carrier("plus"), decomp.carrier("minus")
-        Vp, Vm = (decomp.V_plus, decomp.V_minus) if full else \
-            signed_block_lattices(crystal, decomp.slope_data, Y.pairs)
+    Vp, Vm = decomp.signed(Y.pairs)
+    plus, minus = (decomp.carrier(sign, Y.pairs)
+                   for sign in ("plus", "minus"))
     Vpm = dual_lattice(Vm, Vp)
     Vmp = dual_lattice(Vp, Vm)
     if not Vpm.contains(Vp):

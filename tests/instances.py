@@ -140,7 +140,9 @@ def sigma_twisted_instance():
     return FIsocrystal(ctx, SemilinearMap(ctx, twisted, twist=1))
 
 
-def conjugated_instance(rng):
+def conjugated_instance(rng, precision=48):
+    """U A U^{-1} for a block-split A and a unimodular U: a dense matrix
+    with negative entries, at the given precision."""
     p = rng.choice([2, 3, 5])
     blocks = []
     total = 0
@@ -167,7 +169,7 @@ def conjugated_instance(rng):
         if i != j:
             u[i, :] = u[i, :] + rng.randrange(-2, 3) * u[j, :]
     a = u * sympy.Matrix(r, r, lambda i, j: rows[i][j]) * u.inv()
-    ctx = make_context(p, 1, 48)
+    ctx = make_context(p, 1, precision)
     return FIsocrystal.from_int_matrix(
         ctx, [[int(a[i, j]) for j in range(r)] for i in range(r)])
 

@@ -1,16 +1,17 @@
-"""V_plus, V_minus and the carriers' numerators from the component blocks,
-checked against the r^2 x r^2 bodies they replace on split modules.
+"""V_plus, V_minus from the component blocks, checked against the
+r^2 x r^2 bodies they replace on split modules, and the carriers'
+numerators against the restriction by one solve per echelon column.
 
 When the module splits integrally (e_a = U_a D_a with integral factors),
 ``signed_block_lattices`` spans each signed lattice by the block bases
 U_dst[:, i] D_src[j, :], and ``Carrier.of`` restricts the two conjugation
-numerators block by block from their factors.  The ``*_reference``
-functions below are the former bodies, kept verbatim: the projector built
-as a sum of r^2 x r^2 sandwiches and its fixed lattice, and the
-restriction by one solve per echelon column.  The instances are the seven
-corpus entries, the eight seeded conjugated draws and the sigma-twisted
-n = 2 instance of ``test_carriers``; a module that does not split keeps
-the projector path.
+numerators to its basis.  The ``*_reference`` functions below are kept
+verbatim: the projector built as a sum of r^2 x r^2 sandwiches and its
+fixed lattice (the former body), and the restriction by one solve per
+echelon column.  The instances are the seven corpus entries, the eight
+seeded conjugated draws and the sigma-twisted n = 2 instance of
+``test_carriers``; a module that does not split keeps the projector
+path.
 """
 
 import pytest
@@ -136,19 +137,20 @@ def test_block_maps_equal_the_restricted_numerators(split_decompositions):
                     (name, sign)
 
 
-def test_block_maps_certify_component_stability():
-    # a numerator whose factors mix two components: the off-diagonal
-    # blocks do not vanish, and the carrier refuses the lattice
+def test_restriction_certifies_stability():
+    # a numerator whose left factor mixes two components does not map
+    # V_plus into itself: a solve fails, and the restriction refuses it
     D = Session(load_corpus("three_slope_rank4")).decomp()
-    X, sd = D.crystal, D.slope_data
+    X = D.crystal
     fwd, bwd, vdet = _conjugation_numerators(X)
     R = ring(X.ctx)
     r = X.rank
     mixed = [[R.one] * r for _ in range(r)]
     bad = isocrystal.Sandwich(X.ctx, mixed, fwd.right, twist=fwd.twist,
                               denominator=vdet)
-    with pytest.raises(InclusionViolated):
-        core._component_factors(bad, _component_bases(sd))
+    with pytest.raises(InclusionViolated, match="not stable under a "
+                                                "conjugation numerator"):
+        core._restricted(D.V_plus, bad)
     with pytest.raises(InclusionViolated):
         _restricted_reference(D.V_plus, bad)
 
@@ -181,36 +183,32 @@ def test_non_split_module_takes_the_projector_path(monkeypatch):
             (ref.rows, ref.denominator, ref.loss)
 
 
-def test_split_report_builds_no_r4_projector_or_carrier_image(monkeypatch):
+def test_split_report_builds_no_r4_projector_and_each_numerator_once(
+        monkeypatch):
     doc = load_corpus("four_slope_rank8")
     r2 = doc.rank ** 2
     problems.run(doc, problems.ANALYSES, 0)   # warm
-    pairs = Session(doc).decomp().pairs
-    projectors, carrier_images, carriers = [], [], []
-    inside = []
+    D = Session(doc).decomp()
+    projectors, sandwiches, carriers = [], [], []
     real_fixed = isocrystal._projector_fixed_lattice
-    real_apply = SemilinearMap.apply_raw
+    real_sandwich = isocrystal.sandwich_map
     real_of = Carrier.of.__func__
 
     def fixed(ctx, proj):
         projectors.append(proj.nrows)
         return real_fixed(ctx, proj)
 
-    def apply_raw(self, col):
-        if inside and self.nrows == r2:
-            carrier_images.append(len(col))
-        return real_apply(self, col)
+    def sandwich(ctx, left, right, *args, **kw):
+        sandwiches.append((ctx.N, tuple(map(tuple, left)),
+                           tuple(map(tuple, right))))
+        return real_sandwich(ctx, left, right, *args, **kw)
 
-    def of(cls, S, crystal, slope_data, blocks):
-        carriers.append(list(blocks))
-        inside.append(True)
-        try:
-            return real_of(cls, S, crystal, slope_data, blocks)
-        finally:
-            inside.pop()
+    def of(cls, S, crystal, slope_data):
+        carriers.append(S.cols)
+        return real_of(cls, S, crystal, slope_data)
 
     monkeypatch.setattr(isocrystal, "_projector_fixed_lattice", fixed)
-    monkeypatch.setattr(SemilinearMap, "apply_raw", apply_raw)
+    monkeypatch.setattr(isocrystal, "sandwich_map", sandwich)
     monkeypatch.setattr(Carrier, "of", classmethod(of))
     report = problems.run(load_corpus("four_slope_rank8"),
                           problems.ANALYSES, 0)
@@ -218,8 +216,17 @@ def test_split_report_builds_no_r4_projector_or_carrier_image(monkeypatch):
     # one carrier per sign for each of the six slope pairs, whose sign
     # modules every larger pair set sums, and the full V_minus one of
     # o_minus(); each built once
-    expected = [[pair] for pair in pairs] + [[(b, a)] for (a, b) in pairs]
-    expected.append([(b, a) for (a, b) in pairs])
+    expected = [L.cols for pair in D.pairs for L in D.signed([pair])]
+    expected.append(D.V_minus.cols)
+    assert len(carriers) == 13
     assert sorted(carriers) == sorted(expected)
     assert [n for n in projectors if n == r2] == []
-    assert carrier_images == []
+    # the r^2 x r^2 rows of each conjugation numerator are built once per
+    # crystal (the trivializer's boosted crystal has its own), and those
+    # of the Hom-block terms never
+    N = D.crystal.ctx.N
+    numerators = [(N, tuple(map(tuple, num.left)),
+                   tuple(map(tuple, num.right)))
+                  for num in _conjugation_numerators(D.crystal)[:2]]
+    assert len(sandwiches) == len(set(sandwiches))
+    assert sorted(s for s in sandwiches if s[0] == N) == sorted(numerators)

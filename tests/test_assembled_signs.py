@@ -18,7 +18,7 @@ not split keeps the direct path.
 
 import pytest
 
-from dieudonne import problems, signs
+from dieudonne import isocrystal, problems, signs
 from dieudonne.cli import load_corpus
 from dieudonne.core import (codim_of_dieudonne, largest_sub_dieudonne,
                             smallest_super_dieudonne)
@@ -26,7 +26,7 @@ from dieudonne.errors import (DualityMismatch, PrecisionExhausted,
                               VerificationMismatch)
 from dieudonne.isocrystal import signed_block_lattices
 from dieudonne.lattices import Lattice
-from dieudonne.problems import Session
+from dieudonne.problems import Session, parse_dict
 from dieudonne.signs import (SIGNED_LATTICES, SignModuleSet, SlopePairSet,
                              dual_lattice, sign_modules)
 
@@ -175,6 +175,38 @@ def test_report_runs_four_duals_per_pair_and_none_for_sums(monkeypatch):
     # duals of O_minus and O_plus); the full set and the slice subsets add
     # none
     assert len(calls) == 4 * 6
+
+
+def non_split_rank6_spec():
+    X = non_split_rank6_instance()
+    return parse_dict({"name": "non_split_rank6", "p": 2, "n": 1,
+                       "precision": 32, "degree": 9, "rank": 6,
+                       "phi_matrix": [list(row) for row in X.phi.rows]})
+
+
+@pytest.mark.parametrize("name", ["four_slope_rank8", "non_split_rank6"])
+def test_report_builds_each_signed_pair_set_once(monkeypatch, name):
+    # the signed lattices of a pair set are built once per decomposition,
+    # and its two carriers and its sign modules share them
+    spec = (non_split_rank6_spec if name == "non_split_rank6"
+            else lambda: load_corpus(name))
+    problems.run(spec(), problems.ANALYSES, 0)   # warm
+    full = Session(spec()).decomp().pairs
+    calls = []
+    real = isocrystal.signed_block_lattices
+
+    def counted(crystal, slope_data, pairs):
+        calls.append(tuple(pairs))
+        return real(crystal, slope_data, pairs)
+    monkeypatch.setattr(isocrystal, "signed_block_lattices", counted)
+    report = problems.run(spec(), problems.ANALYSES, 0)
+    assert report["analyses"]["decompose"]["module_splits_integrally"] == \
+        (name == "four_slope_rank8")
+    assert len(calls) == len(set(calls)) > 1
+    assert full in calls
+    if name == "four_slope_rank8":
+        # the full set and each pair; every larger set is a sum
+        assert sorted(calls) == sorted([full] + [(p,) for p in full])
 
 
 @pytest.mark.parametrize("what", ["O_minus", "c_minus"])

@@ -21,12 +21,10 @@ does not split integrally and is not a Dieudonne module (its block
 lattices carry a loss).
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from dieudonne.cli import load_corpus
-from dieudonne.core import (Carrier, _block_rows, _conjugation_numerators,
+from dieudonne.core import (Carrier, _conjugation_numerators,
                             _iteration_cap, _maps_into, _membership_refine,
                             codim_of_dieudonne, largest_sub_dieudonne,
                             smallest_stable_superlattice,
@@ -286,60 +284,38 @@ def test_non_split_decomposition_uses_the_ambient_carrier():
         D = decomposition(instance())
         X, sd = D.crystal, D.slope_data
         assert not sd.is_split and _component_bases(sd) is None
-        slopes = sd.slope_list
-        pairs = [(a, b) for a in slopes for b in slopes if b > a]
         for sign in ("plus", "minus"):
             C = D.carrier(sign)
             assert C.lattice is None
             assert (C.fwd, C.bwd, C.vdet) == _conjugation_numerators(X)
-        # without block factors a lattice of loss 0 is handled as End(M)
+        # on a module that does not split, a lattice of loss 0 is handled
+        # as End(M) too
         S = Lattice.from_columns(X.ctx, D.V_plus.ambient, D.V_plus.cols)
         assert S.loss == 0
-        C = Carrier.of(S, X, sd, pairs)
+        C = Carrier.of(S, X, sd)
         assert C.lattice is None
         assert (C.fwd, C.bwd, C.vdet) == _conjugation_numerators(X)
 
 
-def test_block_rows_need_an_invertible_block_matrix():
+def test_carrier_refuses_a_graph_lattice():
+    # each basis vector of one Hom block plus one vector of another: a
+    # saturated lattice of the first block's rank, which the conjugation
+    # numerators do not map into itself
     D = Session(load_corpus("three_slope_rank4")).decomp()
     X, sd = D.crystal, D.slope_data
     R = ring(X.ctx)
-    slopes = sd.slope_list
-    pairs = [(a, b) for a in slopes for b in slopes if b > a]
-    S = D.V_plus
-    T, tinv = _block_rows(S, _component_bases(sd), pairs)
-    assert len(T) == S.rank
-    assert R.mul_mat(T, tinv) == R.identity(S.rank)
-    # a missing block leaves fewer rows than the rank of S
-    with pytest.raises(InclusionViolated):
-        _block_rows(S, _component_bases(sd), pairs[1:])
-    with pytest.raises(InclusionViolated):
-        Carrier.of(S, X, sd, pairs[1:])
-    # a lattice outside the sum of its blocks: each basis vector of one
-    # block plus a vector of another reads an invertible T all the same
-    first, _ = signed_block_lattices(X, sd, pairs[:1])
-    other, _ = signed_block_lattices(X, sd, pairs[1:2])
-    graph = Lattice.from_columns(X.ctx, S.ambient, [
+    first, _ = D.signed(D.pairs[:1])
+    other, _ = D.signed(D.pairs[1:2])
+    graph = Lattice.from_columns(X.ctx, first.ambient, [
         [R.add(x, y) for x, y in zip(col, other.cols[0])]
         for col in first.cols])
-    T, _ = _block_rows(first, _component_bases(sd), pairs[:1])
-    assert graph.rank == len(T)
-    with pytest.raises(InclusionViolated):
-        _block_rows(graph, _component_bases(sd), pairs[:1])
-    with pytest.raises(InclusionViolated):
-        Carrier.of(graph, X, sd, pairs[:1])
-    # projectors scaled by p (or 0) read every block coordinate times p
-    # (or 0): T would have determinant valuation > 0 (or be singular), and
-    # the block components no longer sum to the basis vectors
-    for k in (X.ctx.p, 0):
-        scaled = SimpleNamespace(
-            crystal=X, components=sd.components, _derived={},
-            projectors={a: e.scale_int(k)
-                        for a, e in sd.projectors.items()})
-        with pytest.raises(InclusionViolated):
-            _block_rows(S, _component_bases(scaled), pairs)
-        with pytest.raises(InclusionViolated):
-            Carrier.of(S, X, scaled, pairs)
+    assert graph.rank == first.rank
+    assert not graph.scale and all(e == 0 for _, e in graph.ech_pivots)
+    with pytest.raises(InclusionViolated, match="not stable under a "
+                                                "conjugation numerator"):
+        Carrier.of(graph, X, sd)
+    # the block itself is a carrier
+    assert Carrier.of(first, X, sd).lattice is first
 
 
 def test_ambient_carrier_is_the_identity():
@@ -375,10 +351,10 @@ def test_carrier_rejects_unstable_or_unsaturated_lattices():
     mixed = Lattice.from_columns(ctx, r2, [D.V_minus.cols[0],
                                            D.V_plus.cols[0]])
     with pytest.raises(InclusionViolated):
-        Carrier.of(mixed, D.crystal, sd, [])
+        Carrier.of(mixed, D.crystal, sd)
     pV = Lattice.from_columns(ctx, r2, D.V_minus._scaled_cols(1))
     with pytest.raises(InclusionViolated):
-        Carrier.of(pV, D.crystal, sd, [])
+        Carrier.of(pV, D.crystal, sd)
 
 
 @pytest.mark.parametrize("name", CORPUS)

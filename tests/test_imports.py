@@ -2,8 +2,8 @@
 it never uses, ``WittScalar`` stays at its boundary (beside the public
 re-exports, only ``witt`` and ``matrix`` name it or build scalars through
 ``ctx.scalar``), only ``witt`` and ``lattices.boosted`` raise a context's
-precision, and no public function of the library exists only for the
-tests.
+precision, and no module-level function of the library, public or
+private, exists only for the tests.
 
 No linter ships with the project, so this reads each module with ``ast``.
 ``__init__.py`` is exempt from the unused-import check: its imports are
@@ -146,16 +146,17 @@ LIBRARY_ONLY = {
 
 
 def functions_without_caller(trees):
-    """(module, name) of every public module-level function that no
-    module references outside its own definition and that ``__init__``
-    does not re-export; ``trees`` maps file names to parsed modules."""
+    """(module, name) of every module-level function, public or private,
+    that no module references outside its own definition and that
+    ``__init__`` does not re-export; ``trees`` maps file names to parsed
+    modules.  A private helper that only the tests call is found too."""
     exported = names_used(trees["__init__.py"])
     uses = [(node, names_used(node)) for mod, tree in trees.items()
             if mod != "__init__.py" for node in tree.body]
     found = []
     for mod, tree in sorted(trees.items()):
         for fn in tree.body:
-            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+            if not isinstance(fn, ast.FunctionDef):
                 continue
             used = any(fn.name in names for node, names in uses
                        if node is not fn)
@@ -178,12 +179,15 @@ def test_function_without_caller_is_reported():
         "a.py": ast.parse("def exported(): pass\n"
                           "def lonely(): return lonely()\n"
                           "def called(): pass\n"
-                          "def _private(): pass\n"
+                          "def _private(): return _private()\n"
+                          "def _helper(): pass\n"
+                          "def uses(): return _helper()\n"
                           "class K:\n    def method(self): pass\n"
-                          '"""lonely"""\n'),
-        "b.py": ast.parse("from .a import called\n"),
+                          '"""lonely _private"""\n'),
+        "b.py": ast.parse("from .a import called, uses\n"),
     }
-    assert functions_without_caller(trees) == [("a.py", "lonely")]
+    assert functions_without_caller(trees) == [("a.py", "lonely"),
+                                                ("a.py", "_private")]
 
 
 # Bare ``assert`` statements in the library that guard structure, not a

@@ -4,8 +4,11 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from dieudonne import core, signs
 from dieudonne.cli import emit_spec, load_corpus
+from dieudonne.errors import PrecisionExhausted
 from dieudonne.matrix import ring
 from dieudonne.witt import make_context
 from dieudonne.lattices import Lattice
@@ -334,3 +337,26 @@ def test_boosted_dual_is_the_dual_at_a_larger_precision(monkeypatch):
     assert got.ctx is ctx and got.equals(want)
     assert (got.cols, got.scale, got.loss) == (want.cols, want.scale,
                                                want.loss)
+
+
+def test_dual_of_a_zero_pairing_exceeds_the_boost(monkeypatch):
+    # two lattices of one sign pair to zero: every elementary divisor of
+    # the Gram matrix vanishes and counts as N, so the dual depth passes
+    # the context precision and, after one boost, the boosted one too
+    D = Session(load_corpus("three_slope_rank4")).decomp()
+    Vm = D.V_minus
+    N = Vm.ctx.N
+    grams = []
+    real = signs.smith_valuations
+
+    def recorded(wctx, gram, neff=None):
+        grams.append((wctx.N, all(ring(wctx).vanishes(row, wctx.N)
+                                  for row in gram)))
+        return real(wctx, gram, neff=neff)
+
+    monkeypatch.setattr(signs, "smith_valuations", recorded)
+    with pytest.raises(PrecisionExhausted,
+                       match="^dual depth exceeded the boost$"):
+        dual_lattice(Vm, Vm)
+    # K = N + 1 at the context, so the boost adds 2K + 8 digits
+    assert grams == [(N, True), (3 * N + 10, True)]
