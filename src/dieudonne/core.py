@@ -1,12 +1,13 @@
 """Core lattice constructions for Dieudonne modules inside End(M).
 
-Provides the tangent-space quotient and its projection nu, Hodge
-splittings M = F^1 + F^0 with the induced block grading of End(M), the
-unit-part factorization of the Frobenius through the splitting, the
-largest/smallest stable-lattice fixed points, the four axiom checks for
-square-zero deformation lattices, and Lie (projector) elements t with
-[x, t] = x on the lattice.  Matrices and lattice columns are raw
-(``matrix.ring``).
+Provides the tangent space Hom(F1bar, M/pM / F1bar), F1bar = ker(phi
+mod p), and the projection nu of End(M) onto it (restriction to F1bar,
+read modulo F1bar), Hodge splittings M = F^1 + F^0 with the induced
+block grading of End(M), the unit-part factorization of the Frobenius
+through the splitting, the largest/smallest stable-lattice fixed points,
+the four axiom checks for square-zero deformation lattices, and Lie
+(projector) elements t with [x, t] = x on the lattice.  Matrices and
+lattice columns are raw (``matrix.ring``).
 
 The fixed points and the codimension run on a ``Carrier``: a saturated
 lattice S of End(M) of rank d, with the two conjugation numerators
@@ -29,7 +30,7 @@ from .isocrystal import (FIsocrystal, Sandwich, SlopeData, end_frobenius,
 from .lattices import (Lattice, SemilinearMap, intersect, invert_matrix,
                        kernel_span, lattice_sum, mod_p_dimension,
                        residue_echelon, residue_kernel, residue_reduce,
-                       residue_spaces_equal, saturate)
+                       saturate)
 from .matrix import ring
 
 
@@ -38,19 +39,22 @@ from .matrix import ring
 
 
 class TangentSpace:
-    """End(M/pM) modulo the endomorphisms preserving ker(phi mod p).
+    """Hom(F1bar, M/pM / F1bar), the tangent space of the Dieudonne
+    lattices at the crystal, where F1bar = ker(phi mod p).
 
-    nu sends an integral endomorphism to its class; the quotient has
-    dimension (codimension x dimension) of the crystal.  Residue vectors
-    (``fbar1``, the rows of ``f0_ech``, the classes of ``nu_matrix``) are
-    raw entries in [0, p).  ``of`` returns the one built per crystal.  It
+    nu sends an integral endomorphism x to the class of its restriction to
+    F1bar: for each reduced echelon vector v of F1bar, in order, the
+    residue of x v modulo F1bar read at the r - d positions off the
+    pivots.  The quotient has dimension d (r - d), d = dim F1bar.  Residue
+    vectors (``fbar1``, ``ech``, the classes of ``nu_matrix``) are raw
+    entries in [0, p).  ``of`` returns the one built per crystal.  It
     keeps the crystal's rank, not the crystal, so the copy cached on the
     crystal makes no reference cycle: ``bench/tracer.py`` keys span inputs
     by walking their fields, and that walk would not end on a cycle.
     """
 
-    __slots__ = ("rank", "ctx", "fbar1", "f0_ech", "f0_pivots",
-                 "free_cols", "dim")
+    __slots__ = ("rank", "ctx", "fbar1", "ech", "pivots", "ech_cols",
+                 "off_pivots", "dim")
 
     def __init__(self, crystal: FIsocrystal):
         ctx = crystal.ctx
@@ -65,12 +69,11 @@ class TangentSpace:
         inv_twist = (-crystal.phi.twist) % ctx.n
         self.fbar1 = [[R.rem(R.frob(c, inv_twist), ctx.p) for c in v]
                       for v in ker]
-        # endomorphisms preserving fbar1: rows of conditions
-        f0 = _preserving_endos(ctx, r, self.fbar1)
-        self.f0_ech, self.f0_pivots = residue_echelon(ctx, f0)
-        pivset = set(self.f0_pivots)
-        self.free_cols = [j for j in range(r * r) if j not in pivset]
-        self.dim = len(self.free_cols)
+        self.ech, self.pivots = residue_echelon(ctx, self.fbar1)
+        self.ech_cols = [list(row) for row in zip(*self.ech)]
+        taken = set(self.pivots)
+        self.off_pivots = [i for i in range(r) if i not in taken]
+        self.dim = len(self.ech) * len(self.off_pivots)
 
     @classmethod
     def of(cls, crystal: FIsocrystal) -> "TangentSpace":
@@ -81,36 +84,18 @@ class TangentSpace:
         return crystal._derived["tangent"]
 
     def nu_matrix(self, rows):
-        """Class of an integral raw r x r matrix in the quotient, as a
-        residue vector on the free coordinates (raw entries in [0, p))."""
-        vec = [x for row in rows for x in row]
-        res = residue_reduce(self.ctx, self.f0_ech, self.f0_pivots, vec)
-        return tuple(res[j] for j in self.free_cols)
+        """Class of an integral raw r x r matrix x: the residues of x v
+        modulo F1bar off its pivots, v running over ``ech``."""
+        ctx = self.ctx
+        out = []
+        for img in zip(*ring(ctx).mul_mat(rows, self.ech_cols)):
+            res = residue_reduce(ctx, self.ech, self.pivots, list(img))
+            out.extend(res[i] for i in self.off_pivots)
+        return tuple(out)
 
     def nu_is_zero(self, vec):
         zero = ring(self.ctx).zero
         return all(x == zero for x in vec)
-
-
-def _preserving_endos(ctx, r, fbar1):
-    """Basis of {e in End(M/pM) : e(span) <= span}: the kernel of the
-    conditions "e(v) reduces to zero modulo the span" over all span basis
-    vectors v (unknowns are the r^2 entries of e, row-major); with no
-    conditions, every endomorphism."""
-    zero = ring(ctx).zero
-    ech, pivots = residue_echelon(ctx, fbar1)
-    cond_rows = []
-    for v in ech:
-        # the elementary matrix E_{ab} sends v to v[b] * (unit vector a)
-        residuals = []
-        for a in range(r):
-            for b in range(r):
-                img = [zero] * r
-                img[a] = v[b]
-                residuals.append(residue_reduce(ctx, ech, pivots, img))
-        for coord in range(r):
-            cond_rows.append([residuals[k][coord] for k in range(r * r)])
-    return residue_kernel(ctx, cond_rows, r * r)
 
 
 def nu_image(lattice: Lattice, tangent: TangentSpace):
@@ -159,8 +144,8 @@ class HodgeSplitting:
             raise SplittingInvalid("F1 + F0 does not span M (non-unit index)")
         self.Pinv_rows = pinv
         # F1 mod p must be the kernel of the reduced Frobenius
-        tangent_ker = TangentSpace.of(crystal).fbar1
-        if not residue_spaces_equal(ctx, tangent_ker, f1_cols):
+        tangent = TangentSpace.of(crystal)
+        if residue_echelon(ctx, f1_cols) != (tangent.ech, tangent.pivots):
             raise SplittingInvalid(
                 "F1 does not reduce to ker(phi mod p)")
 

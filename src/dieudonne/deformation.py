@@ -597,23 +597,24 @@ def divided_power(R, y, j):
     return R.mul(num, R.inverse(R.of_int(unit)))
 
 
-def _transport_terms(R, conn, z, ys, i, vec, factor, acc):
-    """Add to acc, at the point z, factor times every term of the
-    divided-power sum that applies nabla(d/dx_k)^{j_k} y_k^{j_k}/j_k! for
-    k >= i to the series vector vec."""
+def _transport_terms(R, conn, powers, ys, i, vec, factor, acc):
+    """Add to acc, at the point with the power table ``powers``, factor
+    times every term of the divided-power sum that applies
+    nabla(d/dx_k)^{j_k} y_k^{j_k}/j_k! for k >= i to the series vector
+    vec."""
     if factor == R.zero:
         return
     if i == conn.B.n:
         for k, s in enumerate(vec):
-            acc[k] = R.add(acc[k], R.mul(s.evaluate(z), factor))
+            acc[k] = R.add(acc[k], R.mul(s.evaluate(powers), factor))
         return
-    _transport_terms(R, conn, z, ys, i + 1, vec, factor, acc)
+    _transport_terms(R, conn, powers, ys, i + 1, vec, factor, acc)
     cur = vec
     for j in range(1, conn.dmax + 3):
         cur = _nabla(conn, cur, i)
         if all(s.is_zero() for s in cur):
             break
-        _transport_terms(R, conn, z, ys, i + 1, cur,
+        _transport_terms(R, conn, powers, ys, i + 1, cur,
                          R.mul(factor, divided_power(R, ys[i], j)), acc)
     else:
         raise NonTermination(
@@ -647,12 +648,13 @@ def correction_factor(crystal: FIsocrystal, conn: ConnectionForm, z
         ys.append(y)
 
     ident = R.identity(r)
+    powers = TruncatedSeries.power_table(R, z, dmax)
     grows = [[R.zero] * r for _ in range(r)]
     for col in range(r):
         base = [TruncatedSeries.constant(R, n, dmax, ident[k][col])
                 for k in range(r)]
         acc = [R.zero] * r
-        _transport_terms(R, conn, z, ys, 0, base, R.one, acc)
+        _transport_terms(R, conn, powers, ys, 0, base, R.one, acc)
         for k in range(r):
             grows[k][col] = acc[k]
     # assertions: g = 1 mod p, and 1 - g lands in E modulo p^2

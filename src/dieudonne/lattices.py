@@ -2,12 +2,14 @@
 
 A lattice is p^{-scale} times the column span of an integral basis matrix
 inside an ambient free module of fixed rank; storing the scale separately
-keeps every coefficient in Z/p^N.  Canonical (Hermite) bases make equality
-decidable: pivots are unit-normalized p-powers, columns are ordered by
-pivot row, and off-pivot entries in pivot rows are reduced modulo the
-pivot.  Pivoting always selects a remaining entry of minimal valuation
-(ties: lowest row, then lowest column), so eliminations divide exactly and
-cost no precision.
+keeps every coefficient in Z/p^N.  The scale is never negative: a
+construction at a negative scale multiplies its columns by p^{-scale},
+which is exact, and stores scale 0.  Canonical (Hermite) bases make
+equality decidable: pivots are unit-normalized p-powers, columns are
+ordered by pivot row, and off-pivot entries in pivot rows are reduced
+modulo the pivot.  Pivoting always selects a remaining entry of minimal
+valuation (ties: lowest row, then lowest column), so eliminations divide
+exactly and cost no precision.
 
 Every elimination in the package goes through this module's primitives:
 
@@ -40,7 +42,10 @@ and the matrix entry points (``Lattice.from_columns``,
 ``Lattice.basis_columns()`` is the scalar view.  ``Lattice.solve`` takes
 raw entries of the lattice's own context only.
 
-Semilinear maps are v |-> p^{-denominator} * A * sigma^twist(v).
+Semilinear maps are v |-> p^{-denominator} * A * sigma^twist(v).  A map
+knows A only modulo p^N, so its inverse carries its loss plus the
+valuation of det A; ``invert_matrix_exact`` serves the integers that
+define an input, which fix the inverse at every precision.
 
 Precision moves are one primitive: ``boosted`` runs a computation at the
 context precision raised by each extra of a schedule that its caller
@@ -167,7 +172,7 @@ def _cross_reduce(ctx, ech, pivots):
 
 
 class Lattice:
-    """p^{-scale} times the span of canonical basis columns.
+    """p^{-scale} times the span of canonical basis columns, scale >= 0.
 
     ``cols``/``pivots`` are the canonical presentation (sorted by pivot
     row); ``ech``/``ech_pivots`` keep the processing-order echelon used for
@@ -193,7 +198,9 @@ class Lattice:
     @staticmethod
     def from_columns(ctx, ambient, columns, scale=0, loss=0):
         """Canonicalize arbitrary generating columns (dependent generators
-        are dropped at the working precision).
+        are dropped at the working precision).  A negative scale goes into
+        the columns as a factor p^{-scale}, which is exact: a lattice never
+        carries one.
 
         Refuses once half the precision has been spent: results would no
         longer be trustworthy, and the caller should rebuild the context
@@ -204,7 +211,12 @@ class Lattice:
                 f"accumulated loss {loss} has consumed half the working "
                 f"precision {ctx.N}; raise the precision exponent")
         neff = ctx.N - loss
-        cols = ring(ctx).raw_mat(columns)
+        R = ring(ctx)
+        cols = R.raw_mat(columns)
+        if scale < 0:
+            m = R.of_int(ctx.p ** -scale)
+            cols = [R.scale(col, m) for col in cols]
+            scale = 0
         for col in cols:
             if len(col) != ambient:
                 raise ValueError("column length does not match ambient rank")
@@ -247,19 +259,9 @@ class Lattice:
         m = R.of_int(self.ctx.p ** k)
         return [R.scale(col, m) for col in self.cols]
 
-    def folded(self):
-        """Fold a negative scale into the basis (multiplication only, so
-        always exact); positive scales are kept as presentation."""
-        if self.scale >= 0 or not self.cols:
-            return self if self.scale >= 0 else Lattice.zero(
-                self.ctx, self.ambient).with_loss(self.loss)
-        return Lattice.from_columns(self.ctx, self.ambient,
-                                    self._scaled_cols(-self.scale),
-                                    scale=0, loss=self.loss)
-
     def normalized(self):
-        """Canonical (scale, basis) presentation: non-negative scale, and
-        either the scale is zero or the basis has no p-content to cancel.
+        """Canonical (scale, basis) presentation: either the scale is zero
+        or the basis has no p-content to cancel.
 
         Cancelling content divides basis entries, whose quotients are only
         defined modulo p^{N - content}; use only where downstream
@@ -269,8 +271,6 @@ class Lattice:
             if self.scale == 0 and self.loss == 0:
                 return self
             return Lattice.zero(self.ctx, self.ambient).with_loss(self.loss)
-        if self.scale < 0:
-            return self.folded()
         R = ring(self.ctx)
         content = min(R.val(x) for col in self.cols for x in col)
         take = min(content, self.scale)
@@ -325,8 +325,6 @@ class Lattice:
         non-decreasing valuation order, and once one reaches k every
         column left vanishes mod p^k, so the pivots below k are the
         echelon at effective precision k."""
-        if self.scale < 0:
-            return self.folded().contains_modulo(vector, k)
         R = ring(self.ctx)
         if self.scale:
             vector = R.scale(vector, R.of_int(self.ctx.p ** self.scale))
@@ -376,7 +374,7 @@ def lattice_sum(*lattices: Lattice) -> Lattice:
     s = max(L.scale for L in lattices)
     cols = [c for L in lattices for c in L._scaled_cols(s - L.scale)]
     return Lattice.from_columns(first.ctx, first.ambient, cols, scale=s,
-                                loss=max(L.loss for L in lattices)).folded()
+                                loss=max(L.loss for L in lattices))
 
 
 def intersect(l1: Lattice, l2: Lattice) -> Lattice:
@@ -392,8 +390,7 @@ def intersect(l1: Lattice, l2: Lattice) -> Lattice:
     neg = ring(ctx).neg
     stacked = c1 + [list(map(neg, c)) for c in c2]
     gens = kernel_span(ctx, stacked, c1, neff, l1.ambient)
-    return Lattice.from_columns(ctx, l1.ambient, gens, scale=s,
-                                loss=loss).folded()
+    return Lattice.from_columns(ctx, l1.ambient, gens, scale=s, loss=loss)
 
 
 def kernel_span(ctx, cols, basis, neff, nrows):
@@ -449,9 +446,8 @@ def saturate(lattice: Lattice, ambient: Lattice) -> Lattice:
     sat_coords = (matrix_kernel(ctx, left, neff, ncols=m) if left
                   else R.identity(m))
     gens = R.mul_mat(sat_coords, ambient.ech)
-    out = Lattice.from_columns(ctx, lattice.ambient, gens,
-                               scale=ambient.scale, loss=loss)
-    return out.folded()
+    return Lattice.from_columns(ctx, lattice.ambient, gens,
+                                scale=ambient.scale, loss=loss)
 
 
 def _solve_rational(lattice: Lattice, vector, vscale):
@@ -603,8 +599,7 @@ class SemilinearMap:
         cols = [self.apply_raw(c) for c in lattice.cols]
         return Lattice.from_columns(self.ctx, self.nrows, cols,
                                     scale=lattice.scale + self.denominator,
-                                    loss=max(lattice.loss, self.loss)
-                                    ).folded()
+                                    loss=max(lattice.loss, self.loss))
 
     def compose(self, other: "SemilinearMap") -> "SemilinearMap":
         """self after other."""
@@ -648,15 +643,15 @@ class SemilinearMap:
                              self.denominator - k, loss=self.loss)
 
     def inverse(self) -> "SemilinearMap":
-        """Inverse map; requires bijectivity after inverting p.  The
-        numerator is produced exactly (boosted internal precision), so no
-        loss is added beyond the map's own."""
+        """Inverse map; requires bijectivity after inverting p.  A map
+        knows only its residues, which fix the inverse's numerator modulo
+        p^{N - vdet}: the inverse carries the map's loss plus vdet."""
         ctx = self.ctx
-        inv_num, vdet = invert_matrix_exact(ctx, self.rows)
+        inv_num, vdet = invert_matrix(ctx, self.rows)
         e = (-self.twist) % ctx.n
         rows = ring(ctx).frob_mat(inv_num, e)
         return SemilinearMap(ctx, rows, e, vdet - self.denominator,
-                             loss=self.loss)
+                             loss=self.loss + vdet)
 
     def reduce_denominator(self) -> "SemilinearMap":
         """Cancel common p-content between matrix and denominator."""
@@ -744,11 +739,12 @@ def boosted(ctx, extras, run):
 def invert_matrix_exact(ctx, rows):
     """(numerator, vdet) like invert_matrix, but computed at a boosted
     internal precision on the given rows, so the published numerator is
-    exact at the context precision and costs no loss.  The rows define
-    the matrix at every precision: ints or coefficient lists are lifted
-    as they are, and raw entries as their representatives in [0, p^N);
-    a matrix given by integers is exact only when passed as those
-    integers (a crystal's ``source``)."""
+    exact at the context precision and costs no loss.  The rows must
+    define the matrix at every precision: the integers of an input (a
+    crystal's ``source``), ints or coefficient lists lifted as they are.
+    Raw entries would be lifted as their representatives in [0, p^N),
+    another matrix; residues alone fix the numerator only modulo
+    p^{N - vdet}, which ``SemilinearMap.inverse`` publishes as loss."""
     R = ring(ctx)
     inv, vdet = invert_matrix(ctx, rows)
     if vdet == 0:

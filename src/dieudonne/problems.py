@@ -189,8 +189,8 @@ def parse_dict(doc, name=None) -> ProblemSpec:
         for pair in doc["slope_pairs"]:
             _expect(isinstance(pair, list) and len(pair) == 2, "slope_pairs",
                     "entries must be [a, b] slope pairs")
-            for s in pair:
-                _parse_fraction(s)
+            a, b = map(_parse_fraction, pair)
+            _expect(a < b, "slope_pairs", f"pair [{a}, {b}] is not increasing")
         spec.slope_pairs = doc["slope_pairs"]
     if "deformation_basis" in doc:
         for mat in doc["deformation_basis"]:
@@ -328,6 +328,10 @@ class Session:
             return SlopePairSet.full(slopes)
         pairs = [(_parse_fraction(a), _parse_fraction(b))
                  for (a, b) in self.spec.slope_pairs]
+        unknown = {s for pair in pairs for s in pair} - set(slopes)
+        _expect(not unknown, "slope_pairs",
+                "not slopes of the crystal: "
+                + ", ".join(map(str, sorted(unknown))))
         return SlopePairSet(pairs, slopes)
 
     def deformation_basis(self) -> DeformationBasis:

@@ -243,17 +243,25 @@ class TruncatedSeries:
                 out[k - unit] = R.mul(c, R.of_int(a))
         return self._drop_zeros(out, valid)
 
-    def evaluate(self, point):
-        """Value at a tuple of raw entries (uses every stored
-        coefficient)."""
+    @staticmethod
+    def power_table(R, point, dmax):
+        """The powers z_i^0, ..., z_i^dmax of each raw coordinate of a
+        point: what ``evaluate`` reads, built once for every series
+        evaluated there."""
+        table = []
+        for z in point:
+            col = [R.one]
+            for _ in range(dmax):
+                col.append(R.mul(col[-1], z))
+            table.append(col)
+        return table
+
+    def evaluate(self, powers):
+        """Value at the point whose ``power_table`` is given, up to this
+        series' degree bound at least (uses every stored coefficient)."""
         R = self.R
         add, mul = R.add, R.mul
         acc = R.zero
-        powers = [[R.one] for _ in range(self.nvars)]
-        for i, z in enumerate(point):
-            col = powers[i]
-            for _ in range(self.dmax):
-                col.append(mul(col[-1], z))
         for k, c in self.terms.items():
             term = c
             for i, a in enumerate(self._unpack(k)):

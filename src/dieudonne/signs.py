@@ -164,9 +164,8 @@ def dual_lattice(L: Lattice, reference: Lattice) -> Lattice:
 
     gram, K = pairing(ctx)
     if 2 * K + 4 < ctx.N - loss:
-        return build(ctx, gram, K).folded()
-    return boosted(ctx, (2 * K + 8,),
-                   lambda big: build(big, *pairing(big))).folded()
+        return build(ctx, gram, K)
+    return boosted(ctx, (2 * K + 8,), lambda big: build(big, *pairing(big)))
 
 
 SIGNED_LATTICES = ("V_plus", "V_minus", "V_plus_minus", "V_minus_plus",

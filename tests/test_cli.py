@@ -177,6 +177,24 @@ def test_points_of_the_wrong_arity_are_input_errors(tmp_path, capsys):
         assert "field 'points'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, pairs", [
+    pytest.param("three_slope_rank4", [["1", "0"]], id="decreasing"),
+    pytest.param("three_slope_rank4", [["0", "0"]], id="equal"),
+    pytest.param("three_slope_rank4", [["0", "7"]], id="unknown-slope"),
+    # three_slope_rank4's own pairs name 1/2, which this crystal lacks
+    pytest.param("four_slope_rank8", [["0", "1/2"], ["0", "1"]],
+                 id="foreign-pairs"),
+])
+def test_malformed_slope_pairs_are_input_errors(tmp_path, capsys, entry,
+                                                pairs):
+    doc = json.loads(emit_spec(load_corpus(entry)))
+    doc["slope_pairs"] = pairs
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["report-all", str(path)]) == 2
+    assert "field 'slope_pairs'" in capsys.readouterr().err
+
+
 def test_roundtrip_canonical_form(tmp_path):
     for name in corpus_names():
         spec = load_corpus(name)

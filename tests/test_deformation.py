@@ -87,7 +87,8 @@ def test_series_partial_and_evaluate():
     ds = s.partial(0)
     assert wrap(R, ds.coefficient((1,))) == ctx.scalar(4)
     assert wrap(R, ds.coefficient((0,))) == ctx.one
-    assert wrap(R, s.evaluate([raw(ctx, 3)])) == ctx.scalar(21)
+    table = TruncatedSeries.power_table(R, [raw(ctx, 3)], s.dmax)
+    assert wrap(R, s.evaluate(table)) == ctx.scalar(21)
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +883,8 @@ def test_correction_factor_at_p():
     deriv = w
     j = 1
     while not deriv.is_zero():
-        coeff = coeff + wrap(R, deriv.evaluate([raw(ctx, z)])) * \
+        coeff = coeff + wrap(R, deriv.evaluate(
+            TruncatedSeries.power_table(R, [raw(ctx, z)], deriv.dmax))) * \
             wrap(R, divided_power(R, raw(ctx, y), j))
         deriv = deriv.partial(0)
         j += 1
@@ -951,7 +953,8 @@ def test_series_multivariate_evaluate():
     y = TruncatedSeries.variable(R, 2, 5, 1)
     s = x * x * y + y * raw(ctx, 2) + TruncatedSeries.constant(
         R, 2, 5, raw(ctx, 7))
-    val = s.evaluate([raw(ctx, 2), raw(ctx, 3)])
+    val = s.evaluate(
+        TruncatedSeries.power_table(R, [raw(ctx, 2), raw(ctx, 3)], 5))
     assert wrap(R, val) == ctx.scalar(4 * 3 + 6 + 7)
 
 

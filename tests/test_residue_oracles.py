@@ -11,8 +11,10 @@ the reference's tuples to raw entries in [0, p).
 Inputs are seeded: p in {2, 3, 5} with n = 1 and p in {2, 3} with n = 3,
 raw entries of a precision-4 context, so most entries are >= p and many
 are nonzero multiples of p.  The tangent space built on these primitives
-is checked against the reference construction on every corpus entry and
-on the seeded conjugates of ``test_robustness``.
+is checked against the old construction, End(M/pM) modulo the stabilizer
+of ker(phi mod p), on every corpus entry (the n = 3 ``example_1_7``
+among them), on ``instances.conjugated_draws``, on ``non_split_rank6``
+and on the sigma-twisted n = 2 instance.
 """
 
 import random
@@ -21,7 +23,6 @@ import pytest
 
 from dieudonne.cli import corpus_names, load_corpus
 from dieudonne.core import TangentSpace
-from dieudonne.isocrystal import end_decompose, slope_split, vec_to_mat
 from dieudonne.lattices import (residue_echelon, residue_intersection,
                                 residue_kernel, residue_reduce,
                                 residue_spaces_equal)
@@ -29,7 +30,8 @@ from dieudonne.matrix import ring
 from dieudonne.problems import Session
 from dieudonne.witt import make_context
 
-from test_robustness import conjugated_instance
+from instances import (conjugated_draws, non_split_rank6,
+                       sigma_twisted_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +329,10 @@ def _residue(ctx, x):
 
 
 def tangent_reference(crystal):
-    """(fbar1, f0_ech, f0_pivots, free_cols, nu) of the tangent space,
-    built on the reference primitives from residue tuples."""
+    """(fbar1, stabilizer) of the tangent space's old construction as
+    End(M/pM) modulo the endomorphisms preserving fbar1, built on the
+    reference primitives from residue tuples: the stabilizer is the
+    reduced echelon basis of those endomorphisms, flattened row-major."""
     ctx = crystal.ctx
     r = crystal.rank
     arows = [[_residue(ctx, x) for x in row] for row in crystal.phi.rows]
@@ -355,41 +359,50 @@ def tangent_reference(crystal):
         one = tuple([1] + [0] * (ctx.n - 1))
         f0 = [[one if j == k else gf_zero_reference(ctx)
                for j in range(r * r)] for k in range(r * r)]
-    f0_ech, f0_pivots = gf_echelon_reference(ctx, f0)
-    free_cols = [j for j in range(r * r) if j not in set(f0_pivots)]
-
-    def nu(rows):
-        vec = [_residue(ctx, x) for row in rows for x in row]
-        res = gf_reduce_reference(ctx, f0_ech, f0_pivots, vec)
-        return tuple(res[j] for j in free_cols)
-
-    return fbar1, f0_ech, f0_pivots, free_cols, nu
+    stabilizer, _ = gf_echelon_reference(ctx, f0)
+    return fbar1, stabilizer
 
 
-def assert_tangent_matches_reference(crystal, O_minus):
+def assert_tangent_matches_reference(crystal):
+    """nu is End(M/pM) modulo the stabilizer of fbar1: fbar1 is the
+    reference's, dim = r^2 - dim(stabilizer), and the combinations of the
+    r^2 elementary matrices E_ab that nu sends to zero span the
+    stabilizer."""
     ctx = crystal.ctx
+    R = ring(ctx)
     r = crystal.rank
     T = TangentSpace(crystal)
-    fbar1, f0_ech, f0_pivots, free_cols, nu = tangent_reference(crystal)
+    fbar1, stabilizer = tangent_reference(crystal)
     assert T.fbar1 == raws(ctx, fbar1)
-    assert T.f0_ech == raws(ctx, f0_ech)
-    assert T.f0_pivots == f0_pivots
-    assert T.free_cols == free_cols
-    for col in O_minus.cols:
-        rows = vec_to_mat(col, r)
-        assert list(T.nu_matrix(rows)) == [as_raw(ctx, x)
-                                           for x in nu(rows)]
+    assert T.dim == r * r - len(stabilizer)
+    classes = []
+    for k in range(r * r):
+        e_ab = [[R.one if i * r + j == k else R.zero for j in range(r)]
+                for i in range(r)]
+        classes.append(T.nu_matrix(e_ab))
+        assert len(classes[-1]) == T.dim
+    rows = [[c[i] for c in classes] for i in range(T.dim)]
+    kernel = residue_kernel(ctx, rows, r * r)
+    assert residue_spaces_equal(ctx, kernel, raws(ctx, stabilizer))
 
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_tangent_space_matches_reference_on_the_corpus(name):
-    sess = Session(load_corpus(name))
-    assert_tangent_matches_reference(sess.crystal(), sess.o_minus())
+    assert_tangent_matches_reference(Session(load_corpus(name)).crystal())
 
 
 def test_tangent_space_matches_reference_on_conjugates():
-    rng = random.Random(424242)
-    for _ in range(8):
-        X = conjugated_instance(rng)
-        O_minus = end_decompose(X, slope_split(X)).o_minus()
-        assert_tangent_matches_reference(X, O_minus)
+    for X in conjugated_draws():
+        assert_tangent_matches_reference(X)
+
+
+OFF_CORPUS = {
+    "non_split_rank6": lambda: non_split_rank6(make_context(2, 1, 32)),
+    # n = 2 with a sigma-twisted Frobenius: fbar1 is sigma^-1 of the kernel
+    "sigma_twisted": sigma_twisted_instance,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_CORPUS))
+def test_tangent_space_matches_reference_off_the_corpus(name):
+    assert_tangent_matches_reference(OFF_CORPUS[name]())

@@ -333,7 +333,7 @@ def test_boosted_dual_is_the_dual_at_a_larger_precision(monkeypatch):
     wide = dual_lattice(lifted(D.V_minus), lifted(D.V_plus))
     assert extras == [(10,)]
     want = Lattice.from_columns(ctx, wide.ambient, wide.cols,
-                                scale=wide.scale, loss=wide.loss).folded()
+                                scale=wide.scale, loss=wide.loss)
     assert got.ctx is ctx and got.equals(want)
     assert (got.cols, got.scale, got.loss) == (want.cols, want.scale,
                                                want.loss)
