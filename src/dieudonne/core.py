@@ -25,8 +25,8 @@ from __future__ import annotations
 from .errors import (HypothesisViolated, InclusionViolated, NoAutoConstruction,
                      NonConvergence, PrecisionExhausted, SingularMap,
                      SplittingInvalid, ValidationFailed)
-from .isocrystal import (FIsocrystal, Sandwich, SlopeData, end_frobenius,
-                         mat_to_vec, vec_to_mat, _maps_equal)
+from .isocrystal import (FIsocrystal, SlopeData, end_frobenius, mat_to_vec,
+                         sandwich_map, vec_to_mat, _maps_equal)
 from .lattices import (Lattice, SemilinearMap, intersect, invert_matrix,
                        kernel_span, lattice_sum, mod_p_dimension,
                        residue_echelon, residue_kernel, residue_reduce,
@@ -303,15 +303,14 @@ def _conjugation_numerators(crystal):
     is ``end_frobenius``) and x -> phi^{-1} x phi (bwd, see
     ``_backward_numerator``) on End(M), each p^{-vdet} times its integral
     numerator, vdet = v(det A): A sigma(x) A_adj and sigma^{-1}(A_adj x
-    A).  Both are ``Sandwich`` maps, held by their factors (L, R) and
-    twist, whose first ``apply_raw`` builds the r^2 x r^2 numerator.
-    Each, and its rows, is computed once per crystal."""
+    A).  Both are r^2 x r^2 ``sandwich_map``s, each computed once per
+    crystal."""
     return (end_frobenius(crystal),) + _backward_numerator(crystal)
 
 
 def _backward_numerator(crystal):
     """(bwd, vdet): the numerator sigma^{-1}(A_adj x A) of x -> phi^{-1} x
-    phi on End(M), which is p^{-vdet} times it, as a ``Sandwich``;
+    phi on End(M), which is p^{-vdet} times it, as a ``sandwich_map``;
     computed once per crystal and cached apart from ``end_frobenius``,
     which the trivializer does not need."""
     if "backward" not in crystal._derived:
@@ -319,9 +318,9 @@ def _backward_numerator(crystal):
         ainv, vdet = crystal.inverse_numerator()
         e = (-1) % ctx.n
         R = ring(ctx)
-        bwd_num = Sandwich(ctx, R.frob_mat(ainv, e),
-                           R.frob_mat(crystal.phi.rows, e),
-                           twist=e, denominator=vdet, loss=crystal.phi.loss)
+        bwd_num = sandwich_map(ctx, R.frob_mat(ainv, e),
+                               R.frob_mat(crystal.phi.rows, e), twist=e,
+                               denominator=vdet, loss=crystal.phi.loss)
         crystal._derived["backward"] = (bwd_num, vdet)
     return crystal._derived["backward"]
 
@@ -392,12 +391,9 @@ class Carrier:
         S = self.lattice
         if S is None:
             return V
-        xs = []
-        for col in V.cols:
-            x = S.solve(col)
-            if x is None:
-                raise InclusionViolated("lattice is not inside its carrier")
-            xs.append(x)
+        xs = S.coordinates(V.cols)
+        if xs is None:
+            raise InclusionViolated("lattice is not inside its carrier")
         return Lattice.from_columns(V.ctx, S.rank, xs, scale=V.scale,
                                     loss=V.loss)
 
@@ -415,13 +411,10 @@ def _restricted(S: Lattice, num: SemilinearMap) -> SemilinearMap:
     """The matrix C with num sigma(B) = B C on the echelon basis B of S:
     one solve per basis vector, and InclusionViolated when num does not
     map S into itself.  B has unit pivots, so C is unique modulo p^N."""
-    cols = []
-    for b in S.ech:
-        x = S.solve(num.apply_raw(b))
-        if x is None:
-            raise InclusionViolated(
-                "block lattice is not stable under a conjugation numerator")
-        cols.append(x)
+    cols = S.coordinates(num.apply_raw(b) for b in S.ech)
+    if cols is None:
+        raise InclusionViolated(
+            "block lattice is not stable under a conjugation numerator")
     return SemilinearMap(S.ctx, list(zip(*cols)), twist=num.twist,
                          loss=max(num.loss, S.loss))
 
@@ -508,13 +501,10 @@ def _maps_into(E: Lattice, num_map, shift: int) -> bool:
         E.ctx, E.ambient, E._scaled_cols(down),
         scale=E.scale, loss=E.loss) if down else E
     pk = R.of_int(E.ctx.p ** up)
-    for c in E.cols:
-        img = num_map.apply_raw(c)
-        if up:
-            img = R.scale(img, pk)
-        if target.solve(img, target.scale) is None:
-            return False
-    return True
+    imgs = (num_map.apply_raw(c) for c in E.cols)
+    if up:
+        imgs = (R.scale(img, pk) for img in imgs)
+    return target.coordinates(imgs, target.scale) is not None
 
 
 def smallest_super_dieudonne(V: Lattice, crystal: FIsocrystal,

@@ -142,13 +142,9 @@ def solve_connection(crystal: FIsocrystal, E: Lattice, B: DeformationBasis,
             f"E is not stable under p times the Frobenius: {exc}")
     a = [[arestr.rows[j][l] for l in range(m)] for j in range(m)]
     # b[j][i]: coordinates of v_i
-    b = []
-    for v in B.vectors:
-        coords = E.solve(v, 0)
-        if coords is None:
-            raise HypothesisViolated(
-                "a deformation vector does not lie in E")
-        b.append(coords)
+    b = E.coordinates(B.vectors)
+    if b is None:
+        raise HypothesisViolated("a deformation vector does not lie in E")
     bmat = [[b[i][j] for i in range(n)] for j in range(m)]  # b[j][i]
     w = {}
     for i in range(n):

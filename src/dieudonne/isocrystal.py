@@ -637,43 +637,14 @@ def sandwich_map(ctx, left_rows, right_rows, twist=0, denominator=0, loss=0):
                          loss=loss)
 
 
-class Sandwich(SemilinearMap):
-    """The map x |-> p^{-denominator} L sigma^twist(x) R on End(M), held by
-    its factors ``left`` (L) and ``right`` (R).  Its r^2 x r^2 rows are the
-    ``sandwich_map`` of the factors, built on first use, so a map that is
-    never applied costs no r^4 entries: on a module that splits
-    integrally, ``signed_block_lattices`` reads only which blocks its
-    ``block_projector`` terms name.  The first ``apply_raw`` builds the
-    rows and then, as on every map, the cached columns ``_tcols`` it
-    combines them by."""
-
-    __slots__ = ("left", "right", "_rows")
-
-    def __init__(self, ctx, left, right, twist=0, denominator=0, loss=0):
-        self.ctx = ctx
-        self.left = left
-        self.right = right
-        self.twist = twist % ctx.n
-        self.denominator = denominator
-        self.loss = loss
-        self._rows = None
-        self._tcols = None
-
-    @property
-    def rows(self):
-        if self._rows is None:
-            self._rows = sandwich_map(self.ctx, self.left, self.right).rows
-        return self._rows
-
-
 def end_frobenius(crystal: FIsocrystal) -> SemilinearMap:
     """Conjugation action x -> phi x phi^{-1} on End(M), as a semilinear
     map on r^2 coordinates (independent of the denominator of phi): the
-    ``Sandwich`` A sigma(x) A_adj over p^{v(det A)}; computed once per
+    ``sandwich_map`` A sigma(x) A_adj over p^{v(det A)}; computed once per
     crystal."""
     if "end_phi" not in crystal._derived:
         inv_rows, vdet = crystal.inverse_numerator()
-        crystal._derived["end_phi"] = Sandwich(
+        crystal._derived["end_phi"] = sandwich_map(
             crystal.ctx, crystal.phi.rows, inv_rows, twist=1,
             denominator=vdet, loss=crystal.phi.loss)
     return crystal._derived["end_phi"]
@@ -704,13 +675,6 @@ class EndDecomposition:
         """Every increasing slope pair (a, b), in sorted order."""
         slopes = self.slope_data.slope_list
         return tuple((a, b) for a in slopes for b in slopes if b > a)
-
-    @property
-    def splits(self):
-        """True when the module splits integrally: then the signed
-        lattice of any pair set is the sum of those of its pairs, each
-        with a carrier of its own."""
-        return self.slope_data.is_split
 
     def signed(self, pairs):
         """(V_plus, V_minus) of the increasing slope pairs ``pairs``: the
@@ -776,8 +740,9 @@ def _component_bases(slope_data):
         out = {}
         for a, comp in slope_data.components.items():
             e = slope_data.projectors[a]
-            cols = [comp.solve([row[j] for row in e.rows]) for j in range(r)]
-            if e.denominator or comp.scale or None in cols:
+            cols = comp.coordinates([row[j] for row in e.rows]
+                                    for j in range(r))
+            if e.denominator or comp.scale or cols is None:
                 out = None
                 break
             out[a] = (list(zip(*comp.ech)), list(zip(*cols)))
@@ -785,29 +750,17 @@ def _component_bases(slope_data):
     return derived["bases"]
 
 
-def block_projector(crystal, slope_data, pairs):
+def block_projector(slope_data, pairs):
     """The projector onto the sum of Hom(W(src), W(dst)) blocks of
-    End(M)[1/p] for the given (src, dst) slope pairs, as its sandwich
-    terms {(src, dst): x -> e_dst x e_src}.  Each term is a ``Sandwich``
-    with the factors e_dst and e_src, whose r^2 x r^2 rows are built only
-    when the term is applied or added."""
-    return {(src, dst): _hom_block_map(crystal.ctx, slope_data, src, dst)
-            for (src, dst) in pairs}
-
-
-def _hom_block_map(ctx, slope_data, src, dst):
-    """x -> e_dst x e_src."""
-    e_src = slope_data.projectors[src]
-    e_dst = slope_data.projectors[dst]
-    den = e_src.denominator + e_dst.denominator
-    loss = max(e_src.loss, e_dst.loss) + min(e_src.denominator,
-                                             e_dst.denominator)
-    return Sandwich(ctx, e_dst.rows, e_src.rows, twist=0, denominator=den,
-                    loss=loss)
+    End(M)[1/p] for the given (src, dst) slope pairs, as the factor pairs
+    {(src, dst): (e_dst, e_src)} of its terms x -> e_dst x e_src."""
+    proj = slope_data.projectors
+    return {(src, dst): (proj[dst], proj[src]) for (src, dst) in pairs}
 
 
 def _projector_image(crystal, terms, bases):
-    """The integral part of the image of the projector sum(terms).
+    """The integral part of the image of the projector with the factor
+    pairs ``terms`` (``block_projector``).
 
     With the component bases of a module that splits integrally, the
     image of the term x -> e_dst x e_src is spanned by the integral
@@ -816,15 +769,21 @@ def _projector_image(crystal, terms, bases):
     columns whatever the order of the generators: a carrier takes its
     coordinates on that echelon, and the closures it runs can differ just
     below p^N from one basis to another (``core._membership_refine``).
-    Otherwise (``bases`` None) the terms are summed into the r^2 x r^2
-    projector, whose fixed lattice carries the loss of its
-    denominators."""
+    Otherwise (``bases`` None) each term is the r^2 x r^2
+    ``sandwich_map`` of its factors, over the sum of their denominators,
+    and the fixed lattice of the sum of the terms carries the loss of
+    those denominators."""
     ctx = crystal.ctx
     R = ring(ctx)
     r2 = crystal.rank ** 2
     if bases is None:
         proj = None
-        for term in terms.values():
+        for e_dst, e_src in terms.values():
+            term = sandwich_map(
+                ctx, e_dst.rows, e_src.rows,
+                denominator=e_src.denominator + e_dst.denominator,
+                loss=max(e_src.loss, e_dst.loss)
+                + min(e_src.denominator, e_dst.denominator))
             proj = term if proj is None else proj.add(term)
         if proj is None:
             proj = SemilinearMap(ctx, [[R.zero] * r2] * r2)
@@ -848,8 +807,7 @@ def signed_block_lattices(crystal, slope_data, pairs):
     projectors' denominators (see ``_projector_image``)."""
     bases = _component_bases(slope_data)
     return tuple(
-        _projector_image(crystal,
-                         block_projector(crystal, slope_data, blocks), bases)
+        _projector_image(crystal, block_projector(slope_data, blocks), bases)
         for blocks in (pairs, [(b, a) for (a, b) in pairs]))
 
 

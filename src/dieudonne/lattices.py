@@ -313,6 +313,18 @@ class Lattice:
             return None
         return coords
 
+    def coordinates(self, vectors, vscale=0, vloss=0):
+        """The ``solve`` coordinates of p^{-vscale} * v for each raw vector
+        v, or None at the first vector outside the lattice (the vectors
+        after it are not solved)."""
+        out = []
+        for v in vectors:
+            x = self.solve(v, vscale, vloss)
+            if x is None:
+                return None
+            out.append(x)
+        return out
+
     def contains_vector(self, vector, vscale=0):
         """Membership of p^{-vscale} * vector, whose entries may also be
         ints or ``WittScalar``s (one ``raw_col`` pass)."""
@@ -338,8 +350,8 @@ class Lattice:
         """Containment, tested at the digits both lattices know."""
         if other.ambient != self.ambient:
             raise ValueError("ambient ranks differ")
-        return all(self.solve(c, other.scale, other.loss) is not None
-                   for c in other.cols)
+        return self.coordinates(other.cols, other.scale,
+                                other.loss) is not None
 
     def equals(self, other):
         """Equality of spans at the working precision (mutual containment,
@@ -466,12 +478,9 @@ def _solve_rational(lattice: Lattice, vector, vscale):
 
 def mod_p_dimension(sub: Lattice, sup: Lattice) -> int:
     """dim over F_q of sup / (sub + p sup); requires sub inside sup."""
-    coords = []
-    for col in sub.cols:
-        x = sup.solve(col, sub.scale)
-        if x is None:
-            raise InclusionViolated("sub-lattice not contained in sup")
-        coords.append(x)
+    coords = sup.coordinates(sub.cols, sub.scale)
+    if coords is None:
+        raise InclusionViolated("sub-lattice not contained in sup")
     m = sup.rank
     _, pivots, _, _ = _reduce_columns(sub.ctx, coords, 1, nrows=m)
     return m - len(pivots)
@@ -760,15 +769,9 @@ def restrict_map(f: SemilinearMap, lattice: Lattice) -> SemilinearMap:
 
     Raises InclusionViolated when f does not map the lattice into itself.
     """
-    ctx = f.ctx
-    cols = []
-    for c in lattice.ech:
-        img = f.apply_raw(c)
-        x = lattice.solve(img, lattice.scale + f.denominator)
-        if x is None:
-            raise InclusionViolated("lattice is not stable under the map")
-        cols.append(x)
-    rows = [[cols[j][i] for j in range(lattice.rank)]
-            for i in range(lattice.rank)]
-    return SemilinearMap(ctx, rows, f.twist, 0,
+    cols = lattice.coordinates((f.apply_raw(c) for c in lattice.ech),
+                               lattice.scale + f.denominator)
+    if cols is None:
+        raise InclusionViolated("lattice is not stable under the map")
+    return SemilinearMap(f.ctx, list(zip(*cols)), f.twist, 0,
                          loss=max(f.loss, lattice.loss))

@@ -200,7 +200,7 @@ def _sign_modules(crystal, decomp, Y):
         return SignModuleSet(Y=Y, V_plus=z, V_minus=z, V_plus_minus=z,
                              V_minus_plus=z, O_plus=z, O_minus=z,
                              O_plus_minus=z, O_minus_plus=z, codims={})
-    if decomp.splits and len(Y.pairs) > 1:
+    if decomp.slope_data.is_split and len(Y.pairs) > 1:
         return _assembled(crystal, decomp, Y)
     # the full pair set's O_minus and c_minus are the decomposition's
     full = Y.pairs == decomp.pairs

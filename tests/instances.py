@@ -10,11 +10,14 @@ which draw modules from a seeded ``random.Random``:
 unimodular integer matrix (a dense Frobenius matrix that still splits
 integrally), ``random_split_instance`` keeps the block form, and
 ``non_split_recipe`` draws U diag(1, ..., 1, p, ..., p) V, which now and
-then does not split (``non_split_draw``).
+then does not split (``non_split_draw``).  ``rank8_conj`` is the corpus
+entry ``four_slope_rank8`` written in a dense basis.
 """
 
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import sympy
 
@@ -251,3 +254,20 @@ def non_split_draw():
     """The recipe at ``NON_SPLIT_SEED``: slopes {0, 1/3 (x3), 1/2 (x2)},
     like ``non_split_rank6``, and no integral splitting."""
     return non_split_recipe(random.Random(NON_SPLIT_SEED))
+
+
+def rank8_conj():
+    """The problem document of ``four_slope_rank8`` in the basis of
+    U = ``_unimodular(random.Random(1), 8, 16)``: Frobenius U A U^{-1}
+    and Hodge lift U e_i for i in (1, 4, 5, 7).  Dense, with negative
+    entries, and ker(phi mod p) is not spanned by standard vectors."""
+    path = resources.files("dieudonne") / "corpus" / "four_slope_rank8.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    r = doc["rank"]
+    u = sympy.Matrix(_unimodular(random.Random(1), r, 2 * r))
+    a = u * sympy.Matrix(doc["phi_matrix"]) * u.inv()
+    return dict(doc, name="rank8_conj",
+                phi_matrix=[[int(a[i, j]) for j in range(r)]
+                            for i in range(r)],
+                hodge_f1={"columns": [[int(u[k, i]) for k in range(r)]
+                                      for i in doc["hodge_f1"]]})

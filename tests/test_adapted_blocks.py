@@ -146,8 +146,8 @@ def test_restriction_certifies_stability():
     R = ring(X.ctx)
     r = X.rank
     mixed = [[R.one] * r for _ in range(r)]
-    bad = isocrystal.Sandwich(X.ctx, mixed, fwd.right, twist=fwd.twist,
-                              denominator=vdet)
+    bad = sandwich_map(X.ctx, mixed, X.inverse_numerator()[0],
+                       twist=fwd.twist, denominator=vdet)
     with pytest.raises(InclusionViolated, match="not stable under a "
                                                 "conjugation numerator"):
         core._restricted(D.V_plus, bad)
@@ -174,13 +174,11 @@ def test_non_split_module_takes_the_projector_path(monkeypatch):
     want = signed_block_lattices_reference(X, sd, pairs)
     assert [presentation(g) for g in got] == [presentation(w) for w in want]
     assert all(g.loss > 0 for g in got)
-    # the terms stay unbuilt until the sum needs them, and then agree
-    terms = block_projector(X, sd, pairs)
-    assert all(t._rows is None for t in terms.values())
-    for (src, dst), term in terms.items():
-        ref = _hom_block_map_reference(X.ctx, sd, src, dst)
-        assert (term.rows, term.denominator, term.loss) == \
-            (ref.rows, ref.denominator, ref.loss)
+    # the terms are the factor pairs (e_dst, e_src) of the reference maps
+    terms = block_projector(sd, pairs)
+    assert list(terms) == pairs
+    for (src, dst), (e_dst, e_src) in terms.items():
+        assert e_dst is sd.projectors[dst] and e_src is sd.projectors[src]
 
 
 def test_split_report_builds_no_r4_projector_and_each_numerator_once(
@@ -209,6 +207,7 @@ def test_split_report_builds_no_r4_projector_and_each_numerator_once(
 
     monkeypatch.setattr(isocrystal, "_projector_fixed_lattice", fixed)
     monkeypatch.setattr(isocrystal, "sandwich_map", sandwich)
+    monkeypatch.setattr(core, "sandwich_map", sandwich)
     monkeypatch.setattr(Carrier, "of", classmethod(of))
     report = problems.run(load_corpus("four_slope_rank8"),
                           problems.ANALYSES, 0)
@@ -221,12 +220,16 @@ def test_split_report_builds_no_r4_projector_and_each_numerator_once(
     assert len(carriers) == 13
     assert sorted(carriers) == sorted(expected)
     assert [n for n in projectors if n == r2] == []
-    # the r^2 x r^2 rows of each conjugation numerator are built once per
-    # crystal (the trivializer's boosted crystal has its own), and those
-    # of the Hom-block terms never
-    N = D.crystal.ctx.N
-    numerators = [(N, tuple(map(tuple, num.left)),
-                   tuple(map(tuple, num.right)))
-                  for num in _conjugation_numerators(D.crystal)[:2]]
+    # each conjugation numerator is built once per crystal (the
+    # trivializer's boosted crystal has its own), and no Hom-block term:
+    # the factors of x -> A sigma(x) A_adj and of its inverse
+    # sigma^{-1}(A_adj x A)
+    X = D.crystal
+    N, e = X.ctx.N, (-1) % X.ctx.n
+    R = ring(X.ctx)
+    A, adj = X.phi.rows, X.inverse_numerator()[0]
+    numerators = [(N, tuple(map(tuple, left)), tuple(map(tuple, right)))
+                  for left, right in ((A, adj), (R.frob_mat(adj, e),
+                                                 R.frob_mat(A, e)))]
     assert len(sandwiches) == len(set(sandwiches))
     assert sorted(s for s in sandwiches if s[0] == N) == sorted(numerators)

@@ -125,7 +125,7 @@ def test_assembled_sign_modules_match_the_direct_body():
     assembled = 0
     for name, D in instances():
         X = D.crystal
-        assert D.splits, name
+        assert D.slope_data.is_split, name
         for Y in SlopePairSet.full(D.slope_data.slope_list).subsets():
             if not Y.pairs:
                 continue
@@ -141,7 +141,7 @@ def test_assembled_sign_modules_match_the_direct_body():
 def test_non_split_module_takes_the_direct_path(monkeypatch):
     D = decomposition(non_split_rank6_instance())
     X = D.crystal
-    assert not D.splits
+    assert not D.slope_data.is_split
 
     def assembled(*args):
         raise AssertionError("a non-split module was assembled")

@@ -2,17 +2,25 @@
 it never uses, ``WittScalar`` stays at its boundary (beside the public
 re-exports, only ``witt`` and ``matrix`` name it or build scalars through
 ``ctx.scalar``), only ``witt`` and ``lattices.boosted`` raise a context's
-precision, and no module-level function of the library, public or
-private, exists only for the tests.
+precision, no module-level function of the library, public or
+private, exists only for the tests, and every span name that the
+benchmark's tracer (``bench/tracer.py``) reads names a library function,
+method, ``Session`` accessor or analysis runner that its ``install``
+wraps.
 
 No linter ships with the project, so this reads each module with ``ast``.
 ``__init__.py`` is exempt from the unused-import check: its imports are
 the public re-exports."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import pathlib
 
 import dieudonne
+from dieudonne import problems
+from dieudonne.cli import load_corpus
 
 SRC = pathlib.Path(dieudonne.__file__).parent
 TESTS = pathlib.Path(__file__).parent
@@ -229,3 +237,71 @@ def test_bare_assert_is_reported():
     tree = ast.parse("def f(x):\n    assert x > 0, 'positive'\n"
                      "    return x\n\"\"\"assert y\"\"\"\n")
     assert bare_asserts("m.py", tree) == [("m.py", "x > 0")]
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's span names
+
+
+def load_tracer():
+    path = TESTS.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def span_target(tracer, span):
+    """What ``tracer.install`` wraps under the span name, or None: a
+    runner, a ``Session`` accessor, a wrapped method (``__init__`` for a
+    class span) or a wrapped module-level function of the layer."""
+    layer, *rest = span.split(".")
+    mod = importlib.import_module(f"dieudonne.{layer}")
+    if layer == "problems" and rest[0] == "analysis":
+        return problems.RUNNERS.get(rest[1])
+    if layer == "problems" and rest[0] == "session":
+        return vars(problems.Session).get(rest[1]) \
+            if rest[1] in tracer.SESSION else None
+    if len(rest) == 2 or inspect.isclass(vars(mod).get(rest[0])):
+        meth = rest[1] if len(rest) == 2 else "__init__"
+        if (layer, rest[0], meth) not in tracer.METHODS:
+            return None
+        return vars(vars(mod)[rest[0]]).get(meth)
+    (name,) = rest
+    fn = vars(mod).get(name)
+    if not inspect.isfunction(fn) or fn.__module__ != mod.__name__:
+        return None
+    only = tracer.ONLY.get(layer)
+    wrapped = name in only if only else not name.startswith("_")
+    return fn if wrapped or name in tracer.PRIVATE.get(layer, ()) else None
+
+
+def test_every_traced_span_names_a_library_function():
+    tracer = load_tracer()
+    spans = {n for m in tracer.PER_LAYER for n in tracer.spans_read(m)}
+    spans |= {f"{layer}.{name}" for layer, names in tracer.PRIVATE.items()
+              for name in names}
+    spans |= {f"{layer}.{cls}" if meth == "__init__" else
+              f"{layer}.{cls}.{meth}" for layer, cls, meth in tracer.METHODS}
+    spans |= {f"problems.session.{acc}" for acc in tracer.SESSION}
+    assert "isocrystal.sandwich_map" in spans
+    assert "isocrystal.block_projector" in spans
+    assert sorted(s for s in spans if span_target(tracer, s) is None) == []
+
+
+def test_session_accessors_fill_the_cache_keys_the_tracer_reads():
+    tracer = load_tracer()
+    sess = problems.Session(load_corpus("three_slope_rank4"))
+    for acc, key in tracer.SESSION.items():
+        getattr(sess, acc)()
+        assert key in sess._cache, acc
+
+
+def test_unknown_span_is_reported():
+    tracer = load_tracer()
+    for span in ("isocrystal.no_such_map", "isocrystal._component_bases",
+                 "problems.analysis.no_such_analysis",
+                 "problems.session.crystal", "lattices.Lattice.rank",
+                 "witt.is_prime", "core.Carrier"):
+        assert span_target(tracer, span) is None, span
+    assert span_target(tracer, "core.TangentSpace") is not None

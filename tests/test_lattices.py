@@ -13,7 +13,9 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 import dieudonne
+from dieudonne import core
 from dieudonne.cli import load_corpus
+from dieudonne.deformation import solve_connection
 from dieudonne.problems import RUNNERS, Session
 from dieudonne.witt import WittScalar, make_context
 from dieudonne.lattices import (
@@ -21,8 +23,8 @@ from dieudonne.lattices import (
     intersect, invert_matrix, lattice_sum, mod_p_dimension, restrict_map,
     saturate, smith_valuations,
 )
-from dieudonne.errors import (InclusionViolated, PrecisionExhausted,
-                              SingularMap)
+from dieudonne.errors import (HypothesisViolated, InclusionViolated,
+                              PrecisionExhausted, SingularMap)
 from dieudonne.matrix import ring
 
 
@@ -337,6 +339,100 @@ def test_restrict_map():
     sub = int_lattice(ctx, [[1, 0]])
     r2 = restrict_map(phi, sub)
     assert ring(ctx).wrap_mat(r2.rows)[0][0] == ctx.one
+
+
+# ---------------------------------------------------------------------------
+# Lattice.coordinates: the one loop that solves a list of vectors
+
+
+def test_coordinates_solve_each_vector():
+    ctx = make_context(3, 1, 12)
+    R = ring(ctx)
+    L = int_lattice(ctx, [[1, 0, 0], [0, 3, 0]])
+    vecs = [R.raw_col(v) for v in ([2, 0, 0], [0, 9, 0], [1, 3, 0])]
+    got = L.coordinates(vecs)
+    assert [list(x) for x in got] == [[2, 0], [0, 3], [1, 1]]
+    assert got == [L.solve(v) for v in vecs]
+    assert L.coordinates([]) == []
+    assert L.coordinates(iter(vecs)) == got
+
+
+def test_coordinates_shift_the_vectors_by_the_scale_gap():
+    ctx = make_context(3, 1, 12)
+    R = ring(ctx)
+    L = int_lattice(ctx, [[1, 0, 0], [0, 3, 0]])
+    # vscale above the lattice's: p^-1 v, so 3 e1 and 9 e2 come in
+    got = L.coordinates([R.raw_col([3, 0, 0]), R.raw_col([0, 9, 0])], 1)
+    assert [list(x) for x in got] == [[1, 0], [0, 1]]
+    assert L.coordinates([R.raw_col([3, 0, 0]), R.raw_col([1, 0, 0])],
+                         1) is None
+    # the lattice's scale above vscale: p^-1 L takes e1 and e2 as p v
+    big = Lattice.from_columns(ctx, 3, [[1, 0, 0], [0, 3, 0]], scale=1)
+    got = big.coordinates([R.raw_col([1, 0, 0]), R.raw_col([0, 1, 0])])
+    assert [list(x) for x in got] == [[3, 0], [0, 1]]
+    assert big.coordinates([R.raw_col([0, 0, 1])]) is None
+
+
+def test_coordinates_read_the_vectors_modulo_their_loss():
+    ctx = make_context(3, 1, 12)
+    R = ring(ctx)
+    L = int_lattice(ctx, [[1, 0, 0], [0, 3, 0]])
+    blurred = [R.raw_col([1, 0, 3 ** 10]), R.raw_col([0, 3, 2 * 3 ** 10])]
+    got = L.coordinates(blurred, vloss=2)
+    assert [list(x) for x in got] == [[1, 0], [0, 1]]
+    assert L.coordinates(blurred) is None
+    assert L.coordinates([R.raw_col([1, 0, 3 ** 9])], vloss=2) is None
+
+
+def test_coordinates_stop_at_the_first_vector_outside():
+    ctx = make_context(3, 1, 12)
+    R = ring(ctx)
+    L = int_lattice(ctx, [[1, 0, 0], [0, 3, 0]])
+    inside, outside = R.raw_col([1, 0, 0]), R.raw_col([0, 1, 0])
+    drawn = []
+
+    def vectors():
+        for v in (inside, outside, inside):
+            drawn.append(v)
+            yield v
+
+    assert L.coordinates(vectors()) is None
+    assert drawn == [inside, outside]
+
+
+def test_coordinate_callers_keep_their_errors():
+    ctx = make_context(3, 1, 12)
+    L = int_lattice(ctx, [[1, 0, 0], [0, 3, 0]])
+    assert not L.contains(Lattice.standard(ctx, 3))
+    with pytest.raises(ValueError, match="ambient ranks differ"):
+        L.contains(Lattice.standard(ctx, 2))
+    with pytest.raises(InclusionViolated,
+                       match="sub-lattice not contained in sup"):
+        mod_p_dimension(Lattice.standard(ctx, 3), L)
+    swap = SemilinearMap(ctx, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    with pytest.raises(InclusionViolated,
+                       match="lattice is not stable under the map"):
+        restrict_map(swap, L)
+    with pytest.raises(InclusionViolated,
+                       match="block lattice is not stable under a "
+                             "conjugation numerator"):
+        core._restricted(L, swap)
+    D = Session(load_corpus("three_slope_rank4")).decomp()
+    with pytest.raises(InclusionViolated,
+                       match="lattice is not inside its carrier"):
+        D.carrier("plus").coords(D.V_minus)
+
+
+def test_solve_connection_keeps_its_error():
+    sess = Session(load_corpus("three_slope_rank4"))
+    X, E = sess.crystal(), sess.lattice_e()
+    R = ring(X.ctx)
+    outside = next(v for v in R.identity(X.rank ** 2)
+                   if not E.contains_vector(v))
+    with pytest.raises(HypothesisViolated,
+                       match="a deformation vector does not lie in E"):
+        solve_connection(X, E, SimpleNamespace(n=1, vectors=[outside]),
+                         X.ctx.p - 1)
 
 
 def test_zero_rank_lattice():

@@ -20,7 +20,7 @@ import pytest
 import sympy
 
 from dieudonne.errors import SingularMap
-from dieudonne.isocrystal import (Sandwich, _map_is_zero, _maps_equal,
+from dieudonne.isocrystal import (_map_is_zero, _maps_equal,
                                   _projector_fixed_lattice, sandwich_map,
                                   slope_split)
 from dieudonne.lattices import Lattice, SemilinearMap, matrix_kernel
@@ -571,37 +571,15 @@ def test_apply_raw_matches_reference(p, n, N):
                 assert f.apply_raw(col) == apply_raw_reference(f, col)
 
 
-@pytest.mark.parametrize("p, n, N", RINGS)
-def test_sandwich_apply_raw_matches_reference(p, n, N):
-    ctx = make_context(p, n, N)
-    rng = random.Random(107 * p + n)
-    for r in (1, 2, 3):
-        left = raw_matrix(ctx, rng, r, r, 0.3)
-        right = raw_matrix(ctx, rng, r, r, 0.3)
-        twist = rng.randrange(n)
-        f = Sandwich(ctx, left, right, twist=twist)
-        plain = sandwich_map(ctx, left, right, twist=twist)
-        col = raw_matrix(ctx, rng, 1, r * r, 0.3)[0]
-        # the rows are built on the first application, not before
-        assert f._rows is None and f._tcols is None
-        got = f.apply_raw(col)
-        assert f._rows is not None
-        assert got == apply_raw_reference(f, col) == \
-            apply_raw_reference(plain, col) == plain.apply_raw(col)
-
-
 def test_columns_are_built_once_per_map():
     ctx = make_context(3, 3, 10)
     rng = random.Random(109)
     f = SemilinearMap(ctx, raw_matrix(ctx, rng, 4, 4, 0.5), twist=1)
-    s = Sandwich(ctx, raw_matrix(ctx, rng, 2, 2, 0.0),
-                 raw_matrix(ctx, rng, 2, 2, 0.0))
-    for g in (f, s):
-        assert g._tcols is None
-        cols = raw_matrix(ctx, rng, 3, g.ncols, 0.5)
-        g.apply_raw(cols[0])
-        built = g._tcols
-        assert built == tuple(zip(*g.rows))
-        for col in cols[1:]:
-            assert g.apply_raw(col) == apply_raw_reference(g, col)
-            assert g._tcols is built
+    assert f._tcols is None
+    cols = raw_matrix(ctx, rng, 3, f.ncols, 0.5)
+    f.apply_raw(cols[0])
+    built = f._tcols
+    assert built == tuple(zip(*f.rows))
+    for col in cols[1:]:
+        assert f.apply_raw(col) == apply_raw_reference(f, col)
+        assert f._tcols is built
