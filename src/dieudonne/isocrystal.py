@@ -24,9 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import FieldTooSmall, InclusionViolated, PrecisionExhausted
+from .errors import (FieldTooSmall, InclusionViolated, PrecisionExhausted,
+                     VerificationMismatch)
 from .lattices import (Lattice, SemilinearMap, boosted, invert_matrix,
-                       invert_matrix_exact, matrix_kernel, mod_p_dimension)
+                       invert_matrix_exact, lattice_sum, matrix_kernel,
+                       mod_p_dimension)
 from .matrix import ring
 from .witt import WittContext
 
@@ -651,23 +653,28 @@ def end_frobenius(crystal: FIsocrystal) -> SemilinearMap:
 
 
 class EndDecomposition:
-    """The integral lattices V_plus, V_minus of the positive and negative
-    Hom-block sums of End(M) over all slope pairs, built by
-    ``signed_block_lattices`` like those of every other pair set.
-    ``_derived`` caches what is computed from them on first use:
-    ``o_minus()`` under ``"o_minus"``, ``c_minus()`` under ``"c_minus"``,
-    each smaller pair set's ``signed(pairs)`` under ``("signed", pairs)``,
-    each ``carrier(sign, pairs)`` under ``("carrier", sign, pairs)`` and
-    each pair set's ``signs.sign_modules`` under the set's ``pairs``
-    tuple."""
+    """The one table of pair-set data on End(M): for each set of
+    increasing slope pairs (a, b), its signed block lattices, its
+    carriers, its largest negative stable lattice O_minus and that
+    lattice's codimension c_minus.  Nothing is built before it is asked
+    for.  ``_derived`` caches, keyed by the sorted pair tuple:
+    ``signed(pairs)`` under ``("signed", pairs)``, each
+    ``carrier(sign, pairs)`` under ``("carrier", sign, pairs)``,
+    ``o_minus(pairs)`` under ``("o_minus", pairs)``, ``c_minus(pairs)``
+    under ``("c_minus", pairs)``, and each pair set's
+    ``signs.sign_modules`` under the bare ``pairs`` tuple.
 
-    __slots__ = ("crystal", "slope_data", "V_plus", "V_minus", "_derived")
+    On a module that splits integrally both conjugation numerators
+    preserve every Hom(W_a, W_b), so O_minus(Y) of a set Y of two or more
+    pairs is the sum of those of its pairs, and c_minus(Y) the sum of
+    theirs.  Every other set is closed directly on its own carrier, and so
+    is the full set, which is certified against the sum of its pairs."""
 
-    def __init__(self, crystal, slope_data, V_plus, V_minus):
+    __slots__ = ("crystal", "slope_data", "_derived")
+
+    def __init__(self, crystal, slope_data):
         self.crystal = crystal
         self.slope_data = slope_data
-        self.V_plus = V_plus
-        self.V_minus = V_minus
         self._derived = {}
 
     @property
@@ -676,17 +683,24 @@ class EndDecomposition:
         slopes = self.slope_data.slope_list
         return tuple((a, b) for a in slopes for b in slopes if b > a)
 
+    @property
+    def V_plus(self):
+        return self.signed(self.pairs)[0]
+
+    @property
+    def V_minus(self):
+        return self.signed(self.pairs)[1]
+
+    def _sorted(self, pairs):
+        return self.pairs if pairs is None else tuple(sorted(pairs))
+
     def signed(self, pairs):
-        """(V_plus, V_minus) of the increasing slope pairs ``pairs``: the
-        decomposition's own for all of them, else one
+        """(V_plus, V_minus) of the increasing slope pairs ``pairs``: one
         ``signed_block_lattices`` call per pair set."""
-        pairs = tuple(sorted(pairs))
-        if pairs == self.pairs:
-            return self.V_plus, self.V_minus
-        key = ("signed", pairs)
+        key = ("signed", self._sorted(pairs))
         if key not in self._derived:
             self._derived[key] = signed_block_lattices(
-                self.crystal, self.slope_data, pairs)
+                self.crystal, self.slope_data, key[1])
         return self._derived[key]
 
     def carrier(self, sign, pairs=None):
@@ -695,7 +709,7 @@ class EndDecomposition:
         module that splits integrally it holds that lattice, of rank the
         sum of r_a r_b over the pairs; on one that does not it is End(M)
         itself.  Built once per sign and pair set."""
-        pairs = self.pairs if pairs is None else tuple(sorted(pairs))
+        pairs = self._sorted(pairs)
         key = ("carrier", sign, pairs)
         if key not in self._derived:
             from .core import Carrier
@@ -704,26 +718,66 @@ class EndDecomposition:
                 self.slope_data)
         return self._derived[key]
 
-    def o_minus(self):
-        """The largest negative stable lattice inside V_minus; computed
-        once per decomposition."""
-        if "o_minus" not in self._derived:
-            from .core import largest_sub_dieudonne
-            self._derived["o_minus"] = largest_sub_dieudonne(
-                self.V_minus, self.crystal, mode="negative",
-                carrier=self.carrier("minus"))
-        return self._derived["o_minus"]
+    def _parts(self, pairs):
+        """The one-pair sets whose O_minus and c_minus sum to those of
+        ``pairs``: on a module that splits integrally, for two or more
+        pairs; else None."""
+        if self.slope_data.is_split and len(pairs) > 1:
+            return [(pair,) for pair in pairs]
+        return None
 
-    def c_minus(self):
-        """The codimension of ``o_minus()`` (0 when it is zero); computed
-        once per decomposition."""
-        if "c_minus" not in self._derived:
-            from .core import codim_of_dieudonne
-            O = self.o_minus()
-            self._derived["c_minus"] = codim_of_dieudonne(
-                O, self.crystal, carrier=self.carrier("minus")) \
-                if O.rank else 0
-        return self._derived["c_minus"]
+    def o_minus(self, pairs=None):
+        """The largest negative stable lattice inside V_minus of
+        ``pairs`` (by default all the slope pairs); computed once per
+        decomposition and pair set."""
+        pairs = self._sorted(pairs)
+        key = ("o_minus", pairs)
+        if key not in self._derived:
+            parts = self._parts(pairs)
+            total = parts and lattice_sum(*map(self.o_minus, parts))
+            if parts and pairs != self.pairs:
+                O = total
+            else:
+                from .core import largest_sub_dieudonne
+                V = self.signed(pairs)[1]
+                O = largest_sub_dieudonne(V, self.crystal, mode="negative",
+                                          carrier=self.carrier("minus",
+                                                               pairs))
+                # O_minus has full rank in V_minus; a closure that drops
+                # rank ran out of precision
+                if O.rank < V.rank:
+                    raise PrecisionExhausted(
+                        "a stable-lattice closure lost rank at the "
+                        "working precision")
+                if parts and not total.equals(O):
+                    raise VerificationMismatch(
+                        "the sum of the per-pair O_minus differs from the "
+                        "closure of V_minus")
+            self._derived[key] = O
+        return self._derived[key]
+
+    def c_minus(self, pairs=None):
+        """The codimension of ``o_minus(pairs)`` (0 when it is zero);
+        computed once per decomposition and pair set."""
+        pairs = self._sorted(pairs)
+        key = ("c_minus", pairs)
+        if key not in self._derived:
+            parts = self._parts(pairs)
+            total = parts and sum(map(self.c_minus, parts))
+            if parts and pairs != self.pairs:
+                c = total
+            else:
+                from .core import codim_of_dieudonne
+                O = self.o_minus(pairs)
+                c = codim_of_dieudonne(
+                    O, self.crystal, carrier=self.carrier("minus", pairs)) \
+                    if O.rank else 0
+                if parts and total != c:
+                    raise VerificationMismatch(
+                        f"the per-pair codimensions sum to {total}, the "
+                        f"codimension of O_minus is {c}")
+            self._derived[key] = c
+        return self._derived[key]
 
 
 def _component_bases(slope_data):
@@ -813,11 +867,7 @@ def signed_block_lattices(crystal, slope_data, pairs):
 
 def end_decompose(crystal: FIsocrystal, slope_data: SlopeData
                   ) -> EndDecomposition:
-    slopes = slope_data.slope_list
-    pairs = [(a, b) for a in slopes for b in slopes if b > a]
-    return EndDecomposition(
-        crystal, slope_data,
-        *signed_block_lattices(crystal, slope_data, pairs))
+    return EndDecomposition(crystal, slope_data)
 
 
 def dim_codim(crystal: FIsocrystal):

@@ -429,26 +429,23 @@ def matrix_kernel(ctx, rows, neff, ncols=None):
 def saturate(lattice: Lattice, ambient: Lattice) -> Lattice:
     """(lattice[1/p] intersect ambient): divides out all p-power content.
 
-    Computed through two saturated-kernel passes on the coordinates of the
-    lattice in the ambient basis, so the result is independent of the
-    p-powers carried by individual generators.
+    The ambient must be saturated (``Lattice.standard``, ``crystal.M``, a
+    block lattice), so that every raw integral column of a lattice inside
+    ambient[1/p] solves integrally in it; a column that does not raises
+    InclusionViolated.  Computed through two saturated-kernel passes on
+    the coordinates of the lattice in the ambient basis, so the result is
+    independent of the p-powers carried by individual generators.
     """
     ctx = lattice.ctx
     loss = max(lattice.loss, ambient.loss)
     neff = ctx.N - loss
     if lattice.rank == 0:
         return Lattice.zero(ctx, lattice.ambient)
-    coords = []
-    for col in lattice.cols:
-        # saturation only sees the rational span, so coordinates of the
-        # raw integral columns (scale ignored) avoid spurious divisions
-        x = ambient.solve(col, ambient.scale)
-        if x is None:
-            # membership may only hold after clearing p-denominators
-            x = _solve_rational(ambient, col, ambient.scale)
-        if x is None:
-            raise InclusionViolated("lattice is not inside ambient[1/p]")
-        coords.append(x)
+    # saturation only sees the rational span, so coordinates of the raw
+    # integral columns (scale ignored) avoid spurious divisions
+    coords = ambient.coordinates(lattice.cols, ambient.scale)
+    if coords is None:
+        raise InclusionViolated("lattice is not inside ambient[1/p]")
     m = ambient.rank
     if m == 0:
         return Lattice.zero(ctx, lattice.ambient)
@@ -460,20 +457,6 @@ def saturate(lattice: Lattice, ambient: Lattice) -> Lattice:
     gens = R.mul_mat(sat_coords, ambient.ech)
     return Lattice.from_columns(ctx, lattice.ambient, gens,
                                 scale=ambient.scale, loss=loss)
-
-
-def _solve_rational(lattice: Lattice, vector, vscale):
-    """Solve allowing p-denominators: returns integral coordinates of
-    p^k * vector for the smallest k that makes it land in the lattice,
-    scaled back (used only to certify membership after saturation)."""
-    ctx = lattice.ctx
-    R = ring(ctx)
-    for k in range(ctx.N - lattice.loss):
-        scaled = R.scale(vector, R.of_int(ctx.p ** k))
-        x = lattice.solve(scaled, vscale)
-        if x is not None:
-            return x
-    return None
 
 
 def mod_p_dimension(sub: Lattice, sup: Lattice) -> int:

@@ -253,74 +253,61 @@ class Session:
         self.seed = seed
         self._cache = {}
 
+    def _cached(self, key, build):
+        """``_cache[key]``, from ``build()`` on first use; a failure is
+        not cached, so it is raised again on the next call."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def ctx(self):
-        if "ctx" not in self._cache:
-            self._cache["ctx"] = make_context(self.spec.p, self.spec.n,
-                                              self.spec.precision)
-        return self._cache["ctx"]
+        return self._cached("ctx", lambda: make_context(
+            self.spec.p, self.spec.n, self.spec.precision))
 
     def crystal(self) -> FIsocrystal:
-        if "crystal" not in self._cache:
-            self._cache["crystal"] = FIsocrystal.from_int_matrix(
-                self.ctx(), self.spec.phi_matrix,
-                self.spec.phi_denominator or 0)
-        return self._cache["crystal"]
+        return self._cached("crystal", lambda: FIsocrystal.from_int_matrix(
+            self.ctx(), self.spec.phi_matrix,
+            self.spec.phi_denominator or 0))
 
     def slope_data(self):
-        if "slopes" not in self._cache:
-            self._cache["slopes"] = slope_split(self.crystal())
-        return self._cache["slopes"]
+        return self._cached("slopes", lambda: slope_split(self.crystal()))
 
     def decomp(self):
-        if "decomp" not in self._cache:
-            self._cache["decomp"] = end_decompose(self.crystal(),
-                                                  self.slope_data())
-        return self._cache["decomp"]
+        return self._cached("decomp", lambda: end_decompose(
+            self.crystal(), self.slope_data()))
 
     def tangent(self):
-        if "tangent" not in self._cache:
-            self._cache["tangent"] = TangentSpace.of(self.crystal())
-        return self._cache["tangent"]
+        return self._cached("tangent", lambda: TangentSpace.of(
+            self.crystal()))
 
     def o_minus(self):
-        if "o_minus" not in self._cache:
-            self._cache["o_minus"] = self.decomp().o_minus()
-        return self._cache["o_minus"]
+        return self._cached("o_minus", lambda: self.decomp().o_minus())
 
     def split(self):
-        if "split" not in self._cache:
-            spec = self.spec
-            r = spec.rank
-            if spec.hodge_f1 is None:
-                self._cache["split"] = hodge_splitting_from_kernel(
-                    self.crystal())
-            elif isinstance(spec.hodge_f1, dict):
-                self._cache["split"] = hodge_splitting(
-                    self.crystal(), spec.hodge_f1["columns"])
-            else:
-                cols = [[int(k == i) for k in range(r)]
-                        for i in spec.hodge_f1]
-                self._cache["split"] = hodge_splitting(self.crystal(), cols)
-        return self._cache["split"]
+        return self._cached("split", self._split)
+
+    def _split(self):
+        f1 = self.spec.hodge_f1
+        if f1 is None:
+            return hodge_splitting_from_kernel(self.crystal())
+        if isinstance(f1, dict):
+            return hodge_splitting(self.crystal(), f1["columns"])
+        r = self.spec.rank
+        cols = [[int(k == i) for k in range(r)] for i in f1]
+        return hodge_splitting(self.crystal(), cols)
 
     def lattice_e(self):
-        """The deformation lattice: explicit when given; else the negative
-        stable lattice of the requested slope-pair set (square-zero pair
-        sets give square-zero lattices); else the full negative one."""
-        if "lattice_e" not in self._cache:
-            if self.spec.lattice_e is None:
-                if self.spec.slope_pairs is not None:
-                    mods = sign_modules(self.crystal(), self.decomp(),
-                                        self.pair_set())
-                    self._cache["lattice_e"] = mods.O_minus
-                else:
-                    self._cache["lattice_e"] = self.o_minus()
-            else:
-                r = self.spec.rank
-                cols = [_flatten(mat) for mat in self.spec.lattice_e]
-                self._cache["lattice_e"] = Lattice.from_columns(
-                    self.ctx(), r * r, cols)
-        return self._cache["lattice_e"]
+        """The deformation lattice: explicit when given, else the negative
+        stable lattice of the requested slope-pair set, by default of all
+        of them (square-zero pair sets give square-zero lattices)."""
+        return self._cached("lattice_e", self._lattice_e)
+
+    def _lattice_e(self):
+        if self.spec.lattice_e is None:
+            return self.decomp().o_minus(self.pair_set().pairs)
+        r = self.spec.rank
+        cols = [_flatten(mat) for mat in self.spec.lattice_e]
+        return Lattice.from_columns(self.ctx(), r * r, cols)
 
     def pair_set(self) -> SlopePairSet:
         slopes = self.slope_data().slope_list
@@ -335,25 +322,20 @@ class Session:
         return SlopePairSet(pairs, slopes)
 
     def deformation_basis(self) -> DeformationBasis:
-        if "defbasis" not in self._cache:
-            if self.spec.deformation_basis is not None:
-                vecs = [_flatten(mat)
-                        for mat in self.spec.deformation_basis]
-                self._cache["defbasis"] = DeformationBasis(
-                    vecs, self.lattice_e())
-            else:
-                self._cache["defbasis"] = select_deformation_basis(
-                    self.lattice_e(), self.tangent())
-        return self._cache["defbasis"]
+        return self._cached("defbasis", self._deformation_basis)
+
+    def _deformation_basis(self):
+        if self.spec.deformation_basis is None:
+            return select_deformation_basis(self.lattice_e(), self.tangent())
+        vecs = [_flatten(mat) for mat in self.spec.deformation_basis]
+        return DeformationBasis(vecs, self.lattice_e())
 
     def connection(self):
         """The connection one-form on the deformation lattice and basis,
-        solved once; a failure is raised again on the next call."""
-        if "connection" not in self._cache:
-            self._cache["connection"] = solve_connection(
-                self.crystal(), self.lattice_e(), self.deformation_basis(),
-                self.spec.degree)
-        return self._cache["connection"]
+        solved once."""
+        return self._cached("connection", lambda: solve_connection(
+            self.crystal(), self.lattice_e(), self.deformation_basis(),
+            self.spec.degree))
 
     def rng(self):
         return random.Random(self.seed)

@@ -7,26 +7,26 @@ sub-Dieudonne and smallest super-Dieudonne refinements, trace duals (with
 the dual/iterative cross-check), the per-pair codimension table, and the
 string/slice combinatorics of slope-pair subsets.
 
-Every pair set that is computed directly runs one body: its signed
-lattices are ``EndDecomposition.signed``, and its closures run on the
-decomposition's ``core.Carrier`` of each sign.  On a module that splits
-integrally both conjugation numerators preserve each Hom(W_a, W_b), so
-every one of these lattices is the sum of those of the pairs of Y, and
-c_minus(Y) the sum of theirs: each pair is computed once per
-decomposition, with all its cross-checks, in the coordinates of its own
-two carriers (one per sign, of rank r_a r_b instead of r^2), and every
-larger pair set is assembled as a sum.  The full set is certified against
-the decomposition's direct closure of V_minus and its codimension.  On a
-module that does not split, each pair set is computed directly, and its
-carriers are End(M) itself.
+O_minus(Y) and c_minus(Y) of every pair set Y are the decomposition's
+(``EndDecomposition.o_minus`` and ``c_minus``), which owns their sum rule
+and the full set's certificate.  Every pair set that is computed directly
+runs one body: its signed lattices are ``EndDecomposition.signed``, and
+its closures run on the decomposition's ``core.Carrier`` of each sign.  On
+a module that splits integrally both conjugation numerators preserve each
+Hom(W_a, W_b), so every one of these lattices is the sum of those of the
+pairs of Y: each pair is computed once per decomposition, with all its
+cross-checks, in the coordinates of its own two carriers (one per sign,
+of rank r_a r_b instead of r^2), and every larger pair set is assembled
+as a sum.  On a module that does not split, each pair set is computed
+directly, and its carriers are End(M) itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import (codim_of_dieudonne, largest_sub_dieudonne, nu_image,
-                   smallest_super_dieudonne, _nonzero_product)
+from .core import (largest_sub_dieudonne, nu_image, smallest_super_dieudonne,
+                   _nonzero_product)
 from .errors import DualityMismatch, PrecisionExhausted, VerificationMismatch
 from .isocrystal import EndDecomposition, FIsocrystal, SlopeData
 from .lattices import (Lattice, boosted, intersect, kernel_span,
@@ -202,8 +202,6 @@ def _sign_modules(crystal, decomp, Y):
                              O_plus_minus=z, O_minus_plus=z, codims={})
     if decomp.slope_data.is_split and len(Y.pairs) > 1:
         return _assembled(crystal, decomp, Y)
-    # the full pair set's O_minus and c_minus are the decomposition's
-    full = Y.pairs == decomp.pairs
     Vp, Vm = decomp.signed(Y.pairs)
     plus, minus = (decomp.carrier(sign, Y.pairs)
                    for sign in ("plus", "minus"))
@@ -214,13 +212,12 @@ def _sign_modules(crystal, decomp, Y):
     if not Vmp.contains(Vm):
         raise DualityMismatch("V_minus is not inside the dual of V_plus")
     Op = largest_sub_dieudonne(Vp, crystal, mode="positive", carrier=plus)
-    Om = decomp.o_minus() if full else largest_sub_dieudonne(
-        Vm, crystal, mode="negative", carrier=minus)
-    # O_plus and O_minus have full rank in V_plus and V_minus; a closure
-    # that drops rank ran out of precision
-    if Op.rank < Vp.rank or Om.rank < Vm.rank:
+    # O_plus has full rank in V_plus; a closure that drops rank ran out of
+    # precision (``decomp.o_minus`` guards O_minus the same way)
+    if Op.rank < Vp.rank:
         raise PrecisionExhausted(
             "a stable-lattice closure lost rank at the working precision")
+    Om = decomp.o_minus(Y.pairs)
     Opm_dual = dual_lattice(Om, Vp) if Om.rank else Lattice.zero(
         ctx, crystal.rank ** 2)
     Omp_dual = dual_lattice(Op, Vm) if Op.rank else Lattice.zero(
@@ -241,8 +238,7 @@ def _sign_modules(crystal, decomp, Y):
         raise DualityMismatch("O_plus not inside O_plus_minus")
     if not Omp_iter.contains(Om):
         raise DualityMismatch("O_minus not inside O_minus_plus")
-    c_minus = decomp.c_minus() if full else (
-        codim_of_dieudonne(Om, crystal, carrier=minus) if Om.rank else 0)
+    c_minus = decomp.c_minus(Y.pairs)
     return SignModuleSet(Y=Y, V_plus=Vp, V_minus=Vm, V_plus_minus=Vpm,
                          V_minus_plus=Vmp, O_plus=Op, O_minus=Om,
                          O_plus_minus=Opm_iter, O_minus_plus=Omp_iter,
@@ -252,25 +248,15 @@ def _sign_modules(crystal, decomp, Y):
 def _assembled(crystal, decomp, Y):
     """The sign modules of a pair set on a module that splits integrally:
     both conjugation numerators preserve every Hom block, so each signed
-    lattice is the sum of those of the pairs, and c_minus the sum of
-    theirs.  Each pair is computed, with all its cross-checks, once per
-    decomposition.  The full set is certified against the direct closure
-    ``decomp.o_minus()`` and its codimension."""
+    lattice is the sum of those of the pairs.  Each pair is computed, with
+    all its cross-checks, once per decomposition; O_minus and c_minus are
+    the decomposition's (``EndDecomposition.o_minus``)."""
     parts = [sign_modules(crystal, decomp,
                           SlopePairSet([pair], Y.slopes)) for pair in Y]
     out = {name: lattice_sum(*(getattr(m, name) for m in parts))
-           for name in SIGNED_LATTICES}
-    c_minus = sum(m.codims["c_minus"] for m in parts)
-    if Y.pairs == decomp.pairs:
-        if not out["O_minus"].equals(decomp.o_minus()):
-            raise VerificationMismatch(
-                "the sum of the per-pair O_minus differs from the "
-                "closure of V_minus")
-        if c_minus != decomp.c_minus():
-            raise VerificationMismatch(
-                f"the per-pair codimensions sum to {c_minus}, the "
-                f"codimension of O_minus is {decomp.c_minus()}")
-    return SignModuleSet(Y=Y, codims={"c_minus": c_minus}, **out)
+           for name in SIGNED_LATTICES if name != "O_minus"}
+    return SignModuleSet(Y=Y, O_minus=decomp.o_minus(Y.pairs),
+                         codims={"c_minus": decomp.c_minus(Y.pairs)}, **out)
 
 
 # ---------------------------------------------------------------------------

@@ -166,18 +166,17 @@ def traverso_dimension(crystal: FIsocrystal, slope_data: SlopeData,
 # group strata
 
 
-def n_g_mu(gd: GroupData, split) -> tuple[Lattice, int]:
+def n_g_mu(gd: GroupData, split) -> tuple[Lattice, list]:
     """The weight-one part of the Lie lattice (endomorphisms killing F^0
-    and sending M/F^0 into F^0), and its rank; the rank equals the
-    dimension of its tangent image."""
+    and sending M/F^0 into F^0), and the residue basis of its tangent
+    image, certified to have the lattice's rank."""
     low = split.hom_f1_f0()
     NG = intersect(low, gd.lie)
-    tangent = TangentSpace.of(gd.crystal)
-    dim, _ = nu_image(NG, tangent)
+    dim, basis = nu_image(NG, TangentSpace.of(gd.crystal))
     if dim != NG.rank:
         raise CertificateInvalid(
             "tangent classes of the weight-one part are degenerate")
-    return NG, NG.rank
+    return NG, basis
 
 
 class StrataReport:
@@ -197,30 +196,24 @@ def strata_dims(gd: GroupData, crystal: FIsocrystal,
     facts relating them."""
     ctx = crystal.ctx
     rep = StrataReport()
-    NG, nG = n_g_mu(gd, split)
-    rep.n_G = nG
+    _, ng_basis = n_g_mu(gd, split)
+    rep.n_G = len(ng_basis)
     V_minus = decomp.V_minus
     O_minus = decomp.o_minus()
     VmG = intersect(V_minus, gd.lie)
     OmG = intersect(O_minus, VmG)
     rep.ranks = {"V_minus(G)": VmG.rank, "O_minus(G)": OmG.rank,
                  "O_minus": O_minus.rank}
-    if OmG.rank:
-        cmg = nu_image(OmG, tangent)[0]
-        # tangent dimension equals the Verschiebung colength
-        if cmg != codim_of_dieudonne(OmG, crystal,
-                                     carrier=decomp.carrier("minus")):
-            raise VerificationMismatch(
-                "tangent dimension of O_minus(G) differs from its "
-                "codimension")
-    else:
-        cmg = 0
+    cmg, omg_basis = nu_image(OmG, tangent)
+    # tangent dimension equals the Verschiebung colength
+    if OmG.rank and cmg != codim_of_dieudonne(
+            OmG, crystal, carrier=decomp.carrier("minus")):
+        raise VerificationMismatch(
+            "tangent dimension of O_minus(G) differs from its "
+            "codimension")
     rep.c_minus_G = cmg
-    rep.c_minus_full = (nu_image(O_minus, tangent)[0]
-                        if O_minus.rank else 0)
+    rep.c_minus_full, om_basis = nu_image(O_minus, tangent)
     # tangent space of the stratum: nu(N_G(mu)) cap nu(O_minus)
-    _, ng_basis = nu_image(NG, tangent)
-    _, om_basis = nu_image(O_minus, tangent)
     t_basis = residue_intersection(ctx, ng_basis, om_basis)
     rep.tangent_dim = len(t_basis)
     if rep.tangent_dim < cmg:
@@ -228,7 +221,6 @@ def strata_dims(gd: GroupData, crystal: FIsocrystal,
             "stratum tangent space is smaller than the stable-lattice "
             "codimension")
     # fact (a): dim t = c_-(G) iff nu(O_-(G)) = nu(V_-(G)) cap nu(O_-)
-    _, omg_basis = nu_image(OmG, tangent)
     _, vmg_basis = nu_image(VmG, tangent)
     cap = residue_intersection(ctx, vmg_basis, om_basis)
     rep.fact_a_lhs = (rep.tangent_dim == cmg)

@@ -1,24 +1,30 @@
 """Sign modules of a pair set assembled from its pairs, checked against the
-direct computation they replace on modules that split integrally.
+direct computation they replace on modules that split integrally, and the
+decomposition as the one owner of O_minus and c_minus of every pair set.
 
 When M splits integrally, both conjugation numerators preserve every
 Hom(W_a, W_b), so the signed lattices of a pair set Y and their closures
 and trace duals are the sums of those of the pairs of Y, and c_minus(Y)
 is the sum of theirs.  ``signs.sign_modules`` computes each pair once per
 decomposition, in the block coordinates of its own carriers, and builds
-every larger pair set as a sum.  ``sign_modules_reference`` below is the
-former direct body, kept verbatim: every closure, dual and cross-check of
-Y on the carriers of the full V_plus and V_minus.  Both must agree on all
-eight lattices (equal spans and the same canonical presentation: rank,
-scale, loss and basis columns) and on c_minus, for every
-non-empty pair set of the seven corpus entries, the eight seeded
+every larger pair set as a sum; its O_minus and c_minus are
+``EndDecomposition.o_minus(Y)`` and ``c_minus(Y)``, which sum the pairs
+the same way and certify the full set's direct closure against the sum.
+``sign_modules_reference`` below is the former direct body, kept
+verbatim: every closure, dual and cross-check of Y on the carriers of the
+full V_plus and V_minus.  Both must agree on all eight lattices (equal
+spans and the same canonical presentation: rank, scale, loss and basis
+columns) and on c_minus, and so must the decomposition's accessors, for
+every non-empty pair set of the seven corpus entries, the eight seeded
 conjugated draws and the sigma-twisted n = 2 instance.  A module that does
 not split keeps the direct path.
 """
 
+from collections import Counter
+
 import pytest
 
-from dieudonne import isocrystal, problems, signs
+from dieudonne import core, isocrystal, problems, signs, strata
 from dieudonne.cli import load_corpus
 from dieudonne.core import (codim_of_dieudonne, largest_sub_dieudonne,
                             smallest_super_dieudonne)
@@ -121,6 +127,17 @@ def assert_same_modules(got, ref, label):
     assert got.codims == ref.codims, label
 
 
+def assert_owner_matches(D, Y, got, ref, label):
+    # the decomposition's accessors publish the reference's O_minus and
+    # c_minus, and the sign modules hold the accessor's object
+    O, c = D.o_minus(Y.pairs), D.c_minus(Y.pairs)
+    assert got.O_minus is O, label
+    assert (O.rank, O.scale, O.loss, O.cols) == (
+        ref.O_minus.rank, ref.O_minus.scale, ref.O_minus.loss,
+        ref.O_minus.cols), label
+    assert {"c_minus": c} == ref.codims, label
+
+
 def test_assembled_sign_modules_match_the_direct_body():
     assembled = 0
     for name, D in instances():
@@ -130,8 +147,9 @@ def test_assembled_sign_modules_match_the_direct_body():
             if not Y.pairs:
                 continue
             got = sign_modules(X, D, Y)
-            assert_same_modules(got, sign_modules_reference(X, D, Y),
-                                (name, Y.pairs))
+            ref = sign_modules_reference(X, D, Y)
+            assert_same_modules(got, ref, (name, Y.pairs))
+            assert_owner_matches(D, Y, got, ref, (name, Y.pairs))
             assembled += len(Y.pairs) > 1
     # the check reaches the sums: four_slope_rank8 alone has 57 pair sets
     # of two pairs or more
@@ -156,6 +174,7 @@ def test_non_split_module_takes_the_direct_path(monkeypatch):
             assert (a.rank, a.scale, a.loss, a.cols) == \
                 (b.rank, b.scale, b.loss, b.cols), (Y.pairs, name)
         assert got.codims == ref.codims
+        assert_owner_matches(D, Y, got, ref, Y.pairs)
 
 
 def test_report_runs_four_duals_per_pair_and_none_for_sums(monkeypatch):
@@ -210,18 +229,109 @@ def test_report_builds_each_signed_pair_set_once(monkeypatch, name):
 
 
 @pytest.mark.parametrize("what", ["O_minus", "c_minus"])
-def test_full_set_is_certified_against_the_direct_closure(monkeypatch, what):
+def test_full_set_is_certified_against_the_direct_closure(what):
     # a wrong part makes the full set's sum disagree with o_minus() or
     # its codimension
     D = Session(load_corpus("three_slope_rank4")).decomp()
     X = D.crystal
     Y = SlopePairSet.full(D.slope_data.slope_list)
-    first = SlopePairSet([Y.pairs[0]], Y.slopes)
-    part = sign_modules(X, D, first)
+    first = (Y.pairs[0],)
+    sign_modules(X, D, SlopePairSet(first, Y.slopes))
     if what == "O_minus":
-        part.O_minus = Lattice.from_columns(
-            X.ctx, part.O_minus.ambient, part.O_minus._scaled_cols(1))
+        O = D.o_minus(first)
+        D._derived[("o_minus", first)] = Lattice.from_columns(
+            X.ctx, O.ambient, O._scaled_cols(1))
     else:
-        part.codims = {"c_minus": part.codims["c_minus"] + 1}
+        D._derived[("c_minus", first)] = D.c_minus(first) + 1
     with pytest.raises(VerificationMismatch):
         sign_modules(X, D, Y)
+
+
+# ---------------------------------------------------------------------------
+# the one owner of O_minus and c_minus
+
+
+CERTIFICATES = ("dual_lattice", "largest_sub_dieudonne",
+                "smallest_super_dieudonne", "codim_of_dieudonne")
+
+
+def count_certificates(monkeypatch):
+    """Count the calls of the four certificate kernels under every name
+    that holds one (``isocrystal`` imports them from ``core`` when it
+    calls them)."""
+    calls = Counter()
+    for name in CERTIFICATES:
+        real = getattr(signs if name == "dual_lattice" else core, name)
+
+        def counted(*args, _name=name, _real=real, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        for mod in (signs, core, isocrystal, strata):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_report_all_runs_every_certificate_once(monkeypatch):
+    calls = count_certificates(monkeypatch)
+    report = problems.run(load_corpus("four_slope_rank8"),
+                          problems.ANALYSES, 0)
+    assert report["all_ok"]
+    # four duals and two closures per pair, one super-closure of each
+    # sign per pair; the full set's direct closure and the axioms'
+    # recomputation; a codimension per pair, for the full set and for
+    # O_minus(G) in strata
+    assert calls == {"dual_lattice": 24, "largest_sub_dieudonne": 14,
+                     "smallest_super_dieudonne": 12,
+                     "codim_of_dieudonne": 8}
+
+
+def test_deformation_analyses_close_only_their_pairs(monkeypatch):
+    calls = count_certificates(monkeypatch)
+
+    def no_sign_modules(**kw):
+        raise AssertionError("a deformation analysis built sign modules")
+    monkeypatch.setattr(signs, "SignModuleSet", no_sign_modules)
+    spec = load_corpus("four_slope_rank8")
+    report = problems.run(spec, ["connection", "trivialize", "correction"],
+                          0)
+    assert report["all_ok"]
+    # the deformation lattice is O_minus of the three slope_pairs: one
+    # closure per pair, summed
+    assert len(spec.slope_pairs) == 3
+    assert calls == {"largest_sub_dieudonne": 3}
+
+
+@pytest.mark.parametrize("name", ["four_slope_rank8", "three_slope_rank4",
+                                  "ordinary_rank2", "example_1_7"])
+def test_session_lattice_e_is_the_accessors_object(name):
+    sess = Session(load_corpus(name))
+    E = sess.lattice_e()
+    if sess.spec.lattice_e is None:
+        assert E is sess.decomp().o_minus(sess.pair_set().pairs)
+    else:
+        assert E.rank == len(sess.spec.lattice_e)
+    assert sess.o_minus() is sess.decomp().o_minus()
+
+
+def test_empty_slope_pairs_give_the_zero_lattice():
+    doc = load_corpus("three_slope_rank4").as_dict()
+    sess = Session(parse_dict({**doc, "slope_pairs": []}))
+    E = sess.lattice_e()
+    assert (E.rank, E.scale, E.loss) == (0, 0, 0)
+    assert sess.decomp().c_minus(()) == 0
+
+
+@pytest.mark.parametrize("pairs", ["one", "sum", "full"])
+def test_closure_that_loses_rank_raises(monkeypatch, pairs):
+    D = Session(load_corpus("four_slope_rank8")).decomp()
+    real = core.largest_sub_dieudonne
+
+    def lossy(V, *args, **kw):
+        O = real(V, *args, **kw)
+        return Lattice.from_columns(O.ctx, O.ambient, O.cols[1:],
+                                    scale=O.scale, loss=O.loss)
+    monkeypatch.setattr(core, "largest_sub_dieudonne", lossy)
+    Y = {"one": D.pairs[:1], "sum": D.pairs[:3], "full": None}[pairs]
+    with pytest.raises(PrecisionExhausted, match="lost rank"):
+        D.o_minus(Y)

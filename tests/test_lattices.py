@@ -211,6 +211,21 @@ def test_saturate_basics():
     assert S.rank == 1
 
 
+def test_saturate_needs_a_saturated_ambient():
+    # span{(1, 0)} lies in amb[1/p] but not in amb = 2Z + 4Z, which is not
+    # saturated: the raw column does not solve integrally, and no retry on
+    # p^k times it hides that
+    ctx = make_context(2, 1, 12)
+    amb = int_lattice(ctx, [[2, 0], [0, 4]])
+    for col in ([1, 0], [0, 1], [1, 1]):
+        with pytest.raises(InclusionViolated, match="ambient"):
+            saturate(int_lattice(ctx, [col]), amb)
+    # inside the saturated ambient the same lattices saturate
+    std = Lattice.standard(ctx, 2)
+    assert saturate(int_lattice(ctx, [[2, 0]]), std).equals(
+        int_lattice(ctx, [[1, 0]]))
+
+
 def test_saturate_is_not_naive_content_division():
     # span{(1,p),(p,1)} has unit index, so it is already saturated
     for p in (2, 5):

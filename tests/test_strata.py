@@ -90,8 +90,8 @@ def test_symplectic_elliptic():
     gram = elliptic_gram(ctx)
     gd = group_symplectic(X, gram)
     split = hodge_splitting_from_kernel(X)
-    NG, ng = n_g_mu(gd, split)
-    assert ng == 1  # d(d+1)/2 with d = 1
+    NG, ng_basis = n_g_mu(gd, split)
+    assert NG.rank == len(ng_basis) == 1  # d(d+1)/2 with d = 1
     lat, closed = polarized_dim(X, S, E, split, gram, T)
     assert lat == closed == 1
 
@@ -102,8 +102,8 @@ def test_symplectic_c2_ordinary():
     gram = symplectic_gram_c2(ctx)
     gd = group_symplectic(X, gram)
     split = hodge_splitting_from_kernel(X)
-    NG, ng = n_g_mu(gd, split)
-    assert ng == 3  # d(d+1)/2 with d = 2
+    NG, ng_basis = n_g_mu(gd, split)
+    assert NG.rank == len(ng_basis) == 3  # d(d+1)/2 with d = 2
     rep = strata_dims(gd, X, S, E, split, T)
     assert rep.c_minus_G == 3
     assert rep.tangent_dim == 3
@@ -173,8 +173,8 @@ def test_custom_group_certificates():
     gd = group_custom(X, basis)
     assert gd.phi_stable
     split = hodge_splitting_from_kernel(X)
-    NG, ng = n_g_mu(gd, split)
-    assert ng == 0  # torus has no weight-one part
+    NG, ng_basis = n_g_mu(gd, split)
+    assert NG.rank == len(ng_basis) == 0  # torus has no weight-one part
     rep = strata_dims(gd, X, S, E, split, T)
     assert rep.c_minus_G == 0
     assert rep.tangent_dim == 0
