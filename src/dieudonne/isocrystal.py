@@ -28,7 +28,7 @@ from .errors import (FieldTooSmall, InclusionViolated, PrecisionExhausted,
                      VerificationMismatch)
 from .lattices import (Lattice, SemilinearMap, boosted, invert_matrix,
                        invert_matrix_exact, lattice_sum, matrix_kernel,
-                       mod_p_dimension)
+                       mod_p_dimension, saturate)
 from .matrix import ring
 from .witt import WittContext
 
@@ -422,7 +422,7 @@ def newton_slopes(crystal: FIsocrystal):
 class SlopeData:
     """Slope multiset, phi-equivariant projectors onto each isotypic
     summand, and the integral component lattices.  ``_derived`` caches
-    the component bases (``_component_bases``) on first use."""
+    the ``factor`` lattices of the Hom blocks, keyed by (dual, slopes)."""
 
     __slots__ = ("crystal", "slopes", "projectors", "components", "_derived")
 
@@ -436,8 +436,29 @@ class SlopeData:
     @property
     def is_split(self):
         """True when M is the direct sum of its slope components, which
-        is when it has component bases (``_component_bases``)."""
-        return _component_bases(self) is not None
+        is when every slope projector is integral (denominator 0)."""
+        return not any(e.denominator for e in self.projectors.values())
+
+    def factor(self, slopes, dual=False):
+        """The fixed lattice of e = the sum of the projectors of
+        ``slopes``: T, the part of M in the sum of their components, or
+        with ``dual`` that of the transpose of e: F, the part of the dual
+        module M^v that vanishes off their components.  Each carries the
+        loss of e, and T of one slope is that slope's component.
+        Computed once per slope data, side and set."""
+        slopes = tuple(sorted(slopes))
+        if not dual and len(slopes) == 1:
+            return self.components[slopes[0]]
+        key = (dual, slopes)
+        if key not in self._derived:
+            e = self.projectors[slopes[0]]
+            for a in slopes[1:]:
+                e = e.add(self.projectors[a])
+            if dual:
+                e = SemilinearMap(e.ctx, list(zip(*e.rows)),
+                                  denominator=e.denominator, loss=e.loss)
+            self._derived[key] = _projector_fixed_lattice(e.ctx, e)
+        return self._derived[key]
 
     @property
     def slope_list(self):
@@ -780,89 +801,62 @@ class EndDecomposition:
         return self._derived[key]
 
 
-def _component_bases(slope_data):
-    """{a: (U_a, D_a)} with e_a = U_a D_a: the rows of the r x r_a matrix
-    U_a are those of the echelon basis of the component M cap W_a, and
-    D_a (r_a x r) holds the component coordinates of the columns of e_a.
-    None unless every projector is integral (denominator 0), every
-    component has scale 0 and every column of e_a solves in its
-    component, which is when the module splits integrally.  Computed once
-    per slope data."""
-    derived = slope_data._derived
-    if "bases" not in derived:
-        r = slope_data.crystal.rank
-        out = {}
-        for a, comp in slope_data.components.items():
-            e = slope_data.projectors[a]
-            cols = comp.coordinates([row[j] for row in e.rows]
-                                    for j in range(r))
-            if e.denominator or comp.scale or cols is None:
-                out = None
-                break
-            out[a] = (list(zip(*comp.ech)), list(zip(*cols)))
-        derived["bases"] = out
-    return derived["bases"]
-
-
 def block_projector(slope_data, pairs):
-    """The projector onto the sum of Hom(W(src), W(dst)) blocks of
-    End(M)[1/p] for the given (src, dst) slope pairs, as the factor pairs
-    {(src, dst): (e_dst, e_src)} of its terms x -> e_dst x e_src."""
-    proj = slope_data.projectors
-    return {(src, dst): (proj[dst], proj[src]) for (src, dst) in pairs}
+    """The factor groups [(F_S, T_A)] of the sum of the Hom(W(src),
+    W(dst)) blocks of End(M)[1/p] over the (src, dst) slope pairs: the
+    pairs are the union of the products S x A of the groups, and each
+    group's blocks in End(M) are spanned by the outer products t f^T
+    with t in T_A and f in F_S (``SlopeData.factor``).  A set that is
+    itself a product is one group; any other has a group per source."""
+    targets = {}
+    for (src, dst) in pairs:
+        targets.setdefault(src, set()).add(dst)
+    groups = [([src], dsts) for src, dsts in targets.items()]
+    if len({frozenset(dsts) for dsts in targets.values()}) == 1:
+        groups = [(list(targets), groups[0][1])]
+    return [(slope_data.factor(srcs, dual=True), slope_data.factor(dsts))
+            for srcs, dsts in groups]
 
 
-def _projector_image(crystal, terms, bases):
-    """The integral part of the image of the projector with the factor
-    pairs ``terms`` (``block_projector``).
+def _block_lattice(crystal, slope_data, pairs):
+    """The integral part of the sum of the Hom blocks over the (src, dst)
+    pairs: the span of the outer products of the factor groups of
+    ``block_projector``, at the largest loss of their factors.
 
-    With the component bases of a module that splits integrally, the
-    image of the term x -> e_dst x e_src is spanned by the integral
-    matrices U_dst[:, i] D_src[j, :].  Their span is rebuilt from its
-    canonical columns, so that its processing-order echelon is those
-    columns whatever the order of the generators: a carrier takes its
-    coordinates on that echelon, and the closures it runs can differ just
-    below p^N from one basis to another (``core._membership_refine``).
-    Otherwise (``bases`` None) each term is the r^2 x r^2
-    ``sandwich_map`` of its factors, over the sum of their denominators,
-    and the fixed lattice of the sum of the terms carries the loss of
-    those denominators."""
+    The matrix x = t f^T of two saturated factors is saturated, so the
+    span of one group is.  A sum of groups is saturated on a module that
+    splits integrally, where x = sum e_dst x e_src splits x into integral
+    terms; on one that does not it is saturated in End(M), and the depth
+    it had (its index valuation) is added to the loss.  The result is
+    rebuilt from its canonical columns, so that its processing-order
+    echelon is those columns whatever the order of the generators: a
+    carrier takes its coordinates on that echelon, and the closures it
+    runs can differ just below p^N from one basis to another
+    (``core._membership_refine``)."""
     ctx = crystal.ctx
     R = ring(ctx)
     r2 = crystal.rank ** 2
-    if bases is None:
-        proj = None
-        for e_dst, e_src in terms.values():
-            term = sandwich_map(
-                ctx, e_dst.rows, e_src.rows,
-                denominator=e_src.denominator + e_dst.denominator,
-                loss=max(e_src.loss, e_dst.loss)
-                + min(e_src.denominator, e_dst.denominator))
-            proj = term if proj is None else proj.add(term)
-        if proj is None:
-            proj = SemilinearMap(ctx, [[R.zero] * r2] * r2)
-        return _projector_fixed_lattice(ctx, proj)
-    gens = []
-    for (src, dst) in terms:
-        U, D = bases[dst][0], bases[src][1]
-        gens += [[x for urow in U for x in R.scale(drow, urow[i])]
-                 for i in range(len(U[0])) for drow in D]
-    span = Lattice.from_columns(ctx, r2, gens)
-    return Lattice.from_columns(ctx, r2, span.cols)
+    groups = block_projector(slope_data, pairs)
+    gens = [[x for ti in t for x in R.scale(f, ti)]
+            for F, T in groups for t in T.cols for f in F.cols]
+    loss = max((L.loss for group in groups for L in group), default=0)
+    span = Lattice.from_columns(ctx, r2, gens, loss=loss)
+    if len(groups) > 1 and not slope_data.is_split:
+        loss += span.index_valuation()
+        span = saturate(span, Lattice.standard(ctx, r2))
+    return Lattice.from_columns(ctx, r2, span.cols, loss=loss)
 
 
 def signed_block_lattices(crystal, slope_data, pairs):
     """(V_plus, V_minus): the integral parts of the Hom-block sums over
     the increasing slope pairs (a, b) and over their reverses (b, a),
-    each the image of its ``block_projector``.  On a module that splits
-    integrally they are spanned by the block bases U_dst[:, i] D_src[j, :]
-    of the components and have loss 0; otherwise they are the fixed
-    lattices of the r^2 x r^2 projectors and carry the loss of the
-    projectors' denominators (see ``_projector_image``)."""
-    bases = _component_bases(slope_data)
-    return tuple(
-        _projector_image(crystal, block_projector(slope_data, blocks), bases)
-        for blocks in (pairs, [(b, a) for (a, b) in pairs]))
+    each spanned by the outer products of the component factors of its
+    ``block_projector`` (``_block_lattice``).  On a module that splits
+    integrally they have loss 0; otherwise they carry the loss of the
+    projectors' denominators, and of a saturation when the pair set is
+    not a product."""
+    return tuple(_block_lattice(crystal, slope_data, blocks)
+                 for blocks in (pairs, [(b, a) for (a, b) in pairs]))
 
 
 def end_decompose(crystal: FIsocrystal, slope_data: SlopeData

@@ -1,18 +1,24 @@
-"""V_plus, V_minus from the component blocks, checked against the
-r^2 x r^2 bodies they replace on split modules, and the carriers'
+"""V_plus, V_minus from the component factors, checked against the
+r^2 x r^2 bodies they replace on every module, and the carriers'
 numerators against the restriction by one solve per echelon column.
 
-When the module splits integrally (e_a = U_a D_a with integral factors),
-``signed_block_lattices`` spans each signed lattice by the block bases
-U_dst[:, i] D_src[j, :], and ``Carrier.of`` restricts the two conjugation
-numerators to its basis.  The ``*_reference`` functions below are kept
-verbatim: the projector built as a sum of r^2 x r^2 sandwiches and its
-fixed lattice (the former body), and the restriction by one solve per
-echelon column.  The instances are the seven corpus entries, the eight
-seeded conjugated draws and the sigma-twisted n = 2 instance of
-``test_carriers``; a module that does not split keeps the projector
-path.
+``signed_block_lattices`` spans the Hom blocks of a pair set by the outer
+products t f^T of the slope components t of M and of the dual module f
+(``SlopeData.factor``), saturated in End(M) when the set is not a product
+on a module that does not split, and ``Carrier.of`` restricts the two
+conjugation numerators to its basis.  The ``*_reference`` functions below
+are kept verbatim: the projector built as a sum of r^2 x r^2 sandwiches
+and its fixed lattice (the former body), and the restriction by one solve
+per echelon column.  The split instances are the seven corpus entries,
+the eight seeded conjugated draws and the sigma-twisted n = 2 instance of
+``test_carriers``, where the presentations agree exactly; the non-split
+ones are ``NON_SPLIT``, where the lattices agree at no larger a loss.  A
+report-all on ``non_split_rank6`` or ``four_slope_rank8`` builds no
+r^2 x r^2 projector and no sandwich but the conjugation numerators.
 """
+
+import itertools
+import random
 
 import pytest
 
@@ -20,15 +26,17 @@ from dieudonne import core, isocrystal, problems
 from dieudonne.cli import load_corpus
 from dieudonne.core import Carrier, _conjugation_numerators
 from dieudonne.errors import InclusionViolated
-from dieudonne.isocrystal import (_component_bases, _projector_fixed_lattice,
-                                  block_projector, sandwich_map,
-                                  signed_block_lattices)
+from dieudonne.isocrystal import (_projector_fixed_lattice, sandwich_map,
+                                  signed_block_lattices, slope_split)
 from dieudonne.lattices import Lattice, SemilinearMap
 from dieudonne.matrix import ring
 from dieudonne.problems import Session
+from dieudonne.witt import make_context
 
-from instances import conjugated_draws, sigma_twisted_instance
-from test_carriers import CORPUS, decomposition, not_dieudonne_instance
+from instances import (conjugated_draws, non_split_draw, non_split_recipe,
+                       sigma_twisted_instance)
+from test_carriers import (CORPUS, decomposition, non_split_rank6_instance,
+                           not_dieudonne_instance)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +99,17 @@ def split_decompositions():
     return tuple(out)
 
 
+# the modules that do not split: the non-Dieudonne matrix of
+# ``test_carriers``, ``non_split_rank6`` and the four recipe seeds below
+# 3000 that do not split
+NON_SPLIT = {"not-dieudonne": not_dieudonne_instance,
+             "non_split_rank6": non_split_rank6_instance,
+             "non_split_draw": non_split_draw}
+NON_SPLIT.update(
+    (f"recipe-{seed}", lambda seed=seed: non_split_recipe(random.Random(seed)))
+    for seed in (1649, 1995, 2824))
+
+
 def full_pairs(slope_data):
     slopes = slope_data.slope_list
     return [(a, b) for a in slopes for b in slopes if b > a]
@@ -107,7 +126,7 @@ def presentation(L):
 def test_block_bases_span_the_projector_lattices(split_decompositions):
     for name, D in split_decompositions:
         X, sd = D.crystal, D.slope_data
-        assert sd.is_split and _component_bases(sd) is not None, name
+        assert sd.is_split, name
         pairs = full_pairs(sd)
         want = signed_block_lattices_reference(X, sd, pairs)
         for got, w in zip((D.V_plus, D.V_minus), want):
@@ -155,30 +174,63 @@ def test_restriction_certifies_stability():
         _restricted_reference(D.V_plus, bad)
 
 
-def test_non_split_module_takes_the_projector_path(monkeypatch):
-    X = not_dieudonne_instance()
-    D = decomposition(X)
-    sd = D.slope_data
-    assert not sd.is_split and _component_bases(sd) is None
-    built = []
-    real = isocrystal._projector_fixed_lattice
-
-    def counted(ctx, proj):
-        built.append(proj.nrows)
-        return real(ctx, proj)
-
-    monkeypatch.setattr(isocrystal, "_projector_fixed_lattice", counted)
+@pytest.mark.parametrize("name", NON_SPLIT)
+def test_non_split_blocks_span_the_projector_lattices(name):
+    # off the split corpus the outer products of the component factors,
+    # saturated where the pair set is not a product, span the fixed
+    # lattice of the r^2 x r^2 projector, at no larger a loss
+    X = NON_SPLIT[name]()
+    sd = slope_split(X)
+    assert not sd.is_split
     pairs = full_pairs(sd)
-    got = signed_block_lattices(X, sd, pairs)
-    assert built == [X.rank ** 2, X.rank ** 2]
-    want = signed_block_lattices_reference(X, sd, pairs)
-    assert [presentation(g) for g in got] == [presentation(w) for w in want]
-    assert all(g.loss > 0 for g in got)
-    # the terms are the factor pairs (e_dst, e_src) of the reference maps
-    terms = block_projector(sd, pairs)
-    assert list(terms) == pairs
-    for (src, dst), (e_dst, e_src) in terms.items():
-        assert e_dst is sd.projectors[dst] and e_src is sd.projectors[src]
+    for k in range(1, len(pairs) + 1):
+        for sub in map(list, itertools.combinations(pairs, k)):
+            got = signed_block_lattices(X, sd, sub)
+            want = signed_block_lattices_reference(X, sd, sub)
+            for g, w in zip(got, want):
+                assert g.equals(w) and g.loss <= w.loss, (name, sub)
+                assert g.ech == g.cols, (name, sub)
+
+
+@pytest.mark.parametrize("slope_pairs", [None, [["0", "1/3"], ["0", "1/2"]]])
+def test_non_split_report_builds_no_r4_projector(monkeypatch, slope_pairs):
+    # a report-all on a module that does not split builds each slope
+    # projector's fixed lattice at rank r, and no sandwich but the two
+    # conjugation numerators of the crystal at each precision it runs at
+    X = non_split_rank6_instance()
+    doc = {"name": "non_split_rank6", "p": 2, "n": 1, "precision": 32,
+           "degree": 9, "rank": 6,
+           "phi_matrix": [list(row) for row in X.source]}
+    if slope_pairs:
+        doc["slope_pairs"] = slope_pairs
+    projectors, sandwiches = [], []
+    real_fixed = isocrystal._projector_fixed_lattice
+    real_sandwich = isocrystal.sandwich_map
+
+    def fixed(ctx, proj):
+        projectors.append(proj.nrows)
+        return real_fixed(ctx, proj)
+
+    def sandwich(ctx, left, right, *args, **kw):
+        sandwiches.append((ctx.N, tuple(map(tuple, left)),
+                           tuple(map(tuple, right))))
+        return real_sandwich(ctx, left, right, *args, **kw)
+
+    monkeypatch.setattr(isocrystal, "_projector_fixed_lattice", fixed)
+    monkeypatch.setattr(isocrystal, "sandwich_map", sandwich)
+    monkeypatch.setattr(core, "sandwich_map", sandwich)
+    report = problems.run(problems.parse_dict(doc), problems.ANALYSES, 0)
+    assert not report["analyses"]["decompose"]["module_splits_integrally"]
+    assert projectors and set(projectors) == {X.rank}
+    assert len(sandwiches) == len(set(sandwiches))
+    numerators = set()
+    for N in {s[0] for s in sandwiches}:
+        Y = X.at_precision(make_context(2, 1, N))
+        A, adj = Y.phi.rows, Y.inverse_numerator()[0]
+        numerators |= {(N, tuple(map(tuple, left)), tuple(map(tuple, right)))
+                       for left, right in ((A, adj), (adj, A))}
+    assert X.ctx.N in {s[0] for s in sandwiches}
+    assert set(sandwiches) <= numerators
 
 
 def test_split_report_builds_no_r4_projector_and_each_numerator_once(

@@ -31,9 +31,8 @@ from dieudonne.core import (Carrier, _conjugation_numerators,
                             smallest_super_dieudonne)
 from dieudonne.errors import (HypothesisViolated, InclusionViolated,
                               NonConvergence, PrecisionExhausted)
-from dieudonne.isocrystal import (FIsocrystal, _component_bases,
-                                  end_decompose, signed_block_lattices,
-                                  slope_split)
+from dieudonne.isocrystal import (FIsocrystal, end_decompose,
+                                  signed_block_lattices, slope_split)
 from dieudonne.lattices import Lattice, kernel_span, mod_p_dimension
 from dieudonne.matrix import ring
 from dieudonne.problems import Session
@@ -260,7 +259,7 @@ def test_carriers_restrict_the_numerators_exactly(decompositions):
                 # is handled as End(M)
                 assert name not in CORPUS, (name, sign)
                 assert (getattr(D, f"V_{sign}").loss > 0
-                        or _component_bases(D.slope_data) is None)
+                        or not D.slope_data.is_split)
                 assert (C.fwd, C.bwd, C.vdet) == numerators
                 continue
             B = [list(b) for b in C.lattice.ech]
@@ -283,7 +282,7 @@ def test_non_split_decomposition_uses_the_ambient_carrier():
     for instance in (not_dieudonne_instance, non_split_rank6_instance):
         D = decomposition(instance())
         X, sd = D.crystal, D.slope_data
-        assert not sd.is_split and _component_bases(sd) is None
+        assert not sd.is_split
         for sign in ("plus", "minus"):
             C = D.carrier(sign)
             assert C.lattice is None

@@ -17,7 +17,7 @@ from dieudonne.witt import make_context
 from dieudonne.matrix import ring
 from dieudonne.isocrystal import (
     FIsocrystal, charpoly, dim_codim, end_decompose, end_frobenius,
-    newton_polygon, newton_slopes, slope_split, _component_bases, _maps_equal,
+    newton_polygon, newton_slopes, slope_split, _maps_equal,
 )
 from dieudonne.lattices import (Lattice, SemilinearMap, lattice_sum,
                                 restrict_map, smith_valuations)
@@ -309,7 +309,7 @@ def test_non_split_recipe_draws_a_non_split_module():
         sd = slope_split(X)
         assert sd.slopes == [(Fraction(0), 1), (Fraction(1, 3), 3),
                              (Fraction(1, 2), 2)]
-        assert not sd.is_split and _component_bases(sd) is None
+        assert not sd.is_split
 
 
 def test_is_split_is_the_component_sum_test():
