@@ -26,7 +26,7 @@ from .errors import (HypothesisViolated, InclusionViolated, NoAutoConstruction,
                      NonConvergence, PrecisionExhausted, SingularMap,
                      SplittingInvalid, ValidationFailed)
 from .isocrystal import (FIsocrystal, SlopeData, end_frobenius, mat_to_vec,
-                         sandwich_map, vec_to_mat, _maps_equal)
+                         sandwich_map, vec_to_mat, _hom_span, _maps_equal)
 from .lattices import (Lattice, SemilinearMap, intersect, invert_matrix,
                        kernel_span, lattice_sum, mod_p_dimension,
                        residue_echelon, residue_kernel, residue_reduce,
@@ -117,10 +117,13 @@ def nu_image(lattice: Lattice, tangent: TangentSpace):
 
 class HodgeSplitting:
     """M = F^1 + F^0 with F^1 lifting ker(phi mod p); carries the block
-    grading of End(M) induced by weights (-1, 0, 0, 1)."""
+    grading of End(M) induced by weights (-1, 0, 0, 1).  Its blocks are
+    Hom spans (``isocrystal._hom_span``): the outer products t f^T with t
+    a basis column of one summand (a column of P) and f a row of P^{-1}
+    dual to the other."""
 
-    __slots__ = ("crystal", "ctx", "F1", "F0", "P", "P_rows", "Pinv_rows",
-                 "d", "c")
+    __slots__ = ("crystal", "ctx", "F1", "F0", "P_cols", "P_rows",
+                 "Pinv_rows", "d", "c")
 
     def __init__(self, crystal, f1_cols, f0_cols):
         ctx = crystal.ctx
@@ -135,7 +138,8 @@ class HodgeSplitting:
             raise SplittingInvalid("F1 and F0 ranks do not sum to the rank")
         self.F1 = Lattice.from_columns(ctx, r, f1_cols)
         self.F0 = Lattice.from_columns(ctx, r, f0_cols)
-        self.P_rows = [list(row) for row in zip(*(f1_cols + f0_cols))]
+        self.P_cols = f1_cols + f0_cols
+        self.P_rows = [list(row) for row in zip(*self.P_cols)]
         try:
             pinv, vdet = invert_matrix(ctx, self.P_rows)
         except (SingularMap, PrecisionExhausted) as exc:
@@ -149,40 +153,17 @@ class HodgeSplitting:
             raise SplittingInvalid(
                 "F1 does not reduce to ker(phi mod p)")
 
-    def weight_of_position(self, i, j):
-        """Weight of the (i, j) block entry in the (F1 | F0) basis order:
-        maps F1->F0 have weight +1, F0->F1 weight -1, diagonal 0."""
-        from_f1 = j < self.d
-        to_f1 = i < self.d
-        if from_f1 and not to_f1:
-            return 1
-        if to_f1 and not from_f1:
-            return -1
-        return 0
-
-    def block_lattice(self, weights) -> Lattice:
-        """Integral lattice of endomorphisms whose (F1|F0)-blocks are
-        supported on the given weights."""
-        ctx = self.ctx
-        scale = ring(ctx).scale
-        r = self.crystal.rank
-        gens = []
-        for i in range(r):
-            for j in range(r):
-                if self.weight_of_position(i, j) not in weights:
-                    continue
-                # P E_ij P^{-1}: column i of P times row j of P^{-1}
-                gens.append([x for prow in self.P_rows
-                             for x in scale(self.Pinv_rows[j], prow[i])])
-        if not gens:
-            return Lattice.zero(ctx, r * r)
-        return Lattice.from_columns(ctx, r * r, gens)
-
     def hom_f1_f0(self) -> Lattice:
-        return self.block_lattice({1})
+        """Hom(F^1, F^0), weight 1: the endomorphisms that kill F^0 and
+        map F^1 into F^0."""
+        d, pinv, cols = self.d, self.Pinv_rows, self.P_cols
+        return _hom_span(self.ctx, len(cols) ** 2, [(pinv[:d], cols[d:])])
 
     def diagonal_blocks(self) -> Lattice:
-        return self.block_lattice({0})
+        """End(F^1) + End(F^0), weight 0."""
+        d, pinv, cols = self.d, self.Pinv_rows, self.P_cols
+        return _hom_span(self.ctx, len(cols) ** 2,
+                         [(pinv[:d], cols[:d]), (pinv[d:], cols[d:])])
 
     def mu_numerator(self):
         """P diag(1_d, p 1_c) P^{-1}: p times the cocharacter value at p."""

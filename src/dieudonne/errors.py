@@ -18,8 +18,8 @@ class PrecisionExhausted(DieudonneError):
 
 
 class SingularMap(DieudonneError):
-    """Preimage or inverse requested under a map that is not injective
-    after inverting p."""
+    """Inverse requested of a matrix that is not invertible after
+    inverting p."""
 
 
 class InclusionViolated(DieudonneError):

@@ -652,10 +652,9 @@ def sandwich_map(ctx, left_rows, right_rows, twist=0, denominator=0, loss=0):
     """The map x |-> L sigma^twist(x) R on raw r x r matrices, flattened
     row-major to r^2 coordinates: row (i, j) is the outer product of row
     i of L and column j of R."""
-    scale = ring(ctx).scale
+    outer = ring(ctx).outer
     right_cols = list(zip(*right_rows))
-    big = [[y for a in lrow for y in scale(rcol, a)]
-           for lrow in left_rows for rcol in right_cols]
+    big = [outer(lrow, rcol) for lrow in left_rows for rcol in right_cols]
     return SemilinearMap(ctx, big, twist=twist, denominator=denominator,
                          loss=loss)
 
@@ -818,6 +817,17 @@ def block_projector(slope_data, pairs):
             for srcs, dsts in groups]
 
 
+def _hom_span(ctx, r2, groups, loss=0):
+    """The lattice of End(M) spanned by the outer products t f^T, for
+    each group (fs, ts) of the Hom blocks, each t in ts and f in fs, in
+    that order: the blocks of a direct-sum decomposition of M, the t
+    running over a summand and the f over the matching dual rows."""
+    outer = ring(ctx).outer
+    return Lattice.from_columns(
+        ctx, r2, [outer(t, f) for fs, ts in groups for t in ts for f in fs],
+        loss=loss)
+
+
 def _block_lattice(crystal, slope_data, pairs):
     """The integral part of the sum of the Hom blocks over the (src, dst)
     pairs: the span of the outer products of the factor groups of
@@ -834,13 +844,10 @@ def _block_lattice(crystal, slope_data, pairs):
     runs can differ just below p^N from one basis to another
     (``core._membership_refine``)."""
     ctx = crystal.ctx
-    R = ring(ctx)
     r2 = crystal.rank ** 2
     groups = block_projector(slope_data, pairs)
-    gens = [[x for ti in t for x in R.scale(f, ti)]
-            for F, T in groups for t in T.cols for f in F.cols]
     loss = max((L.loss for group in groups for L in group), default=0)
-    span = Lattice.from_columns(ctx, r2, gens, loss=loss)
+    span = _hom_span(ctx, r2, [(F.cols, T.cols) for F, T in groups], loss)
     if len(groups) > 1 and not slope_data.is_split:
         loss += span.index_valuation()
         span = saturate(span, Lattice.standard(ctx, r2))

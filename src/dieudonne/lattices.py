@@ -42,10 +42,10 @@ and the matrix entry points (``Lattice.from_columns``,
 ``Lattice.basis_columns()`` is the scalar view.  ``Lattice.solve`` takes
 raw entries of the lattice's own context only.
 
-Semilinear maps are v |-> p^{-denominator} * A * sigma^twist(v).  A map
-knows A only modulo p^N, so its inverse carries its loss plus the
-valuation of det A; ``invert_matrix_exact`` serves the integers that
-define an input, which fix the inverse at every precision.
+Semilinear maps are v |-> p^{-denominator} * A * sigma^twist(v).  Rows
+known only modulo p^N fix the numerator of the inverse of A modulo
+p^{N - v(det A)} (``invert_matrix``); ``invert_matrix_exact`` serves the
+integers that define an input, which fix the inverse at every precision.
 
 Precision moves are one primitive: ``boosted`` runs a computation at the
 context precision raised by each extra of a schedule that its caller
@@ -230,7 +230,10 @@ class Lattice:
 
     @staticmethod
     def standard(ctx, rank):
-        return Lattice.from_columns(ctx, rank, ring(ctx).identity(rank))
+        """The identity lattice, already canonical: no elimination."""
+        cols = tuple(map(tuple, ring(ctx).identity(rank)))
+        pivots = tuple((i, 0) for i in range(rank))
+        return Lattice(ctx, rank, cols, pivots, 0, 0, cols, pivots)
 
     @staticmethod
     def zero(ctx, ambient):
@@ -634,17 +637,6 @@ class SemilinearMap:
         return SemilinearMap(self.ctx, self.rows, self.twist,
                              self.denominator - k, loss=self.loss)
 
-    def inverse(self) -> "SemilinearMap":
-        """Inverse map; requires bijectivity after inverting p.  A map
-        knows only its residues, which fix the inverse's numerator modulo
-        p^{N - vdet}: the inverse carries the map's loss plus vdet."""
-        ctx = self.ctx
-        inv_num, vdet = invert_matrix(ctx, self.rows)
-        e = (-self.twist) % ctx.n
-        rows = ring(ctx).frob_mat(inv_num, e)
-        return SemilinearMap(ctx, rows, e, vdet - self.denominator,
-                             loss=self.loss + vdet)
-
     def reduce_denominator(self) -> "SemilinearMap":
         """Cancel common p-content between matrix and denominator."""
         if self.denominator <= 0:
@@ -736,7 +728,7 @@ def invert_matrix_exact(ctx, rows):
     crystal's ``source``), ints or coefficient lists lifted as they are.
     Raw entries would be lifted as their representatives in [0, p^N),
     another matrix; residues alone fix the numerator only modulo
-    p^{N - vdet}, which ``SemilinearMap.inverse`` publishes as loss."""
+    p^{N - vdet}."""
     R = ring(ctx)
     inv, vdet = invert_matrix(ctx, rows)
     if vdet == 0:

@@ -25,8 +25,9 @@ caches A^T).  The Witt rings add the ops the series, the echelon kernel
 of ``lattices`` and its callers are written against: ``dot`` (a row
 times a column, for a single inner product: traces, ``charpoly``, the
 isotropy check of ``strata``), ``mul``, ``power``, ``of_int``,
-``axpy``, ``scale``, ``pivot`` (the first
-entry of least valuation), ``val``, balanced ``divide_p``, unit
+``axpy``, ``scale``, ``outer`` (the flattened t f^T of two vectors,
+the one way an End(M) vector is built from r x r data), ``pivot`` (the
+first entry of least valuation), ``val``, balanced ``divide_p``, unit
 ``inverse``, ``frob`` (``frob_mat`` on a matrix), ``rem``,
 ``vanishes`` and the zero test ``x == R.zero``; the residue-field
 algebra of ``lattices`` runs on these ops too, on raw entries in
@@ -144,6 +145,12 @@ class _WittRing(_Ring):
             return m
         frob = self.frob
         return [[frob(x, e) for x in row] for row in m]
+
+    def outer(self, t, f):
+        """The outer product t f^T, flattened row-major: entry (k, l) is
+        t[k] f[l].  Every End(M) vector built from r x r data is one."""
+        scale = self.scale
+        return [x for tk in t for x in scale(f, tk)]
 
     def pivot(self, col, rows, neff):
         """(v, i) for the first of the given rows whose entry has the least

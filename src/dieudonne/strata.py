@@ -23,7 +23,7 @@ from .lattices import (Lattice, intersect, invert_matrix, lattice_sum,
                        residue_spaces_equal, saturate)
 from .matrix import _EntryRing, ring
 from .series import TruncatedSeries, linear_matrix
-from .signs import pair_codim_closed_form
+from .signs import _transposed, pair_codim_closed_form
 
 
 class GroupData:
@@ -56,18 +56,11 @@ def group_symplectic(crystal: FIsocrystal, gram_rows) -> GroupData:
     g = R.raw_mat(gram_rows)
     _check_alternating_perfect(ctx, g)
     _check_polarization_compat(crystal, g)
-    # condition rows for x^T G + G x = 0, unknowns x (row-major)
-    rows = []
-    for a in range(r):
-        for b in range(r):
-            row = [R.zero] * (r * r)
-            # (x^T G)_{ab} = sum_k x[k][a] G[k][b]
-            for k in range(r):
-                row[k * r + a] = R.add(row[k * r + a], g[k][b])
-            # (G x)_{ab} = sum_k G[a][k] x[k][b]
-            for k in range(r):
-                row[k * r + b] = R.add(row[k * r + b], g[a][k])
-            rows.append(row)
+    # condition rows for x^T G + G x = 0, unknowns x (row-major): entry
+    # (a, b) is sum_k x[k][a] G[k][b] + sum_k G[a][k] x[k][b]
+    e, g_cols = R.identity(r), list(zip(*g))
+    rows = [list(map(R.add, R.outer(g_cols[b], e[a]), R.outer(g[a], e[b])))
+            for a in range(r) for b in range(r)]
     kern = matrix_kernel(ctx, rows, ctx.N)
     lie = Lattice.from_columns(ctx, r * r, kern)
     gd = GroupData("symplectic", crystal, lie, gram=g)
@@ -248,10 +241,8 @@ def _stable_complement(gd, crystal, decomp, VmG):
     V_minus = decomp.V_minus
     if gd.kind == "full-gl":
         return Lattice.zero(ctx, r * r) if VmG.equals(V_minus) else None
-    # perp = {x : Tr(x, lie basis) = 0}
-    # Tr(E_ab, col) = col[b*r + a]
-    rows = [[col[b * r + a] for a in range(r) for b in range(r)]
-            for col in gd.lie.cols]
+    # perp = {x : Tr(x, lie basis) = 0}; Tr(x y) is x against y^T
+    rows = [_transposed(col, r) for col in gd.lie.cols]
     kern = matrix_kernel(ctx, rows, ctx.N - gd.lie.loss)
     perp = Lattice.from_columns(ctx, r * r, kern, loss=gd.lie.loss)
     comp = intersect(V_minus, perp)

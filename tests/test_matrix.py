@@ -217,3 +217,25 @@ def test_frob_mat_is_entrywise_frobenius():
             want = [[x.frobenius(e) for x in row] for row in scal]
             assert R.wrap_mat(R.frob_mat(m, e)) == want, (p, n, e)
         assert R.frob_mat(m, 0) is m
+
+
+def test_outer_matches_integer_outer_products():
+    # t f^T flattened row-major, against the products of plain integers
+    # (negative ones among them) at n = 1 and of their Z_p embeddings at
+    # n = 3, and against the scalar product on entries off Z_p at n = 3
+    rng = random.Random(21)
+    for p, n in [(5, 1), (3, 1), (2, 3), (3, 3)]:
+        ctx = make_context(p, n, 10)
+        R = ring(ctx)
+        for r, c in [(1, 1), (3, 3), (2, 5), (4, 1)]:
+            for zero_share in (0.0, 0.5, 1.0):
+                t, f = (random_ints(rng, 1, k, zero_share)[0] for k in (r, c))
+                want = R.raw_col([a * b for a in t for b in f])
+                assert R.outer(R.raw_col(t), R.raw_col(f)) == want
+        if n > 1:
+            t = [ctx.scalar([rng.randrange(ctx.pN) for _ in range(n)])
+                 for _ in range(3)]
+            f = [ctx.scalar([rng.randrange(ctx.pN) for _ in range(n)])
+                 for _ in range(2)] + [ctx.zero, ctx.one]
+            got = R.wrap_col(R.outer(R.raw_col(t), R.raw_col(f)))
+            assert got == [a * b for a in t for b in f]

@@ -7,9 +7,10 @@ They read scalar rows, so each map reaches them through ``scalar_view``;
 ``mul_mat_reference`` and ``apply_raw_reference`` are the former raw
 product bodies, one ``dot`` per output entry (``entry_dot_reference`` is
 the former series ``dot``), and check the zero-skipping row combination
-``vec_mat`` under ``mul_mat`` and ``SemilinearMap.apply_raw``.  The
-inverse of a map is checked against the exact inverse, over Q(g), of
-the integers that define it (``exact_inverse``).  Inputs are seeded:
+``vec_mat`` under ``mul_mat`` and ``SemilinearMap.apply_raw``.
+``invert_matrix`` and ``invert_matrix_exact`` are checked against the
+exact inverse, over Q(g), of the integers that define a matrix
+(``exact_inverse``).  Inputs are seeded:
 p in {2, 3, 5} at n = 1 and p in {2, 3} at n = 3, with p-divisible
 entries, twists, and nonzero denominators and losses."""
 
@@ -23,7 +24,8 @@ from dieudonne.errors import SingularMap
 from dieudonne.isocrystal import (_map_is_zero, _maps_equal,
                                   _projector_fixed_lattice, sandwich_map,
                                   slope_split)
-from dieudonne.lattices import Lattice, SemilinearMap, matrix_kernel
+from dieudonne.lattices import (Lattice, SemilinearMap, invert_matrix,
+                                invert_matrix_exact, matrix_kernel)
 from dieudonne.matrix import _EntryRing, ring
 from dieudonne.series import TruncatedSeries
 from dieudonne.signs import trace_of_vectors
@@ -408,9 +410,10 @@ def exact_inverse(ctx, ints):
 
 @pytest.mark.parametrize("p, n, N", RINGS)
 def test_inverse_matches_reference(p, n, N):
-    # maps defined by integers, negative ones among them: the published
-    # numerator agrees with the exact inverse of those integers on the
-    # digits its loss vouches for
+    # matrices defined by integers, negative ones among them: the inverse
+    # of their residues agrees with the exact inverse of those integers
+    # modulo p^(N - vdet), and the inverse lifted from the integers
+    # themselves agrees at every digit
     ctx = make_context(p, n, N)
     R = ring(ctx)
     rng = random.Random(79 * p + n)
@@ -423,38 +426,21 @@ def test_inverse_matches_reference(p, n, N):
                 # a p-divisible column gives the inverse a denominator
                 for row in ints:
                     row[0] = [c * p for c in row[0]]
-            f = SemilinearMap(ctx, [[ctx.scalar(x) for x in row]
-                                    for row in ints],
-                              twist=rng.randrange(n),
-                              denominator=rng.randrange(-1, 3),
-                              loss=rng.randrange(3))
             exact = exact_inverse(ctx, ints)
             try:
-                g = f.inverse()
+                got, vdet = invert_matrix(ctx, ints)
             except SingularMap:
                 # some elementary divisor vanishes at the precision
                 assert exact is None or exact[1] >= N
                 continue
-            num, vdet = exact
-            e = (-f.twist) % n
-            assert (g.twist, g.denominator, g.loss) == (
-                e, vdet - f.denominator, f.loss + vdet)
-            known = max(N - g.loss, 0)
-            for got, want in zip(g.rows, R.frob_mat(num, e)):
-                assert R.vanishes(list(map(R.sub, got, want)), known)
+            num, want_vdet = exact
+            assert vdet == want_vdet
+            for got_row, want in zip(got, num):
+                assert R.vanishes(list(map(R.sub, got_row, want)), N - vdet)
+            assert invert_matrix_exact(ctx, ints) == (num, vdet)
             inverted += 1
             with_denominator += vdet > 0
     assert inverted and with_denominator
-
-
-def test_inverse_publishes_the_digits_its_rows_do_not_fix():
-    # det = -10: the rows mod 5^10 fix the numerator mod 5^9 only, and the
-    # exact entry (1, 1) is 4882813, 5^9 away from the inverse of the
-    # representatives in [0, 5^10)
-    ctx = make_context(5, 1, 10)
-    g = SemilinearMap(ctx, [[-1, 5], [5, -15]]).inverse()
-    assert (g.denominator, g.loss) == (1, 1)
-    assert (g.rows[1][1] - 4882813) % 5 ** 9 == 0
 
 
 @pytest.mark.parametrize("p, n, N", RINGS)
