@@ -25,8 +25,9 @@ from __future__ import annotations
 from .errors import (HypothesisViolated, InclusionViolated, NoAutoConstruction,
                      NonConvergence, PrecisionExhausted, SingularMap,
                      SplittingInvalid, ValidationFailed)
-from .isocrystal import (FIsocrystal, SlopeData, end_frobenius, mat_to_vec,
-                         sandwich_map, vec_to_mat, _hom_span, _maps_equal)
+from .isocrystal import (EndDecomposition, FIsocrystal, SlopeData,
+                         end_frobenius, mat_to_vec, sandwich_map, vec_to_mat,
+                         _hom_span, _maps_equal)
 from .lattices import (Lattice, SemilinearMap, intersect, invert_matrix,
                        kernel_span, lattice_sum, mod_p_dimension,
                        residue_echelon, residue_kernel, residue_reduce,
@@ -597,20 +598,21 @@ def _nonzero_product(ctx, r, vecs, loss):
     return None
 
 
-def check_axioms(E: Lattice, crystal: FIsocrystal, V_minus: Lattice,
-                 split: HodgeSplitting | None = None,
-                 carrier: Carrier | None = None) -> AxiomReport:
+def check_axioms(E: Lattice, decomp: EndDecomposition,
+                 split: HodgeSplitting | None = None) -> AxiomReport:
     """The four axioms for a deformation lattice E inside the negative
-    part: (i) maximality of (E, p phi) in E[1/p] cap V_-, (ii) E^2 = 0,
-    and for a supplied splitting (iii) compatibility with the block
-    grading and (iv) the unit-part decomposition of E.  A carrier of
-    V_minus runs the refinement of (i) in its coordinates."""
+    part V_- of the decomposition: (i) maximality of (E, p phi) in
+    E[1/p] cap V_-, (ii) E^2 = 0, and for a supplied splitting (iii)
+    compatibility with the block grading and (iv) the unit-part
+    decomposition of E.  The refinement of (i) runs in the coordinates of
+    the decomposition's carrier of V_-."""
+    crystal = decomp.crystal
     report = AxiomReport()
     report.ranks["E"] = E.rank
     # (i)
-    sat = saturate(E, V_minus)
+    sat = saturate(E, decomp.V_minus)
     recomputed = largest_sub_dieudonne(sat, crystal, mode="negative",
-                                       carrier=carrier)
+                                       carrier=decomp.carrier("minus"))
     report.axiom_i = recomputed.equals(E)
     if not report.axiom_i:
         report.witnesses["axiom_i"] = (
@@ -673,12 +675,10 @@ def lie_element(E: Lattice, slope_data: SlopeData, user_t=None
     if user_t is None:
         if E.rank == 0:
             raise NoAutoConstruction("zero lattice admits no Lie element")
-        # image span W0 = sum of y(M) over a basis of E
-        img = Lattice.zero(ctx, r)
-        for colv in E.cols:
-            # the columns of y span y(M)
-            img = lattice_sum(img, Lattice.from_columns(
-                ctx, r, list(zip(*vec_to_mat(colv, r)))))
+        # image span W0 = sum of y(M) over a basis of E, and the columns
+        # of y span y(M)
+        img = Lattice.from_columns(ctx, r, [
+            col for colv in E.cols for col in zip(*vec_to_mat(colv, r))])
         W0 = saturate(img, crystal.M)
         chosen = []
         covered = Lattice.zero(ctx, r)

@@ -411,17 +411,14 @@ def run_ominus(sess: Session) -> dict:
 
 
 def run_axioms(sess: Session) -> dict:
-    X = sess.crystal()
     ctx = sess.ctx()
     E = sess.lattice_e()
-    decomp = sess.decomp()
     split = None
     try:
         split = sess.split()
     except DieudonneError:
         split = None
-    report = check_axioms(E, X, decomp.V_minus, split,
-                          carrier=decomp.carrier("minus"))
+    report = check_axioms(E, sess.decomp(), split)
     out = report.as_dict()
     out["ok"] = report.all_pass()
     if sess.spec.lie_element_t is not None:
@@ -439,12 +436,11 @@ def run_axioms(sess: Session) -> dict:
 
 
 def run_dual(sess: Session) -> dict:
-    X = sess.crystal()
     E = sess.decomp()
     Y = sess.pair_set()
     if not Y.pairs:
         return {"pairs": [], "ok": True, "note": "no slope pairs"}
-    mods = sign_modules(X, E, Y)
+    mods = sign_modules(E, Y)
     return {
         "pairs": [[_frac(a), _frac(b)] for (a, b) in Y.pairs],
         "V_plus_rank": mods.V_plus.rank,
@@ -453,7 +449,7 @@ def run_dual(sess: Session) -> dict:
         "O_minus_rank": mods.O_minus.rank,
         "O_plus_minus_rank": mods.O_plus_minus.rank,
         "O_minus_plus_rank": mods.O_minus_plus.rank,
-        "c_minus": mods.codims.get("c_minus", 0),
+        "c_minus": E.c_minus(Y.pairs),
         "duality_crosschecks_passed": True,
         "losses": {"O_minus": mods.O_minus.loss,
                    "O_plus_minus": mods.O_plus_minus.loss},
@@ -462,7 +458,6 @@ def run_dual(sess: Session) -> dict:
 
 
 def run_slices(sess: Session) -> dict:
-    X = sess.crystal()
     S = sess.slope_data()
     E = sess.decomp()
     T = sess.tangent()
@@ -471,7 +466,7 @@ def run_slices(sess: Session) -> dict:
     if not Y.pairs:
         out.update({"square_zero": True, "ok": True})
         return out
-    report, _ = slice_report(X, S, E, Y, tangent=T)
+    report = slice_report(E, Y, tangent=T)
     out.update(report)
     lower, upper = strings(S)
     out["lower_strings"] = {
@@ -485,7 +480,7 @@ def run_slices(sess: Session) -> dict:
     monotone_ok = True
     if len(Y.pairs) <= 3:
         for Y1 in Y.subsets():
-            if not slice_monotone(X, E, Y, Y1):
+            if not slice_monotone(E, Y, Y1):
                 monotone_ok = False
     out["subset_monotonicity"] = monotone_ok
     out["ok"] = monotone_ok and (report.get("square_vanishes", True)
@@ -566,8 +561,7 @@ def run_strata(sess: Session) -> dict:
         gd = group_symplectic(X, spec.symplectic_gram)
     else:
         gd = group_custom(X, [_flatten(mat) for mat in spec.group["basis"]])
-    rep = strata_dims(gd, X, sess.slope_data(), sess.decomp(), sess.split(),
-                      sess.tangent())
+    rep = strata_dims(gd, sess.decomp(), sess.split(), sess.tangent())
     out = rep.as_dict()
     out["kind"] = gd.kind
     out["ok"] = rep.fact_a_consistent and rep.tangent_dim >= rep.c_minus_G
@@ -575,10 +569,8 @@ def run_strata(sess: Session) -> dict:
 
 
 def run_traverso(sess: Session) -> dict:
-    lat, closed = traverso_dimension(sess.crystal(), sess.slope_data(),
-                                     sess.decomp(), sess.tangent())
-    table, total = quasi_factor_codims(sess.crystal(), sess.slope_data(),
-                                       sess.decomp())
+    lat, closed = traverso_dimension(sess.decomp(), sess.tangent())
+    table, total = quasi_factor_codims(sess.decomp())
     return {
         "tangent_dimension": lat,
         "closed_form": closed,
@@ -593,8 +585,7 @@ def run_polarized(sess: Session) -> dict:
     spec = sess.spec
     if spec.symplectic_gram is None:
         return {"ok": True, "note": "no polarization supplied"}
-    lat, closed = polarized_dim(sess.crystal(), sess.slope_data(),
-                                sess.decomp(), sess.split(),
+    lat, closed = polarized_dim(sess.decomp(), sess.split(),
                                 spec.symplectic_gram, sess.tangent())
     return {
         "lattice_dimension": lat,

@@ -7,18 +7,21 @@ sub-Dieudonne and smallest super-Dieudonne refinements, trace duals (with
 the dual/iterative cross-check), the per-pair codimension table, and the
 string/slice combinatorics of slope-pair subsets.
 
-O_minus(Y) and c_minus(Y) of every pair set Y are the decomposition's
-(``EndDecomposition.o_minus`` and ``c_minus``), which owns their sum rule
-and the full set's certificate.  Every pair set that is computed directly
-runs one body: its signed lattices are ``EndDecomposition.signed``, and
-its closures run on the decomposition's ``core.Carrier`` of each sign.  On
-a module that splits integrally both conjugation numerators preserve each
-Hom(W_a, W_b), so every one of these lattices is the sum of those of the
-pairs of Y: each pair is computed once per decomposition, with all its
-cross-checks, in the coordinates of its own two carriers (one per sign,
-of rank r_a r_b instead of r^2), and every larger pair set is assembled
-as a sum.  On a module that does not split, each pair set is computed
-directly, and its carriers are End(M) itself.
+Every function takes the ``EndDecomposition``, which holds the crystal,
+its slope data and O_minus(Y) and c_minus(Y) of every pair set Y
+(``EndDecomposition.o_minus`` and ``c_minus``), with their sum rule and
+the full set's certificate; the codimension table and the slices read
+them there, and only the trace duals build sign modules.  Every pair set
+whose sign modules are computed directly runs one body: its signed
+lattices are ``EndDecomposition.signed``, and its closures run on the
+decomposition's ``core.Carrier`` of each sign.  On a module that splits
+integrally both conjugation numerators preserve each Hom(W_a, W_b), so
+every one of these lattices is the sum of those of the pairs of Y
+(``EndDecomposition._parts``): each pair is computed once per
+decomposition, with all its cross-checks, in the coordinates of its own
+two carriers (one per sign, of rank r_a r_b instead of r^2), and every
+larger pair set is assembled as a sum.  On a module that does not split,
+each pair set is computed directly, and its carriers are End(M) itself.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 from .core import (largest_sub_dieudonne, nu_image, smallest_super_dieudonne,
                    _nonzero_product)
 from .errors import DualityMismatch, PrecisionExhausted, VerificationMismatch
-from .isocrystal import EndDecomposition, FIsocrystal, SlopeData
+from .isocrystal import EndDecomposition, SlopeData
 from .lattices import (Lattice, boosted, intersect, kernel_span,
                        lattice_sum, smith_valuations)
 from .matrix import ring
@@ -57,21 +60,10 @@ class SlopePairSet:
         return SlopePairSet([(a, b) for i, a in enumerate(s)
                              for b in s[i + 1:]], s)
 
-    @staticmethod
-    def singleton(a, b, slopes):
-        return SlopePairSet([(a, b)], slopes)
-
-    @property
-    def s1(self):
-        return sorted({a for (a, _) in self.pairs})
-
-    @property
-    def s2(self):
-        return sorted({b for (_, b) in self.pairs})
-
     @property
     def is_square_zero(self):
-        return not (set(self.s1) & set(self.s2))
+        return not ({a for (a, _) in self.pairs}
+                    & {b for (_, b) in self.pairs})
 
     def subsets(self):
         out = []
@@ -80,12 +72,6 @@ class SlopePairSet:
             sel = [self.pairs[i] for i in range(m) if mask >> i & 1]
             out.append(SlopePairSet(sel, self.slopes))
         return out
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
 
     def __repr__(self):
         return f"SlopePairSet({list(self.pairs)})"
@@ -173,35 +159,35 @@ SIGNED_LATTICES = ("V_plus", "V_minus", "V_plus_minus", "V_minus_plus",
 
 
 class SignModuleSet:
-    """The four signed stable lattices for a pair set, the block lattices
-    and trace duals they refine, and their codimension data."""
+    """The four signed stable lattices for a pair set, and the block
+    lattices and trace duals they refine."""
 
-    __slots__ = ("Y",) + SIGNED_LATTICES + ("codims",)
+    __slots__ = ("Y",) + SIGNED_LATTICES
 
     def __init__(self, **kw):
         for k in self.__slots__:
             setattr(self, k, kw.get(k))
 
 
-def sign_modules(crystal: FIsocrystal, decomp: EndDecomposition,
-                 Y: SlopePairSet) -> SignModuleSet:
+def sign_modules(decomp: EndDecomposition, Y: SlopePairSet
+                 ) -> SignModuleSet:
     """The signed lattices for Y, cross-checking each mixed module both as
     a trace dual and as an iterative closure; computed once per
     decomposition and pair set."""
     if Y.pairs not in decomp._derived:
-        decomp._derived[Y.pairs] = _sign_modules(crystal, decomp, Y)
+        decomp._derived[Y.pairs] = _sign_modules(decomp, Y)
     return decomp._derived[Y.pairs]
 
 
-def _sign_modules(crystal, decomp, Y):
+def _sign_modules(decomp, Y):
+    crystal = decomp.crystal
     ctx = crystal.ctx
     if not Y.pairs:
         z = Lattice.zero(ctx, crystal.rank ** 2)
-        return SignModuleSet(Y=Y, V_plus=z, V_minus=z, V_plus_minus=z,
-                             V_minus_plus=z, O_plus=z, O_minus=z,
-                             O_plus_minus=z, O_minus_plus=z, codims={})
-    if decomp.slope_data.is_split and len(Y.pairs) > 1:
-        return _assembled(crystal, decomp, Y)
+        return SignModuleSet(Y=Y, **dict.fromkeys(SIGNED_LATTICES, z))
+    parts = decomp._parts(Y.pairs)
+    if parts:
+        return _assembled(decomp, Y, parts)
     Vp, Vm = decomp.signed(Y.pairs)
     plus, minus = (decomp.carrier(sign, Y.pairs)
                    for sign in ("plus", "minus"))
@@ -238,25 +224,22 @@ def _sign_modules(crystal, decomp, Y):
         raise DualityMismatch("O_plus not inside O_plus_minus")
     if not Omp_iter.contains(Om):
         raise DualityMismatch("O_minus not inside O_minus_plus")
-    c_minus = decomp.c_minus(Y.pairs)
     return SignModuleSet(Y=Y, V_plus=Vp, V_minus=Vm, V_plus_minus=Vpm,
                          V_minus_plus=Vmp, O_plus=Op, O_minus=Om,
-                         O_plus_minus=Opm_iter, O_minus_plus=Omp_iter,
-                         codims={"c_minus": c_minus})
+                         O_plus_minus=Opm_iter, O_minus_plus=Omp_iter)
 
 
-def _assembled(crystal, decomp, Y):
+def _assembled(decomp, Y, parts):
     """The sign modules of a pair set on a module that splits integrally:
     both conjugation numerators preserve every Hom block, so each signed
-    lattice is the sum of those of the pairs.  Each pair is computed, with
-    all its cross-checks, once per decomposition; O_minus and c_minus are
-    the decomposition's (``EndDecomposition.o_minus``)."""
-    parts = [sign_modules(crystal, decomp,
-                          SlopePairSet([pair], Y.slopes)) for pair in Y]
-    out = {name: lattice_sum(*(getattr(m, name) for m in parts))
+    lattice is the sum of those of the one-pair sets ``parts``.  Each pair
+    is computed, with all its cross-checks, once per decomposition;
+    O_minus is the decomposition's (``EndDecomposition.o_minus``)."""
+    mods = [sign_modules(decomp, SlopePairSet(part, Y.slopes))
+            for part in parts]
+    out = {name: lattice_sum(*(getattr(m, name) for m in mods))
            for name in SIGNED_LATTICES if name != "O_minus"}
-    return SignModuleSet(Y=Y, O_minus=decomp.o_minus(Y.pairs),
-                         codims={"c_minus": decomp.c_minus(Y.pairs)}, **out)
+    return SignModuleSet(Y=Y, O_minus=decomp.o_minus(Y.pairs), **out)
 
 
 # ---------------------------------------------------------------------------
@@ -272,34 +255,23 @@ def pair_codim_closed_form(slope_data: SlopeData, a, b) -> int:
     return int(val)
 
 
-def quasi_factor_codims(crystal: FIsocrystal, slope_data: SlopeData,
-                        decomp: EndDecomposition):
+def quasi_factor_codims(decomp: EndDecomposition):
     """Per-pair codimension table over all increasing slope pairs, with
     the closed form checked against the lattice computation, plus the sum
     identity against the codimension of the full negative module."""
-    slopes = slope_data.slope_list
-    table = {}
-    total = 0
-    for i, a in enumerate(slopes):
-        for b in slopes[i + 1:]:
-            closed = pair_codim_closed_form(slope_data, a, b)
-            table[(a, b)] = closed
-            total += closed
+    table = {(a, b): pair_codim_closed_form(decomp.slope_data, a, b)
+             for (a, b) in decomp.pairs}
+    total = sum(table.values())
     for (a, b), closed in table.items():
-        Y = SlopePairSet.singleton(a, b, slopes)
-        mods = sign_modules(crystal, decomp, Y)
-        lattice_side = mods.codims["c_minus"]
+        lattice_side = decomp.c_minus(((a, b),))
         if lattice_side != closed:
             raise VerificationMismatch(
                 f"pair ({a},{b}): lattice codimension {lattice_side} "
                 f"!= closed form {closed}")
-    if len(slopes) > 1:
-        Yfull = SlopePairSet.full(slopes)
-        mods = sign_modules(crystal, decomp, Yfull)
-        if mods.codims["c_minus"] != total:
-            raise VerificationMismatch(
-                f"total codimension {mods.codims['c_minus']} != "
-                f"sum of quasi-factor codimensions {total}")
+    if table and decomp.c_minus() != total:
+        raise VerificationMismatch(
+            f"total codimension {decomp.c_minus()} != "
+            f"sum of quasi-factor codimensions {total}")
     return table, total
 
 
@@ -336,36 +308,33 @@ def max_square_zero_size(m: int) -> int:
     return half * (m - half)
 
 
-def slice_report(crystal: FIsocrystal, slope_data: SlopeData,
-                 decomp: EndDecomposition, Y: SlopePairSet, tangent):
+def slice_report(decomp: EndDecomposition, Y: SlopePairSet, tangent):
     """Square-zero status, the negative stable lattice of the slice, its
-    tangent dimension, the codimension (the dimension of the associated
-    group structure), and the monotonicity data for subsets."""
+    tangent dimension, and the codimension (the dimension of the
+    associated group structure)."""
+    crystal = decomp.crystal
+    Om = decomp.o_minus(Y.pairs)
     report = {
         "pairs": [[str(a), str(b)] for (a, b) in Y.pairs],
         "square_zero": Y.is_square_zero,
+        "O_minus_rank": Om.rank,
+        "c_minus": decomp.c_minus(Y.pairs),
+        "tangent_dimension": nu_image(Om, tangent)[0] if Om.rank else 0,
     }
-    mods = sign_modules(crystal, decomp, Y)
-    Om = mods.O_minus
-    report["O_minus_rank"] = Om.rank
-    report["c_minus"] = mods.codims.get("c_minus", 0)
-    report["tangent_dimension"] = nu_image(Om, tangent)[0] if Om.rank else 0
     if Y.is_square_zero and Om.rank:
         report["square_vanishes"] = _nonzero_product(
             crystal.ctx, crystal.rank, Om.cols, Om.loss) is None
-    return report, mods
+    return report
 
 
-def slice_monotone(crystal: FIsocrystal, decomp: EndDecomposition,
-                   Y: SlopePairSet, Y1: SlopePairSet) -> bool:
+def slice_monotone(decomp: EndDecomposition, Y: SlopePairSet,
+                   Y1: SlopePairSet) -> bool:
     """O_minus(Y1) = O_minus(Y) cap L_minus(Y1) for Y1 inside Y."""
     if not set(Y1.pairs) <= set(Y.pairs):
         raise ValueError("Y1 must be a subset of Y")
-    big = sign_modules(crystal, decomp, Y)
-    small = sign_modules(crystal, decomp, Y1)
     if not Y1.pairs:
-        return small.O_minus.rank == 0
+        return True
     # the block lattice is saturated, so intersecting with it is the same
     # as intersecting with its rational span
-    cut = intersect(big.O_minus, small.V_minus)
-    return cut.equals(small.O_minus)
+    cut = intersect(decomp.o_minus(Y.pairs), decomp.signed(Y1.pairs)[1])
+    return cut.equals(decomp.o_minus(Y1.pairs))

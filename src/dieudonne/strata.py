@@ -141,14 +141,13 @@ def _pair_codim_sum(slope_data: SlopeData) -> int:
                for i, a in enumerate(slopes) for b in slopes[i + 1:])
 
 
-def traverso_dimension(crystal: FIsocrystal, slope_data: SlopeData,
-                       decomp: EndDecomposition, tangent: TangentSpace):
+def traverso_dimension(decomp: EndDecomposition, tangent: TangentSpace):
     """(lattice side, closed form) of the constant-locus dimension:
     the tangent dimension of the largest negative stable lattice against
     the slope-pair sum; raises on disagreement."""
     O = decomp.o_minus()
     lattice_side = nu_image(O, tangent)[0] if O.rank else 0
-    closed = _pair_codim_sum(slope_data)
+    closed = _pair_codim_sum(decomp.slope_data)
     if lattice_side != closed:
         raise VerificationMismatch(
             f"tangent dimension {lattice_side} != slope-pair sum {closed}")
@@ -181,13 +180,12 @@ class StrataReport:
         return {k: getattr(self, k, None) for k in self.__slots__}
 
 
-def strata_dims(gd: GroupData, crystal: FIsocrystal,
-                slope_data: SlopeData, decomp: EndDecomposition,
-                split, tangent: TangentSpace) -> StrataReport:
+def strata_dims(gd: GroupData, decomp: EndDecomposition, split,
+                tangent: TangentSpace) -> StrataReport:
     """Stratum dimension data for the subgroup: the negative lattices cut
     by the Lie algebra, their tangent images, and the two consistency
     facts relating them."""
-    ctx = crystal.ctx
+    ctx = decomp.crystal.ctx
     rep = StrataReport()
     _, ng_basis = n_g_mu(gd, split)
     rep.n_G = len(ng_basis)
@@ -200,7 +198,7 @@ def strata_dims(gd: GroupData, crystal: FIsocrystal,
     cmg, omg_basis = nu_image(OmG, tangent)
     # tangent dimension equals the Verschiebung colength
     if OmG.rank and cmg != codim_of_dieudonne(
-            OmG, crystal, carrier=decomp.carrier("minus")):
+            OmG, decomp.crystal, carrier=decomp.carrier("minus")):
         raise VerificationMismatch(
             "tangent dimension of O_minus(G) differs from its "
             "codimension")
@@ -220,7 +218,7 @@ def strata_dims(gd: GroupData, crystal: FIsocrystal,
     rep.fact_a_rhs = residue_spaces_equal(ctx, omg_basis, cap)
     rep.fact_a_consistent = (rep.fact_a_lhs == rep.fact_a_rhs)
     # fact (b): a stable complement forces the equality
-    comp = _stable_complement(gd, crystal, decomp, VmG)
+    comp = _stable_complement(gd, decomp, VmG)
     rep.complement_found = comp is not None
     if comp is not None:
         rep.fact_b_holds = rep.fact_a_rhs
@@ -233,9 +231,10 @@ def strata_dims(gd: GroupData, crystal: FIsocrystal,
     return rep
 
 
-def _stable_complement(gd, crystal, decomp, VmG):
+def _stable_complement(gd, decomp, VmG):
     """A complement of V_-(G) in V_- stable under p phi, searched through
     the trace-orthogonal lattice of the Lie algebra."""
+    crystal = decomp.crystal
     ctx = crystal.ctx
     r = crystal.rank
     V_minus = decomp.V_minus
@@ -285,20 +284,19 @@ def polarized_closed_form(slope_data: SlopeData):
     return int(n1)
 
 
-def polarized_dim(crystal: FIsocrystal, slope_data: SlopeData,
-                  decomp: EndDecomposition, split, gram_rows,
+def polarized_dim(decomp: EndDecomposition, split, gram_rows,
                   tangent: TangentSpace):
     """(lattice side, closed form) for the symplectic stratum dimension;
     checks the polarization certificates and Manin symmetry first."""
-    c, d = dim_codim(crystal)
+    c, d = dim_codim(decomp.crystal)
     if c != d:
         raise CertificateInvalid(
             "polarized modules need equal dimension and codimension")
-    manin_symmetry_check(slope_data)
-    gd = group_symplectic(crystal, gram_rows)
+    manin_symmetry_check(decomp.slope_data)
+    gd = group_symplectic(decomp.crystal, gram_rows)
     _check_isotropy(split, gd.gram)
-    rep = strata_dims(gd, crystal, slope_data, decomp, split, tangent)
-    closed = polarized_closed_form(slope_data)
+    rep = strata_dims(gd, decomp, split, tangent)
+    closed = polarized_closed_form(decomp.slope_data)
     if rep.c_minus_G != closed:
         raise VerificationMismatch(
             f"symplectic lattice dimension {rep.c_minus_G} != closed "
@@ -323,8 +321,8 @@ def _check_isotropy(split, g):
 # Cayley elements
 
 
-def cayley_element(crystal: FIsocrystal, gd: GroupData,
-                   decomp: EndDecomposition, vectors, dmax: int) -> dict:
+def cayley_element(gd: GroupData, decomp: EndDecomposition, vectors,
+                   dmax: int) -> dict:
     """(1 - V)(1 + V)^{-1} for V = sum v_i x_i, as a series matrix.
 
     Requires p > 2.  Certifies that the result preserves the form as a
@@ -332,6 +330,7 @@ def cayley_element(crystal: FIsocrystal, gd: GroupData,
     monomial coefficients inside the negative stable lattice
     ``decomp.o_minus()`` of the crystal's End(M) decomposition.
     """
+    crystal = decomp.crystal
     ctx = crystal.ctx
     if ctx.p == 2:
         raise WrongCharacteristic("the Cayley construction needs p > 2")

@@ -106,8 +106,6 @@ NEVER_RUN = {
     "series.TruncatedSeries.coefficient": CAYLEY,
     "series.TruncatedSeries.is_zero_through": CAYLEY,
     "series.linear_matrix": CAYLEY,
-    "signs.SlopePairSet.__len__": "len() of a pair set, for library callers "
-                                  "and tests",
     "signs.SlopePairSet.__repr__": DISPLAY,
     "signs.slice_chain": SPEC_FEATURE + "the slices of slope-pair sets",
     "signs.trace_of_vectors": "defines the trace pairing; has a reference "

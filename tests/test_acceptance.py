@@ -61,7 +61,7 @@ def test_criterion_1_rank6_golden():
     assert O.rank == 9
     E0 = sess.lattice_e()
     assert E0.rank == 6
-    rep = check_axioms(E0, X, sess.decomp().V_minus, sess.split())
+    rep = check_axioms(E0, sess.decomp(), sess.split())
     assert rep.axiom_i and rep.axiom_ii and rep.axiom_iii and rep.axiom_iv
     assert rep.ranks["F0(E)"] == 4
     elapsed = time.monotonic() - t0
@@ -75,15 +75,14 @@ def test_criterion_2_traverso_formula():
     t0 = time.monotonic()
     for name in CORPUS:
         sess = session(name)
-        lat, closed = traverso_dimension(sess.crystal(), sess.slope_data(),
-                                         sess.decomp(), sess.tangent())
+        lat, closed = traverso_dimension(sess.decomp(), sess.tangent())
         assert lat == closed
     rng = random.Random(20260810)
     for k in range(25):
         X = random_split_instance(rng)
         S = slope_split(X)
         E = end_decompose(X, S)
-        lat, closed = traverso_dimension(X, S, E, TangentSpace(X))
+        lat, closed = traverso_dimension(E, TangentSpace(X))
         assert lat == closed
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
@@ -96,8 +95,7 @@ def test_criterion_3_per_pair_codims():
     for name in CORPUS:
         sess = session(name)
         # recomputes each pair lattice-side and the total
-        quasi_factor_codims(sess.crystal(), sess.slope_data(),
-                            sess.decomp())
+        quasi_factor_codims(sess.decomp())
     report("3 per-pair codimension formula on all corpus entries: PASS")
 
 
@@ -106,8 +104,8 @@ def pair_set_choices(slopes):
     (when it exists)."""
     out = [SlopePairSet.full(slopes)]
     full = out[0].pairs
-    for (a, b) in full:
-        out.append(SlopePairSet.singleton(a, b, slopes))
+    for pair in full:
+        out.append(SlopePairSet([pair], slopes))
     if len(slopes) >= 3:
         out.append(slice_chain(slopes, 1))
     return out
@@ -126,7 +124,7 @@ def test_criterion_4_duality():
         for Y in pair_set_choices(slopes):
             if not Y.pairs:
                 continue
-            mods = sign_modules(X, E, Y)  # raises on any mismatch
+            mods = sign_modules(E, Y)  # raises on any mismatch
             assert mods.O_minus.loss <= 4
             assert mods.O_plus_minus.loss <= 4
             assert mods.O_minus_plus.loss <= 4
@@ -144,11 +142,9 @@ def test_criterion_5_nu_dimension_is_codimension():
         if O.rank:
             assert nu_image(O, T)[0] == codim_of_dieudonne(O, X)
         slopes = sess.slope_data().slope_list
-        for (a, b) in SlopePairSet.full(slopes).pairs:
-            mods = sign_modules(X, sess.decomp(),
-                                SlopePairSet.singleton(a, b, slopes))
-            got = nu_image(mods.O_minus, T)[0]
-            assert got == codim_of_dieudonne(mods.O_minus, X)
+        for pair in SlopePairSet.full(slopes).pairs:
+            O1 = sess.decomp().o_minus((pair,))
+            assert nu_image(O1, T)[0] == codim_of_dieudonne(O1, X)
     sess = session("example_1_7")
     X = sess.crystal()
     T = sess.tangent()
@@ -219,16 +215,14 @@ def test_criterion_8_symplectic_dimension():
     ctx = sess.ctx()
     gram = [[ctx.scalar(e) for e in row]
             for row in sess.spec.symplectic_gram]
-    lat, closed = polarized_dim(sess.crystal(), sess.slope_data(),
-                                sess.decomp(), sess.split(), gram,
+    lat, closed = polarized_dim(sess.decomp(), sess.split(), gram,
                                 sess.tangent())
     assert lat == closed == 3
     sess1 = session("elliptic_polarized")
     ctx1 = sess1.ctx()
     gram1 = [[ctx1.scalar(e) for e in row]
              for row in sess1.spec.symplectic_gram]
-    lat1, closed1 = polarized_dim(sess1.crystal(), sess1.slope_data(),
-                                  sess1.decomp(), sess1.split(), gram1,
+    lat1, closed1 = polarized_dim(sess1.decomp(), sess1.split(), gram1,
                                   sess1.tangent())
     assert lat1 == closed1 == 1
     # supersingular c = d = 2 pair
@@ -240,8 +234,7 @@ def test_criterion_8_symplectic_dimension():
     E2 = end_decompose(X2, S2)
     gram2 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
     split2 = hodge_splitting(X2, [[0, 1, 0, 0], [0, 0, 0, 1]])
-    lat2, closed2 = polarized_dim(X2, S2, E2, split2, gram2,
-                                  TangentSpace(X2))
+    lat2, closed2 = polarized_dim(E2, split2, gram2, TangentSpace(X2))
     assert lat2 == closed2 == 0
     report("8 polarized dimension formula (3 / 1 / 0): PASS")
 
@@ -305,7 +298,7 @@ def test_criterion_9_property_suites():
         O = sess.o_minus()
         # double dual through the reference lattices
         Y = SlopePairSet.full(S.slope_list)
-        mods = sign_modules(X, E, Y)
+        mods = sign_modules(E, Y)
         dd = dual_lattice(mods.O_plus_minus, mods.V_minus)
         check(f"double dual ({name})", dd.equals(mods.O_minus))
         # maximality: p O is stable and recomputes to itself; monotone
@@ -342,20 +335,19 @@ def test_criterion_10_square_zero_slices():
     square-zero lattice; subset monotonicity holds; chain cardinalities
     are level (m - level) for m up to 6."""
     sess = session("four_slope_rank8")
-    X = sess.crystal()
-    ctx = sess.ctx()
     S = sess.slope_data()
     E = sess.decomp()
     Y = sess.pair_set()
     s = S.slope_list
     assert set(Y.pairs) == {(s[2], s[3]), (s[0], s[3]), (s[0], s[1])}
     assert Y.is_square_zero
-    rep, mods = slice_report(X, S, E, Y, tangent=sess.tangent())
+    rep = slice_report(E, Y, tangent=sess.tangent())
     assert rep["square_zero"] and rep["square_vanishes"]
     for Y1 in Y.subsets():
-        assert slice_monotone(X, E, Y, Y1)
+        assert slice_monotone(E, Y, Y1)
     for m in range(2, 7):
         slopes = [Fraction(i, m) for i in range(m)]
         for level in range(1, m):
-            assert len(slice_chain(slopes, level)) == level * (m - level)
+            assert len(slice_chain(slopes, level).pairs) == \
+                level * (m - level)
     report("10 square-zero slice suite on the four-slope entry: PASS")

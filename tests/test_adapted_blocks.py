@@ -264,12 +264,15 @@ def test_split_report_builds_no_r4_projector_and_each_numerator_once(
     report = problems.run(load_corpus("four_slope_rank8"),
                           problems.ANALYSES, 0)
     assert report["analyses"]["decompose"]["module_splits_integrally"]
-    # one carrier per sign for each of the six slope pairs, whose sign
-    # modules every larger pair set sums, and the full V_minus one of
-    # o_minus(); each built once
-    expected = [L.cols for pair in D.pairs for L in D.signed([pair])]
+    # the minus carrier of each of the six slope pairs, whose O_minus
+    # every larger pair set sums; the plus carrier of each of the three
+    # slope_pairs whose sign modules ``dual`` builds; and the full
+    # V_minus one of o_minus(); each built once
+    expected = [D.signed([pair])[1].cols for pair in D.pairs]
+    expected += [D.signed([pair])[0].cols for pair in
+                 Session(doc).pair_set().pairs]
     expected.append(D.V_minus.cols)
-    assert len(carriers) == 13
+    assert len(carriers) == 10
     assert sorted(carriers) == sorted(expected)
     assert [n for n in projectors if n == r2] == []
     # each conjugation numerator is built once per crystal (the

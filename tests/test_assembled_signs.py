@@ -1,6 +1,8 @@
 """Sign modules of a pair set assembled from its pairs, checked against the
 direct computation they replace on modules that split integrally, and the
-decomposition as the one owner of O_minus and c_minus of every pair set.
+decomposition as the one owner of O_minus and c_minus of every pair set,
+which the pair-set analyses other than ``dual`` read without building
+sign modules.
 
 When M splits integrally, both conjugation numerators preserve every
 Hom(W_a, W_b), so the signed lattices of a pair set Y and their closures
@@ -11,10 +13,11 @@ every larger pair set as a sum; its O_minus and c_minus are
 ``EndDecomposition.o_minus(Y)`` and ``c_minus(Y)``, which sum the pairs
 the same way and certify the full set's direct closure against the sum.
 ``sign_modules_reference`` below is the former direct body, kept
-verbatim: every closure, dual and cross-check of Y on the carriers of the
-full V_plus and V_minus.  Both must agree on all eight lattices (equal
-spans and the same canonical presentation: rank, scale, loss and basis
-columns) and on c_minus, and so must the decomposition's accessors, for
+verbatim but for its signature: every closure, dual and cross-check of
+Y on the carriers of the full V_plus and V_minus, and the codimension of
+its O_minus.  Both must agree on all eight lattices (equal spans and the
+same canonical presentation: rank, scale, loss and basis columns), and
+the decomposition's accessors must publish its O_minus and c_minus, for
 every non-empty pair set of the seven corpus entries, the eight seeded
 conjugated draws and the sigma-twisted n = 2 instance.  A module that does
 not split keeps the direct path.
@@ -30,8 +33,8 @@ from dieudonne.core import (codim_of_dieudonne, largest_sub_dieudonne,
                             smallest_super_dieudonne)
 from dieudonne.errors import (DualityMismatch, PrecisionExhausted,
                               VerificationMismatch)
-from dieudonne.isocrystal import signed_block_lattices
-from dieudonne.lattices import Lattice
+from dieudonne.isocrystal import EndDecomposition, signed_block_lattices
+from dieudonne.lattices import Lattice, lattice_sum
 from dieudonne.problems import Session, parse_dict
 from dieudonne.signs import (SIGNED_LATTICES, SignModuleSet, SlopePairSet,
                              dual_lattice, sign_modules)
@@ -44,13 +47,10 @@ from test_carriers import CORPUS, decomposition, non_split_rank6_instance
 # the former body
 
 
-def sign_modules_reference(crystal, decomp, Y):
+def sign_modules_reference(decomp, Y):
+    """(the sign modules of Y, the codimension of their O_minus)."""
+    crystal = decomp.crystal
     ctx = crystal.ctx
-    if not Y.pairs:
-        z = Lattice.zero(ctx, crystal.rank ** 2)
-        return SignModuleSet(Y=Y, V_plus=z, V_minus=z, V_plus_minus=z,
-                             V_minus_plus=z, O_plus=z, O_minus=z,
-                             O_plus_minus=z, O_minus_plus=z, codims={})
     # the full pair set's block lattices and O_minus are the decomposition's
     full = Y.pairs == SlopePairSet.full(decomp.slope_data.slope_list).pairs
     if full:
@@ -94,12 +94,12 @@ def sign_modules_reference(crystal, decomp, Y):
         raise DualityMismatch("O_plus not inside O_plus_minus")
     if not Omp_iter.contains(Om):
         raise DualityMismatch("O_minus not inside O_minus_plus")
-    codims = {"c_minus": codim_of_dieudonne(Om, crystal, carrier=minus)
-              if Om.rank else 0}
+    c_minus = codim_of_dieudonne(Om, crystal, carrier=minus) \
+        if Om.rank else 0
     return SignModuleSet(Y=Y, V_plus=Vp, V_minus=Vm, V_plus_minus=Vpm,
                          V_minus_plus=Vmp, O_plus=Op, O_minus=Om,
-                         O_plus_minus=Opm_iter, O_minus_plus=Omp_iter,
-                         codims=codims)
+                         O_plus_minus=Opm_iter,
+                         O_minus_plus=Omp_iter), c_minus
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +124,9 @@ def assert_same_modules(got, ref, label):
         assert a.equals(b), (label, name)
         assert (a.ambient, a.rank, a.scale, a.loss, a.cols) == \
             (b.ambient, b.rank, b.scale, b.loss, b.cols), (label, name)
-    assert got.codims == ref.codims, label
 
 
-def assert_owner_matches(D, Y, got, ref, label):
+def assert_owner_matches(D, Y, got, ref, ref_c, label):
     # the decomposition's accessors publish the reference's O_minus and
     # c_minus, and the sign modules hold the accessor's object
     O, c = D.o_minus(Y.pairs), D.c_minus(Y.pairs)
@@ -135,21 +134,20 @@ def assert_owner_matches(D, Y, got, ref, label):
     assert (O.rank, O.scale, O.loss, O.cols) == (
         ref.O_minus.rank, ref.O_minus.scale, ref.O_minus.loss,
         ref.O_minus.cols), label
-    assert {"c_minus": c} == ref.codims, label
+    assert c == ref_c, label
 
 
 def test_assembled_sign_modules_match_the_direct_body():
     assembled = 0
     for name, D in instances():
-        X = D.crystal
         assert D.slope_data.is_split, name
         for Y in SlopePairSet.full(D.slope_data.slope_list).subsets():
             if not Y.pairs:
                 continue
-            got = sign_modules(X, D, Y)
-            ref = sign_modules_reference(X, D, Y)
+            got = sign_modules(D, Y)
+            ref, ref_c = sign_modules_reference(D, Y)
             assert_same_modules(got, ref, (name, Y.pairs))
-            assert_owner_matches(D, Y, got, ref, (name, Y.pairs))
+            assert_owner_matches(D, Y, got, ref, ref_c, (name, Y.pairs))
             assembled += len(Y.pairs) > 1
     # the check reaches the sums: four_slope_rank8 alone has 57 pair sets
     # of two pairs or more
@@ -158,7 +156,6 @@ def test_assembled_sign_modules_match_the_direct_body():
 
 def test_non_split_module_takes_the_direct_path(monkeypatch):
     D = decomposition(non_split_rank6_instance())
-    X = D.crystal
     assert not D.slope_data.is_split
 
     def assembled(*args):
@@ -167,14 +164,13 @@ def test_non_split_module_takes_the_direct_path(monkeypatch):
     for Y in SlopePairSet.full(D.slope_data.slope_list).subsets():
         if not Y.pairs:
             continue
-        got = sign_modules(X, D, Y)
-        ref = sign_modules_reference(X, D, Y)
+        got = sign_modules(D, Y)
+        ref, ref_c = sign_modules_reference(D, Y)
         for name in SIGNED_LATTICES:
             a, b = getattr(got, name), getattr(ref, name)
             assert (a.rank, a.scale, a.loss, a.cols) == \
                 (b.rank, b.scale, b.loss, b.cols), (Y.pairs, name)
-        assert got.codims == ref.codims
-        assert_owner_matches(D, Y, got, ref, Y.pairs)
+        assert_owner_matches(D, Y, got, ref, ref_c, Y.pairs)
 
 
 def test_report_runs_four_duals_per_pair_and_none_for_sums(monkeypatch):
@@ -190,10 +186,10 @@ def test_report_runs_four_duals_per_pair_and_none_for_sums(monkeypatch):
     report = problems.run(load_corpus("four_slope_rank8"),
                           problems.ANALYSES, 0)
     assert report["all_ok"]
-    # six slope pairs, four duals each (V_plus_minus, V_minus_plus and the
-    # duals of O_minus and O_plus); the full set and the slice subsets add
-    # none
-    assert len(calls) == 4 * 6
+    # only ``dual`` builds sign modules: four duals (V_plus_minus,
+    # V_minus_plus and the duals of O_minus and O_plus) for each of the
+    # three slope_pairs it publishes, whose sum adds none
+    assert len(calls) == 4 * len(load_corpus("four_slope_rank8").slope_pairs)
 
 
 def non_split_rank6_spec():
@@ -210,7 +206,8 @@ def test_report_builds_each_signed_pair_set_once(monkeypatch, name):
     spec = (non_split_rank6_spec if name == "non_split_rank6"
             else lambda: load_corpus(name))
     problems.run(spec(), problems.ANALYSES, 0)   # warm
-    full = Session(spec()).decomp().pairs
+    sess = Session(spec())
+    full = sess.decomp().pairs
     calls = []
     real = isocrystal.signed_block_lattices
 
@@ -224,8 +221,13 @@ def test_report_builds_each_signed_pair_set_once(monkeypatch, name):
     assert len(calls) == len(set(calls)) > 1
     assert full in calls
     if name == "four_slope_rank8":
-        # the full set and each pair; every larger set is a sum
-        assert sorted(calls) == sorted([full] + [(p,) for p in full])
+        # the full set and each pair, whose sums give every larger set's
+        # O_minus; and the V_minus of each subset of two or more pairs of
+        # the slices' pair set, which ``slice_monotone`` cuts O_minus by
+        cuts = [Y1.pairs for Y1 in sess.pair_set().subsets()
+                if len(Y1.pairs) > 1]
+        assert len(cuts) == 4
+        assert sorted(calls) == sorted([full] + [(p,) for p in full] + cuts)
 
 
 @pytest.mark.parametrize("what", ["O_minus", "c_minus"])
@@ -233,18 +235,15 @@ def test_full_set_is_certified_against_the_direct_closure(what):
     # a wrong part makes the full set's sum disagree with o_minus() or
     # its codimension
     D = Session(load_corpus("three_slope_rank4")).decomp()
-    X = D.crystal
-    Y = SlopePairSet.full(D.slope_data.slope_list)
-    first = (Y.pairs[0],)
-    sign_modules(X, D, SlopePairSet(first, Y.slopes))
+    first = (D.pairs[0],)
     if what == "O_minus":
         O = D.o_minus(first)
         D._derived[("o_minus", first)] = Lattice.from_columns(
-            X.ctx, O.ambient, O._scaled_cols(1))
+            O.ctx, O.ambient, O._scaled_cols(1))
     else:
         D._derived[("c_minus", first)] = D.c_minus(first) + 1
     with pytest.raises(VerificationMismatch):
-        sign_modules(X, D, Y)
+        getattr(D, what.lower())()
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +276,14 @@ def test_report_all_runs_every_certificate_once(monkeypatch):
     report = problems.run(load_corpus("four_slope_rank8"),
                           problems.ANALYSES, 0)
     assert report["all_ok"]
-    # four duals and two closures per pair, one super-closure of each
-    # sign per pair; the full set's direct closure and the axioms'
-    # recomputation; a codimension per pair, for the full set and for
-    # O_minus(G) in strata
-    assert calls == {"dual_lattice": 24, "largest_sub_dieudonne": 14,
-                     "smallest_super_dieudonne": 12,
+    # O_minus of each of the six pairs, the full set's direct closure and
+    # the axioms' recomputation; for each of the three slope_pairs that
+    # ``dual`` publishes, four duals, O_plus and one super-closure of each
+    # sign; a codimension per pair, for the full set and for O_minus(G)
+    # in strata.  ``slices`` and ``traverso`` read the decomposition's
+    # O_minus and c_minus and run no certificate of their own here.
+    assert calls == {"dual_lattice": 12, "largest_sub_dieudonne": 11,
+                     "smallest_super_dieudonne": 6,
                      "codim_of_dieudonne": 8}
 
 
@@ -300,6 +301,75 @@ def test_deformation_analyses_close_only_their_pairs(monkeypatch):
     # closure per pair, summed
     assert len(spec.slope_pairs) == 3
     assert calls == {"largest_sub_dieudonne": 3}
+
+
+def pair_set_specs():
+    return {"four_slope_rank8": load_corpus("four_slope_rank8"),
+            "symplectic_ordinary_c2": load_corpus("symplectic_ordinary_c2"),
+            "non_split_rank6": non_split_rank6_spec()}
+
+
+@pytest.mark.parametrize("name", sorted(pair_set_specs()))
+def test_pair_set_analyses_build_no_sign_modules(monkeypatch, name):
+    # slices, traverso, strata and polarized publish only what the
+    # decomposition's accessors hold: O_minus and c_minus of a pair set
+    def no_sign_modules(**kw):
+        raise AssertionError("a pair-set analysis built sign modules")
+    monkeypatch.setattr(signs, "SignModuleSet", no_sign_modules)
+    report = problems.run(pair_set_specs()[name],
+                          ["slices", "traverso", "strata", "polarized"], 0)
+    assert report["all_ok"], report["analyses"]
+
+
+def test_quasi_factor_codims_catches_a_wrong_pair(monkeypatch):
+    D = Session(load_corpus("four_slope_rank8")).decomp()
+    signs.quasi_factor_codims(D)
+    wrong = D.pairs[2:3]
+    real = EndDecomposition.c_minus
+
+    def off_by_one(self, pairs=None):
+        return real(self, pairs) + (pairs == wrong)
+    monkeypatch.setattr(EndDecomposition, "c_minus", off_by_one)
+    with pytest.raises(VerificationMismatch, match="lattice codimension"):
+        signs.quasi_factor_codims(D)
+
+
+def test_slice_monotone_catches_a_wrong_o_minus(monkeypatch):
+    sess = Session(load_corpus("four_slope_rank8"))
+    D, Y = sess.decomp(), sess.pair_set()
+    D.o_minus(Y.pairs)
+    real = EndDecomposition.o_minus
+    # for Y1 = Y both sides would read the one wrong lattice
+    for Y1 in Y.subsets():
+        if Y1.pairs in ((), Y.pairs):
+            continue
+        assert signs.slice_monotone(D, Y, Y1), Y1.pairs
+        O1 = real(D, Y1.pairs)
+        scaled = Lattice.from_columns(O1.ctx, O1.ambient,
+                                      O1._scaled_cols(1), scale=O1.scale,
+                                      loss=O1.loss)
+
+        def wrong(self, pairs=None, _Y1=Y1.pairs, _scaled=scaled):
+            return _scaled if pairs == _Y1 else real(self, pairs)
+        with monkeypatch.context() as m:
+            m.setattr(EndDecomposition, "o_minus", wrong)
+            assert not signs.slice_monotone(D, Y, Y1), Y1.pairs
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_signed_minus_of_a_pair_set_is_the_sum_of_its_pairs(name):
+    # ``slice_monotone`` cuts O_minus(Y) by the V_minus that
+    # ``EndDecomposition.signed`` builds directly for Y1; the sign modules
+    # it read before summed the pairs' V_minus on a module that splits
+    sess = Session(load_corpus(name))
+    D = sess.decomp()
+    assert D.slope_data.is_split
+    for Y1 in sess.pair_set().subsets():
+        if len(Y1.pairs) < 2:
+            continue
+        got = D.signed(Y1.pairs)[1]
+        want = lattice_sum(*(D.signed((pair,))[1] for pair in Y1.pairs))
+        assert (got.cols, got.pivots) == (want.cols, want.pivots), Y1.pairs
 
 
 @pytest.mark.parametrize("name", ["four_slope_rank8", "three_slope_rank4",

@@ -366,7 +366,7 @@ def test_sign_modules_match_the_ambient_closures(name):
     for Y in SlopePairSet.full(slopes).subsets():
         if not Y.pairs:
             continue
-        mods = sign_modules(X, D, Y)
+        mods = sign_modules(D, Y)
         same(lambda: mods.O_plus, lambda: largest_sub_dieudonne_reference(
             mods.V_plus, X, mode="positive"))
         same(lambda: mods.O_minus, lambda: largest_sub_dieudonne_reference(
@@ -378,7 +378,7 @@ def test_sign_modules_match_the_ambient_closures(name):
              lambda: smallest_super_dieudonne_reference(
                  mods.V_minus_plus, X, mode="negative"))
         if mods.O_minus.rank:
-            assert mods.codims["c_minus"] == \
+            assert D.c_minus(Y.pairs) == \
                 codim_of_dieudonne_reference(mods.O_minus, X)
 
 

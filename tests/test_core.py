@@ -187,7 +187,7 @@ def test_axioms_rank6_lambda():
     E0 = lambda_lattice(ctx)
     split = hodge_splitting(
         X, f1_columns_from_indices(ctx, 6, rank6_f1_indices()))
-    report = check_axioms(E0, X, E.V_minus, split)
+    report = check_axioms(E0, E, split)
     assert report.axiom_i and report.axiom_ii
     assert report.axiom_iii and report.axiom_iv
     assert report.ranks["E"] == 6
@@ -204,7 +204,7 @@ def test_axioms_rank6_full_E_fails_grading():
     O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
     split = hodge_splitting(
         X, f1_columns_from_indices(ctx, 6, rank6_f1_indices()))
-    report = check_axioms(O, X, E.V_minus, split)
+    report = check_axioms(O, E, split)
     assert report.axiom_i and report.axiom_ii
     assert not report.axiom_iii
 
@@ -214,7 +214,7 @@ def test_axiom_ii_fails_with_middle_slope():
     X = three_slope_rank4(ctx)
     S = slope_split(X)
     E = end_decompose(X, S)
-    report = check_axioms(E.V_minus, X, E.V_minus)
+    report = check_axioms(E.V_minus, E)
     assert not report.axiom_ii
     assert "axiom_ii" in report.witnesses
 
@@ -226,7 +226,7 @@ def test_ordinary_axioms_pass():
     E = end_decompose(X, S)
     O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
     split = hodge_splitting_from_kernel(X)
-    report = check_axioms(O, X, E.V_minus, split)
+    report = check_axioms(O, E, split)
     assert report.all_pass()
 
 
@@ -418,7 +418,7 @@ def test_axiom_i_fails_for_proper_sublattice():
     O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
     pO = Lattice.from_columns(
         ctx, 4, [[x * ctx.p for x in c] for c in O.basis_columns()])
-    report = check_axioms(pO, X, E.V_minus)
+    report = check_axioms(pO, E)
     assert not report.axiom_i
     assert report.axiom_ii
 

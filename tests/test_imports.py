@@ -3,7 +3,8 @@ it never uses, ``WittScalar`` stays at its boundary (beside the public
 re-exports, only ``witt`` and ``matrix`` name it or build scalars through
 ``ctx.scalar``), only ``witt`` and ``lattices.boosted`` raise a context's
 precision, no module-level function of the library, public or
-private, exists only for the tests, and every span name that the
+private, exists only for the tests, no function of the library has a
+parameter that its body never reads, and every span name that the
 benchmark's tracer (``bench/tracer.py``) reads names a library function,
 method, ``Session`` accessor or analysis runner that its ``install``
 wraps.
@@ -237,6 +238,59 @@ def test_bare_assert_is_reported():
     tree = ast.parse("def f(x):\n    assert x > 0, 'positive'\n"
                      "    return x\n\"\"\"assert y\"\"\"\n")
     assert bare_asserts("m.py", tree) == [("m.py", "x > 0")]
+
+
+# Parameters of library functions that the body never reads, each keyed
+# by module, function and parameter with its reason.
+UNREAD_PARAMETERS = {
+    ("matrix.py", "_IntRing.frob", "e"):
+        "part of the ring interface; sigma is the identity on Z/p^N",
+}
+
+
+def unread_parameters(name, tree):
+    """(module, function, parameter) of every parameter but self and cls
+    that its function never reads; a nested function that reads it counts
+    as a read.  Methods are named with their class."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = [x.arg for x in a.posonlyargs + a.args
+                          + a.kwonlyargs + [a.vararg, a.kwarg] if x]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                found.extend((name, prefix + child.name, param)
+                             for param in params
+                             if param not in read | {"self", "cls"})
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+    visit(tree, "")
+    return found
+
+
+def test_every_parameter_is_read():
+    found = sorted(
+        key for path in SRC.glob("*.py")
+        for key in unread_parameters(
+            path.name, ast.parse(path.read_text(encoding="utf-8"))))
+    # a listed parameter that is read, renamed or deleted leaves the list
+    assert found == sorted(UNREAD_PARAMETERS)
+
+
+def test_unread_parameter_is_reported():
+    tree = ast.parse("def f(a, b, *c, d=1, **e):\n    b = a\n"
+                     "    def g(x):\n        return d\n    return g\n"
+                     "class K:\n    def m(self, y):\n        pass\n")
+    assert unread_parameters("m.py", tree) == [
+        ("m.py", "f", "b"), ("m.py", "f", "c"), ("m.py", "f", "e"),
+        ("m.py", "f.g", "x"), ("m.py", "K.m", "y")]
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,13 @@ def test_dense_conjugated_pipeline():
         S = slope_split(X)
         E = end_decompose(X, S)
         T = TangentSpace(X)
-        lat, closed = traverso_dimension(X, S, E, T)
+        lat, closed = traverso_dimension(E, T)
         assert lat == closed
         slopes = S.slope_list
         if len(slopes) == 1:
             continue
-        mods = sign_modules(X, E, SlopePairSet.full(slopes))
-        assert mods.codims["c_minus"] == closed
+        mods = sign_modules(E, SlopePairSet.full(slopes))
+        assert E.c_minus() == closed
         O = mods.O_minus
         assert nu_image(O, T)[0] == codim_of_dieudonne(O, X)
         dd = dual_lattice(mods.O_plus_minus, mods.V_minus)
@@ -68,8 +68,8 @@ def test_sigma_twisted_conjugation_invariance():
     assert newton_slopes(X0) == newton_slopes(X1)
     S0, S1 = slope_split(X0), slope_split(X1)
     E0, E1 = end_decompose(X0, S0), end_decompose(X1, S1)
-    t0 = traverso_dimension(X0, S0, E0, TangentSpace(X0))
-    t1 = traverso_dimension(X1, S1, E1, TangentSpace(X1))
+    t0 = traverso_dimension(E0, TangentSpace(X0))
+    t1 = traverso_dimension(E1, TangentSpace(X1))
     assert t0 == t1
     assert E0.V_minus.rank == E1.V_minus.rank
 
@@ -85,5 +85,5 @@ def test_conjugated_per_pair_codims():
         if len(S.slopes) < 2:
             continue
         E = end_decompose(X, S)
-        quasi_factor_codims(X, S, E)
+        quasi_factor_codims(E)
         done += 1

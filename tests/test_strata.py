@@ -33,25 +33,25 @@ def setup(ctx, mk):
 
 def test_traverso_ordinary():
     X, S, E, T = setup(make_context(2, 1, 24), ordinary_rank2)
-    lat, closed = traverso_dimension(X, S, E, T)
+    lat, closed = traverso_dimension(E, T)
     assert lat == closed == 1
 
 
 def test_traverso_isoclinic_zero():
     X, S, E, T = setup(make_context(2, 1, 24), supersingular_rank2)
-    lat, closed = traverso_dimension(X, S, E, T)
+    lat, closed = traverso_dimension(E, T)
     assert lat == closed == 0
 
 
 def test_traverso_rank6():
     X, S, E, T = setup(make_context(2, 3, 40), rank6_two_slope)
-    lat, closed = traverso_dimension(X, S, E, T)
+    lat, closed = traverso_dimension(E, T)
     assert lat == closed == 3
 
 
 def test_traverso_three_slopes():
     X, S, E, T = setup(make_context(5, 1, 30), three_slope_rank4)
-    lat, closed = traverso_dimension(X, S, E, T)
+    lat, closed = traverso_dimension(E, T)
     assert lat == closed == 3
 
 
@@ -63,7 +63,7 @@ def test_codim_complement_identity():
                     (make_context(3, 1, 24), supersingular_rank2)]:
         X, S, E, T = setup(ctx, mk)
         c, d = dim_codim(X)
-        _, tau = traverso_dimension(X, S, E, T)
+        _, tau = traverso_dimension(E, T)
         # per-slope codimension and dimension ((1 - a) r_a, a r_a)
         hodge = [((1 - a) * m, a * m) for (a, m) in S.slopes]
         half = sum(abs(ca * db - cb * da)
@@ -76,9 +76,9 @@ def test_full_gl_reproduces_traverso():
     X, S, E, T = setup(make_context(2, 1, 24), ordinary_rank2)
     gd = group_full_gl(X)
     split = hodge_splitting_from_kernel(X)
-    rep = strata_dims(gd, X, S, E, split, T)
+    rep = strata_dims(gd, E, split, T)
     assert rep.n_G == 1  # c d block
-    _, tau = traverso_dimension(X, S, E, T)
+    _, tau = traverso_dimension(E, T)
     assert rep.c_minus_G == tau
     assert rep.tangent_dim == tau
     assert rep.fact_a_consistent
@@ -92,7 +92,7 @@ def test_symplectic_elliptic():
     split = hodge_splitting_from_kernel(X)
     NG, ng_basis = n_g_mu(gd, split)
     assert NG.rank == len(ng_basis) == 1  # d(d+1)/2 with d = 1
-    lat, closed = polarized_dim(X, S, E, split, gram, T)
+    lat, closed = polarized_dim(E, split, gram, T)
     assert lat == closed == 1
 
 
@@ -104,17 +104,17 @@ def test_symplectic_c2_ordinary():
     split = hodge_splitting_from_kernel(X)
     NG, ng_basis = n_g_mu(gd, split)
     assert NG.rank == len(ng_basis) == 3  # d(d+1)/2 with d = 2
-    rep = strata_dims(gd, X, S, E, split, T)
+    rep = strata_dims(gd, E, split, T)
     assert rep.c_minus_G == 3
     assert rep.tangent_dim == 3
     assert rep.fact_a_lhs and rep.fact_a_rhs
     # the trace-orthogonal complement certifies the tangent identity
     assert rep.complement_found
     assert rep.fact_b_holds
-    lat, closed = polarized_dim(X, S, E, split, gram, T)
+    lat, closed = polarized_dim(E, split, gram, T)
     assert lat == closed == 3
     # the unconstrained dimension is 4 = 2*2
-    _, tau = traverso_dimension(X, S, E, T)
+    _, tau = traverso_dimension(E, T)
     assert tau == 4
 
 
@@ -131,7 +131,7 @@ def test_symplectic_supersingular_c2():
     T = TangentSpace(X)
     gram = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
     split = hodge_splitting(X, [[0, 1, 0, 0], [0, 0, 0, 1]])
-    lat, closed = polarized_dim(X, S, E, split, gram, T)
+    lat, closed = polarized_dim(E, split, gram, T)
     assert lat == closed == 0
 
 
@@ -175,7 +175,7 @@ def test_custom_group_certificates():
     split = hodge_splitting_from_kernel(X)
     NG, ng_basis = n_g_mu(gd, split)
     assert NG.rank == len(ng_basis) == 0  # torus has no weight-one part
-    rep = strata_dims(gd, X, S, E, split, T)
+    rep = strata_dims(gd, E, split, T)
     assert rep.c_minus_G == 0
     assert rep.tangent_dim == 0
 
@@ -188,7 +188,7 @@ def test_cayley_elliptic_p3():
     # the negative generator: sends e2 to e1
     v = [0] * 4
     v[0 * 2 + 1] = 1
-    out = cayley_element(X, gd, E, [v], dmax=6)
+    out = cayley_element(gd, E, [v], dmax=6)
     w = out["matrix"]
     R = ring(ctx)
     # 1 - 2 v x since v^2 = 0
@@ -208,7 +208,7 @@ def test_cayley_rejects_p2():
                    None, gram=[[ctx.scalar(x) for x in r] for r in
                                [[0, 1], [-1, 0]]])
     with pytest.raises(WrongCharacteristic):
-        cayley_element(X, gd, E, [[0, 1, 0, 0]], dmax=4)
+        cayley_element(gd, E, [[0, 1, 0, 0]], dmax=4)
 
 
 def test_cayley_rejects_non_lie_vector():
@@ -218,7 +218,7 @@ def test_cayley_rejects_non_lie_vector():
     gd = group_symplectic(X, gram)
     bad = [1, 0, 0, 0]  # E_00 is not in sp_2
     with pytest.raises(CertificateFailed):
-        cayley_element(X, gd, E, [bad], dmax=4)
+        cayley_element(gd, E, [bad], dmax=4)
 
 
 def test_symplectic_certificate_rejects_bad_form():
@@ -238,7 +238,7 @@ def test_cayley_zero_vector_is_identity():
     ctx = make_context(3, 1, 24)
     X, S, E, T = setup(ctx, elliptic_ordinary)
     gd = group_symplectic(X, elliptic_gram(ctx))
-    out = cayley_element(X, gd, E, [[0] * 4], dmax=6)
+    out = cayley_element(gd, E, [[0] * 4], dmax=6)
     w = out["matrix"]
     for i in range(2):
         for j in range(2):
