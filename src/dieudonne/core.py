@@ -11,13 +11,14 @@ lattice columns are raw (``matrix.ring``).
 
 The fixed points and the codimension run on a ``Carrier``: a saturated
 lattice S of End(M) of rank d, with the two conjugation numerators
-restricted to its echelon basis B (N sigma(B) = B C).  Each column of C
-is one solve of a numerator's image of a basis vector in S, and a solve
-that fails raises ``InclusionViolated``.  A lattice inside S[1/p] is
-refined in Z^d and mapped back through B once, to the same canonical
-presentation as the End(M) computation.  On a module that does not split
-integrally, or for a lattice with a loss, End(M) itself is the carrier,
-with the identity basis.
+restricted to its echelon basis B (N sigma(B) = B C), and a sign that
+decides the stability rule: (O, p phi) for "minus", (O, phi) for "plus".
+Each column of C is one solve of a numerator's image of a basis vector in
+S, and a solve that fails raises ``InclusionViolated``.  A lattice inside
+S[1/p] is refined in Z^d and mapped back through B once, to the same
+canonical presentation as the End(M) computation.  On a module that does
+not split integrally, or for a lattice with a loss, End(M) itself is the
+carrier, with the identity basis.
 """
 
 from __future__ import annotations
@@ -309,7 +310,8 @@ def _backward_numerator(crystal):
 
 class Carrier:
     """A saturated lattice S of End(M) that both conjugation numerators
-    map into itself, in the coordinates of its basis.
+    map into itself, in the coordinates of its basis, with the sign of
+    the Hom blocks it spans.
 
     ``lattice`` is S; its processing-order echelon B (``S.ech``) has unit
     pivots, so B is a basis of S and S is a direct summand of End(M).
@@ -321,52 +323,58 @@ class Carrier:
     closure and its certificates take the same steps on X as on L, at
     rank d instead of r^2.
 
+    ``sign`` ("plus" or "minus") decides what the closures make stable,
+    as the table ``conditions`` of (numerator, shift, name), fwd then
+    bwd, each asking num(x) in p^shift O: (O, p phi) Dieudonne for
+    "minus", (O, phi) Dieudonne for "plus".
+
     On a module that splits integrally, a lattice S of loss 0 gets its
     own carrier: each column of C is the solve of a numerator's image of a
     basis vector in S (``_restricted``), and a failed solve is the
     certificate that the numerator does not map S into itself.  Every
     other lattice (a module that does not split, or a lattice with a loss)
-    gets ``Carrier.ambient(crystal)``: End(M) itself, with the identity
-    basis (``lattice`` None, the numerators as they are).
+    gets End(M) itself, with the identity basis (``lattice`` None, the
+    numerators as they are).
 
     A carrier keeps neither the crystal nor a decomposition: it is cached
     in ``EndDecomposition._derived``, and ``bench/tracer.py`` keys span
     inputs by walking their fields, a walk that would not end on a cycle.
     """
 
-    __slots__ = ("lattice", "fwd", "bwd", "vdet")
+    __slots__ = ("lattice", "fwd", "bwd", "vdet", "sign", "conditions")
 
-    def __init__(self, lattice, fwd, bwd, vdet):
+    def __init__(self, lattice, fwd, bwd, vdet, sign):
         self.lattice = lattice
         self.fwd = fwd
         self.bwd = bwd
         self.vdet = vdet
+        self.sign = sign
+        # phi = p^-vdet fwd and phi^{-1} = p^-vdet bwd
+        self.conditions = {
+            "minus": ((fwd, vdet - 1, "p phi"), (bwd, vdet, "phi^{-1}")),
+            "plus": ((fwd, vdet, "phi"), (bwd, vdet - 1, "p phi^{-1}")),
+        }[sign]
 
     @classmethod
-    def ambient(cls, crystal: FIsocrystal) -> "Carrier":
-        return cls(None, *_conjugation_numerators(crystal))
-
-    @classmethod
-    def of(cls, S: Lattice, crystal: FIsocrystal, slope_data: SlopeData
-           ) -> "Carrier":
-        """The carrier on a saturated integral lattice S of End(M).  On a
-        module that splits (``slope_data.is_split``) it raises
-        InclusionViolated when a numerator does not map S into itself.
+    def of(cls, S: Lattice, sign: str, slope_data: SlopeData) -> "Carrier":
+        """The carrier of sign ``sign`` on a saturated integral lattice S
+        of End(M).  On a module that splits (``slope_data.is_split``) it
+        raises InclusionViolated when a numerator does not map S into
+        itself.
 
         A basis with a loss is trusted only modulo p^(N - loss), so its
         coordinates would not reproduce the End(M) computation digit for
         digit, and the signed lattices of a module that does not split
         integrally carry the loss of the projectors' denominators: such
-        an S, and any S of such a module, is handled as End(M), through
-        the ambient carrier.
+        an S, and any S of such a module, is handled as End(M).
         """
         if S.scale or any(e for (_, e) in S.ech_pivots):
             raise InclusionViolated(
                 "a carrier needs a saturated integral lattice")
+        fwd, bwd, vdet = _conjugation_numerators(slope_data.crystal)
         if S.loss or not slope_data.is_split:
-            return cls.ambient(crystal)
-        fwd, bwd, vdet = _conjugation_numerators(crystal)
-        return cls(S, _restricted(S, fwd), _restricted(S, bwd), vdet)
+            return cls(None, fwd, bwd, vdet, sign)
+        return cls(S, _restricted(S, fwd), _restricted(S, bwd), vdet, sign)
 
     def coords(self, V: Lattice) -> Lattice:
         """The coordinate lattice of V, which must lie in S[1/p]."""
@@ -443,34 +451,20 @@ def _certify_stable(X: Lattice, checks):
                 f"fixed point is not stable under {name}")
 
 
-def largest_sub_dieudonne(V: Lattice, crystal: FIsocrystal,
-                          mode: str = "negative", carrier=None) -> Lattice:
-    """Largest sublattice O of V that is a Dieudonne lattice for the
-    appropriate twist of the conjugation Frobenius.
-
-    mode "negative": (O, p phi) Dieudonne, i.e. phi^{-1}(O) <= O and
-    p phi(O) <= O (for lattices of negative slopes).
-    mode "positive": (O, phi) Dieudonne, i.e. phi(O) <= O and
-    p phi^{-1}(O) <= O (for lattices of positive slopes).
-
-    With a ``Carrier`` whose lattice contains V, the refinement and its
-    certificates run in the carrier's coordinates; the result is
-    the same, in the same canonical presentation.
+def largest_sub_dieudonne(V: Lattice, carrier: Carrier) -> Lattice:
+    """Largest sublattice O of V stable under the conditions of the
+    carrier's sign: (O, p phi) Dieudonne for "minus" (negative slopes),
+    (O, phi) Dieudonne for "plus" (positive slopes).  The refinement,
+    by the sign's own Frobenius, and its certificates run in the
+    coordinates of the carrier, whose lattice contains V; the result is
+    in the same canonical presentation as on End(M).
     """
-    c = Carrier.ambient(crystal) if carrier is None else carrier
-    fwd, bwd, vdet = c.fwd, c.bwd, c.vdet
-    if mode == "negative":
-        # phi^{-1}(x) in E  <=>  bwd(x) in p^vdet E
-        refine = bwd
-        checks = [(bwd, vdet, "phi^{-1}"), (fwd, vdet - 1, "p phi")]
-    elif mode == "positive":
-        refine = fwd
-        checks = [(fwd, vdet, "phi"), (bwd, vdet - 1, "p phi^{-1}")]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    out = _membership_refine(c.coords(V), refine, vdet, _iteration_cap(V))
-    _certify_stable(out, checks)
-    return c.lift(out)
+    # phi^{-1}(x) in E  <=>  bwd(x) in p^vdet E, and likewise phi and fwd
+    refine = carrier.bwd if carrier.sign == "minus" else carrier.fwd
+    out = _membership_refine(carrier.coords(V), refine, carrier.vdet,
+                             _iteration_cap(V))
+    _certify_stable(out, carrier.conditions)
+    return carrier.lift(out)
 
 
 def _maps_into(E: Lattice, num_map, shift: int) -> bool:
@@ -489,52 +483,35 @@ def _maps_into(E: Lattice, num_map, shift: int) -> bool:
     return target.coordinates(imgs, target.scale) is not None
 
 
-def smallest_super_dieudonne(V: Lattice, crystal: FIsocrystal,
-                             mode: str = "positive", carrier=None
-                             ) -> Lattice:
-    """Smallest Dieudonne lattice containing V.
-
-    mode "positive": stability under phi and p phi^{-1};
-    mode "negative": stability under p phi and phi^{-1}.
-
-    A ``carrier`` containing V runs the closure in its coordinates, as
-    in ``largest_sub_dieudonne``.
-    """
-    c = Carrier.ambient(crystal) if carrier is None else carrier
-    fwd, bwd, vdet = c.fwd, c.bwd, c.vdet
-    if mode == "positive":
-        # phi = p^-vdet fwd ; p phi^{-1} = p^{1-vdet} bwd
-        steps = [(fwd, 0), (bwd, 1)]
-        checks = [(fwd, vdet, "phi"), (bwd, vdet - 1, "p phi^{-1}")]
-    elif mode == "negative":
-        steps = [(fwd, 1), (bwd, 0)]
-        checks = [(fwd, vdet - 1, "p phi"), (bwd, vdet, "phi^{-1}")]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    out = smallest_stable_superlattice(c.coords(V), steps, vdet,
-                                       _iteration_cap(V))
-    _certify_stable(out, checks)
-    return c.lift(out)
+def smallest_super_dieudonne(V: Lattice, carrier: Carrier) -> Lattice:
+    """Smallest lattice containing V that is stable under the conditions
+    of the carrier's sign, run in its coordinates as in
+    ``largest_sub_dieudonne``."""
+    # num(x) in p^shift E: num rescaled by p^(vdet - shift) over p^vdet
+    steps = [(num, carrier.vdet - shift)
+             for num, shift, _ in carrier.conditions]
+    out = smallest_stable_superlattice(carrier.coords(V), steps,
+                                       carrier.vdet, _iteration_cap(V))
+    _certify_stable(out, carrier.conditions)
+    return carrier.lift(out)
 
 
 # ---------------------------------------------------------------------------
 # codimension
 
 
-def codim_of_dieudonne(E: Lattice, crystal: FIsocrystal,
-                       carrier=None) -> int:
+def codim_of_dieudonne(E: Lattice, carrier: Carrier) -> int:
     """Codimension of (E, p phi): colength of the Verschiebung image
-    phi^{-1}(E) in E, in the coordinates of ``carrier`` when given.
+    phi^{-1}(E) in E, in the coordinates of the carrier.
 
     The image is presented with its p-denominator in the scale (no
     content division), so its basis stays exact and the colength decision
     runs at full precision minus the scale gap.
     """
-    c = Carrier.ambient(crystal) if carrier is None else carrier
-    X = c.coords(E)
+    X = carrier.coords(E)
     img = Lattice.from_columns(
-        X.ctx, X.ambient, [c.bwd.apply_raw(col) for col in X.cols],
-        scale=X.scale + c.vdet, loss=X.loss)
+        X.ctx, X.ambient, [carrier.bwd.apply_raw(col) for col in X.cols],
+        scale=X.scale + carrier.vdet, loss=X.loss)
     if not X.contains(img):
         raise InclusionViolated("(E, p phi) is not a Dieudonne lattice")
     return mod_p_dimension(img, X)
@@ -611,8 +588,7 @@ def check_axioms(E: Lattice, decomp: EndDecomposition,
     report.ranks["E"] = E.rank
     # (i)
     sat = saturate(E, decomp.V_minus)
-    recomputed = largest_sub_dieudonne(sat, crystal, mode="negative",
-                                       carrier=decomp.carrier("minus"))
+    recomputed = largest_sub_dieudonne(sat, decomp.carrier("minus"))
     report.axiom_i = recomputed.equals(E)
     if not report.axiom_i:
         report.witnesses["axiom_i"] = (

@@ -673,11 +673,12 @@ def end_frobenius(crystal: FIsocrystal) -> SemilinearMap:
 
 
 class EndDecomposition:
-    """The one table of pair-set data on End(M): for each set of
-    increasing slope pairs (a, b), its signed block lattices, its
-    carriers, its largest negative stable lattice O_minus and that
-    lattice's codimension c_minus.  Nothing is built before it is asked
-    for.  ``_derived`` caches, keyed by the sorted pair tuple:
+    """The one table of pair-set data on End(M), built from the slope
+    data (which holds the crystal): for each set of increasing slope
+    pairs (a, b), its signed block lattices, its carriers, its largest
+    negative stable lattice O_minus and that lattice's codimension
+    c_minus.  Nothing is built before it is asked for.  ``_derived``
+    caches, keyed by the sorted pair tuple:
     ``signed(pairs)`` under ``("signed", pairs)``, each
     ``carrier(sign, pairs)`` under ``("carrier", sign, pairs)``,
     ``o_minus(pairs)`` under ``("o_minus", pairs)``, ``c_minus(pairs)``
@@ -690,12 +691,15 @@ class EndDecomposition:
     theirs.  Every other set is closed directly on its own carrier, and so
     is the full set, which is certified against the sum of its pairs."""
 
-    __slots__ = ("crystal", "slope_data", "_derived")
+    __slots__ = ("slope_data", "_derived")
 
-    def __init__(self, crystal, slope_data):
-        self.crystal = crystal
+    def __init__(self, slope_data):
         self.slope_data = slope_data
         self._derived = {}
+
+    @property
+    def crystal(self):
+        return self.slope_data.crystal
 
     @property
     def pairs(self):
@@ -715,12 +719,24 @@ class EndDecomposition:
         return self.pairs if pairs is None else tuple(sorted(pairs))
 
     def signed(self, pairs):
-        """(V_plus, V_minus) of the increasing slope pairs ``pairs``: one
-        ``signed_block_lattices`` call per pair set."""
-        key = ("signed", self._sorted(pairs))
+        """(V_plus, V_minus) of the increasing slope pairs ``pairs``,
+        once per pair set: on a module that splits integrally, the sums
+        over the pairs of a set of two or more that is not the full set,
+        rebuilt from their canonical columns as in ``_block_lattice``;
+        else one ``signed_block_lattices`` call."""
+        pairs = self._sorted(pairs)
+        key = ("signed", pairs)
         if key not in self._derived:
-            self._derived[key] = signed_block_lattices(
-                self.crystal, self.slope_data, key[1])
+            parts = self._parts(pairs)
+            if parts and pairs != self.pairs:
+                sums = (lattice_sum(*side)
+                        for side in zip(*map(self.signed, parts)))
+                self._derived[key] = tuple(
+                    Lattice.from_columns(L.ctx, L.ambient, L.cols)
+                    for L in sums)
+            else:
+                self._derived[key] = signed_block_lattices(
+                    self.slope_data, pairs)
         return self._derived[key]
 
     def carrier(self, sign, pairs=None):
@@ -734,14 +750,13 @@ class EndDecomposition:
         if key not in self._derived:
             from .core import Carrier
             self._derived[key] = Carrier.of(
-                self.signed(pairs)[sign == "minus"], self.crystal,
-                self.slope_data)
+                self.signed(pairs)[sign == "minus"], sign, self.slope_data)
         return self._derived[key]
 
     def _parts(self, pairs):
-        """The one-pair sets whose O_minus and c_minus sum to those of
-        ``pairs``: on a module that splits integrally, for two or more
-        pairs; else None."""
+        """The one-pair sets whose signed lattices, O_minus and c_minus
+        sum to those of ``pairs``: on a module that splits integrally,
+        for two or more pairs; else None."""
         if self.slope_data.is_split and len(pairs) > 1:
             return [(pair,) for pair in pairs]
         return None
@@ -760,9 +775,7 @@ class EndDecomposition:
             else:
                 from .core import largest_sub_dieudonne
                 V = self.signed(pairs)[1]
-                O = largest_sub_dieudonne(V, self.crystal, mode="negative",
-                                          carrier=self.carrier("minus",
-                                                               pairs))
+                O = largest_sub_dieudonne(V, self.carrier("minus", pairs))
                 # O_minus has full rank in V_minus; a closure that drops
                 # rank ran out of precision
                 if O.rank < V.rank:
@@ -789,8 +802,7 @@ class EndDecomposition:
             else:
                 from .core import codim_of_dieudonne
                 O = self.o_minus(pairs)
-                c = codim_of_dieudonne(
-                    O, self.crystal, carrier=self.carrier("minus", pairs)) \
+                c = codim_of_dieudonne(O, self.carrier("minus", pairs)) \
                     if O.rank else 0
                 if parts and total != c:
                     raise VerificationMismatch(
@@ -828,7 +840,7 @@ def _hom_span(ctx, r2, groups, loss=0):
         loss=loss)
 
 
-def _block_lattice(crystal, slope_data, pairs):
+def _block_lattice(slope_data, pairs):
     """The integral part of the sum of the Hom blocks over the (src, dst)
     pairs: the span of the outer products of the factor groups of
     ``block_projector``, at the largest loss of their factors.
@@ -843,6 +855,7 @@ def _block_lattice(crystal, slope_data, pairs):
     carrier takes its coordinates on that echelon, and the closures it
     runs can differ just below p^N from one basis to another
     (``core._membership_refine``)."""
+    crystal = slope_data.crystal
     ctx = crystal.ctx
     r2 = crystal.rank ** 2
     groups = block_projector(slope_data, pairs)
@@ -854,7 +867,7 @@ def _block_lattice(crystal, slope_data, pairs):
     return Lattice.from_columns(ctx, r2, span.cols, loss=loss)
 
 
-def signed_block_lattices(crystal, slope_data, pairs):
+def signed_block_lattices(slope_data, pairs):
     """(V_plus, V_minus): the integral parts of the Hom-block sums over
     the increasing slope pairs (a, b) and over their reverses (b, a),
     each spanned by the outer products of the component factors of its
@@ -862,13 +875,12 @@ def signed_block_lattices(crystal, slope_data, pairs):
     integrally they have loss 0; otherwise they carry the loss of the
     projectors' denominators, and of a saturation when the pair set is
     not a product."""
-    return tuple(_block_lattice(crystal, slope_data, blocks)
+    return tuple(_block_lattice(slope_data, blocks)
                  for blocks in (pairs, [(b, a) for (a, b) in pairs]))
 
 
-def end_decompose(crystal: FIsocrystal, slope_data: SlopeData
-                  ) -> EndDecomposition:
-    return EndDecomposition(crystal, slope_data)
+def end_decompose(slope_data: SlopeData) -> EndDecomposition:
+    return EndDecomposition(slope_data)
 
 
 def dim_codim(crystal: FIsocrystal):

@@ -273,8 +273,8 @@ class Session:
         return self._cached("slopes", lambda: slope_split(self.crystal()))
 
     def decomp(self):
-        return self._cached("decomp", lambda: end_decompose(
-            self.crystal(), self.slope_data()))
+        return self._cached("decomp",
+                            lambda: end_decompose(self.slope_data()))
 
     def tangent(self):
         return self._cached("tangent", lambda: TangentSpace.of(
@@ -477,11 +477,14 @@ def run_slices(sess: Session) -> dict:
     if m >= 2:
         out["chain_sizes"] = [lvl * (m - lvl) for lvl in range(1, m)]
         out["max_square_zero_size"] = max_square_zero_size(m)
-    monotone_ok = True
-    if len(Y.pairs) <= 3:
-        for Y1 in Y.subsets():
-            if not slice_monotone(E, Y, Y1):
-                monotone_ok = False
+    # the subsets of at most one pair and those that omit at most one:
+    # every subset when Y has at most 3 pairs
+    P = Y.pairs
+    family = {(), P}
+    for i in range(len(P)):
+        family |= {P[i:i + 1], P[:i] + P[i + 1:]}
+    monotone_ok = all(slice_monotone(E, Y, SlopePairSet(Y1, Y.slopes))
+                      for Y1 in sorted(family))
     out["subset_monotonicity"] = monotone_ok
     out["ok"] = monotone_ok and (report.get("square_vanishes", True)
                                  if report["square_zero"] else True)

@@ -197,7 +197,7 @@ def _sign_modules(decomp, Y):
         raise DualityMismatch("V_plus is not inside the dual of V_minus")
     if not Vmp.contains(Vm):
         raise DualityMismatch("V_minus is not inside the dual of V_plus")
-    Op = largest_sub_dieudonne(Vp, crystal, mode="positive", carrier=plus)
+    Op = largest_sub_dieudonne(Vp, plus)
     # O_plus has full rank in V_plus; a closure that drops rank ran out of
     # precision (``decomp.o_minus`` guards O_minus the same way)
     if Op.rank < Vp.rank:
@@ -208,10 +208,8 @@ def _sign_modules(decomp, Y):
         ctx, crystal.rank ** 2)
     Omp_dual = dual_lattice(Op, Vm) if Op.rank else Lattice.zero(
         ctx, crystal.rank ** 2)
-    Opm_iter = smallest_super_dieudonne(Vpm, crystal, mode="positive",
-                                        carrier=plus)
-    Omp_iter = smallest_super_dieudonne(Vmp, crystal, mode="negative",
-                                        carrier=minus)
+    Opm_iter = smallest_super_dieudonne(Vpm, plus)
+    Omp_iter = smallest_super_dieudonne(Vmp, minus)
     if not Opm_dual.equals(Opm_iter):
         raise DualityMismatch(
             "dual of O_minus disagrees with the iterative closure of "

@@ -197,8 +197,7 @@ def strata_dims(gd: GroupData, decomp: EndDecomposition, split,
                  "O_minus": O_minus.rank}
     cmg, omg_basis = nu_image(OmG, tangent)
     # tangent dimension equals the Verschiebung colength
-    if OmG.rank and cmg != codim_of_dieudonne(
-            OmG, decomp.crystal, carrier=decomp.carrier("minus")):
+    if OmG.rank and cmg != codim_of_dieudonne(OmG, decomp.carrier("minus")):
         raise VerificationMismatch(
             "tangent dimension of O_minus(G) differs from its "
             "codimension")

@@ -49,8 +49,6 @@ WITT_BOUNDARY = ("the WittScalar / WittContext surface for library callers "
 # qualified name -> why report-all on the corpus never runs it
 NEVER_RUN = {
     "cli.corpus_names": "`corpus-list` and the message of an unknown entry",
-    "core.Carrier.ambient": "the carrier of a module that does not split "
-                            "integrally; every corpus entry splits",
     "core.HodgeSplitting.mu_numerator": "only under core.sigma_phi",
     "core.TangentSpace.nu_is_zero": "only under core.star_property_holds",
     "core.hodge_splitting_from_kernel": "a problem without hodge_f1; every "
@@ -107,6 +105,9 @@ NEVER_RUN = {
     "series.TruncatedSeries.is_zero_through": CAYLEY,
     "series.linear_matrix": CAYLEY,
     "signs.SlopePairSet.__repr__": DISPLAY,
+    "signs.SlopePairSet.subsets": SPEC_FEATURE + "every subset of a pair "
+                                  "set; `slices` checks those of at most one "
+                                  "pair and those that omit at most one",
     "signs.slice_chain": SPEC_FEATURE + "the slices of slope-pair sets",
     "signs.trace_of_vectors": "defines the trace pairing; has a reference "
                               "test",

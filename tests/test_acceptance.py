@@ -81,7 +81,7 @@ def test_criterion_2_traverso_formula():
     for k in range(25):
         X = random_split_instance(rng)
         S = slope_split(X)
-        E = end_decompose(X, S)
+        E = end_decompose(S)
         lat, closed = traverso_dimension(E, TangentSpace(X))
         assert lat == closed
     elapsed = time.monotonic() - t0
@@ -138,21 +138,22 @@ def test_criterion_5_nu_dimension_is_codimension():
         sess = session(name)
         X = sess.crystal()
         T = sess.tangent()
+        minus = sess.decomp().carrier("minus")
         O = sess.o_minus()
         if O.rank:
-            assert nu_image(O, T)[0] == codim_of_dieudonne(O, X)
+            assert nu_image(O, T)[0] == codim_of_dieudonne(O, minus)
         slopes = sess.slope_data().slope_list
         for pair in SlopePairSet.full(slopes).pairs:
             O1 = sess.decomp().o_minus((pair,))
-            assert nu_image(O1, T)[0] == codim_of_dieudonne(O1, X)
+            assert nu_image(O1, T)[0] == codim_of_dieudonne(O1, minus)
     sess = session("example_1_7")
-    X = sess.crystal()
+    minus = sess.decomp().carrier("minus")
     T = sess.tangent()
     assert nu_image(sess.o_minus(), T)[0] == 3
-    assert codim_of_dieudonne(sess.o_minus(), X) == 3
+    assert codim_of_dieudonne(sess.o_minus(), minus) == 3
     E0 = sess.lattice_e()
     assert nu_image(E0, T)[0] == 2
-    assert codim_of_dieudonne(E0, X) == 2
+    assert codim_of_dieudonne(E0, minus) == 2
     report("5 tangent dimension equals codimension for all negative "
            "lattices: PASS")
 
@@ -231,7 +232,7 @@ def test_criterion_8_symplectic_dimension():
     rows = [[0, -p, 0, 0], [1, 0, 0, 0], [0, 0, 0, -p], [0, 0, 1, 0]]
     X2 = FIsocrystal.from_int_matrix(ctx2, rows)
     S2 = slope_split(X2)
-    E2 = end_decompose(X2, S2)
+    E2 = end_decompose(S2)
     gram2 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
     split2 = hodge_splitting(X2, [[0, 1, 0, 0], [0, 0, 0, 1]])
     lat2, closed2 = polarized_dim(E2, split2, gram2, TangentSpace(X2))
@@ -305,13 +306,13 @@ def test_criterion_9_property_suites():
         pO = Lattice.from_columns(
             ctx, r * r, [[x * ctx.p for x in c] for c in O.basis_columns()])
         check(f"maximality ({name})",
-              largest_sub_dieudonne(pO, X, mode="negative").equals(pO)
+              largest_sub_dieudonne(pO, E.carrier("minus")).equals(pO)
               and O.contains(pO))
         half = Lattice.from_columns(
             ctx, r * r,
             [list(c) for k, c in enumerate(O.basis_columns()) if k % 2 == 0])
         check(f"monotonicity ({name})",
-              O.contains(largest_sub_dieudonne(half, X, mode="negative")))
+              O.contains(largest_sub_dieudonne(half, E.carrier("minus"))))
         # Lie element bracket identity on the slice lattice
         Elat = sess.lattice_e()
         if Elat.rank:

@@ -137,7 +137,7 @@ def test_block_bases_span_the_projector_lattices(split_decompositions):
         # every proper pair set, through the library's public entry point
         for k in range(len(pairs)):
             sub = pairs[:k] + pairs[k + 1:]
-            got = signed_block_lattices(X, sd, sub)
+            got = signed_block_lattices(sd, sub)
             want = signed_block_lattices_reference(X, sd, sub)
             assert [presentation(g) for g in got] == \
                 [presentation(w) for w in want], (name, sub)
@@ -185,7 +185,7 @@ def test_non_split_blocks_span_the_projector_lattices(name):
     pairs = full_pairs(sd)
     for k in range(1, len(pairs) + 1):
         for sub in map(list, itertools.combinations(pairs, k)):
-            got = signed_block_lattices(X, sd, sub)
+            got = signed_block_lattices(sd, sub)
             want = signed_block_lattices_reference(X, sd, sub)
             for g, w in zip(got, want):
                 assert g.equals(w) and g.loss <= w.loss, (name, sub)
@@ -253,9 +253,9 @@ def test_split_report_builds_no_r4_projector_and_each_numerator_once(
                            tuple(map(tuple, right))))
         return real_sandwich(ctx, left, right, *args, **kw)
 
-    def of(cls, S, crystal, slope_data):
+    def of(cls, S, sign, slope_data):
         carriers.append(S.cols)
-        return real_of(cls, S, crystal, slope_data)
+        return real_of(cls, S, sign, slope_data)
 
     monkeypatch.setattr(isocrystal, "_projector_fixed_lattice", fixed)
     monkeypatch.setattr(isocrystal, "sandwich_map", sandwich)

@@ -34,7 +34,7 @@ from dieudonne.core import (codim_of_dieudonne, largest_sub_dieudonne,
 from dieudonne.errors import (DualityMismatch, PrecisionExhausted,
                               VerificationMismatch)
 from dieudonne.isocrystal import EndDecomposition, signed_block_lattices
-from dieudonne.lattices import Lattice, lattice_sum
+from dieudonne.lattices import Lattice
 from dieudonne.problems import Session, parse_dict
 from dieudonne.signs import (SIGNED_LATTICES, SignModuleSet, SlopePairSet,
                              dual_lattice, sign_modules)
@@ -56,7 +56,7 @@ def sign_modules_reference(decomp, Y):
     if full:
         Vp, Vm = decomp.V_plus, decomp.V_minus
     else:
-        Vp, Vm = signed_block_lattices(crystal, decomp.slope_data, Y.pairs)
+        Vp, Vm = signed_block_lattices(decomp.slope_data, Y.pairs)
     Vpm = dual_lattice(Vm, Vp)
     Vmp = dual_lattice(Vp, Vm)
     if not Vpm.contains(Vp):
@@ -66,9 +66,8 @@ def sign_modules_reference(decomp, Y):
     # every signed lattice lies in the full V_plus or V_minus: the
     # closures run in the block coordinates of their carriers
     plus, minus = decomp.carrier("plus"), decomp.carrier("minus")
-    Op = largest_sub_dieudonne(Vp, crystal, mode="positive", carrier=plus)
-    Om = decomp.o_minus() if full else largest_sub_dieudonne(
-        Vm, crystal, mode="negative", carrier=minus)
+    Op = largest_sub_dieudonne(Vp, plus)
+    Om = decomp.o_minus() if full else largest_sub_dieudonne(Vm, minus)
     # O_plus and O_minus have full rank in V_plus and V_minus; a closure
     # that drops rank ran out of precision
     if Op.rank < Vp.rank or Om.rank < Vm.rank:
@@ -78,10 +77,8 @@ def sign_modules_reference(decomp, Y):
         ctx, crystal.rank ** 2)
     Omp_dual = dual_lattice(Op, Vm) if Op.rank else Lattice.zero(
         ctx, crystal.rank ** 2)
-    Opm_iter = smallest_super_dieudonne(Vpm, crystal, mode="positive",
-                                        carrier=plus)
-    Omp_iter = smallest_super_dieudonne(Vmp, crystal, mode="negative",
-                                        carrier=minus)
+    Opm_iter = smallest_super_dieudonne(Vpm, plus)
+    Omp_iter = smallest_super_dieudonne(Vmp, minus)
     if not Opm_dual.equals(Opm_iter):
         raise DualityMismatch(
             "dual of O_minus disagrees with the iterative closure of "
@@ -94,8 +91,7 @@ def sign_modules_reference(decomp, Y):
         raise DualityMismatch("O_plus not inside O_plus_minus")
     if not Omp_iter.contains(Om):
         raise DualityMismatch("O_minus not inside O_minus_plus")
-    c_minus = codim_of_dieudonne(Om, crystal, carrier=minus) \
-        if Om.rank else 0
+    c_minus = codim_of_dieudonne(Om, minus) if Om.rank else 0
     return SignModuleSet(Y=Y, V_plus=Vp, V_minus=Vm, V_plus_minus=Vpm,
                          V_minus_plus=Vmp, O_plus=Op, O_minus=Om,
                          O_plus_minus=Opm_iter,
@@ -211,9 +207,9 @@ def test_report_builds_each_signed_pair_set_once(monkeypatch, name):
     calls = []
     real = isocrystal.signed_block_lattices
 
-    def counted(crystal, slope_data, pairs):
+    def counted(slope_data, pairs):
         calls.append(tuple(pairs))
-        return real(crystal, slope_data, pairs)
+        return real(slope_data, pairs)
     monkeypatch.setattr(isocrystal, "signed_block_lattices", counted)
     report = problems.run(spec(), problems.ANALYSES, 0)
     assert report["analyses"]["decompose"]["module_splits_integrally"] == \
@@ -222,12 +218,10 @@ def test_report_builds_each_signed_pair_set_once(monkeypatch, name):
     assert full in calls
     if name == "four_slope_rank8":
         # the full set and each pair, whose sums give every larger set's
-        # O_minus; and the V_minus of each subset of two or more pairs of
-        # the slices' pair set, which ``slice_monotone`` cuts O_minus by
-        cuts = [Y1.pairs for Y1 in sess.pair_set().subsets()
-                if len(Y1.pairs) > 1]
-        assert len(cuts) == 4
-        assert sorted(calls) == sorted([full] + [(p,) for p in full] + cuts)
+        # O_minus and signed lattices: the V_minus of the 4 subsets of two
+        # or more pairs of the slices' pair set, which ``slice_monotone``
+        # cuts O_minus by, are sums of their pairs' and build no more
+        assert sorted(calls) == sorted([full] + [(p,) for p in full])
 
 
 @pytest.mark.parametrize("what", ["O_minus", "c_minus"])
@@ -356,20 +350,45 @@ def test_slice_monotone_catches_a_wrong_o_minus(monkeypatch):
             assert not signs.slice_monotone(D, Y, Y1), Y1.pairs
 
 
+def test_slices_check_monotonicity_on_six_pairs(monkeypatch):
+    # four_slope_rank8 without its slope_pairs has 6 pairs and 64 subsets:
+    # the slices check the empty set, the 6 pairs, the 6 sets that omit
+    # one pair and the full set, and publish what ``slice_monotone`` finds
+    doc = load_corpus("four_slope_rank8").as_dict()
+    del doc["slope_pairs"]
+    sess = Session(parse_dict(doc))
+    assert len(sess.pair_set().pairs) == 6
+    calls = []
+    real = problems.slice_monotone
+
+    def counted(decomp, Y, Y1):
+        calls.append(Y1.pairs)
+        return real(decomp, Y, Y1)
+    monkeypatch.setattr(problems, "slice_monotone", counted)
+    out = problems.run_slices(sess)
+    assert out["subset_monotonicity"] and out["ok"]
+    assert len(calls) == len(set(calls)) == 14
+    monkeypatch.setattr(problems, "slice_monotone", lambda *args: False)
+    out = problems.run_slices(sess)
+    assert not out["subset_monotonicity"] and not out["ok"]
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_signed_minus_of_a_pair_set_is_the_sum_of_its_pairs(name):
-    # ``slice_monotone`` cuts O_minus(Y) by the V_minus that
-    # ``EndDecomposition.signed`` builds directly for Y1; the sign modules
-    # it read before summed the pairs' V_minus on a module that splits
+    # on a module that splits, ``EndDecomposition.signed`` sums its pairs'
+    # lattices for a set of two or more pairs that is not the full set:
+    # the sum is the direct span, in the same canonical presentation and
+    # processing-order echelon, on both signs
     sess = Session(load_corpus(name))
     D = sess.decomp()
     assert D.slope_data.is_split
     for Y1 in sess.pair_set().subsets():
         if len(Y1.pairs) < 2:
             continue
-        got = D.signed(Y1.pairs)[1]
-        want = lattice_sum(*(D.signed((pair,))[1] for pair in Y1.pairs))
-        assert (got.cols, got.pivots) == (want.cols, want.pivots), Y1.pairs
+        direct = signed_block_lattices(D.slope_data, Y1.pairs)
+        for got, want in zip(D.signed(Y1.pairs), direct):
+            assert (got.cols, got.pivots, got.ech, got.loss) == \
+                (want.cols, want.pivots, want.ech, want.loss), Y1.pairs
 
 
 @pytest.mark.parametrize("name", ["four_slope_rank8", "three_slope_rank4",

@@ -5,10 +5,13 @@ The closures, their stability certificates and the codimension now run on
 the coordinate lattices of a ``core.Carrier`` (the saturated V_plus or
 V_minus of the decomposition, with the conjugation numerators restricted
 to its echelon basis; End(M) itself on a module that does not split
-integrally).  The ``*_reference`` functions below are the former ambient
-bodies, kept verbatim.  Every result must agree with them in ambient
-rank, rank, scale, loss and canonical columns, and every failure in its
-exception type and message.
+integrally), whose sign decides the stability rule.  The ``*_reference``
+functions below are the former ambient bodies, kept verbatim; their mode
+"positive" is the sign "plus" and "negative" the sign "minus".  Every
+result must agree with them in ambient rank, rank, scale, loss and
+canonical columns, and every failure in its exception type and message,
+on the carrier of its sign, on the carrier of the same lattice built with
+the other sign, and on End(M) itself.
 
 Instances: all seven corpus entries at every non-empty pair set, the first
 eight seeded ``conjugated_instance`` draws of ``test_dense_conjugated_
@@ -208,7 +211,7 @@ def non_split_rank6_instance():
 
 
 def decomposition(crystal):
-    return end_decompose(crystal, slope_split(crystal))
+    return end_decompose(slope_split(crystal))
 
 
 @pytest.fixture(scope="module")
@@ -266,7 +269,7 @@ def test_carriers_restrict_the_numerators_exactly(decompositions):
             if pairs is None:
                 assert C.lattice is getattr(D, f"V_{sign}")
             else:
-                single = signed_block_lattices(X, D.slope_data, pairs)
+                single = signed_block_lattices(D.slope_data, pairs)
                 assert C.lattice.cols == single[sign == "minus"].cols
             assert C.vdet == numerators[2]
             for num, restricted in zip(numerators, (C.fwd, C.bwd)):
@@ -291,7 +294,7 @@ def test_non_split_decomposition_uses_the_ambient_carrier():
         # as End(M) too
         S = Lattice.from_columns(X.ctx, D.V_plus.ambient, D.V_plus.cols)
         assert S.loss == 0
-        C = Carrier.of(S, X, sd)
+        C = Carrier.of(S, "plus", sd)
         assert C.lattice is None
         assert (C.fwd, C.bwd, C.vdet) == _conjugation_numerators(X)
 
@@ -312,16 +315,15 @@ def test_carrier_refuses_a_graph_lattice():
     assert not graph.scale and all(e == 0 for _, e in graph.ech_pivots)
     with pytest.raises(InclusionViolated, match="not stable under a "
                                                 "conjugation numerator"):
-        Carrier.of(graph, X, sd)
+        Carrier.of(graph, "plus", sd)
     # the block itself is a carrier
-    assert Carrier.of(first, X, sd).lattice is first
+    assert Carrier.of(first, "plus", sd).lattice is first
 
 
 def test_ambient_carrier_is_the_identity():
     D = Session(load_corpus("three_slope_rank4")).decomp()
-    amb = Carrier.ambient(D.crystal)
+    amb = ambient(D.crystal, "minus")
     fwd, bwd, vdet = _conjugation_numerators(D.crystal)
-    assert amb.lattice is None
     assert (amb.fwd, amb.bwd, amb.vdet) == (fwd, bwd, vdet)
     assert amb.coords(D.V_minus) is D.V_minus
     assert amb.lift(D.V_minus) is D.V_minus
@@ -350,10 +352,10 @@ def test_carrier_rejects_unstable_or_unsaturated_lattices():
     mixed = Lattice.from_columns(ctx, r2, [D.V_minus.cols[0],
                                            D.V_plus.cols[0]])
     with pytest.raises(InclusionViolated):
-        Carrier.of(mixed, D.crystal, sd)
+        Carrier.of(mixed, "minus", sd)
     pV = Lattice.from_columns(ctx, r2, D.V_minus._scaled_cols(1))
     with pytest.raises(InclusionViolated):
-        Carrier.of(pV, D.crystal, sd)
+        Carrier.of(pV, "minus", sd)
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -384,12 +386,26 @@ def test_sign_modules_match_the_ambient_closures(name):
 
 def family(D):
     """The block lattices of the full pair set and their trace duals, each
-    with the carrier whose span holds it and that sign's closure mode."""
+    with the carrier whose span holds it."""
     Vp, Vm = D.V_plus, D.V_minus
     plus, minus = D.carrier("plus"), D.carrier("minus")
-    return [(Vp, plus, "positive"), (Vm, minus, "negative"),
-            (dual_lattice(Vm, Vp), plus, "positive"),
-            (dual_lattice(Vp, Vm), minus, "negative")]
+    return [(Vp, plus), (Vm, minus), (dual_lattice(Vm, Vp), plus),
+            (dual_lattice(Vp, Vm), minus)]
+
+
+# the former bodies' mode of each sign
+MODE = {"plus": "positive", "minus": "negative"}
+OPPOSITE = {"plus": "minus", "minus": "plus"}
+
+
+def ambient(crystal, sign):
+    """End(M) itself as the carrier of ``sign``."""
+    return Carrier(None, *_conjugation_numerators(crystal), sign)
+
+
+def opposite(C):
+    """The carrier of the same lattice built with the other sign."""
+    return Carrier(C.lattice, C.fwd, C.bwd, C.vdet, OPPOSITE[C.sign])
 
 
 def stable_or_none(fn):
@@ -404,29 +420,27 @@ def multi_slope(decompositions):
             if len(D.slope_data.slope_list) > 1]
 
 
-# the opposite sign's mode refines to zero or runs out of precision, over
-# many rounds of r^2 x r^2 products: compared up to this ambient rank only
+# the opposite sign's closures refine to zero or run out of precision,
+# over many rounds of r^2 x r^2 products: compared up to this ambient rank
+# only
 OPPOSITE_MODE_AMBIENT = 16
-OPPOSITE = {"positive": "negative", "negative": "positive"}
 
 
 def test_closures_match_on_every_instance(decompositions):
     for name, D in multi_slope(decompositions):
         X = D.crystal
-        for V, C, mode in family(D):
-            modes = [mode]
+        for V, C in family(D):
+            carriers = [C]
             if V.ambient <= OPPOSITE_MODE_AMBIENT:
-                modes.append(OPPOSITE[mode])
-            for m in modes:
-                same(lambda: largest_sub_dieudonne(V, X, m, carrier=C),
+                carriers.append(opposite(C))
+            # End(M) itself as the carrier
+            carriers.append(ambient(X, C.sign))
+            for K in carriers:
+                m = MODE[K.sign]
+                same(lambda: largest_sub_dieudonne(V, K),
                      lambda: largest_sub_dieudonne_reference(V, X, m))
-                same(lambda: smallest_super_dieudonne(V, X, m, carrier=C),
+                same(lambda: smallest_super_dieudonne(V, K),
                      lambda: smallest_super_dieudonne_reference(V, X, m))
-            # the public entry points without a carrier
-            same(lambda: largest_sub_dieudonne(V, X, mode),
-                 lambda: largest_sub_dieudonne_reference(V, X, mode))
-            same(lambda: smallest_super_dieudonne(V, X, mode),
-                 lambda: smallest_super_dieudonne_reference(V, X, mode))
 
 
 def test_closures_carry_the_loss(decompositions):
@@ -436,13 +450,13 @@ def test_closures_carry_the_loss(decompositions):
         if name not in ("three_slope_rank4", "sigma-twisted"):
             continue
         X = D.crystal
-        for V, C, mode in family(D):
+        for V, C in family(D):
+            mode = MODE[C.sign]
             for loss in (1, 3):
                 W = V.with_loss(loss)
-                same(lambda: largest_sub_dieudonne(W, X, mode, carrier=C),
+                same(lambda: largest_sub_dieudonne(W, C),
                      lambda: largest_sub_dieudonne_reference(W, X, mode))
-                same(lambda: smallest_super_dieudonne(W, X, mode,
-                                                      carrier=C),
+                same(lambda: smallest_super_dieudonne(W, C),
                      lambda: smallest_super_dieudonne_reference(W, X, mode))
 
 
@@ -452,10 +466,9 @@ def test_closures_raise_the_same_failures():
     seen = set()
     for p, rows in SLOPE_GAPS:
         D = decomposition(slope_gap_instance(p, rows))
-        X = D.crystal
-        for V, C, mode in family(D):
+        for V, C in family(D):
             for fn in (largest_sub_dieudonne, smallest_super_dieudonne):
-                got = outcome(lambda: fn(V, X, mode, carrier=C))
+                got = outcome(lambda: fn(V, C))
                 seen.add(got[0])
     assert {"HypothesisViolated", "PrecisionExhausted"} <= seen
 
@@ -471,10 +484,9 @@ def test_codimension_matches_on_every_instance(decompositions):
             stable_or_none(lambda: smallest_super_dieudonne_reference(
                 Vmp, X, "negative"))) if L is not None and L.rank]
         for E in lattices:
-            same(lambda: codim_of_dieudonne(E, X, carrier=minus),
-                 lambda: codim_of_dieudonne_reference(E, X))
-            same(lambda: codim_of_dieudonne(E, X),
-                 lambda: codim_of_dieudonne_reference(E, X))
+            for K in (minus, ambient(X, "minus")):
+                same(lambda: codim_of_dieudonne(E, K),
+                     lambda: codim_of_dieudonne_reference(E, X))
 
 
 def test_closure_bodies_match_in_coordinates(decompositions):
@@ -484,11 +496,11 @@ def test_closure_bodies_match_in_coordinates(decompositions):
     for name, D in multi_slope(decompositions):
         X = D.crystal
         fwd, bwd, vdet = _conjugation_numerators(X)
-        for V, C, mode in family(D):
+        for V, C in family(D):
             pairs = ((C.fwd, fwd), (C.bwd, bwd))
-            own = pairs[0] if mode == "positive" else pairs[1]
+            own = pairs[0] if C.sign == "plus" else pairs[1]
             O = stable_or_none(
-                lambda: largest_sub_dieudonne_reference(V, X, mode))
+                lambda: largest_sub_dieudonne_reference(V, X, MODE[C.sign]))
             for L in [V] + ([O] if O is not None else []):
                 XL = C.coords(L)
                 for shift in (vdet - 1, vdet):

@@ -61,7 +61,7 @@ def test_nu_of_vminus_ordinary():
     ctx = make_context(2, 1, 20)
     X = ordinary_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
+    E = end_decompose(S)
     T = TangentSpace(X)
     dim, _ = nu_image(E.V_minus, T)
     assert dim == 1
@@ -86,8 +86,8 @@ def test_largest_sub_dieudonne_ordinary():
     ctx = make_context(2, 1, 20)
     X = ordinary_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     assert O.equals(E.V_minus)
     assert O.rank == 1
 
@@ -96,9 +96,9 @@ def test_largest_sub_dieudonne_isoclinic_zero():
     ctx = make_context(2, 1, 20)
     X = supersingular_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
+    E = end_decompose(S)
     assert E.V_minus.rank == 0
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     assert O.rank == 0
 
 
@@ -140,9 +140,9 @@ def test_largest_sub_dieudonne_rank6_matches_oracle():
     ctx = make_context(2, 3, 40)
     X = rank6_two_slope(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
+    E = end_decompose(S)
     assert E.V_minus.rank == 9
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     assert O.rank == 9
     cmat = exponent_oracle_rank6()
     gens = []
@@ -158,19 +158,19 @@ def test_monotonicity_and_maximality():
     ctx = make_context(2, 3, 40)
     X = rank6_two_slope(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     # any p-power multiple of O is stable, so it must sit inside O
     pO = Lattice.from_columns(
         ctx, 36, [[x * ctx.p for x in c] for c in O.basis_columns()])
     assert O.contains(pO)
-    assert largest_sub_dieudonne(pO, X, mode="negative").equals(pO)
+    assert largest_sub_dieudonne(pO, E.carrier("minus")).equals(pO)
     # monotone in the ambient bound
     rng = random.Random(31)
     cols = list(O.basis_columns())
     sub = Lattice.from_columns(
         ctx, 36, [c for k, c in enumerate(cols) if k % 2 == 0])
-    O_sub = largest_sub_dieudonne(sub, X, mode="negative")
+    O_sub = largest_sub_dieudonne(sub, E.carrier("minus"))
     assert O.contains(O_sub)
 
 
@@ -183,7 +183,7 @@ def test_axioms_rank6_lambda():
     ctx = make_context(2, 3, 40)
     X = rank6_two_slope(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
+    E = end_decompose(S)
     E0 = lambda_lattice(ctx)
     split = hodge_splitting(
         X, f1_columns_from_indices(ctx, 6, rank6_f1_indices()))
@@ -200,8 +200,8 @@ def test_axioms_rank6_full_E_fails_grading():
     ctx = make_context(2, 3, 40)
     X = rank6_two_slope(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     split = hodge_splitting(
         X, f1_columns_from_indices(ctx, 6, rank6_f1_indices()))
     report = check_axioms(O, E, split)
@@ -213,7 +213,7 @@ def test_axiom_ii_fails_with_middle_slope():
     ctx = make_context(5, 1, 24)
     X = three_slope_rank4(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
+    E = end_decompose(S)
     report = check_axioms(E.V_minus, E)
     assert not report.axiom_ii
     assert "axiom_ii" in report.witnesses
@@ -223,8 +223,8 @@ def test_ordinary_axioms_pass():
     ctx = make_context(2, 1, 20)
     X = ordinary_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     split = hodge_splitting_from_kernel(X)
     report = check_axioms(O, E, split)
     assert report.all_pass()
@@ -234,10 +234,10 @@ def test_codim_identities():
     ctx = make_context(2, 1, 20)
     X = ordinary_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     T = TangentSpace(X)
-    assert codim_of_dieudonne(O, X) == 1
+    assert codim_of_dieudonne(O, E.carrier("minus")) == 1
     assert nu_image(O, T)[0] == 1
 
 
@@ -245,13 +245,13 @@ def test_codim_rank6():
     ctx = make_context(2, 3, 40)
     X = rank6_two_slope(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
+    E = end_decompose(S)
     T = TangentSpace(X)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
-    assert codim_of_dieudonne(O, X) == 3
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
+    assert codim_of_dieudonne(O, E.carrier("minus")) == 3
     assert nu_image(O, T)[0] == 3
     E0 = lambda_lattice(ctx)
-    assert codim_of_dieudonne(E0, X) == 2
+    assert codim_of_dieudonne(E0, E.carrier("minus")) == 2
     assert nu_image(E0, T)[0] == 2
 
 
@@ -259,8 +259,8 @@ def test_lie_element_ordinary():
     ctx = make_context(2, 1, 20)
     X = ordinary_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     t = lie_element(O, S)
     rows = ring(ctx).wrap_mat(t.rows)
     # projection onto the slope-one line
@@ -272,8 +272,8 @@ def test_lie_element_rank6():
     ctx = make_context(2, 3, 40)
     X = rank6_two_slope(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     t = lie_element(O, S)
     rows = ring(ctx).wrap_mat(t.rows)
     # projection onto the second block along the first
@@ -286,8 +286,8 @@ def test_lie_element_validation_rejects_non_projector():
     ctx = make_context(2, 1, 20)
     X = ordinary_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     bad = SemilinearMap(ctx, [[1, 1], [0, 1]])
     with pytest.raises(ValidationFailed):
         lie_element(O, S, user_t=bad)
@@ -347,12 +347,12 @@ def test_smallest_super_dieudonne_fixed_point():
     ctx = make_context(2, 1, 20)
     X = ordinary_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
-    back = smallest_super_dieudonne(O, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
+    back = smallest_super_dieudonne(O, E.carrier("minus"))
     assert back.equals(O)
-    Op = largest_sub_dieudonne(E.V_plus, X, mode="positive")
-    back2 = smallest_super_dieudonne(Op, X, mode="positive")
+    Op = largest_sub_dieudonne(E.V_plus, E.carrier("plus"))
+    back2 = smallest_super_dieudonne(Op, E.carrier("plus"))
     assert back2.equals(Op)
 
 
@@ -365,8 +365,8 @@ def test_slopes_of_o_minus_in_unit_interval():
                     (make_context(5, 1, 24), three_slope_rank4)]:
         X = mk(ctx)
         S = slope_split(X)
-        E = end_decompose(X, S)
-        O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+        E = end_decompose(S)
+        O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
         if O.rank == 0:
             continue
         pphi = end_frobenius(X).scale_p(1)
@@ -397,7 +397,7 @@ def test_induced_tilde_rank6_with_supplied_projector():
     ctx = make_context(2, 3, 40)
     X = rank6_two_slope(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
+    E = end_decompose(S)
     E0 = lambda_lattice(ctx)
     t_rows = [[ctx.one if (i == j and i >= 3) else ctx.zero
                for j in range(6)] for i in range(6)]
@@ -414,8 +414,8 @@ def test_axiom_i_fails_for_proper_sublattice():
     ctx = make_context(2, 1, 20)
     X = ordinary_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     pO = Lattice.from_columns(
         ctx, 4, [[x * ctx.p for x in c] for c in O.basis_columns()])
     report = check_axioms(pO, E)

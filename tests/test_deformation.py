@@ -100,8 +100,8 @@ def ordinary_setup(p, N, dmax):
     ctx = make_context(p, 1, N)
     X = ordinary_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     T = TangentSpace(X)
     B = select_deformation_basis(O, T)
     conn = solve_connection(X, O, B, dmax)
@@ -142,8 +142,8 @@ def test_connection_zero_basis():
     ctx = make_context(2, 1, 20)
     X = ordinary_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     B = DeformationBasis([[ctx.zero] * 4], O)
     conn = solve_connection(X, O, B, 8)
     assert conn.w[(0, 0)].is_zero()
@@ -153,7 +153,7 @@ def test_connection_rejects_non_square_zero():
     ctx = make_context(5, 1, 24)
     X = three_slope_rank4(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
+    E = end_decompose(S)
     T = TangentSpace(X)
     B = select_deformation_basis(E.V_minus, T)
     with pytest.raises(HypothesisViolated):
@@ -211,8 +211,8 @@ def test_kodaira_spencer_rank6():
     ctx = make_context(2, 3, 40)
     X = rank6_two_slope(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     T = TangentSpace(X)
     B = select_deformation_basis(O, T)
     assert B.n == 3
@@ -241,8 +241,8 @@ def test_trivialize_zero_point():
     ctx = make_context(2, 1, 24)
     X = ordinary_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     T = TangentSpace(X)
     B = select_deformation_basis(O, T)
     out = trivialize_at_point(X, O, B, [0])
@@ -255,8 +255,8 @@ def test_trivialize_ordinary_unit_point():
     ctx = make_context(2, 1, 24)
     X = ordinary_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     T = TangentSpace(X)
     B = select_deformation_basis(O, T)
     out = trivialize_at_point(X, O, B, [1])
@@ -269,8 +269,8 @@ def test_trivialize_rank6_random_points():
     ctx = make_context(2, 3, 40)
     X = rank6_two_slope(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     T = TangentSpace(X)
     B = select_deformation_basis(O, T)
     rng = random.Random(71)
@@ -763,8 +763,8 @@ def _seeded_series_vector(ctx, nvars, dmax, r, rng):
 def _rank6_setup(dmax):
     ctx = make_context(2, 3, 40)
     X = rank6_two_slope(ctx)
-    E = end_decompose(X, slope_split(X))
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(slope_split(X))
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     B = select_deformation_basis(O, TangentSpace(X))
     return ctx, X, B, solve_connection(X, O, B, dmax)
 
@@ -817,8 +817,8 @@ def test_nabla_matches_constant_matrix_form():
     ctx = make_context(2, 3, 40)
     X = rank6_two_slope(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     B = select_deformation_basis(O, TangentSpace(X))
     conn = solve_connection(X, O, B, 4)
     rng = random.Random(4200)
@@ -872,8 +872,8 @@ def test_correction_factor_zero_basis_is_identity():
     ctx = make_context(2, 1, 24)
     X = ordinary_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     B = DeformationBasis([[ctx.zero] * 4], O)
     conn = solve_connection(X, O, B, 8)
     out = correction_factor(X, conn, [raw(ctx, 5)])
@@ -938,8 +938,8 @@ def test_connection_basis_independence():
     ctx = make_context(2, 3, 40)
     X = rank6_two_slope(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     T = TangentSpace(X)
     B1 = select_deformation_basis(O, T)
     # recombine: v'_i = v_i + 2 v_{i+1 mod n} spans the same classes
@@ -982,8 +982,8 @@ def test_zero_basis_flat_everything():
     ctx = make_context(2, 1, 20)
     X = ordinary_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(S)
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     B = DeformationBasis([[ctx.zero] * 4], O)
     conn = solve_connection(X, O, B, 8)
     split = hodge_splitting_from_kernel(X)

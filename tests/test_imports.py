@@ -4,7 +4,8 @@ re-exports, only ``witt`` and ``matrix`` name it or build scalars through
 ``ctx.scalar``), only ``witt`` and ``lattices.boosted`` raise a context's
 precision, no module-level function of the library, public or
 private, exists only for the tests, no function of the library has a
-parameter that its body never reads, and every span name that the
+parameter that its body never reads or takes the crystal beside the
+slope data or decomposition that holds it, and every span name that the
 benchmark's tracer (``bench/tracer.py``) reads names a library function,
 method, ``Session`` accessor or analysis runner that its ``install``
 wraps.
@@ -248,30 +249,36 @@ UNREAD_PARAMETERS = {
 }
 
 
+def functions(node, prefix=""):
+    """(qualified name, node) of every function under ``node``, in source
+    order; methods and nested functions are named with their enclosing
+    class or function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)):
+            yield from functions(child, prefix + child.name + ".")
+        else:
+            yield from functions(child, prefix)
+
+
+def parameters(fn):
+    a = fn.args
+    return [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+            + [a.vararg, a.kwarg] if x]
+
+
 def unread_parameters(name, tree):
     """(module, function, parameter) of every parameter but self and cls
     that its function never reads; a nested function that reads it counts
     as a read.  Methods are named with their class."""
     found = []
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                a = child.args
-                params = [x.arg for x in a.posonlyargs + a.args
-                          + a.kwonlyargs + [a.vararg, a.kwarg] if x]
-                read = {n.id for stmt in child.body for n in ast.walk(stmt)
-                        if isinstance(n, ast.Name)
-                        and isinstance(n.ctx, ast.Load)}
-                found.extend((name, prefix + child.name, param)
-                             for param in params
-                             if param not in read | {"self", "cls"})
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
-                                  ast.AsyncFunctionDef)):
-                visit(child, prefix + child.name + ".")
-            else:
-                visit(child, prefix)
-    visit(tree, "")
+    for qual, fn in functions(tree):
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found.extend((name, qual, param) for param in parameters(fn)
+                     if param not in read | {"self", "cls"})
     return found
 
 
@@ -291,6 +298,42 @@ def test_unread_parameter_is_reported():
     assert unread_parameters("m.py", tree) == [
         ("m.py", "f", "b"), ("m.py", "f", "c"), ("m.py", "f", "e"),
         ("m.py", "f.g", "x"), ("m.py", "K.m", "y")]
+
+
+# Library functions that take a ``crystal`` parameter beside a
+# ``slope_data`` or ``decomp`` one, which holds it, each keyed by module
+# and function with its reason.
+CRYSTAL_BESIDE_HOLDER = {}
+
+
+def crystal_beside_holder(name, tree):
+    """(module, function) of every function with a ``crystal`` parameter
+    beside a ``slope_data`` or ``decomp`` parameter, either of which
+    holds the crystal.  Methods are named with their class."""
+    return [(name, qual) for qual, fn in functions(tree)
+            if "crystal" in parameters(fn)
+            and {"slope_data", "decomp"} & set(parameters(fn))]
+
+
+def test_no_crystal_beside_its_holder():
+    found = sorted(
+        key for path in SRC.glob("*.py")
+        for key in crystal_beside_holder(
+            path.name, ast.parse(path.read_text(encoding="utf-8"))))
+    # a listed function that drops the parameter leaves the list too
+    assert found == sorted(CRYSTAL_BESIDE_HOLDER)
+
+
+def test_crystal_beside_its_holder_is_reported():
+    tree = ast.parse("def f(crystal, slope_data): pass\n"
+                     "def g(x, *, decomp=None, crystal=None): pass\n"
+                     "def h(crystal, slope): pass\n"
+                     "class K:\n"
+                     "    def m(self, slope_data, crystal): pass\n"
+                     "def k(slope_data):\n"
+                     "    def inner(crystal): pass\n")
+    assert crystal_beside_holder("m.py", tree) == [
+        ("m.py", "f"), ("m.py", "g"), ("m.py", "K.m")]
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def test_end_decompose_ordinary():
     ctx = make_context(2, 1, 20)
     X = ordinary_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
+    E = end_decompose(S)
     assert E.V_minus.rank == 1
     assert E.V_plus.rank == 1
     # the negative part is the Hom(line_1, line_0) coordinate x_{01}
@@ -230,7 +230,7 @@ def test_end_decompose_isoclinic():
     ctx = make_context(2, 1, 20)
     X = supersingular_rank2(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
+    E = end_decompose(S)
     assert E.V_minus.rank == 0
     assert E.V_plus.rank == 0
 
@@ -239,7 +239,7 @@ def test_end_decompose_rank6():
     ctx = make_context(2, 3, 40)
     X = rank6_two_slope(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
+    E = end_decompose(S)
     assert E.V_minus.rank == 9
     assert E.V_plus.rank == 9
     # V_minus is exactly the Hom(second block, first block) coordinates

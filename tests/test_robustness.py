@@ -25,7 +25,7 @@ def test_dense_conjugated_pipeline():
     for _ in range(8):
         X = conjugated_instance(rng)
         S = slope_split(X)
-        E = end_decompose(X, S)
+        E = end_decompose(S)
         T = TangentSpace(X)
         lat, closed = traverso_dimension(E, T)
         assert lat == closed
@@ -35,7 +35,7 @@ def test_dense_conjugated_pipeline():
         mods = sign_modules(E, SlopePairSet.full(slopes))
         assert E.c_minus() == closed
         O = mods.O_minus
-        assert nu_image(O, T)[0] == codim_of_dieudonne(O, X)
+        assert nu_image(O, T)[0] == codim_of_dieudonne(O, E.carrier("minus"))
         dd = dual_lattice(mods.O_plus_minus, mods.V_minus)
         assert dd.equals(mods.O_minus)
 
@@ -67,7 +67,7 @@ def test_sigma_twisted_conjugation_invariance():
     from dieudonne.isocrystal import newton_slopes
     assert newton_slopes(X0) == newton_slopes(X1)
     S0, S1 = slope_split(X0), slope_split(X1)
-    E0, E1 = end_decompose(X0, S0), end_decompose(X1, S1)
+    E0, E1 = end_decompose(S0), end_decompose(S1)
     t0 = traverso_dimension(E0, TangentSpace(X0))
     t1 = traverso_dimension(E1, TangentSpace(X1))
     assert t0 == t1
@@ -84,6 +84,6 @@ def test_conjugated_per_pair_codims():
         S = slope_split(X)
         if len(S.slopes) < 2:
             continue
-        E = end_decompose(X, S)
+        E = end_decompose(S)
         quasi_factor_codims(E)
         done += 1

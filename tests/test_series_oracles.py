@@ -533,8 +533,8 @@ def reference_form(conn):
 def connection(make, p, n, N, dmax):
     ctx = make_context(p, n, N)
     X = make(ctx)
-    E = end_decompose(X, slope_split(X))
-    O = largest_sub_dieudonne(E.V_minus, X, mode="negative")
+    E = end_decompose(slope_split(X))
+    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
     B = select_deformation_basis(O, TangentSpace(X))
     return X, solve_connection(X, O, B, dmax)
 

@@ -29,7 +29,7 @@ from instances import (four_slope_rank8, hom_block_vector, non_split_rank6,
 def setup_instance(ctx, mk):
     X = mk(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
+    E = end_decompose(S)
     return X, S, E
 
 
@@ -104,7 +104,7 @@ def test_dual_reverses_inclusions():
     X, S, E = setup_instance(ctx, rank6_two_slope)
     Y = SlopePairSet.full(S.slope_list)
     Vp, Vm = E.V_plus, E.V_minus
-    Om = largest_sub_dieudonne(Vm, X, mode="negative")
+    Om = largest_sub_dieudonne(Vm, E.carrier("minus"))
     sub = Lattice.from_columns(
         ctx, 36, [[x * ctx.p for x in c] for c in Om.basis_columns()])
     big = dual_lattice(sub, Vp)
@@ -184,15 +184,15 @@ def test_full_pair_set_reuses_the_decomposition(monkeypatch):
     calls = []
     real = core.largest_sub_dieudonne
 
-    def counted(V, crystal, mode="negative", carrier=None):
-        calls.append((V, mode))
-        return real(V, crystal, mode=mode, carrier=carrier)
+    def counted(V, carrier):
+        calls.append((V, carrier.sign))
+        return real(V, carrier)
     monkeypatch.setattr(core, "largest_sub_dieudonne", counted)
     monkeypatch.setattr(signs, "largest_sub_dieudonne", counted)
     report = run(spec, ["ominus", "traverso"])
     assert report["all_ok"]
-    assert sum(1 for V, mode in calls
-               if mode == "negative" and V.equals(V_minus)) == 1
+    assert sum(1 for V, sign in calls
+               if sign == "minus" and V.equals(V_minus)) == 1
 
 
 def test_pair_codims_closed_form():

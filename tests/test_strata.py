@@ -26,7 +26,7 @@ from instances import (elliptic_gram, elliptic_ordinary, ordinary_rank2,
 def setup(ctx, mk):
     X = mk(ctx)
     S = slope_split(X)
-    E = end_decompose(X, S)
+    E = end_decompose(S)
     T = TangentSpace(X)
     return X, S, E, T
 
@@ -127,7 +127,7 @@ def test_symplectic_supersingular_c2():
     rows = [[0, -p, 0, 0], [1, 0, 0, 0], [0, 0, 0, -p], [0, 0, 1, 0]]
     X = FIsocrystal.from_int_matrix(ctx, rows)
     S = slope_split(X)
-    E = end_decompose(X, S)
+    E = end_decompose(S)
     T = TangentSpace(X)
     gram = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
     split = hodge_splitting(X, [[0, 1, 0, 0], [0, 0, 0, 1]])
