@@ -38,7 +38,12 @@ one integer pass per coordinate (``scale`` by ``one`` is a copy in
 both rings), ``vec_mat`` multiplies by such a row entry as one integer,
 and the ``WittContext`` ops under ``mul``, ``inverse`` and ``frob`` take
 the same exact shortcut: sigma fixes Z_p, and the inverse mod p^N is
-unique, so every result equals the general path's.  ``_EntryRing``
+unique, so every result equals the general path's.  At n > 1 a zero
+entry costs no arithmetic: most End(M) entries are the zero tuple, and
+``scale`` (so ``outer`` and pivot normalisation), ``axpy``, ``rem``,
+``vanishes`` and ``raw_col``, like the ``WittContext`` sums, negation,
+integer multiples and ``divide_p_power``, hand a zero entry back as it
+is and build the tuples they do make from one list pass.  ``_EntryRing``
 makes entries that carry their own arithmetic (``TruncatedSeries``)
 their own raw form, and its ``vec_mat`` skips zero entries, so a
 skipped entry never narrows a series' validity window.
@@ -289,8 +294,9 @@ class _TupleRing(_WittRing):
     def raw_col(self, col):
         # raw tuples are never negative, so only a wider precision's
         # coefficients need reducing
-        ctx, pN = self.ctx, self.pN
-        return [(x if max(x) < pN else tuple(c % pN for c in x))
+        ctx, pN, zero = self.ctx, self.pN, self.zero
+        return [(x if x == zero or max(x) < pN
+                 else tuple([c % pN for c in x]))
                 if type(x) is tuple
                 else x.c if type(x) is WittScalar and x.ctx is ctx
                 else ctx.scalar(x).c for x in col]
@@ -339,32 +345,38 @@ class _TupleRing(_WittRing):
         reduce = self.ctx.reduce_product
         return [zero if acc is None else reduce(acc) for acc in accs]
 
-    @staticmethod
-    def rem(a, m):
-        return tuple(x % m for x in a)
+    def rem(self, a, m):
+        return a if a == self.zero else tuple([x % m for x in a])
 
     def vanishes(self, col, k):
-        pk = self.p ** k
-        return not any(c % pk for x in col for c in x)
+        pk, zero = self.p ** k, self.zero
+        for x in col:
+            if x != zero:
+                for c in x:
+                    if c % pk:
+                        return False
+        return True
 
     def axpy(self, y, q, x):
         zero = self.zero
         if q[1:] == self.tail:
             pN, q0 = self.pN, q[0]
             return [a if b == zero else
-                    tuple((c - q0 * d) % pN for c, d in zip(a, b))
+                    tuple([(c - q0 * d) % pN for c, d in zip(a, b)])
                     for a, b in zip(y, x)]
         mul_, sub_ = self.mul, self.sub
         return [a if b == zero else sub_(a, mul_(q, b)) for a, b in zip(y, x)]
 
     def scale(self, x, u):
+        zero = self.zero
         if u == self.one:
             return list(x)
         if u[1:] == self.tail:
-            mul_int, u0 = self.ctx.mul_int, u[0]
-            return [mul_int(a, u0) for a in x]
+            pN, u0 = self.pN, u[0]
+            return [a if a == zero else tuple([c * u0 % pN for c in a])
+                    for a in x]
         mul_ = self.mul
-        return [mul_(a, u) for a in x]
+        return [a if a == zero else mul_(a, u) for a in x]
 
 
 def ring(ctx):

@@ -65,14 +65,6 @@ class SlopePairSet:
         return not ({a for (a, _) in self.pairs}
                     & {b for (_, b) in self.pairs})
 
-    def subsets(self):
-        out = []
-        m = len(self.pairs)
-        for mask in range(1 << m):
-            sel = [self.pairs[i] for i in range(m) if mask >> i & 1]
-            out.append(SlopePairSet(sel, self.slopes))
-        return out
-
     def __repr__(self):
         return f"SlopePairSet({list(self.pairs)})"
 

@@ -17,7 +17,9 @@ an exact shortcut for such an operand: multiplication by it is one
 integer product per coordinate, its inverse is the integer inverse mod
 p^N (inverses mod p^N are unique), and sigma fixes it.  The shortcut is
 chosen from the operand alone and returns the same tuple as the general
-path.
+path.  ``add``, ``sub``, ``neg``, ``mul_int`` and ``divide_p_power`` hand
+a zero operand, or the other operand, back unchanged, so a zero costs no
+arithmetic.  A Teichmuller lift takes ceil(log2 N) Newton steps.
 """
 
 from __future__ import annotations
@@ -236,16 +238,27 @@ class WittContext:
     # -- raw tuple arithmetic ------------------------------------------------
 
     def add(self, a, b):
+        zero = self._zero
+        if b == zero:
+            return a
+        if a == zero:
+            return b
         pN = self.pN
-        return tuple((x + y) % pN for x, y in zip(a, b))
+        return tuple([(x + y) % pN for x, y in zip(a, b)])
 
     def sub(self, a, b):
+        if b == self._zero:
+            return a
+        if a == self._zero:
+            return self.neg(b)
         pN = self.pN
-        return tuple((x - y) % pN for x, y in zip(a, b))
+        return tuple([(x - y) % pN for x, y in zip(a, b)])
 
     def neg(self, a):
+        if a == self._zero:
+            return a
         pN = self.pN
-        return tuple((-x) % pN for x in a)
+        return tuple([-x % pN for x in a])
 
     def mul(self, a, b):
         """a b; when either factor lies in Z_p, the other is multiplied
@@ -281,8 +294,10 @@ class WittContext:
         return tuple(out)
 
     def mul_int(self, a, m):
+        if a == self._zero:
+            return a
         pN = self.pN
-        return tuple((x * m) % pN for x in a)
+        return tuple([x * m % pN for x in a])
 
     def from_int(self, m):
         out = [0] * self.n
@@ -336,19 +351,16 @@ class WittContext:
         PrecisionExhausted when a is not divisible at the working
         precision.  (The quotient of a general value is canonical only
         modulo p^{N-k}.)"""
-        if k == 0:
+        if k == 0 or a == self._zero:
             return a
         pk = self.p ** k
-        half = self.pN // 2
-        out = []
         for x in a:
             if x % pk:
                 raise PrecisionExhausted(
                     f"scalar not divisible by p^{k} at precision {self.N}")
-            if x > half:
-                x -= self.pN
-            out.append((x // pk) % self.pN)
-        return tuple(out)
+        pN = self.pN
+        half = pN // 2
+        return tuple([(x - pN if x > half else x) // pk % pN for x in a])
 
     # -- Frobenius -----------------------------------------------------------
 
@@ -407,17 +419,23 @@ class WittContext:
 
     def teichmuller(self, c):
         """Multiplicative lift of a residue-field element given as a
-        coefficient tuple mod p; iterates x -> x^(p^n) until stable."""
-        x = tuple(v % self.p for v in c)
+        coefficient tuple mod p: the root of x^q - x (q = p^n) above it,
+        by the Newton step x <- x - (x^q - x) (q - 1)^{-1}.  The derivative
+        of x^q - x is q - 1 at every root of unity of order dividing
+        q - 1, so each round doubles the precision and ceil(log2 N) rounds
+        reach p^N; 0 stays 0."""
+        x = tuple([v % self.p for v in c])
         q = self.p ** self.n
-        for _ in range(self.N + 1):
-            y = self.power(x, q)
-            if y == x:
-                break
-            x = y
+        inv = pow(q - 1, -1, self.pN)
+        prec = 1
+        while prec < self.N:
+            x = self.sub(x, self.mul_int(self.sub(self.power(x, q), x), inv))
+            prec *= 2
         return x
 
     def power(self, a, e):
+        if self.n == 1:
+            return (pow(a[0], e, self.pN),)
         acc = self._one
         base = a
         while e:

@@ -105,9 +105,6 @@ NEVER_RUN = {
     "series.TruncatedSeries.is_zero_through": CAYLEY,
     "series.linear_matrix": CAYLEY,
     "signs.SlopePairSet.__repr__": DISPLAY,
-    "signs.SlopePairSet.subsets": SPEC_FEATURE + "every subset of a pair "
-                                  "set; `slices` checks those of at most one "
-                                  "pair and those that omit at most one",
     "signs.slice_chain": SPEC_FEATURE + "the slices of slope-pair sets",
     "signs.trace_of_vectors": "defines the trace pairing; has a reference "
                               "test",

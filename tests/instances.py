@@ -11,7 +11,8 @@ unimodular integer matrix (a dense Frobenius matrix that still splits
 integrally), ``random_split_instance`` keeps the block form, and
 ``non_split_recipe`` draws U diag(1, ..., 1, p, ..., p) V, which now and
 then does not split (``non_split_draw``).  ``rank8_conj`` is the corpus
-entry ``four_slope_rank8`` written in a dense basis.
+entry ``four_slope_rank8`` written in a dense basis.  ``pair_subsets``
+lists every subset of a slope-pair set.
 """
 
 import json
@@ -24,6 +25,7 @@ import sympy
 from dieudonne.isocrystal import FIsocrystal
 from dieudonne.lattices import SemilinearMap, invert_matrix_exact
 from dieudonne.matrix import ring
+from dieudonne.signs import SlopePairSet
 from dieudonne.witt import make_context
 
 PERM3 = [1, 2, 0]          # 0-based cyclic shift
@@ -119,6 +121,13 @@ def hom_block_vector(ctx, r, i, j):
     vec = [ctx.zero] * (r * r)
     vec[i * r + j] = ctx.one
     return vec
+
+
+def pair_subsets(Y):
+    """Every subset of the slope-pair set Y, 2^m of them for m pairs."""
+    m = len(Y.pairs)
+    return [SlopePairSet([Y.pairs[i] for i in range(m) if mask >> i & 1],
+                         Y.slopes) for mask in range(1 << m)]
 
 
 def sigma_twisted_instance():

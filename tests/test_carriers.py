@@ -42,7 +42,7 @@ from dieudonne.problems import Session
 from dieudonne.signs import SlopePairSet, dual_lattice, sign_modules
 from dieudonne.witt import make_context
 
-from instances import (conjugated_draws, non_split_rank6,
+from instances import (conjugated_draws, non_split_rank6, pair_subsets,
                        sigma_twisted_instance)
 
 CORPUS = ["ordinary_rank2", "supersingular_rank2", "example_1_7",
@@ -365,7 +365,7 @@ def test_sign_modules_match_the_ambient_closures(name):
     sess = Session(load_corpus(name))
     X, D = sess.crystal(), sess.decomp()
     slopes = sess.slope_data().slope_list
-    for Y in SlopePairSet.full(slopes).subsets():
+    for Y in pair_subsets(SlopePairSet.full(slopes)):
         if not Y.pairs:
             continue
         mods = sign_modules(D, Y)
