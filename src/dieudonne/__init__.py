@@ -4,8 +4,7 @@ trace duality, deformation connections, and stratum dimension formulas."""
 
 __version__ = "0.1.0"
 
-from .witt import (WittContext, WittScalar, make_context, frobenius,
-                   teichmuller, valuation)
+from .witt import WittContext, make_context
 from .lattices import (Lattice, SemilinearMap, intersect, lattice_sum,
                        mod_p_dimension, saturate)
 from .isocrystal import (FIsocrystal, dim_codim, end_decompose,
@@ -19,8 +18,7 @@ from .deformation import (DeformationBasis, solve_connection,
 from .strata import traverso_dimension, polarized_dim
 
 __all__ = [
-    "WittContext", "WittScalar", "make_context", "frobenius",
-    "teichmuller", "valuation",
+    "WittContext", "make_context",
     "Lattice", "SemilinearMap", "intersect", "lattice_sum",
     "mod_p_dimension", "saturate",
     "FIsocrystal", "dim_codim", "end_decompose", "newton_slopes",

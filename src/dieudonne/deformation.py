@@ -31,8 +31,9 @@ coordinates it has seen; the memo lives exactly as long as the workspace.
 
 Matrices, lattice columns, deformation vectors, series coefficients,
 evaluation points and the correction factor all hold raw entries of
-``matrix.ring``; the only scalar is the Teichmuller lift of a residue
-point, which crosses ``raw_col`` once per coordinate.
+``matrix.ring``; the Teichmuller lift of a residue point is the raw
+tuple of ``WittContext.teichmuller``, which crosses ``raw_col`` once per
+coordinate.
 
 Series arithmetic pays only for nonzero terms.  No r x r matrix of
 series is built: the twisted Frobenius applies u = 1 + sum_j x_j v_j as
@@ -54,7 +55,6 @@ from .lattices import (Lattice, SemilinearMap, boosted, residue_echelon,
                        residue_spaces_equal, restrict_map)
 from .matrix import ring
 from .series import TruncatedSeries
-from .witt import teichmuller
 
 
 class DeformationBasis:
@@ -562,7 +562,7 @@ def _teichmuller_raw(R, memo, coord):
     key = tuple(c % p for c in key) + (0,) * (n - len(key))
     lift = memo.get(key)
     if lift is None:
-        lift = memo[key] = R.raw_col([teichmuller(R.ctx, key)])[0]
+        lift = memo[key] = R.raw_col([R.ctx.teichmuller(key)])[0]
     return lift
 
 

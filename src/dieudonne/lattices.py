@@ -38,8 +38,7 @@ is written against the ring's column ops ``axpy``, ``scale``,
 and the matrix entry points (``Lattice.from_columns``,
 ``Lattice.contains_vector``, ``SemilinearMap``, ``invert_matrix``,
 ``matrix_kernel``, ``smith_valuations``) also accept ints and
-``WittScalar`` entries, through one ``raw_col`` pass;
-``Lattice.basis_columns()`` is the scalar view.  ``Lattice.solve`` takes
+coefficient lists, through one ``raw_col`` pass.  ``Lattice.solve`` takes
 raw entries of the lattice's own context only.
 
 Semilinear maps are v |-> p^{-denominator} * A * sigma^twist(v).  Rows
@@ -245,11 +244,6 @@ class Lattice:
     def rank(self):
         return len(self.cols)
 
-    def basis_columns(self):
-        """Canonical integral basis columns as ``WittScalar`` lists (the
-        lattice is p^{-scale} times their span)."""
-        return ring(self.ctx).wrap_mat(self.cols)
-
     def with_loss(self, loss):
         if loss == self.loss:
             return self
@@ -330,7 +324,7 @@ class Lattice:
 
     def contains_vector(self, vector, vscale=0):
         """Membership of p^{-vscale} * vector, whose entries may also be
-        ints or ``WittScalar``s (one ``raw_col`` pass)."""
+        ints or coefficient lists (one ``raw_col`` pass)."""
         return self.solve(ring(self.ctx).raw_col(vector),
                           vscale) is not None
 
@@ -583,7 +577,9 @@ class SemilinearMap:
             # a map from rank 0: no columns to combine
             return [R.zero] * self.nrows
         if self.twist:
-            col = [R.frob(v, self.twist) for v in col]
+            # sigma fixes zero, so only the nonzero entries are twisted
+            frob, twist, zero = R.frob, self.twist, R.zero
+            col = [v if v == zero else frob(v, twist) for v in col]
         if self._tcols is None:
             self._tcols = tuple(zip(*self.rows))
         return R.vec_mat(col, self._tcols)

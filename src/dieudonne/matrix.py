@@ -6,11 +6,11 @@ W(F_q) mod p^N once, by ``ctx.n`` alone: a raw coefficient is a Python
 int in [0, p^N) when n = 1, and a power-basis coefficient tuple, combined
 through the raw ops of ``WittContext``, when n > 1.  Lattice columns,
 semilinear-map rows, solve coordinates, inverses, the polynomials of
-``isocrystal`` and the series coefficients all hold that format;
-``WittScalar`` is only the parsing and display boundary (``raw_col`` and
-``wrap_col`` cross it).  ``raw_col`` also re-reduces raw entries of
-another precision, so moving exact data between precision contexts is
-one ``ring(target).raw_mat`` pass.
+``isocrystal`` and the series coefficients all hold that format, and
+it is the only one: ``raw_col`` builds it from ints and coefficient lists
+(through ``WittContext.scalar``) and re-reduces raw entries of another
+precision, so moving exact data between precision contexts is one
+``ring(target).raw_mat`` pass.
 
 The matrix kernels (``_Ring.mul_mat``, ``add_mat``, ``sub_mat``,
 ``identity``, ``nilpotent_inverse``) are written once over each ring's
@@ -61,7 +61,6 @@ from __future__ import annotations
 from operator import add, mul, neg, sub
 
 from .errors import PrecisionExhausted
-from .witt import WittScalar
 
 
 class _Ring:
@@ -69,9 +68,6 @@ class _Ring:
 
     def raw_mat(self, rows):
         return [self.raw_col(row) for row in rows]
-
-    def wrap_mat(self, rows):
-        return [self.wrap_col(row) for row in rows]
 
     def mul_mat(self, a, b):
         vec_mat = self.vec_mat
@@ -182,16 +178,10 @@ class _IntRing(_WittRing):
     one = 1
 
     def raw_col(self, col):
-        """Raw entries from ints, raw entries of any precision (reduced
-        modulo this p^N), this context's scalars or coefficient arrays."""
+        """Raw entries from ints (raw entries of any precision among them,
+        reduced modulo this p^N) or coefficient arrays."""
         ctx, pN = self.ctx, self.pN
-        return [x % pN if type(x) is int
-                else x.c[0] if type(x) is WittScalar and x.ctx is ctx
-                else ctx.scalar(x).c[0] for x in col]
-
-    def wrap_col(self, col):
-        ctx = self.ctx
-        return [WittScalar(ctx, (v,)) for v in col]
+        return [x % pN if type(x) is int else ctx.scalar(x)[0] for x in col]
 
     def of_int(self, m):
         return m % self.pN
@@ -297,13 +287,7 @@ class _TupleRing(_WittRing):
         ctx, pN, zero = self.ctx, self.pN, self.zero
         return [(x if x == zero or max(x) < pN
                  else tuple([c % pN for c in x]))
-                if type(x) is tuple
-                else x.c if type(x) is WittScalar and x.ctx is ctx
-                else ctx.scalar(x).c for x in col]
-
-    def wrap_col(self, col):
-        ctx = self.ctx
-        return [WittScalar(ctx, v) for v in col]
+                if type(x) is tuple else ctx.scalar(x) for x in col]
 
     def dot(self, row, col):
         # the products are summed as unreduced polynomials and reduced
@@ -379,10 +363,15 @@ class _TupleRing(_WittRing):
         return [a if a == zero else mul_(a, u) for a in x]
 
 
+_RINGS = {}
+
+
 def ring(ctx):
     """The raw-coefficient ring of a Witt context, chosen by ctx.n; built
-    once per context object (not per equal context: ``raw_col`` tells its
-    own context's scalars by identity)."""
-    if ctx._ring is None:
-        ctx._ring = _IntRing(ctx) if ctx.n == 1 else _TupleRing(ctx)
-    return ctx._ring
+    once per context object and kept in a table keyed by it, so that no
+    reference cycle runs through a context."""
+    try:
+        return _RINGS[ctx]
+    except KeyError:
+        R = _RINGS[ctx] = _IntRing(ctx) if ctx.n == 1 else _TupleRing(ctx)
+        return R

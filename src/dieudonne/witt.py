@@ -6,8 +6,10 @@ of degree n over F_p (for n = 1 this degenerates to f = x, g = 0, giving
 plain Z/p^N).  The Frobenius automorphism sigma is pinned down once at
 context creation by Hensel-lifting the root of f that reduces to g^p.
 
-Scalars are coefficient tuples in the power basis 1, g, ..., g^{n-1}, each
-coordinate reduced to [0, p^N).  All operations are pure; a context is
+An element is a raw coefficient tuple in the power basis 1, g, ...,
+g^{n-1}, each coordinate reduced to [0, p^N); there is no element class.
+``WittContext.scalar`` builds one from an int or a coefficient list, and
+``format_entry`` displays one.  All operations are pure; a context is
 immutable and safely shareable.
 
 A tuple whose coordinates above g^0 are all zero lies in Z_p, and the
@@ -186,11 +188,10 @@ class WittContext:
         p, n, N:   prime, residue degree, precision exponent.
         f:         defining polynomial, low-first tuple of n+1 ints.
         fbar:      f reduced mod p, the modulus of the residue field.
-        frob_image: sigma(g) as a WittScalar.
     """
 
-    __slots__ = ("p", "n", "N", "pN", "f", "fbar", "frob_image", "_red",
-                 "_frob_mats", "_zero", "_one", "_tail", "_ring")
+    __slots__ = ("p", "n", "N", "pN", "f", "fbar", "_red", "_frob_mats",
+                 "_zero", "_one", "_tail")
 
     def __init__(self, p: int, n: int, N: int):
         if not is_prime(p):
@@ -226,14 +227,10 @@ class WittContext:
         one[0] = 1
         self._one = tuple(one)
         self._frob_mats = None
-        self._ring = None
         if n == 1:
-            self.frob_image = WittScalar(self, self._zero)
             self._frob_mats = (((1,),),)
         else:
-            root = self._lift_frobenius_root()
-            self.frob_image = WittScalar(self, root)
-            self._build_frob_mats(root)
+            self._build_frob_mats(self._lift_frobenius_root())
 
     # -- raw tuple arithmetic ------------------------------------------------
 
@@ -447,18 +444,6 @@ class WittContext:
 
     # -- residue field F_q = F_{p^n} ------------------------------------------
 
-    def residue(self, a):
-        p = self.p
-        return tuple(x % p for x in a)
-
-    def gf_add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def gf_sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
     def gf_mul(self, a, b):
         p = self.p
         n = self.n
@@ -480,9 +465,6 @@ class WittContext:
             e >>= 1
         return acc
 
-    def gf_is_zero(self, a):
-        return all(x % self.p == 0 for x in a)
-
     # -- misc -----------------------------------------------------------------
 
     def with_precision(self, N2: int) -> "WittContext":
@@ -492,96 +474,16 @@ class WittContext:
             return self
         return make_context(self.p, self.n, N2)
 
-    def scalar(self, value) -> "WittScalar":
-        """Build a scalar from an int or a coefficient iterable."""
-        if isinstance(value, WittScalar):
-            if value.ctx is not self:
-                raise ValueError("scalar from a different context")
-            return value
+    def scalar(self, value):
+        """The raw coefficient tuple of an int or of a coefficient
+        iterable (low degree first, at most n entries), reduced mod p^N."""
         if isinstance(value, int):
-            return WittScalar(self, self.from_int(value))
+            return self.from_int(value)
         coeffs = list(value)
         if len(coeffs) > self.n:
             raise ValueError("too many coefficients")
         coeffs += [0] * (self.n - len(coeffs))
-        return WittScalar(self, tuple(c % self.pN for c in coeffs))
-
-    @property
-    def zero(self) -> "WittScalar":
-        return WittScalar(self, self._zero)
-
-    @property
-    def one(self) -> "WittScalar":
-        return WittScalar(self, self._one)
-
-    @property
-    def generator(self) -> "WittScalar":
-        g = [0] * self.n
-        if self.n > 1:
-            g[1] = 1
-        return WittScalar(self, tuple(g))
-
-    def __eq__(self, other):
-        return (isinstance(other, WittContext)
-                and (self.p, self.n, self.N) == (other.p, other.n, other.N))
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.N))
-
-
-class WittScalar:
-    """An element of the truncated Witt ring, always reduced mod p^N."""
-
-    __slots__ = ("ctx", "c")
-
-    def __init__(self, ctx: WittContext, coeffs):
-        self.ctx = ctx
-        self.c = coeffs
-
-    def __add__(self, other):
-        return WittScalar(self.ctx, self.ctx.add(self.c, _raw(self, other)))
-
-    def __sub__(self, other):
-        return WittScalar(self.ctx, self.ctx.sub(self.c, _raw(self, other)))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return WittScalar(self.ctx, self.ctx.mul_int(self.c, other))
-        return WittScalar(self.ctx, self.ctx.mul(self.c, other.c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return WittScalar(self.ctx, self.ctx.neg(self.c))
-
-    def __pow__(self, e):
-        return WittScalar(self.ctx, self.ctx.power(self.c, e))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.c == self.ctx.from_int(other)
-        return isinstance(other, WittScalar) and self.c == other.c
-
-    def inverse(self) -> "WittScalar":
-        return WittScalar(self.ctx, self.ctx.unit_inverse(self.c))
-
-    def valuation(self) -> int:
-        return self.ctx.valuation(self.c)
-
-    def is_zero(self) -> bool:
-        return self.c == self.ctx._zero
-
-    def frobenius(self, e: int = 1) -> "WittScalar":
-        return WittScalar(self.ctx, self.ctx.frobenius(self.c, e))
-
-    def divide_p(self, k: int) -> "WittScalar":
-        return WittScalar(self.ctx, self.ctx.divide_p_power(self.c, k))
-
-    def residue(self):
-        return self.ctx.residue(self.c)
-
-    def __repr__(self):
-        return format_entry(self.c)
+        return tuple([c % self.pN for c in coeffs])
 
 
 def format_entry(x) -> str:
@@ -590,14 +492,6 @@ def format_entry(x) -> str:
     if type(x) is int:
         return f"w({x})"
     return f"w({x[0]})" if len(x) == 1 else f"w{list(x)}"
-
-
-def _raw(s: WittScalar, other):
-    if isinstance(other, WittScalar):
-        return other.c
-    if isinstance(other, int):
-        return s.ctx.from_int(other)
-    raise TypeError(f"cannot coerce {other!r}")
 
 
 _CONTEXT_CACHE: dict = {}
@@ -609,7 +503,8 @@ def make_context(p: int, n: int, N: int) -> WittContext:
     The defining polynomial is the lift of the lexicographically smallest
     monic irreducible degree-n polynomial over F_p, and sigma(g) is produced
     by Hensel lifting, so two calls with equal arguments agree exactly.
-    Contexts are cached (they are immutable).
+    Contexts are cached (they are immutable), so equal arguments give the
+    same object, and contexts are compared by identity.
     """
     key = (p, n, N)
     ctx = _CONTEXT_CACHE.get(key)
@@ -617,22 +512,3 @@ def make_context(p: int, n: int, N: int) -> WittContext:
         ctx = WittContext(p, n, N)
         _CONTEXT_CACHE[key] = ctx
     return ctx
-
-
-def frobenius(a: WittScalar, e: int = 1) -> WittScalar:
-    return a.frobenius(e)
-
-
-def teichmuller(ctx: WittContext, c) -> WittScalar:
-    """Teichmuller lift of a residue-field element (int or coefficient
-    iterable mod p): the unique t with t^(p^n) = t and t = c mod p."""
-    if isinstance(c, int):
-        coeffs = [c % ctx.p] + [0] * (ctx.n - 1)
-    else:
-        coeffs = [v % ctx.p for v in c]
-        coeffs += [0] * (ctx.n - len(coeffs))
-    return WittScalar(ctx, ctx.teichmuller(tuple(coeffs)))
-
-
-def valuation(a: WittScalar) -> int:
-    return a.valuation()

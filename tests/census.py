@@ -2,8 +2,10 @@
 
 A ``sys.settrace`` line census of ``src/dieudonne`` while ``report-all``
 runs on the seven corpus entries (seeds 0 and 3, text and structured
-output) and on ``rank8_conj`` (through a problem file), each through
-``cli.main``.  A function has run when one of its own statements has
+output) and on three problem files: ``three_slope_rank4`` without its
+``hodge_f1``, the same entry with a ``custom`` group whose Lie lattice is
+spanned by the r^2 elementary matrices, and ``rank8_conj``; each run goes
+through ``cli.main``.  A function has run when one of its own statements has
 (those of a nested function count for that function only).  The set of
 functions that never ran must equal ``NEVER_RUN``, each entry with its
 reason: code that the command line does not reach is either reached by a
@@ -40,19 +42,12 @@ from instances import rank8_conj  # noqa: E402
 SPEC_FEATURE = "spec feature, a library call only: "
 CAYLEY = "only under strata.cayley_element (series matrices)"
 DISPLAY = "debugging display"
-SCALAR_VIEW = ("the scalar view of raw entries (Lattice.basis_columns), for "
-               "library callers and tests")
-WITT_BOUNDARY = ("the WittScalar / WittContext surface for library callers "
-                 "and tests: the library computes on raw ring entries and "
-                 "meets scalars only when it parses")
 
 # qualified name -> why report-all on the corpus never runs it
 NEVER_RUN = {
     "cli.corpus_names": "`corpus-list` and the message of an unknown entry",
     "core.HodgeSplitting.mu_numerator": "only under core.sigma_phi",
     "core.TangentSpace.nu_is_zero": "only under core.star_property_holds",
-    "core.hodge_splitting_from_kernel": "a problem without hodge_f1; every "
-                                        "corpus entry has one",
     "core.sigma_phi": SPEC_FEATURE + "the unit-part factorization of the "
                                      "Frobenius",
     "core.star_property_holds": SPEC_FEATURE + "nu(x) != 0 exactly when "
@@ -66,12 +61,7 @@ NEVER_RUN = {
     "deformation.recursion_residual": SPEC_FEATURE + "the connection's "
                                       "independent residual check",
     "isocrystal.FIsocrystal.__repr__": DISPLAY,
-    "isocrystal.mat_to_vec": "only under core.star_property_holds, "
-                             "strata.group_custom and strata.cayley_element",
     "lattices.Lattice.__repr__": DISPLAY,
-    "lattices.Lattice.basis_columns": SCALAR_VIEW,
-    "lattices.Lattice.contains_vector": "only under strata.group_custom and "
-                                        "strata.cayley_element",
     "lattices.Lattice.with_loss": "normalized() of an empty lattice that "
                                   "carries a loss",
     "lattices.SemilinearMap.__repr__": DISPLAY,
@@ -80,11 +70,8 @@ NEVER_RUN = {
     "matrix._EntryRing.__init__": CAYLEY,
     "matrix._EntryRing.is_zero": CAYLEY,
     "matrix._EntryRing.vec_mat": CAYLEY,
-    "matrix._IntRing.wrap_col": SCALAR_VIEW,
     "matrix._Ring.nilpotent_inverse": "only under strata.cayley_element and "
                                       "deformation._backward_orbit",
-    "matrix._Ring.wrap_mat": SCALAR_VIEW,
-    "matrix._TupleRing.wrap_col": SCALAR_VIEW,
     "matrix._WittRing.is_zero": "only under _Ring.nilpotent_inverse on "
                                 "Witt entries",
     "problems.ProblemSpec.__eq__": "spec comparison, for library callers "
@@ -109,32 +96,6 @@ NEVER_RUN = {
     "signs.trace_of_vectors": "defines the trace pairing; has a reference "
                               "test",
     "strata.cayley_element": SPEC_FEATURE + "Cayley elements for p > 2",
-    "strata.group_custom": "`group: custom`, which no corpus entry declares",
-    "witt.WittContext.__eq__": WITT_BOUNDARY,
-    "witt.WittContext.__hash__": WITT_BOUNDARY,
-    "witt.WittContext.generator": WITT_BOUNDARY,
-    "witt.WittContext.gf_add": WITT_BOUNDARY,
-    "witt.WittContext.gf_is_zero": WITT_BOUNDARY,
-    "witt.WittContext.gf_sub": WITT_BOUNDARY,
-    "witt.WittContext.one": WITT_BOUNDARY,
-    "witt.WittContext.residue": WITT_BOUNDARY,
-    "witt.WittContext.zero": WITT_BOUNDARY,
-    "witt.WittScalar.__add__": WITT_BOUNDARY,
-    "witt.WittScalar.__eq__": WITT_BOUNDARY,
-    "witt.WittScalar.__mul__": WITT_BOUNDARY,
-    "witt.WittScalar.__neg__": WITT_BOUNDARY,
-    "witt.WittScalar.__pow__": WITT_BOUNDARY,
-    "witt.WittScalar.__repr__": DISPLAY,
-    "witt.WittScalar.__sub__": WITT_BOUNDARY,
-    "witt.WittScalar.divide_p": WITT_BOUNDARY,
-    "witt.WittScalar.frobenius": WITT_BOUNDARY,
-    "witt.WittScalar.inverse": WITT_BOUNDARY,
-    "witt.WittScalar.is_zero": WITT_BOUNDARY,
-    "witt.WittScalar.residue": WITT_BOUNDARY,
-    "witt.WittScalar.valuation": WITT_BOUNDARY,
-    "witt._raw": "only under WittScalar.__add__ and __sub__",
-    "witt.frobenius": WITT_BOUNDARY,
-    "witt.valuation": WITT_BOUNDARY,
 }
 
 
@@ -190,6 +151,21 @@ def runs():
                        "--format", fmt]
 
 
+def problem_files():
+    """(file name, problem document) of the runs through a problem file;
+    ``rank8_conj`` comes last."""
+    doc = json.loads((SRC / "corpus" / "three_slope_rank4.json")
+                     .read_text(encoding="utf-8"))
+    no_hodge = dict(doc)
+    del no_hodge["hodge_f1"]
+    r = doc["rank"]
+    custom = dict(doc, group={"kind": "custom", "basis": [
+        [[int((a, b) == (i, j)) for b in range(r)] for a in range(r)]
+        for i in range(r) for j in range(r)]})
+    return [("no_hodge_f1", no_hodge), ("custom_group", custom),
+            ("rank8_conj", rank8_conj())]
+
+
 def executed_lines():
     """{file name: executed line numbers} of the library modules, and the
     exit codes of the runs."""
@@ -215,9 +191,10 @@ def executed_lines():
 
     argvs = list(runs())
     with tempfile.TemporaryDirectory() as tmp:
-        conj = Path(tmp) / "rank8_conj.json"
-        conj.write_text(json.dumps(rank8_conj()), encoding="utf-8")
-        argvs.append(["report-all", str(conj)])
+        for name, doc in problem_files():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argvs.append(["report-all", str(path)])
         codes = []
         out = io.TextIOWrapper(io.BytesIO())
         with contextlib.redirect_stdout(out):

@@ -12,7 +12,8 @@ integrally), ``random_split_instance`` keeps the block form, and
 ``non_split_recipe`` draws U diag(1, ..., 1, p, ..., p) V, which now and
 then does not split (``non_split_draw``).  ``rank8_conj`` is the corpus
 entry ``four_slope_rank8`` written in a dense basis.  ``pair_subsets``
-lists every subset of a slope-pair set.
+lists every subset of a slope-pair set, and ``witt_mat_mul`` multiplies
+matrices of ``WittContext`` coefficient tuples by the context's raw ops.
 """
 
 import json
@@ -105,7 +106,7 @@ def symplectic_ordinary_c2(ctx):
 
 def symplectic_gram_c2(ctx):
     g = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
-    return [[ctx.scalar(x) for x in row] for row in g]
+    return ring(ctx).raw_mat(g)
 
 
 def elliptic_ordinary(ctx):
@@ -113,13 +114,14 @@ def elliptic_ordinary(ctx):
 
 
 def elliptic_gram(ctx):
-    return [[ctx.zero, ctx.one], [-ctx.one, ctx.zero]]
+    return ring(ctx).raw_mat([[0, 1], [-1, 0]])
 
 
-def hom_block_vector(ctx, r, i, j):
-    """Flattened elementary endomorphism sending basis vector j to i."""
-    vec = [ctx.zero] * (r * r)
-    vec[i * r + j] = ctx.one
+def hom_block_vector(r, i, j):
+    """Flattened elementary endomorphism sending basis vector j to i, with
+    integer entries."""
+    vec = [0] * (r * r)
+    vec[i * r + j] = 1
     return vec
 
 
@@ -130,25 +132,36 @@ def pair_subsets(Y):
                          Y.slopes) for mask in range(1 << m)]
 
 
+def witt_mat_mul(ctx, a, b):
+    """The product of two matrices of ``WittContext`` coefficient tuples,
+    by the context's raw ops."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = ctx.scalar(0)
+            for x, brow in zip(row, b):
+                acc = ctx.add(acc, ctx.mul(x, brow[j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
 def sigma_twisted_instance():
     """phi' = U A sigma(U)^{-1} over F_4, slopes {0, 1/2, 1/2}: the
     instance of test_sigma_twisted_conjugation_invariance."""
     ctx = make_context(2, 2, 48)
-    g = ctx.generator
-    a_rows = [[ctx.one, ctx.zero, ctx.zero],
-              [ctx.zero, ctx.zero, ctx.scalar(ctx.p)],
-              [ctx.zero, ctx.one, ctx.zero]]
-    u_rows = [[ctx.one, g, ctx.zero],
-              [ctx.zero, ctx.one, g + ctx.one],
-              [ctx.zero, ctx.zero, ctx.one]]
+    zero, one, g = ctx.scalar(0), ctx.scalar(1), ctx.scalar([0, 1])
+    a_rows = [[one, zero, zero],
+              [zero, zero, ctx.scalar(ctx.p)],
+              [zero, one, zero]]
+    u_rows = [[one, g, zero],
+              [zero, one, ctx.add(g, one)],
+              [zero, zero, one]]
     uinv, vdet = invert_matrix_exact(ctx, u_rows)
     assert vdet == 0
-    su_inv = [[x.frobenius(1) for x in row]
-              for row in ring(ctx).wrap_mat(uinv)]
-    prod = [[sum((u_rows[i][k] * a_rows[k][j] for k in range(3)), ctx.zero)
-             for j in range(3)] for i in range(3)]
-    twisted = [[sum((prod[i][k] * su_inv[k][j] for k in range(3)),
-                    ctx.zero) for j in range(3)] for i in range(3)]
+    su_inv = [[ctx.frobenius(x, 1) for x in row] for row in uinv]
+    twisted = witt_mat_mul(ctx, witt_mat_mul(ctx, u_rows, a_rows), su_inv)
     return FIsocrystal(ctx, SemilinearMap(ctx, twisted, twist=1))
 
 

@@ -1,7 +1,5 @@
 """Import hygiene: no module of the library or of its tests imports a name
-it never uses, ``WittScalar`` stays at its boundary (beside the public
-re-exports, only ``witt`` and ``matrix`` name it or build scalars through
-``ctx.scalar``), only ``witt`` and ``lattices.boosted`` raise a context's
+it never uses, only ``witt`` and ``lattices.boosted`` raise a context's
 precision, no module-level function of the library, public or
 private, exists only for the tests, no function of the library has a
 parameter that its body never reads or takes the crystal beside the
@@ -54,11 +52,6 @@ def test_no_unused_imports():
     assert found == {}
 
 
-# the modules that may name WittScalar: its home, the raw-coefficient
-# boundary (``raw_col``/``wrap_col``) and the public re-exports
-SCALAR_MODULES = {"witt.py", "matrix.py", "__init__.py"}
-
-
 def names_used(tree):
     """Every identifier the code uses: names, attributes and imported
     names (docstrings and comments are not code)."""
@@ -71,22 +64,6 @@ def names_used(tree):
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             out.update(alias.asname or alias.name for alias in node.names)
     return out
-
-
-def test_witt_scalar_stays_at_the_boundary():
-    found = sorted(
-        path.name for path in SRC.glob("*.py")
-        if path.name not in SCALAR_MODULES
-        and "WittScalar" in names_used(
-            ast.parse(path.read_text(encoding="utf-8"))))
-    assert found == []
-
-
-def test_scalar_use_is_reported():
-    tree = ast.parse("from .witt import WittScalar as W\n"
-                     "x = witt.WittScalar\n\"\"\"WittScalar\"\"\"\n")
-    assert {"WittScalar", "W"} <= names_used(tree)
-    assert "WittScalar" not in names_used(ast.parse('"""WittScalar"""'))
 
 
 # the modules that may raise a context's precision: its home and
@@ -109,30 +86,6 @@ def test_precision_move_is_reported():
     assert {"with_precision", "wp"} <= names_used(tree)
     assert "with_precision" not in names_used(
         ast.parse('"""ctx.with_precision(40)"""\n# with_precision\n'))
-
-
-# the modules that may build scalars through ``ctx.scalar``
-SCALAR_BUILDERS = {"witt.py", "matrix.py"}
-
-
-def attributes_used(tree):
-    return {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)}
-
-
-def test_scalar_constructor_stays_at_the_boundary():
-    found = sorted(
-        path.name for path in SRC.glob("*.py")
-        if path.name not in SCALAR_BUILDERS
-        and "scalar" in attributes_used(
-            ast.parse(path.read_text(encoding="utf-8"))))
-    assert found == []
-
-
-def test_scalar_constructor_use_is_reported():
-    tree = ast.parse("y = ctx.scalar(3)\nscalar = 1\n\"\"\"ctx.scalar\"\"\"\n")
-    assert attributes_used(tree) == {"scalar"}
-    assert attributes_used(ast.parse("scalar = ctx\n'ctx.scalar'")) == set()
 
 
 def test_unused_import_is_reported():

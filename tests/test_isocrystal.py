@@ -130,9 +130,9 @@ def test_slope_split_ordinary():
     assert S.is_split
     assert [m for (_, m) in S.slopes] == [1, 1]
     c0 = S.components[Fraction(0)]
-    assert c0.rank == 1 and c0.contains_vector([ctx.one, ctx.zero])
+    assert c0.rank == 1 and c0.contains_vector([1, 0])
     c1 = S.components[Fraction(1)]
-    assert c1.rank == 1 and c1.contains_vector([ctx.zero, ctx.one])
+    assert c1.rank == 1 and c1.contains_vector([0, 1])
 
 
 def test_slope_split_isoclinic_is_identity():
@@ -151,8 +151,8 @@ def test_slope_split_rank6():
     lo = S.components[Fraction(1, 3)]
     hi = S.components[Fraction(2, 3)]
     assert lo.rank == 3 and hi.rank == 3
-    e0 = [ctx.one] + [ctx.zero] * 5
-    f0 = [ctx.zero] * 3 + [ctx.one] + [ctx.zero] * 2
+    e0 = [1] + [0] * 5
+    f0 = [0] * 3 + [1] + [0] * 2
     assert lo.contains_vector(e0)
     assert hi.contains_vector(f0)
 
@@ -221,8 +221,8 @@ def test_end_decompose_ordinary():
     assert E.V_minus.rank == 1
     assert E.V_plus.rank == 1
     # the negative part is the Hom(line_1, line_0) coordinate x_{01}
-    vec = [ctx.zero] * 4
-    vec[0 * 2 + 1] = ctx.one
+    vec = [0] * 4
+    vec[0 * 2 + 1] = 1
     assert E.V_minus.contains_vector(vec)
 
 
@@ -245,8 +245,8 @@ def test_end_decompose_rank6():
     # V_minus is exactly the Hom(second block, first block) coordinates
     for i in range(3):
         for j in range(3, 6):
-            vec = [ctx.zero] * 36
-            vec[i * 6 + j] = ctx.one
+            vec = [0] * 36
+            vec[i * 6 + j] = 1
             assert E.V_minus.contains_vector(vec)
 
 

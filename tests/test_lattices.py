@@ -1,7 +1,8 @@
 """Lattice algebra tests, cross-checked against integer-arithmetic oracles
 (sympy normal forms, residue enumeration) that share no code with the
 library implementation, and the raw-coefficient kernels against the
-WittScalar kernels they replaced."""
+scalar kernels they replaced, rewritten on the raw ``WittContext``
+ops."""
 
 import itertools
 import pathlib
@@ -17,7 +18,7 @@ from dieudonne import core
 from dieudonne.cli import load_corpus
 from dieudonne.deformation import solve_connection
 from dieudonne.problems import RUNNERS, Session
-from dieudonne.witt import WittScalar, make_context
+from dieudonne.witt import make_context
 from dieudonne.lattices import (
     Lattice, SemilinearMap, _back_substitute, _reduce_columns, boosted,
     intersect, invert_matrix, lattice_sum, mod_p_dimension, restrict_map,
@@ -34,7 +35,7 @@ def int_lattice(ctx, cols):
 
 def recanonicalize(L):
     """Canonical form of a lattice rebuilt from its own basis."""
-    return Lattice.from_columns(L.ctx, L.ambient, L.basis_columns(),
+    return Lattice.from_columns(L.ctx, L.ambient, L.cols,
                                 scale=L.scale, loss=L.loss)
 
 
@@ -71,6 +72,7 @@ def test_hermite_drops_dependent_column():
     # (2,0) = 2*(1,0): a single pivot column survives
     assert L.rank == 1
     assert L.contains_vector([ctx.scalar(1), ctx.scalar(0)])
+    assert L.contains_vector([1, 0]) and not L.contains_vector([0, 1])
 
 
 def test_hermite_idempotent():
@@ -154,8 +156,7 @@ def test_intersect_self():
 def test_sum_absorbs_p_multiple():
     ctx = make_context(3, 1, 12)
     L = int_lattice(ctx, [[1, 2], [0, 3]])
-    pL = Lattice.from_columns(ctx, 2, [[x * 3 for x in c]
-                                       for c in L.basis_columns()])
+    pL = Lattice.from_columns(ctx, 2, [[x * 3 for x in c] for c in L.cols])
     assert lattice_sum(L, pL).equals(L)
 
 
@@ -178,8 +179,8 @@ def test_intersect_against_enumeration():
         s1 = enumerate_lattice_mod(c1, p, k)
         s2 = enumerate_lattice_mod(c2, p, k)
         want = s1 & s2
-        got_pts = enumerate_lattice_mod(
-            [[x.c[0] for x in col] for col in got.basis_columns()], p, k)
+        got_pts = enumerate_lattice_mod([list(col) for col in got.cols],
+                                        p, k)
         assert got_pts <= want
         # double inclusion: every common residue is hit
         assert len(got_pts) == len(want) or got_pts == want
@@ -276,7 +277,6 @@ def test_invert_singular_matrix_raises():
 def test_apply_compose_consistency():
     ctx = make_context(2, 2, 12)
     rng = random.Random(3)
-    g = ctx.generator
     for _ in range(6):
         rows1 = [[ctx.scalar([rng.randrange(4), rng.randrange(4)])
                   for _ in range(2)] for _ in range(2)]
@@ -294,15 +294,15 @@ def test_invert_matrix_roundtrip():
     ctx = make_context(2, 1, 16)
     rows = [[ctx.scalar(1), ctx.scalar(2)], [ctx.scalar(0), ctx.scalar(4)]]
     inv, vdet = invert_matrix(ctx, rows)
-    inv = ring(ctx).wrap_mat(inv)
+    inv = [[ctx.scalar(x) for x in row] for row in inv]
     assert vdet == 2
     # A * inv = p^vdet * I
     for i in range(2):
         for j in range(2):
-            acc = ctx.zero
+            acc = ctx.scalar(0)
             for k in range(2):
-                acc = acc + rows[i][k] * inv[k][j]
-            want = ctx.scalar(4) if i == j else ctx.zero
+                acc = ctx.add(acc, ctx.mul(rows[i][k], inv[k][j]))
+            want = ctx.scalar(4 if i == j else 0)
             assert acc == want
 
 
@@ -350,7 +350,7 @@ def test_restrict_map():
     assert r.nrows == 2
     sub = int_lattice(ctx, [[1, 0]])
     r2 = restrict_map(phi, sub)
-    assert ring(ctx).wrap_mat(r2.rows)[0][0] == ctx.one
+    assert r2.rows[0][0] == ring(ctx).one
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +459,7 @@ def test_zero_rank_lattice():
 
 def test_scaled_lattices():
     ctx = make_context(2, 1, 12)
-    L = Lattice.from_columns(ctx, 2, [[ctx.one, ctx.zero]], scale=1)
+    L = Lattice.from_columns(ctx, 2, [[1, 0]], scale=1)
     # p^{-1} e1: contains e1 but not vice versa
     E1 = int_lattice(ctx, [[1, 0]])
     assert L.contains(E1)
@@ -474,6 +474,7 @@ def _smith_valuations_reference(ctx, rows, neff=None):
     neff = ctx.N if neff is None else neff
     m = len(rows)
     work = [[ctx.scalar(x) for x in r] for r in rows]
+    mul, sub, val = ctx.mul, ctx.sub, ctx.valuation
     alive_r = list(range(m))
     alive_c = list(range(len(rows[0]) if rows else 0))
     out = []
@@ -481,7 +482,7 @@ def _smith_valuations_reference(ctx, rows, neff=None):
         best = None
         for i in alive_r:
             for j in alive_c:
-                v = work[i][j].valuation()
+                v = val(work[i][j])
                 if v >= neff:
                     continue
                 if best is None or (v, i, j) < best:
@@ -491,25 +492,26 @@ def _smith_valuations_reference(ctx, rows, neff=None):
             return sorted(out)
         e, pi, pj = best
         piv = work[pi][pj]
-        unit_inv = piv.divide_p(e).inverse()
+        unit_inv = ctx.unit_inverse(ctx.divide_p_power(piv, e))
         # clear the pivot column, then the pivot row
         for i in alive_r:
             if i == pi:
                 continue
             x = work[i][pj]
-            if x.is_zero():
+            if ctx.is_zero(x):
                 continue
-            q = x.divide_p(e) * unit_inv
-            work[i] = [work[i][k] - q * work[pi][k] for k in range(len(work[i]))]
+            q = mul(ctx.divide_p_power(x, e), unit_inv)
+            work[i] = [sub(work[i][k], mul(q, work[pi][k]))
+                       for k in range(len(work[i]))]
         for j in alive_c:
             if j == pj:
                 continue
             x = work[pi][j]
-            if x.is_zero():
+            if ctx.is_zero(x):
                 continue
-            q = x.divide_p(e) * unit_inv
+            q = mul(ctx.divide_p_power(x, e), unit_inv)
             for i in alive_r:
-                work[i][j] = work[i][j] - q * work[i][pj]
+                work[i][j] = sub(work[i][j], mul(q, work[i][pj]))
         alive_r.remove(pi)
         alive_c.remove(pj)
         out.append(e)
@@ -584,20 +586,20 @@ def test_invert_matrix_randomized_roundtrip(p, n):
                  for _ in range(r)] for _ in range(r)]
         if t % 2:
             # a p-divisible column forces vdet > 0
-            rows = [[row[0] * p] + row[1:] for row in rows]
+            rows = [[ctx.mul_int(row[0], p)] + row[1:] for row in rows]
         try:
             inv, vdet = invert_matrix(ctx, rows)
         except SingularMap:
             continue
-        inv = ring(ctx).wrap_mat(inv)
+        inv = [[ctx.scalar(x) for x in row] for row in inv]
         positive += vdet > 0
         pv = ctx.scalar(p ** vdet)
         for i in range(r):
             for j in range(r):
-                acc = ctx.zero
+                acc = ctx.scalar(0)
                 for k in range(r):
-                    acc = acc + rows[i][k] * inv[k][j]
-                assert acc == (pv if i == j else ctx.zero)
+                    acc = ctx.add(acc, ctx.mul(rows[i][k], inv[k][j]))
+                assert acc == (pv if i == j else ctx.scalar(0))
     assert positive
 
 
@@ -608,16 +610,17 @@ def test_only_lattices_names_the_echelon_kernel():
     assert users == ["lattices.py"]
 
 
-# The WittScalar kernels that the raw-coefficient ones replaced, kept
-# verbatim as oracles (apply_raw was a SemilinearMap method; identity was
-# the scalar helper of dieudonne.matrix).
+# The scalar kernels that the raw-coefficient ones replaced, kept as
+# oracles on ``WittContext`` coefficient tuples and the context's raw ops
+# (apply_raw was a SemilinearMap method; identity was the scalar helper
+# of dieudonne.matrix).
 
 def identity(r, zero, one):
     return [[one if i == j else zero for j in range(r)] for i in range(r)]
 
 
-def _col_is_zero_reference(col, neff):
-    return all(x.valuation() >= neff for x in col)
+def _col_is_zero_reference(ctx, col, neff):
+    return all(ctx.valuation(x) >= neff for x in col)
 
 
 def _reduce_columns_reference(ctx, cols, neff, track=False, nrows=None):
@@ -634,7 +637,8 @@ def _reduce_columns_reference(ctx, cols, neff, track=False, nrows=None):
     m = len(cols)
     work = [list(c) for c in cols]
     r = nrows if nrows is not None else (len(work[0]) if work else 0)
-    trans = identity(m, ctx.zero, ctx.one) if track else None
+    mul, sub = ctx.mul, ctx.sub
+    trans = identity(m, ctx.scalar(0), ctx.scalar(1)) if track else None
     # trans[j] tracks the combination of original columns giving work[j]
     used_rows = set()
     order = []           # indices into work, processing order
@@ -647,7 +651,7 @@ def _reduce_columns_reference(ctx, cols, neff, track=False, nrows=None):
             for i in range(r):
                 if i in used_rows:
                     continue
-                v = col[i].valuation()
+                v = ctx.valuation(col[i])
                 if v >= neff:
                     continue
                 key = (v, i, j)
@@ -659,23 +663,23 @@ def _reduce_columns_reference(ctx, cols, neff, track=False, nrows=None):
         remaining.remove(pj)
         pcol = work[pj]
         # normalize so the pivot entry is exactly p^e
-        unit = pcol[prow].divide_p(e)
-        uinv = unit.inverse()
-        work[pj] = [x * uinv for x in pcol]
+        unit = ctx.divide_p_power(pcol[prow], e)
+        uinv = ctx.unit_inverse(unit)
+        work[pj] = [mul(x, uinv) for x in pcol]
         if track:
-            trans[pj] = [x * uinv for x in trans[pj]]
+            trans[pj] = [mul(x, uinv) for x in trans[pj]]
         pcol = work[pj]
         for j in remaining:
             col = work[j]
             entry = col[prow]
-            if entry.is_zero():
+            if ctx.is_zero(entry):
                 continue
-            q = entry.divide_p(e)
-            work[j] = [col[i] - q * pcol[i] for i in range(r)]
-            work[j][prow] = ctx.zero
+            q = ctx.divide_p_power(entry, e)
+            work[j] = [sub(col[i], mul(q, pcol[i])) for i in range(r)]
+            work[j][prow] = ctx.scalar(0)
             if track:
                 tj, tp = trans[j], trans[pj]
-                trans[j] = [tj[i] - q * tp[i] for i in range(m)]
+                trans[j] = [sub(tj[i], mul(q, tp[i])) for i in range(m)]
         used_rows.add(prow)
         order.append(pj)
         pivots.append((prow, e))
@@ -685,27 +689,28 @@ def _reduce_columns_reference(ctx, cols, neff, track=False, nrows=None):
     if track:
         kern = []
         for j in remaining:
-            if _col_is_zero_reference(work[j], neff):
+            if _col_is_zero_reference(ctx, work[j], neff):
                 kern.append(trans[j])
     else:
         for j in remaining:
-            if not _col_is_zero_reference(work[j], neff):  # pragma: no cover
+            if not _col_is_zero_reference(ctx, work[j],
+                                          neff):  # pragma: no cover
                 raise AssertionError("unpivoted nonzero column")
     return ech, pivots, tr, kern
 
 
-def _back_substitute_reference(ech, pivots, vec):
+def _back_substitute_reference(ctx, ech, pivots, vec):
     """(coords, residual) with vec = sum_t coords[t] * ech[t] + residual,
     peeled through the echelon in processing order; coords is None when a
     pivot does not divide its entry of the remaining vector."""
     coords = []
     for col, (prow, e) in zip(ech, pivots):
         entry = vec[prow]
-        if entry.valuation() < e:
+        if ctx.valuation(entry) < e:
             return None, vec
-        q = entry.divide_p(e)
+        q = ctx.divide_p_power(entry, e)
         coords.append(q)
-        vec = [x - q * c for x, c in zip(vec, col)]
+        vec = [ctx.sub(x, ctx.mul(q, c)) for x, c in zip(vec, col)]
     return coords, vec
 
 
@@ -713,14 +718,13 @@ def _apply_raw_reference(self, col):
     """Integral part of the action on a column (denominator ignored)."""
     ctx = self.ctx
     if self.twist:
-        col = [WittScalar(ctx, ctx.frobenius(x.c, self.twist))
-               for x in col]
+        col = [ctx.frobenius(x, self.twist) for x in col]
     out = []
     for row in self.rows:
-        acc = ctx.zero
+        acc = ctx.scalar(0)
         for a, x in zip(row, col):
-            if not (a.is_zero() or x.is_zero()):
-                acc = acc + a * x
+            if not (ctx.is_zero(a) or ctx.is_zero(x)):
+                acc = ctx.add(acc, ctx.mul(a, x))
         out.append(acc)
     return out
 
@@ -748,6 +752,18 @@ def _kernel_inputs(ctx, rng):
                                             for _ in range(n - 1)])
                      for i, row in enumerate(rows)] for j in range(ncols)]
             yield cols, nrows
+
+
+def combination(ctx, rng, cols, nrows):
+    """Row by row, the sum of the columns' entries times seeded integers,
+    one drawn per entry."""
+    out = []
+    for i in range(nrows):
+        acc = ctx.scalar(0)
+        for c in cols:
+            acc = ctx.add(acc, ctx.mul_int(c[i], rng.randrange(-9, 10)))
+        out.append(acc)
+    return out
 
 
 @pytest.mark.parametrize("track", [False, True])
@@ -783,13 +799,12 @@ def test_back_substitute_matches_reference(p, n, N):
             ech, pivots, _, _ = _reduce_columns_reference(ctx, cols, neff,
                                                           nrows=nrows)
             # members, p-multiples of non-members, and arbitrary vectors
-            member = [sum((rng.randrange(-9, 10) * c[i] for c in cols),
-                          ctx.zero) for i in range(nrows)]
+            member = combination(ctx, rng, cols, nrows)
             free = [ctx.scalar([rng.randrange(-9, 10) for _ in range(n)])
                     for _ in range(nrows)]
-            for vec in (member, [x * p for x in free], free):
-                want_x, want_rest = _back_substitute_reference(ech, pivots,
-                                                               vec)
+            for vec in (member, [ctx.mul_int(x, p) for x in free], free):
+                want_x, want_rest = _back_substitute_reference(
+                    ctx, ech, pivots, vec)
                 got_x, got_rest = _back_substitute(
                     ctx, R.raw_mat(ech), pivots, R.raw_col(vec))
                 assert got_rest == R.raw_col(want_rest)
@@ -813,13 +828,19 @@ def test_apply_raw_matches_reference(p, n, N):
                 for _ in range(nrows)]
             f = SemilinearMap(ctx, rows, twist=twist)
             # the former body read scalar rows
-            view = SimpleNamespace(ctx=ctx, twist=f.twist,
-                                   rows=R.wrap_mat(f.rows))
-            for _ in range(3):
-                col = [ctx.scalar([rng.randrange(-30, 31) * p ** rng.choice(
-                    (0, 1, N)) for _ in range(n)]) for _ in range(ncols)]
-                assert R.wrap_col(f.apply_raw(R.raw_col(col))) == \
-                    _apply_raw_reference(view, col)
+            view = SimpleNamespace(ctx=ctx, twist=f.twist, rows=[
+                [ctx.scalar(x) for x in row] for row in f.rows])
+            cols = [[ctx.scalar([rng.randrange(-30, 31) * p ** rng.choice(
+                (0, 1, N)) for _ in range(n)]) for _ in range(ncols)]
+                for _ in range(3)]
+            # sigma is applied to nonzero entries only: columns of zeros,
+            # and columns with one nonzero entry among zeros
+            cols.append([ctx.scalar(0)] * ncols)
+            cols.append([ctx.scalar(0)] * (ncols - 1)
+                        + [ctx.scalar(list(range(1, n + 1)))])
+            for col in cols:
+                got = [ctx.scalar(x) for x in f.apply_raw(R.raw_col(col))]
+                assert got == _apply_raw_reference(view, col)
 
 
 # The former membership test of correction_factor, kept as the oracle of
@@ -846,12 +867,14 @@ def test_contains_modulo_matches_reference(p, n, N):
         for scale in (0, -1, 1):
             E = Lattice.from_columns(ctx, nrows, cols, scale=scale)
             pivot_vals.update(min(e, 2) for (_, e) in E.ech_pivots)
-            member = [sum((rng.randrange(-9, 10) * c[i] for c in cols),
-                          ctx.zero) for i in range(nrows)]
+            member = combination(ctx, rng, cols, nrows)
             free = [ctx.scalar([rng.randrange(-9, 10) for _ in range(n)])
                     for _ in range(nrows)]
-            for vec in (member, [x + y * p ** 2 for x, y in zip(member, free)],
-                        [x + y * p for x, y in zip(member, free)], free):
+            for vec in (member,
+                        [ctx.add(x, ctx.mul_int(y, p ** 2))
+                         for x, y in zip(member, free)],
+                        [ctx.add(x, ctx.mul_int(y, p))
+                         for x, y in zip(member, free)], free):
                 for k in (1, 2):
                     got = E.contains_modulo(R.raw_col(vec), k)
                     assert got == _contains_modulo_reference(E, vec, k)

@@ -1,6 +1,6 @@
 """The matrix kernels of the raw-coefficient rings, checked on seeded
-random inputs against the sympy product, a plain triple loop on
-``WittScalar`` entries, and the accumulate-everything series product."""
+random inputs against the sympy product, a plain triple loop of the
+raw ``WittContext`` ops, and the accumulate-everything series product."""
 
 import random
 
@@ -10,6 +10,8 @@ from dieudonne.matrix import _EntryRing, ring
 from dieudonne.series import TruncatedSeries
 from dieudonne.witt import WittContext, make_context
 
+from instances import witt_mat_mul
+
 
 def random_ints(rng, rows, cols, zero_share):
     return [[0 if rng.random() < zero_share else rng.randrange(-50, 50)
@@ -18,11 +20,6 @@ def random_ints(rng, rows, cols, zero_share):
 
 def scalars(ctx, ints):
     return [[ctx.scalar(x) for x in row] for row in ints]
-
-
-def triple_loop(a, b, zero):
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), zero)
-             for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def accumulate_all(a, b):
@@ -51,9 +48,9 @@ def test_mat_mul_matches_sympy_n1():
             b = random_ints(rng, m, c, zero_share)
             want = sympy.Matrix(a) * sympy.Matrix(b)
             R = ring(ctx)
-            got = R.wrap_mat(R.mul_mat(R.raw_mat(scalars(ctx, a)),
-                                       R.raw_mat(scalars(ctx, b))))
-            assert [[x.c[0] for x in row] for row in got] == \
+            got = R.mul_mat(R.raw_mat(scalars(ctx, a)),
+                            R.raw_mat(scalars(ctx, b)))
+            assert got == \
                 [[int(want[i, j]) % ctx.pN for j in range(c)]
                  for i in range(r)]
 
@@ -64,7 +61,7 @@ def test_mat_mul_matches_triple_loop_n3():
 
     def entry(zero_share):
         if rng.random() < zero_share:
-            return ctx.zero
+            return ctx.scalar(0)
         return ctx.scalar([rng.randrange(ctx.pN) for _ in range(3)])
 
     for r, m, c in [(3, 3, 3), (2, 4, 5), (5, 2, 1)]:
@@ -72,8 +69,8 @@ def test_mat_mul_matches_triple_loop_n3():
             a = [[entry(zero_share) for _ in range(m)] for _ in range(r)]
             b = [[entry(zero_share) for _ in range(c)] for _ in range(m)]
             R = ring(ctx)
-            got = R.wrap_mat(R.mul_mat(R.raw_mat(a), R.raw_mat(b)))
-            assert got == triple_loop(a, b, ctx.zero)
+            got = R.mul_mat(R.raw_mat(a), R.raw_mat(b))
+            assert got == witt_mat_mul(ctx, a, b)
 
 
 def random_series_matrix(rng, ctx, r, c, nvars, dmax):
@@ -141,7 +138,7 @@ def test_nilpotent_inverse_scalars():
         # strictly upper triangular, hence N^r = 0
         n_mat = R.raw_mat(
             [[ctx.scalar([rng.randrange(ctx.pN) for _ in range(2)])
-              if j > i else ctx.zero for j in range(r)] for i in range(r)])
+              if j > i else 0 for j in range(r)] for i in range(r)])
         ident = R.identity(r)
         one_plus = R.add_mat(ident, n_mat)
         inv = R.nilpotent_inverse(n_mat, r)
@@ -181,31 +178,29 @@ def test_transport_round_trip():
              for _ in range(4)] for _ in range(3)]
     rows = R.raw_mat(scal)
     lifted = B.raw_mat(rows)
-    assert all(x.ctx is big for row in B.wrap_mat(lifted) for x in row)
-    assert [[x.c for x in row] for row in B.wrap_mat(lifted)] == \
-        [[x.c for x in row] for row in scal]
-    assert R.wrap_mat(R.raw_mat(lifted)) == scal
+    assert lifted == scal
+    assert R.raw_mat(lifted) == scal
     # publishing a boosted value truncates it modulo the target's p^N
     wide = B.raw_mat([[big.scalar(big.pN - 1)]])
-    assert R.wrap_mat(R.raw_mat(wide)) == [[ctx.scalar(ctx.pN - 1)]]
+    assert R.raw_mat(wide) == [[ctx.scalar(ctx.pN - 1)]]
 
 
 def test_ring_is_built_once_per_context_object():
     # cached by identity: an equal context built outside make_context
-    # keeps its own ring, whose raw_col takes only its own scalars
+    # keeps its own ring
     for p, n in [(5, 1), (2, 3)]:
         ctx = make_context(p, n, 12)
         assert ring(ctx) is ring(ctx)
         twin = WittContext(p, n, 12)
-        assert twin == ctx and ring(twin) is not ring(ctx)
+        assert twin is not ctx and ring(twin) is not ring(ctx)
         assert ring(twin).ctx is twin
         assert ring(twin).raw_col([twin.scalar(3)]) == \
             ring(ctx).raw_col([ctx.scalar(3)])
 
 
 def test_frob_mat_is_entrywise_frobenius():
-    # sigma^e on every entry, compared with the scalar Frobenius; the
-    # matrix itself comes back when e = 0
+    # sigma^e on every entry, compared with the context's Frobenius on
+    # coefficient tuples; the matrix itself comes back when e = 0
     rng = random.Random(20)
     for p, n, twists in [(2, 3, range(3)), (5, 1, range(2))]:
         ctx = make_context(p, n, 9)
@@ -214,15 +209,16 @@ def test_frob_mat_is_entrywise_frobenius():
                  for _ in range(4)] for _ in range(3)]
         m = R.raw_mat(scal)
         for e in twists:
-            want = [[x.frobenius(e) for x in row] for row in scal]
-            assert R.wrap_mat(R.frob_mat(m, e)) == want, (p, n, e)
+            want = [[ctx.frobenius(x, e) for x in row] for row in scal]
+            got = [[ctx.scalar(x) for x in row] for row in R.frob_mat(m, e)]
+            assert got == want, (p, n, e)
         assert R.frob_mat(m, 0) is m
 
 
 def test_outer_matches_integer_outer_products():
     # t f^T flattened row-major, against the products of plain integers
     # (negative ones among them) at n = 1 and of their Z_p embeddings at
-    # n = 3, and against the scalar product on entries off Z_p at n = 3
+    # n = 3, and against the context's product on entries off Z_p at n = 3
     rng = random.Random(21)
     for p, n in [(5, 1), (3, 1), (2, 3), (3, 3)]:
         ctx = make_context(p, n, 10)
@@ -236,6 +232,6 @@ def test_outer_matches_integer_outer_products():
             t = [ctx.scalar([rng.randrange(ctx.pN) for _ in range(n)])
                  for _ in range(3)]
             f = [ctx.scalar([rng.randrange(ctx.pN) for _ in range(n)])
-                 for _ in range(2)] + [ctx.zero, ctx.one]
-            got = R.wrap_col(R.outer(R.raw_col(t), R.raw_col(f)))
-            assert got == [a * b for a in t for b in f]
+                 for _ in range(2)] + [ctx.scalar(0), ctx.scalar(1)]
+            got = R.outer(R.raw_col(t), R.raw_col(f))
+            assert got == [ctx.mul(a, b) for a in t for b in f]

@@ -1,15 +1,17 @@
-"""The polynomial layer on raw coefficients, checked against the
-WittScalar bodies it replaced.
+"""The polynomial layer on raw coefficients, checked against the scalar
+bodies it replaced.
 
 ``charpoly``, ``newton_polygon``, ``hensel_split``,
 ``segment_factorization`` and ``_poly_inverse_mod`` now take and return
 raw coefficients of ``matrix.ring(ctx)``, and the residue step of Hensel
 lifting runs on the same polynomial ops with coefficients reduced mod p.
-The ``*_reference`` functions below are the former bodies, kept verbatim
-with the helpers they called, the residue-field toolkit (``_gf_*``,
-``_lift_gf``, ``_gfp``) included; they read WittScalar coefficients and
-residue tuples.  Every result must have equal coefficients, and every
-failure the same exception type and message.
+The ``*_reference`` functions below are the former bodies with the
+helpers they called, the residue-field toolkit (``_gf_*``, ``_lift_gf``,
+``_gfp``) included, rewritten on the raw ``WittContext`` ops: they read
+the context's coefficient tuples, and residue tuples that the plain-integer
+F_p helpers ``_gf_add``, ``_gf_sub`` and ``_gf_is_zero`` combine.  Every
+result must have equal coefficients, and every failure the same exception
+type and message.
 
 Inputs are seeded, at p in {2, 3}, n in {1, 2} and N in {12, 48, 256}:
 matrices of rank at most 6 with p-divisible entries, and monic
@@ -32,7 +34,7 @@ from dieudonne.isocrystal import (_poly_inverse_mod, charpoly, hensel_split,
                                   segment_factorization)
 from dieudonne.lattices import invert_matrix
 from dieudonne.matrix import ring
-from dieudonne.witt import WittScalar, make_context
+from dieudonne.witt import make_context
 
 CONTEXTS = [(p, n, N) for p in (2, 3) for n in (1, 2) for N in (12, 48, 256)]
 
@@ -44,13 +46,13 @@ CONTEXTS = [(p, n, N) for p in (2, 3) for n in (1, 2) for N in (12, 48, 256)]
 def poly_mul_reference(ctx, a, b):
     if not a or not b:
         return []
-    out = [ctx.zero] * (len(a) + len(b) - 1)
+    out = [ctx.scalar(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x.is_zero():
+        if ctx.is_zero(x):
             continue
         for j, y in enumerate(b):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
+            if not ctx.is_zero(y):
+                out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
     return out
 
 
@@ -58,15 +60,15 @@ def poly_divmod_monic_reference(ctx, a, b):
     """Division with remainder by a monic divisor."""
     a = list(a)
     db = len(b) - 1
-    assert b[-1] == ctx.one
-    q = [ctx.zero] * max(0, len(a) - db)
+    assert b[-1] == ctx.scalar(1)
+    q = [ctx.scalar(0)] * max(0, len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
-        if c.is_zero():
+        if ctx.is_zero(c):
             continue
         q[i - db] = c
         for k in range(db + 1):
-            a[i - db + k] = a[i - db + k] - c * b[k]
+            a[i - db + k] = ctx.sub(a[i - db + k], ctx.mul(c, b[k]))
     return q, a[:db]
 
 
@@ -74,31 +76,36 @@ def charpoly_reference(ctx, rows):
     """Characteristic polynomial det(xI - A), monic, low-degree-first,
     by the division-free Berkowitz expansion."""
     r = len(rows)
-    one, zero = ctx.one, ctx.zero
+    one, zero = ctx.scalar(1), ctx.scalar(0)
+    add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
     if r == 0:
         return [one]
-    coeffs = [one, -rows[0][0]]
+    coeffs = [one, ctx.neg(rows[0][0])]
     for k in range(1, r):
         # leading principal (k+1)x(k+1) block
-        t = [one, -rows[k][k]]
+        t = [one, ctx.neg(rows[k][k])]
         col = [rows[i][k] for i in range(k)]
         for j in range(k):
             s = zero
             for i in range(k):
-                if not (rows[k][i].is_zero() or col[i].is_zero()):
-                    s = s + rows[k][i] * col[i]
-            t.append(-s)
+                if not (is_zero(rows[k][i]) or is_zero(col[i])):
+                    s = add(s, mul(rows[k][i], col[i]))
+            t.append(ctx.neg(s))
             if j < k - 1:
-                col = [sum((rows[i][l] * col[l] for l in range(k)
-                            if not (rows[i][l].is_zero()
-                                    or col[l].is_zero())), zero)
-                       for i in range(k)]
+                new_col = []
+                for i in range(k):
+                    acc = zero
+                    for l in range(k):
+                        if not (is_zero(rows[i][l]) or is_zero(col[l])):
+                            acc = add(acc, mul(rows[i][l], col[l]))
+                    new_col.append(acc)
+                col = new_col
         new = [zero] * (k + 2)
         for i in range(k + 2):
             acc = zero
             for j in range(len(coeffs)):
                 if 0 <= i - j < len(t):
-                    acc = acc + t[i - j] * coeffs[j]
+                    acc = add(acc, mul(t[i - j], coeffs[j]))
             new[i] = acc
         coeffs = new
     return list(reversed(coeffs))  # low-first, monic
@@ -117,12 +124,12 @@ def newton_polygon_reference(ctx, coeffs, loss=0):
     finite = []
     zeros = []
     for i, c in enumerate(coeffs):
-        v = c.valuation()
+        v = ctx.valuation(c)
         if v >= neff:
             zeros.append(i)
         else:
             finite.append((i, v))
-    if coeffs[-1].valuation() != 0:
+    if ctx.valuation(coeffs[-1]) != 0:
         raise ValueError("polynomial is not monic")
     assert deg >= 0
 
@@ -146,11 +153,23 @@ def newton_polygon_reference(ctx, coeffs, loss=0):
 
 
 def _gfp(ctx, coeffs):
-    return [ctx.residue(c.c) for c in coeffs]
+    return [tuple(x % ctx.p for x in c) for c in coeffs]
+
+
+def _gf_add(ctx, a, b):
+    return tuple((x + y) % ctx.p for x, y in zip(a, b))
+
+
+def _gf_sub(ctx, a, b):
+    return tuple((x - y) % ctx.p for x, y in zip(a, b))
+
+
+def _gf_is_zero(ctx, a):
+    return all(x % ctx.p == 0 for x in a)
 
 
 def _gf_poly_trim(ctx, a):
-    while a and ctx.gf_is_zero(a[-1]):
+    while a and _gf_is_zero(ctx, a[-1]):
         a = a[:-1]
     return a
 
@@ -161,10 +180,10 @@ def _gf_poly_mul(ctx, a, b):
     zero = tuple([0] * ctx.n)
     out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if ctx.gf_is_zero(x):
+        if _gf_is_zero(ctx, x):
             continue
         for j, y in enumerate(b):
-            out[i + j] = ctx.gf_add(out[i + j], ctx.gf_mul(x, y))
+            out[i + j] = _gf_add(ctx, out[i + j], ctx.gf_mul(x, y))
     return _gf_poly_trim(ctx, out)
 
 
@@ -176,12 +195,12 @@ def _gf_poly_divmod(ctx, a, b):
     q = [tuple([0] * ctx.n)] * max(0, len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
-        if ctx.gf_is_zero(c):
+        if _gf_is_zero(ctx, c):
             continue
         f = ctx.gf_mul(c, inv)
         q[i - db] = f
         for k in range(db + 1):
-            a[i - db + k] = ctx.gf_sub(a[i - db + k], ctx.gf_mul(f, b[k]))
+            a[i - db + k] = _gf_sub(ctx, a[i - db + k], ctx.gf_mul(f, b[k]))
     return q, _gf_poly_trim(ctx, a[:db])
 
 
@@ -212,7 +231,7 @@ def _gf_poly_sub(ctx, a, b):
     for i in range(max(la, lb)):
         x = a[i] if i < la else zero
         y = b[i] if i < lb else zero
-        out.append(ctx.gf_sub(x, y))
+        out.append(_gf_sub(ctx, x, y))
     return _gf_poly_trim(ctx, out)
 
 
@@ -252,7 +271,7 @@ def hensel_split_reference(ctx, F, gbar, hbar):
         b = _poly_reduce(
             ctx, _poly_sub(ctx, _poly_add_pad(ctx, poly_mul_reference(ctx, s, g),
                                               poly_mul_reference(ctx, t, h)),
-                           [ctx.one]), k)
+                           [ctx.scalar(1)]), k)
         sb = poly_mul_reference(ctx, s, b)
         c, d = poly_divmod_monic_reference(ctx, sb, h)
         s = _poly_reduce(ctx, _poly_sub(ctx, s, d), k)
@@ -263,7 +282,7 @@ def hensel_split_reference(ctx, F, gbar, hbar):
         prec = k
     gh = poly_mul_reference(ctx, g, h)
     diff = _poly_sub(ctx, F, gh)
-    if any(not c.is_zero() for c in diff):
+    if any(not ctx.is_zero(c) for c in diff):
         raise PrecisionExhausted("Hensel lifting failed to converge")
     return g, h
 
@@ -272,7 +291,7 @@ def _poly_reduce(ctx, a, k):
     """Truncate every coefficient to its canonical representative mod
     p^k (used by the quadratic Hensel rounds)."""
     pk = ctx.p ** k
-    return [WittScalar(ctx, tuple(c % pk for c in x.c)) for x in a]
+    return [tuple(c % pk for c in x) for x in a]
 
 
 def _trim_monic(ctx, a, length):
@@ -281,8 +300,8 @@ def _trim_monic(ctx, a, length):
     a = list(a)
     while len(a) > length:
         top = a.pop()
-        assert top.is_zero(), "degree escaped during lifting"
-    assert a[-1] == ctx.one
+        assert ctx.is_zero(top), "degree escaped during lifting"
+    assert a[-1] == ctx.scalar(1)
     return a
 
 
@@ -290,10 +309,10 @@ def _poly_zip(ctx, op, a, b):
     """Coefficientwise op (a raw ``WittContext`` op) of two polynomials,
     the shorter one padded with zeros."""
     m = max(len(a), len(b))
-    zero = ctx.zero
+    zero = ctx.scalar(0)
     a = list(a) + [zero] * (m - len(a))
     b = list(b) + [zero] * (m - len(b))
-    return [WittScalar(ctx, op(x.c, y.c)) for x, y in zip(a, b)]
+    return [op(x, y) for x, y in zip(a, b)]
 
 
 def _poly_add_pad(ctx, a, b):
@@ -327,8 +346,8 @@ def segment_factorization_reference(ctx, F):
         F2 = []
         for i, c in enumerate(F):
             shift = (r - i) * lam
-            F2.append(c.divide_p(shift) if shift >= 0
-                      else c * (ctx.p ** (-shift)))
+            F2.append(ctx.divide_p_power(c, shift) if shift >= 0
+                      else ctx.mul_int(c, ctx.p ** (-shift)))
         fbar = _gfp(ctx, F2)
         # unit-root part has degree `length`; the rest reduces to y^(r-len)
         k = r - length
@@ -339,9 +358,10 @@ def segment_factorization_reference(ctx, F):
         gbar = _gf_poly_trim(ctx, gbar)
         G2, H2 = hensel_split_reference(ctx, F2, gbar, hbar)
         # undo the shear on both factors
-        H = [H2[i] * (ctx.p ** ((length - i) * lam))
+        H = [ctx.mul_int(H2[i], ctx.p ** ((length - i) * lam))
              for i in range(len(H2))]
-        G = [G2[i] * (ctx.p ** ((k - i) * lam)) for i in range(len(G2))]
+        G = [ctx.mul_int(G2[i], ctx.p ** ((k - i) * lam))
+             for i in range(len(G2))]
         out.append((Fraction(lam), H))
         F = G
 
@@ -352,17 +372,16 @@ def poly_inverse_mod_reference(ctx, q, fac):
     m = len(fac) - 1
     # multiplication-by-q matrix in the power basis of Z_q[x]/(fac)
     cols = []
-    basis = [ctx.zero] * m
     for j in range(m):
-        xj = [ctx.zero] * j + [ctx.one]
+        xj = [ctx.scalar(0)] * j + [ctx.scalar(1)]
         prod = poly_mul_reference(ctx, q, xj)
         _, red = poly_divmod_monic_reference(ctx, prod, fac)
-        red = red + [ctx.zero] * (m - len(red))
+        red = red + [ctx.scalar(0)] * (m - len(red))
         cols.append(red)
     rows = [[cols[j][i] for j in range(m)] for i in range(m)]
     inv_rows, vden = invert_matrix(ctx, rows)
     # w = inv * e_0 (the constant polynomial 1), scaled by p^{-vden}
-    w = ring(ctx).wrap_col([inv_rows[i][0] for i in range(m)])
+    w = [ctx.scalar(inv_rows[i][0]) for i in range(m)]
     return w, vden
 
 
@@ -401,15 +420,15 @@ def segment_poly(ctx, rng, slope, m):
     """x^m + sum_i c_i p^(slope (m - i)) x^i with c_0 a unit: one Newton
     segment, m roots of valuation ``slope``."""
     out = [rand_scalar(ctx, rng, slope * (m - i)) for i in range(m)]
-    out[0] = rand_scalar(ctx, rng, None) * (ctx.p ** (slope * m))
-    return out + [ctx.one]
+    out[0] = ctx.mul_int(rand_scalar(ctx, rng, None), ctx.p ** (slope * m))
+    return out + [ctx.scalar(1)]
 
 
 def segment_product(ctx, rng):
     """A monic polynomial of degree at most 6 with integral segment
     slopes: a product of segment polynomials of distinct slopes."""
     slopes = rng.sample(range(4), rng.choice((1, 2, 2, 3)))
-    F = [ctx.one]
+    F = [ctx.scalar(1)]
     for v in slopes:
         F = poly_mul_reference(ctx, F, segment_poly(ctx, rng, v,
                                                     rng.randint(1, 2)))
@@ -424,15 +443,16 @@ def residue_poly(ctx, rng, deg):
 
 
 def raw(R, result):
-    """A reference result in raw coefficients (errors pass through)."""
+    """A reference result in raw coefficients (errors pass through): a
+    tuple of ints is a coefficient tuple, any other tuple a structure."""
     if isinstance(result, list):
         return [raw(R, x) for x in result]
     if isinstance(result, tuple) and isinstance(result[0], type):
         return result
+    if isinstance(result, tuple) and all(type(x) is int for x in result):
+        return R.raw_col([result])[0]
     if isinstance(result, tuple):
         return tuple(raw(R, x) for x in result)
-    if isinstance(result, WittScalar):
-        return R.raw_col([result])[0]
     return result
 
 
@@ -474,7 +494,7 @@ def test_segment_factorization_matches_reference(setting):
         # takes it
         for _, fac in want:
             q, rem = poly_divmod_monic_reference(ctx, F, fac)
-            assert all(c.is_zero() for c in rem)
+            assert all(ctx.is_zero(c) for c in rem)
             assert (outcome(_poly_inverse_mod, ctx, R.raw_col(q),
                             R.raw_col(fac))
                     == raw(R, outcome(poly_inverse_mod_reference, ctx, q,
@@ -503,7 +523,7 @@ def test_hensel_split_matches_reference(setting):
             hbar = gbar    # a common factor: not coprime mod p
         # F = G H + p E with deg E < deg G H
         F = poly_mul_reference(ctx, _lift_gf(ctx, gbar), _lift_gf(ctx, hbar))
-        F = [c + (rand_scalar(ctx, rng, 1) if i < len(F) - 1 else 0)
+        F = [ctx.add(c, rand_scalar(ctx, rng, 1)) if i < len(F) - 1 else c
              for i, c in enumerate(F)]
         got = outcome(hensel_split, ctx, R.raw_col(F), R.raw_col(gbar),
                       R.raw_col(hbar))
@@ -525,7 +545,7 @@ def test_hensel_split_reports_a_false_factorization(setting):
     gbar = residue_poly(ctx, rng, 1)
     hbar = residue_poly(ctx, rng, 2)
     F = poly_mul_reference(ctx, _lift_gf(ctx, gbar), _lift_gf(ctx, hbar))
-    F[0] = F[0] + 1
+    F[0] = ctx.add(F[0], ctx.scalar(1))
     got = outcome(hensel_split, ctx, R.raw_col(F), R.raw_col(gbar),
                   R.raw_col(hbar))
     want = raw(R, outcome(hensel_split_reference, ctx, F, gbar, hbar))
@@ -562,7 +582,7 @@ def test_poly_inverse_mod_matches_reference(setting):
     ctx, R, rng = setting
     for _ in range(6):
         fac = [rand_scalar(ctx, rng, rng.choice((0, 1)))
-               for _ in range(rng.randint(1, 4))] + [ctx.one]
+               for _ in range(rng.randint(1, 4))] + [ctx.scalar(1)]
         q = [rand_scalar(ctx, rng, rng.choice((0, 1)))
              for _ in range(rng.randint(1, 5))]
         got = outcome(_poly_inverse_mod, ctx, R.raw_col(q), R.raw_col(fac))

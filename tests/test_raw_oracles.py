@@ -1,9 +1,11 @@
 """The End(M), trace and map-algebra bodies that now run on raw
-coefficients, checked against the WittScalar bodies they replaced.
+coefficients, checked against the scalar bodies they replaced.
 
-The ``*_reference`` functions below are the former bodies, kept verbatim.
-They read scalar rows, so each map reaches them through ``scalar_view``;
-``mat_mul`` is the scalar form of the product they called.
+The ``*_reference`` functions below are the former bodies, rewritten on
+the raw ``WittContext`` ops.  They read rows of the context's coefficient
+tuples, so each map reaches them through ``scalar_view``;
+``instances.witt_mat_mul`` is the scalar form of the product they
+called.
 ``mul_mat_reference`` and ``apply_raw_reference`` are the former raw
 product bodies, one ``dot`` per output entry (``entry_dot_reference`` is
 the former series ``dot``), and check the zero-skipping row combination
@@ -29,24 +31,20 @@ from dieudonne.lattices import (Lattice, SemilinearMap, invert_matrix,
 from dieudonne.matrix import _EntryRing, ring
 from dieudonne.series import TruncatedSeries
 from dieudonne.signs import trace_of_vectors
-from dieudonne.witt import WittScalar, make_context
+from dieudonne.witt import make_context
 
 from instances import (ordinary_rank2, rank6_two_slope, supersingular_rank2,
-                       three_slope_rank4)
+                       three_slope_rank4, witt_mat_mul)
 
 RINGS = [(2, 1, 12), (3, 1, 10), (5, 1, 9), (2, 3, 12), (3, 3, 10)]
 
 
-def mat_mul(a, b, zero):
-    """The scalar product; zero entries contribute nothing."""
-    return [[sum((x * y for x, y in zip(row, col)
-                  if not (x.is_zero() or y.is_zero())), zero)
-             for col in zip(*b)] for row in a]
-
-
 def scalar_view(f):
-    """A map with its rows as WittScalar, the form the former bodies read."""
-    return SimpleNamespace(ctx=f.ctx, rows=ring(f.ctx).wrap_mat(f.rows),
+    """A map with its rows as the context's coefficient tuples, the form
+    the former bodies read."""
+    return SimpleNamespace(ctx=f.ctx,
+                           rows=[[f.ctx.scalar(x) for x in row]
+                                 for row in f.rows],
                            twist=f.twist, denominator=f.denominator,
                            loss=f.loss, nrows=f.nrows)
 
@@ -66,7 +64,7 @@ def sandwich_map_reference(ctx, left_rows, right_rows, twist=0,
             row = []
             for k in range(r):
                 for l in range(r):
-                    row.append(left_rows[i][k] * right_rows[l][j])
+                    row.append(ctx.mul(left_rows[i][k], right_rows[l][j]))
             big.append(row)
     return SemilinearMap(ctx, big, twist=twist, denominator=denominator,
                          loss=loss)
@@ -74,15 +72,15 @@ def sandwich_map_reference(ctx, left_rows, right_rows, twist=0,
 
 def trace_of_vectors_reference(ctx, r, xvec, yvec):
     """Trace of the product of two flattened endomorphisms."""
-    acc = ctx.zero
+    acc = ctx.scalar(0)
     for i in range(r):
         for j in range(r):
             a = xvec[i * r + j]
-            if a.is_zero():
+            if ctx.is_zero(a):
                 continue
             b = yvec[j * r + i]
-            if not b.is_zero():
-                acc = acc + a * b
+            if not ctx.is_zero(b):
+                acc = ctx.add(acc, ctx.mul(a, b))
     return acc
 
 
@@ -96,9 +94,9 @@ def projector_fixed_lattice_reference(ctx, proj):
     for i in range(r):
         row = []
         for j in range(r):
-            x = -proj.rows[i][j]
+            x = ctx.neg(proj.rows[i][j])
             if i == j:
-                x = x + pk
+                x = ctx.add(x, pk)
             row.append(x)
         rows.append(row)
     neff = ctx.N - proj.loss
@@ -119,7 +117,7 @@ def maps_equal_reference(f, g):
     b = ctx.p ** (d - g.denominator)
     for r1, r2 in zip(f.rows, g.rows):
         for x, y in zip(r1, r2):
-            if any((u * a - w * b) % pm for u, w in zip(x.c, y.c)):
+            if any((u * a - w * b) % pm for u, w in zip(x, y)):
                 return False
     return True
 
@@ -127,7 +125,7 @@ def maps_equal_reference(f, g):
 def map_is_zero_reference(f):
     ctx = f.ctx
     neff = ctx.N - min(f.loss + max(f.denominator, 0), ctx.N - 1)
-    return all(all(x.valuation() >= neff for x in r) for r in f.rows)
+    return all(all(ctx.valuation(x) >= neff for x in r) for r in f.rows)
 
 
 def compose_reference(self, other):
@@ -135,9 +133,9 @@ def compose_reference(self, other):
     ctx = self.ctx
     e = self.twist
     orows = other.rows
-    twisted = [[WittScalar(ctx, ctx.frobenius(x.c, e)) for x in r]
+    twisted = [[ctx.frobenius(x, e) for x in r]
                for r in orows] if e else orows
-    rows = mat_mul(self.rows, twisted, ctx.zero)
+    rows = witt_mat_mul(ctx, self.rows, twisted)
     return SemilinearMap(ctx, rows, self.twist + other.twist,
                          self.denominator + other.denominator,
                          loss=max(self.loss, other.loss))
@@ -281,8 +279,8 @@ def test_trace_of_vectors_matches_reference(p, n, N):
             x = [entry(ctx, rng) for _ in range(r * r)]
             y = [entry(ctx, rng) for _ in range(r * r)]
             got = trace_of_vectors(ctx, r, R.raw_col(x), R.raw_col(y))
-            assert R.wrap_col([got]) == \
-                [trace_of_vectors_reference(ctx, r, x, y)]
+            assert ctx.scalar(got) == \
+                trace_of_vectors_reference(ctx, r, x, y)
 
 
 def projector_inputs(ctx, rng):
@@ -329,11 +327,12 @@ def test_maps_equal_matches_reference(p, n, N):
             f = random_map(ctx, rng, r)
             k = rng.randrange(1, 3)
             # the same map with a p^k-multiplied matrix and denominator
-            lifted = SemilinearMap(ctx, [[x * p ** k for x in row]
+            lifted = SemilinearMap(ctx, [[ctx.mul_int(x, p ** k) for x in row]
                                          for row in scalar_view(f).rows],
                                    f.twist, f.denominator + k, f.loss)
             # perturbed at the trusted precision, or low down
-            near = SemilinearMap(ctx, [[x + p ** (N - f.loss - 1) for x in row]
+            low = ctx.scalar(p ** (N - f.loss - 1))
+            near = SemilinearMap(ctx, [[ctx.add(x, low) for x in row]
                                        for row in scalar_view(f).rows],
                                  f.twist, f.denominator, f.loss)
             far = random_map(ctx, rng, r)

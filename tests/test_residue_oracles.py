@@ -5,7 +5,9 @@
 loop of ``lattices`` at effective precision 1 on raw entries.  Below,
 verbatim apart from the ``_reference`` suffix, is the hand-written
 Gauss-Jordan over F_q they replace: it works on residue tuples (a length-n
-tuple of ints mod p per entry).  Every result must be equal after mapping
+tuple of ints mod p per entry), summed and tested by its own plain-integer
+helpers and multiplied and inverted by ``WittContext.gf_mul`` and
+``gf_inv``.  Every result must be equal after mapping
 the reference's tuples to raw entries in [0, p).
 
 Inputs are seeded: p in {2, 3, 5} with n = 1 and p in {2, 3} with n = 3,
@@ -47,8 +49,24 @@ def gf_zero_reference(ctx):
     return tuple([0] * ctx.n)
 
 
+def residue_reference(ctx, a):
+    return tuple(x % ctx.p for x in a)
+
+
+def gf_add_reference(ctx, a, b):
+    return tuple((x + y) % ctx.p for x, y in zip(a, b))
+
+
+def gf_sub_reference(ctx, a, b):
+    return tuple((x - y) % ctx.p for x, y in zip(a, b))
+
+
+def gf_is_zero_reference(ctx, a):
+    return all(x % ctx.p == 0 for x in a)
+
+
 def gf_vec_sub_reference(ctx, a, b):
-    return [ctx.gf_sub(x, y) for x, y in zip(a, b)]
+    return [gf_sub_reference(ctx, x, y) for x, y in zip(a, b)]
 
 
 def gf_vec_scale_reference(ctx, c, a):
@@ -64,12 +82,12 @@ def gf_echelon_reference(ctx, vectors):
     for row in rows:
         row = list(row)
         for erow, pc in zip(ech, pivots):
-            if not ctx.gf_is_zero(row[pc]):
+            if not gf_is_zero_reference(ctx, row[pc]):
                 row = gf_vec_sub_reference(
                     ctx, row, gf_vec_scale_reference(ctx, row[pc], erow))
         lead = None
         for j in range(m):
-            if not ctx.gf_is_zero(row[j]):
+            if not gf_is_zero_reference(ctx, row[j]):
                 lead = j
                 break
         if lead is None:
@@ -78,7 +96,7 @@ def gf_echelon_reference(ctx, vectors):
         row = gf_vec_scale_reference(ctx, inv, row)
         # back-substitute into earlier rows
         for idx in range(len(ech)):
-            if not ctx.gf_is_zero(ech[idx][lead]):
+            if not gf_is_zero_reference(ctx, ech[idx][lead]):
                 ech[idx] = gf_vec_sub_reference(
                     ctx, ech[idx],
                     gf_vec_scale_reference(ctx, ech[idx][lead], row))
@@ -92,7 +110,7 @@ def gf_reduce_reference(ctx, ech, pivots, vector):
     """Residual of a vector modulo the row space of an echelon basis."""
     row = list(vector)
     for erow, pc in zip(ech, pivots):
-        if not ctx.gf_is_zero(row[pc]):
+        if not gf_is_zero_reference(ctx, row[pc]):
             row = gf_vec_sub_reference(
                 ctx, row, gf_vec_scale_reference(ctx, row[pc], erow))
     return row
@@ -116,7 +134,7 @@ def gf_kernel_reference(ctx, rows):
         v = [gf_zero_reference(ctx)] * nc
         v[f] = one
         for erow, pc in zip(ech, pivots):
-            v[pc] = ctx.gf_sub(gf_zero_reference(ctx), erow[f])
+            v[pc] = gf_sub_reference(ctx, gf_zero_reference(ctx), erow[f])
         basis.append(v)
     return basis
 
@@ -130,7 +148,7 @@ def gf_intersection_reference(ctx, basis1, basis2):
     rows = []
     for i in range(m):
         row = [basis1[j][i] for j in range(len(basis1))]
-        row += [ctx.gf_sub(gf_zero_reference(ctx), basis2[j][i])
+        row += [gf_sub_reference(ctx, gf_zero_reference(ctx), basis2[j][i])
                 for j in range(len(basis2))]
         rows.append(row)
     out = []
@@ -138,10 +156,11 @@ def gf_intersection_reference(ctx, basis1, basis2):
         vec = [gf_zero_reference(ctx)] * m
         for j in range(len(basis1)):
             c = rel[j]
-            if not ctx.gf_is_zero(c):
-                vec = [ctx.gf_add(vec[i], ctx.gf_mul(c, basis1[j][i]))
+            if not gf_is_zero_reference(ctx, c):
+                vec = [gf_add_reference(ctx, vec[i],
+                                        ctx.gf_mul(c, basis1[j][i]))
                        for i in range(m)]
-        if any(not ctx.gf_is_zero(x) for x in vec):
+        if any(not gf_is_zero_reference(ctx, x) for x in vec):
             out.append(vec)
     ech, piv = gf_echelon_reference(ctx, out)
     return ech
@@ -330,7 +349,7 @@ def test_spaces_equal_matches_reference():
 
 
 def _residue(ctx, x):
-    return ctx.residue(x if ctx.n > 1 else (x,))
+    return residue_reference(ctx, x if ctx.n > 1 else (x,))
 
 
 def tangent_reference(crystal):
@@ -343,7 +362,7 @@ def tangent_reference(crystal):
     arows = [[_residue(ctx, x) for x in row] for row in crystal.phi.rows]
     ker = gf_kernel_reference(ctx, arows)
     inv_twist = (-crystal.phi.twist) % ctx.n
-    fbar1 = [[ctx.residue(ctx.frobenius(c, inv_twist)) for c in v]
+    fbar1 = [[residue_reference(ctx, ctx.frobenius(c, inv_twist)) for c in v]
              for v in ker]
     if fbar1:
         ech, pivots = gf_echelon_reference(ctx, fbar1)

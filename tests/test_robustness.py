@@ -10,14 +10,13 @@ and is conjugation-invariant.
 
 import random
 
-from dieudonne.matrix import ring
 from dieudonne.witt import make_context
 from dieudonne.isocrystal import FIsocrystal, end_decompose, slope_split
 from dieudonne.core import TangentSpace, codim_of_dieudonne, nu_image
 from dieudonne.signs import SlopePairSet, dual_lattice, sign_modules
 from dieudonne.strata import traverso_dimension
 
-from instances import conjugated_instance
+from instances import conjugated_instance, witt_mat_mul
 
 
 def test_dense_conjugated_pipeline():
@@ -46,22 +45,18 @@ def test_sigma_twisted_conjugation_invariance():
     # invariant, and the sigma-twist exercises every semilinear path
     from dieudonne.lattices import SemilinearMap, invert_matrix_exact
     ctx = make_context(2, 2, 48)
-    g = ctx.generator
+    zero, one, g = ctx.scalar(0), ctx.scalar(1), ctx.scalar([0, 1])
     p = ctx.p
-    a_rows = [[ctx.one, ctx.zero, ctx.zero],
-              [ctx.zero, ctx.zero, ctx.scalar(p)],
-              [ctx.zero, ctx.one, ctx.zero]]  # slopes {0, 1/2, 1/2}
-    u_rows = [[ctx.one, g, ctx.zero],
-              [ctx.zero, ctx.one, g + ctx.one],
-              [ctx.zero, ctx.zero, ctx.one]]
+    a_rows = [[one, zero, zero],
+              [zero, zero, ctx.scalar(p)],
+              [zero, one, zero]]  # slopes {0, 1/2, 1/2}
+    u_rows = [[one, g, zero],
+              [zero, one, ctx.add(g, one)],
+              [zero, zero, one]]
     uinv, vdet = invert_matrix_exact(ctx, u_rows)
-    uinv = ring(ctx).wrap_mat(uinv)
     assert vdet == 0
-    su_inv = [[x.frobenius(1) for x in row] for row in uinv]
-    prod = [[sum((u_rows[i][k] * a_rows[k][j] for k in range(3)), ctx.zero)
-             for j in range(3)] for i in range(3)]
-    twisted = [[sum((prod[i][k] * su_inv[k][j] for k in range(3)), ctx.zero)
-                for j in range(3)] for i in range(3)]
+    su_inv = [[ctx.frobenius(x, 1) for x in row] for row in uinv]
+    twisted = witt_mat_mul(ctx, witt_mat_mul(ctx, u_rows, a_rows), su_inv)
     X0 = FIsocrystal(ctx, SemilinearMap(ctx, a_rows, twist=1))
     X1 = FIsocrystal(ctx, SemilinearMap(ctx, twisted, twist=1))
     from dieudonne.isocrystal import newton_slopes

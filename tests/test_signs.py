@@ -37,11 +37,8 @@ def test_trace_of_identity():
     ctx = make_context(2, 1, 20)
     r = 2
     R = ring(ctx)
-    ident = [ctx.zero] * 4
-    ident[0], ident[3] = ctx.one, ctx.one
-    ident = R.raw_col(ident)
-    assert R.wrap_col([trace_of_vectors(ctx, r, ident, ident)]) == \
-        [ctx.scalar(2)]
+    ident = R.raw_col([1, 0, 0, 1])
+    assert trace_of_vectors(ctx, r, ident, ident) == R.of_int(2)
 
 
 def test_trace_block_orthogonality():
@@ -49,11 +46,11 @@ def test_trace_block_orthogonality():
     ctx = make_context(2, 1, 20)
     X, S, E = setup_instance(ctx, ordinary_rank2)
     R = ring(ctx)
-    x = R.raw_col(hom_block_vector(ctx, 2, 0, 1))   # slope1 -> slope0 block
-    y = R.raw_col(hom_block_vector(ctx, 2, 0, 1))
-    assert R.wrap_col([trace_of_vectors(ctx, 2, x, y)])[0].is_zero()
-    yop = R.raw_col(hom_block_vector(ctx, 2, 1, 0))
-    assert R.wrap_col([trace_of_vectors(ctx, 2, x, yop)]) == [ctx.one]
+    x = R.raw_col(hom_block_vector(2, 0, 1))   # slope1 -> slope0 block
+    y = R.raw_col(hom_block_vector(2, 0, 1))
+    assert trace_of_vectors(ctx, 2, x, y) == R.zero
+    yop = R.raw_col(hom_block_vector(2, 1, 0))
+    assert trace_of_vectors(ctx, 2, x, yop) == R.one
 
 
 def test_trace_frobenius_invariance_random():
@@ -106,7 +103,7 @@ def test_dual_reverses_inclusions():
     Vp, Vm = E.V_plus, E.V_minus
     Om = largest_sub_dieudonne(Vm, E.carrier("minus"))
     sub = Lattice.from_columns(
-        ctx, 36, [[x * ctx.p for x in c] for c in Om.basis_columns()])
+        ctx, 36, [[ctx.mul_int(x, ctx.p) for x in c] for c in Om.cols])
     big = dual_lattice(sub, Vp)
     small = dual_lattice(Om, Vp)
     assert big.contains(small)

@@ -1,8 +1,11 @@
 """Stratum dimension tests: the constant-locus formula, group strata,
 the symplectic closed form, and Cayley elements."""
 
+import json
+
 import pytest
 
+from dieudonne.cli import corpus_names, load_corpus, main
 from dieudonne.matrix import ring
 from dieudonne.witt import make_context
 from dieudonne.isocrystal import slope_split, end_decompose, dim_codim
@@ -192,8 +195,8 @@ def test_cayley_elliptic_p3():
     w = out["matrix"]
     R = ring(ctx)
     # 1 - 2 v x since v^2 = 0
-    assert R.wrap_col([w[0][0].constant_term()]) == [ctx.one]
-    assert R.wrap_col([w[0][1].coefficient((1,))]) == [ctx.scalar(-2)]
+    assert w[0][0].constant_term() == R.one
+    assert w[0][1].coefficient((1,)) == R.of_int(-2)
     assert out["coefficients_in_O_minus"]
     assert out["symplectic_window"] >= 1
 
@@ -204,9 +207,7 @@ def test_cayley_rejects_p2():
     gram = elliptic_gram(ctx)
     gd = GroupDataStub = None
     from dieudonne.strata import GroupData
-    gd = GroupData("symplectic", X,
-                   None, gram=[[ctx.scalar(x) for x in r] for r in
-                               [[0, 1], [-1, 0]]])
+    gd = GroupData("symplectic", X, None, gram=gram)
     with pytest.raises(WrongCharacteristic):
         cayley_element(gd, E, [[0, 1, 0, 0]], dmax=4)
 
@@ -244,7 +245,38 @@ def test_cayley_zero_vector_is_identity():
         for j in range(2):
             s = w[i][j]
             if i == j:
-                assert ring(ctx).wrap_col([s.constant_term()]) == [ctx.one]
+                assert s.constant_term() == ring(ctx).one
                 assert s.is_zero_through(s.valid) or len(s.coeffs) == 1
             else:
                 assert s.is_zero()
+
+
+def run_strata(spec, path, capsysbinary):
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code = main(["strata", str(path), "--format", "structured"])
+    out, err = capsysbinary.readouterr()
+    assert (code, err) == (0, b"")
+    return json.loads(out)["analyses"]["strata"]
+
+
+# the corpus entries whose group is GL
+GL_ENTRIES = [name for name in corpus_names()
+              if (load_corpus(name).group or {}).get("kind") != "symplectic"]
+
+
+@pytest.mark.parametrize("name", GL_ENTRIES)
+def test_custom_group_of_all_endomorphisms_is_gl(name, tmp_path,
+                                                 capsysbinary):
+    # a problem file whose custom Lie lattice is spanned by the r^2
+    # elementary matrices, i.e. all of End(M): its strata are GL's
+    assert main(["emit-spec", "--corpus", name]) == 0
+    spec = json.loads(capsysbinary.readouterr().out)
+    r = spec["rank"]
+    spec["group"] = {"kind": "full-gl"}
+    full = run_strata(spec, tmp_path / "full.json", capsysbinary)
+    spec["group"] = {"kind": "custom", "basis": [
+        [[int((a, b) == (i, j)) for b in range(r)] for a in range(r)]
+        for i in range(r) for j in range(r)]}
+    custom = run_strata(spec, tmp_path / "custom.json", capsysbinary)
+    assert (full.pop("kind"), custom.pop("kind")) == ("full-gl", "custom")
+    assert custom == full

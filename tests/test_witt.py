@@ -6,12 +6,19 @@ import random
 import pytest
 import sympy
 
-from dieudonne.witt import is_prime, make_context, teichmuller, valuation
+from dieudonne.witt import WittContext, is_prime, make_context
 from dieudonne.errors import PrecisionExhausted
+
+# Scalars are the context's raw coefficient tuples, combined with its raw
+# ops; ``residue`` reads one mod p.
 
 
 def rand_scalar(ctx, rng):
     return ctx.scalar([rng.randrange(ctx.pN) for _ in range(ctx.n)])
+
+
+def residue(ctx, a):
+    return tuple(x % ctx.p for x in a)
 
 
 def test_context_zp():
@@ -19,13 +26,13 @@ def test_context_zp():
     assert ctx.pN == 1024
     # sigma is the identity on Z_p
     a = ctx.scalar(7)
-    assert a.frobenius() == a
+    assert ctx.frobenius(a) == a
 
 
 def test_context_z3():
     ctx = make_context(3, 1, 8)
     a = ctx.scalar(1234)
-    assert a.frobenius() == a
+    assert ctx.frobenius(a) == a
 
 
 def test_context_rejects_bad_input():
@@ -59,30 +66,30 @@ def test_defining_polynomial_f4():
     ctx = make_context(2, 2, 8)
     assert ctx.f == (1, 1, 1)
     # sigma(g) reduces to g^2 = g + 1 mod 2
-    s = ctx.frob_image
-    assert s.residue() == (1, 1)
+    s = ctx.frobenius(ctx.scalar([0, 1]))
+    assert residue(ctx, s) == (1, 1)
     # f(sigma(g)) = 0 at full precision
-    val = s * s + s + ctx.one
-    assert val.is_zero()
+    val = ctx.add(ctx.add(ctx.mul(s, s), s), ctx.scalar(1))
+    assert ctx.is_zero(val)
 
 
 def test_defining_polynomial_f8():
     ctx = make_context(2, 3, 12)
     assert ctx.f == (1, 1, 0, 1)  # x^3 + x + 1
-    s = ctx.frob_image
-    assert (s ** 3 + s + ctx.one).is_zero()
-    g = ctx.generator
-    assert s.residue() == (g * g).residue()
+    g = ctx.scalar([0, 1])
+    s = ctx.frobenius(g)
+    assert ctx.is_zero(ctx.add(ctx.add(ctx.power(s, 3), s), ctx.scalar(1)))
+    assert residue(ctx, s) == residue(ctx, ctx.mul(g, g))
 
 
 def test_frobenius_is_root_substitution():
     ctx = make_context(2, 3, 10)
-    g = ctx.generator
-    a = g + g * g
-    b = a.frobenius()
-    # sigma is the substitution g -> frob_image
-    expect = ctx.frob_image + ctx.frob_image * ctx.frob_image
-    assert b == expect
+    g = ctx.scalar([0, 1])
+    a = ctx.add(g, ctx.mul(g, g))
+    b = ctx.frobenius(a)
+    # sigma is the substitution g -> sigma(g)
+    s = ctx.frobenius(g)
+    assert b == ctx.add(s, ctx.mul(s, s))
 
 
 def test_frobenius_order_n():
@@ -91,8 +98,8 @@ def test_frobenius_order_n():
         rng = random.Random(11)
         for _ in range(10):
             a = rand_scalar(ctx, rng)
-            assert a.frobenius(n) == a
-            assert a.frobenius(0) == a
+            assert ctx.frobenius(a, n) == a
+            assert ctx.frobenius(a, 0) == a
 
 
 def test_frobenius_is_ring_homomorphism():
@@ -101,8 +108,9 @@ def test_frobenius_is_ring_homomorphism():
     for _ in range(25):
         a = rand_scalar(ctx, rng)
         b = rand_scalar(ctx, rng)
-        assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-        assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+        fa, fb = ctx.frobenius(a), ctx.frobenius(b)
+        assert ctx.frobenius(ctx.add(a, b)) == ctx.add(fa, fb)
+        assert ctx.frobenius(ctx.mul(a, b)) == ctx.mul(fa, fb)
 
 
 def test_frobenius_reduces_to_pth_power():
@@ -115,20 +123,21 @@ def test_frobenius_reduces_to_pth_power():
                 power = one
                 for _ in range(p ** (e % n)):
                     power = ctx.gf_mul(power, c)
-                assert ctx.residue(ctx.frobenius(c, e)) == power, (p, n, c, e)
+                assert residue(ctx, ctx.frobenius(c, e)) == power, \
+                    (p, n, c, e)
 
 
 def test_teichmuller_trivial():
     ctx = make_context(5, 2, 8)
-    assert teichmuller(ctx, 0).is_zero()
-    assert teichmuller(ctx, 1) == ctx.one
+    assert ctx.is_zero(ctx.teichmuller((0, 0)))
+    assert ctx.teichmuller((1, 0)) == ctx.scalar(1)
 
 
 def test_teichmuller_z3():
     ctx = make_context(3, 1, 6)
-    t = teichmuller(ctx, 2)
-    assert t.residue() == (2,)
-    assert t ** 3 == t
+    t = ctx.teichmuller((2,))
+    assert residue(ctx, t) == (2,)
+    assert ctx.power(t, 3) == t
 
 
 def test_teichmuller_multiplicative():
@@ -137,19 +146,19 @@ def test_teichmuller_multiplicative():
     for _ in range(20):
         c1 = tuple(rng.randrange(3) for _ in range(2))
         c2 = tuple(rng.randrange(3) for _ in range(2))
-        t1, t2 = teichmuller(ctx, c1), teichmuller(ctx, c2)
-        t12 = teichmuller(ctx, ctx.gf_mul(c1, c2))
-        assert t1 * t2 == t12
+        t1, t2 = ctx.teichmuller(c1), ctx.teichmuller(c2)
+        t12 = ctx.teichmuller(ctx.gf_mul(c1, c2))
+        assert ctx.mul(t1, t2) == t12
 
 
 def test_valuation():
     ctx = make_context(2, 2, 10)
     p = 2
     u = ctx.scalar(3)
-    assert valuation(ctx.scalar(p * p) * u) == 2
-    assert valuation(ctx.zero) == 10
+    assert ctx.valuation(ctx.mul(ctx.scalar(p * p), u)) == 2
+    assert ctx.valuation(ctx.scalar(0)) == 10
     # g is a unit since f(0) = 1 is a unit
-    assert valuation(ctx.generator) == 0
+    assert ctx.valuation(ctx.scalar([0, 1])) == 0
 
 
 def test_valuation_additive():
@@ -158,9 +167,9 @@ def test_valuation_additive():
     for _ in range(25):
         a = rand_scalar(ctx, rng)
         b = rand_scalar(ctx, rng)
-        va, vb = a.valuation(), b.valuation()
+        va, vb = ctx.valuation(a), ctx.valuation(b)
         if va + vb < ctx.N:
-            assert (a * b).valuation() == va + vb
+            assert ctx.valuation(ctx.mul(a, b)) == va + vb
 
 
 def test_unit_inverse():
@@ -168,17 +177,27 @@ def test_unit_inverse():
     rng = random.Random(5)
     for _ in range(20):
         a = rand_scalar(ctx, rng)
-        if a.valuation() != 0:
+        if ctx.valuation(a) != 0:
             continue
-        assert a * a.inverse() == ctx.one
+        assert ctx.mul(a, ctx.unit_inverse(a)) == ctx.scalar(1)
 
 
 def test_divide_p_power():
     ctx = make_context(3, 1, 8)
     a = ctx.scalar(27)
-    assert a.divide_p(3) == ctx.one
+    assert ctx.divide_p_power(a, 3) == ctx.scalar(1)
     with pytest.raises(PrecisionExhausted):
-        ctx.scalar(3).divide_p(2)
+        ctx.divide_p_power(ctx.scalar(3), 2)
+
+
+def test_scalar_builds_reduced_raw_tuples():
+    ctx = make_context(3, 2, 4)
+    assert ctx.scalar(-1) == (80, 0)
+    assert ctx.scalar([82, -1]) == (1, 80)
+    assert ctx.scalar([5]) == (5, 0)
+    assert ctx.scalar((7, 8)) == (7, 8)
+    with pytest.raises(ValueError, match="too many"):
+        ctx.scalar([1, 2, 3])
 
 
 def test_residue_field_ops():
@@ -205,13 +224,16 @@ def test_gf_inv_matches_brute_force(p):
                 ctx.gf_inv(a)
             continue
         assert [b for b in field
-                if ctx.residue(ctx.mul(a, b)) == one] == [ctx.gf_inv(a)]
+                if residue(ctx, ctx.mul(a, b)) == one] == [ctx.gf_inv(a)]
         for b in field:
-            assert ctx.gf_mul(a, b) == ctx.residue(ctx.mul(a, b))
+            assert ctx.gf_mul(a, b) == residue(ctx, ctx.mul(a, b))
 
 
 def test_determinism():
     c1 = make_context(3, 4, 10)
     c2 = make_context(3, 4, 10)
-    assert c1.f == c2.f
-    assert c1.frob_image == c2.frob_image
+    assert c1 is c2
+    fresh = WittContext(3, 4, 10)
+    assert fresh.f == c1.f
+    g = fresh.scalar([0, 1])
+    assert fresh.frobenius(g) == c1.frobenius(g)
