@@ -53,10 +53,13 @@ class TangentSpace:
     keeps the crystal's rank, not the crystal, so the copy cached on the
     crystal makes no reference cycle: ``bench/tracer.py`` keys span inputs
     by walking their fields, and that walk would not end on a cycle.
+    ``images`` memoizes ``nu_image`` by lattice presentation (cols, scale,
+    loss), so equal lattices held by different objects are imaged once;
+    its keys and values are tuples and residue vectors only.
     """
 
     __slots__ = ("rank", "ctx", "fbar1", "ech", "pivots", "ech_cols",
-                 "off_pivots", "dim")
+                 "off_pivots", "dim", "images")
 
     def __init__(self, crystal: FIsocrystal):
         ctx = crystal.ctx
@@ -76,6 +79,7 @@ class TangentSpace:
         taken = set(self.pivots)
         self.off_pivots = [i for i in range(r) if i not in taken]
         self.dim = len(self.ech) * len(self.off_pivots)
+        self.images = {}
 
     @classmethod
     def of(cls, crystal: FIsocrystal) -> "TangentSpace":
@@ -103,14 +107,18 @@ class TangentSpace:
 def nu_image(lattice: Lattice, tangent: TangentSpace):
     """(dimension, residue vectors) of the image of an integral End(M)
     lattice under nu; the vectors are its reduced echelon basis, raw
-    entries in [0, p)."""
-    lat = lattice.normalized()
-    if lat.scale > 0:
-        raise InclusionViolated("lattice is not inside End(M)")
-    r = tangent.rank
-    vecs = [tangent.nu_matrix(vec_to_mat(col, r)) for col in lat.cols]
-    ech, _ = residue_echelon(tangent.ctx, vecs)
-    return len(ech), ech
+    entries in [0, p).  Computed once per presentation (``images``)."""
+    key = (lattice.cols, lattice.scale, lattice.loss)
+    image = tangent.images.get(key)
+    if image is None:
+        lat = lattice.normalized()
+        if lat.scale > 0:
+            raise InclusionViolated("lattice is not inside End(M)")
+        r = tangent.rank
+        vecs = [tangent.nu_matrix(vec_to_mat(col, r)) for col in lat.cols]
+        ech, _ = residue_echelon(tangent.ctx, vecs)
+        image = tangent.images[key] = (len(ech), ech)
+    return image
 
 
 # ---------------------------------------------------------------------------

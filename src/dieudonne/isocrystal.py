@@ -444,8 +444,10 @@ class SlopeData:
         ``slopes``: T, the part of M in the sum of their components, or
         with ``dual`` that of the transpose of e: F, the part of the dual
         module M^v that vanishes off their components.  Each carries the
-        loss of e, and T of one slope is that slope's component.
-        Computed once per slope data, side and set."""
+        loss of e, and T of one slope is that slope's component.  An
+        integral e fixes exactly its image, the span of its columns (of
+        its rows with ``dual``).  Computed once per slope data, side and
+        set."""
         slopes = tuple(sorted(slopes))
         if not dual and len(slopes) == 1:
             return self.components[slopes[0]]
@@ -454,10 +456,16 @@ class SlopeData:
             e = self.projectors[slopes[0]]
             for a in slopes[1:]:
                 e = e.add(self.projectors[a])
-            if dual:
-                e = SemilinearMap(e.ctx, list(zip(*e.rows)),
-                                  denominator=e.denominator, loss=e.loss)
-            self._derived[key] = _projector_fixed_lattice(e.ctx, e)
+            if not e.denominator:
+                gens = e.rows if dual else list(zip(*e.rows))
+                fixed = Lattice.from_columns(e.ctx, e.nrows, gens,
+                                             loss=e.loss)
+            else:
+                if dual:
+                    e = SemilinearMap(e.ctx, list(zip(*e.rows)),
+                                      denominator=e.denominator, loss=e.loss)
+                fixed = _projector_fixed_lattice(e.ctx, e)
+            self._derived[key] = fixed
         return self._derived[key]
 
     @property

@@ -19,6 +19,9 @@ Every elimination in the package goes through this module's primitives:
   (``Lattice.solve`` and ``invert_matrix``);
 - ``kernel_span``: the saturated kernel of stacked columns, recombined on
   a basis (intersections, stable-sublattice refinement, trace duals);
+  ``intersect`` runs it only when neither operand contains the other,
+  since a contained operand is its own intersection (the Lie-algebra cuts
+  of the default group GL(M) are all of that kind);
 - Smith: ``smith_valuations``, the sorted pivot valuations of the echelon;
 - residue field: ``residue_echelon``, ``residue_reduce``,
   ``residue_kernel``, ``residue_intersection`` and
@@ -387,18 +390,26 @@ def lattice_sum(*lattices: Lattice) -> Lattice:
 
 
 def intersect(l1: Lattice, l2: Lattice) -> Lattice:
-    """Intersection via the kernel of the difference map on the direct sum."""
+    """The intersection, presented at the larger scale and loss (an
+    operand of rank 0 gives ``Lattice.zero``).  An operand that the other
+    contains (``contains``, a certified solve of each column that stops
+    at the first failure) is the answer, rebuilt from its own columns;
+    otherwise the kernel of the difference map on the direct sum."""
     if l1.ambient != l2.ambient:
         raise ValueError("ambient ranks differ")
     ctx = l1.ctx
     loss = max(l1.loss, l2.loss)
-    neff = ctx.N - loss
     s, c1, c2 = _unify_scales(l1, l2)
     if not c1 or not c2:
         return Lattice.zero(ctx, l1.ambient)
-    neg = ring(ctx).neg
-    stacked = c1 + [list(map(neg, c)) for c in c2]
-    gens = kernel_span(ctx, stacked, c1, neff, l1.ambient)
+    if l2.contains(l1):
+        gens = c1
+    elif l1.contains(l2):
+        gens = c2
+    else:
+        neg = ring(ctx).neg
+        stacked = c1 + [list(map(neg, c)) for c in c2]
+        gens = kernel_span(ctx, stacked, c1, ctx.N - loss, l1.ambient)
     return Lattice.from_columns(ctx, l1.ambient, gens, scale=s, loss=loss)
 
 

@@ -38,15 +38,16 @@ one integer pass per coordinate (``scale`` by ``one`` is a copy in
 both rings), ``vec_mat`` multiplies by such a row entry as one integer,
 and the ``WittContext`` ops under ``mul``, ``inverse`` and ``frob`` take
 the same exact shortcut: sigma fixes Z_p, and the inverse mod p^N is
-unique, so every result equals the general path's.  At n > 1 a zero
-entry costs no arithmetic: most End(M) entries are the zero tuple, and
-``scale`` (so ``outer`` and pivot normalisation), ``axpy``, ``rem``,
-``vanishes`` and ``raw_col``, like the ``WittContext`` sums, negation,
-integer multiples and ``divide_p_power``, hand a zero entry back as it
-is and build the tuples they do make from one list pass.  ``_EntryRing``
-makes entries that carry their own arithmetic (``TruncatedSeries``)
-their own raw form, and its ``vec_mat`` skips zero entries, so a
-skipped entry never narrows a series' validity window.
+unique, so every result equals the general path's.  A zero entry
+costs no arithmetic in either ring: most End(M) entries are zero, and
+``scale`` (so ``outer`` and pivot normalisation) and ``axpy`` hand it
+back as it is; at n = 1 ``vanishes`` at k >= N is a zero test, and at
+n > 1 ``rem``, ``vanishes`` and ``raw_col``, like the ``WittContext``
+sums, negation, integer multiples and ``divide_p_power``, skip zero
+tuples and build the tuples they do make from one list pass.
+``_EntryRing`` makes entries that carry their own arithmetic
+(``TruncatedSeries``) their own raw form, and its ``vec_mat`` skips zero
+entries, so a skipped entry never narrows a series' validity window.
 
 These helpers sit below the layer modules, beside ``series``, because
 the benchmark's tracer (``bench/tracer.py``) wraps every public function
@@ -253,19 +254,21 @@ class _IntRing(_WittRing):
 
     def vanishes(self, col, k):
         """Every entry is 0 mod p^k."""
+        if k >= self.N:
+            return not any(col)
         pk = self.p ** k
         return not any(x % pk for x in col)
 
     def axpy(self, y, q, x):
         """y - q x."""
         pN = self.pN
-        return [(a - q * b) % pN for a, b in zip(y, x)]
+        return [(a - q * b) % pN if b else a for a, b in zip(y, x)]
 
     def scale(self, x, u):
         if u == 1:
             return list(x)
         pN = self.pN
-        return [a * u % pN for a in x]
+        return [a * u % pN if a else a for a in x]
 
 
 class _TupleRing(_WittRing):
