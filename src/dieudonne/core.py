@@ -136,12 +136,11 @@ class HodgeSplitting:
                  "Pinv_rows", "d", "c")
 
     def __init__(self, crystal, f1_cols, f0_cols):
+        # the columns are raw (``hodge_splitting`` converts them)
         ctx = crystal.ctx
-        R = ring(ctx)
         r = crystal.rank
         self.crystal = crystal
         self.ctx = ctx
-        f1_cols, f0_cols = R.raw_mat(f1_cols), R.raw_mat(f0_cols)
         self.d = len(f1_cols)
         self.c = len(f0_cols)
         if self.d + self.c != r:

@@ -341,10 +341,12 @@ class FIsocrystal:
 
     @staticmethod
     def from_int_matrix(ctx, rows, denominator=0):
-        """The crystal of the integer matrix ``rows``, kept as its
-        ``source``."""
+        """The crystal of the integer matrix ``rows`` (ints or
+        coefficient lists), kept as its ``source``; phi holds its raw
+        entries, converted here once."""
         rows = tuple(map(tuple, rows))
-        return FIsocrystal(ctx, SemilinearMap(ctx, rows, twist=1,
+        return FIsocrystal(ctx, SemilinearMap(ctx, ring(ctx).raw_mat(rows),
+                                              twist=1,
                                               denominator=denominator),
                            source=rows)
 
@@ -554,8 +556,9 @@ def _slope_split_at(crystal, b, bctx):
         den = wden - content
         if bctx.N - wden < ctx.N:
             raise PrecisionExhausted("projector denominators ate the guard")
-        # publish at the context precision
-        proj = SemilinearMap(ctx, mat, twist=0, denominator=den, loss=den)
+        # publish at the context precision: raw entries of bctx reduced
+        proj = SemilinearMap(ctx, ring(ctx).raw_mat(mat), twist=0,
+                             denominator=den, loss=den)
         projectors[alpha] = proj
         comp = _projector_fixed_lattice(ctx, proj)
         components[alpha] = comp

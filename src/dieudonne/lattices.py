@@ -37,12 +37,15 @@ an int in [0, p^N) when n = 1, the coefficient tuple when n > 1.
 coordinates, kernels and inverses all hold that one format, and the code
 is written against the ring's column ops ``axpy``, ``scale``,
 ``pivot``/``val``, balanced ``divide_p``, unit ``inverse``, ``vanishes``,
-``mul_mat``/``vec_mat`` and the zero test ``x == R.zero``.  Constructors
-and the matrix entry points (``Lattice.from_columns``,
+``mul_mat``/``vec_mat`` and the zero test ``x == R.zero``.  The
+constructors and the matrix entry points (``Lattice.from_columns``,
 ``Lattice.contains_vector``, ``SemilinearMap``, ``invert_matrix``,
-``matrix_kernel``, ``smith_valuations``) also accept ints and
-coefficient lists, through one ``raw_col`` pass.  ``Lattice.solve`` takes
-raw entries of the lattice's own context only.
+``matrix_kernel``, ``smith_valuations``), like ``Lattice.solve``, take
+raw entries of their own context only and never reduce them again: data
+is converted once, where it enters (see ``matrix``).  Of this module
+only ``invert_matrix_exact`` converts: it inverts the integers of an
+input at the context and at a boost, and reduces the boosted numerator
+to the context precision.
 
 Semilinear maps are v |-> p^{-denominator} * A * sigma^twist(v).  Rows
 known only modulo p^N fix the numerator of the inverse of A modulo
@@ -199,10 +202,10 @@ class Lattice:
 
     @staticmethod
     def from_columns(ctx, ambient, columns, scale=0, loss=0):
-        """Canonicalize arbitrary generating columns (dependent generators
-        are dropped at the working precision).  A negative scale goes into
-        the columns as a factor p^{-scale}, which is exact: a lattice never
-        carries one.
+        """Canonicalize arbitrary raw generating columns (dependent
+        generators are dropped at the working precision).  A negative
+        scale goes into the columns as a factor p^{-scale}, which is
+        exact: a lattice never carries one.
 
         Refuses once half the precision has been spent: results would no
         longer be trustworthy, and the caller should rebuild the context
@@ -213,16 +216,16 @@ class Lattice:
                 f"accumulated loss {loss} has consumed half the working "
                 f"precision {ctx.N}; raise the precision exponent")
         neff = ctx.N - loss
-        R = ring(ctx)
-        cols = R.raw_mat(columns)
         if scale < 0:
+            R = ring(ctx)
             m = R.of_int(ctx.p ** -scale)
-            cols = [R.scale(col, m) for col in cols]
+            columns = [R.scale(col, m) for col in columns]
             scale = 0
-        for col in cols:
+        for col in columns:
             if len(col) != ambient:
                 raise ValueError("column length does not match ambient rank")
-        ech, pivots, _, _ = _reduce_columns(ctx, cols, neff, nrows=ambient)
+        ech, pivots, _, _ = _reduce_columns(ctx, columns, neff,
+                                            nrows=ambient)
         canon = _cross_reduce(ctx, ech, pivots)
         order = sorted(range(len(canon)), key=lambda t: pivots[t][0])
         ccols = tuple(tuple(canon[t]) for t in order)
@@ -326,10 +329,8 @@ class Lattice:
         return out
 
     def contains_vector(self, vector, vscale=0):
-        """Membership of p^{-vscale} * vector, whose entries may also be
-        ints or coefficient lists (one ``raw_col`` pass)."""
-        return self.solve(ring(self.ctx).raw_col(vector),
-                          vscale) is not None
+        """Membership of p^{-vscale} * vector, a raw vector."""
+        return self.solve(vector, vscale) is not None
 
     def contains_modulo(self, vector, k):
         """Membership of the raw vector in this lattice plus p^k times the
@@ -389,28 +390,50 @@ def lattice_sum(*lattices: Lattice) -> Lattice:
                                 loss=max(L.loss for L in lattices))
 
 
+def _settled(L: Lattice, scale, loss) -> bool:
+    """Whether rebuilding L from its canonical columns at this scale and
+    loss gives L back.  It does when those are L's own scale and loss and
+    the cross reduction changed no echelon column, so that the echelon
+    is the canonical columns in processing order: then each column's
+    first entry of least valuation is its pivot, the pivots come in the
+    same order, and no elimination step changes an entry."""
+    if (L.scale, L.loss) != (scale, loss):
+        return False
+    cols = dict(zip(L.pivots, L.cols))
+    return all(cols[piv] == col for piv, col in zip(L.ech_pivots, L.ech))
+
+
 def intersect(l1: Lattice, l2: Lattice) -> Lattice:
     """The intersection, presented at the larger scale and loss (an
     operand of rank 0 gives ``Lattice.zero``).  An operand that the other
     contains (``contains``, a certified solve of each column that stops
-    at the first failure) is the answer, rebuilt from its own columns;
-    otherwise the kernel of the difference map on the direct sum."""
+    at the first failure) is the answer: the operand itself when
+    ``_settled`` at that scale and loss, else rebuilt from its own
+    columns; otherwise the kernel of the difference map on the direct
+    sum."""
     if l1.ambient != l2.ambient:
         raise ValueError("ambient ranks differ")
     ctx = l1.ctx
     loss = max(l1.loss, l2.loss)
-    s, c1, c2 = _unify_scales(l1, l2)
-    if not c1 or not c2:
+    if not l1.rank or not l2.rank:
         return Lattice.zero(ctx, l1.ambient)
     if l2.contains(l1):
-        gens = c1
+        inner = l1
     elif l1.contains(l2):
-        gens = c2
+        inner = l2
     else:
+        s, c1, c2 = _unify_scales(l1, l2)
         neg = ring(ctx).neg
         stacked = c1 + [list(map(neg, c)) for c in c2]
         gens = kernel_span(ctx, stacked, c1, ctx.N - loss, l1.ambient)
-    return Lattice.from_columns(ctx, l1.ambient, gens, scale=s, loss=loss)
+        return Lattice.from_columns(ctx, l1.ambient, gens, scale=s,
+                                    loss=loss)
+    s = max(l1.scale, l2.scale)
+    if _settled(inner, s, loss):
+        return inner
+    return Lattice.from_columns(ctx, l1.ambient,
+                                inner._scaled_cols(s - inner.scale),
+                                scale=s, loss=loss)
 
 
 def kernel_span(ctx, cols, basis, neff, nrows):
@@ -426,10 +449,9 @@ def kernel_span(ctx, cols, basis, neff, nrows):
 def matrix_kernel(ctx, rows, neff, ncols=None):
     """Saturated kernel {v : A v = 0 mod p^neff} of an integral matrix,
     returned as a list of raw columns."""
-    R = ring(ctx)
     m = ncols if ncols is not None else (len(rows[0]) if rows else 0)
     nr = len(rows)
-    cols = [R.raw_col([rows[i][j] for i in range(nr)]) for j in range(m)]
+    cols = [[row[j] for row in rows] for j in range(m)]
     _, _, _, kern = _reduce_columns(ctx, cols, neff, track=True, nrows=nr)
     return kern
 
@@ -546,12 +568,11 @@ def residue_spaces_equal(ctx, basis1, basis2):
 class SemilinearMap:
     """v |-> p^{-denominator} * matrix * sigma^twist(v).
 
-    ``rows`` holds the matrix as a tuple of raw rows (given as ints,
-    scalars or raw entries); the denominator may be negative (a net
-    p-multiple).  ``loss`` records one-time precision spent building the
-    matrix (e.g. a p-power divided out of an inverse); entries are then
-    trusted modulo p^{N - loss} and products inherit the maximum loss of
-    their factors.
+    ``rows`` holds the matrix as a tuple of raw rows of the context, as
+    given; the denominator may be negative (a net p-multiple).  ``loss``
+    records one-time precision spent building the matrix (e.g. a p-power
+    divided out of an inverse); entries are then trusted modulo
+    p^{N - loss} and products inherit the maximum loss of their factors.
 
     ``_tcols`` caches the columns of the matrix (its transposed rows),
     built on the first ``apply_raw``: an image is then one ``vec_mat``
@@ -562,7 +583,7 @@ class SemilinearMap:
 
     def __init__(self, ctx, rows, twist=0, denominator=0, loss=0):
         self.ctx = ctx
-        self.rows = tuple(map(tuple, ring(ctx).raw_mat(rows)))
+        self.rows = tuple(map(tuple, rows))
         self.twist = twist % ctx.n
         self.denominator = denominator
         self.loss = loss
@@ -673,7 +694,7 @@ def invert_matrix(ctx, rows):
     R = ring(ctx)
     r = len(rows)
     neff = ctx.N
-    cols = [R.raw_col([rows[i][j] for i in range(r)]) for j in range(r)]
+    cols = [[row[j] for row in rows] for j in range(r)]
     ech, pivots, trans, _ = _reduce_columns(ctx, cols, neff, track=True,
                                             nrows=r)
     if len(pivots) < r:
@@ -705,8 +726,7 @@ def smith_valuations(ctx, rows, neff=None):
     so the pivots are the diagonal of the Smith form."""
     neff = ctx.N if neff is None else neff
     ncols = len(rows[0]) if rows else 0
-    R = ring(ctx)
-    cols = [R.raw_col([row[j] for row in rows]) for j in range(ncols)]
+    cols = [[row[j] for row in rows] for j in range(ncols)]
     _, pivots, _, _ = _reduce_columns(ctx, cols, neff, nrows=len(rows))
     pad = min(len(rows), ncols) - len(pivots)
     return sorted([e for (_, e) in pivots] + [neff] * pad)
@@ -732,15 +752,17 @@ def invert_matrix_exact(ctx, rows):
     internal precision on the given rows, so the published numerator is
     exact at the context precision and costs no loss.  The rows must
     define the matrix at every precision: the integers of an input (a
-    crystal's ``source``), ints or coefficient lists lifted as they are.
-    Raw entries would be lifted as their representatives in [0, p^N),
-    another matrix; residues alone fix the numerator only modulo
-    p^{N - vdet}."""
+    crystal's ``source``), ints or coefficient lists, converted to raw
+    entries at each context they are inverted at.  Raw entries would be
+    lifted as their representatives in [0, p^N), another matrix; residues
+    alone fix the numerator only modulo p^{N - vdet}.  The boosted
+    numerator is reduced to the context precision on the way out."""
     R = ring(ctx)
-    inv, vdet = invert_matrix(ctx, rows)
+    inv, vdet = invert_matrix(ctx, R.raw_mat(rows))
     if vdet == 0:
         return inv, vdet
-    binv, v2 = boosted(ctx, (vdet + 2,), lambda c: invert_matrix(c, rows))
+    binv, v2 = boosted(ctx, (vdet + 2,),
+                       lambda c: invert_matrix(c, ring(c).raw_mat(rows)))
     if v2 != vdet:
         raise PrecisionExhausted("determinant valuation is not stable")
     return R.raw_mat(binv), vdet

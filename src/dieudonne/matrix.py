@@ -7,10 +7,22 @@ int in [0, p^N) when n = 1, and a power-basis coefficient tuple, combined
 through the raw ops of ``WittContext``, when n > 1.  Lattice columns,
 semilinear-map rows, solve coordinates, inverses, the polynomials of
 ``isocrystal`` and the series coefficients all hold that format, and
-it is the only one: ``raw_col`` builds it from ints and coefficient lists
-(through ``WittContext.scalar``) and re-reduces raw entries of another
-precision, so moving exact data between precision contexts is one
-``ring(target).raw_mat`` pass.
+it is the only one.  ``raw_col`` builds it from ints and coefficient
+lists (through ``WittContext.scalar``) and reduces raw entries of a
+higher precision; ``raw_mat`` is one ``raw_col`` per row.  They run once
+per datum, at the boundary: where outside data enters
+(``FIsocrystal.from_int_matrix``, ``invert_matrix_exact``, the problem
+fields in ``problems``, ``core.hodge_splitting``,
+``strata.group_symplectic`` and ``group_custom``,
+``deformation.DeformationBasis`` and the Teichmuller lifts of a point)
+and where raw data computed at a boosted precision is published at the
+context precision (``isocrystal._slope_split_at``,
+``signs.dual_lattice``, ``deformation.trivialize_at_point``).  A move
+to a higher precision needs no pass: a raw int below p^N stays below
+every larger power.  Every other function, the lattice and map
+constructors included, takes raw entries of its context and never
+reduces them again; ``tests/test_imports.py`` lists the functions that
+convert.
 
 The matrix kernels (``_Ring.mul_mat``, ``add_mat``, ``sub_mat``,
 ``identity``, ``nilpotent_inverse``) are written once over each ring's

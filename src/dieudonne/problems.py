@@ -306,8 +306,9 @@ class Session:
         if self.spec.lattice_e is None:
             return self.decomp().o_minus(self.pair_set().pairs)
         r = self.spec.rank
+        ctx = self.ctx()
         cols = [_flatten(mat) for mat in self.spec.lattice_e]
-        return Lattice.from_columns(self.ctx(), r * r, cols)
+        return Lattice.from_columns(ctx, r * r, ring(ctx).raw_mat(cols))
 
     def pair_set(self) -> SlopePairSet:
         slopes = self.slope_data().slope_list
@@ -423,7 +424,7 @@ def run_axioms(sess: Session) -> dict:
     out["ok"] = report.all_pass()
     if sess.spec.lie_element_t is not None:
         t_doc = sess.spec.lie_element_t
-        t = SemilinearMap(ctx, t_doc["matrix"],
+        t = SemilinearMap(ctx, ring(ctx).raw_mat(t_doc["matrix"]),
                           denominator=t_doc.get("denominator", 0))
         try:
             lie_element(E, sess.slope_data(), user_t=t)

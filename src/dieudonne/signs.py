@@ -137,8 +137,10 @@ def dual_lattice(L: Lattice, reference: Lattice) -> Lattice:
                                    scale=reference.scale + K - S, loss=loss)
         if out.rank != m:
             raise PrecisionExhausted("dual coordinate lattice degenerated")
+        # a boosted basis is reduced to the context precision
         return out if wctx is ctx else Lattice.from_columns(
-            ctx, r2, out.cols, scale=out.scale, loss=loss)
+            ctx, r2, ring(ctx).raw_mat(out.cols), scale=out.scale,
+            loss=loss)
 
     gram, K = pairing(ctx)
     if 2 * K + 4 < ctx.N - loss:

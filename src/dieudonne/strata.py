@@ -77,7 +77,8 @@ def group_custom(crystal: FIsocrystal, basis_vectors) -> GroupData:
     ctx = crystal.ctx
     R = ring(ctx)
     r = crystal.rank
-    lie = saturate(Lattice.from_columns(ctx, r * r, basis_vectors),
+    lie = saturate(Lattice.from_columns(ctx, r * r,
+                                        R.raw_mat(basis_vectors)),
                    Lattice.standard(ctx, r * r))
     mats = [vec_to_mat(c, r) for c in lie.cols]
     for i, ma in enumerate(mats):

@@ -14,6 +14,8 @@ then does not split (``non_split_draw``).  ``rank8_conj`` is the corpus
 entry ``four_slope_rank8`` written in a dense basis.  ``pair_subsets``
 lists every subset of a slope-pair set, and ``witt_mat_mul`` multiplies
 matrices of ``WittContext`` coefficient tuples by the context's raw ops.
+``raw`` converts test data written as ints or coefficient lists into the
+raw entries that every lattice and map constructor takes.
 """
 
 import json
@@ -33,6 +35,13 @@ PERM3 = [1, 2, 0]          # 0-based cyclic shift
 A_EXP = [1, 0, 0]
 B_EXP = [1, 1, 0]
 LAMBDA_SET = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0)]  # 0-based
+
+
+def raw(ctx, rows):
+    """Rows (or columns) of ints, coefficient lists or coefficient tuples
+    of any precision as raw entries of ctx: the one conversion that the
+    library makes where outside data enters it."""
+    return ring(ctx).raw_mat(rows)
 
 
 def ordinary_rank2(ctx):
@@ -106,7 +115,7 @@ def symplectic_ordinary_c2(ctx):
 
 def symplectic_gram_c2(ctx):
     g = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
-    return ring(ctx).raw_mat(g)
+    return raw(ctx, g)
 
 
 def elliptic_ordinary(ctx):
@@ -114,7 +123,7 @@ def elliptic_ordinary(ctx):
 
 
 def elliptic_gram(ctx):
-    return ring(ctx).raw_mat([[0, 1], [-1, 0]])
+    return raw(ctx, [[0, 1], [-1, 0]])
 
 
 def hom_block_vector(r, i, j):

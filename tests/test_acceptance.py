@@ -31,7 +31,7 @@ from dieudonne.cli import load_corpus
 from dieudonne.errors import DieudonneError
 from dieudonne.problems import Session
 
-from instances import pair_subsets, random_split_instance
+from instances import pair_subsets, random_split_instance, raw
 
 CORPUS = ["ordinary_rank2", "supersingular_rank2", "example_1_7",
           "three_slope_rank4", "four_slope_rank8", "symplectic_ordinary_c2"]
@@ -273,8 +273,8 @@ def test_criterion_9_property_suites():
     for _ in range(10):
         c1 = [[rng.randrange(-6, 7) for _ in range(3)] for _ in range(3)]
         c2 = [[rng.randrange(-6, 7) for _ in range(3)] for _ in range(3)]
-        L1 = Lattice.from_columns(ctx, 3, c1)
-        L2 = Lattice.from_columns(ctx, 3, c2)
+        L1 = Lattice.from_columns(ctx, 3, raw(ctx, c1))
+        L2 = Lattice.from_columns(ctx, 3, raw(ctx, c2))
         if L1.rank < 3 or L2.rank < 3:
             continue
         check("modular law",
@@ -305,8 +305,8 @@ def test_criterion_9_property_suites():
         check(f"double dual ({name})", dd.equals(mods.O_minus))
         # maximality: p O is stable and recomputes to itself; monotone
         pO = Lattice.from_columns(
-            ctx, r * r, [[ctx.mul_int(ctx.scalar(x), ctx.p) for x in c]
-                         for c in O.cols])
+            ctx, r * r, raw(ctx, [[ctx.mul_int(ctx.scalar(x), ctx.p)
+                                   for x in c] for c in O.cols]))
         check(f"maximality ({name})",
               largest_sub_dieudonne(pO, E.carrier("minus")).equals(pO)
               and O.contains(pO))

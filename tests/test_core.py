@@ -20,8 +20,8 @@ from dieudonne.matrix import ring
 
 from instances import (
     A_EXP, B_EXP, LAMBDA_SET, PERM3, hom_block_vector, ordinary_rank2,
-    non_split_rank6, rank6_f1_indices, rank6_two_slope, supersingular_rank2,
-    three_slope_rank4,
+    non_split_rank6, rank6_f1_indices, rank6_two_slope, raw,
+    supersingular_rank2, three_slope_rank4,
 )
 
 
@@ -150,7 +150,7 @@ def test_largest_sub_dieudonne_rank6_matches_oracle():
         for j in range(3):
             vec = hom_block_vector(6, i, 3 + j)
             gens.append([x * (ctx.p ** cmat[i][j]) for x in vec])
-    want = Lattice.from_columns(ctx, 36, gens)
+    want = Lattice.from_columns(ctx, 36, raw(ctx, gens))
     assert O.equals(want)
 
 
@@ -176,7 +176,7 @@ def test_monotonicity_and_maximality():
 
 def lambda_lattice(ctx):
     gens = [hom_block_vector(6, i, 3 + j) for (i, j) in LAMBDA_SET]
-    return Lattice.from_columns(ctx, 36, gens)
+    return Lattice.from_columns(ctx, 36, raw(ctx, gens))
 
 
 def test_axioms_rank6_lambda():
@@ -401,7 +401,7 @@ def test_induced_tilde_rank6_with_supplied_projector():
     E0 = lambda_lattice(ctx)
     t_rows = [[1 if (i == j and i >= 3) else 0
                for j in range(6)] for i in range(6)]
-    t = lie_element(E0, S, user_t=SemilinearMap(ctx, t_rows))
+    t = lie_element(E0, S, user_t=SemilinearMap(ctx, raw(ctx, t_rows)))
     T = TangentSpace(X)
     B = select_deformation_basis(E0, T)
     conn = solve_connection(X, E0, B, 4)

@@ -289,6 +289,95 @@ def test_crystal_beside_its_holder_is_reported():
         ("m.py", "f"), ("m.py", "g"), ("m.py", "K.m")]
 
 
+# The library functions that convert entries with ``raw_col`` or
+# ``raw_mat``, each keyed by module and function with its reason.  Every
+# other function takes raw entries of its context and returns them: data
+# is converted once, where it enters from outside, or where raw data
+# computed at a boosted precision is published at the context precision
+# (a move to a higher precision needs no pass: a raw int below p^N stays
+# below a larger power).
+RAW_CONVERSIONS = {
+    ("matrix.py", "_Ring.raw_mat"): "the conversion itself, one raw_col "
+                                    "per row",
+    ("isocrystal.py", "FIsocrystal.from_int_matrix"):
+        "input: phi's integers, at every precision at_precision moves "
+        "them to",
+    ("lattices.py", "invert_matrix_exact"):
+        "input: the integers of a matrix at the context and at the boost; "
+        "the boosted numerator published at the context precision",
+    ("isocrystal.py", "_slope_split_at"):
+        "precision move: projectors computed at the boost, published at "
+        "the context precision",
+    ("signs.py", "dual_lattice.build"):
+        "precision move: a dual built at the boost, published at the "
+        "context precision",
+    ("deformation.py", "trivialize_at_point"):
+        "precision move: u_infinity computed at the boost, published at "
+        "the context precision",
+    ("deformation.py", "_teichmuller_raw"):
+        "input: a point's residue coordinates; the Teichmuller lift is a "
+        "coefficient tuple, an int at n = 1",
+    ("deformation.py", "DeformationBasis.__init__"):
+        "input: a problem's deformation_basis",
+    ("problems.py", "Session._lattice_e"): "input: a problem's lattice_e",
+    ("problems.py", "run_axioms"): "input: a problem's lie_element_t",
+    ("core.py", "hodge_splitting"): "input: a problem's hodge_f1 columns",
+    ("strata.py", "group_symplectic"): "input: a problem's symplectic_gram",
+    ("strata.py", "group_custom"): "input: a problem's custom group basis",
+    ("core.py", "star_property_holds"):
+        "library-only entry point (LIBRARY_ONLY): matrices as a caller "
+        "writes them",
+    ("strata.py", "cayley_element"):
+        "library-only entry point (LIBRARY_ONLY): vectors as a caller "
+        "writes them",
+}
+
+
+def own_nodes(fn):
+    """The nodes of a function's body outside the functions and classes
+    defined in it (a lambda or comprehension belongs to the function)."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    stack = [node for node in fn.body if not isinstance(node, scopes)]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, scopes))
+
+
+def raw_conversions(name, tree):
+    """(module, function) of every function whose own body reads a
+    ``raw_col`` or ``raw_mat`` attribute, called or not.  Methods and
+    nested functions are named with their enclosing class or function."""
+    return [(name, qual) for qual, fn in functions(tree)
+            if any(isinstance(node, ast.Attribute)
+                   and node.attr in ("raw_col", "raw_mat")
+                   for node in own_nodes(fn))]
+
+
+def test_raw_conversions_stay_at_the_boundary():
+    found = sorted(
+        key for path in SRC.glob("*.py")
+        for key in raw_conversions(
+            path.name, ast.parse(path.read_text(encoding="utf-8"))))
+    # a listed function that stops converting leaves the list too
+    assert found == sorted(RAW_CONVERSIONS)
+
+
+def test_stray_raw_conversion_is_reported():
+    tree = ast.parse("def f(R, x):\n    return R.raw_col(x)\n"
+                     "def g(ctx, rows):\n    conv = ring(ctx).raw_mat\n"
+                     "    def inner(y):\n        return conv(y)\n"
+                     "    return [R.raw_col(r) for r in rows]\n"
+                     "class K:\n    def m(self, R):\n"
+                     "        return lambda c: R.raw_mat(c)\n"
+                     "def h(R):\n    \"\"\"R.raw_col\"\"\"\n"
+                     "    return R.scale\n"
+                     "def raw_col(col):\n    return col\n")
+    assert raw_conversions("m.py", tree) == [
+        ("m.py", "f"), ("m.py", "g"), ("m.py", "K.m")]
+
+
 # ---------------------------------------------------------------------------
 # the benchmark's span names
 

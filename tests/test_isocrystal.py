@@ -23,7 +23,7 @@ from dieudonne.lattices import (Lattice, SemilinearMap, lattice_sum,
                                 restrict_map, smith_valuations)
 
 from instances import (conjugated_instance, four_slope_rank8, non_split_draw,
-                       non_split_rank6, three_slope_rank4)
+                       non_split_rank6, raw, three_slope_rank4)
 
 
 def ordinary_rank2(ctx):
@@ -151,8 +151,7 @@ def test_slope_split_rank6():
     lo = S.components[Fraction(1, 3)]
     hi = S.components[Fraction(2, 3)]
     assert lo.rank == 3 and hi.rank == 3
-    e0 = [1] + [0] * 5
-    f0 = [0] * 3 + [1] + [0] * 2
+    e0, f0 = raw(ctx, [[1] + [0] * 5, [0] * 3 + [1] + [0] * 2])
     assert lo.contains_vector(e0)
     assert hi.contains_vector(f0)
 
@@ -199,7 +198,7 @@ def test_projectors_agree_with_a_run_at_twice_the_precision():
         for a, e in got.projectors.items():
             f = wide.projectors[a]
             # the N = 96 projector reduced to N = 48, exact there
-            g = SemilinearMap(X.ctx, f.rows, twist=f.twist,
+            g = SemilinearMap(X.ctx, raw(X.ctx, f.rows), twist=f.twist,
                               denominator=f.denominator)
             assert _maps_equal(e, g), (k, a)
 
@@ -247,7 +246,7 @@ def test_end_decompose_rank6():
         for j in range(3, 6):
             vec = [0] * 36
             vec[i * 6 + j] = 1
-            assert E.V_minus.contains_vector(vec)
+            assert E.V_minus.contains_vector(raw(ctx, [vec])[0])
 
 
 def test_end_slopes_are_pairwise_differences():

@@ -9,7 +9,11 @@ the bodies that ran them.
   unequal scales and losses, neither containing the other, zero), on
   every pair that ``report-all`` intersects on the corpus, and on the
   signed lattices of ``random_split_instance`` and
-  ``instances.conjugated_draws``.
+  ``instances.conjugated_draws``.  A contained operand at the
+  intersection's own scale and loss whose echelon is its basis is
+  returned as it is: on the corpus, ``rank8_conj`` and the conjugated
+  draws each such operand equals its rebuild in ``cols``, ``pivots``,
+  ``ech`` and ``ech_pivots``, and one whose echelon differs is rebuilt.
 - The n = 1 ring ops skip zero entries: ``axpy``, ``scale`` and
   ``vanishes`` against their former bodies.  ``scale`` takes any ints,
   ``axpy`` any multiplier and any x; the ``y`` of ``axpy`` and the
@@ -31,10 +35,10 @@ from dieudonne.isocrystal import (SemilinearMap, _projector_fixed_lattice,
                                   end_decompose, slope_split)
 from dieudonne.lattices import Lattice, intersect, kernel_span
 from dieudonne.matrix import ring
-from dieudonne.problems import RUNNERS, Session
+from dieudonne.problems import ANALYSES, RUNNERS, Session, parse_dict, run
 from dieudonne.witt import make_context
 
-from instances import conjugated_draws, random_split_instance
+from instances import conjugated_draws, random_split_instance, rank8_conj
 
 RINGS = [(2, 1, 12), (3, 1, 10), (5, 1, 9), (2, 3, 12), (3, 3, 10)]
 CORPUS = ["ordinary_rank2", "supersingular_rank2", "example_1_7",
@@ -265,6 +269,71 @@ def test_signed_lattices_of_split_and_conjugated_instances(name, decomp):
     for l1, l2 in itertools.combinations(lats, 2):
         assert_intersections_match(l1, l2)
         assert_intersections_match(l2, l1)
+
+
+def rebuilt(L):
+    """The lattice rebuilt from its canonical columns at its own scale and
+    loss."""
+    return Lattice.from_columns(L.ctx, L.ambient, L.cols, scale=L.scale,
+                                loss=L.loss)
+
+
+def echelons(L):
+    return L.cols, L.pivots, L.ech, L.ech_pivots
+
+
+def returned_operands(pairs):
+    """How many of the intersections return an operand itself; each such
+    operand must equal its rebuild in ``cols``, ``pivots``, ``ech`` and
+    ``ech_pivots``, the presentation the rebuild returned before."""
+    kept = 0
+    for l1, l2 in pairs:
+        got = intersect(l1, l2)
+        if got is l1 or got is l2:
+            assert echelons(rebuilt(got)) == echelons(got)
+            kept += 1
+    return kept
+
+
+@pytest.mark.parametrize("name", CORPUS + ["rank8_conj"])
+def test_a_contained_operand_is_returned_as_it_is(monkeypatch, name):
+    # rank8_conj fails its trivialize analysis, so the pairs are recorded
+    # through ``run``, which reports that failure
+    spec = (parse_dict(rank8_conj()) if name == "rank8_conj"
+            else load_corpus(name))
+    pairs = []
+
+    def recording(l1, l2):
+        pairs.append((l1, l2))
+        return intersect(l1, l2)
+
+    for mod in (core, signs, strata):
+        monkeypatch.setattr(mod, "intersect", recording)
+    run(spec, ANALYSES, 0)
+    monkeypatch.undo()
+    kept = returned_operands(pairs)
+    assert kept or name in ("ordinary_rank2", "supersingular_rank2")
+
+
+def test_contained_signed_lattices_of_the_conjugated_draws():
+    kept = 0
+    for X in conjugated_draws():
+        lats = signed_lattices(end_decompose(slope_split(X)))
+        kept += returned_operands(itertools.permutations(lats, 2))
+    assert kept
+
+
+def test_an_operand_whose_echelon_is_not_its_basis_is_rebuilt():
+    # the cross reduction turns the echelon column (1, 7) into the basis
+    # column (1, 2), so the rebuild from the basis has another echelon,
+    # and the operand itself would change every solve against it
+    ctx = make_context(5, 1, 9)
+    L = Lattice.from_columns(ctx, 2, [[1, 7], [0, 5]])
+    M = Lattice.standard(ctx, 2)
+    assert L.cols == ((1, 2), (0, 5)) and L.ech == ((1, 7), (0, 5))
+    got = intersect(L, M)
+    assert got is not L and echelons(got) == echelons(rebuilt(L))
+    assert intersect(M, got) is got
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,11 @@ from dieudonne.errors import (HypothesisViolated, InclusionViolated,
                               PrecisionExhausted, SingularMap)
 from dieudonne.matrix import ring
 
+from instances import raw
+
 
 def int_lattice(ctx, cols):
-    return Lattice.from_columns(ctx, len(cols[0]), cols)
+    return Lattice.from_columns(ctx, len(cols[0]), raw(ctx, cols))
 
 
 def recanonicalize(L):
@@ -71,7 +73,7 @@ def test_hermite_drops_dependent_column():
     L = int_lattice(ctx, [[2, 0], [1, 0]])
     # (2,0) = 2*(1,0): a single pivot column survives
     assert L.rank == 1
-    assert L.contains_vector([ctx.scalar(1), ctx.scalar(0)])
+    assert L.contains_vector(raw(ctx, [[ctx.scalar(1), ctx.scalar(0)]])[0])
     assert L.contains_vector([1, 0]) and not L.contains_vector([0, 1])
 
 
@@ -208,7 +210,7 @@ def test_saturate_basics():
     L = int_lattice(ctx, [[2, 4]])
     S = saturate(L, amb)
     assert S.contains(L)
-    assert S.contains_vector([ctx.scalar(1), ctx.scalar(2)])
+    assert S.contains_vector(raw(ctx, [[ctx.scalar(1), ctx.scalar(2)]])[0])
     assert S.rank == 1
 
 
@@ -293,7 +295,7 @@ def test_apply_compose_consistency():
 def test_invert_matrix_roundtrip():
     ctx = make_context(2, 1, 16)
     rows = [[ctx.scalar(1), ctx.scalar(2)], [ctx.scalar(0), ctx.scalar(4)]]
-    inv, vdet = invert_matrix(ctx, rows)
+    inv, vdet = invert_matrix(ctx, raw(ctx, rows))
     inv = [[ctx.scalar(x) for x in row] for row in inv]
     assert vdet == 2
     # A * inv = p^vdet * I
@@ -552,7 +554,7 @@ def test_smith_valuations_matches_clearing(p, n, N):
                                       for _ in range(n - 1)])
                     for j, x in enumerate(row)] for i, row in enumerate(rows)]
             for neff in (N, N - 1, N // 2):
-                assert smith_valuations(ctx, mat, neff=neff) == \
+                assert smith_valuations(ctx, raw(ctx, mat), neff=neff) == \
                     _smith_valuations_reference(ctx, mat, neff=neff), \
                     (shape, kind, neff)
 
@@ -570,8 +572,7 @@ def test_smith_valuations_matches_sympy(p):
             for neff in (N, N // 2):
                 want = sorted(min(sympy.multiplicity(p, d), neff) if d
                               else neff for d in diag)
-                got = smith_valuations(ctx, [[ctx.scalar(x) for x in row]
-                                             for row in rows], neff=neff)
+                got = smith_valuations(ctx, raw(ctx, rows), neff=neff)
                 assert got == want, (rows, neff)
 
 
@@ -588,7 +589,7 @@ def test_invert_matrix_randomized_roundtrip(p, n):
             # a p-divisible column forces vdet > 0
             rows = [[ctx.mul_int(row[0], p)] + row[1:] for row in rows]
         try:
-            inv, vdet = invert_matrix(ctx, rows)
+            inv, vdet = invert_matrix(ctx, raw(ctx, rows))
         except SingularMap:
             continue
         inv = [[ctx.scalar(x) for x in row] for row in inv]
@@ -826,7 +827,7 @@ def test_apply_raw_matches_reference(p, n, N):
             rows = [[ctx.scalar([rng.randrange(-30, 31) * p ** rng.choice(
                 (0, 0, 1, N)) for _ in range(n)]) for _ in range(ncols)]
                 for _ in range(nrows)]
-            f = SemilinearMap(ctx, rows, twist=twist)
+            f = SemilinearMap(ctx, raw(ctx, rows), twist=twist)
             # the former body read scalar rows
             view = SimpleNamespace(ctx=ctx, twist=f.twist, rows=[
                 [ctx.scalar(x) for x in row] for row in f.rows])
@@ -860,12 +861,11 @@ def _contains_modulo_reference(E, vec, k):
                                      (2, 3, 12), (3, 3, 10), (3, 4, 10)])
 def test_contains_modulo_matches_reference(p, n, N):
     ctx = make_context(p, n, N)
-    R = ring(ctx)
     rng = random.Random(53 * p + n)
     pivot_vals, outcomes = set(), set()
     for cols, nrows in _kernel_inputs(ctx, rng):
         for scale in (0, -1, 1):
-            E = Lattice.from_columns(ctx, nrows, cols, scale=scale)
+            E = Lattice.from_columns(ctx, nrows, raw(ctx, cols), scale=scale)
             pivot_vals.update(min(e, 2) for (_, e) in E.ech_pivots)
             member = combination(ctx, rng, cols, nrows)
             free = [ctx.scalar([rng.randrange(-9, 10) for _ in range(n)])
@@ -875,8 +875,9 @@ def test_contains_modulo_matches_reference(p, n, N):
                          for x, y in zip(member, free)],
                         [ctx.add(x, ctx.mul_int(y, p))
                          for x, y in zip(member, free)], free):
+                vec = raw(ctx, [vec])[0]
                 for k in (1, 2):
-                    got = E.contains_modulo(R.raw_col(vec), k)
+                    got = E.contains_modulo(vec, k)
                     assert got == _contains_modulo_reference(E, vec, k)
                     outcomes.add(got)
     assert pivot_vals == {0, 1, 2}

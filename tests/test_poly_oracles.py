@@ -36,6 +36,8 @@ from dieudonne.lattices import invert_matrix
 from dieudonne.matrix import ring
 from dieudonne.witt import make_context
 
+import instances
+
 CONTEXTS = [(p, n, N) for p in (2, 3) for n in (1, 2) for N in (12, 48, 256)]
 
 
@@ -379,7 +381,7 @@ def poly_inverse_mod_reference(ctx, q, fac):
         red = red + [ctx.scalar(0)] * (m - len(red))
         cols.append(red)
     rows = [[cols[j][i] for j in range(m)] for i in range(m)]
-    inv_rows, vden = invert_matrix(ctx, rows)
+    inv_rows, vden = invert_matrix(ctx, instances.raw(ctx, rows))
     # w = inv * e_0 (the constant polynomial 1), scaled by p^{-vden}
     w = [ctx.scalar(inv_rows[i][0]) for i in range(m)]
     return w, vden

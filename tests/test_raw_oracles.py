@@ -33,8 +33,8 @@ from dieudonne.series import TruncatedSeries
 from dieudonne.signs import trace_of_vectors
 from dieudonne.witt import make_context
 
-from instances import (ordinary_rank2, rank6_two_slope, supersingular_rank2,
-                       three_slope_rank4, witt_mat_mul)
+from instances import (ordinary_rank2, rank6_two_slope, raw,
+                       supersingular_rank2, three_slope_rank4, witt_mat_mul)
 
 RINGS = [(2, 1, 12), (3, 1, 10), (5, 1, 9), (2, 3, 12), (3, 3, 10)]
 
@@ -66,8 +66,8 @@ def sandwich_map_reference(ctx, left_rows, right_rows, twist=0,
                 for l in range(r):
                     row.append(ctx.mul(left_rows[i][k], right_rows[l][j]))
             big.append(row)
-    return SemilinearMap(ctx, big, twist=twist, denominator=denominator,
-                         loss=loss)
+    return SemilinearMap(ctx, raw(ctx, big), twist=twist,
+                         denominator=denominator, loss=loss)
 
 
 def trace_of_vectors_reference(ctx, r, xvec, yvec):
@@ -100,7 +100,7 @@ def projector_fixed_lattice_reference(ctx, proj):
             row.append(x)
         rows.append(row)
     neff = ctx.N - proj.loss
-    kern = matrix_kernel(ctx, rows, neff)
+    kern = matrix_kernel(ctx, raw(ctx, rows), neff)
     return Lattice.from_columns(ctx, r, kern, loss=proj.loss)
 
 
@@ -136,7 +136,7 @@ def compose_reference(self, other):
     twisted = [[ctx.frobenius(x, e) for x in r]
                for r in orows] if e else orows
     rows = witt_mat_mul(ctx, self.rows, twisted)
-    return SemilinearMap(ctx, rows, self.twist + other.twist,
+    return SemilinearMap(ctx, raw(ctx, rows), self.twist + other.twist,
                          self.denominator + other.denominator,
                          loss=max(self.loss, other.loss))
 
@@ -208,7 +208,7 @@ def matrix(ctx, rng, r, c=None, powers=(0, 0, 1, 2)):
 
 
 def random_map(ctx, rng, r, powers=(0, 0, 1, 2)):
-    return SemilinearMap(ctx, matrix(ctx, rng, r, powers=powers),
+    return SemilinearMap(ctx, raw(ctx, matrix(ctx, rng, r, powers=powers)),
                          twist=rng.randrange(ctx.n),
                          denominator=rng.randrange(-1, 3),
                          loss=rng.randrange(3))
@@ -291,7 +291,8 @@ def projector_inputs(ctx, rng):
             den, loss = rng.randrange(3), rng.randrange(3)
             rows = [[x * ctx.p ** den for x in row]
                     for row in integer_idempotent(rng, r, k)]
-            yield SemilinearMap(ctx, rows, denominator=den, loss=loss)
+            yield SemilinearMap(ctx, raw(ctx, rows), denominator=den,
+                                loss=loss)
     makers = ([rank6_two_slope] if ctx.n > 1 else
               [ordinary_rank2, supersingular_rank2, three_slope_rank4])
     for make in makers:
@@ -327,14 +328,16 @@ def test_maps_equal_matches_reference(p, n, N):
             f = random_map(ctx, rng, r)
             k = rng.randrange(1, 3)
             # the same map with a p^k-multiplied matrix and denominator
-            lifted = SemilinearMap(ctx, [[ctx.mul_int(x, p ** k) for x in row]
-                                         for row in scalar_view(f).rows],
-                                   f.twist, f.denominator + k, f.loss)
+            lifted = SemilinearMap(ctx, raw(ctx, [
+                [ctx.mul_int(x, p ** k) for x in row]
+                for row in scalar_view(f).rows]),
+                f.twist, f.denominator + k, f.loss)
             # perturbed at the trusted precision, or low down
             low = ctx.scalar(p ** (N - f.loss - 1))
-            near = SemilinearMap(ctx, [[ctx.add(x, low) for x in row]
-                                       for row in scalar_view(f).rows],
-                                 f.twist, f.denominator, f.loss)
+            near = SemilinearMap(ctx, raw(ctx, [
+                [ctx.add(x, low) for x in row]
+                for row in scalar_view(f).rows]),
+                f.twist, f.denominator, f.loss)
             far = random_map(ctx, rng, r)
             twisted = SemilinearMap(ctx, f.rows, f.twist + 1,
                                     f.denominator, f.loss)
@@ -427,7 +430,7 @@ def test_inverse_matches_reference(p, n, N):
                     row[0] = [c * p for c in row[0]]
             exact = exact_inverse(ctx, ints)
             try:
-                got, vdet = invert_matrix(ctx, ints)
+                got, vdet = invert_matrix(ctx, raw(ctx, ints))
             except SingularMap:
                 # some elementary divisor vanishes at the precision
                 assert exact is None or exact[1] >= N

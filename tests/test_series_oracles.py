@@ -32,7 +32,7 @@ from dieudonne.matrix import ring
 from dieudonne.series import TruncatedSeries
 from dieudonne.witt import format_entry, make_context
 
-from instances import ordinary_rank2, rank6_two_slope
+from instances import ordinary_rank2, rank6_two_slope, raw
 
 RINGS = [(2, 1, 12), (3, 1, 10), (5, 1, 9), (2, 3, 12), (3, 3, 10)]
 
@@ -326,7 +326,7 @@ def correction_factor_reference(crystal, conn, z):
     p2end = Lattice.from_columns(
         ctx, r * r, [R.scale(col, p2) for col in R.identity(r * r)])
     e_plus_p2 = lattice_sum(conn.E, p2end)
-    in_E_mod_p2 = e_plus_p2.contains_vector(defect)
+    in_E_mod_p2 = e_plus_p2.contains_vector(raw(ctx, [defect])[0])
     return {
         "matrix": grows,
         "unit_mod_p": ok_unit,

@@ -22,7 +22,7 @@ from dieudonne.signs import (
 )
 
 from instances import (four_slope_rank8, hom_block_vector, non_split_rank6,
-                       ordinary_rank2, pair_subsets, rank6_two_slope,
+                       ordinary_rank2, pair_subsets, rank6_two_slope, raw,
                        supersingular_rank2, three_slope_rank4)
 
 
@@ -323,7 +323,7 @@ def test_boosted_dual_is_the_dual_at_a_larger_precision(monkeypatch):
 
     wide = dual_lattice(lifted(D.V_minus), lifted(D.V_plus))
     assert extras == [(10,)]
-    want = Lattice.from_columns(ctx, wide.ambient, wide.cols,
+    want = Lattice.from_columns(ctx, wide.ambient, raw(ctx, wide.cols),
                                 scale=wide.scale, loss=wide.loss)
     assert got.ctx is ctx and got.equals(want)
     assert (got.cols, got.scale, got.loss) == (want.cols, want.scale,
