@@ -16,8 +16,10 @@ The point trivialization is the limit of the backward-orbit product
 prod_k (1 + n_k) with every n_k in E.  When E * E = 0 (decided exactly,
 once per ``prepare_trivializer`` workspace, at the boosted precision)
 every cross term vanishes, so the product is 1 + sum_k n_k and its
-inverse 1 - sum_k n_k.  The workspace then also holds doubling tables of
-the backward conjugation T on the basis of E: P_j = T^(2^j) and
+inverse 1 - sum_k n_k.  The backward conjugation T on the basis of E is
+restricted from r x r data, sigma^{-1}(A_adj x A) for each basis element
+x, with no r^2 x r^2 map.  The workspace then also holds doubling tables
+of T: P_j = T^(2^j) and
 Q_j = T + ... + T^(2^j), the latter split by the power of sigma each
 term twists by, built with ``SemilinearMap.compose`` and ``add``.  T is
 integral, so the orbit terms that survive mod p^N form a prefix; a
@@ -25,7 +27,8 @@ binary descent over the tables finds its length ``steps`` and its sum in
 about 2 log2(cap) matrix-vector products, and since the tables are exact
 at the boosted precision the sum is the step-by-step one entry for
 entry.  Any other E falls back to multiplying the product out, one orbit
-step at a time.  The conjugation certificate is the same on both paths.
+step at a time.  The conjugation certificate is the same on both paths,
+and reads only its nonzero entries.
 The workspace also memoizes the Teichmuller lifts of the residue
 coordinates it has seen; the memo lives exactly as long as the workspace.
 
@@ -35,24 +38,28 @@ evaluation points and the correction factor all hold raw entries of
 tuple of ``WittContext.teichmuller``, which crosses ``raw_col`` once per
 coordinate.
 
-Series arithmetic pays only for nonzero terms.  No r x r matrix of
-series is built: the twisted Frobenius applies u = 1 + sum_j x_j v_j as
-avec + sum_j x_j (v_j avec), one shift by x_j per deformation vector over
-the nonzero entries of v_j, and nabla applies each basis element of E as
-one row combination (``TruncatedSeries.plus_combination``) of the
-products of the entries with terms and the form's coefficients.  Each
-result keeps the window that the product with the full matrix gave it.
+Series arithmetic pays only for nonzero terms and nonzero rows.  No
+r x r matrix of series is built: the twisted Frobenius applies
+u = 1 + sum_j x_j v_j as avec + sum_j x_j (v_j avec), one shift by x_j
+per deformation vector, and row k combines only the v_j whose row k has a
+nonzero entry (``DeformationBasis.rows``).  nabla applies each basis
+element of E through its nonzero entries (``ConnectionForm.entries``) as
+one row combination (``TruncatedSeries.plus_combination``) per row of the
+products of the entries with terms and the form's coefficients, each
+product formed once, when a row first uses it.  Each result keeps the
+window that the product with the full matrix gave it.
 """
 
 from __future__ import annotations
 
-from .core import (TangentSpace, nu_image, _backward_numerator,
-                   _nonzero_product)
+from math import isqrt
+
+from .core import TangentSpace, nu_image, _nonzero_product
 from .errors import (HypothesisViolated, InclusionViolated, NonConvergence,
                      NonTermination, ValidationFailed)
-from .isocrystal import FIsocrystal, end_frobenius, vec_to_mat
+from .isocrystal import FIsocrystal, end_frobenius, mat_to_vec, vec_to_mat
 from .lattices import (Lattice, SemilinearMap, boosted, residue_echelon,
-                       residue_spaces_equal, restrict_map)
+                       restrict_map)
 from .matrix import ring
 from .series import TruncatedSeries
 
@@ -60,14 +67,21 @@ from .series import TruncatedSeries
 class DeformationBasis:
     """Vectors v_1..v_n inside a lattice E whose tangent classes are
     linearly independent (so they span nu of their own span); stored
-    raw."""
+    raw.  ``rows[k]`` lists (j, row k of v_j) for the v_j whose row k
+    holds a nonzero entry, v_j read as an r x r matrix: the rows of
+    u = 1 + sum_j x_j v_j that ``apply_twisted_frobenius`` combines."""
 
-    __slots__ = ("vectors", "E", "n")
+    __slots__ = ("vectors", "E", "n", "rows")
 
     def __init__(self, vectors, E: Lattice):
-        self.vectors = ring(E.ctx).raw_mat(vectors)
+        R = ring(E.ctx)
+        self.vectors = R.raw_mat(vectors)
         self.E = E
         self.n = len(self.vectors)
+        r = isqrt(E.ambient)
+        self.rows = [[(j, row) for j, row in enumerate(
+            v[k * r:(k + 1) * r] for v in self.vectors)
+            if not all(map(R.is_zero, row))] for k in range(r)]
 
 
 def select_deformation_basis(E: Lattice, tangent: TangentSpace
@@ -93,9 +107,12 @@ def select_deformation_basis(E: Lattice, tangent: TangentSpace
 
 class ConnectionForm:
     """The one-form of the horizontal connection: w[(l, i)] is the series
-    coefficient of (basis element l of E) d x_i."""
+    coefficient of (basis element l of E) d x_i.  ``entries[k]`` lists
+    (l, m, x) for every nonzero entry x at (k, m) of basis element l, read
+    as an r x r matrix: the terms row k of ``_nabla`` combines."""
 
-    __slots__ = ("crystal", "E", "basis", "B", "dmax", "w", "a", "b")
+    __slots__ = ("crystal", "E", "basis", "B", "dmax", "w", "a", "b",
+                 "entries")
 
     def __init__(self, crystal, E, basis, B, dmax, w, a, b):
         self.crystal = crystal
@@ -106,6 +123,11 @@ class ConnectionForm:
         self.w = w
         self.a = a              # coords of p phi(e_l) in the E basis
         self.b = b              # coords of v_i in the E basis
+        r = crystal.rank
+        is_zero = ring(crystal.ctx).is_zero
+        self.entries = [[(l, m, v[k * r + m]) for l, v in enumerate(basis)
+                         for m in range(r) if not is_zero(v[k * r + m])]
+                        for k in range(r)]
 
     def basis_matrices(self):
         r = self.crystal.rank
@@ -202,26 +224,34 @@ def _nabla(conn, vec, i):
     """nabla(d/dx_i) on a vector of series: the partial derivative plus
     omega_i = sum_l w[(l, i)] * (basis element l of E) applied to it.
 
-    Entry k of omega_i(vec) is sum_l sum_m (E_l)[k][m] (vec_m w[(l, i)]),
-    so each product of an entry with terms and a nonzero w[(l, i)] is
-    formed once and every row is one combination of those products.  Each
-    entry of E_l vec is trusted only through the window of every entry of
-    vec, zero matrix entries included."""
+    Entry k of omega_i(vec) is sum_l sum_m (E_l)[k][m] (vec_m w[(l, i)])
+    over the nonzero entries (E_l)[k][m] of ``conn.entries``, so each
+    product of an entry with terms and a nonzero w[(l, i)] is formed once,
+    when a row first uses it, and every row is one combination of those
+    products.  Each entry of E_l vec is trusted only through the window of
+    every entry of vec, zero matrix entries included."""
     R = ring(conn.crystal.ctx)
-    r = conn.crystal.rank
     out = [s.partial(i) for s in vec]
-    forms = [(v, conn.w[(l, i)]) for l, v in enumerate(conn.basis)
-             if not conn.w[(l, i)].is_zero()]
+    forms = {l: conn.w[(l, i)] for l in range(len(conn.basis))
+             if not conn.w[(l, i)].is_zero()}
     if not forms:
         return out
-    live = [(m, s) for m, s in enumerate(vec) if not s.is_zero()]
-    prods = [(v, m, s * w_li) for v, w_li in forms for m, s in live]
     floor = TruncatedSeries(R, conn.B.n, conn.dmax, valid=min(
-        [s.valid for s in vec] + [w_li.valid for _, w_li in forms]))
-    series = [prod for _, _, prod in prods]
-    for k in range(r):
-        row = [v[k * r + m] for v, m, _ in prods]
-        out[k] = (out[k] + floor).plus_combination(row, series)
+        [s.valid for s in vec] + [w_li.valid for w_li in forms.values()]))
+    live = {m for m, s in enumerate(vec) if not s.is_zero()}
+    prods = {}
+    for k, entries in enumerate(conn.entries):
+        row, series = [], []
+        for l, m, x in entries:
+            if l in forms and m in live:
+                prod = prods.get((l, m))
+                if prod is None:
+                    prod = prods[(l, m)] = vec[m] * forms[l]
+                row.append(x)
+                series.append(prod)
+        out[k] = out[k] + floor
+        if row:
+            out[k] = out[k].plus_combination(row, series)
     return out
 
 
@@ -231,11 +261,11 @@ def apply_twisted_frobenius(crystal, B: DeformationBasis, vec):
 
     With avec = A * Phi_S(vec), entry k is avec_k + sum_j (v_j x_j avec)_k:
     avec is shifted by x_j once per vector, and row k of v_j combines the
-    shifted entries over its nonzero entries only.  Every entry is trusted
-    only through the window of every entry of avec, as in the product
-    with the full series matrix u."""
+    shifted entries over its nonzero entries only, for the v_j of
+    ``B.rows[k]``.  Every entry is trusted only through the window of
+    every entry of avec, as in the product with the full series matrix
+    u."""
     R = ring(crystal.ctx)
-    r = crystal.rank
     lifted = [s.frobenius_lift() for s in vec]
     nvars, dmax = vec[0].nvars, vec[0].dmax
     empty = TruncatedSeries.zero(R, nvars, dmax)
@@ -243,10 +273,10 @@ def apply_twisted_frobenius(crystal, B: DeformationBasis, vec):
     floor = TruncatedSeries(R, nvars, dmax, valid=min(s.valid for s in avec))
     shifted = [[s.times_variable(j) for s in avec] for j in range(B.n)]
     out = []
-    for k in range(r):
+    for k, live in enumerate(B.rows):
         acc = floor + avec[k]
-        for v, xavec in zip(B.vectors, shifted):
-            acc = acc.plus_combination(v[k * r:(k + 1) * r], xavec)
+        for j, row in live:
+            acc = acc.plus_combination(row, shifted[j])
         out.append(acc)
     return out
 
@@ -282,8 +312,9 @@ def verify_horizontality(crystal: FIsocrystal, conn: ConnectionForm,
             forms = [(ec, conn.w[(l, i)]) for l, ec in enumerate(ecs)
                      if not conn.w[(l, i)].is_zero()]
             ws = [w_li for _, w_li in forms]
-            omega_c = [empty.plus_combination([ec[k] for ec, _ in forms], ws)
-                       for k in range(r)]
+            rows = ([ec[k] for ec, _ in forms] for k in range(r))
+            omega_c = [empty if all(map(R.is_zero, row))
+                       else empty.plus_combination(row, ws) for row in rows]
             rhs = apply_twisted_frobenius(crystal, conn.B, omega_c)
             pfac = TruncatedSeries.variable(R, n, dmax, i,
                                             power=ctx.p - 1).scale_p(1)
@@ -321,9 +352,10 @@ def kodaira_spencer_image(conn: ConnectionForm, tangent: TangentSpace):
         v = R.vec_mat(c0, conn.basis)
         classes.append(tangent.nu_matrix(vec_to_mat(list(map(R.neg, v)),
                                                     r)))
-    ech, _ = residue_echelon(ctx, classes)
+    ech, positions = residue_echelon(ctx, classes)
     want = [tangent.nu_matrix(vec_to_mat(v, r)) for v in conn.B.vectors]
-    if not residue_spaces_equal(ctx, classes, want):
+    # reduced echelon bases are unique, so equal spans give equal bases
+    if (ech, positions) != residue_echelon(ctx, want):
         raise ValidationFailed(
             "Kodaira-Spencer image differs from the span of the basis "
             "classes")
@@ -377,7 +409,13 @@ def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
     two echelon basis elements vanishes), which selects the orbit sum.
     On that path it also holds the doubling tables of the orbit
     (``_orbit_tables``), and on either path a memo of the Teichmuller
-    lifts of the points it serves, which lives as long as the workspace."""
+    lifts of the points it serves, which lives as long as the workspace.
+
+    The backward-conjugation matrix ``Cmap`` restricts the numerator
+    x -> sigma^{-1}(A_adj x A) (over p^v(det A)) to the echelon basis of
+    E directly: two r x r products per basis element and one
+    ``coordinates`` solve, with no r^2 x r^2 ``sandwich_map`` of the
+    boosted crystal."""
     ctx = crystal.ctx
     _, dval = crystal.inverse_numerator()
     delta = E.index_valuation()
@@ -388,20 +426,23 @@ def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
     loss = E.loss + big.N - ctx.N if E.loss else 0
     bE = Lattice.from_columns(big, E.ambient, E.cols, scale=E.scale,
                               loss=loss)
-    ainv_big, _ = bX.inverse_numerator()
+    ainv_big, vdet = bX.inverse_numerator()
     # x -> phi^{-1} x phi on the echelon basis of E
-    try:
-        cmap = restrict_map(_backward_numerator(bX)[0], bE)
-    except InclusionViolated:
+    R, r, back = ring(big), crystal.rank, (-1) % big.n
+    images = (mat_to_vec(R.frob_mat(R.mul_mat(R.mul_mat(
+        ainv_big, vec_to_mat(c, r)), bX.phi.rows), back)) for c in bE.ech)
+    cols = bE.coordinates(images, bE.scale + vdet)
+    if cols is None:
         raise HypothesisViolated(
             "E is not stable under the inverse Frobenius")
-    square_zero = _nonzero_product(big, crystal.rank, bE.ech,
-                                   bE.loss) is None
+    cmap = SemilinearMap(big, list(zip(*cols)), back,
+                         loss=max(bX.phi.loss, bE.loss))
+    square_zero = _nonzero_product(big, r, bE.ech, bE.loss) is None
     return {
         "big": big, "dval": dval, "bE": bE, "bvecs": B.vectors,
         "abig": bX.phi.rows, "ainv": ainv_big, "Cmap": cmap,
         "square_zero": square_zero,
-        "tables": (_orbit_tables(cmap, _orbit_cap(ctx, crystal.rank))
+        "tables": (_orbit_tables(cmap, _orbit_cap(ctx, r))
                    if square_zero else None),
         "teich": {},
     }
@@ -472,8 +513,10 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
             if a_ == b_:
                 x = R.sub(x, pd)
             # lhs carries the cleared p^dval, so subtract it from the
-            # certified exponent
-            verified = min(verified, max(0, R.val(x) - dval))
+            # certified exponent; a zero (valuation big.N, and big.N - dval
+            # exceeds N) certifies nothing less
+            if not R.is_zero(x):
+                verified = min(verified, max(0, R.val(x) - dval))
     return {
         "u_infinity": ring(ctx).raw_mat(prod),
         "steps": steps,

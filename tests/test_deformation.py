@@ -9,28 +9,32 @@ import re
 
 import pytest
 
-from dieudonne import matrix
+from dieudonne import core, isocrystal, matrix
 from dieudonne.cli import corpus_names, load_corpus
 from dieudonne.witt import WittContext, make_context
 from dieudonne.isocrystal import (FIsocrystal, slope_split, end_decompose,
                                   newton_slopes, vec_to_mat)
 from dieudonne.core import (TangentSpace, hodge_splitting_from_kernel,
-                            largest_sub_dieudonne, lie_element, nu_image)
+                            largest_sub_dieudonne, lie_element, nu_image,
+                            _backward_numerator)
 from dieudonne.series import TruncatedSeries, linear_matrix
 from dieudonne.deformation import (
-    DeformationBasis, apply_twisted_frobenius, correction_factor,
-    divided_power, induced_connection_tilde, kodaira_spencer_image,
+    ConnectionForm, DeformationBasis, apply_twisted_frobenius,
+    correction_factor, divided_power, induced_connection_tilde,
+    kodaira_spencer_image,
     prepare_trivializer, recursion_residual, select_deformation_basis,
     solve_connection, trivialize_at_point, verify_horizontality,
     _nabla, _orbit_sum, _orbit_tables,
 )
-from dieudonne.errors import HypothesisViolated, NonConvergence
-from dieudonne.lattices import SemilinearMap
+from dieudonne.errors import (HypothesisViolated, InclusionViolated,
+                              NonConvergence)
+from dieudonne.lattices import Lattice, SemilinearMap, restrict_map
 from dieudonne.matrix import ring
 from dieudonne.problems import Session
 
-from instances import (non_split_rank6, ordinary_rank2, rank6_two_slope,
-                       three_slope_rank4)
+from instances import (conjugated_draws, non_split_rank6, ordinary_rank2,
+                       random_split_instance, rank6_two_slope, rank8_conj,
+                       sigma_twisted_instance, three_slope_rank4)
 
 
 # ---------------------------------------------------------------------------
@@ -417,25 +421,32 @@ def test_trivialize_with_an_empty_basis():
     assert got["u_infinity"] == ring(X.ctx).identity(X.rank)
 
 
+def _non_split_spec(pairs=None):
+    """non_split_rank6 at p = 2, N = 32 and degree 9 as a parsed problem,
+    on the given slope pairs (by default all of them)."""
+    from dieudonne.problems import parse_dict
+    X = non_split_rank6(make_context(2, 1, 32))
+    doc = {"name": "non_split_rank6", "p": 2, "n": 1, "precision": 32,
+           "degree": 9, "rank": 6,
+           "phi_matrix": [list(row) for row in X.phi.rows]}
+    return parse_dict(dict(doc, slope_pairs=pairs) if pairs else doc)
+
+
 def test_trivializer_keeps_the_loss_of_E():
     # on a module that does not split, E carries a loss: its basis is
     # known modulo p^(N - loss) only, and its boosted copy no better, so
     # the stability of E under the inverse Frobenius is certified at the
     # digits E has
-    from dieudonne.problems import parse_dict, run
-    X = non_split_rank6(make_context(2, 1, 32))
-    doc = {"name": "non_split_rank6", "p": 2, "n": 1, "precision": 32,
-           "degree": 9, "rank": 6,
-           "phi_matrix": [list(row) for row in X.phi.rows]}
+    from dieudonne.problems import run
     moduli = {}
     for pairs in (None, [["0", "1/3"], ["0", "1/2"]]):
-        spec = parse_dict(dict(doc, slope_pairs=pairs) if pairs else doc)
+        spec = _non_split_spec(pairs)
         sess = Session(spec)
         E = sess.lattice_e()
         assert E.loss > 0
         ws = prepare_trivializer(sess.crystal(), E,
                                  sess.deformation_basis())
-        assert ws["bE"].loss == E.loss + ws["big"].N - X.ctx.N
+        assert ws["bE"].loss == E.loss + ws["big"].N - sess.ctx().N
         found = run(spec, ["trivialize"])["analyses"]["trivialize"]
         assert found["ok"], found
         moduli[bool(pairs)] = [res["verified_modulus"]
@@ -545,6 +556,105 @@ def test_square_zero_trivializer_makes_no_orbit_products(monkeypatch):
         steps.add(out["steps"])
         assert calls == {"mul_mat": 4, "nilpotent_inverse": 0}
     assert steps == {0, 47, 143}
+
+
+def _cmap_cases():
+    """(name, crystal, E): the corpus, non_split_rank6 on both pair sets,
+    rank8_conj, the conjugated draws and the sigma-twisted module (whose
+    entries sigma moves), each with its default E."""
+    from dieudonne.problems import parse_dict
+    sessions = [(name, Session(load_corpus(name))) for name in corpus_names()]
+    sessions += [("non_split_rank6", Session(_non_split_spec())),
+                 ("non_split_rank6_pairs", Session(_non_split_spec(
+                     [["0", "1/3"], ["0", "1/2"]]))),
+                 ("rank8_conj", Session(parse_dict(rank8_conj())))]
+    cases = [(name, sess.crystal(), sess.lattice_e())
+             for name, sess in sessions]
+    draws = [(f"conjugated-{k}", X) for k, X in enumerate(conjugated_draws())]
+    draws.append(("sigma_twisted", sigma_twisted_instance()))
+    for name, X in draws:
+        cases.append((name, X, end_decompose(slope_split(X)).o_minus()))
+    return cases
+
+
+def test_cmap_is_the_restricted_sandwich():
+    # prepare_trivializer restricts x -> sigma^{-1}(A_adj x A) to the
+    # echelon basis of E with r x r products; the restriction of the
+    # boosted crystal's r^2 x r^2 backward numerator is the reference,
+    # equal in rows, twist and loss, and failing where it fails: on
+    # rank8_conj and on six of the eight conjugated draws, whose O_minus
+    # is not stable under the inverse Frobenius
+    failed = []
+    for name, X, E in _cmap_cases():
+        try:
+            ws = prepare_trivializer(X, E, DeformationBasis([], E))
+        except HypothesisViolated as exc:
+            assert str(exc) == "E is not stable under the inverse Frobenius"
+            failed.append(name)
+            # the reference fails at the same boost
+            _, dval = X.inverse_numerator()
+            big = make_context(X.ctx.p, X.ctx.n, X.ctx.N + E.index_valuation()
+                               + 2 * dval + 8)
+            loss = E.loss + big.N - X.ctx.N if E.loss else 0
+            bE = Lattice.from_columns(big, E.ambient, E.cols, scale=E.scale,
+                                      loss=loss)
+            with pytest.raises(InclusionViolated):
+                restrict_map(_backward_numerator(X.at_precision(big))[0], bE)
+            continue
+        bX = X.at_precision(ws["big"])
+        want = restrict_map(_backward_numerator(bX)[0], ws["bE"])
+        got = ws["Cmap"]
+        assert (got.rows, got.twist, got.denominator, got.loss) == \
+            (want.rows, want.twist, want.denominator, want.loss), name
+    assert failed == ["rank8_conj"] + [f"conjugated-{k}"
+                                       for k in (0, 1, 2, 3, 4, 6)]
+
+
+def test_certificate_pins_its_nonzero_entries():
+    # on non_split_rank6 (full pair set, N = 32) the certificate has
+    # nonzero entries, and skipping the zero ones gives the full loop's
+    # verified modulus at every point of the trivialize analysis
+    sess = Session(_non_split_spec())
+    X, E, B = sess.crystal(), sess.lattice_e(), sess.deformation_basis()
+    ws = prepare_trivializer(X, E, B)
+    rng = sess.rng()
+    points = [[tuple(rng.randrange(X.ctx.p) for _ in range(X.ctx.n))
+               for _ in range(B.n)] for _ in range(3)]
+    moduli = []
+    for point in points:
+        got = trivialize_at_point(X, E, B, point, workspace=ws)
+        assert got == _trivialize_reference(X, E, B, point, workspace=ws)
+        moduli.append(got["verified_modulus"])
+    assert moduli == [30, 30, 30]
+
+
+def test_point_path_combines_only_live_rows(monkeypatch):
+    # on four_slope_rank8, every row that verify_horizontality hands
+    # plus_combination holds a nonzero entry, and prepare_trivializer
+    # builds no r^2 x r^2 sandwich map
+    sess = Session(load_corpus("four_slope_rank8"))
+    X, E, B = sess.crystal(), sess.lattice_e(), sess.deformation_basis()
+    conn, split = sess.connection(), sess.split()
+    R = ring(X.ctx)
+    rows = []
+    combine = TruncatedSeries.plus_combination
+
+    def recording(self, row, series):
+        rows.append(list(row))
+        return combine(self, row, series)
+
+    monkeypatch.setattr(TruncatedSeries, "plus_combination", recording)
+    assert verify_horizontality(X, conn, split)["vanishes"]
+    assert rows and all(any(x != R.zero for x in row) for row in rows)
+    sandwiches = []
+
+    def counting(*args, **kwargs):
+        sandwiches.append(args)
+        return isocrystal.sandwich_map(*args, **kwargs)
+
+    monkeypatch.setattr(core, "sandwich_map", counting)
+    prepare_trivializer(X, E, B)
+    assert sandwiches == []
 
 
 # ---------------------------------------------------------------------------
@@ -770,16 +880,60 @@ def _rank6_setup(dmax):
     return ctx, X, B, solve_connection(X, O, B, dmax)
 
 
+def _nonzero_entry(R, rng):
+    while True:
+        x = raw(R.ctx, [rng.randrange(R.ctx.pN) for _ in range(R.ctx.n)])
+        if x != R.zero:
+            return x
+
+
+def _dense_setup(X, seed, nvars=2, m=2, dmax=3):
+    """Deformation vectors and form basis elements with no zero entry on
+    the crystal X, so that every row of u and of each E_l is live; E is
+    the span of the vectors.  The form's series are seeded, every third
+    one zero, and solve nothing: the oracles compare the arithmetic of the
+    sparse tables with the full products, on any inputs."""
+    ctx, r = X.ctx, X.rank
+    R = ring(ctx)
+    rng = random.Random(seed)
+    vectors = [[_nonzero_entry(R, rng) for _ in range(r * r)]
+               for _ in range(nvars)]
+    E = Lattice.from_columns(ctx, r * r, vectors)
+    B = DeformationBasis(vectors, E)
+    basis = [[_nonzero_entry(R, rng) for _ in range(r * r)]
+             for _ in range(m)]
+    w = {}
+    for i in range(nvars):
+        for l, s in enumerate(_seeded_series_vector(ctx, nvars, dmax, m,
+                                                    rng)):
+            w[(l, i)] = s
+    return ctx, X, B, ConnectionForm(X, E, basis, B, dmax, w, None, None)
+
+
 def _kernel_setup(name):
     if name == "rank6_two_slope":
         return _rank6_setup(4)
+    if name == "four_slope_rank8":
+        sess = Session(load_corpus(name))
+        return sess.ctx(), sess.crystal(), sess.deformation_basis(), \
+            sess.connection()
+    if name == "split_dense":
+        return _dense_setup(random_split_instance(random.Random(6)), 3400)
+    if name == "sigma_twisted_dense":
+        return _dense_setup(sigma_twisted_instance(), 3500)
     p = {"ordinary_p2": 2, "ordinary_p3": 3}[name]
     ctx, X, O, T, B, conn = ordinary_setup(p, 20, 8)
     return ctx, X, B, conn
 
 
-@pytest.mark.parametrize("name", ["ordinary_p2", "ordinary_p3",
-                                  "rank6_two_slope"])
+# four_slope_rank8's deformation vectors are mostly zero rows; the dense
+# setups, a random_split_instance draw at p = 5 and the sigma-twisted
+# module at n = 2, have no zero entry at all
+KERNEL_SETUPS = ["ordinary_p2", "ordinary_p3", "rank6_two_slope",
+                 "four_slope_rank8", "split_dense", "sigma_twisted_dense"]
+
+
+@pytest.mark.parametrize("name", KERNEL_SETUPS)
 def test_twisted_frobenius_matches_series_matrix_form(name):
     ctx, X, B, conn = _kernel_setup(name)
     u = universal_element_reference(X, B, conn.dmax)
@@ -811,26 +965,30 @@ def _nabla_reference(conn, vec, i):
     return out
 
 
-def test_nabla_matches_constant_matrix_form():
+@pytest.mark.parametrize("name", KERNEL_SETUPS)
+def test_nabla_matches_constant_matrix_form(name):
     # nabla on raw matrix entries gives the coefficients and validity
     # windows of the former constant-series products; entries of vec
     # carry different windows, and zero entries keep theirs
-    ctx = make_context(2, 3, 40)
-    X = rank6_two_slope(ctx)
-    S = slope_split(X)
-    E = end_decompose(S)
-    O = largest_sub_dieudonne(E.V_minus, E.carrier("minus"))
-    B = select_deformation_basis(O, TangentSpace(X))
-    conn = solve_connection(X, O, B, 4)
+    ctx, X, B, conn = _kernel_setup(name)
     rng = random.Random(4200)
+    vectors = []
     for _ in range(4):
         vec = []
         for k in range(X.rank):
-            coeffs = {} if k % 3 == 0 else {
-                (rng.randrange(3), rng.randrange(2), 0):
-                raw(ctx, [rng.randrange(ctx.pN) for _ in range(3)])}
-            vec.append(TruncatedSeries(ring(ctx), B.n, 4, coeffs,
-                                       valid=rng.randrange(5)))
+            expo = [0] * B.n
+            if k % 3:
+                expo[0] = rng.randrange(3)
+                if B.n > 1:
+                    expo[1] = rng.randrange(2)
+            coeffs = {} if k % 3 == 0 else {tuple(expo): raw(
+                ctx, [rng.randrange(ctx.pN) for _ in range(ctx.n)])}
+            vec.append(TruncatedSeries(ring(ctx), B.n, conn.dmax, coeffs,
+                                       valid=rng.randrange(conn.dmax + 1)))
+        vectors.append(vec)
+    vectors += [_seeded_series_vector(ctx, B.n, conn.dmax, X.rank, rng)
+                for _ in range(2)]
+    for vec in vectors:
         for i in range(B.n):
             got = _nabla(conn, vec, i)
             want = _nabla_reference(conn, vec, i)
