@@ -6,7 +6,10 @@ its Newton polygon.  The slope projectors come from the segment
 factorization of that polynomial: after passing to a matrix power that
 makes all segment slopes integral, each segment factor is split off by a
 p-power shear followed by classical coprime Hensel lifting, and the
-partial-fraction idempotents are evaluated at the linearized matrix.
+partial-fraction idempotents are evaluated at that power L of the
+linearized matrix.  Each idempotent's numerator has degree below the rank
+r, so one table of L^0, ..., L^(r-1) is built per split, and each
+numerator is one ``vec_mat`` of its coefficients against it.
 
 Everything runs at an internally boosted precision on the exact input
 matrix, so the published projectors and component lattices are good at the
@@ -37,20 +40,6 @@ from .witt import WittContext
 # dense polynomials over the Witt ring (low-degree-first raw lists)
 
 
-def poly_mul(ctx, a, b):
-    """Product of raw polynomials: one scale-and-add per nonzero
-    coefficient of a."""
-    if not a or not b:
-        return []
-    R = ring(ctx)
-    zero, lb = R.zero, len(b)
-    out = [zero] * (len(a) + lb - 1)
-    for i, x in enumerate(a):
-        if x != zero:
-            out[i:i + lb] = R.axpy(out[i:i + lb], R.neg(x), b)
-    return out
-
-
 def poly_divmod_monic(ctx, a, b):
     """Division with remainder by a monic divisor."""
     R = ring(ctx)
@@ -65,19 +54,6 @@ def poly_divmod_monic(ctx, a, b):
         q[i - db] = c
         a[i - db:i + 1] = R.axpy(a[i - db:i + 1], c, b)
     return q, a[:db]
-
-
-def poly_eval_matrix(ctx, coeffs, rows):
-    """Evaluate a polynomial at a square raw matrix (Horner)."""
-    R = ring(ctx)
-    r = len(rows)
-    acc = [[R.zero] * r for _ in range(r)]
-    for c in reversed(coeffs):
-        # acc <- acc * A + c I
-        acc = R.mul_mat(acc, rows)
-        for i in range(r):
-            acc[i][i] = R.add(acc[i][i], c)
-    return acc
 
 
 def charpoly(ctx, rows):
@@ -100,7 +76,7 @@ def charpoly(ctx, rows):
             t.append(neg(dot(u, col)))
             if j < k - 1:
                 col = [dot(brow, col) for brow in block]
-        coeffs = poly_mul(ctx, t, coeffs)[:k + 2]
+        coeffs = R.poly_mul(t, coeffs)[:k + 2]
     return list(reversed(coeffs))  # low-first, monic
 
 
@@ -203,9 +179,9 @@ def _residue_bezout(ctx, a, b):
         q = R.scale(q, inv)
         r0, r1 = r1, _poly_reduce(R, r, p)
         s0, s1 = s1, _poly_reduce(R, _poly_axpy(R, s0, R.one,
-                                                poly_mul(ctx, q, s1)), p)
+                                                R.poly_mul(q, s1)), p)
         t0, t1 = t1, _poly_reduce(R, _poly_axpy(R, t0, R.one,
-                                                poly_mul(ctx, q, t1)), p)
+                                                R.poly_mul(q, t1)), p)
     if len(r0) != 1:
         raise FieldTooSmall("factors are not coprime over the residue field")
     inv = R.inverse(r0[0])
@@ -231,26 +207,26 @@ def hensel_split(ctx, F, gbar, hbar):
         # which is what makes the degree-overflow terms vanish exactly
         k = min(2 * prec, ctx.N)
         pk = ctx.p ** k
-        e = _poly_reduce(R, _poly_axpy(R, F, one, poly_mul(ctx, g, h)), pk)
-        q, r = poly_divmod_monic(ctx, poly_mul(ctx, s, e), h)
+        e = _poly_reduce(R, _poly_axpy(R, F, one, R.poly_mul(g, h)), pk)
+        q, r = poly_divmod_monic(ctx, R.poly_mul(s, e), h)
         # g <- g + t e + q g, h <- h + r
-        g = _poly_axpy(R, _poly_axpy(R, g, minus_one, poly_mul(ctx, t, e)),
-                       minus_one, poly_mul(ctx, q, g))
+        g = _poly_axpy(R, _poly_axpy(R, g, minus_one, R.poly_mul(t, e)),
+                       minus_one, R.poly_mul(q, g))
         g = _trim_monic(R, _poly_reduce(R, g, pk), deg_g)
         h = _trim_monic(R, _poly_reduce(R, _poly_axpy(R, h, minus_one, r),
                                         pk), deg_h)
         # refresh the Bezout pair: b = s g + t h - 1
-        b = _poly_axpy(R, _poly_axpy(R, poly_mul(ctx, s, g), minus_one,
-                                     poly_mul(ctx, t, h)), one, [one])
+        b = _poly_axpy(R, _poly_axpy(R, R.poly_mul(s, g), minus_one,
+                                     R.poly_mul(t, h)), one, [one])
         b = _poly_reduce(R, b, pk)
-        c, d = poly_divmod_monic(ctx, poly_mul(ctx, s, b), h)
+        c, d = poly_divmod_monic(ctx, R.poly_mul(s, b), h)
         s = _poly_reduce(R, _poly_axpy(R, s, one, d), pk)
         # t <- t - t b - c g
-        t = _poly_axpy(R, _poly_axpy(R, t, one, poly_mul(ctx, t, b)),
-                       one, poly_mul(ctx, c, g))
+        t = _poly_axpy(R, _poly_axpy(R, t, one, R.poly_mul(t, b)),
+                       one, R.poly_mul(c, g))
         t = _poly_reduce(R, t, pk)
         prec = k
-    diff = _poly_axpy(R, F, one, poly_mul(ctx, g, h))
+    diff = _poly_axpy(R, F, one, R.poly_mul(g, h))
     if any(c != R.zero for c in diff):
         raise PrecisionExhausted("Hensel lifting failed to converge")
     return g, h
@@ -321,10 +297,11 @@ class FIsocrystal:
     modulo p^N, which are another matrix at the boost.
 
     ``_derived`` caches data computed from A, filled on first use by
-    ``inverse_numerator``, ``newton_slopes``, ``end_frobenius``,
-    ``core._backward_numerator`` and ``core.TangentSpace.of``.  A
-    crystal is never mutated (phi is set only here; ``at_precision``
-    builds a new crystal), so the cache cannot go stale.
+    ``inverse_numerator``, ``newton_slopes``, ``dim_codim``,
+    ``end_frobenius``, ``core._backward_numerator`` and
+    ``core.TangentSpace.of``.  A crystal is never mutated (phi is set
+    only here; ``at_precision`` builds a new crystal), so the cache
+    cannot go stale.
     """
 
     __slots__ = ("ctx", "rank", "phi", "source", "M", "_derived")
@@ -537,6 +514,7 @@ def _slope_split_at(crystal, b, bctx):
     n = ctx.n
     d = crystal.phi.denominator
     r = crystal.rank
+    table = _power_table(R, lam_b)
     projectors = {}
     components = {}
     for (v, fac) in factors:
@@ -548,8 +526,10 @@ def _slope_split_at(crystal, b, bctx):
                 "a segment factor does not divide the characteristic "
                 "polynomial at the working precision")
         w, wden = _poly_inverse_mod(bctx, q, fac)
-        pnum = poly_mul(bctx, q, w)
-        mat = poly_eval_matrix(bctx, pnum, lam_b)
+        # deg q + deg w = (r - deg fac) + (deg fac - 1): pnum has r
+        # coefficients, one per power in the table
+        pnum = R.poly_mul(q, w)
+        mat = vec_to_mat(R.vec_mat(pnum, table), r)
         content = min(_matrix_content(R, mat), wden)
         if content:
             mat = [[R.divide_p(x, content) for x in row] for row in mat]
@@ -567,6 +547,16 @@ def _slope_split_at(crystal, b, bctx):
     return SlopeData(crystal, slopes, projectors, components)
 
 
+def _power_table(R, rows):
+    """L^0, ..., L^(r-1) of an r x r raw matrix L, each flattened
+    row-major: a polynomial of degree below r evaluated at L is the one
+    ``vec_mat`` of its coefficients against the table."""
+    powers = [R.identity(len(rows)), rows]
+    for _ in range(len(rows) - 2):
+        powers.append(R.mul_mat(powers[-1], rows))
+    return [mat_to_vec(m) for m in powers[:len(rows)]]
+
+
 def _poly_inverse_mod(ctx, q, fac):
     """(w, vden) with q w = p^{-vden}-unit = 1 in Z_q[x]/(fac):
     w has denominator p^vden pulled out, i.e. q*w = p^vden mod fac."""
@@ -576,7 +566,7 @@ def _poly_inverse_mod(ctx, q, fac):
     cols = []
     for j in range(m):
         xj = [R.zero] * j + [R.one]
-        _, red = poly_divmod_monic(ctx, poly_mul(ctx, q, xj), fac)
+        _, red = poly_divmod_monic(ctx, R.poly_mul(q, xj), fac)
         cols.append(red + [R.zero] * (m - len(red)))
     rows = [[cols[j][i] for j in range(m)] for i in range(m)]
     inv_rows, vden = invert_matrix(ctx, rows)
@@ -693,7 +683,8 @@ class EndDecomposition:
     ``signed(pairs)`` under ``("signed", pairs)``, each
     ``carrier(sign, pairs)`` under ``("carrier", sign, pairs)``,
     ``o_minus(pairs)`` under ``("o_minus", pairs)``, ``c_minus(pairs)``
-    under ``("c_minus", pairs)``, and each pair set's
+    under ``("c_minus", pairs)``, ``codim(pairs)`` under
+    ``("codim", pairs)``, and each pair set's
     ``signs.sign_modules`` under the bare ``pairs`` tuple.
 
     On a module that splits integrally both conjugation numerators
@@ -811,15 +802,27 @@ class EndDecomposition:
             if parts and pairs != self.pairs:
                 c = total
             else:
-                from .core import codim_of_dieudonne
-                O = self.o_minus(pairs)
-                c = codim_of_dieudonne(O, self.carrier("minus", pairs)) \
-                    if O.rank else 0
+                c = self.codim(pairs)
                 if parts and total != c:
                     raise VerificationMismatch(
                         f"the per-pair codimensions sum to {total}, the "
                         f"codimension of O_minus is {c}")
             self._derived[key] = c
+        return self._derived[key]
+
+    def codim(self, pairs=None):
+        """The codimension of the closure ``o_minus(pairs)`` (0 when it is
+        zero), in the coordinates of its minus carrier, with no check
+        against the per-pair sum: ``c_minus`` of a set that is closed
+        directly, and of O_-(G) in ``strata.strata_dims`` when that is
+        O_minus itself.  Computed once per decomposition and pair set."""
+        pairs = self._sorted(pairs)
+        key = ("codim", pairs)
+        if key not in self._derived:
+            from .core import codim_of_dieudonne
+            O = self.o_minus(pairs)
+            self._derived[key] = codim_of_dieudonne(
+                O, self.carrier("minus", pairs)) if O.rank else 0
         return self._derived[key]
 
 
@@ -896,16 +899,15 @@ def end_decompose(slope_data: SlopeData) -> EndDecomposition:
 
 def dim_codim(crystal: FIsocrystal):
     """(codimension, dimension) of a Dieudonne module: colengths of the
-    Verschiebung and Frobenius images."""
-    ctx = crystal.ctx
-    M = crystal.M
-    img = crystal.phi(M)
-    if not M.contains(img):
-        raise InclusionViolated("phi(M) is not contained in M")
-    d = mod_p_dimension(img, M)
-    vimg = crystal.verschiebung()(M)
-    if not M.contains(vimg):
-        raise InclusionViolated("p phi^{-1}(M) is not contained in M")
-    c = mod_p_dimension(vimg, M)
-    return c, d
-
+    Verschiebung and Frobenius images.  Computed once per crystal."""
+    if "dim_codim" not in crystal._derived:
+        M = crystal.M
+        img = crystal.phi(M)
+        if not M.contains(img):
+            raise InclusionViolated("phi(M) is not contained in M")
+        d = mod_p_dimension(img, M)
+        vimg = crystal.verschiebung()(M)
+        if not M.contains(vimg):
+            raise InclusionViolated("p phi^{-1}(M) is not contained in M")
+        crystal._derived["dim_codim"] = mod_p_dimension(vimg, M), d
+    return crystal._derived["dim_codim"]

@@ -27,23 +27,27 @@ convert.
 The matrix kernels (``_Ring.mul_mat``, ``add_mat``, ``sub_mat``,
 ``identity``, ``nilpotent_inverse``) are written once over each ring's
 entry ops: ``zero``, ``one``, ``add``, ``sub``, ``neg``, ``vec_mat`` and
-``is_zero``.  ``vec_mat(row, b)`` is the one product kernel: the row
+``is_zero``.  ``vec_mat(row, b)`` is the matrix product kernel: the row
 combination sum_i row[i] b[i] over the nonzero row[i] only, summed
 unreduced and reduced once per output entry (a product of lattice
 coordinates, kernel vectors or Hom-block bases is mostly zeros).
 ``mul_mat`` is one ``vec_mat`` per row of its left operand, and a
 matrix-vector product A v is ``vec_mat(v, A^T)`` (``SemilinearMap``
 caches A^T).  The Witt rings add the ops the series, the echelon kernel
-of ``lattices`` and its callers are written against: ``dot`` (a row
-times a column, for a single inner product: traces, ``charpoly``, the
-isotropy check of ``strata``), ``mul``, ``power``, ``of_int``,
-``axpy``, ``scale``, ``outer`` (the flattened t f^T of two vectors,
-the one way an End(M) vector is built from r x r data), ``pivot`` (the
-first entry of least valuation), ``val``, balanced ``divide_p``, unit
-``inverse``, ``frob`` (``frob_mat`` on a matrix), ``rem``,
-``vanishes`` and the zero test ``x == R.zero``; the residue-field
-algebra of ``lattices`` runs on these ops too, on raw entries in
-[0, p).  When n > 1, a tuple whose
+of ``lattices`` and its callers are written against: the two other
+product kernels, ``dot`` (a row times a column, for a single inner
+product: traces, ``charpoly``, the isotropy check of ``strata``) and
+``poly_mul`` (the product of two low-degree-first polynomials, for the
+polynomial layer of ``isocrystal``: at n = 1 its products are summed
+unreduced and each coefficient is reduced once, at n > 1 it is one
+``axpy`` per nonzero coefficient of its left operand), ``mul``,
+``power``, ``of_int``, ``axpy``, ``scale``, ``outer`` (the flattened
+t f^T of two vectors, the one way an End(M) vector is built from r x r
+data), ``pivot`` (the first entry of least valuation), ``val``, balanced
+``divide_p``, unit ``inverse``, ``frob`` (``frob_mat`` on a matrix),
+``rem``, ``vanishes`` and the zero test ``x == R.zero``; the
+residue-field algebra of ``lattices`` runs on these ops too, on raw
+entries in [0, p).  When n > 1, a tuple whose
 coordinates above g^0 vanish lies in Z_p, and integer module data make
 most entries of that kind.  ``_TupleRing.scale`` and ``axpy`` then run
 one integer pass per coordinate (``scale`` by ``one`` is a copy in
@@ -217,6 +221,21 @@ class _IntRing(_WittRing):
     def dot(self, row, col):
         return sum(map(mul, row, col)) % self.pN
 
+    def poly_mul(self, a, b):
+        # the products are summed unreduced and each coefficient is
+        # reduced once
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                j = i
+                for y in b:
+                    out[j] += x * y
+                    j += 1
+        pN = self.pN
+        return [s % pN for s in out]
+
     def vec_mat(self, row, b):
         acc = None
         for x, brow in zip(row, b):
@@ -319,6 +338,18 @@ class _TupleRing(_WittRing):
                     for j, xj in enumerate(x):
                         acc[i + j] += ai * xj
         return zero if acc is None else self.ctx.reduce_product(acc)
+
+    def poly_mul(self, a, b):
+        # one scale-and-add per nonzero coefficient of a: a body with one
+        # dot per output coefficient is slower on these short operands
+        if not a or not b:
+            return []
+        zero, lb = self.zero, len(b)
+        out = [zero] * (len(a) + lb - 1)
+        for i, x in enumerate(a):
+            if x != zero:
+                out[i:i + lb] = self.axpy(out[i:i + lb], self.neg(x), b)
+        return out
 
     def vec_mat(self, row, b):
         # one unreduced polynomial per output entry, reduced once; a Z_p

@@ -246,7 +246,16 @@ def emit_spec(spec: ProblemSpec) -> bytes:
 
 class Session:
     """Lazy caches for the chain context -> crystal -> slopes ->
-    decomposition -> splitting used by all analyses."""
+    decomposition -> splitting used by all analyses, and for the data
+    that more than one analysis reads: the deformation lattice and basis,
+    the connection, the group data and their strata reports.
+
+    The group data (``group``, ``symplectic_group``) and their
+    ``strata_dims`` reports (``strata``) are kept here, not in the
+    ``_derived`` caches of the crystal or the decomposition: a
+    ``GroupData`` holds its crystal, and a cache that led back to its
+    crystal would be a reference cycle, which walks over those caches
+    (such as the span-input keys of ``bench/tracer.py``) do not expect."""
 
     def __init__(self, spec: ProblemSpec, seed: int = 0):
         self.spec = spec
@@ -337,6 +346,34 @@ class Session:
         return self._cached("connection", lambda: solve_connection(
             self.crystal(), self.lattice_e(), self.deformation_basis(),
             self.spec.degree))
+
+    def group(self):
+        """The problem's group datum: full GL unless ``group`` names the
+        symplectic group or a custom one."""
+        return self._cached("group", self._group)
+
+    def _group(self):
+        g = self.spec.group
+        X = self.crystal()
+        if g is None or g["kind"] == "full-gl":
+            return group_full_gl(X)
+        if g["kind"] == "symplectic":
+            return self.symplectic_group()
+        return group_custom(X, [_flatten(mat) for mat in g["basis"]])
+
+    def symplectic_group(self):
+        """The symplectic group datum of ``symplectic_gram``, read by the
+        strata of a symplectic problem and by ``polarized``."""
+        if self.spec.symplectic_gram is None:
+            raise ParseError("symplectic group data needs symplectic_gram")
+        return self._cached("symplectic", lambda: group_symplectic(
+            self.crystal(), self.spec.symplectic_gram))
+
+    def strata(self, gd):
+        """The ``strata_dims`` report of a group datum of this session,
+        once per datum (a session holds one datum of each kind)."""
+        return self._cached(("strata", gd.kind), lambda: strata_dims(
+            gd, self.decomp(), self.split(), self.tangent()))
 
     def rng(self):
         return random.Random(self.seed)
@@ -555,17 +592,8 @@ def run_correction(sess: Session) -> dict:
 
 
 def run_strata(sess: Session) -> dict:
-    spec = sess.spec
-    X = sess.crystal()
-    if spec.group is None or spec.group.get("kind") == "full-gl":
-        gd = group_full_gl(X)
-    elif spec.group["kind"] == "symplectic":
-        if spec.symplectic_gram is None:
-            raise ParseError("symplectic group data needs symplectic_gram")
-        gd = group_symplectic(X, spec.symplectic_gram)
-    else:
-        gd = group_custom(X, [_flatten(mat) for mat in spec.group["basis"]])
-    rep = strata_dims(gd, sess.decomp(), sess.split(), sess.tangent())
+    gd = sess.group()
+    rep = sess.strata(gd)
     out = rep.as_dict()
     out["kind"] = gd.kind
     out["ok"] = rep.fact_a_consistent and rep.tangent_dim >= rep.c_minus_G
@@ -590,7 +618,7 @@ def run_polarized(sess: Session) -> dict:
     if spec.symplectic_gram is None:
         return {"ok": True, "note": "no polarization supplied"}
     lat, closed = polarized_dim(sess.decomp(), sess.split(),
-                                spec.symplectic_gram, sess.tangent())
+                                sess.symplectic_group, sess.strata)
     return {
         "lattice_dimension": lat,
         "closed_form": closed,

@@ -197,8 +197,11 @@ def strata_dims(gd: GroupData, decomp: EndDecomposition, split,
     rep.ranks = {"V_minus(G)": VmG.rank, "O_minus(G)": OmG.rank,
                  "O_minus": O_minus.rank}
     cmg, omg_basis = nu_image(OmG, tangent)
-    # tangent dimension equals the Verschiebung colength
-    if OmG.rank and cmg != codim_of_dieudonne(OmG, decomp.carrier("minus")):
+    # tangent dimension equals the Verschiebung colength; O_-(G) is
+    # O_minus itself for full GL, whose colength the decomposition keeps
+    if OmG.rank and cmg != (
+            decomp.codim() if OmG is O_minus
+            else codim_of_dieudonne(OmG, decomp.carrier("minus"))):
         raise VerificationMismatch(
             "tangent dimension of O_minus(G) differs from its "
             "codimension")
@@ -284,18 +287,23 @@ def polarized_closed_form(slope_data: SlopeData):
     return int(n1)
 
 
-def polarized_dim(decomp: EndDecomposition, split, gram_rows,
-                  tangent: TangentSpace):
-    """(lattice side, closed form) for the symplectic stratum dimension;
-    checks the polarization certificates and Manin symmetry first."""
+def polarized_dim(decomp: EndDecomposition, split, group, report):
+    """(lattice side, closed form) for the symplectic stratum dimension.
+
+    ``group()`` gives the symplectic ``GroupData`` (``group_symplectic``
+    certifies the form) and ``report(gd)`` its ``strata_dims`` report;
+    a ``problems.Session`` builds each once for every analysis that reads
+    it.  The checks run in one order, and the first failure is raised:
+    dimension = codimension, Manin symmetry, the form certificates, the
+    isotropy of the Hodge summands."""
     c, d = dim_codim(decomp.crystal)
     if c != d:
         raise CertificateInvalid(
             "polarized modules need equal dimension and codimension")
     manin_symmetry_check(decomp.slope_data)
-    gd = group_symplectic(decomp.crystal, gram_rows)
+    gd = group()
     _check_isotropy(split, gd.gram)
-    rep = strata_dims(gd, decomp, split, tangent)
+    rep = report(gd)
     closed = polarized_closed_form(decomp.slope_data)
     if rep.c_minus_G != closed:
         raise VerificationMismatch(

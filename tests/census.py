@@ -72,8 +72,6 @@ NEVER_RUN = {
     "matrix._EntryRing.vec_mat": CAYLEY,
     "matrix._Ring.nilpotent_inverse": "only under strata.cayley_element and "
                                       "deformation._backward_orbit",
-    "matrix._WittRing.is_zero": "only under _Ring.nilpotent_inverse on "
-                                "Witt entries",
     "problems.ProblemSpec.__eq__": "spec comparison, for library callers "
                                    "and tests",
     "problems.ProblemSpec.__repr__": DISPLAY,

@@ -26,7 +26,8 @@ from dieudonne.deformation import (DeformationBasis, prepare_trivializer,
                                    select_deformation_basis,
                                    solve_connection, trivialize_at_point,
                                    verify_horizontality)
-from dieudonne.strata import polarized_dim, traverso_dimension
+from dieudonne.strata import (group_symplectic, polarized_dim, strata_dims,
+                              traverso_dimension)
 from dieudonne.cli import load_corpus
 from dieudonne.errors import DieudonneError
 from dieudonne.problems import Session
@@ -213,18 +214,12 @@ def test_criterion_8_symplectic_dimension():
     the elliptic one, 0 for a supersingular pair; Manin symmetry checked
     on every polarized entry."""
     sess = session("symplectic_ordinary_c2")
-    ctx = sess.ctx()
-    gram = [[ctx.scalar(e) for e in row]
-            for row in sess.spec.symplectic_gram]
-    lat, closed = polarized_dim(sess.decomp(), sess.split(), gram,
-                                sess.tangent())
+    lat, closed = polarized_dim(sess.decomp(), sess.split(),
+                                sess.symplectic_group, sess.strata)
     assert lat == closed == 3
     sess1 = session("elliptic_polarized")
-    ctx1 = sess1.ctx()
-    gram1 = [[ctx1.scalar(e) for e in row]
-             for row in sess1.spec.symplectic_gram]
-    lat1, closed1 = polarized_dim(sess1.decomp(), sess1.split(), gram1,
-                                  sess1.tangent())
+    lat1, closed1 = polarized_dim(sess1.decomp(), sess1.split(),
+                                  sess1.symplectic_group, sess1.strata)
     assert lat1 == closed1 == 1
     # supersingular c = d = 2 pair
     ctx2 = make_context(3, 1, 40)
@@ -235,7 +230,9 @@ def test_criterion_8_symplectic_dimension():
     E2 = end_decompose(S2)
     gram2 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
     split2 = hodge_splitting(X2, [[0, 1, 0, 0], [0, 0, 0, 1]])
-    lat2, closed2 = polarized_dim(E2, split2, gram2, TangentSpace(X2))
+    lat2, closed2 = polarized_dim(
+        E2, split2, lambda: group_symplectic(X2, gram2),
+        lambda gd: strata_dims(gd, E2, split2, TangentSpace(X2)))
     assert lat2 == closed2 == 0
     report("8 polarized dimension formula (3 / 1 / 0): PASS")
 

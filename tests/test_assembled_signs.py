@@ -241,6 +241,27 @@ def test_full_set_is_certified_against_the_direct_closure(what):
         getattr(D, what.lower())()
 
 
+@pytest.mark.parametrize("first", ["strata", "c_minus"])
+def test_strata_shares_the_codimension_not_its_check(first):
+    # GL's O_-(G) is O_minus itself, so strata reads the full set's
+    # codimension from the decomposition; a per-pair codimension that
+    # disagrees still fails c_minus, in either order, and not strata
+    want = problems.run_strata(Session(load_corpus("three_slope_rank4")))
+    sess = Session(load_corpus("three_slope_rank4"))
+    D = sess.decomp()
+    pair = (D.pairs[0],)
+    D._derived[("c_minus", pair)] = D.c_minus(pair) + 1
+    steps = ("strata", "c_minus") if first == "strata" else \
+        ("c_minus", "strata")
+    for step in steps:
+        if step == "strata":
+            assert problems.run_strata(sess) == want
+        else:
+            with pytest.raises(VerificationMismatch):
+                D.c_minus()
+    assert D._derived[("codim", D.pairs)] == want["c_minus_G"]
+
+
 # ---------------------------------------------------------------------------
 # the one owner of O_minus and c_minus
 
@@ -274,12 +295,13 @@ def test_report_all_runs_every_certificate_once(monkeypatch):
     # O_minus of each of the six pairs, the full set's direct closure and
     # the axioms' recomputation; for each of the three slope_pairs that
     # ``dual`` publishes, four duals, O_plus and one super-closure of each
-    # sign; a codimension per pair, for the full set and for O_minus(G)
-    # in strata.  ``slices`` and ``traverso`` read the decomposition's
-    # O_minus and c_minus and run no certificate of their own here.
+    # sign; a codimension per pair and one for the full set, which the
+    # strata of GL read again for O_minus(G), O_minus itself.  ``slices``
+    # and ``traverso`` read the decomposition's O_minus and c_minus and
+    # run no certificate of their own here.
     assert calls == {"dual_lattice": 12, "largest_sub_dieudonne": 11,
                      "smallest_super_dieudonne": 6,
-                     "codim_of_dieudonne": 8}
+                     "codim_of_dieudonne": 7}
 
 
 def test_deformation_analyses_close_only_their_pairs(monkeypatch):

@@ -628,6 +628,30 @@ def test_certificate_pins_its_nonzero_entries():
     assert moduli == [30, 30, 30]
 
 
+@pytest.mark.parametrize("name", ["ordinary_rank2", "example_1_7"])
+def test_certificate_reads_its_diagonal_entries(name):
+    # scaling the first column of the workspace's A^{-1} by the unit
+    # 1 + p^k scales the first column of lhs: its off-diagonal entries
+    # keep their valuations, and entry (0, 0) of lhs - p^dval I gains
+    # p^(dval + k), so only that diagonal entry certifies the modulus k
+    k = 5
+    sess = Session(load_corpus(name))
+    X, E, B = sess.crystal(), sess.lattice_e(), sess.deformation_basis()
+    ws = prepare_trivializer(X, E, B)
+    R = ring(ws["big"])
+    unit = R.of_int(1 + X.ctx.p ** k)
+    tampered = dict(ws, ainv=[[R.mul(row[0], unit)] + row[1:]
+                              for row in ws["ainv"]])
+    rng = sess.rng()
+    for _ in range(3):
+        point = [tuple(rng.randrange(X.ctx.p) for _ in range(X.ctx.n))
+                 for _ in range(B.n)]
+        honest = trivialize_at_point(X, E, B, point, workspace=ws)
+        assert honest["verified_modulus"] > k
+        got = trivialize_at_point(X, E, B, point, workspace=tampered)
+        assert got["verified_modulus"] == k
+
+
 def test_point_path_combines_only_live_rows(monkeypatch):
     # on four_slope_rank8, every row that verify_horizontality hands
     # plus_combination holds a nonzero entry, and prepare_trivializer

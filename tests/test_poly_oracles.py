@@ -26,12 +26,11 @@ from fractions import Fraction
 
 import pytest
 
-from dieudonne import isocrystal
 from dieudonne.errors import (DieudonneError, FieldTooSmall,
                               PrecisionExhausted)
-from dieudonne.isocrystal import (_poly_inverse_mod, charpoly, hensel_split,
-                                  lower_hull, newton_polygon, poly_mul,
-                                  segment_factorization)
+from dieudonne.isocrystal import (_poly_inverse_mod, _power_table, charpoly,
+                                  hensel_split, lower_hull, newton_polygon,
+                                  segment_factorization, vec_to_mat)
 from dieudonne.lattices import invert_matrix
 from dieudonne.matrix import ring
 from dieudonne.witt import make_context
@@ -56,6 +55,20 @@ def poly_mul_reference(ctx, a, b):
             if not ctx.is_zero(y):
                 out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
     return out
+
+
+def poly_eval_matrix_reference(R, coeffs, rows):
+    """A polynomial evaluated at a square raw matrix by Horner's rule,
+    acc <- acc A + c I from the leading coefficient down: the former
+    ``isocrystal.poly_eval_matrix``, which built the projector numerators
+    before the power table."""
+    r = len(rows)
+    acc = [[R.zero] * r for _ in range(r)]
+    for c in reversed(coeffs):
+        acc = R.mul_mat(acc, rows)
+        for i in range(r):
+            acc[i][i] = R.add(acc[i][i], c)
+    return acc
 
 
 def poly_divmod_monic_reference(ctx, a, b):
@@ -469,6 +482,45 @@ def setting(request):
 # the checks
 
 
+def sparse_poly(ctx, rng, length):
+    """A polynomial of the given length, about a third of its
+    coefficients (the leading one included) zero."""
+    return [ctx.scalar(0) if rng.random() < 0.35
+            else rand_scalar(ctx, rng, rng.choice((0, 1, 3)))
+            for _ in range(length)]
+
+
+def test_poly_mul_matches_reference(setting):
+    """The ring's product kernel (sums reduced once at n = 1, one axpy
+    per coefficient at n > 1) on zero coefficients, unequal lengths and
+    empty operands."""
+    ctx, R, rng = setting
+    zero = ctx.scalar(0)
+    pairs = [([], []), ([], [ctx.scalar(1)]), ([rand_scalar(ctx, rng)], []),
+             ([zero, zero], [rand_scalar(ctx, rng), zero, zero])]
+    pairs += [(sparse_poly(ctx, rng, rng.randint(1, 7)),
+               sparse_poly(ctx, rng, rng.randint(1, 7))) for _ in range(20)]
+    for a, b in pairs:
+        want = R.raw_col(poly_mul_reference(ctx, a, b))
+        assert R.poly_mul(R.raw_col(a), R.raw_col(b)) == want
+        assert R.poly_mul(R.raw_col(b), R.raw_col(a)) == want
+
+
+def test_power_table_numerators_match_horner(setting):
+    """A projector numerator of degree below the rank r is one vec_mat
+    of its coefficients against the table of L^0, ..., L^(r-1), and
+    equals its Horner evaluation at L."""
+    ctx, R, rng = setting
+    for r in (1, 2, 3, 5):
+        A = R.raw_mat(rand_matrix(ctx, rng, r))
+        table = _power_table(R, A)
+        assert len(table) == r
+        for length in range(1, r + 1):
+            c = R.raw_col(sparse_poly(ctx, rng, length))
+            assert (vec_to_mat(R.vec_mat(c, table), r)
+                    == poly_eval_matrix_reference(R, c, A))
+
+
 def test_charpoly_and_polygon_match_reference(setting):
     ctx, R, rng = setting
     for r in range(7):
@@ -534,7 +586,7 @@ def test_hensel_split_matches_reference(setting):
         if isinstance(got, tuple) and isinstance(got[0], type):
             errors.add(got[0])
         else:
-            assert poly_mul(ctx, *got) == R.raw_col(F)
+            assert R.poly_mul(*got) == R.raw_col(F)
     assert FieldTooSmall in errors
 
 
@@ -568,15 +620,16 @@ def test_hensel_lifting_keeps_its_operands_short(monkeypatch, p, N):
     R = ring(ctx)
     F = R.raw_col([p, -1 - p, 1])
     lengths = []
+    poly_mul = R.poly_mul
 
-    def recording(ctx, a, b):
+    def recording(a, b):
         lengths.append(max(len(a), len(b)))
-        return poly_mul(ctx, a, b)
+        return poly_mul(a, b)
 
-    monkeypatch.setattr(isocrystal, "poly_mul", recording)
+    monkeypatch.setattr(R, "poly_mul", recording)
     G, H = hensel_split(ctx, F, R.raw_col([0, 1]), R.raw_col([p - 1, 1]))
     assert (G, H) == (R.raw_col([-p, 1]), R.raw_col([-1, 1]))
-    assert poly_mul(ctx, G, H) == F
+    assert poly_mul(G, H) == F
     assert max(lengths) <= len(F)
 
 

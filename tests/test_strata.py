@@ -2,9 +2,11 @@
 the symplectic closed form, and Cayley elements."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from dieudonne import problems, strata
 from dieudonne.cli import corpus_names, load_corpus, main
 from dieudonne.matrix import ring
 from dieudonne.witt import make_context
@@ -32,6 +34,13 @@ def setup(ctx, mk):
     E = end_decompose(S)
     T = TangentSpace(X)
     return X, S, E, T
+
+
+def polarized(X, E, split, gram, T):
+    """``polarized_dim`` with the symplectic datum of ``gram`` and its
+    strata report built on demand."""
+    return polarized_dim(E, split, lambda: group_symplectic(X, gram),
+                         lambda gd: strata_dims(gd, E, split, T))
 
 
 def test_traverso_ordinary():
@@ -95,7 +104,7 @@ def test_symplectic_elliptic():
     split = hodge_splitting_from_kernel(X)
     NG, ng_basis = n_g_mu(gd, split)
     assert NG.rank == len(ng_basis) == 1  # d(d+1)/2 with d = 1
-    lat, closed = polarized_dim(E, split, gram, T)
+    lat, closed = polarized(X, E, split, gram, T)
     assert lat == closed == 1
 
 
@@ -114,7 +123,7 @@ def test_symplectic_c2_ordinary():
     # the trace-orthogonal complement certifies the tangent identity
     assert rep.complement_found
     assert rep.fact_b_holds
-    lat, closed = polarized_dim(E, split, gram, T)
+    lat, closed = polarized(X, E, split, gram, T)
     assert lat == closed == 3
     # the unconstrained dimension is 4 = 2*2
     _, tau = traverso_dimension(E, T)
@@ -134,7 +143,7 @@ def test_symplectic_supersingular_c2():
     T = TangentSpace(X)
     gram = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
     split = hodge_splitting(X, [[0, 1, 0, 0], [0, 0, 0, 1]])
-    lat, closed = polarized_dim(E, split, gram, T)
+    lat, closed = polarized(X, E, split, gram, T)
     assert lat == closed == 0
 
 
@@ -280,3 +289,75 @@ def test_custom_group_of_all_endomorphisms_is_gl(name, tmp_path,
     custom = run_strata(spec, tmp_path / "custom.json", capsysbinary)
     assert (full.pop("kind"), custom.pop("kind")) == ("full-gl", "custom")
     assert custom == full
+
+
+# ---------------------------------------------------------------------------
+# the symplectic strata, built once per session
+
+
+@pytest.mark.parametrize("name", ["elliptic_polarized",
+                                  "symplectic_ordinary_c2"])
+def test_report_all_builds_the_symplectic_strata_once(name, monkeypatch):
+    # ``strata`` and ``polarized`` both read the session's symplectic
+    # group datum and its strata report
+    calls = Counter()
+    for fn in ("group_symplectic", "strata_dims"):
+        real = getattr(strata, fn)
+
+        def counted(*args, _fn=fn, _real=real, **kw):
+            calls[_fn] += 1
+            return _real(*args, **kw)
+        for mod in (problems, strata):
+            monkeypatch.setattr(mod, fn, counted)
+    report = problems.run(load_corpus(name), problems.ANALYSES, 0)
+    assert report["all_ok"]
+    assert calls == {"group_symplectic": 1, "strata_dims": 1}
+
+
+SYMPLECTIC = {"kind": "symplectic"}
+
+# problem documents that break two certificates each, with the errors of
+# ``polarized`` and ``strata``: ``polarized`` names the first broken one
+# in the order dim = codim, Manin symmetry, the form, isotropy, and
+# ``strata`` the form's
+BROKEN_TWICE = {
+    # c = 2, d = 0, and a symmetric form
+    "dimension_and_form": (
+        {"p": 3, "rank": 2, "precision": 24, "group": SYMPLECTIC,
+         "phi_matrix": [[1, 0], [0, 1]],
+         "symplectic_gram": [[0, 1], [1, 0]]},
+        "CertificateInvalid: polarized modules need equal dimension and "
+        "codimension",
+        "CertificateInvalid: form is not alternating"),
+    # slopes 1/3 (three times) and 1: c = d = 2, not Manin-symmetric
+    "manin_and_form": (
+        {"p": 3, "rank": 4, "precision": 24, "group": SYMPLECTIC,
+         "phi_matrix": [[0, 0, 3, 0], [1, 0, 0, 0], [0, 1, 0, 0],
+                        [0, 0, 0, 3]],
+         "symplectic_gram": [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0],
+                             [0, 1, 0, 0]]},
+        "SlopeSymmetryViolated: slopes 1/3 and 1 are not symmetric with "
+        "matched multiplicities",
+        "CertificateInvalid: form is not alternating"),
+    # the form pairs e0 with e2 and e1 with e3: not Frobenius-compatible,
+    # and F^1 = <e1, e3> is not isotropic
+    "form_and_isotropy": (
+        {"p": 3, "rank": 4, "precision": 24, "group": SYMPLECTIC,
+         "phi_matrix": [[1, 0, 0, 0], [0, 3, 0, 0], [0, 0, 1, 0],
+                        [0, 0, 0, 3]],
+         "hodge_f1": [1, 3],
+         "symplectic_gram": [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0],
+                             [0, -1, 0, 0]]},
+        "CertificateInvalid: form is not Frobenius-compatible at twist p",
+        "CertificateInvalid: form is not Frobenius-compatible at twist p"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_TWICE))
+def test_polarized_names_the_first_broken_certificate(name):
+    doc, polarized_error, strata_error = BROKEN_TWICE[name]
+    report = problems.run(problems.parse_dict(doc), problems.ANALYSES, 0)
+    assert report["analyses"]["polarized"] == {"ok": False,
+                                               "error": polarized_error}
+    assert report["analyses"]["strata"] == {"ok": False,
+                                            "error": strata_error}
