@@ -12,11 +12,12 @@ Kodaira-Spencer tangent image, restricts the connection to E + W(k)t,
 trivializes the deformation at residue-field points, and evaluates the
 divided-power correction factor at arbitrary Witt coordinates.
 
-The point trivialization is the limit of the backward-orbit product
-prod_k (1 + n_k) with every n_k in E.  When E * E = 0 (decided exactly,
-once per ``prepare_trivializer`` workspace, at the boosted precision)
-every cross term vanishes, so the product is 1 + sum_k n_k and its
-inverse 1 - sum_k n_k.  The backward conjugation T on the basis of E is
+Every analysis here takes E square-zero (axiom (ii)) as its hypothesis and
+refuses any other E with one ``HypothesisViolated`` message, decided at the
+precision of E (``require_square_zero``).  The point trivialization is the
+limit of the backward-orbit product prod_k (1 + n_k) with every n_k in E,
+so every cross term vanishes: the product is 1 + sum_k n_k and its inverse
+1 - sum_k n_k.  The backward conjugation T on the basis of E is
 restricted from r x r data, sigma^{-1}(A_adj x A) for each basis element
 x, with no r^2 x r^2 map.  The workspace then also holds doubling tables
 of T: P_j = T^(2^j) and
@@ -26,9 +27,7 @@ integral, so the orbit terms that survive mod p^N form a prefix; a
 binary descent over the tables finds its length ``steps`` and its sum in
 about 2 log2(cap) matrix-vector products, and since the tables are exact
 at the boosted precision the sum is the step-by-step one entry for
-entry.  Any other E falls back to multiplying the product out, one orbit
-step at a time.  The conjugation certificate is the same on both paths,
-and reads only its nonzero entries.
+entry.  The conjugation certificate reads only its nonzero entries.
 The workspace also memoizes the Teichmuller lifts of the residue
 coordinates it has seen; the memo lives exactly as long as the workspace.
 
@@ -134,6 +133,16 @@ class ConnectionForm:
         return [vec_to_mat(list(v), r) for v in self.basis]
 
 
+def require_square_zero(crystal: FIsocrystal, E: Lattice):
+    """Raise HypothesisViolated unless every product of two echelon basis
+    elements of E vanishes modulo p^(N - loss(E)) (axiom (ii))."""
+    witness = _nonzero_product(crystal.ctx, crystal.rank, E.ech, E.loss)
+    if witness is not None:
+        a, b = witness
+        raise HypothesisViolated(f"E is not square-zero: basis elements {a} "
+                                 f"and {b} have a non-zero product")
+
+
 def solve_connection(crystal: FIsocrystal, E: Lattice, B: DeformationBasis,
                      dmax: int) -> ConnectionForm:
     """Solve the horizontality recursion for the connection one-form.
@@ -148,12 +157,7 @@ def solve_connection(crystal: FIsocrystal, E: Lattice, B: DeformationBasis,
     R = ring(ctx)
     n = B.n
     basis = [list(c) for c in E.ech]
-    witness = _nonzero_product(ctx, crystal.rank, basis, E.loss)
-    if witness is not None:
-        ia, ib = witness
-        raise HypothesisViolated(
-            f"E is not square-zero: basis elements {ia} and {ib} "
-            "have a non-zero product")
+    require_square_zero(crystal, E)
     m = len(basis)
     # a[j][l]: coordinates of p phi(e_l); stability is part of the contract
     pphi = end_frobenius(crystal).scale_p(1)
@@ -403,19 +407,18 @@ def induced_connection_tilde(conn: ConnectionForm, t: SemilinearMap) -> dict:
 
 def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
                         B: DeformationBasis) -> dict:
-    """One-time boosted-precision setup shared by all evaluation points:
-    the lifted module data, the backward-conjugation matrix on E, and
-    whether E is square-zero at the boosted precision (every product of
-    two echelon basis elements vanishes), which selects the orbit sum.
-    On that path it also holds the doubling tables of the orbit
-    (``_orbit_tables``), and on either path a memo of the Teichmuller
-    lifts of the points it serves, which lives as long as the workspace.
+    """One-time boosted-precision setup shared by all evaluation points,
+    after refusing an E that is not square-zero: the lifted module data,
+    the backward-conjugation matrix on E, the doubling tables of its orbit
+    (``_orbit_tables``), and a memo of the Teichmuller lifts of the points
+    it serves, which lives as long as the workspace.
 
     The backward-conjugation matrix ``Cmap`` restricts the numerator
     x -> sigma^{-1}(A_adj x A) (over p^v(det A)) to the echelon basis of
     E directly: two r x r products per basis element and one
     ``coordinates`` solve, with no r^2 x r^2 ``sandwich_map`` of the
     boosted crystal."""
+    require_square_zero(crystal, E)
     ctx = crystal.ctx
     _, dval = crystal.inverse_numerator()
     delta = E.index_valuation()
@@ -437,13 +440,10 @@ def prepare_trivializer(crystal: FIsocrystal, E: Lattice,
             "E is not stable under the inverse Frobenius")
     cmap = SemilinearMap(big, list(zip(*cols)), back,
                          loss=max(bX.phi.loss, bE.loss))
-    square_zero = _nonzero_product(big, r, bE.ech, bE.loss) is None
     return {
         "big": big, "dval": dval, "bE": bE, "bvecs": B.vectors,
         "abig": bX.phi.rows, "ainv": ainv_big, "Cmap": cmap,
-        "square_zero": square_zero,
-        "tables": (_orbit_tables(cmap, _orbit_cap(ctx, r))
-                   if square_zero else None),
+        "tables": _orbit_tables(cmap, _orbit_cap(ctx, r)),
         "teich": {},
     }
 
@@ -455,17 +455,16 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
     With u = 1 + sum v_i [point_i] (Teichmuller coordinates), the partial
     products of the backward Frobenius orbit n_1, n_2, ... of u - 1
     converge, and the limit prod_k (1 + n_k) conjugates u * phi to phi.
-    Every n_k is a combination of the echelon basis of E, so when the
-    workspace found E square-zero every cross term of the product
+    Every n_k is a combination of the echelon basis of E, which the
+    workspace found square-zero, so every cross term of the product
     vanishes: the limit is exactly 1 + sum_k n_k, with inverse
     1 - sum_k n_k, and the orbit sum and its length ``steps`` come from
     the workspace's doubling tables (``_orbit_sum``) in O(log cap)
-    matrix-vector products instead of one per step.  Any other E takes
-    the product loop.  The Teichmuller lifts of the point come from the
-    workspace's memo.  Computed at a boosted internal
-    precision so the published certificate is good at the context
-    precision; the one-time solve divisions and the final denominator
-    clearing are what the boost absorbs.
+    matrix-vector products instead of one per step.  The Teichmuller
+    lifts of the point come from the workspace's memo.  Computed at a
+    boosted internal precision so the published certificate is good at
+    the context precision; the one-time solve divisions and the final
+    denominator clearing are what the boost absorbs.
     """
     ctx = crystal.ctx
     r = crystal.rank
@@ -485,23 +484,14 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
     coords = bE.solve(n0, 0)
     if coords is None:
         raise HypothesisViolated("the point twist does not lie in E")
-    # n_k = sum_l c_l B_l on the echelon basis B of E, flattened
-    ech = bE.ech
-    cap = _orbit_cap(ctx, r)
-    steps = 0
+    steps, total = _orbit_sum(R, ws["tables"], coords, ctx.N,
+                              _orbit_cap(ctx, r))
     prod = prod_inv = ident
-    if ws["square_zero"]:
-        steps, total = _orbit_sum(R, ws["tables"], coords, ctx.N, cap)
-        if steps:
-            nk = vec_to_mat(R.vec_mat(total, ech), r)
-            prod = R.add_mat(ident, nk)
-            prod_inv = R.sub_mat(ident, nk)
-    else:
-        for c in _backward_orbit(R, ws["Cmap"], coords, ctx.N, cap):
-            steps += 1
-            nk = vec_to_mat(R.vec_mat(c, ech), r)
-            prod = R.mul_mat(R.add_mat(ident, nk), prod)
-            prod_inv = R.mul_mat(prod_inv, R.nilpotent_inverse(nk, r))
+    if steps:
+        # sum_k n_k = sum_l total_l B_l on the echelon basis B of E
+        nk = vec_to_mat(R.vec_mat(total, bE.ech), r)
+        prod = R.add_mat(ident, nk)
+        prod_inv = R.sub_mat(ident, nk)
     # certificate: prod u_h A sigma(prod^{-1}) A^{-1} = 1
     lhs = R.mul_mat(R.mul_mat(prod, u_h), ws["abig"])
     lhs = R.mul_mat(lhs, R.frob_mat(prod_inv, 1))
@@ -526,28 +516,9 @@ def trivialize_at_point(crystal: FIsocrystal, E: Lattice,
     }
 
 
-_ORBIT_DIVERGES = ("backward Frobenius orbit did not reach zero; are the "
-                   "inverse-Frobenius slopes positive on E?")
-
-
 def _orbit_cap(ctx, r):
     """The most orbit steps a point may take before NonConvergence."""
     return ctx.N * max(r, 2) + 10
-
-
-def _backward_orbit(R, Cmap, coords, N, cap):
-    """The coordinates c_k = C sigma^{-1}(c_{k-1}), k = 1, 2, ..., up to
-    the first that vanishes mod p^N; more than cap of them is
-    NonConvergence."""
-    steps = 0
-    while True:
-        coords = Cmap.apply_raw(coords)
-        if R.vanishes(coords, N):
-            return
-        steps += 1
-        if steps > cap:
-            raise NonConvergence(_ORBIT_DIVERGES)
-        yield coords
 
 
 def _orbit_tables(T, cap):
@@ -592,7 +563,8 @@ def _orbit_sum(R, levels, coords, N, cap):
         coords = jump
         steps += size
     if steps > cap:
-        raise NonConvergence(_ORBIT_DIVERGES)
+        raise NonConvergence("backward Frobenius orbit did not reach zero; "
+                             "are the inverse-Frobenius slopes positive on E?")
     return steps, total
 
 

@@ -19,8 +19,9 @@ from .core import (TangentSpace, check_axioms, hodge_splitting,
                    hodge_splitting_from_kernel, lie_element, nu_image)
 from .deformation import (DeformationBasis, correction_factor,
                           kodaira_spencer_image, prepare_trivializer,
-                          select_deformation_basis, solve_connection,
-                          trivialize_at_point, verify_horizontality)
+                          require_square_zero, select_deformation_basis,
+                          solve_connection, trivialize_at_point,
+                          verify_horizontality)
 from .errors import (DieudonneError, ParseError, VerificationMismatch)
 from .isocrystal import (FIsocrystal, dim_codim, end_decompose,
                          newton_slopes, slope_split)
@@ -558,6 +559,7 @@ def run_trivialize(sess: Session) -> dict:
     B = sess.deformation_basis()
     slopes = newton_slopes(X)
     if len(slopes) == 1:
+        require_square_zero(X, E)
         return {"ok": True, "note": "isoclinic module: nothing to do"}
     ctx = sess.ctx()
     rng = sess.rng()

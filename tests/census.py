@@ -2,11 +2,13 @@
 
 A ``sys.settrace`` line census of ``src/dieudonne`` while ``report-all``
 runs on the seven corpus entries (seeds 0 and 3, text and structured
-output) and on three problem files: ``three_slope_rank4`` without its
+output), once more on ``ordinary_rank2`` with the --precision and --degree
+overrides, and on three problem files: ``three_slope_rank4`` without its
 ``hodge_f1``, the same entry with a ``custom`` group whose Lie lattice is
-spanned by the r^2 elementary matrices, and ``rank8_conj``; each run goes
-through ``cli.main``.  A function has run when one of its own statements has
-(those of a nested function count for that function only).  The set of
+spanned by the r^2 elementary matrices, and ``rank8_conj``; ``emit-spec``
+runs on ``three_slope_rank4``.  Each run goes through ``cli.main``.  A
+function has run when one of its own statements has (those of a nested
+function count for that function only).  The set of
 functions that never ran must equal ``NEVER_RUN``, each entry with its
 reason: code that the command line does not reach is either reached by a
 new input, given a reason here, or deleted.
@@ -52,8 +54,6 @@ NEVER_RUN = {
                                      "Frobenius",
     "core.star_property_holds": SPEC_FEATURE + "nu(x) != 0 exactly when "
                                                "phi(x) leaves End(M)",
-    "deformation._backward_orbit": "a deformation lattice that is not "
-                                   "square-zero; no corpus entry has one",
     "deformation.induced_connection_tilde": SPEC_FEATURE + "the connection "
                                             "restricted to E + W(k)t",
     "deformation.induced_connection_tilde.bracket":
@@ -70,14 +70,10 @@ NEVER_RUN = {
     "matrix._EntryRing.__init__": CAYLEY,
     "matrix._EntryRing.is_zero": CAYLEY,
     "matrix._EntryRing.vec_mat": CAYLEY,
-    "matrix._Ring.nilpotent_inverse": "only under strata.cayley_element and "
-                                      "deformation._backward_orbit",
+    "matrix._Ring.nilpotent_inverse": "only under strata.cayley_element",
     "problems.ProblemSpec.__eq__": "spec comparison, for library callers "
                                    "and tests",
     "problems.ProblemSpec.__repr__": DISPLAY,
-    "problems.ProblemSpec.as_dict": "`emit-spec` and the --precision and "
-                                    "--degree overrides",
-    "problems.emit_spec": "`emit-spec`",
     "series.TruncatedSeries.__eq__": "series equality, for library callers "
                                      "and tests; the library tests is_zero",
     "series.TruncatedSeries.__hash__": "refuses hashing, the other half of "
@@ -141,12 +137,16 @@ def functions(path):
 
 def runs():
     """The argument lists of ``cli.main`` for the corpus: report-all on
-    each entry, at both seeds and in both formats."""
+    each entry, at both seeds and in both formats, report-all with the
+    overrides, and emit-spec."""
     for name in cli.corpus_names():
         for seed in ("0", "3"):
             for fmt in ("text", "structured"):
                 yield ["report-all", "--corpus", name, "--seed", seed,
                        "--format", fmt]
+    yield ["report-all", "--corpus", "ordinary_rank2", "--precision", "20",
+           "--degree", "6"]
+    yield ["emit-spec", "--corpus", "three_slope_rank4"]
 
 
 def problem_files():
@@ -228,7 +228,7 @@ def test_never_run_functions_are_the_allowlist():
 
 if __name__ == "__main__":
     never, codes, sizes = census()
-    print(f"{len(codes)} report-all runs, exit codes {sorted(set(codes))}")
+    print(f"{len(codes)} runs, exit codes {sorted(set(codes))}")
     for name in never:
         print(f"{name:50s} {sizes[name]:4d} statements  "
               f"{NEVER_RUN.get(name, 'NOT IN THE ALLOWLIST')}")

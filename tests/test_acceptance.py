@@ -29,7 +29,7 @@ from dieudonne.deformation import (DeformationBasis, prepare_trivializer,
 from dieudonne.strata import (group_symplectic, polarized_dim, strata_dims,
                               traverso_dimension)
 from dieudonne.cli import load_corpus
-from dieudonne.errors import DieudonneError
+from dieudonne.errors import DieudonneError, HypothesisViolated
 from dieudonne.problems import Session
 
 from instances import pair_subsets, random_split_instance, raw
@@ -186,9 +186,12 @@ def test_criterion_6_connection_solver():
 
 def test_criterion_7_trivializer():
     """The straightening identity holds modulo p^(N-4) at 20 seeded
-    points for every non-isoclinic corpus entry; under 30 seconds."""
+    points for every non-isoclinic corpus entry, on the entry's deformation
+    lattice; O_minus is refused where it is not square-zero; under 30
+    seconds."""
     t0 = time.monotonic()
     rng = random.Random(777)
+    refused = []
     for name in CORPUS:
         sess = session(name)
         X = sess.crystal()
@@ -196,13 +199,20 @@ def test_criterion_7_trivializer():
         if len(sess.slope_data().slopes) == 1:
             continue
         O = sess.o_minus()
-        B = select_deformation_basis(O, sess.tangent())
-        ws = prepare_trivializer(X, O, B)
+        try:
+            prepare_trivializer(X, O, select_deformation_basis(
+                O, sess.tangent()))
+        except HypothesisViolated as exc:
+            assert str(exc).startswith("E is not square-zero: ")
+            refused.append(name)
+        E, B = sess.lattice_e(), sess.deformation_basis()
+        ws = prepare_trivializer(X, E, B)
         for _ in range(20):
             point = [tuple(rng.randrange(ctx.p) for _ in range(ctx.n))
                      for _ in range(B.n)]
-            res = trivialize_at_point(X, O, B, point, workspace=ws)
+            res = trivialize_at_point(X, E, B, point, workspace=ws)
             assert res["verified_modulus"] >= ctx.N - 4
+    assert refused == ["three_slope_rank4", "four_slope_rank8"]
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     report(f"7 point trivializer at 20 points per entry: PASS "

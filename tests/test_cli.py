@@ -13,6 +13,9 @@ from dieudonne.cli import corpus_names, load_corpus, main
 from dieudonne.errors import ParseError
 from dieudonne.problems import (DEGREE_BOUND, ProblemSpec, emit, emit_spec,
                                 parse_dict, parse_file, run)
+from dieudonne.witt import make_context
+
+from instances import non_split_rank6
 
 
 MINIMAL = {
@@ -318,7 +321,42 @@ def test_cli_verification_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "threeslope.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["connection", str(path)]) == 1
+    assert main(["trivialize", str(path)]) == 1
     capsys.readouterr()
+
+
+def _non_square_zero_doc(name):
+    """A problem document whose deformation lattice is not square-zero:
+    O_minus of every slope pair, or on the isoclinic entry an explicit
+    lattice spanned by the identity."""
+    if name == "non_split_rank6":
+        X = non_split_rank6(make_context(2, 1, 32))
+        return {"name": name, "p": 2, "n": 1, "precision": 32, "degree": 9,
+                "rank": 6, "phi_matrix": [list(row) for row in X.phi.rows]}
+    doc = json.loads(emit_spec(load_corpus(name)))
+    if name == "supersingular_rank2":
+        return dict(doc, lattice_e=[[[1, 0], [0, 1]]])
+    del doc["slope_pairs"]
+    return doc
+
+
+@pytest.mark.parametrize("name", ["three_slope_rank4", "non_split_rank6",
+                                  "supersingular_rank2"])
+def test_report_all_refuses_a_non_square_zero_lattice_once(name, tmp_path,
+                                                            capsys):
+    # connection, trivialize and correction all take a square-zero E as
+    # their hypothesis, and report its failure with one message, on an
+    # isoclinic module too
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_non_square_zero_doc(name)),
+                    encoding="utf-8")
+    assert main(["report-all", str(path), "--format", "structured"]) == 1
+    analyses = json.loads(capsys.readouterr().out)["analyses"]
+    errors = {analyses[k]["error"]
+              for k in ("connection", "trivialize", "correction")}
+    assert len(errors) == 1
+    assert errors.pop().startswith("HypothesisViolated: E is not "
+                                   "square-zero: ")
 
 
 def test_precision_override(capsys):
