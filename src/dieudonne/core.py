@@ -32,7 +32,7 @@ from .isocrystal import (EndDecomposition, FIsocrystal, SlopeData,
 from .lattices import (Lattice, SemilinearMap, intersect, invert_matrix,
                        kernel_span, lattice_sum, mod_p_dimension,
                        residue_echelon, residue_kernel, residue_reduce,
-                       saturate)
+                       restrict_map, saturate)
 from .matrix import ring
 
 
@@ -337,8 +337,8 @@ class Carrier:
 
     On a module that splits integrally, a lattice S of loss 0 gets its
     own carrier: each column of C is the solve of a numerator's image of a
-    basis vector in S (``_restricted``), and a failed solve is the
-    certificate that the numerator does not map S into itself.  Every
+    basis vector in S (``lattices.restrict_map``), and a failed solve is
+    the certificate that the numerator does not map S into itself.  Every
     other lattice (a module that does not split, or a lattice with a loss)
     gets End(M) itself, with the identity basis (``lattice`` None, the
     numerators as they are).
@@ -381,7 +381,9 @@ class Carrier:
         fwd, bwd, vdet = _conjugation_numerators(slope_data.crystal)
         if S.loss or not slope_data.is_split:
             return cls(None, fwd, bwd, vdet, sign)
-        return cls(S, _restricted(S, fwd), _restricted(S, bwd), vdet, sign)
+        # the numerators themselves, p^vdet times each conjugation
+        return cls(S, restrict_map(fwd.scale_p(vdet), S),
+                   restrict_map(bwd.scale_p(vdet), S), vdet, sign)
 
     def coords(self, V: Lattice) -> Lattice:
         """The coordinate lattice of V, which must lie in S[1/p]."""
@@ -402,18 +404,6 @@ class Carrier:
         gens = ring(X.ctx).mul_mat(list(X.cols), list(S.ech))
         return Lattice.from_columns(X.ctx, S.ambient, gens, scale=X.scale,
                                     loss=X.loss)
-
-
-def _restricted(S: Lattice, num: SemilinearMap) -> SemilinearMap:
-    """The matrix C with num sigma(B) = B C on the echelon basis B of S:
-    one solve per basis vector, and InclusionViolated when num does not
-    map S into itself.  B has unit pivots, so C is unique modulo p^N."""
-    cols = S.coordinates(num.apply_raw(b) for b in S.ech)
-    if cols is None:
-        raise InclusionViolated(
-            "block lattice is not stable under a conjugation numerator")
-    return SemilinearMap(S.ctx, list(zip(*cols)), twist=num.twist,
-                         loss=max(num.loss, S.loss))
 
 
 def _membership_refine(E: Lattice, num_map, shift: int, rounds: int

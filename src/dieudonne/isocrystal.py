@@ -5,7 +5,7 @@ linearization of the Frobenius (a twist-free, hence linear, map), through
 its Newton polygon.  The slope projectors come from the segment
 factorization of that polynomial: after passing to a matrix power that
 makes all segment slopes integral, each segment factor is split off by a
-p-power shear followed by classical coprime Hensel lifting, and the
+p-power shear followed by Hensel lifting of its residue split, and the
 partial-fraction idempotents are evaluated at that power L of the
 linearized matrix.  Each idempotent's numerator has degree below the rank
 r, so one table of L^0, ..., L^(r-1) is built per split, and each
@@ -17,9 +17,10 @@ context precision; their p-denominators are recorded as map loss.  Every
 boost and retry is one ``lattices.boosted`` call with its schedule.
 
 Matrices and polynomials are raw: entries and coefficients of
-``matrix.ring(ctx)``, polynomials as low-degree-first lists.  The residue
-step of Hensel lifting runs on the same polynomial ops, with every
-coefficient reduced to its representative mod p.
+``matrix.ring(ctx)``, polynomials as low-degree-first lists.  A sheared
+factor F splits mod p as y^k times a unit-root part with a unit constant
+term, so the Bezout cofactors that start Hensel lifting are exact: a
+truncated series inverse of that part mod y^k, and its quotient by y^k.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def newton_polygon(ctx, coeffs, loss=0):
 
 
 # ---------------------------------------------------------------------------
-# coprime Hensel lifting
+# Hensel lifting of the slope split
 
 
 def _poly_axpy(R, y, q, x):
@@ -162,51 +163,43 @@ def _poly_reduce(R, a, pk):
     return a
 
 
-def _residue_bezout(ctx, a, b):
-    """(u, v) with u a + v b = 1 mod p for coprime residue polynomials,
-    by the extended Euclidean algorithm on residues (``_poly_reduce`` mod
-    p; a coefficient in [0, p) is also the raw lift of its residue)."""
-    R = ring(ctx)
-    p = ctx.p
-    r0, r1 = _poly_reduce(R, a, p), _poly_reduce(R, b, p)
-    s0, s1 = [R.one], []
-    t0, t1 = [], [R.one]
-    while r1:
-        # divide by r1 through its monic associate
-        inv = R.inverse(r1[-1])
-        q, r = poly_divmod_monic(ctx, r0,
-                                 _poly_reduce(R, R.scale(r1, inv), p))
-        q = R.scale(q, inv)
-        r0, r1 = r1, _poly_reduce(R, r, p)
-        s0, s1 = s1, _poly_reduce(R, _poly_axpy(R, s0, R.one,
-                                                R.poly_mul(q, s1)), p)
-        t0, t1 = t1, _poly_reduce(R, _poly_axpy(R, t0, R.one,
-                                                R.poly_mul(q, t1)), p)
-    if len(r0) != 1:
-        raise FieldTooSmall("factors are not coprime over the residue field")
-    inv = R.inverse(r0[0])
-    return (_poly_reduce(R, R.scale(s0, inv), p),
-            _poly_reduce(R, R.scale(t0, inv), p))
+def _split_cofactors(R, p, hbar, k):
+    """(s, t) with s y^k + t hbar = 1 mod p, coefficients in [0, p), for
+    a residue polynomial hbar with a unit constant term: t = hbar^{-1}
+    mod y^k, a truncated series inverse, and s = (1 - t hbar) / y^k.
+    They are the Bezout pair with deg t < k and deg s < deg hbar."""
+    u = R.inverse(hbar[0])
+    t = [u]
+    for i in range(1, k):
+        # t_i = -u (h_1 t_(i-1) + ... + h_i t_0)
+        t.append(R.rem(R.neg(R.mul(u, R.dot(hbar[1:i + 1], t[::-1]))), p))
+    t = _poly_reduce(R, t, p)
+    rest = _poly_axpy(R, [R.one], R.one, R.poly_mul(t, hbar))
+    return _poly_reduce(R, rest[k:], p), t
 
 
-def hensel_split(ctx, F, gbar, hbar):
-    """F = G * H mod p^N from a coprime monic factorization mod p, given
-    by coefficients in [0, p).
+def hensel_split(ctx, F, k):
+    """F = G * H mod p^N with G monic of degree k and H monic, lifted
+    from the residue split G = y^k, H = F[k:] mod p; F[k] must be a unit.
 
-    Classical quadratic lifting; the cofactor identity is refreshed each
-    round, and no precision is lost since the resultant is a unit.
+    Classical quadratic lifting from the cofactors of ``_split_cofactors``;
+    the cofactor identity is refreshed each round, and no precision is
+    lost since the resultant is a unit.
     """
     R = ring(ctx)
+    p = ctx.p
     one, minus_one = R.one, R.neg(R.one)
-    g, h = list(gbar), list(hbar)
-    s, t = _residue_bezout(ctx, gbar, hbar)   # s*g + t*h = 1 mod p
-    deg_g, deg_h = len(gbar), len(hbar)
+    if R.val(F[k]):
+        raise PrecisionExhausted("y^k has no coprime cofactor in F mod p")
+    g, h = [R.zero] * k + [one], _poly_reduce(R, F[k:], p)
+    s, t = _split_cofactors(R, p, h, k)   # s*g + t*h = 1 mod p
+    deg_g, deg_h = len(g), len(h)
     prec = 1
     while prec < ctx.N:
         # quadratic step: all round arithmetic truncated mod p^(2 prec),
         # which is what makes the degree-overflow terms vanish exactly
-        k = min(2 * prec, ctx.N)
-        pk = ctx.p ** k
+        prec = min(2 * prec, ctx.N)
+        pk = p ** prec
         e = _poly_reduce(R, _poly_axpy(R, F, one, R.poly_mul(g, h)), pk)
         q, r = poly_divmod_monic(ctx, R.poly_mul(s, e), h)
         # g <- g + t e + q g, h <- h + r
@@ -225,7 +218,6 @@ def hensel_split(ctx, F, gbar, hbar):
         t = _poly_axpy(R, _poly_axpy(R, t, one, R.poly_mul(t, b)),
                        one, R.poly_mul(c, g))
         t = _poly_reduce(R, t, pk)
-        prec = k
     diff = _poly_axpy(R, F, one, R.poly_mul(g, h))
     if any(c != R.zero for c in diff):
         raise PrecisionExhausted("Hensel lifting failed to converge")
@@ -242,12 +234,13 @@ def _trim_monic(R, a, length):
 
 
 def segment_factorization(ctx, F):
-    """Factor a monic polynomial with integer segment slopes into its
-    root-valuation factors: returns [(valuation, monic factor)].
+    """Factor a monic polynomial into its root-valuation factors: returns
+    [(valuation, monic factor)].  Raises FieldTooSmall when a segment
+    slope is fractional.
 
-    Splits off the minimal-valuation segment by the shear x -> p^v x, a
-    residue factorization y^k * (unit part), and Hensel lifting; recurses
-    on the complementary factor.
+    Splits off the minimal-valuation segment by the shear x -> p^v x and
+    the Hensel lift of its residue split y^k * (unit part); recurses on
+    the complementary factor.
     """
     R = ring(ctx)
     p = ctx.p
@@ -255,22 +248,20 @@ def segment_factorization(ctx, F):
     out = []
     while True:
         np_ = newton_polygon(ctx, F)
+        if any(v.denominator != 1 for (v, _) in np_):
+            raise FieldTooSmall("segment valuations stay fractional after "
+                                "linearization powers")
         if len(np_) == 1:
             out.append((np_[0][0], F))
             return out
         lam, length = np_[0]
-        assert lam.denominator == 1, "segment slopes must be integral here"
         lam = int(lam)
         r = len(F) - 1
         # shear: F2(y) = F(p^lam y) / p^(r lam); integral by the polygon,
         # and lam >= 0 since a monic integral polynomial has integral roots
         F2 = [R.divide_p(c, (r - i) * lam) for i, c in enumerate(F)]
-        # unit-root part has degree `length`; the rest reduces to y^(r-len)
-        k = r - length
-        hbar = _poly_reduce(R, F2[k:], p)
-        hbar = _poly_reduce(R, R.scale(hbar, R.inverse(hbar[-1])), p)
-        gbar = [R.zero] * k + [R.one]
-        G2, H2 = hensel_split(ctx, F2, gbar, hbar)
+        # mod p: y^(r - length) times the unit-root part of degree length
+        G2, H2 = hensel_split(ctx, F2, r - length)
         # undo the shear on both factors
         out.append((Fraction(lam), _unshear(R, p, H2, lam)))
         F = _unshear(R, p, G2, lam)
@@ -350,24 +341,6 @@ class FIsocrystal:
         for _ in range(self.ctx.n - 1):
             lam = self.phi.compose(lam)
         return lam
-
-    def verschiebung(self):
-        """p phi^{-1} = p^{1 + denominator - v(det A)} sigma^{-1}(A_adj)
-        sigma^{-1}."""
-        a_adj, vdet = self.inverse_numerator()
-        e = (-1) % self.ctx.n
-        rows = ring(self.ctx).frob_mat(a_adj, e)
-        return SemilinearMap(self.ctx, rows, e,
-                             vdet - self.phi.denominator - 1,
-                             loss=self.phi.loss)
-
-    def is_dieudonne(self):
-        img = self.phi(self.M)
-        if not self.M.contains(img):
-            return False
-        pM = Lattice.from_columns(self.ctx, self.rank,
-                                  self.M._scaled_cols(1))
-        return img.contains(pM)
 
     def __repr__(self):
         return f"FIsocrystal(rank={self.rank}, p={self.ctx.p}^N)"
@@ -506,10 +479,6 @@ def _slope_split_at(crystal, b, bctx):
     for _ in range(b - 1):
         lam_b = R.mul_mat(lam_b, lam_rows)
     F = charpoly(bctx, lam_b)
-    np_ = newton_polygon(bctx, F)
-    if any(v.denominator != 1 for (v, _) in np_):
-        raise FieldTooSmall(
-            "segment valuations stay fractional after linearization powers")
     factors = segment_factorization(bctx, F)
     n = ctx.n
     d = crystal.phi.denominator
@@ -898,16 +867,19 @@ def end_decompose(slope_data: SlopeData) -> EndDecomposition:
 
 
 def dim_codim(crystal: FIsocrystal):
-    """(codimension, dimension) of a Dieudonne module: colengths of the
-    Verschiebung and Frobenius images.  Computed once per crystal."""
+    """(codimension, dimension) of a Dieudonne module, from the one image
+    phi(M): raises InclusionViolated unless p M is in phi(M) and phi(M) is
+    in M.  The dimension d is the colength of phi(M), and the
+    codimension is r - d: phi maps M / p phi^{-1}(M) isomorphically onto
+    phi(M) / p M.  Computed once per crystal."""
     if "dim_codim" not in crystal._derived:
         M = crystal.M
         img = crystal.phi(M)
         if not M.contains(img):
             raise InclusionViolated("phi(M) is not contained in M")
-        d = mod_p_dimension(img, M)
-        vimg = crystal.verschiebung()(M)
-        if not M.contains(vimg):
+        if not img.contains(Lattice.from_columns(crystal.ctx, crystal.rank,
+                                                 M._scaled_cols(1))):
             raise InclusionViolated("p phi^{-1}(M) is not contained in M")
-        crystal._derived["dim_codim"] = mod_p_dimension(vimg, M), d
+        d = mod_p_dimension(img, M)
+        crystal._derived["dim_codim"] = crystal.rank - d, d
     return crystal._derived["dim_codim"]

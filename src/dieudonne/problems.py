@@ -22,7 +22,8 @@ from .deformation import (DeformationBasis, correction_factor,
                           require_square_zero, select_deformation_basis,
                           solve_connection, trivialize_at_point,
                           verify_horizontality)
-from .errors import (DieudonneError, ParseError, VerificationMismatch)
+from .errors import (DieudonneError, InclusionViolated, ParseError,
+                     VerificationMismatch)
 from .isocrystal import (FIsocrystal, dim_codim, end_decompose,
                          newton_slopes, slope_split)
 from .lattices import Lattice, SemilinearMap
@@ -399,18 +400,21 @@ def _frac(x) -> str:
 def run_slopes(sess: Session) -> dict:
     X = sess.crystal()
     slopes = newton_slopes(X)
-    c, d = dim_codim(X) if X.is_dieudonne() else (None, None)
     out = {
         "slopes": [[_frac(a), m] for (a, m) in slopes],
         "isoclinic": len(slopes) == 1,
         "ok": True,
     }
-    if c is not None:
-        out["codimension"] = c
-        out["dimension"] = d
-        total = sum(Fraction(a) * m for (a, m) in slopes)
-        out["newton_endpoint_matches_dimension"] = (total == d)
-        out["ok"] = out["newton_endpoint_matches_dimension"]
+    try:
+        c, d = dim_codim(X)
+    except InclusionViolated:
+        # not a Dieudonne module: the slopes alone
+        return out
+    out["codimension"] = c
+    out["dimension"] = d
+    total = sum(Fraction(a) * m for (a, m) in slopes)
+    out["newton_endpoint_matches_dimension"] = (total == d)
+    out["ok"] = out["newton_endpoint_matches_dimension"]
     return out
 
 

@@ -28,7 +28,7 @@ from dieudonne.core import Carrier, _conjugation_numerators
 from dieudonne.errors import InclusionViolated
 from dieudonne.isocrystal import (_projector_fixed_lattice, sandwich_map,
                                   signed_block_lattices, slope_split)
-from dieudonne.lattices import Lattice, SemilinearMap
+from dieudonne.lattices import Lattice, SemilinearMap, restrict_map
 from dieudonne.matrix import ring
 from dieudonne.problems import Session
 from dieudonne.witt import make_context
@@ -167,9 +167,9 @@ def test_restriction_certifies_stability():
     mixed = [[R.one] * r for _ in range(r)]
     bad = sandwich_map(X.ctx, mixed, X.inverse_numerator()[0],
                        twist=fwd.twist, denominator=vdet)
-    with pytest.raises(InclusionViolated, match="not stable under a "
-                                                "conjugation numerator"):
-        core._restricted(D.V_plus, bad)
+    with pytest.raises(InclusionViolated,
+                       match="lattice is not stable under the map"):
+        restrict_map(bad.scale_p(vdet), D.V_plus)
     with pytest.raises(InclusionViolated):
         _restricted_reference(D.V_plus, bad)
 

@@ -12,7 +12,8 @@ import pytest
 import sympy
 
 from dieudonne import isocrystal
-from dieudonne.errors import PrecisionExhausted, SingularMap
+from dieudonne.errors import (InclusionViolated, PrecisionExhausted,
+                              SingularMap)
 from dieudonne.witt import make_context
 from dieudonne.matrix import ring
 from dieudonne.isocrystal import (
@@ -21,6 +22,7 @@ from dieudonne.isocrystal import (
 )
 from dieudonne.lattices import (Lattice, SemilinearMap, lattice_sum,
                                 restrict_map, smith_valuations)
+from dieudonne.problems import parse_dict, run
 
 from instances import (conjugated_instance, four_slope_rank8, non_split_draw,
                        non_split_rank6, raw, three_slope_rank4)
@@ -121,6 +123,29 @@ def test_newton_endpoint_is_dimension():
         _, d = dim_codim(X)
         total = sum(a * m for (a, m) in newton_slopes(X))
         assert total == d
+
+
+@pytest.mark.parametrize("phi, denominator, N, slopes, message", [
+    ([[9, 0], [0, 1]], 0, 24, [["0", 1], ["2", 1]],
+     r"p phi\^\{-1\}\(M\) is not contained"),
+    ([[3, 0], [0, 1]], 1, 24, [["-1", 1], ["0", 1]],
+     r"^phi\(M\) is not contained"),
+    # phi is singular modulo p^N
+    ([[1, 0], [0, 3 ** 8]], 0, 8, [["0", 1], ["8", 1]],
+     r"p phi\^\{-1\}\(M\) is not contained"),
+])
+def test_slopes_of_a_non_dieudonne_module_have_no_codimension(
+        phi, denominator, N, slopes, message):
+    # one phi(M) decides: p M in phi(M) in M fails, so dim_codim raises
+    # and the slopes analysis reports the slopes alone
+    X = FIsocrystal.from_int_matrix(make_context(3, 1, N), phi, denominator)
+    with pytest.raises(InclusionViolated, match=message):
+        dim_codim(X)
+    spec = parse_dict({"name": "not_dieudonne", "p": 3, "rank": 2,
+                       "phi_matrix": phi, "phi_denominator": denominator,
+                       "precision": N})
+    assert run(spec, ["slopes"])["analyses"]["slopes"] == {
+        "slopes": slopes, "isoclinic": False, "ok": True}
 
 
 def test_slope_split_ordinary():

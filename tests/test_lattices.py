@@ -14,7 +14,6 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
 import dieudonne
-from dieudonne import core
 from dieudonne.cli import load_corpus
 from dieudonne.deformation import solve_connection
 from dieudonne.problems import RUNNERS, Session
@@ -427,10 +426,6 @@ def test_coordinate_callers_keep_their_errors():
     with pytest.raises(InclusionViolated,
                        match="lattice is not stable under the map"):
         restrict_map(swap, L)
-    with pytest.raises(InclusionViolated,
-                       match="block lattice is not stable under a "
-                             "conjugation numerator"):
-        core._restricted(L, swap)
     D = Session(load_corpus("three_slope_rank4")).decomp()
     with pytest.raises(InclusionViolated,
                        match="lattice is not inside its carrier"):

@@ -3,8 +3,11 @@ bodies it replaced.
 
 ``charpoly``, ``newton_polygon``, ``hensel_split``,
 ``segment_factorization`` and ``_poly_inverse_mod`` now take and return
-raw coefficients of ``matrix.ring(ctx)``, and the residue step of Hensel
-lifting runs on the same polynomial ops with coefficients reduced mod p.
+raw coefficients of ``matrix.ring(ctx)``.  ``hensel_split(ctx, F, k)``
+reads its residue split off F (y^k times F[k:] mod p) and starts from
+the exact cofactors of that split (``_split_cofactors``), where the
+reference takes any coprime residue pair and runs the extended Euclidean
+algorithm over F_q (``_gf_ext_euclid``, kept as the cofactors' oracle).
 The ``*_reference`` functions below are the former bodies with the
 helpers they called, the residue-field toolkit (``_gf_*``, ``_lift_gf``,
 ``_gfp``) included, rewritten on the raw ``WittContext`` ops: they read
@@ -17,8 +20,8 @@ Inputs are seeded, at p in {2, 3}, n in {1, 2} and N in {12, 48, 256}:
 matrices of rank at most 6 with p-divisible entries, and monic
 polynomials that are products of single-segment factors of integral
 slope.  At N = 12 the steeper products outrun the precision, which is
-where ``PrecisionExhausted`` comes from; residue factors with a common
-root give ``FieldTooSmall``.
+where ``PrecisionExhausted`` comes from; a fractional segment slope gives
+``FieldTooSmall``.
 """
 
 import random
@@ -28,8 +31,9 @@ import pytest
 
 from dieudonne.errors import (DieudonneError, FieldTooSmall,
                               PrecisionExhausted)
-from dieudonne.isocrystal import (_poly_inverse_mod, _power_table, charpoly,
-                                  hensel_split, lower_hull, newton_polygon,
+from dieudonne.isocrystal import (_poly_inverse_mod, _power_table,
+                                  _split_cofactors, charpoly, hensel_split,
+                                  lower_hull, newton_polygon,
                                   segment_factorization, vec_to_mat)
 from dieudonne.lattices import invert_matrix
 from dieudonne.matrix import ring
@@ -566,48 +570,61 @@ def test_segment_factorization_raises_like_reference(setting):
     assert got == outcome(segment_factorization_reference, ctx, F)
 
 
+def split_residues(ctx, rng, k, unit=True):
+    """(y^k, hbar) as residue tuples: hbar monic of degree 1 to 3, its
+    constant term a unit, or zero when ``unit`` is false."""
+    zero, one = tuple([0] * ctx.n), tuple([1] + [0] * (ctx.n - 1))
+    hbar = residue_poly(ctx, rng, rng.randint(1, 3))
+    hbar[0] = ((rng.randrange(1, ctx.p),) + hbar[0][1:]) if unit else zero
+    return [zero] * k + [one], hbar
+
+
 def test_hensel_split_matches_reference(setting):
+    """F = y^k lift(hbar) + p E with deg E < deg F: the split read off F
+    lifts to the reference's factors of (y^k, hbar)."""
     ctx, R, rng = setting
-    p = ctx.p
-    errors = set()
-    for i in range(6):
-        gbar = residue_poly(ctx, rng, rng.randint(1, 3))
-        hbar = residue_poly(ctx, rng, rng.randint(1, 3))
-        if i == 0:
-            hbar = gbar    # a common factor: not coprime mod p
-        # F = G H + p E with deg E < deg G H
+    for _ in range(6):
+        k = rng.randint(1, 3)
+        gbar, hbar = split_residues(ctx, rng, k)
         F = poly_mul_reference(ctx, _lift_gf(ctx, gbar), _lift_gf(ctx, hbar))
         F = [ctx.add(c, rand_scalar(ctx, rng, 1)) if i < len(F) - 1 else c
              for i, c in enumerate(F)]
-        got = outcome(hensel_split, ctx, R.raw_col(F), R.raw_col(gbar),
-                      R.raw_col(hbar))
-        want = outcome(hensel_split_reference, ctx, F, gbar, hbar)
-        assert got == raw(R, want)
-        if isinstance(got, tuple) and isinstance(got[0], type):
-            errors.add(got[0])
-        else:
-            assert R.poly_mul(*got) == R.raw_col(F)
-    assert FieldTooSmall in errors
+        got = hensel_split(ctx, R.raw_col(F), k)
+        assert got == raw(R, hensel_split_reference(ctx, F, gbar, hbar))
+        assert R.poly_mul(*got) == R.raw_col(F)
+
+
+def test_split_cofactors_are_the_residue_bezout_pair(setting):
+    """s y^k + t hbar = 1 with deg t < k and deg s < deg hbar: the pair
+    the extended Euclidean algorithm gives, coefficient for
+    coefficient."""
+    ctx, R, rng = setting
+    for _ in range(6):
+        k = rng.randint(1, 4)
+        gbar, hbar = split_residues(ctx, rng, k)
+        assert (_split_cofactors(R, ctx.p, R.raw_col(hbar), k)
+                == raw(R, _gf_ext_euclid(ctx, gbar, hbar)))
 
 
 def test_hensel_split_reports_a_false_factorization(setting):
-    """F not congruent to G H mod p: where the reference stops at its
-    degree assert, the library raises PrecisionExhausted with the same
-    message (an assert vanishes under ``python -O``); elsewhere both
-    bodies give up the same way."""
+    """F[k] = 0 mod p: y^k times F[k:] is no coprime split of F mod p,
+    and the library says so instead of dividing by a non-unit."""
     ctx, R, rng = setting
-    gbar = residue_poly(ctx, rng, 1)
-    hbar = residue_poly(ctx, rng, 2)
-    F = poly_mul_reference(ctx, _lift_gf(ctx, gbar), _lift_gf(ctx, hbar))
-    F[0] = ctx.add(F[0], ctx.scalar(1))
-    got = outcome(hensel_split, ctx, R.raw_col(F), R.raw_col(gbar),
-                  R.raw_col(hbar))
-    want = raw(R, outcome(hensel_split_reference, ctx, F, gbar, hbar))
-    assert isinstance(got[0], type) and issubclass(got[0], DieudonneError)
-    if want[0] is AssertionError:
-        assert got == (PrecisionExhausted, want[1])
-    else:
-        assert got == want
+    for k in (1, 2):
+        gbar, hbar = split_residues(ctx, rng, k, unit=False)
+        F = poly_mul_reference(ctx, _lift_gf(ctx, gbar), _lift_gf(ctx, hbar))
+        with pytest.raises(PrecisionExhausted, match="coprime cofactor"):
+            hensel_split(ctx, R.raw_col(F), k)
+
+
+def test_segment_factorization_refuses_a_fractional_slope(setting):
+    """(x^2 - p)(x - p^2) has two roots of valuation 1/2: no integral
+    shear splits them off."""
+    ctx, R, _ = setting
+    p = ctx.p
+    F = R.raw_col([p ** 3, -p, -p ** 2, 1])
+    with pytest.raises(FieldTooSmall, match="stay fractional"):
+        segment_factorization(ctx, F)
 
 
 @pytest.mark.parametrize("p, N", [(2, 270), (3, 256)])
@@ -627,7 +644,7 @@ def test_hensel_lifting_keeps_its_operands_short(monkeypatch, p, N):
         return poly_mul(a, b)
 
     monkeypatch.setattr(R, "poly_mul", recording)
-    G, H = hensel_split(ctx, F, R.raw_col([0, 1]), R.raw_col([p - 1, 1]))
+    G, H = hensel_split(ctx, F, 1)
     assert (G, H) == (R.raw_col([-p, 1]), R.raw_col([-1, 1]))
     assert poly_mul(G, H) == F
     assert max(lengths) <= len(F)
